@@ -687,6 +687,13 @@ class ServerProtocol:
         """True when this server is the only survivor."""
         return self.ring.num_alive == 1
 
+    @property
+    def reconfig_blocked(self) -> bool:
+        """Whether a view transition this server waits on may need a
+        push: it paused over a suspicion, or its own proposal is still
+        in flight.  Read-only, for the runtime's reconcile watchdog."""
+        return self._suspicion_paused or self._attempt_nonce is not None
+
     def on_client_message(self, client: int, message: ClientMessage) -> list[Reply]:
         """Handle a client request (pseudocode lines 18–20 and 76–84)."""
         if isinstance(message, ClientWrite):

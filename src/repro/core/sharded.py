@@ -13,13 +13,18 @@ round-robins across the blocks' protocol instances, so blocks share the
 wire fairly.  Because blocks are independent registers, per-block
 operations retain the single-register atomicity guarantees.
 
-The sharded hosts participate fully in the cluster's fault machinery:
-each block's protocol persists a durable snapshot, a crashed server
-restarts from the per-block stores and rejoins every block's ring
-(:meth:`ShardedServerHost.restart`), and under ``fd="heartbeat"`` every
-block runs the epoch-guarded quorum-installed view discipline —
-suspicion, stale-epoch fencing and reconfiguration tokens all travel in
-:class:`ShardEnvelope`\\ s like any other ring traffic.
+A :class:`ShardedServerHost` *is* a
+:class:`~repro.runtime.sim_net.ServerHost`: NIC wiring, the restart
+skeleton and the control-plane driver
+(:mod:`repro.runtime.driver` — one per host incarnation, serving every
+block) are inherited, so the sharded hosts participate fully in the
+cluster's fault machinery without re-typing any of it.  Each block's
+protocol persists a durable snapshot, a crashed server restarts from
+the per-block stores and one rejoin pump folds every block back into
+its ring, and under ``fd="heartbeat"`` every block runs the
+epoch-guarded quorum-installed view discipline behind one server-level
+detector — suspicion, stale-epoch fencing and reconfiguration tokens
+all travel in :class:`ShardEnvelope`\\ s like any other ring traffic.
 
 Elastic mode (``placement`` given) replaces the implicit "every server
 hosts every block" map with an explicit versioned
@@ -75,7 +80,7 @@ from repro.errors import (
     StorageUnavailableError,
 )
 from repro.runtime.interface import Reply
-from repro.runtime.sim_net import ClientHost, HostBase, OutLoop, SimCluster
+from repro.runtime.sim_net import ClientHost, ServerHost, SimCluster
 from repro.sim.counters import (
     MIGRATION_ABORTED,
     MIGRATION_BYTES,
@@ -115,14 +120,17 @@ class ShardEnvelope:
         return 4 + payload_size(self.inner)
 
 
-class ShardedServerHost(HostBase):
+class ShardedServerHost(ServerHost):
     """One machine hosting a register protocol instance per block.
 
-    Without a ``placement`` every block lives here over the cluster-wide
-    ring.  With one, this host builds protocol instances only for the
-    blocks placed on its ring, answers requests for anything else with a
-    placement redirect, and lets the rebalancer install and evict blocks
-    live.
+    A :class:`~repro.runtime.sim_net.ServerHost` — same NICs, same
+    control-plane driver, same restart skeleton — that adds what
+    sharding needs: block envelopes, a placement check on every inbound
+    frame, per-block stores and load tallies.  Without a ``placement``
+    every block lives here over the cluster-wide ring.  With one, this
+    host builds protocol instances only for the blocks placed on its
+    ring, answers requests for anything else with a placement redirect,
+    and lets the rebalancer install and evict blocks live.
     """
 
     def __init__(
@@ -132,8 +140,7 @@ class ShardedServerHost(HostBase):
         num_blocks: int,
         placement: Optional[PlacementTable] = None,
     ):
-        super().__init__(cluster, f"s{server_id}")
-        self.server_id = server_id
+        super().__init__(cluster, server_id, None)
         self._placement = placement
         if placement is None:
             hosted = tuple(range(num_blocks))
@@ -163,23 +170,9 @@ class ShardedServerHost(HostBase):
         self.block_ops: dict[int, int] = {}
         self.block_bytes: dict[int, int] = {}
         self._ring_rr = 0
+        #: One FIFO for every client machine (the unsharded host's
+        #: per-machine round-robin would reorder seeded block traces).
         self._reply_queue: deque = deque()
-        #: Generation of the running rejoin-announcement pump, if any
-        #: (see :meth:`SimCluster.begin_rejoin`).
-        self._rejoin_pump_gen: Optional[int] = None
-        #: Last-mirrored protocol stats, for trace-counter deltas.
-        self._mirrored_stats: dict[str, int] = {}
-        nics = cluster.topo.nics[self.name]
-        if cluster.config.topology == "dual":
-            self.nic_ring = nics["srv"]
-            self.nic_client = nics["cli"]
-            self._loops.append(OutLoop(self, self.nic_ring, [self._ring_source]))
-            self._loops.append(OutLoop(self, self.nic_client, [self._reply_source]))
-        else:
-            nic = nics["lan"]
-            self.nic_ring = nic
-            self.nic_client = nic
-            self._loops.append(OutLoop(self, nic, [self._ring_source, self._reply_source]))
 
     def _block_ring(self, reg: int) -> RingView:
         """The view a fresh protocol instance for ``reg`` starts in: the
@@ -190,8 +183,6 @@ class ShardedServerHost(HostBase):
         return RingView(self._placement.servers_of(reg), frozenset(), 0)
 
     def all_protos(self) -> list[ServerProtocol]:
-        """Every block's protocol instance (cluster machinery iterates
-        these for rejoin pumps, reconcile timers and stat mirroring)."""
         return list(self.protos.values())
 
     # -- inbound ------------------------------------------------------
@@ -208,7 +199,7 @@ class ShardedServerHost(HostBase):
             # it dies here, counted.
             self.env.trace.count(SHARD_STALE_DROPPED)
             return
-        self._post(proto.on_ring_message(envelope.inner, sender))
+        self.post(proto.on_ring_message(envelope.inner, sender))
         self.cluster.after_protocol_step(self)
 
     def receive_client(self, client_id: int, envelope: ShardEnvelope) -> None:
@@ -237,7 +228,7 @@ class ShardedServerHost(HostBase):
         self.block_bytes[reg] = self.block_bytes.get(reg, 0) + request_bytes
         self.env.trace.count(SHARD_BLOCK_OPS)
         self.env.trace.count(SHARD_BLOCK_BYTES, request_bytes)
-        self._post(proto.on_client_message(client_id, envelope.inner))
+        self.post(proto.on_client_message(client_id, envelope.inner))
         # Leased reads complete with zero ring traffic; without this the
         # lease stat mirror would wait for a ring receipt that may never
         # come (see ServerHost.receive_client).
@@ -252,7 +243,7 @@ class ShardedServerHost(HostBase):
             op=envelope.inner.op, block=envelope.reg, version=version, servers=servers
         )
         self.env.trace.count(SHARD_REDIRECTS)
-        self._post([Reply(client_id, redirect)])
+        self.post([Reply(client_id, redirect)])
 
     def crash(self) -> None:
         """Crash, stamping the cluster-wide crash order first: elastic
@@ -261,30 +252,6 @@ class ShardedServerHost(HostBase):
         if self._alive:
             self.cluster.note_crash(self.server_id)
         super().crash()
-
-    def notify_crash(self, crashed_id: int) -> None:
-        if not self.alive:
-            return
-        for proto in self.protos.values():
-            if crashed_id in proto.ring.members:
-                self._post(proto.on_server_crash(crashed_id))
-
-    def notify_suspect(self, peer: int) -> None:
-        """Imperfect-detector suspicion (may be wrong): every block's
-        register pauses behind the same server-level suspicion."""
-        if not self.alive:
-            return
-        for proto in self.protos.values():
-            self._post(proto.on_suspect(peer))
-        self.cluster.after_protocol_step(self)
-
-    def notify_unsuspect(self, peer: int) -> None:
-        """A suspected peer's heartbeat arrived: suspicion withdrawn."""
-        if not self.alive:
-            return
-        for proto in self.protos.values():
-            self._post(proto.on_unsuspect(peer))
-        self.cluster.after_protocol_step(self)
 
     # -- elastic placement hooks (rebalancer-driven) -------------------
 
@@ -315,15 +282,9 @@ class ShardedServerHost(HostBase):
 
     # -- restart (crash recovery) --------------------------------------
 
-    def restart(self) -> None:
-        """Restart this server from its per-block durable snapshots.
-
-        Mirrors :meth:`ServerHost.restart`: volatile state — the protocol
-        instances, the reply queue, NIC queues (purged at crash) — is
-        gone; each block's protocol is rebuilt from its snapshot store,
-        the reliable channels re-open (a restart is a new connection on
-        every link) and one rejoin pump drives every still-rejoining
-        block until reconfiguration commits fold the server back in.
+    def _restore_protos(self) -> None:
+        """Rebuild every block's protocol from its snapshot store; one
+        driver then pumps the rejoin of every still-rejoining block.
 
         With a placement, the hosted set is recomputed from the
         *current* table: blocks migrated away while this server was down
@@ -331,53 +292,27 @@ class ShardedServerHost(HostBase):
         placement), and per-block aloneness is judged against the
         block's own ring, not the whole cluster.
         """
-        if self._alive:
-            return
-        self.cluster.reopen_server(self.server_id)
-        super().restart()
         self._reply_queue.clear()
         self._ring_rr = 0
-        self._rejoin_pump_gen = None
-        self._mirrored_stats = {}
         if self._placement is None:
             alone = self.cluster.restart_resumes_alone(self.server_id)
+            members = range(self.cluster.config.num_servers)
             self.protos = {
-                reg: ServerProtocol.restore(
-                    self.server_id,
-                    range(self.cluster.config.num_servers),
-                    store.load(),
-                    self.cluster.config.protocol,
-                    durable=store,
-                    initial_value=self.cluster.config.initial_value,
-                    alone=alone,
-                    generation=self.restarts,
-                )
+                reg: self._restore(store, members, alone)
                 for reg, store in self._stores.items()
             }
-        else:
-            hosted = set(self._placement.blocks_of(self.server_id))
-            for reg in sorted(set(self._stores) - hosted):
-                del self._stores[reg]
-                self.env.trace.count(SHARD_STALE_DROPPED)
-            self.protos = {}
-            for reg in sorted(hosted):
-                store = self._stores.setdefault(reg, MemorySnapshotStore())
-                members = self._placement.servers_of(reg)
-                alone = self._resume_alone(reg, members)
-                self.protos[reg] = ServerProtocol.restore(
-                    self.server_id,
-                    members,
-                    store.load(),
-                    self.cluster.config.protocol,
-                    durable=store,
-                    initial_value=self.cluster.config.initial_value,
-                    alone=alone,
-                    generation=self.restarts,
-                )
-        if self.cluster.hb is not None:
-            self.cluster.hb.reset_server(self.server_id)
-        self.cluster.begin_rejoin(self)
-        self.kick()
+            return
+        hosted = set(self._placement.blocks_of(self.server_id))
+        for reg in sorted(set(self._stores) - hosted):
+            del self._stores[reg]
+            self.env.trace.count(SHARD_STALE_DROPPED)
+        self.protos = {}
+        for reg in sorted(hosted):
+            store = self._stores.setdefault(reg, MemorySnapshotStore())
+            members = self._placement.servers_of(reg)
+            self.protos[reg] = self._restore(
+                store, members, self._resume_alone(reg, members)
+            )
 
     def _resume_alone(self, reg: int, members) -> bool:
         """Whether this restarting server may serve ``reg`` without a
@@ -419,60 +354,59 @@ class ShardedServerHost(HostBase):
                 return False  # peer crashed after us: it holds fresher state
         return True
 
+    def rejoin_sponsors(self, proto: ServerProtocol) -> Optional[list[int]]:
+        if self._placement is None:
+            return super().rejoin_sponsors(proto)
+        # Per-block rings: a block's rejoin can only be sponsored by a
+        # member of *its* ring — an announcement to any other server
+        # dies as stale-placement traffic.  Prefer a member that is
+        # actually serving; if every peer of the ring is down or itself
+        # rejoining, the block stays pending and the pump retries (the
+        # crash-order rule in _resume_alone already decided who may
+        # serve without a sponsor).
+        reg = next(reg for reg, hosted in self.protos.items() if hosted is proto)
+        servers = self.cluster.servers
+        candidates = [
+            sid
+            for sid in proto.ring.members
+            if sid != self.server_id and servers[sid].alive
+        ]
+        serving = [
+            sid
+            for sid in candidates
+            if (peer := servers[sid].protos.get(reg)) is not None
+            and not peer.rejoining
+        ]
+        return serving or candidates
+
     # -- outbound -------------------------------------------------------
 
-    @property
-    def ring_batch_limit(self) -> int:
-        """Batch only on a dedicated ring NIC (see the unsharded host):
-        on a shared port a k-message frame would out-share client
-        replies k-fold in the frame-granular round-robin."""
-        if self.nic_ring is self.nic_client:
-            return 1
-        return self.cluster.batch_limit
-
     def _ring_source(self):
-        """Round-robin the ring link across blocks with pending work.
-
-        Directed out-of-ring-order traffic (rejoin announcements,
-        stale-epoch notices, view-proposal tokens) takes priority within
-        a block's slot, exactly as on the unsharded host — without it a
-        restarted sharded server could never announce itself.
+        """Round-robin the ring link across blocks with pending work,
+        each block's slot pulled exactly as the unsharded host pulls its
+        one protocol (directed traffic first, then a batch within the
+        block — blocks hold independent ring views, so a cross-block
+        frame could mix destinations).
 
         The hosted set is no longer contiguous once blocks migrate, so
         the round-robin walks the *sorted keys* of ``protos`` — it is
         the slot index, not the block index, that advances.
         """
         keys = sorted(self.protos)
-        if not keys:
-            return None
         slots = len(keys)
         for offset in range(slots):
             index = (self._ring_rr + offset) % slots
             reg = keys[index]
-            proto = self.protos[reg]
-            directed = proto.next_directed_message()
-            if directed is not None:
-                destination, message = directed
-                self._ring_rr = (index + 1) % slots
-                return (f"s{destination}", ShardEnvelope(reg, message), "ring")
-            limit = self.ring_batch_limit
-            if limit > 1:
-                # Batch within one block's slot only: blocks hold
-                # independent ring views, so their successors may
-                # diverge and a cross-block frame could mix
-                # destinations.  Fairness across blocks is unchanged —
-                # the slot still advances by one block per frame.
-                batch = proto.next_ring_batch(limit)
-                if batch:
-                    self._ring_rr = (index + 1) % slots
-                    wrapped = [ShardEnvelope(reg, m) for m in batch]
-                    payload = wrapped[0] if len(wrapped) == 1 else wrapped
-                    return (f"s{proto.successor}", payload, "ring")
+            pulled = self._pull_ring(self.protos[reg])
+            if pulled is None:
                 continue
-            message = proto.next_ring_message()
-            if message is not None:
-                self._ring_rr = (index + 1) % slots
-                return (f"s{proto.successor}", ShardEnvelope(reg, message), "ring")
+            self._ring_rr = (index + 1) % slots
+            destination, payload = pulled
+            if isinstance(payload, list):
+                payload = [ShardEnvelope(reg, message) for message in payload]
+            else:
+                payload = ShardEnvelope(reg, payload)
+            return (f"s{destination}", payload, "ring")
         return None
 
     def _reply_source(self):
@@ -486,7 +420,7 @@ class ShardedServerHost(HostBase):
                 return (machine, reply.message, "reply")
         return None
 
-    def _post(self, replies) -> None:
+    def post(self, replies) -> None:
         self._reply_queue.extend(replies)
         self.kick()
 

@@ -12,7 +12,10 @@ Three interchangeable runtimes exist:
 
 They all consume the same :mod:`repro.runtime.interface` effect
 vocabulary, which is what makes the protocol code in :mod:`repro.core`
-identical across the three.
+identical across the three.  The two networked runtimes also host the
+same server *control plane* — failure detection, leases, view-proposal
+timers, the rejoin pump — which lives once, sans-I/O, in
+:mod:`repro.runtime.driver` (docs/runtime.md).
 """
 
 from repro.runtime.interface import CancelTimer, Complete, Fail, Reply, SendTo, SetTimer

@@ -48,30 +48,33 @@ ran over a cluster:
   quorum of the previous view, stale traffic is rejected by epoch, and
   a wrongly suspected server is folded back in through a sponsored
   merge instead of serving stale reads (see docs/reconfiguration.md).
+
+What is *not* here is the control plane.  Beacon cadence, suspicion,
+lease grants and validity, the grace-delayed view proposal and its
+watchdog, the lease wait-out and the rejoin pump all run in the node's
+:class:`~repro.runtime.driver.ServerDriver` — the same code the
+simulator hosts — and this module only lends it sockets, the loop's
+clock and ``call_later`` (docs/runtime.md).  The one piece of rejoin
+policy kept here is a fact only sockets reveal: with the perfect
+detector, two full rounds of refused dials mean nobody else is up.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
+from collections import Counter
 from typing import Optional
 
 from repro.core.client import ClientProtocol
 from repro.core.config import ProtocolConfig
 from repro.core.durable import MemorySnapshotStore, SnapshotStore
-from repro.core.messages import (
-    Heartbeat,
-    LeaseGrant,
-    LeaseRevoke,
-    OpId,
-    ReadAck,
-    RejoinRequest,
-    WriteAck,
-)
+from repro.core.messages import OpId, ReadAck, RejoinRequest, WriteAck
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.errors import ConfigurationError, StorageUnavailableError
-from repro.fd.heartbeat import HeartbeatConfig, HeartbeatTracker, ReadLease
+from repro.fd.heartbeat import HeartbeatConfig
+from repro.runtime.driver import ServerDriver
 from repro.runtime.interface import (
     CancelTimer,
     Complete,
@@ -108,10 +111,10 @@ _KIND_REJOIN = 2
 #: no session layer — a retransmitted heartbeat is not freshness.
 _KIND_HB = 3
 
-#: How often a rejoining server re-announces itself (to the next
-#: candidate sponsor, round-robin) until a reconfiguration commit folds
-#: it back into the ring.
-_REJOIN_RETRY = 0.3
+#: Unsent bytes on a heartbeat connection past which the peer is not
+#: draining it (asyncio's default high-water mark, where ``drain()``
+#: would start to block): the connection is dropped and redialled.
+_HB_BACKLOG = 64 * 1024
 
 #: How long the ring sender waits before redialling an unreachable
 #: successor under the heartbeat detector (where a refused connection is
@@ -185,16 +188,15 @@ class AsyncServerNode:
             if fd == "heartbeat"
             else None
         )
-        self._tracker: Optional[HeartbeatTracker] = None
+        #: This incarnation's control plane (built by
+        #: :meth:`spawn_background`, replaced by :meth:`restart`).
+        self.driver: Optional[ServerDriver] = None
+        #: Control-plane event tallies, keyed by the driver's event names.
+        self.counters: Counter = Counter()
         self._hb_writers: dict[int, asyncio.StreamWriter] = {}
-        #: Holder-side read lease (``config.read_leases`` under the
-        #: heartbeat detector).  Deliberately volatile: a restart
-        #: rebuilds it empty in :meth:`spawn_background`, so a rejoining
-        #: incarnation re-earns grants instead of reviving pre-crash ones.
-        self._lease: Optional[ReadLease] = None
-        self._lease_pushed: Optional[tuple[bool, int]] = None
-        self._reconcile_pending = False
-        self._announcer_task: Optional[asyncio.Task] = None
+        self._hb_dialing: set[int] = set()
+        #: Consecutive refused rejoin announcements (see :meth:`_announced`).
+        self._refused = 0
         #: Durable snapshot store; a restart reloads from it.  Use a
         #: :class:`~repro.core.durable.FileSnapshotStore` for state that
         #: must survive the *process* (the deployment story); the default
@@ -242,41 +244,29 @@ class AsyncServerNode:
         self.spawn_background(trusting=True)
 
     def spawn_background(self, trusting: bool) -> None:
-        """Start the sender task and, in heartbeat mode, the detector.
-
-        ``trusting`` seeds the tracker's silence clocks: a cold start
-        trusts its peers for one timeout, a restart starts suspect-first
-        (the snapshot carries no liveness information, so nobody is
-        vouched for until a heartbeat actually arrives).
-        """
+        """Start the ring sender and this incarnation's control-plane
+        driver (``trusting``: a cold start trusts its peers for one
+        timeout, a restart starts suspect-first)."""
         self._tasks.append(asyncio.create_task(self._ring_sender()))
-        if self.fd != "heartbeat":
-            return
-        self._lease = (
-            ReadLease(self.hb_config.lease_duration)
-            if self.proto.config.read_leases
-            else None
-        )
-        self._lease_pushed = None
-        base = _now() if trusting else _now() - self.hb_config.timeout - 1e-9
-        self._tracker = HeartbeatTracker(
+        self.driver = ServerDriver(
+            self,
+            self.server_id,
             [sid for sid in sorted(self.addresses) if sid != self.server_id],
-            self.hb_config.timeout,
-            now=base,
-            imperfect=True,
+            self.hb_config,
+            self.proto.config.read_leases,
+            trusting,
         )
-        self._tasks.append(asyncio.create_task(self._heartbeat_sender()))
-        self._tasks.append(asyncio.create_task(self._suspicion_checker()))
+        self.driver.start()
 
     async def stop(self) -> None:
         """Crash the server: abort every connection immediately."""
         self._stopped = True
+        if self.driver is not None:
+            self.driver.stop()
         if self._server is not None:
             self._server.close()
         for task in self._tasks:
             task.cancel()
-        if self._announcer_task is not None:
-            self._announcer_task.cancel()
         writers = [
             self._ring_writer,
             *self._client_writers.values(),
@@ -293,9 +283,10 @@ class AsyncServerNode:
 
         The volatile half is rebuilt from scratch (a new protocol
         restored from the snapshot, fresh sessions — every link is a new
-        connection, which the bumped ``generation`` communicates); the
-        node re-listens on its recorded address and announces itself to
-        the live servers until a reconfiguration folds it back in.
+        connection, which the bumped ``generation`` communicates — and a
+        fresh suspect-first driver); the node re-listens on its recorded
+        address and the driver announces it to the live servers until a
+        reconfiguration folds it back in.
         """
         if not self._stopped:
             return
@@ -305,15 +296,15 @@ class AsyncServerNode:
         self._client_writers = {}
         self._inbound_writers = []
         self._hb_writers = {}
+        self._hb_dialing = set()
+        self._refused = 0
         self._ring_writer = None
         self._ring_peer = None
         self._ring_wake = asyncio.Event()
         self._ring_session = ReliableSession()
-        self._session_peer: Optional[int] = None
+        self._session_peer = None
         self._peer_sessions = {}
         self._peer_generations = {}
-        self._reconcile_pending = False
-        self._announcer_task = None
         self.proto = ServerProtocol.restore(
             self.server_id,
             sorted(self.addresses),
@@ -326,284 +317,108 @@ class AsyncServerNode:
         host, port = self.addresses[self.server_id]
         self._server = await asyncio.start_server(self._on_connection, host, port)
         self.spawn_background(trusting=False)
-        self._ensure_announcer()
 
-    async def _rejoin_announcer(self) -> None:
-        """Announce this restarted server to candidate sponsors until a
-        reconfiguration commit resumes it.
+    # ------------------------------------------------------------------
+    # Driver capabilities (repro.runtime.driver.DriverHost)
+    # ------------------------------------------------------------------
 
-        Each attempt opens a short-lived connection (hello kind
-        ``rejoin``) to the next candidate, round-robin, pacing attempts
-        at ``_REJOIN_RETRY`` whether or not the candidate answered.
+    def all_protos(self) -> list[ServerProtocol]:
+        return [self.proto]
+
+    def now(self) -> float:
+        return _now()
+
+    def set_timer(self, delay: float, callback, *args) -> None:
+        asyncio.get_running_loop().call_later(delay, callback, *args)
+
+    def send_raw(self, peer: int, message) -> None:
+        """One raw frame on the persistent heartbeat connection to
+        ``peer`` (no session layer: a retransmitted beacon or grant must
+        not count as fresh).
+
+        Never waits: a missing connection is dialled in the background
+        and the frame rides the new connection if the dial succeeds; a
+        connection the peer has stopped draining (a firewall swallowing
+        packets rather than refusing them) is dropped like a failed
+        dial.  Silence *is* the signal, and one dead peer must not hold
+        up the beacons every *other* peer relies on for our liveness.
+        """
+        writer = self._hb_writers.get(peer)
+        if writer is not None and not writer.is_closing():
+            if writer.transport.get_write_buffer_size() <= _HB_BACKLOG:
+                writer.write(frame(encode_message(message)))
+                return
+            writer.transport.abort()
+        if peer not in self._hb_dialing:
+            self._hb_dialing.add(peer)
+            self._track(asyncio.create_task(self._dial_hb(peer, message)))
+
+    async def _dial_hb(self, peer: int, message) -> None:
+        try:
+            _r, writer = await asyncio.wait_for(
+                asyncio.open_connection(*self.addresses[peer]),
+                timeout=self.hb_config.period,
+            )
+            writer.write(_HELLO.pack(_KIND_HB, self.server_id, self.generation))
+            writer.write(frame(encode_message(message)))
+            self._hb_writers[peer] = writer
+        except (ConnectionError, OSError, asyncio.TimeoutError):
+            pass  # this beat is lost; the next one redials
+        finally:
+            self._hb_dialing.discard(peer)
+
+    def post(self, replies) -> None:
+        if replies:
+            self._track(asyncio.create_task(self._dispatch_replies(replies)))
+        self._ring_wake.set()
+
+    def after_step(self) -> None:
+        """Post-handler hook: let the driver act on what the handlers
+        asked for, and wake the sender for what they queued."""
+        self.driver.poll()
+        self._ring_wake.set()
+
+    def count(self, event: str, peer: int) -> None:
+        self.counters[event] += 1
+
+    def rejoin_sponsors(self, proto: ServerProtocol) -> list[int]:
+        return self.driver.peers
+
+    def _announced(self, delivered: bool) -> None:
+        """Outcome of one rejoin announcement's dial.
+
         With the paper's failure model a refused connection means that
         server is down, so two full rounds of nothing-but-refusals mean
         *nobody* is alive: the restarted server is the whole ring and
         resumes alone from its snapshot, mirroring the simulator's
-        alone-restart.  Known limitation: if every server crashes and
-        several restart near-simultaneously, their listeners accept each
-        other's announcements (no refusal), each defers the other's
-        request while paused, and none takes the alone path — mass
-        cold-start recovery needs the quorum/epoch reconfiguration the
-        roadmap's partition-tolerance item calls for.
+        oracle.  Perfect-detector reasoning only — under the heartbeat
+        detector silence could be a partition, and resuming alone
+        without quorum evidence would fork the register, so the driver
+        keeps announcing instead.
         """
-        candidates = [sid for sid in sorted(self.addresses) if sid != self.server_id]
-        consecutive_refusals = 0
-        attempt = 0
-        while not self._stopped and self.proto.rejoining and candidates:
-            sponsor = candidates[attempt % len(candidates)]
-            attempt += 1
-            try:
-                _reader, writer = await asyncio.open_connection(
-                    *self.addresses[sponsor]
-                )
-                writer.write(_HELLO.pack(_KIND_REJOIN, self.server_id, self.generation))
-                writer.write(
-                    frame(
-                        encode_message(
-                            RejoinRequest(
-                                self.server_id,
-                                self.generation,
-                                self.proto.installed_epoch,
-                            )
-                        )
-                    )
-                )
-                await writer.drain()
-                writer.close()
-                consecutive_refusals = 0
-            except (ConnectionError, OSError):
-                consecutive_refusals += 1
-                if (
-                    self.fd != "heartbeat"
-                    and consecutive_refusals >= 2 * len(candidates)
-                ):
-                    # Perfect-detector reasoning only: a refused
-                    # connection *means* the peer is down, so a full
-                    # round of refusals means nobody is alive.  Under
-                    # the heartbeat detector silence could be a
-                    # partition, and resuming alone without quorum
-                    # evidence would fork the register — keep announcing
-                    # instead.
-                    self.proto.complete_rejoin_alone()
-                    self.proto.drain_replies()  # nobody is waiting across a restart
-                    self._ring_wake.set()
-                    return
-            await asyncio.sleep(_REJOIN_RETRY)
-
-    def _ensure_announcer(self) -> None:
-        """Keep a rejoin announcer running while the protocol rejoins.
-
-        Covers both a restarted server and a live one demoted by the
-        epoch guard (StaleEpochNotice / future-epoch evidence)."""
-        if not self.proto.rejoining or self._stopped:
-            return
-        if self._announcer_task is None or self._announcer_task.done():
-            self._announcer_task = asyncio.create_task(self._rejoin_announcer())
-
-    # ------------------------------------------------------------------
-    # Imperfect failure detector (fd="heartbeat")
-    # ------------------------------------------------------------------
-
-    async def _heartbeat_sender(self) -> None:
-        """Beacon to every peer each period over persistent connections.
-
-        A failed or slow dial simply drops the beat — silence *is* the
-        signal — and the connection is re-attempted next period.  Every
-        await is bounded by the period: one blackholed peer (a firewall
-        that swallows SYNs rather than refusing them) must not suppress
-        the beacons every *other* peer relies on for our liveness.
-        """
-        budget = self.hb_config.period
-        while not self._stopped:
-            for peer in sorted(self.addresses):
-                if peer == self.server_id:
-                    continue
-                writer = self._hb_writers.get(peer)
-                if writer is None or writer.is_closing():
-                    try:
-                        _r, writer = await asyncio.wait_for(
-                            asyncio.open_connection(*self.addresses[peer]),
-                            timeout=budget,
-                        )
-                        writer.write(
-                            _HELLO.pack(_KIND_HB, self.server_id, self.generation)
-                        )
-                        self._hb_writers[peer] = writer
-                    except (ConnectionError, OSError, asyncio.TimeoutError):
-                        self._hb_writers.pop(peer, None)
-                        continue
-                try:
-                    writer.write(frame(encode_message(Heartbeat(self.server_id))))
-                    if self._lease_granting and self.proto.may_grant_lease(peer):
-                        # Grants ride the raw heartbeat stream (no
-                        # session layer): a retransmitted grant must not
-                        # count as fresh, and the sent_at stamp makes a
-                        # delayed one expire on the holder's clock.
-                        writer.write(
-                            frame(
-                                encode_message(
-                                    LeaseGrant(
-                                        self.server_id,
-                                        self.proto.installed_epoch,
-                                        _now(),
-                                    )
-                                )
-                            )
-                        )
-                    await asyncio.wait_for(writer.drain(), timeout=budget)
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    writer.close()
-                    self._hb_writers.pop(peer, None)
-            await asyncio.sleep(self.hb_config.period)
-
-    @property
-    def _lease_granting(self) -> bool:
-        return (
-            self.proto.config.read_leases
-            and self.hb_config is not None
-            and self.hb_config.grant_leases
-        )
-
-    async def _suspicion_checker(self) -> None:
-        """Poll the tracker and feed suspicion transitions to the protocol."""
-        while not self._stopped:
-            await asyncio.sleep(self.hb_config.check_interval)
-            if self._stopped:
-                return
-            for peer in self._tracker.check(_now()):
-                if self._lease_granting:
-                    self._send_lease_revoke(peer)
-                await self._dispatch_replies(self.proto.on_suspect(peer))
-                self._after_step()
-            # Periodic validity recheck: grants expire by clock, not by
-            # any arriving message, so the checker is what notices.
-            await self._sync_lease()
-
-    async def _on_heartbeat(self, peer: int) -> None:
-        if self._tracker is None:
-            return
-        if self._tracker.heard_from(peer, _now()):
-            await self._dispatch_replies(self.proto.on_unsuspect(peer))
-            self._after_step()
-
-    # ------------------------------------------------------------------
-    # Read leases (fd="heartbeat" + config.read_leases)
-    # ------------------------------------------------------------------
-
-    def _send_lease_revoke(self, peer: int) -> None:
-        """Best-effort immediate revoke on new suspicion.
-
-        Rides the existing heartbeat connection if one survives; when it
-        does not (the usual case — the peer is silent because the link
-        is gone), the grant's own expiry bounds the holder's exposure.
-        """
-        writer = self._hb_writers.get(peer)
-        if writer is None or writer.is_closing():
-            return
-        try:
-            writer.write(
-                frame(
-                    encode_message(
-                        LeaseRevoke(self.server_id, self.proto.installed_epoch)
-                    )
-                )
-            )
-        except (ConnectionError, OSError):
-            self._hb_writers.pop(peer, None)
-
-    async def _sync_lease(self) -> None:
-        """Re-derive lease validity and push transitions to the protocol."""
-        if self._lease is None:
-            return
-        proto = self.proto
-        self._lease.set_required(
-            [sid for sid in proto.installed_view.alive() if sid != self.server_id]
-        )
-        epoch = proto.installed_epoch
-        valid = self._lease.valid(_now(), epoch)
-        if self._lease_pushed == (valid, epoch):
-            return
-        self._lease_pushed = (valid, epoch)
-        await self._dispatch_replies(proto.on_lease_update(valid, epoch))
-        self._ring_wake.set()
-
-    def _schedule_lease_waitout(self, epoch: int) -> None:
-        self._track(
-            asyncio.create_task(self._lease_waitout(epoch, self.generation))
-        )
-
-    async def _lease_waitout(self, epoch: int, generation: int) -> None:
-        """Fire the old-epoch lease wait-out after its provable bound."""
-        await asyncio.sleep(self.hb_config.waitout())
-        if self._stopped or self.generation != generation:
-            return
-        await self._dispatch_replies(self.proto.lease_waitout_elapsed(epoch))
-        self._after_step()
-        self._ring_wake.set()
+        self._refused = 0 if delivered else self._refused + 1
+        if self.fd != "heartbeat" and self._refused >= 2 * len(self.driver.peers):
+            self.driver.resume_alone()
 
     def _track(self, task: asyncio.Task) -> None:
-        """Register a background task, pruning finished ones.
-
-        Reconcile cycles and watchdog re-arms spawn tasks for the whole
-        life of the node; without pruning, a long partition would grow
-        the list (and its retained coroutine frames) without bound.
-        """
+        """Register a background task, pruning finished ones (driver
+        callbacks spawn them for the whole life of the node)."""
         self._tasks = [t for t in self._tasks if not t.done()]
         self._tasks.append(task)
 
-    def _after_step(self) -> None:
-        """Post-handler hook: reconcile timers and the rejoin announcer."""
-        proto = self.proto
-        if not proto.config.view_quorum:
-            return
-        if proto.rejoining:
-            self._ensure_announcer()
-        if proto.lease_waitout_due:
-            proto.lease_waitout_due = False
-            self._schedule_lease_waitout(proto.installed_epoch)
-        if proto.reconcile_due:
-            proto.reconcile_due = False
-            if not self._reconcile_pending:
-                self._reconcile_pending = True
-                self._track(
-                    asyncio.create_task(
-                        self._reconcile_later(self.hb_config.propose_grace)
-                    )
-                )
-        self._ring_wake.set()
-
-    async def _reconcile_later(self, delay: float) -> None:
-        await asyncio.sleep(delay)
-        self._reconcile_pending = False
-        if self._stopped:
-            return
-        await self._dispatch_replies(self.proto.propose_reconfig())
-        self._after_step()
-        proto = self.proto
-        if proto.paused and not proto.rejoining and (
-            proto._suspicion_paused or proto._attempt_nonce is not None
-        ):
-            # Watchdog: re-evaluate while blocked (an attempt can die
-            # silently with a crashed hop; a quorum stall heals only
-            # when the detector changes its mind).
-            if not self._reconcile_pending:
-                self._reconcile_pending = True
-                self._track(
-                    asyncio.create_task(
-                        self._reconcile_later(4 * self.hb_config.propose_grace)
-                    )
-                )
-
-    async def _send_control(self, destination: int, message) -> None:
-        """Best-effort out-of-ring-order frame (stale-epoch notices)."""
+    async def _send_control(self, destination: int, message) -> bool:
+        """Best-effort out-of-ring-order frame (rejoin announcements,
+        stale-epoch notices, first-hop tokens); whether the dial went
+        through."""
         try:
             _r, writer = await asyncio.open_connection(*self.addresses[destination])
             writer.write(_HELLO.pack(_KIND_REJOIN, self.server_id, self.generation))
             writer.write(frame(encode_message(message)))
             await writer.drain()
             writer.close()
+            return True
         except (ConnectionError, OSError):
-            pass  # advisory traffic; the guard re-triggers it
+            return False  # advisory traffic; its sender re-triggers it
 
     # ------------------------------------------------------------------
     # Inbound connections
@@ -626,20 +441,7 @@ class AsyncServerNode:
                 async for payload in _read_frames(reader, decoder):
                     if self._stopped:
                         break
-                    message = decode_message(payload)
-                    if isinstance(message, Heartbeat):
-                        await self._on_heartbeat(message.server_id)
-                    elif isinstance(message, LeaseGrant) and self._lease is not None:
-                        # Freshness runs from the grantor's sent_at, so
-                        # a grant that sat in a dead link arrives
-                        # already-expired instead of reviving a lease.
-                        self._lease.grant(
-                            message.grantor, message.epoch, message.sent_at
-                        )
-                        await self._sync_lease()
-                    elif isinstance(message, LeaseRevoke) and self._lease is not None:
-                        self._lease.revoke(message.grantor)
-                        await self._sync_lease()
+                    self.driver.on_raw(decode_message(payload))
             except (ConnectionError, asyncio.CancelledError):
                 pass
             finally:
@@ -657,8 +459,7 @@ class AsyncServerNode:
                         decode_message(payload), int(peer_id)
                     )
                     await self._dispatch_replies(replies)
-                    self._after_step()
-                    self._ring_wake.set()
+                    self.after_step()
             except (ConnectionError, asyncio.CancelledError):
                 pass
             finally:
@@ -700,11 +501,10 @@ class AsyncServerNode:
                     for message in session.on_segment(segment, _now()):
                         if kind == _KIND_RING:
                             replies = self.proto.on_ring_message(message, int(peer_id))
-                            self._after_step()
                         else:
                             replies = self.proto.on_client_message(peer_id, message)
+                        self.after_step()
                         await self._dispatch_replies(replies)
-                        self._ring_wake.set()
                 if session.ack_owed:
                     # No reverse traffic carried the ack (ring links are
                     # one-directional; client requests may defer their
@@ -743,7 +543,9 @@ class AsyncServerNode:
             directed = self.proto.next_directed_message()
             if directed is not None:
                 destination, out_of_band = directed
-                await self._send_control(destination, out_of_band)
+                delivered = await self._send_control(destination, out_of_band)
+                if isinstance(out_of_band, RejoinRequest):
+                    self._announced(delivered)
                 continue
             limit = self.proto.config.batch_max_messages
             if limit > 1:

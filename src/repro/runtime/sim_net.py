@@ -25,6 +25,16 @@ wires up:
   generator had to schedule around.  Sessions to a crashed peer are
   abandoned when the failure detector fires — the simulator's stand-in
   for a TCP reset — so retransmission never outlives the channel.
+
+The server *control plane* — heartbeat detector, read leases, suspicion
+hand-off, grace-delayed view proposals, lease wait-outs, the rejoin pump
+— is not here: each :class:`ServerHost` incarnation owns a sans-I/O
+:class:`~repro.runtime.driver.ServerDriver` and lends it the simulated
+clock, scheduler and raw fabric (docs/runtime.md).  What this module
+adds is what only a simulator knows: which hosts are *really* alive
+(``fd.wrong_suspicions``, the choice of rejoin sponsors, "nobody else is
+up, resume alone") and the mirroring of protocol statistics into the
+trace.
 """
 
 from __future__ import annotations
@@ -36,20 +46,14 @@ from typing import Callable, Optional
 from repro.core.client import ClientProtocol
 from repro.core.config import ProtocolConfig
 from repro.core.durable import MemorySnapshotStore
-from repro.core.messages import (
-    ClientMessage,
-    Heartbeat,
-    LeaseGrant,
-    LeaseRevoke,
-    OpId,
-    payload_size,
-)
+from repro.core.messages import ClientMessage, OpId, payload_size
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.core.tags import Tag
 from repro.errors import ConfigurationError, SimulationError
-from repro.fd.heartbeat import HeartbeatConfig, HeartbeatTracker, ReadLease
+from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.perfect import PerfectFailureDetector
+from repro.runtime import driver
 from repro.runtime.interface import (
     CancelTimer,
     Complete,
@@ -117,14 +121,37 @@ DEFAULT_DETECTION_DELAY = 0.005
 #: cost contended read throughput (see SimCluster.batch_limit).
 BATCH_DEPTH_RING_BUDGET = 16
 
-#: Rejoin announcement retry cadence: a restarted server re-announces
-#: itself (to a different sponsor each attempt, round-robin) until a
-#: reconfiguration commit resumes it.  The initial period comfortably
-#: exceeds a healthy reconfiguration round trip, and the backoff keeps a
-#: rejoiner stuck behind a long fault window from spraying announcements
-#: that would each trigger a redundant reconfiguration at heal time.
-REJOIN_RETRY_INITIAL = 0.25
-REJOIN_RETRY_MAX = 1.0
+#: Driver events (:meth:`ServerHost.count`) -> registered trace counters.
+_DRIVER_COUNTERS = {
+    driver.SUSPECTED: FD_SUSPICIONS,
+    driver.UNSUSPECTED: FD_UNSUSPECTS,
+    driver.LEASE_GRANTED: LEASE_GRANTED,
+    driver.LEASE_RENEWED: LEASE_RENEWED,
+    driver.LEASE_REVOKED: LEASE_REVOKED,
+    driver.LEASE_EXPIRED: LEASE_EXPIRED,
+}
+
+#: Protocol statistics mirrored into the trace after each step under the
+#: heartbeat detector: the epoch-guard ones always, the rest when the
+#: feature that moves them is configured.
+_EPOCH_STATS = (
+    ("stats_stale_epoch_dropped", EPOCH_STALE_DROPPED),
+    ("stats_quorum_stalls", EPOCH_QUORUM_STALLS),
+    ("stats_epoch_rejected_reconfigs", EPOCH_REJECTED_RECONFIGS),
+    ("stats_confirm_reconfigs", EPOCH_CONFIRMS),
+)
+_LEASE_STATS = (
+    ("stats_lease_local_reads", LEASE_LOCAL_READS),
+    ("stats_lease_fallbacks", LEASE_FALLBACKS),
+    ("stats_lease_waitouts", LEASE_WAITOUTS),
+)
+_CODING_STATS = (
+    ("stats_coding_fragment_stores", CODING_FRAGMENT_STORES),
+    ("stats_coding_cache_reads", CODING_CACHE_READS),
+    ("stats_coding_reconstructions", CODING_RECONSTRUCTIONS),
+    ("stats_coding_repairs", CODING_REPAIRS),
+    ("stats_coding_pending_dropped", CODING_PENDING_DROPPED),
+)
 
 
 @dataclass(frozen=True)
@@ -155,11 +182,6 @@ class ClusterConfig:
     #: value-sized payloads, so the register must start full (the paper's
     #: read experiment necessarily measures value-carrying replies).
     initial_value: bytes = b""
-    #: Run every unicast through the reliable session layer
-    #: (:mod:`repro.transport.reliable`).  ``False`` restores the bare
-    #: fabric, whose FIFO guarantee holds only while the nemesis is
-    #: polite — useful for unit tests of raw network behaviour.
-    reliable: bool = True
     reliable_config: ReliableConfig = field(default_factory=ReliableConfig)
     #: Failure detector: ``"perfect"`` (the paper's oracle — crash events
     #: are simulation facts relayed after ``detection_delay``) or
@@ -251,19 +273,29 @@ class ServerHost(_HostBase):
     round-robin, modelling per-TCP-connection fairness in a real kernel:
     a writer machine's (tiny) acks are not starved behind another
     machine's (bulk) read replies.
+
+    The host is also the :class:`~repro.runtime.driver.DriverHost` of
+    its incarnation's control-plane driver: it lends the simulated
+    clock, scheduler and raw fabric, and answers from the simulator's
+    oracle where a real runtime could only guess.  The sharded host
+    (:mod:`repro.core.sharded`) subclasses this with one protocol per
+    block; everything here goes through :meth:`all_protos`.
     """
 
-    def __init__(self, cluster: "SimCluster", server_id: int, proto: ServerProtocol):
+    def __init__(
+        self, cluster: "SimCluster", server_id: int, proto: Optional[ServerProtocol]
+    ):
         super().__init__(cluster, f"s{server_id}")
         self.server_id = server_id
+        #: The hosted protocol (``None`` on the sharded subclass, which
+        #: keeps one per block in ``protos``).
         self.proto = proto
         self._reply_queues: dict[str, deque[Reply]] = {}
         self._reply_rr: deque[str] = deque()
-        #: Generation of the running rejoin-announcement pump, if any
-        #: (see :meth:`SimCluster.begin_rejoin`).
-        self._rejoin_pump_gen: Optional[int] = None
         #: Last-mirrored protocol stats, for trace-counter deltas.
         self._mirrored_stats: dict[str, int] = {}
+        self.driver = self._new_driver(trusting=True)
+        self.on_crash(lambda _process: self.driver.stop())
 
         nics = cluster.topo.nics[self.name]
         if cluster.config.topology == "dual":
@@ -282,9 +314,8 @@ class ServerHost(_HostBase):
             )
 
     def all_protos(self) -> list[ServerProtocol]:
-        """Uniform surface shared with the sharded host (one protocol
-        instance per block there): the cluster's rejoin pump, reconcile
-        timers and stat mirroring iterate this instead of ``.proto``."""
+        """Every hosted protocol instance: one here, one per block on
+        the sharded host."""
         return [self.proto]
 
     # -- inbound ------------------------------------------------------
@@ -292,47 +323,84 @@ class ServerHost(_HostBase):
     def receive_ring(self, message, sender: Optional[int] = None) -> None:
         if not self.alive:
             return
-        self._post(self.proto.on_ring_message(message, sender))
+        self.post(self.proto.on_ring_message(message, sender))
         self.cluster.after_protocol_step(self)
 
     def receive_client(self, client_id: int, message: ClientMessage) -> None:
         if not self.alive:
             return
-        self._post(self.proto.on_client_message(client_id, message))
+        self.post(self.proto.on_client_message(client_id, message))
         # A leased read completes with zero ring traffic, so the stat
         # mirror cannot wait for the next ring receipt — under heartbeat
         # mode the trace would undercount local reads forever.
         self.cluster.after_protocol_step(self)
 
+    def receive_raw(self, message) -> None:
+        """A beacon or lease message off the raw fabric."""
+        if self.alive:
+            self.driver.on_raw(message)
+
     def notify_crash(self, crashed_id: int) -> None:
         if not self.alive:
             return
-        self._post(self.proto.on_server_crash(crashed_id))
+        for proto in self.all_protos():
+            if crashed_id in proto.ring.members:
+                self.post(proto.on_server_crash(crashed_id))
 
-    def notify_suspect(self, peer: int) -> None:
-        """Imperfect-detector suspicion (may be wrong)."""
-        if not self.alive:
-            return
-        self._post(self.proto.on_suspect(peer))
+    # -- driver capabilities (repro.runtime.driver.DriverHost) ----------
+
+    def now(self) -> float:
+        """This server's local clock: fabric time plus any nemesis skew."""
+        return self.env.now + self.cluster.nemesis.clock_offset(self.name)
+
+    def set_timer(self, delay: float, callback, *args) -> None:
+        self.env.scheduler.schedule(delay, callback, *args)
+
+    def send_raw(self, peer: int, message) -> None:
+        """Outside the reliable layer but *through the nemesis-routed
+        fabric*: partitions hold or drop beacons and lease traffic,
+        pauses freeze them and throttles slow them — which is exactly
+        how wrong suspicion arises."""
+        src_nic, dst_nic, network = self.cluster.topo.nic_for(self.name, f"s{peer}")
+        network.unicast(
+            src_nic,
+            dst_nic,
+            payload_size(message),
+            message,
+            self.cluster.servers[peer].receive_raw,
+        )
+
+    def after_step(self) -> None:
         self.cluster.after_protocol_step(self)
 
-    def notify_unsuspect(self, peer: int) -> None:
-        """A suspected peer's heartbeat arrived: suspicion withdrawn."""
-        if not self.alive:
-            return
-        self._post(self.proto.on_unsuspect(peer))
-        self.cluster.after_protocol_step(self)
+    def count(self, event: str, peer: int) -> None:
+        self.env.trace.count(_DRIVER_COUNTERS[event])
+        if event == driver.SUSPECTED and self.cluster.servers[peer].alive:
+            # The score the chaos gate relies on: in-simulation proof
+            # that a run exercised the wrongly-suspected-but-alive case.
+            self.env.trace.count(FD_WRONG_SUSPICIONS)
+
+    def rejoin_sponsors(self, proto: ServerProtocol) -> Optional[list[int]]:
+        if self.cluster.hb is not None:
+            # No aliveness oracle: announce to every other member in
+            # turn; frames to the dead die in transit, and "nobody is
+            # alive" is indistinguishable from a partition, so there is
+            # deliberately no resume-alone shortcut here.
+            return self.driver.peers
+        servers = self.cluster.servers
+        return [sid for sid in self.driver.peers if servers[sid].alive] or None
 
     # -- restart (crash recovery) --------------------------------------
 
     def restart(self) -> None:
-        """Restart this server from its durable snapshot and rejoin.
+        """Restart this server from its durable snapshot(s) and rejoin.
 
-        Volatile state — the protocol object, reply queues, NIC queues
-        (purged at crash) — is gone; the cluster rebuilds the protocol
-        from the snapshot store, re-opens the reliable channels (a
-        restart is a new connection on every link) and drives the rejoin
-        handshake until a reconfiguration folds the server back in.
+        Volatile state — the protocol object(s), reply queues, NIC
+        queues (purged at crash), the control-plane driver — is gone;
+        the protocol is rebuilt from the snapshot store, the reliable
+        channels re-open (a restart is a new connection on every link)
+        and a fresh driver announces the rejoin until a reconfiguration
+        folds the server back in.
         """
         if self._alive:
             return
@@ -340,15 +408,46 @@ class ServerHost(_HostBase):
         super().restart()
         self._reply_queues.clear()
         self._reply_rr.clear()
-        self._rejoin_pump_gen = None
         self._mirrored_stats = {}
-        self.proto = self.cluster.restore_server_protocol(self.server_id, self.restarts)
-        if self.cluster.hb is not None:
-            # Fresh tracker and loops for the new incarnation (the
-            # generation guard retires the old ones).
-            self.cluster.hb.reset_server(self.server_id)
-        self.cluster.begin_rejoin(self)
+        self._restore_protos()
+        self.driver = self._new_driver(trusting=False)
+        self.driver.start()
         self.kick()
+
+    def _restore_protos(self) -> None:
+        store = self.cluster.durable_stores.setdefault(
+            self.server_id, MemorySnapshotStore()
+        )
+        self.proto = self._restore(
+            store,
+            range(self.cluster.config.num_servers),
+            self.cluster.restart_resumes_alone(self.server_id),
+        )
+
+    def _restore(self, store, members, alone: bool) -> ServerProtocol:
+        """Rebuild one protocol instance from its durable snapshot."""
+        config = self.cluster.config
+        return ServerProtocol.restore(
+            self.server_id,
+            members,
+            store.load(),
+            config.protocol,
+            durable=store,
+            initial_value=config.initial_value,
+            alone=alone,
+            generation=self.restarts,
+        )
+
+    def _new_driver(self, trusting: bool) -> driver.ServerDriver:
+        config = self.cluster.config
+        return driver.ServerDriver(
+            self,
+            self.server_id,
+            [sid for sid in range(config.num_servers) if sid != self.server_id],
+            self.cluster.hb,
+            config.protocol.read_leases,
+            trusting,
+        )
 
     # -- outbound sources ----------------------------------------------
 
@@ -366,26 +465,32 @@ class ServerHost(_HostBase):
             return 1
         return self.cluster.batch_limit
 
-    def _ring_source(self):
-        directed = self.proto.next_directed_message()
+    def _pull_ring(self, proto: ServerProtocol):
+        """The next ``(destination, payload)`` of ``proto`` for the ring
+        link, or ``None``; the payload is one message or a batch list."""
+        directed = proto.next_directed_message()
         if directed is not None:
             # Out-of-ring-order traffic: rejoin announcements (the
             # rejoiner is not part of anyone's ring yet), stale-epoch
             # notices, and view-proposal tokens whose first hop differs
             # from the installed successor.
-            destination, message = directed
-            return (f"s{destination}", message, "ring")
+            return directed
         limit = self.ring_batch_limit
         if limit > 1:
-            batch = self.proto.next_ring_batch(limit)
+            batch = proto.next_ring_batch(limit)
             if not batch:
                 return None
-            payload = batch[0] if len(batch) == 1 else batch
-            return (f"s{self.proto.successor}", payload, "ring")
-        message = self.proto.next_ring_message()
+            return proto.successor, batch[0] if len(batch) == 1 else batch
+        message = proto.next_ring_message()
         if message is None:
             return None
-        return (f"s{self.proto.successor}", message, "ring")
+        return proto.successor, message
+
+    def _ring_source(self):
+        pulled = self._pull_ring(self.proto)
+        if pulled is None:
+            return None
+        return (f"s{pulled[0]}", pulled[1], "ring")
 
     def _reply_source(self):
         while self._reply_rr:
@@ -402,7 +507,7 @@ class ServerHost(_HostBase):
             return (machine, reply.message, "reply")
         return None
 
-    def _post(self, replies: list[Reply]) -> None:
+    def post(self, replies: list[Reply]) -> None:
         for reply in replies:
             machine = self.cluster.client_name(reply.client)
             if machine is None:
@@ -806,214 +911,6 @@ class _ReliableLinkLayer:
             handle.cancel()
 
 
-class _HeartbeatDriver:
-    """Imperfect failure detection over the simulated network.
-
-    Every server beacons a :class:`~repro.core.messages.Heartbeat` to
-    every other server each ``period``, *through the nemesis-routed
-    fabric* — partitions hold or drop heartbeats, pauses freeze them and
-    throttles slow them, which is exactly how wrong suspicion arises —
-    and *outside* the reliable session layer, because a retransmitted
-    heartbeat is not a freshness signal.  Each server owns a
-    :class:`~repro.fd.heartbeat.HeartbeatTracker` in imperfect mode; a
-    check loop polls it every ``check_interval`` and feeds suspicion
-    transitions to the server protocol (``on_suspect``/``on_unsuspect``).
-
-    The driver also keeps the score the chaos gate relies on: a
-    suspicion raised against a host that is actually alive increments
-    ``fd.wrong_suspicions`` — in-simulation proof that a run exercised
-    the wrongly-suspected-but-alive scenario.
-    """
-
-    def __init__(self, cluster: "SimCluster", config: HeartbeatConfig):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.config = config
-        self.trackers: dict[int, HeartbeatTracker] = {}
-        #: Read-lease mode (config.protocol.read_leases): grants ride the
-        #: heartbeat beacons, each server holds a :class:`ReadLease`, and
-        #: validity transitions are pushed into the protocol(s).
-        self.lease_mode = cluster.config.protocol.read_leases
-        self.leases: dict[int, ReadLease] = {}
-        #: Last (valid, epoch) pushed per server, so only transitions —
-        #: not every periodic check — reach the state machines.
-        self._lease_pushed: dict[int, tuple[bool, int]] = {}
-        for server_id in cluster.servers:
-            self._start(server_id, cluster.servers[server_id].restarts)
-
-    def reset_server(self, server_id: int) -> None:
-        """A server restarted: fresh tracker, fresh loops.
-
-        The fresh tracker starts *suspect-first*: a snapshot carries no
-        liveness information, so until a peer's heartbeat actually
-        arrives the restarted server must not vouch for it — a trusting
-        tracker would let it propose re-admitting a peer that died while
-        it was down, and the token would die at the corpse.  Live peers
-        clear within one heartbeat period.
-        """
-        self._start(
-            server_id, self.cluster.servers[server_id].restarts, trusting=False
-        )
-
-    def _start(self, server_id: int, generation: int, trusting: bool = True) -> None:
-        peers = [sid for sid in self.cluster.servers if sid != server_id]
-        # Suspect-first posture is expressed through the silence clocks:
-        # pre-aged past the timeout, every peer trips the first check,
-        # and only an actual heartbeat rehabilitates it.  All of this
-        # server's clock readings go through its (possibly nemesis-
-        # skewed) local clock, heartbeat receipt and lease checks alike.
-        local = self._local_now(server_id)
-        base = local if trusting else local - self.config.timeout - 1e-9
-        self.trackers[server_id] = HeartbeatTracker(
-            peers, self.config.timeout, now=base, imperfect=True
-        )
-        if self.lease_mode:
-            # Lease state is volatile by design (docs/leases.md): a new
-            # incarnation re-earns every grant from scratch.
-            self.leases[server_id] = ReadLease(self.config.lease_duration)
-            self._lease_pushed.pop(server_id, None)
-        self._send_loop(server_id, generation)
-        self.env.scheduler.schedule(
-            self.config.check_interval, self._check_loop, server_id, generation
-        )
-
-    def _live(self, server_id: int, generation: int):
-        host = self.cluster.servers.get(server_id)
-        if host is None or not host.alive or host.restarts != generation:
-            return None
-        return host
-
-    def _send_loop(self, server_id: int, generation: int) -> None:
-        host = self._live(server_id, generation)
-        if host is None:
-            return
-        granting = self.lease_mode and self.config.grant_leases
-        for peer in self.cluster.servers:
-            if peer != server_id:
-                self._beacon(server_id, peer)
-                if granting and all(
-                    proto.may_grant_lease(peer) for proto in host.all_protos()
-                ):
-                    self._send_lease(host, peer, LeaseGrant)
-        self.env.scheduler.schedule(
-            self.config.period, self._send_loop, server_id, generation
-        )
-
-    def _beacon(self, src: int, dst: int) -> None:
-        message = Heartbeat(src)
-        src_nic, dst_nic, network = self.cluster.topo.nic_for(f"s{src}", f"s{dst}")
-        network.unicast(
-            src_nic,
-            dst_nic,
-            payload_size(message),
-            message,
-            lambda m, dst=dst: self._on_heartbeat(dst, m),
-        )
-
-    def _on_heartbeat(self, dst: int, message: Heartbeat) -> None:
-        host = self.cluster.servers.get(dst)
-        if host is None or not host.alive:
-            return
-        tracker = self.trackers.get(dst)
-        if tracker is None:
-            return
-        if tracker.heard_from(message.server_id, self._local_now(dst)):
-            self.env.trace.count(FD_UNSUSPECTS)
-            host.notify_unsuspect(message.server_id)
-
-    def _check_loop(self, server_id: int, generation: int) -> None:
-        host = self._live(server_id, generation)
-        if host is None:
-            return
-        tracker = self.trackers[server_id]
-        for peer in tracker.check(self._local_now(server_id)):
-            self.env.trace.count(FD_SUSPICIONS)
-            peer_host = self.cluster.servers.get(peer)
-            if peer_host is not None and peer_host.alive:
-                self.env.trace.count(FD_WRONG_SUSPICIONS)
-            host.notify_suspect(peer)
-            if self.lease_mode and self.config.grant_leases:
-                # Best-effort prompt revocation: the holder's freshness
-                # clock is the safety mechanism; this only shortens the
-                # serving window when the revoke gets through.
-                self._send_lease(host, peer, LeaseRevoke)
-        if self.lease_mode:
-            self._sync_lease(host, count_expiry=True)
-        self.env.scheduler.schedule(
-            self.config.check_interval, self._check_loop, server_id, generation
-        )
-
-    # -- read leases ---------------------------------------------------
-
-    def _local_now(self, server_id: int) -> float:
-        """This server's local clock: fabric time plus any nemesis skew."""
-        return self.env.now + self.cluster.nemesis.clock_offset(f"s{server_id}")
-
-    def _send_lease(self, host, peer: int, message_cls) -> None:
-        """Send a grant or revoke to ``peer`` — outside the reliable
-        layer (a retransmitted grant would be a forged freshness signal)
-        but through the nemesis-routed fabric, so partitions, drops and
-        pauses attack lease traffic like everything else."""
-        epoch = min(proto.installed_epoch for proto in host.all_protos())
-        if message_cls is LeaseGrant:
-            message = LeaseGrant(host.server_id, epoch, self._local_now(host.server_id))
-        else:
-            message = LeaseRevoke(host.server_id, epoch)
-        src_nic, dst_nic, network = self.cluster.topo.nic_for(host.name, f"s{peer}")
-        network.unicast(
-            src_nic,
-            dst_nic,
-            payload_size(message),
-            message,
-            lambda m, dst=peer: self._on_lease_message(dst, m),
-        )
-
-    def _on_lease_message(self, dst: int, message) -> None:
-        host = self.cluster.servers.get(dst)
-        lease = self.leases.get(dst)
-        if host is None or not host.alive or lease is None:
-            return
-        required = self._required_grantors(host)
-        lease.set_required(required)
-        if isinstance(message, LeaseRevoke):
-            lease.revoke(message.grantor)
-            self.env.trace.count(LEASE_REVOKED)
-        elif message.grantor in required:
-            newly = lease.grant(message.grantor, message.epoch, message.sent_at)
-            self.env.trace.count(LEASE_GRANTED if newly else LEASE_RENEWED)
-        self._sync_lease(host)
-
-    def _required_grantors(self, host) -> set[int]:
-        """Grantors the holder's lease needs: every other alive member
-        of its installed view(s) — the union across blocks on a sharded
-        host, which can only over-require (strictly safe)."""
-        required: set[int] = set()
-        for proto in host.all_protos():
-            required.update(proto.installed_view.alive())
-        required.discard(host.server_id)
-        return required
-
-    def _sync_lease(self, host, count_expiry: bool = False) -> None:
-        """Re-evaluate the holder's lease and push transitions into the
-        protocol(s).  ``count_expiry`` marks the periodic path, where a
-        valid-to-invalid flip means grants aged out."""
-        lease = self.leases.get(host.server_id)
-        if lease is None:
-            return
-        lease.set_required(self._required_grantors(host))
-        epoch = min(proto.installed_epoch for proto in host.all_protos())
-        valid = lease.valid(self._local_now(host.server_id), epoch)
-        last = self._lease_pushed.get(host.server_id)
-        if last == (valid, epoch):
-            return
-        if count_expiry and last is not None and last[0] and not valid:
-            self.env.trace.count(LEASE_EXPIRED)
-        self._lease_pushed[host.server_id] = (valid, epoch)
-        for proto in host.all_protos():
-            host._post(proto.on_lease_update(valid, epoch))
-        host.kick()
-
-
 class SimCluster:
     """A simulated storage cluster: ring servers plus dynamic clients.
 
@@ -1048,22 +945,26 @@ class SimCluster:
         self.nemesis = Nemesis(self.env, self.topo)
         for network in self.topo.networks.values():
             network.faults = self.nemesis
-        #: Reliable session layer: None means raw fabric (tests only).
-        self.reliable: Optional[_ReliableLinkLayer] = (
-            _ReliableLinkLayer(self, config.reliable_config)
-            if config.reliable
-            else None
-        )
+        #: Reliable session layer under every unicast between hosts.
+        self.reliable = _ReliableLinkLayer(self, config.reliable_config)
         self.ring = RingView.initial(config.num_servers)
         #: Perfect-oracle detector (``fd="perfect"``) or None under the
         #: heartbeat detector, where suspicion comes from missed beacons.
         self.fd: Optional[PerfectFailureDetector] = None
-        #: Heartbeat driver (``fd="heartbeat"``) or None.
-        self.hb: Optional[_HeartbeatDriver] = None
+        #: Heartbeat detector timings (``fd="heartbeat"``) or None; the
+        #: detector itself runs in each host's control-plane driver.
+        self.hb: Optional[HeartbeatConfig] = None
         if config.fd == "perfect":
             self.fd = PerfectFailureDetector(self.env, config.detection_delay)
             self.fd.subscribe(self._fd_notify)
-        self._reconcile_timers: dict[int, bool] = {}
+        else:
+            self.hb = config.heartbeat
+        #: (stat, counter) pairs :meth:`after_protocol_step` mirrors.
+        self._mirrored = _EPOCH_STATS
+        if config.protocol.read_leases:
+            self._mirrored += _LEASE_STATS
+        if config.protocol.value_coding == "coded":
+            self._mirrored += _CODING_STATS
         self.clients: dict[int, ClientHost] = {}
         self._host_by_client_id: dict[int, ClientHost] = {}
         self._next_client_id = 0
@@ -1092,16 +993,16 @@ class SimCluster:
             host = host_factory(self, server_id)
             host.on_crash(self._server_crashed)
             self.servers[server_id] = host
-        if config.fd == "heartbeat":
-            self.hb = _HeartbeatDriver(self, config.heartbeat)
+        if self.hb is not None:
+            # Cold start, in id order, once every host exists to receive.
+            for host in self.servers.values():
+                host.driver.start()
 
     @property
     def batch_limit(self) -> int:
-        """Ring messages per wire frame.  Batching is a session-layer
-        feature; raw-fabric clusters (``reliable=False``) send one
-        message per frame regardless of the knob.
+        """Ring messages per wire frame.
 
-        The knob is additionally capped by ring size: a frame is stored
+        The knob is capped by ring size: a frame is stored
         and forwarded whole at every hop, so the extra latency a k-deep
         batch adds to a full traversal grows with k*n.  Past
         ``BATCH_DEPTH_RING_BUDGET`` that latency reaches commit-blocked
@@ -1109,8 +1010,6 @@ class SimCluster:
         k=4, measured); bounding k*n keeps the batch a framing
         optimisation at every cluster size.
         """
-        if self.reliable is None:
-            return 1
         knob = self.config.protocol.batch_max_messages
         return min(knob, max(1, BATCH_DEPTH_RING_BUDGET // self.config.num_servers))
 
@@ -1214,10 +1113,6 @@ class SimCluster:
             self.env.trace.count(
                 RING_MESSAGES, len(message) if isinstance(message, list) else 1
             )
-        if self.reliable is None:
-            deliver = self._make_deliver(dst_name, kind, host.name)
-            network.unicast(src_nic, dst_nic, _payload_of(message), message, deliver)
-            return
         if isinstance(message, list):
             # A ring batch: each message becomes its own session segment
             # (own seq, own retransmission entry); only the wire framing
@@ -1278,13 +1173,6 @@ class SimCluster:
 
         return deliver
 
-    def _make_deliver(self, dst_name: str, kind: str, src_name: str):
-        """Raw-fabric receive callback (``reliable=False`` clusters)."""
-        def deliver(message) -> None:
-            self._dispatch_payload(dst_name, src_name, kind, message)
-
-        return deliver
-
     def _dispatch_payload(self, dst_name: str, src_name: str, kind: str, message) -> None:
         if kind == "ring":
             server = self._server_by_name(dst_name)
@@ -1327,13 +1215,12 @@ class SimCluster:
         # observed — or wrongly conjectured — through missed beacons.
 
     def _fd_notify(self, crashed_id: int) -> None:
-        if self.reliable is not None:
-            # The detector firing is the moment every survivor's TCP
-            # connection to the dead server resets: abandon the sessions
-            # (and their retransmission timers) in both directions.
-            # Wire-borne frames of the dead have already landed — the
-            # detection delay exceeds any in-flight delivery.
-            self.reliable.abandon_peer(f"s{crashed_id}")
+        # The detector firing is the moment every survivor's TCP
+        # connection to the dead server resets: abandon the sessions
+        # (and their retransmission timers) in both directions.
+        # Wire-borne frames of the dead have already landed — the
+        # detection delay exceeds any in-flight delivery.
+        self.reliable.abandon_peer(f"s{crashed_id}")
         for server_id, host in self.servers.items():
             if server_id != crashed_id and host.alive:
                 host.notify_crash(crashed_id)
@@ -1368,8 +1255,7 @@ class SimCluster:
             self.ring = self.ring.revived(server_id)
         if self.fd is not None:
             self.fd.report_recovery(server_id)
-        if self.reliable is not None:
-            self.reliable.reopen_peer(f"s{server_id}")
+        self.reliable.reopen_peer(f"s{server_id}")
 
     def restart_resumes_alone(self, server_id: int) -> bool:
         """Whether a restarting server may resume without a rejoin.
@@ -1387,226 +1273,26 @@ class SimCluster:
             sid != server_id and host.alive for sid, host in self.servers.items()
         )
 
-    def restore_server_protocol(self, server_id: int, generation: int) -> ServerProtocol:
-        """Rebuild a server's protocol from its durable snapshot."""
-        store = self.durable_stores.setdefault(server_id, MemorySnapshotStore())
-        return ServerProtocol.restore(
-            server_id,
-            range(self.config.num_servers),
-            store.load(),
-            self.config.protocol,
-            durable=store,
-            initial_value=self.config.initial_value,
-            alone=self.restart_resumes_alone(server_id),
-            generation=generation,
-        )
-
-    def begin_rejoin(self, host) -> None:
-        """Drive the rejoin announcements for a rejoining server.
-
-        Started after a restart, and — under the imperfect detector —
-        when a live server demoted by a :class:`StaleEpochNotice` must
-        announce itself back in.  At most one pump runs per host
-        incarnation (``host.restarts``); on a sharded host the one pump
-        announces for every still-rejoining block.
-        """
-        if host._rejoin_pump_gen != host.restarts and any(
-            proto.rejoining for proto in host.all_protos()
-        ):
-            host._rejoin_pump_gen = host.restarts
-            self._pump_rejoin(host, host.restarts, 0)
-
-    def _pump_rejoin(self, host, generation: int, attempt: int) -> None:
-        """Announce (and re-announce, with backoff, round-robining over
-        sponsors) until a reconfiguration commit resumes the rejoiner —
-        per protocol instance: on a sharded host each block folds back
-        independently and the pump retires when the last one clears."""
-        if not host.alive or host.restarts != generation:
-            return  # crashed again; a future restart drives its own pump
-        pending = [proto for proto in host.all_protos() if proto.rejoining]
-        if not pending:
-            host._rejoin_pump_gen = None  # folded back in; pump retired
-            return
-        if self.hb is not None:
-            # No aliveness oracle: announce to every other member in
-            # turn; frames to the dead die in transit, and "nobody is
-            # alive" is indistinguishable from a partition, so there is
-            # deliberately no resume-alone shortcut here.
-            sponsors = [
-                sid for sid in sorted(self.servers) if sid != host.server_id
-            ]
-            sponsor = sponsors[attempt % len(sponsors)]
-            for proto in pending:
-                proto.queue_rejoin_announce(sponsor)
-        elif self.placement is not None:
-            # Per-block rings: a block's rejoin can only be sponsored by
-            # a member of *its* ring — an announcement to any other
-            # server dies as stale-placement traffic.  Prefer a member
-            # that is actually serving; if every peer of a ring is down
-            # or itself rejoining, keep the block pending and retry (the
-            # crash-order rule in ShardedServerHost._resume_alone
-            # already decided who may serve without a sponsor).
-            block_of = {id(proto): reg for reg, proto in host.protos.items()}
-            for proto in pending:
-                reg = block_of[id(proto)]
-                candidates = [
-                    sid
-                    for sid in proto.ring.members
-                    if sid != host.server_id and self.servers[sid].alive
-                ]
-                serving = [
-                    sid
-                    for sid in candidates
-                    if (peer := self.servers[sid].protos.get(reg)) is not None
-                    and not peer.rejoining
-                ]
-                pool = serving or candidates
-                if pool:
-                    proto.queue_rejoin_announce(pool[attempt % len(pool)])
-        else:
-            sponsors = [
-                sid
-                for sid, other in self.servers.items()
-                if sid != host.server_id and other.alive
-            ]
-            if not sponsors:
-                # Nobody to rejoin: the restarted server *is* the ring,
-                # and its recovered pending writes resolve locally.
-                for proto in pending:
-                    proto.complete_rejoin_alone()
-                    host._post(proto.drain_replies())
-                host._rejoin_pump_gen = None
-                return
-            sponsor = sponsors[attempt % len(sponsors)]
-            for proto in pending:
-                proto.queue_rejoin_announce(sponsor)
-        host.kick()
-        delay = min(REJOIN_RETRY_INITIAL * (2 ** attempt), REJOIN_RETRY_MAX)
-        self.env.scheduler.schedule(delay, self._pump_rejoin, host, generation, attempt + 1)
-
     # ------------------------------------------------------------------
-    # Imperfect failure detector plumbing (fd="heartbeat")
+    # Post-step hook
     # ------------------------------------------------------------------
 
     def after_protocol_step(self, host) -> None:
-        """Post-handler hook: reconciliation timers, rejoin pumps and
-        trace mirroring for the epoch-guarded mode.  No-op under the
-        perfect detector.  Iterates ``host.all_protos()``: one protocol
-        on a plain server, one per block on a sharded host."""
+        """Post-handler hook for the epoch-guarded mode: mirror the
+        protocol statistics into the trace, then let the host's driver
+        act on what the handlers asked for (reconcile, lease wait-out,
+        rejoin).  No-op under the perfect detector."""
         if self.hb is None:
             return
-        self._mirror_stat(host, "stats_stale_epoch_dropped", EPOCH_STALE_DROPPED)
-        self._mirror_stat(host, "stats_quorum_stalls", EPOCH_QUORUM_STALLS)
-        self._mirror_stat(
-            host, "stats_epoch_rejected_reconfigs", EPOCH_REJECTED_RECONFIGS
-        )
-        self._mirror_stat(host, "stats_confirm_reconfigs", EPOCH_CONFIRMS)
-        if self.config.protocol.read_leases:
-            self._mirror_stat(host, "stats_lease_local_reads", LEASE_LOCAL_READS)
-            self._mirror_stat(host, "stats_lease_fallbacks", LEASE_FALLBACKS)
-            self._mirror_stat(host, "stats_lease_waitouts", LEASE_WAITOUTS)
-        if self.config.protocol.value_coding == "coded":
-            self._mirror_stat(
-                host, "stats_coding_fragment_stores", CODING_FRAGMENT_STORES
-            )
-            self._mirror_stat(host, "stats_coding_cache_reads", CODING_CACHE_READS)
-            self._mirror_stat(
-                host, "stats_coding_reconstructions", CODING_RECONSTRUCTIONS
-            )
-            self._mirror_stat(host, "stats_coding_repairs", CODING_REPAIRS)
-            self._mirror_stat(
-                host, "stats_coding_pending_dropped", CODING_PENDING_DROPPED
-            )
-        for proto in host.all_protos():
-            if proto.reconcile_due:
-                proto.reconcile_due = False
-                self._schedule_reconcile(host)
-            if proto.lease_waitout_due:
-                proto.lease_waitout_due = False
-                self._schedule_lease_waitout(host, proto)
-        if any(proto.rejoining for proto in host.all_protos()):
-            self.begin_rejoin(host)
-
-    def _mirror_stat(self, host, stat: str, counter: str) -> None:
-        value = sum(getattr(proto, stat) for proto in host.all_protos())
-        delta = value - host._mirrored_stats.get(stat, 0)
-        if delta > 0:
-            self.env.trace.count(counter, delta)
-        host._mirrored_stats[stat] = value
-
-    def _schedule_lease_waitout(self, host, proto: ServerProtocol) -> None:
-        """Arm the old-epoch lease wait-out for ``proto``'s just-installed
-        view: after ``heartbeat.waitout()`` every grant issued under the
-        superseded epoch has expired on its holder's clock (drift bound
-        charged), so the new epoch may start completing writes."""
-        self.env.scheduler.schedule(
-            self.config.heartbeat.waitout(),
-            self._fire_lease_waitout,
-            host,
-            proto,
-            proto.installed_epoch,
-            host.restarts,
-        )
-
-    def _fire_lease_waitout(
-        self, host, proto: ServerProtocol, epoch: int, generation: int
-    ) -> None:
-        if not host.alive or host.restarts != generation:
-            return
-        host._post(proto.lease_waitout_elapsed(epoch))
-        host.kick()
-
-    def _schedule_reconcile(self, host: "ServerHost") -> None:
-        """Run the host's view-proposal evaluation after the grace delay.
-
-        The delay is the detector's ``propose_grace``: it covers the
-        suspicion skew between the two sides of a partition, so a
-        wrongly suspected server has paused (its own detector fired)
-        before anyone proposes the view that excludes it.  One timer per
-        host coalesces bursts of detector events.
-        """
-        key = host.server_id
-        if self._reconcile_timers.get(key):
-            return
-        self._reconcile_timers[key] = True
-        generation = host.restarts
-        self.env.scheduler.schedule(
-            self.config.heartbeat.propose_grace,
-            self._fire_reconcile,
-            host,
-            generation,
-        )
-
-    def _fire_reconcile(self, host, generation: int) -> None:
-        self._reconcile_timers[host.server_id] = False
-        if not host.alive or host.restarts != generation:
-            return
-        for proto in host.all_protos():
-            host._post(proto.propose_reconfig())
-        self.after_protocol_step(host)
-        host.kick()
-        if any(
-            proto.paused and not proto.rejoining and (
-                proto._suspicion_paused or proto._attempt_nonce is not None
-            )
-            for proto in host.all_protos()
-        ):
-            # Watchdog: an attempt can die silently (its token rejected
-            # at a peer whose promise pointed at a coordinator that has
-            # since been cleared, or lost with a crashed hop) and a
-            # quorum stall only heals when the detector changes its
-            # mind.  While this server stays blocked, keep re-evaluating
-            # — a fresh attempt carries a higher nonce and replaces our
-            # own stale promise at every peer.
-            key = host.server_id
-            if not self._reconcile_timers.get(key):
-                self._reconcile_timers[key] = True
-                self.env.scheduler.schedule(
-                    4 * self.config.heartbeat.propose_grace,
-                    self._fire_reconcile,
-                    host,
-                    generation,
-                )
+        protos = host.all_protos()
+        mirrored = host._mirrored_stats
+        for stat, counter in self._mirrored:
+            value = sum(getattr(proto, stat) for proto in protos)
+            delta = value - mirrored.get(stat, 0)
+            if delta > 0:
+                self.env.trace.count(counter, delta)
+            mirrored[stat] = value
+        host.driver.poll()
 
     def apply_faults(self, plan: FaultPlan) -> None:
         """Schedule a :class:`~repro.sim.faults.FaultPlan` against this

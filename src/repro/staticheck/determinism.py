@@ -5,7 +5,9 @@ all assume that a (seed, schedule) pair reproduces bit-identically.
 Anything that samples the environment — wall clock, process-global RNG,
 hash-randomised set order — breaks that silently.  Three checks, scoped
 to the deterministic core (``repro/core``, ``repro/sim``,
-``repro/transport``, ``repro/chaos``, ``repro/fd``, and
+``repro/transport``, ``repro/chaos``, ``repro/fd``,
+``repro/runtime/driver.py`` — the control plane both runtimes host, which
+must stay clock- and RNG-free to be hostable by the simulator — and
 ``repro/bench/experiments.py``):
 
 * ``determinism.wall-clock`` — calls that read host time;
@@ -38,6 +40,7 @@ _SCOPES = (
     "repro/transport/",
     "repro/chaos/",
     "repro/fd/",
+    "repro/runtime/driver.py",
     "repro/bench/experiments.py",
 )
 

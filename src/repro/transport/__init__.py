@@ -1,10 +1,8 @@
-"""Wire transports: message codec, in-memory bus and real TCP framing.
+"""Wire transports: message codec, stream framing and reliable sessions.
 
 * :mod:`repro.transport.codec` — a compact binary codec for every
   protocol message; encodings match the analytic sizes charged by the
   simulator (tested), so simulated and real transports agree on cost;
-* :mod:`repro.transport.memory` — an in-process message bus with
-  deterministic FIFO delivery, used by protocol unit tests;
 * :mod:`repro.transport.framing` — length-prefixed stream framing used
   by the asyncio runtime;
 * :mod:`repro.transport.reliable` — the sans-I/O reliable session layer
@@ -15,7 +13,6 @@
 
 from repro.transport.codec import decode_message, encode_message
 from repro.transport.framing import FrameDecoder, frame
-from repro.transport.memory import MemoryBus
 from repro.transport.reliable import (
     SEGMENT_HEADER_BYTES,
     ReliableConfig,
@@ -27,7 +24,6 @@ from repro.transport.reliable import (
 
 __all__ = [
     "FrameDecoder",
-    "MemoryBus",
     "ReliableConfig",
     "ReliableSession",
     "SEGMENT_HEADER_BYTES",

@@ -281,3 +281,54 @@ def test_heartbeat_mode_restart_rejoins_through_sponsor():
             await cluster.stop()
 
     run(scenario())
+
+
+def test_heartbeat_mode_leased_reads_are_served_locally_with_no_ring_traffic():
+    """``read_leases`` over real sockets: once every node holds fresh
+    grants from every peer (they ride the raw heartbeat stream), reads
+    are answered from local state — counted as lease-local by the
+    protocol, with not one segment entering any ring session."""
+
+    async def scenario():
+        config = ProtocolConfig(
+            read_leases=True, view_quorum=True,
+            client_timeout=0.5, client_max_retries=30,
+        )
+        cluster = AsyncCluster(3, config=config, fd="heartbeat")
+        await cluster.start()
+        try:
+            clients = [cluster.client(home_server=i) for i in range(3)]
+            await clients[0].write(b"leased")
+            protos = [node.proto for node in cluster.nodes.values()]
+
+            async def warm():
+                while not all(p.lease_valid and not p.has_ring_work for p in protos):
+                    await asyncio.sleep(0.02)
+
+            await asyncio.wait_for(warm(), timeout=10.0)
+
+            def ring_segments():
+                return sum(n._ring_session.stats.sent for n in cluster.nodes.values())
+
+            def stat(name):
+                return sum(getattr(p, name) for p in protos)
+
+            sent = ring_segments()
+            local = stat("stats_lease_local_reads")
+            fallbacks = stat("stats_lease_fallbacks")
+            for _ in range(5):
+                for client in clients:
+                    assert await client.read() == b"leased"
+            assert stat("stats_lease_local_reads") == local + 15
+            assert stat("stats_lease_fallbacks") == fallbacks
+            assert ring_segments() == sent, "a leased read costs zero ring messages"
+            # The driver's event tallies: every node counted a first
+            # grant from both of its peers.
+            for node in cluster.nodes.values():
+                assert node.counters["lease_granted"] >= 2
+            for client in clients:
+                await client.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.sharded import BlockStore
+from repro.core.sharded import BlockStore, ShardedServerHost, add_shard_client
 from repro.errors import ConfigurationError
+from repro.runtime.sim_net import ServerHost
 
 
 def test_blocks_are_independent():
@@ -129,6 +130,52 @@ def test_sharded_cluster_survives_crash_cycle_under_heartbeat_detector():
     assert host.protos[1].value == b"hb-down"
     store.write_block(0, b"hb-after")
     assert store.read_block(0) == b"hb-after"
+
+
+def test_restarted_sharded_host_rejoins_and_re_leases_every_block_on_a_fresh_driver():
+    """The sharded host is a :class:`ServerHost`: one control-plane
+    driver per incarnation, serving every block.  After a restart under
+    the heartbeat detector with read leases, the *new* driver's single
+    rejoin pump folds every block back in, its suspect-first tracker is
+    rehabilitated by live peers, and every block re-earns its lease from
+    scratch — reads homed at the restarted server are lease-local again."""
+    config = ProtocolConfig(
+        client_timeout=0.1, client_max_retries=40, read_leases=True, view_quorum=True
+    )
+    store = BlockStore.build(
+        num_servers=3, num_blocks=3, seed=39, protocol=config, fd="heartbeat"
+    )
+    cluster = store.cluster
+    host = cluster.servers[2]
+    assert isinstance(host, ShardedServerHost) and isinstance(host, ServerHost)
+    first_driver = host.driver
+    for i in range(3):
+        store.write_block(i, b"lease-%d" % i)
+    cluster.crash_server(2)
+    cluster.run(until=cluster.now + 2.0)
+    store.write_block(1, b"while-down")
+    unsuspects = cluster.env.trace.counters["fd.unsuspects"]
+    cluster.restart_server(2)
+    assert host.driver is not first_driver, "a restart builds a fresh driver"
+    assert all(proto.rejoining for proto in host.all_protos())
+    cluster.run(until=cluster.now + 2.5)
+
+    for reg, proto in host.protos.items():
+        assert not proto.rejoining, f"block {reg} stuck rejoining"
+        assert not proto.paused, f"block {reg} stuck paused"
+        assert proto.lease_valid, f"block {reg} never re-earned its lease"
+    assert host.protos[1].value == b"while-down"
+    assert cluster.env.trace.counters["fd.unsuspects"] > unsuspects
+
+    local = cluster.env.trace.counters["lease.local_reads"]
+    results = []
+    for i in range(3):
+        # A client per block: a session tag earned on one block would
+        # send the next block's read down the fence path.
+        add_shard_client(cluster, home_server=2).read_block(i, results.append)
+        cluster.run_until(lambda: len(results) == i + 1)
+    assert [r.value for r in results] == [b"lease-0", b"while-down", b"lease-2"]
+    assert cluster.env.trace.counters["lease.local_reads"] == local + 3
 
 
 def test_blocks_survive_crash():

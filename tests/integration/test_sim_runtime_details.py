@@ -182,16 +182,3 @@ def test_late_sends_to_a_dead_server_still_quiesce():
     assert results and results[0].ok
     for (local, peer), session in cluster.reliable.sessions.items():
         assert session.in_flight == 0, (local, peer)
-
-
-def test_reliable_false_restores_the_raw_fabric():
-    """Unit-test escape hatch: a cluster built with reliable=False moves
-    bare protocol messages with no session envelope or ack traffic."""
-    cluster = SimCluster.build(num_servers=2, seed=61, reliable=False)
-    assert cluster.reliable is None
-    storage = AtomicStorage.over(cluster)
-    storage.write(b"raw")
-    assert storage.read() == b"raw"
-    counters = cluster.env.trace.counters
-    assert "reliable.retransmits" not in counters
-    assert "reliable.acks" not in counters
