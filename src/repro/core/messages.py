@@ -26,7 +26,7 @@ simulator and the real transport agree on cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.core.tags import Tag
 
@@ -40,9 +40,13 @@ OP_ID_WIRE_BYTES = 12
 BASE_WIRE_BYTES = 8
 
 
-@dataclass(frozen=True)
-class OpId:
-    """Globally unique client operation identifier (client id, sequence)."""
+class OpId(NamedTuple):
+    """Globally unique client operation identifier (client id, sequence).
+
+    A plain tuple, like :class:`~repro.core.tags.Tag`: it keys the
+    per-operation dicts on the write path, so hashing and equality are
+    the interpreter's own.
+    """
 
     client: int
     seq: int

@@ -46,6 +46,12 @@ class RingView:
     members: tuple[int, ...]
     dead: frozenset[int] = field(default_factory=frozenset)
     epoch: int = -1
+    # Derived once per (immutable) view: the alive set and every member's
+    # next/previous alive member.  ``successor`` is read for every ring
+    # message pulled, so it must not walk the ring each time.
+    _alive: frozenset[int] = field(init=False, repr=False, compare=False)
+    _next: dict[int, int] = field(init=False, repr=False, compare=False)
+    _prev: dict[int, int] = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def initial(num_servers: int) -> "RingView":
@@ -60,10 +66,24 @@ class RingView:
         unknown = self.dead - set(self.members)
         if unknown:
             raise ConfigurationError(f"dead ids not in ring: {sorted(unknown)}")
-        if not self.alive():
+        alive = self.alive()
+        if not alive:
             raise ConfigurationError("a ring view must contain at least one alive server")
         if self.epoch < 0:
             object.__setattr__(self, "epoch", len(self.dead))
+        object.__setattr__(self, "_alive", frozenset(alive))
+        object.__setattr__(self, "_next", self._neighbours(self.members[::-1], alive[0]))
+        object.__setattr__(self, "_prev", self._neighbours(self.members, alive[-1]))
+
+    def _neighbours(self, order: tuple[int, ...], nearest: int) -> dict[int, int]:
+        """For each member, the closest alive member *behind* it in
+        ``order`` (wrapping); ``nearest`` is that member for ``order[0]``."""
+        out = {}
+        for member in order:
+            out[member] = nearest
+            if member not in self.dead:
+                nearest = member
+        return out
 
     def alive(self) -> list[int]:
         """Alive members in initial ring order."""
@@ -85,23 +105,29 @@ class RingView:
         return self.num_alive // 2 + 1
 
     def is_alive(self, server_id: int) -> bool:
-        return server_id in set(self.members) and server_id not in self.dead
+        return server_id in self._alive
 
     def successor(self, of: int) -> int:
         """Next alive server after ``of`` in ring order (may be ``of``
         itself when it is the only survivor)."""
-        return self._walk(of, +1)
+        try:
+            return self._next[of]
+        except KeyError:
+            raise ConfigurationError(f"unknown server {of}") from None
 
     def predecessor(self, of: int) -> int:
         """Previous alive server before ``of`` in ring order."""
-        return self._walk(of, -1)
+        try:
+            return self._prev[of]
+        except KeyError:
+            raise ConfigurationError(f"unknown server {of}") from None
 
     def adopter(self, dead_id: int) -> int:
         """The alive server responsible for a dead server's orphaned
         messages: its closest alive predecessor."""
         if dead_id not in self.dead:
             raise ConfigurationError(f"server {dead_id} is not dead in this view")
-        return self._walk(dead_id, -1)
+        return self._prev[dead_id]
 
     def without(self, dead_id: int) -> "RingView":
         """A new view with ``dead_id`` marked crashed."""
@@ -152,14 +178,3 @@ class RingView:
         if not revivals:
             return self
         return RingView(self.members, self.dead - revivals, self.epoch + 1)
-
-    def _walk(self, start: int, step: int) -> int:
-        if start not in set(self.members):
-            raise ConfigurationError(f"unknown server {start}")
-        index = self.members.index(start)
-        n = len(self.members)
-        for offset in range(1, n + 1):
-            candidate = self.members[(index + step * offset) % n]
-            if candidate not in self.dead:
-                return candidate
-        raise ConfigurationError("no alive server in view")  # pragma: no cover

@@ -160,8 +160,9 @@ from repro.core.messages import (
     StateSync,
     WriteAck,
 )
+from repro.core.pending import PendingSet
 from repro.core.ring import RingView
-from repro.core.tags import Tag, max_tag
+from repro.core.tags import Tag
 from repro.errors import ProtocolError
 from repro.runtime.interface import Reply
 
@@ -257,7 +258,7 @@ class ServerProtocol:
         # pending_write_set (line 13): tag -> PendingEntry.  The value is
         # kept so commits can be tag-only and reconfiguration can
         # redistribute values.
-        self.pending: dict[Tag, PendingEntry] = {}
+        self.pending = PendingSet()
 
         # write_queue (line 15): client writes not yet initiated.
         self.write_queue: deque[tuple[OpId, bytes, int]] = deque()
@@ -498,7 +499,7 @@ class ServerProtocol:
             proto.watermark = dict(snapshot.watermark)
             proto.completed_ops = dict(snapshot.completed_ops)
             proto.completed_tags = dict(snapshot.completed_tags)
-            proto.pending = {entry.tag: entry for entry in snapshot.pending}
+            proto.pending = PendingSet(snapshot.pending)
             proto.op_index = {entry.op: entry.tag for entry in snapshot.pending}
             proto._reconfig_counter = snapshot.reconfig_counter
         proto.restart_generation = generation
@@ -1294,7 +1295,7 @@ class ServerProtocol:
             return
         # Lines 80-82: wait until the highest currently-pending write has
         # committed, then answer with the (current) committed value.
-        threshold = max_tag(self.pending.keys())
+        threshold = self.pending.maxlex()
         self.stats_reads_waited += 1
         self.read_waiters.append((threshold, client, message.op))
 
@@ -1390,7 +1391,7 @@ class ServerProtocol:
         """
         if session is None or session <= self.tag:
             return True
-        return bool(self.pending) and session <= max_tag(self.pending.keys())
+        return session <= self.pending.maxlex()
 
     def _fence_read(self, client: int, message: ClientRead) -> None:
         """Fallback read: circulate a fence; serve when it returns.
@@ -2245,7 +2246,7 @@ class ServerProtocol:
         self.fair.drain()
         self.queued_tags.clear()
         self.fair.reset_counters()
-        merged: dict[Tag, PendingEntry] = {}
+        merged = PendingSet()
         endorsed: dict[OpId, Tag] = {}
         for entry in commit.pending:  # ascending tag order by construction
             self._note_tag(entry.tag)
@@ -2650,22 +2651,22 @@ class ServerProtocol:
     def _next_ts(self) -> int:
         """Timestamp for a fresh initiation: strictly above everything
         installed, pending, or ever seen — including tags of duplicates
-        this server dropped, which may still commit elsewhere."""
-        return max(max_tag(self.pending.keys()).ts, self.tag.ts, self.ts_seen) + 1
+        this server dropped, which may still commit elsewhere.  Pending
+        needs no look: every tag passes :meth:`_note_tag` before it can
+        enter the pending set, so ``ts_seen`` already dominates it."""
+        return max(self.tag.ts, self.ts_seen) + 1
 
     def _drop_superseded(self, op: OpId, committed: Tag) -> None:
         """Remove pending zombies of ``op`` left by duplicate initiations.
 
-        ``op`` just committed under ``committed``; any other pending tag
-        carrying the same operation is a duplicate whose circle may
-        never close.  Its ack waiters get the real committed tag, and
-        read thresholds pointing at it are clamped so no read waits for
-        a commit that will never arrive.
+        ``op`` just committed under ``committed`` (the caller popped
+        that entry and ``op``'s endorsement); any pending tag still
+        carrying the operation is a duplicate whose circle may never
+        close.  Its ack waiters get the real committed tag, and read
+        thresholds pointing at it are clamped so no read waits for a
+        commit that will never arrive.
         """
-        zombies = [
-            tag for tag, entry in self.pending.items()
-            if entry.op == op and tag != committed
-        ]
+        zombies = self.pending.tags_of(op)
         for tag in zombies:
             del self.pending[tag]
             self.queued_tags.discard(tag)
@@ -2683,8 +2684,6 @@ class ServerProtocol:
             ]:
                 del self._parked_prewrites[tag]
                 self._frag_stash.pop(tag, None)
-        if self.op_index.get(op) in zombies:
-            del self.op_index[op]
         if zombies:
             self._retarget_read_waiters()
 
@@ -2700,9 +2699,7 @@ class ServerProtocol:
         """
         if not self.read_waiters:
             return
-        ceiling = max_tag(self.pending.keys())
-        if self.tag > ceiling:
-            ceiling = self.tag
+        ceiling = max(self.pending.maxlex(), self.tag)
         changed = False
         clamped = []
         for threshold, client, op in self.read_waiters:

@@ -10,30 +10,31 @@ timestamps monotonic across the whole execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterable
+from typing import ClassVar, Iterable, NamedTuple
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Tag:
+class _TagFields(NamedTuple):
+    ts: int
+    server_id: int
+
+
+# Two classes because ``NamedTuple`` turns every annotation in its body
+# into a field, and ``ZERO`` is a class constant, not a third field.
+class Tag(_TagFields):
     """A lexicographically ordered (timestamp, server id) pair.
 
     ``server_id`` is the *index* of the originating server in the initial
     ring, which doubles as the tie-breaker.  ``Tag.ZERO`` (ts=0, id=-1) is
     smaller than every tag any server can generate.
+
+    A tag *is* the tuple ``(ts, server_id)``: ordering, equality and
+    hashing are the tuple's own, done by the interpreter in C, so
+    ``max`` over tags is the pseudocode's ``maxlex`` as a primitive.
     """
 
-    ts: int
-    server_id: int
+    __slots__ = ()
 
-    ZERO: "Tag" = None  # type: ignore[assignment]  # set below
-
-    def __lt__(self, other: "Tag") -> bool:
-        if not isinstance(other, Tag):
-            return NotImplemented
-        return (self.ts, self.server_id) < (other.ts, other.server_id)
+    ZERO: ClassVar["Tag"]  # set below
 
     def next_for(self, server_id: int) -> "Tag":
         """The tag a write initiated by ``server_id`` after seeing ``self``
@@ -56,8 +57,4 @@ def max_tag(tags: Iterable[Tag]) -> Tag:
     both when initiating a write (line 22) and when a read must wait
     (line 80).
     """
-    best = Tag.ZERO
-    for tag in tags:
-        if tag > best:
-            best = tag
-    return best
+    return max(tags, default=Tag.ZERO)

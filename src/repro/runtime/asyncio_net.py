@@ -136,6 +136,26 @@ def _segment_frame(segment: Segment) -> bytes:
     return frame(encode_segment(segment, encode_message))
 
 
+def _ack_later(
+    armed: set, session: ReliableSession, writer: asyncio.StreamWriter
+) -> None:
+    """``session`` owes its peer an ack: give reverse traffic
+    ``ack_delay`` to carry it (``session.send`` piggybacks the ack and
+    clears ``ack_owed``), then spend a frame on a pure one.  ``armed``
+    holds the sessions whose timer is running, so a burst of inbound
+    frames costs one ack, not one per read."""
+    if session in armed:
+        return
+    armed.add(session)
+
+    def fire() -> None:
+        armed.discard(session)
+        if session.ack_owed and not writer.is_closing():
+            writer.write(_segment_frame(session.make_ack()))
+
+    asyncio.get_running_loop().call_later(session.config.ack_delay, fire)
+
+
 def _segments_frame(segments: list) -> bytes:
     """One wire frame carrying one or more segments: the plain encoding
     for a single segment, the batch container for several.  Receivers
@@ -227,6 +247,7 @@ class AsyncServerNode:
         # Last hello generation seen per inbound ring peer: a higher one
         # means the peer restarted, so its persistent session is void.
         self._peer_generations: dict[int, int] = {}
+        self._acks_armed: set[ReliableSession] = set()
 
     def _peer_session(self, key: int) -> ReliableSession:
         session = self._peer_sessions.get(key)
@@ -506,11 +527,9 @@ class AsyncServerNode:
                         self.after_step()
                         await self._dispatch_replies(replies)
                 if session.ack_owed:
-                    # No reverse traffic carried the ack (ring links are
-                    # one-directional; client requests may defer their
-                    # reply): spend a frame on a pure ack.
-                    writer.write(_segment_frame(session.make_ack()))
-                    await writer.drain()
+                    # Ring links are one-directional and a client request
+                    # may defer its reply, so a pure ack may be needed.
+                    _ack_later(self._acks_armed, session, writer)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -712,6 +731,7 @@ class AsyncClient:
         # by the protocol's retry timer plus server-side OpId dedup, the
         # same machinery that covers retries to a different server.
         self._sessions: dict[int, ReliableSession] = {}
+        self._acks_armed: set[ReliableSession] = set()
 
     def _session(self, server: int) -> ReliableSession:
         session = self._sessions.get(server)
@@ -803,10 +823,9 @@ class AsyncClient:
                 if session.ack_owed:
                     # Acknowledge replies even when no further request is
                     # imminent, so the server's send window stays clean.
-                    self._connections[server][1].write(
-                        _segment_frame(session.make_ack())
+                    _ack_later(
+                        self._acks_armed, session, self._connections[server][1]
                     )
-                    await self._connections[server][1].drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:

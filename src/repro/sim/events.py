@@ -24,35 +24,33 @@ class EventHandle:
     bookkeeping in protocol code simple.
     """
 
-    __slots__ = ("time", "seq", "_action", "_args", "_cancelled")
+    __slots__ = ("time", "seq", "cancelled", "_action", "_args")
 
     def __init__(self, time: float, seq: int, action: Callable[..., Any], args: tuple):
         self.time = time
         self.seq = seq
+        #: True once the event fired or was cancelled.
+        self.cancelled = False
         self._action = action
         self._args = args
-        self._cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self._cancelled = True
+        self.cancelled = True
         self._action = None
         self._args = ()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
+        state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
 
 
 class EventScheduler:
     """A deterministic discrete-event scheduler.
+
+    The heap holds ``(time, seq, handle)`` tuples, so ``heapq`` orders
+    entries by comparing a float and an int in C; ``seq`` is unique, so
+    the comparison never reaches the handle.
 
     Example::
 
@@ -63,7 +61,7 @@ class EventScheduler:
     """
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._now = 0.0
         self._events_fired = 0
@@ -95,20 +93,22 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot schedule an event in the past (time={time}, now={self._now})"
             )
-        handle = EventHandle(time, self._seq, action, args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, action, args)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def step(self) -> bool:
         """Run the next pending event.  Returns ``False`` when idle."""
-        while self._heap:
-            handle = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            handle = heapq.heappop(heap)[2]
             if handle.cancelled:
                 continue
-            self._now = handle.time
             action, args = handle._action, handle._args
             handle.cancel()  # mark as consumed; drops references
+            self._now = handle.time
             self._events_fired += 1
             action(*args)
             return True
@@ -126,18 +126,29 @@ class EventScheduler:
         even if the last event fired earlier, mirroring how a wall clock
         keeps ticking after a quiet period.
         """
+        # The simulator's innermost loop: one peek and one pop per fired
+        # event, no attribute or method lookups that can be hoisted.
+        heap = self._heap
+        heappop = heapq.heappop
         fired = 0
-        while self._heap:
-            nxt = self._heap[0]
-            if nxt.cancelled:
-                heapq.heappop(self._heap)
+        while heap:
+            time, _seq, handle = heap[0]
+            if handle.cancelled:
+                heappop(heap)
                 continue
-            if until is not None and nxt.time > until:
+            if until is not None and time > until:
                 break
             if max_events is not None and fired >= max_events:
                 return
-            self.step()
+            heappop(heap)
+            action, args = handle._action, handle._args
+            handle.cancelled = True  # consumed; drop references
+            handle._action = None
+            handle._args = ()
+            self._now = time
+            self._events_fired += 1
             fired += 1
+            action(*args)
         if until is not None and self._now < until:
             self._now = until
 

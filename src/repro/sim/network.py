@@ -97,6 +97,13 @@ class Network:
         # sense between independent senders on a loaded segment).
         self._mcast_in_air: list["_McastFrame"] = []
         self._backoff_rng = env.rng.stream(f"{name}.backoff")
+        # Counter names are fixed per network; building them per message
+        # is the same membership test and f-string every time.
+        self._unicasts = scoped(name, NET_UNICASTS)
+        self._wire_bytes = scoped(name, NET_WIRE_BYTES)
+        self._multicasts = scoped(name, NET_MULTICASTS)
+        self._multicast_drops = scoped(name, NET_MULTICAST_DROPS)
+        self._collisions = scoped(name, NET_COLLISIONS)
 
     def attach(self, nic: Nic) -> None:
         """Attach ``nic`` to this segment."""
@@ -132,15 +139,17 @@ class Network:
         self._check_attached(src)
         self._check_attached(dst)
         wire_bytes = self.wire.wire_bytes(payload_bytes)
-        self.env.trace.count(scoped(self.name, NET_UNICASTS))
-        self.env.trace.count(scoped(self.name, NET_WIRE_BYTES), wire_bytes)
+        trace = self.env.trace
+        trace.count(self._unicasts)
+        trace.count(self._wire_bytes, wire_bytes)
 
         def tx_done() -> None:
             if src.owner is not None and not src.owner.alive:
                 return  # the sender died mid-transmission; the frame is lost
             if on_sent is not None:
                 on_sent()
-            self.env.trace.emit(self.env.now, "net.tx", self.name, src.name, dst.name, wire_bytes)
+            if trace.record_events:
+                trace.emit(self.env.now, "net.tx", self.name, src.name, dst.name, wire_bytes)
             self._dispatch(src, dst, wire_bytes, message, deliver)
 
         src.tx.submit(wire_bytes, tx_done)
@@ -179,7 +188,9 @@ class Network:
     ) -> None:
         if dst.owner is not None and not dst.owner.alive:
             return  # receiver is down; the switch drops the frame
-        self.env.trace.emit(self.env.now, "net.rx", self.name, dst.name, wire_bytes)
+        trace = self.env.trace
+        if trace.record_events:
+            trace.emit(self.env.now, "net.rx", self.name, dst.name, wire_bytes)
         dst.rx.submit(wire_bytes, lambda: deliver(message))
 
     # ------------------------------------------------------------------
@@ -222,7 +233,7 @@ class Network:
             # Ethernet gives up after 16 attempts and drops the frame.
             # Under heavy concurrent-multicast load this is the norm —
             # the collision collapse the paper's introduction describes.
-            self.env.trace.count(scoped(self.name, NET_MULTICAST_DROPS))
+            self.env.trace.count(self._multicast_drops)
             return
         wire_bytes = self.wire.wire_bytes(payload_bytes)
         frame = _McastFrame()
@@ -237,7 +248,7 @@ class Network:
                 for other in self._mcast_in_air:
                     other.dead = True
                 frame.dead = True
-                self.env.trace.count(scoped(self.name, NET_COLLISIONS))
+                self.env.trace.count(self._collisions)
             self._mcast_in_air.append(frame)
 
         def tx_done() -> None:
@@ -259,8 +270,8 @@ class Network:
                     attempt + 1,
                 )
                 return
-            self.env.trace.count(scoped(self.name, NET_MULTICASTS))
-            self.env.trace.count(scoped(self.name, NET_WIRE_BYTES), wire_bytes)
+            self.env.trace.count(self._multicasts)
+            self.env.trace.count(self._wire_bytes, wire_bytes)
             if on_sent is not None:
                 on_sent()
             for dst in dsts:

@@ -332,3 +332,83 @@ def test_heartbeat_mode_leased_reads_are_served_locally_with_no_ring_traffic():
             await cluster.stop()
 
     run(scenario())
+
+
+def test_pure_acks_wait_ack_delay_and_coalesce():
+    """The runtime honours ``ReliableConfig.ack_delay``: a burst of
+    inbound frames on a link with no reverse traffic costs one pure ack
+    after the delay, reverse traffic inside the delay carries the ack
+    for free, and a closed connection gets nothing."""
+    from repro.runtime.asyncio_net import _ack_later
+    from repro.transport.reliable import ReliableConfig, ReliableSession
+
+    class Writer:
+        def __init__(self):
+            self.frames, self.closing = [], False
+
+        def write(self, data):
+            self.frames.append(data)
+
+        def is_closing(self):
+            return self.closing
+
+    async def scenario():
+        delay = 0.02
+        receiver = ReliableSession(ReliableConfig(ack_delay=delay))
+        sender = ReliableSession()
+        writer, armed = Writer(), set()
+
+        def inbound(payload):
+            receiver.on_segment(sender.send(payload, 0.0), 0.0)
+            assert receiver.ack_owed
+            _ack_later(armed, receiver, writer)
+
+        for i in range(5):
+            inbound(i)
+        assert writer.frames == [] and armed == {receiver}
+        await asyncio.sleep(delay * 3)
+        assert len(writer.frames) == 1 and not armed
+        assert receiver.stats.acks_sent == 1 and not receiver.ack_owed
+
+        inbound(5)
+        receiver.send("reply", 0.0)  # reverse traffic piggybacks the ack
+        await asyncio.sleep(delay * 3)
+        assert len(writer.frames) == 1 and not armed
+
+        inbound(6)
+        writer.closing = True
+        await asyncio.sleep(delay * 3)
+        assert len(writer.frames) == 1 and not armed
+
+    run(scenario())
+
+
+def test_delayed_acks_drain_every_ring_send_window():
+    """End to end: ring links carry no reverse traffic, so only the
+    delayed pure acks can drain a ring session's send window — after a
+    burst of writes every window is empty and no ack is still owed."""
+    async def scenario():
+        cluster = AsyncCluster(3)
+        await cluster.start()
+        try:
+            clients = [cluster.client(home_server=i) for i in range(3)]
+            for round_ in range(5):
+                await asyncio.gather(
+                    *(c.write(b"w%d" % round_) for c in clients)
+                )
+            await asyncio.sleep(0.1)
+            for node in cluster.nodes.values():
+                assert node._ring_session.in_flight == 0
+                inbound = [
+                    s for key, s in node._peer_sessions.items() if key < 0
+                ]
+                assert inbound
+                for session in inbound:
+                    assert not session.ack_owed
+                    assert session.stats.acks_sent > 0
+            for c in clients:
+                await c.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())

@@ -107,3 +107,22 @@ def test_crashed_sender_loses_in_flight_frame():
     owner.alive = False
     env.run_until_idle()
     assert got == []
+
+
+def test_unicast_counters_and_events_with_and_without_recording():
+    """Counter names are precomputed and the hop events are skipped when
+    recording is off; neither may change what a recording run sees."""
+    for record in (False, True):
+        env = SimEnv(record_events=record)
+        net, nics = _net(env)
+        net.unicast(nics[0], nics[1], 500, "m", lambda m: None)
+        net.unicast(nics[1], nics[2], 100, "m", lambda m: None)
+        env.run_until_idle()
+        assert env.trace.counters == {"lan.unicasts": 2, "lan.wire_bytes": 600}
+        kinds = [(e.kind, e.details) for e in env.trace.events]
+        if record:
+            assert ("net.tx", ("lan", "n0", "n1", 500)) in kinds
+            assert ("net.rx", ("lan", "n1", 500)) in kinds
+            assert len(kinds) == 4
+        else:
+            assert kinds == []

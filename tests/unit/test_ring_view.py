@@ -144,3 +144,40 @@ def test_quorum_is_majority_of_alive():
     assert ring.without(0).quorum == 3
     assert ring.with_dead((0, 1)).quorum == 2
     assert RingView.initial(1).quorum == 1
+
+
+def _walk(view, start, step):
+    """The splice rule spelled out: step through the initial order,
+    skipping dead members."""
+    index, n = view.members.index(start), len(view.members)
+    for offset in range(1, n + 1):
+        candidate = view.members[(index + step * offset) % n]
+        if candidate not in view.dead:
+            return candidate
+
+
+def test_neighbours_match_the_ring_walk_for_every_dead_set():
+    """successor/predecessor are looked up in per-view tables; they must
+    be what walking the ring gives, for dead and alive start points."""
+    members = (4, 0, 7, 2, 5)
+    for mask in range(2 ** len(members) - 1):  # all-dead is not a view
+        dead = frozenset(m for bit, m in enumerate(members) if mask >> bit & 1)
+        view = RingView(members, dead)
+        for member in members:
+            assert view.successor(member) == _walk(view, member, +1)
+            assert view.predecessor(member) == _walk(view, member, -1)
+            assert view.is_alive(member) == (member not in dead)
+        for member in dead:
+            assert view.adopter(member) == _walk(view, member, -1)
+        assert not view.is_alive(99)
+        with pytest.raises(ConfigurationError):
+            view.successor(99)
+        with pytest.raises(ConfigurationError):
+            view.predecessor(99)
+
+
+def test_derived_tables_stay_out_of_equality_hash_and_repr():
+    a = RingView((0, 1, 2), frozenset({1}), 3)
+    b = RingView((0, 1, 2)).without(1).at_epoch(3)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "RingView(members=(0, 1, 2), dead=frozenset({1}), epoch=3)"
