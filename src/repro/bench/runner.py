@@ -18,7 +18,6 @@ scenario set and records everything a regression hunt needs:
 
 Usage::
 
-    python -m repro.bench.runner --tag baseline --no-batch   # batch=1
     python -m repro.bench.runner --tag batched               # default knob
     python -m repro.bench.runner --tag pr --check-regression BENCH_batched.json
 
@@ -528,9 +527,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="full windows (0.3s warmup / 1.0s window) "
                              "instead of the quick CI windows")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="run with batch_max_messages=1 (the unbatched "
-                             "wire path; used for the committed baseline)")
     parser.add_argument("--batch", type=int, default=None, metavar="K",
                         help="override batch_max_messages explicitly")
     parser.add_argument("--out", default=".",
@@ -543,14 +539,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "(default 0.20)")
     args = parser.parse_args(argv)
 
-    if args.no_batch and args.batch is not None:
-        parser.error("--no-batch and --batch are mutually exclusive")
-    batch = 1 if args.no_batch else args.batch
-    if batch is not None and batch < 1:
-        parser.error(f"--batch must be >= 1, got {batch}")
+    if args.batch is not None and args.batch < 1:
+        parser.error(f"--batch must be >= 1, got {args.batch}")
 
     snapshot = run_suite(
-        args.tag, seed=args.seed, quick=not args.full, batch_max_messages=batch
+        args.tag, seed=args.seed, quick=not args.full, batch_max_messages=args.batch
     )
     print(_summarise(snapshot))
 

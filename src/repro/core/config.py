@@ -12,8 +12,7 @@ ablation benchmarks flip:
 * ``batch_max_messages`` — ring-frame batching: successive successor-
   bound ring messages coalesce into one session-layer wire frame,
   amortising per-frame overhead (and, in the simulator, per-frame
-  events).  ``1`` disables batching (every message is its own frame,
-  the seed-state behaviour the BENCH_baseline.json snapshot records).
+  events).  ``1`` disables batching (every message is its own frame).
 """
 
 from __future__ import annotations

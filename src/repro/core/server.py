@@ -12,11 +12,21 @@ lines 18–20 (receive <write> req)     :meth:`_on_client_write`
 lines 21–28 (procedure write)         :meth:`_initiate_write`
 lines 29–40 (receive <pre_write>)     :meth:`_on_pre_write`
 lines 41–52 (receive <write>)         :meth:`_process_commit`
-lines 53–75 (task queue handler)      :meth:`next_ring_message` +
+lines 53–75 (task queue handler)      :meth:`next_ring_batch` +
                                       :class:`~repro.core.fairness.FairScheduler`
 lines 76–84 (receive <read>)          :meth:`_on_client_read`
 lines 85–93 (upon pj crashed)         :meth:`on_server_crash` + reconfig
+"v" wherever the pseudocode stores,   ``self.values`` — a value backend
+forwards or returns a value           (:mod:`repro.core.values`)
 ====================================  =======================================
+
+The pseudocode moves whole values; this class never looks inside one.
+What a server stores for a write, what the pre-write carries, when it
+may be forwarded and how a read materialises the committed value are
+questions put to the backend chosen at construction
+(:class:`~repro.core.values.ReplicatedValues`, the paper's answers, or
+:class:`~repro.core.values.CodedValues`), so the write path below reads
+as lines 21–52 plus the dedup/supersede rules documented here.
 
 Differences from the published pseudocode (deliberate fixes or stated
 optimisations; see DESIGN.md section 5):
@@ -110,24 +120,14 @@ optimisations; see DESIGN.md section 5):
   initiations above every tag the server ever touched, and the
   persisted reconfiguration nonce counter keeps restarted coordinators
   from reusing nonces.
-* **Erasure-coded value backend** (``config.value_coding = "coded"``;
-  docs/coding.md).  Instead of every server storing every value, the
-  origin stripes each write into ``coding_n`` systematic GF(256)
-  fragments (:mod:`repro.core.coding`) and sends each ring member only
-  *its* fragment directly (:class:`FragmentStore`), while an
-  empty-value pre-write circulates as the durability control circle.  A
-  receiver parks the pre-write until its fragment arrives, so the full
-  circle still proves "every member stores (its share of) the value".
-  Tags, commits and the whole control plane stay replicated — only the
-  value payload is striped, cutting ring bytes per write from ``n·V``
-  to roughly ``(n-1)·V/k``.  Reads reconstruct the full value from
-  ``k`` fragments (own + :class:`FragmentFetch`/:class:`FragmentReply`
-  from peers) through a single-entry cache; the reconfiguration merge
-  unions fragment sets across the token circle and re-derives a
-  server's own fragment from any ``k`` others (the RADON-style repair
-  path, also used by restarted rejoiners).  Coded mode requires
-  ``view_quorum`` and ``coding_k`` within the majority-liveness bound,
-  so every installed view retains at least ``k`` fragment holders.
+* **Erasure-coded value backend** (``config.value_coding = "coded"``):
+  tags, commits and the whole control plane stay replicated while the
+  value payload is striped k-of-n across the ring.  All of it — the
+  fragment scatter, parked pre-writes, reconstruction on read, fragment
+  unions and repair in the reconfiguration token — lives in
+  :class:`~repro.core.values.CodedValues`; see that module and
+  docs/coding.md.  Here it shows only as :attr:`frag_tag`: the stored
+  bytes may lag the tag until the backend repairs them.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.core import coding
 from repro.core.config import ProtocolConfig
 from repro.core.durable import ServerSnapshot, SnapshotStore
 from repro.core.fairness import INITIATE_OWN, FairScheduler
@@ -144,13 +143,9 @@ from repro.core.messages import (
     ClientRead,
     ClientWrite,
     Commit,
-    FragmentFetch,
-    FragmentReply,
-    FragmentStore,
     OpId,
     PendingEntry,
     PreWrite,
-    ReadAck,
     ReadFence,
     ReconfigCommit,
     ReconfigToken,
@@ -163,8 +158,13 @@ from repro.core.messages import (
 from repro.core.pending import PendingSet
 from repro.core.ring import RingView
 from repro.core.tags import Tag
+from repro.core.values import FRAGMENT_MESSAGES, CodedValues, ReplicatedValues
 from repro.errors import ProtocolError
 from repro.runtime.interface import Reply
+
+#: Data traffic, valid only within the sender's and receiver's common
+#: installed view (the epoch guard of :meth:`ServerProtocol.on_ring_message`).
+_EPOCH_GUARDED = (PreWrite, Commit, StateSync, ReadFence) + FRAGMENT_MESSAGES
 
 
 class ServerProtocol:
@@ -177,9 +177,11 @@ class ServerProtocol:
       the :class:`~repro.runtime.interface.Reply` effects to send to
       clients;
     * whenever the outgoing ring link is free and :attr:`has_ring_work`
-      is true, pull one message with :meth:`next_ring_message` and send
-      it to :attr:`successor`; afterwards collect replies produced as a
-      side effect with :meth:`drain_replies`.
+      is true, pull one frame's worth of messages with
+      :meth:`next_ring_batch` (:meth:`next_ring_message` is the
+      one-message form) and send it to :attr:`successor`; afterwards
+      collect replies produced as a side effect with
+      :meth:`drain_replies`.
     """
 
     def __init__(
@@ -196,19 +198,11 @@ class ServerProtocol:
         self.ring = ring
         self.config = (config or ProtocolConfig()).validate()
 
-        # Erasure-coded value backend (config.value_coding == "coded").
-        # The fragment index is the server's position in the *member
-        # tuple* (immutable across view changes), so every server
-        # derives the same indexing without coordination.
-        self._coded = self.config.value_coding == "coded"
-        if self._coded and self.config.coding_n != len(ring.members):
-            raise ProtocolError(
-                f"coding_n={self.config.coding_n} must equal the ring size "
-                f"({len(ring.members)} members)"
-            )
-        self._coding_index = ring.members.index(server_id)
-        self._k = self.config.coding_k
-        self._n = self.config.coding_n
+        #: Owner of everything that depends on how a value is laid out
+        #: across the ring (:mod:`repro.core.values`), chosen once.
+        self.values = (
+            CodedValues if self.config.value_coding == "coded" else ReplicatedValues
+        )(self)
 
         #: Durable snapshot store (crash recovery).  When set, the
         #: protocol persists a write-ahead snapshot of its committed and
@@ -217,43 +211,14 @@ class ServerProtocol:
         self.durable = durable
         self._dirty = False
 
-        # Register state (pseudocode line 12): current value and its tag.
-        # In coded mode ``value`` holds this server's *fragment* of the
-        # committed value, not the value itself.
-        self.value: bytes = initial_value
+        # Register state (pseudocode line 12): the tag, and what this
+        # server *stores* for it — the value, or its share of it.
+        self.value: bytes = self.values.localize(Tag.ZERO, initial_value)
         self.tag: Tag = Tag.ZERO
-
-        # Coded-mode state (all empty/None in replicated mode).
-        #: Tag the stored fragment belongs to.  ``None`` means "matches
-        #: ``self.tag``"; a merge that advances the tag past the held
-        #: fragment leaves this at the old tag (repaired on next read).
+        #: ``None`` while ``value`` belongs to ``tag``; the older tag it
+        #: belongs to while it lags (``_install`` advanced the tag
+        #: without bytes to store; the backend repairs it on a read).
         self.frag_tag: Optional[Tag] = None
-        #: Single-entry reconstruction cache: last full value decoded
-        #: (or originated) here.  Volatile — never snapshotted.
-        self._cache_tag: Optional[Tag] = None
-        self._cache_value: Optional[bytes] = None
-        #: Full values of writes this server originated, kept until the
-        #: pre-write's circle returns (they seed the cache, so the
-        #: origin's own reads never pay a reconstruction).
-        self._origin_values: dict[Tag, bytes] = {}
-        #: Fragments received via FragmentStore for pre-writes not yet
-        #: forwarded (the pending entry takes the fragment at forward
-        #: time).
-        self._frag_stash: dict[Tag, bytes] = {}
-        #: Pre-writes parked until their fragment arrives: forwarding
-        #: before the fragment is stored would break the full-circle
-        #: durability proof.
-        self._parked_prewrites: dict[Tag, PreWrite] = {}
-        #: In-flight reconstructions: nonce -> state dict; plus a
-        #: tag -> nonce map so concurrent reads of one tag coalesce
-        #: into a single fetch round.
-        self._recon: dict[int, dict] = {}
-        self._recon_by_tag: dict[Tag, int] = {}
-        self._recon_nonce = 0
-        if self._coded:
-            fragments = coding.encode(initial_value, self._k, self._n)
-            self.value = fragments[self._coding_index]
-            self._cache_tag, self._cache_value = Tag.ZERO, initial_value
 
         # pending_write_set (line 13): tag -> PendingEntry.  The value is
         # kept so commits can be tag-only and reconfiguration can
@@ -491,10 +456,6 @@ class ServerProtocol:
             proto.value = snapshot.value
             proto.tag = snapshot.tag
             proto.frag_tag = snapshot.frag_tag
-            if proto._coded and snapshot.tag != Tag.ZERO:
-                # The initial-value cache seeded by __init__ no longer
-                # matches the restored tag; reads reconstruct instead.
-                proto._cache_tag, proto._cache_value = None, None
             proto.ts_seen = snapshot.ts_seen
             proto.watermark = dict(snapshot.watermark)
             proto.completed_ops = dict(snapshot.completed_ops)
@@ -559,8 +520,6 @@ class ServerProtocol:
             proto.value = snapshot.value
             proto.tag = snapshot.tag
             proto.frag_tag = snapshot.frag_tag
-            if proto._coded and snapshot.tag != Tag.ZERO:
-                proto._cache_tag, proto._cache_value = None, None
             proto.ts_seen = snapshot.ts_seen
             proto.watermark = dict(snapshot.watermark)
             proto.completed_ops = dict(snapshot.completed_ops)
@@ -715,11 +674,7 @@ class ServerProtocol:
         it; the epoch guard uses it to notify a stale peer that the ring
         moved on without it.
         """
-        if self.config.view_quorum and isinstance(
-            message,
-            (PreWrite, Commit, StateSync, ReadFence,
-             FragmentStore, FragmentFetch, FragmentReply),
-        ):
+        if self.config.view_quorum and isinstance(message, _EPOCH_GUARDED):
             # Epoch guard: data traffic is valid only within the sender's
             # and receiver's *common* installed view.  Traffic from an
             # older epoch is a wrongly-suspected (or healed) server that
@@ -754,12 +709,8 @@ class ServerProtocol:
             self._on_stale_epoch(message)
         elif isinstance(message, ReadFence):
             self._on_read_fence(message)
-        elif isinstance(message, FragmentStore):
-            self._on_fragment_store(message)
-        elif isinstance(message, FragmentFetch):
-            self._on_fragment_fetch(message)
-        elif isinstance(message, FragmentReply):
-            self._on_fragment_reply(message)
+        elif isinstance(message, FRAGMENT_MESSAGES):
+            self.values.on_message(message)
         else:
             raise ProtocolError(f"unexpected ring message: {message!r}")
         self._maybe_persist()
@@ -796,7 +747,9 @@ class ServerProtocol:
             # committed state to the new successor (line 88), then run
             # the state-merge reconfiguration, which subsumes the
             # pending-pre-write retransmission of lines 89-91.
-            self.control_queue.append(StateSync(self.tag, self.value))
+            self.control_queue.append(
+                StateSync(self.tag, self.values.token_form(self.fresh_value))
+            )
             self._start_reconfig()
         else:
             # Await the coordinator's token; suspend normal ring traffic.
@@ -1047,7 +1000,7 @@ class ServerProtocol:
             coordinator=self.server_id,
             dead=tuple(sorted(proposed_dead)),
             tag=self.tag,
-            value=self._register_blob() if self._coded else self.value,
+            value=self.values.token_form(self.fresh_value),
             pending=self._pending_snapshot(),
             completed_ops=tuple(sorted(self.completed_ops.items())),
             revived=tuple(sorted(revived)),
@@ -1091,10 +1044,7 @@ class ServerProtocol:
         self._rejoin_sponsor = None
         self._attempt_nonce = None
         self._promise = None
-        # In-flight fragment fetches carry our (now superseded) epoch
-        # and can never be answered; route their reads back through the
-        # deferred queue to re-reconstruct after the fold-in merge.
-        self._requeue_recon_waiters()
+        self.values.abort_reads()
         if self.config.read_leases:
             # A rejoiner must re-earn its lease after the fold-in merge;
             # until then nothing may be served locally, and any fence in
@@ -1107,7 +1057,7 @@ class ServerProtocol:
 
     @property
     def has_ring_work(self) -> bool:
-        """Whether :meth:`next_ring_message` would return a message."""
+        """Whether :meth:`next_ring_batch` would return a message."""
         if self.control_queue or self.outbox:
             return True
         if self.paused or self.alone:
@@ -1196,23 +1146,15 @@ class ServerProtocol:
                 # two circles race to commit one write.
                 self.stats_superseded_dropped += 1
                 return self._next_ring_message()
-            entry_value = prewrite.value
-            if self._coded:
-                # The pre-write circulates empty; the stored share is
-                # the stashed fragment (its arrival is what unparked
-                # this pre-write, so it is normally present — a merge
-                # racing the forward clears both queue and stash, so a
-                # missing fragment means the entry is already covered).
-                fragment = self._frag_stash.pop(prewrite.tag, None)
-                if fragment is None:
-                    self.stats_duplicates_dropped += 1
-                    return self._next_ring_message()
-                entry_value = fragment
+            stored = self.values.take_stored(prewrite)
+            if stored is None:
+                self.stats_duplicates_dropped += 1
+                return self._next_ring_message()
             # Line 71: entering pending at *forward* time keeps reads
             # immediate for as long as possible; by the time any commit
             # for this tag can exist, we have forwarded the pre-write.
             self.pending[prewrite.tag] = PendingEntry(
-                prewrite.tag, entry_value, prewrite.op
+                prewrite.tag, stored, prewrite.op
             )
             self.op_index[prewrite.op] = prewrite.tag
             self.stats_forwards += 1
@@ -1291,92 +1233,13 @@ class ServerProtocol:
             # Lines 77-78: reads are local and immediate when there is no
             # write in progress.
             self.stats_reads_served += 1
-            self._answer_read(client, message.op)
+            self.values.answer_read(client, message.op)
             return
         # Lines 80-82: wait until the highest currently-pending write has
         # committed, then answer with the (current) committed value.
         threshold = self.pending.maxlex()
         self.stats_reads_waited += 1
         self.read_waiters.append((threshold, client, message.op))
-
-    def _answer_read(self, client: int, op: OpId) -> None:
-        """Produce the read value for the *current* committed tag.
-
-        Replicated mode answers from the register directly.  Coded mode
-        must materialise the full value: from the single-entry cache
-        (populated by origination, reconstruction and merge repair), by
-        a trivial local decode when ``k == 1``, or by fetching ``k``
-        fragments from peers — in which case the reply is deferred
-        until the reconstruction completes.
-        """
-        if not self._coded:
-            self._reply(client, ReadAck(op, self.value, self.tag))
-            return
-        if self._cache_tag == self.tag:
-            self.stats_coding_cache_reads += 1
-            self._reply(client, ReadAck(op, self._cache_value, self.tag))
-            return
-        if self.frag_tag is None and self._k == 1:
-            full = coding.decode(
-                {self._coding_index: self.value}, self._k, self._n
-            )
-            self._cache_tag, self._cache_value = self.tag, full
-            self.stats_coding_reconstructions += 1
-            self._reply(client, ReadAck(op, full, self.tag))
-            return
-        if self.paused:
-            # Mid-reconfiguration (reachable via _wake_readers during a
-            # merge apply): fetches stamped now would die at the epoch
-            # seam; re-enter after resume.
-            self.deferred_reads.append((client, ClientRead(op)))
-            return
-        self._start_reconstruction(client, op)
-
-    def _start_reconstruction(self, client: int, op: OpId) -> None:
-        """Fetch peer fragments to rebuild the value for ``self.tag``."""
-        tag = self.tag
-        nonce = self._recon_by_tag.get(tag)
-        if nonce is not None:
-            self._recon[nonce]["waiters"].append((client, op))
-            return
-        peers = [s for s in self.ring.alive() if s != self.server_id]
-        if not peers:
-            # Below the liveness bound (k > 1 survivors needed): the
-            # read cannot be served until the view grows back.
-            self.deferred_reads.append((client, ClientRead(op)))
-            return
-        fragments: dict[int, bytes] = {}
-        if self.frag_tag is None:
-            fragments[self._coding_index] = self.value
-        self._recon_nonce += 1
-        nonce = self._recon_nonce
-        self._recon[nonce] = {
-            "tag": tag,
-            "fragments": fragments,
-            "waiters": [(client, op)],
-            "outstanding": len(peers),
-            "misses": 0,
-        }
-        self._recon_by_tag[tag] = nonce
-        for peer in peers:
-            self.outbox.append(
-                (peer, FragmentFetch(
-                    nonce, tag, self.server_id, self.installed_epoch
-                ))
-            )
-
-    def _requeue_recon_waiters(self) -> None:
-        """Route reconstruction-waiting reads back through the deferred
-        queue (mirror of :meth:`_requeue_fence_waiters`): in-flight
-        fetches cannot complete across a view install or demotion, and
-        after resume the reads re-evaluate against the merged state."""
-        if not self._recon:
-            return
-        recons, self._recon = self._recon, {}
-        self._recon_by_tag = {}
-        for nonce in sorted(recons):
-            for client, op in recons[nonce]["waiters"]:
-                self.deferred_reads.append((client, ClientRead(op)))
 
     def _session_covered(self, session: Optional[Tag]) -> bool:
         """Whether local state covers the client's session tag.
@@ -1453,124 +1316,6 @@ class ServerProtocol:
             self.deferred_reads.extend(waiters[nonce])
 
     # ------------------------------------------------------------------
-    # Coded value backend (config.value_coding == "coded"; docs/coding.md)
-    # ------------------------------------------------------------------
-
-    def _on_fragment_store(self, message: FragmentStore) -> None:
-        """Our fragment of a write, sent directly by the origin.
-
-        Stash it; if the matching (empty-value) pre-write is parked
-        waiting for it, the pre-write re-enters the forward path now.
-        """
-        tag = message.tag
-        self._note_tag(tag)
-        if not self._coded or message.index != self._coding_index:
-            return
-        if self._is_stale(tag) or self._op_completed(message.op):
-            # Committed (or superseded) while the fragment was in
-            # flight; a parked pre-write for it is equally dead.
-            self._parked_prewrites.pop(tag, None)
-            self.stats_duplicates_dropped += 1
-            return
-        if tag in self.pending or tag in self._frag_stash:
-            self.stats_duplicates_dropped += 1
-            return
-        self._frag_stash[tag] = message.fragment
-        self.stats_coding_fragment_stores += 1
-        parked = self._parked_prewrites.pop(tag, None)
-        if parked is not None:
-            self._on_pre_write(parked)
-
-    def _on_fragment_fetch(self, message: FragmentFetch) -> None:
-        """A peer is reconstructing ``message.tag``: send our share.
-
-        An index of ``-1`` signals a miss — this server holds no
-        fragment for that tag (its register moved past it, or it never
-        saw the write); the requester counts misses to detect a round
-        that cannot complete.
-        """
-        if not self._coded:
-            return
-        fragment: Optional[bytes] = None
-        if message.tag == self.tag and self.frag_tag is None:
-            fragment = self.value
-        elif message.tag in self.pending:
-            fragment = self.pending[message.tag].value
-        elif message.tag in self._frag_stash:
-            fragment = self._frag_stash[message.tag]
-        elif self._cache_tag == message.tag and self._cache_value is not None:
-            # The full value is cached: re-derive our share (covers a
-            # stale own fragment after a merge repair-on-read).
-            fragment = coding.encode(
-                self._cache_value, self._k, self._n
-            )[self._coding_index]
-        if fragment is None:
-            reply = FragmentReply(
-                message.nonce, message.tag, -1, b"", self.installed_epoch
-            )
-        else:
-            reply = FragmentReply(
-                message.nonce, message.tag, self._coding_index, fragment,
-                self.installed_epoch,
-            )
-        self.outbox.append((message.requester, reply))
-
-    def _on_fragment_reply(self, message: FragmentReply) -> None:
-        """A peer's share (or miss) for one of our reconstructions."""
-        recon = self._recon.get(message.nonce)
-        if recon is None or recon["tag"] != message.tag:
-            return
-        if message.index >= 0:
-            recon["fragments"][message.index] = message.fragment
-        else:
-            recon["misses"] += 1
-        fragments = recon["fragments"]
-        if len(fragments) >= self._k:
-            self._complete_reconstruction(message.nonce)
-            return
-        answered = len(fragments) + recon["misses"]
-        known = 1 if self._coding_index in fragments else 0
-        if answered - known >= recon["outstanding"]:
-            # Every peer answered and the round fell short of k.  The
-            # tag was committed ring-wide, so peers that missed have
-            # moved *past* it — the commit that moved them is on its
-            # way here.  Re-route the waiters: they re-check the (by
-            # then advanced) tag and fetch again.
-            self._abort_reconstruction(message.nonce)
-
-    def _complete_reconstruction(self, nonce: int) -> None:
-        recon = self._recon.pop(nonce)
-        self._recon_by_tag.pop(recon["tag"], None)
-        tag = recon["tag"]
-        full = coding.decode(recon["fragments"], self._k, self._n)
-        self.stats_coding_reconstructions += 1
-        if tag >= self.tag and self._cache_tag != tag:
-            self._cache_tag, self._cache_value = tag, full
-        if tag == self.tag and self.frag_tag is not None:
-            # Repair-on-read: our own fragment lagged the committed tag
-            # (a merge advanced the register without our share); we now
-            # hold the full value, so re-derive and install our share.
-            self.value = coding.encode(full, self._k, self._n)[
-                self._coding_index
-            ]
-            self.frag_tag = None
-            self.stats_coding_repairs += 1
-            self._mark_dirty()
-        for client, op in recon["waiters"]:
-            if self.tag == tag:
-                self._reply(client, ReadAck(op, full, tag))
-            else:
-                # The register advanced while we fetched; the read must
-                # reflect the newer committed value.
-                self._answer_read(client, op)
-
-    def _abort_reconstruction(self, nonce: int) -> None:
-        recon = self._recon.pop(nonce)
-        self._recon_by_tag.pop(recon["tag"], None)
-        for client, op in recon["waiters"]:
-            self._answer_read(client, op)
-
-    # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
 
@@ -1593,38 +1338,18 @@ class ServerProtocol:
         new_tag = Tag(self._next_ts(), self.server_id)
         # Note our own mint: if this entry is later zombie-dropped (a
         # duplicate initiation losing to a lower tag), _next_ts must
-        # still never re-issue the timestamp — in coded mode, peers'
-        # fragment stashes are keyed by tag, and a re-minted tag would
-        # commit one tag over two different ops' fragment sets.
+        # still never re-issue the timestamp — a coded ring's share
+        # stashes are keyed by tag, and a re-minted tag would commit
+        # one tag over two different ops' share sets.
         self._note_tag(new_tag)
-        wire_value = value
-        if self._coded:
-            # Stripe the value: each live member gets its fragment
-            # directly; the circulating pre-write carries no value and
-            # serves purely as the durability control circle.  (A dead
-            # member's fragment is simply not stored — the same
-            # degraded redundancy its absence from the circle implies.)
-            fragments = coding.encode(value, self._k, self._n)
-            for peer in self.ring.members:
-                if peer == self.server_id or not self.ring.is_alive(peer):
-                    continue
-                self.outbox.append(
-                    (peer, FragmentStore(
-                        new_tag, op, self.ring.members.index(peer),
-                        fragments[self.ring.members.index(peer)],
-                        self.installed_epoch,
-                    ))
-                )
-            self._origin_values[new_tag] = value
-            value = fragments[self._coding_index]
-            wire_value = b""
-        self.pending[new_tag] = PendingEntry(new_tag, value, op)
+        stored, wire = self.values.stage_write(new_tag, op, value)
+        self.pending[new_tag] = PendingEntry(new_tag, stored, op)
         self.op_index[op] = new_tag
         self.ack_waiters.setdefault(new_tag, []).append((client, op))
         self.fair.note_initiated()
         self.stats_writes_initiated += 1
         self._mark_dirty()
-        return PreWrite(new_tag, wire_value, op)
+        return PreWrite(new_tag, wire, op)
 
     def _commit_locally(self, op: OpId, value: bytes, client: int) -> None:
         """Single-survivor fast path: the write is trivially everywhere."""
@@ -1633,14 +1358,7 @@ class ServerProtocol:
         self.watermark[self.server_id] = max(
             self.watermark.get(self.server_id, 0), new_tag.ts
         )
-        if self._coded:
-            # Store our own share; the full value seeds the cache so a
-            # sole survivor's reads never need the (absent) peers.
-            own = coding.encode(value, self._k, self._n)[self._coding_index]
-            self._install_fragment(new_tag, own)
-            self._cache_tag, self._cache_value = new_tag, value
-        else:
-            self._install(new_tag, value)
+        self._install(new_tag, self.values.localize(new_tag, value))
         self._record_completed(op, new_tag)
         self.stats_writes_initiated += 1
         self._reply(client, WriteAck(op, new_tag))
@@ -1664,15 +1382,7 @@ class ServerProtocol:
                 # us).  Committing this copy too would give one write
                 # two write-points; drop it and answer its waiters —
                 # the real commit already made the write durable.
-                del self.pending[tag]
-                self._origin_values.pop(tag, None)
-                if self.op_index.get(entry.op) == tag:
-                    del self.op_index[entry.op]
-                self.stats_superseded_dropped += 1
-                for client, waiting_op in self.ack_waiters.pop(tag, ()):
-                    self._reply(
-                        client, WriteAck(waiting_op, self._completed_tag(waiting_op))
-                    )
+                self._drop_zombie(tag)
                 self._retarget_read_waiters()
                 return
             if self.op_index.get(entry.op) != tag:
@@ -1683,13 +1393,8 @@ class ServerProtocol:
                 self.stats_superseded_dropped += 1
                 return
             del self.pending[tag]
-            if self._coded:
-                self._install_fragment(tag, entry.value)
-                full = self._origin_values.pop(tag, None)
-                if full is not None and tag >= self.tag:
-                    self._cache_tag, self._cache_value = tag, full
-            else:
-                self._install(tag, entry.value)
+            self._install(tag, entry.value)
+            self.values.own_circle_closed(tag)
             self._record_completed(entry.op, tag)
             self.op_index.pop(entry.op, None)
             self.commit_queue.append(tag)
@@ -1706,12 +1411,7 @@ class ServerProtocol:
             if self._op_completed(message.op):
                 # The operation committed under another tag; committing
                 # this copy too would re-install a superseded value.
-                self.pending.pop(tag, None)
-                self.stats_superseded_dropped += 1
-                for client, waiting_op in self.ack_waiters.pop(tag, ()):
-                    self._reply(
-                        client, WriteAck(waiting_op, self._completed_tag(waiting_op))
-                    )
+                self._drop_zombie(tag)
                 self._retarget_read_waiters()
                 return
             lower = self.op_index.get(message.op)
@@ -1722,18 +1422,14 @@ class ServerProtocol:
                 # this orphan up as a zombie.
                 self.stats_superseded_dropped += 1
                 return
+            # What we store is in the pending entry (forwarded) or still
+            # with the backend (not yet).  Neither: the tag advances
+            # without bytes and the lag is repaired on the next read.
             entry = self.pending.pop(tag, None)
-            if self._coded:
-                # The circulating pre-write is empty; our share is in
-                # the pending entry (forwarded) or the stash (not yet).
-                # Neither present: the tag still advances and the
-                # fragment lag is repaired on the next read.
-                fragment = entry.value if entry is not None else (
-                    self._frag_stash.pop(tag, None)
-                )
-                self._install_fragment(tag, fragment)
-            else:
-                self._install(tag, message.value)
+            self._install(
+                tag,
+                self.values.take_stored(message) if entry is None else entry.value,
+            )
             self._record_completed(message.op, tag)
             self.op_index.pop(message.op, None)
             self.commit_queue.append(tag)
@@ -1764,16 +1460,8 @@ class ServerProtocol:
             # lower one, while the lowest circle passes everywhere.
             self.stats_superseded_dropped += 1
             return
-        if self._coded and tag not in self._frag_stash:
-            # Our fragment has not arrived yet: forwarding now would
-            # let the circle complete without this server storing its
-            # share, voiding the durability proof.  Park the pre-write;
-            # the FragmentStore's arrival re-enters it here.
-            if tag in self._parked_prewrites:
-                self.stats_duplicates_dropped += 1
-            else:
-                self._parked_prewrites[tag] = message
-            return
+        if not self.values.may_forward(message):
+            return  # parked; the backend re-enters it here when ready
         self.queued_tags.add(tag)
         self.op_index[message.op] = tag
         self.fair.enqueue(origin, PreWrite(tag, message.value, message.op))
@@ -1800,18 +1488,12 @@ class ServerProtocol:
         self.stats_commits_processed += 1
 
         entry = self.pending.pop(tag, None)
-        if self._coded:
-            # A fragment stashed (or a pre-write parked) for a tag that
-            # just committed is residue of a circle that completed
-            # without our forward (reconfiguration reroute); drop it.
-            if entry is None:
-                self._frag_stash.pop(tag, None)
-            self._parked_prewrites.pop(tag, None)
+        # Whatever the backend still holds for a tag that just committed
+        # is residue of a circle that completed without our forward
+        # (reconfiguration reroute).
+        self.values.forget(tag)
         if entry is not None:
-            if self._coded:
-                self._install_fragment(tag, entry.value)
-            else:
-                self._install(tag, entry.value)
+            self._install(tag, entry.value)
             self._record_completed(entry.op, tag)
             self.op_index.pop(entry.op, None)
             self._drop_superseded(entry.op, tag)
@@ -1835,13 +1517,9 @@ class ServerProtocol:
         """Predecessor's committed state after a splice (line 88)."""
         self._note_tag(message.tag)
         if message.tag > self.tag:
-            if self._coded:
-                # Perfect-detector path only; coded mode requires
-                # view_quorum, so this is belt-and-braces: advance the
-                # tag, repair the fragment on the next read.
-                self._install_fragment(message.tag, None)
-            else:
-                self._install(message.tag, message.value)
+            self._install(
+                message.tag, self.values.adopt_register(message.tag, message.value)
+            )
             self._wake_readers()
 
     # ------------------------------------------------------------------
@@ -1868,7 +1546,7 @@ class ServerProtocol:
             coordinator=self.server_id,
             dead=tuple(sorted(self.ring.dead)),
             tag=self.tag,
-            value=self._register_blob() if self._coded else self.value,
+            value=self.values.token_form(self.fresh_value),
             pending=self._pending_snapshot(),
             completed_ops=tuple(sorted(self.completed_ops.items())),
             revived=tuple(sorted(revived)),
@@ -1881,65 +1559,36 @@ class ServerProtocol:
         set plus pre-writes still sitting in the forward queue (which is
         drained — the merge supersedes it).
 
-        Coded mode: the returned entries are *token-form* — their value
-        is a packed fragment set ``{our index: our fragment}`` so the
-        circulating merge can union shares across members.  Queued
-        pre-writes take their fragment from the stash; a queued or
-        parked pre-write whose fragment never arrived contributes
-        nothing (the origin's own token entry covers the write).
+        The entries are in the backend's *token form*.  A queued
+        pre-write the backend holds no bytes for contributes nothing
+        (the origin's own token entry covers the write).
         """
         entries = dict(self.pending)
         for _origin, prewrite in self.fair.drain():
-            if self._coded:
-                fragment = self._frag_stash.get(prewrite.tag)
-                if fragment is None:
-                    continue
+            stored = self.values.peek_stored(prewrite)
+            if stored is not None:
                 entries.setdefault(
-                    prewrite.tag,
-                    PendingEntry(prewrite.tag, fragment, prewrite.op),
-                )
-            else:
-                entries.setdefault(
-                    prewrite.tag,
-                    PendingEntry(prewrite.tag, prewrite.value, prewrite.op),
+                    prewrite.tag, PendingEntry(prewrite.tag, stored, prewrite.op)
                 )
         self.queued_tags.clear()
-        if self._coded:
-            return tuple(
-                PendingEntry(
-                    tag,
-                    coding.pack_fragments(
-                        {self._coding_index: entries[tag].value}
-                    ),
-                    entries[tag].op,
-                )
-                for tag in sorted(entries)
+        return tuple(
+            PendingEntry(
+                tag, self.values.token_form(entries[tag].value), entries[tag].op
             )
-        return tuple(entries[tag] for tag in sorted(entries))
+            for tag in sorted(entries)
+        )
 
     def _merge_into_token(self, token: ReconfigToken) -> ReconfigToken:
         self._note_tag(token.tag)
         for entry in token.pending:
             self._note_tag(entry.tag)
-        if self._coded:
-            merged_tag, merged_value = self._merge_register_blob(token)
-        else:
-            merged_tag, merged_value = (
-                (token.tag, token.value)
-                if token.tag >= self.tag
-                else (self.tag, self.value)
-            )
+        merged_tag, merged_value = self.values.merge_register(token.tag, token.value)
         entries = {entry.tag: entry for entry in token.pending}
         for entry in self._pending_snapshot():
-            if self._coded and entry.tag in entries:
-                # Union our fragment share into the circulating set.
-                shares = coding.unpack_fragments(entries[entry.tag].value)
-                shares.update(coding.unpack_fragments(entry.value))
-                entries[entry.tag] = PendingEntry(
-                    entry.tag, coding.pack_fragments(shares), entry.op
-                )
-            else:
-                entries.setdefault(entry.tag, entry)
+            theirs = entries.get(entry.tag)
+            entries[entry.tag] = (
+                entry if theirs is None else self.values.merge_entry(theirs, entry)
+            )
         completed: dict[int, int] = dict(token.completed_ops)
         completed_tags: dict[int, Tag] = dict(token.completed_tags)
         for client, seq in self.completed_ops.items():
@@ -2190,10 +1839,7 @@ class ServerProtocol:
         self._promise = None  # promises are per installed view
         if commit.coordinator == self.server_id:
             self._attempt_nonce = None
-        # In-flight fragment fetches are stamped with the superseded
-        # epoch and can never be answered; their reads re-reconstruct
-        # against the merged state after resume.
-        self._requeue_recon_waiters()
+        self.values.abort_reads()
         if self.config.read_leases:
             # Our own lease was granted under the superseded epoch; the
             # per-read epoch check already refuses it, but dropping the
@@ -2231,10 +1877,9 @@ class ServerProtocol:
     def _apply_merged_state(self, commit: ReconfigCommit) -> None:
         self._note_tag(commit.tag)
         if commit.tag > self.tag:
-            if self._coded:
-                self._apply_merged_register(commit.tag, commit.value)
-            else:
-                self._install(commit.tag, commit.value)
+            self._install(
+                commit.tag, self.values.adopt_register(commit.tag, commit.value)
+            )
         merged_tags = dict(commit.completed_tags)
         for client, seq in commit.completed_ops:
             self._advance_completed(
@@ -2272,49 +1917,17 @@ class ServerProtocol:
                 if waiters:
                     self.ack_waiters.setdefault(winner, []).extend(waiters)
                 continue
-            if self._coded:
-                # Token-form entry: unpack the fragment union and keep
-                # only our share.  The keep/drop decision must be a
-                # function of the union alone — every member applies
-                # the same commit, and a split decision lets the origin
-                # re-commit (and ack) a write its peers dropped, whose
-                # reads then never wait for it.  Unrecoverable (< k
-                # shares — the write was too young to reach k members
-                # before the view broke): drop it *everywhere*, origin
-                # included; it never completed anywhere (completion
-                # needs the full circle, and a completed write leaves
-                # >= k shares in any quorum under the liveness bound)
-                # and the client's retry re-initiates it.  Kept but our
-                # share missing: re-derive it — the RADON-style repair
-                # that also catches up rejoiners.
-                shares = coding.unpack_fragments(entry.value)
-                if len(shares) < self._k:
-                    self.stats_coding_pending_dropped += 1
-                    self.ack_waiters.pop(entry.tag, None)
-                    continue
-                mine = shares.get(self._coding_index)
-                if mine is None:
-                    full = coding.decode(shares, self._k, self._n)
-                    mine = coding.encode(full, self._k, self._n)[
-                        self._coding_index
-                    ]
-                    self.stats_coding_repairs += 1
-                entry = PendingEntry(entry.tag, mine, entry.op)
+            adopted = self.values.adopt_entry(entry)
+            if adopted is None:
+                # Unrecoverable; every member drops it alike (the
+                # client's retry re-initiates the write).
+                self.ack_waiters.pop(entry.tag, None)
+                continue
             endorsed[entry.op] = entry.tag
-            merged[entry.tag] = entry
+            merged[entry.tag] = adopted
         self.pending = merged
         self.op_index = {entry.op: entry.tag for entry in merged.values()}
-        if self._coded:
-            # Stashes and parked pre-writes are superseded wholesale by
-            # the merged pending set; in-flight reconstructions died at
-            # the epoch seam (their waiters were re-queued at install).
-            self._frag_stash.clear()
-            self._parked_prewrites.clear()
-            self._origin_values = {
-                tag: value
-                for tag, value in self._origin_values.items()
-                if tag in self.pending
-            }
+        self.values.merged()
         self._mark_dirty()  # reconfig point: the merged state is durable
         # Waiters for operations the merge knows are complete would now
         # wait forever (their tag was filtered); answer them here.
@@ -2437,14 +2050,7 @@ class ServerProtocol:
                 self.watermark.get(tag.server_id, 0), tag.ts
             )
             self._mark_dirty()
-            if self._coded:
-                # The entry holds our fragment only.  With k > 1 and no
-                # peers the full value is unrecoverable (operating below
-                # the liveness bound); the tag still advances, and reads
-                # of it stall until the view grows back.
-                self._install_fragment(tag, entry.value)
-            else:
-                self._install(tag, entry.value)
+            self._install(tag, entry.value)
             self._record_completed(entry.op, tag)
             self.op_index.pop(entry.op, None)
             for client, op in self.ack_waiters.pop(tag, ()):
@@ -2510,81 +2116,34 @@ class ServerProtocol:
             )
         return Commit(tags if tags else message.commits, epoch)
 
-    def _install(self, tag: Tag, value: bytes) -> None:
-        """Monotone register update (lines 33-35 / 43-45)."""
+    def _install(self, tag: Tag, stored: Optional[bytes]) -> None:
+        """Monotone register update (lines 33-35 / 43-45).
+
+        ``stored`` is what this server stores for the value committed
+        under ``tag`` — or ``None`` when the tag must advance without it
+        (a merge decided above us); the bytes held then keep their old
+        tag in :attr:`frag_tag` until :meth:`_repair_stored`.  The
+        replicated backend never passes ``None``.
+        """
         if tag > self.tag:
+            if stored is not None:
+                self.value = stored
+                self.frag_tag = None
+            elif self.frag_tag is None:
+                self.frag_tag = self.tag
             self.tag = tag
-            self.value = value
             self._mark_dirty()
 
-    def _install_fragment(self, tag: Tag, fragment: Optional[bytes]) -> None:
-        """Coded-mode monotone register update.
-
-        ``fragment`` is this server's own share of the value committed
-        under ``tag`` — or ``None`` when the tag must advance without
-        it (merge decided above us); the previously held fragment then
-        keeps its old tag in :attr:`frag_tag` and the next read's
-        reconstruction repairs the lag.
-        """
-        if tag <= self.tag:
-            return
-        if fragment is not None:
-            self.value = fragment
-            self.frag_tag = None
-        elif self.frag_tag is None:
-            self.frag_tag = self.tag
-        self.tag = tag
+    def _repair_stored(self, stored: bytes) -> None:
+        """The backend re-derived the bytes that belong to :attr:`tag`."""
+        self.value = stored
+        self.frag_tag = None
         self._mark_dirty()
 
-    def _register_blob(self) -> bytes:
-        """Our committed register as a token-form fragment set: our own
-        share when it is current, empty when it lags the tag."""
-        if self.frag_tag is None:
-            return coding.pack_fragments({self._coding_index: self.value})
-        return coding.pack_fragments({})
-
-    def _merge_register_blob(self, token: ReconfigToken) -> tuple[Tag, bytes]:
-        """Coded-mode committed-register merge for one token hop.
-
-        The max tag wins as in replicated mode; the value is a fragment
-        *union* — the winning side's collected shares plus whatever
-        share this server holds for that tag (its committed register,
-        a pending entry racing its commit, or a stashed fragment).
-        """
-        if token.tag >= self.tag:
-            merged_tag = token.tag
-            shares = coding.unpack_fragments(token.value)
-        else:
-            merged_tag = self.tag
-            shares = {}
-        mine: Optional[bytes] = None
-        if merged_tag == self.tag and self.frag_tag is None:
-            mine = self.value
-        elif merged_tag in self.pending:
-            mine = self.pending[merged_tag].value
-        elif merged_tag in self._frag_stash:
-            mine = self._frag_stash[merged_tag]
-        if mine is not None:
-            shares[self._coding_index] = mine
-        return merged_tag, coding.pack_fragments(shares)
-
-    def _apply_merged_register(self, tag: Tag, blob: bytes) -> None:
-        """Install the merged committed register from its fragment set.
-
-        Our own share may be missing (we never forwarded the winning
-        write): with ``k`` or more shares collected it is re-derived on
-        the spot — the repair path rejoiners and merge losers ride —
-        and the decoded value seeds the cache; with fewer, the tag
-        advances anyway and the next read repairs the fragment.
-        """
-        shares = coding.unpack_fragments(blob)
-        mine = shares.get(self._coding_index)
-        if mine is None and len(shares) >= self._k:
-            full = coding.decode(shares, self._k, self._n)
-            mine = coding.encode(full, self._k, self._n)[self._coding_index]
-            self._cache_tag, self._cache_value = tag, full
-            self.stats_coding_repairs += 1
-        self._install_fragment(tag, mine)
+    @property
+    def fresh_value(self) -> Optional[bytes]:
+        """:attr:`value` while it belongs to :attr:`tag`, else ``None``."""
+        return self.value if self.frag_tag is None else None
 
     def _is_stale(self, tag: Tag) -> bool:
         """True when ``tag`` is already committed here (duplicate filter)."""
@@ -2662,30 +2221,30 @@ class ServerProtocol:
         ``op`` just committed under ``committed`` (the caller popped
         that entry and ``op``'s endorsement); any pending tag still
         carrying the operation is a duplicate whose circle may never
-        close.  Its ack waiters get the real committed tag, and read
-        thresholds pointing at it are clamped so no read waits for a
-        commit that will never arrive.
+        close, and read thresholds pointing at it are clamped so no
+        read waits for a commit that will never arrive.
         """
         zombies = self.pending.tags_of(op)
         for tag in zombies:
-            del self.pending[tag]
             self.queued_tags.discard(tag)
-            self.stats_superseded_dropped += 1
             self._mark_dirty()
-            if self._coded:
-                self._frag_stash.pop(tag, None)
-                self._origin_values.pop(tag, None)
-            for client, waiting_op in self.ack_waiters.pop(tag, ()):
-                self._reply(client, WriteAck(waiting_op, committed))
-        if self._coded:
-            for tag in [
-                t for t, parked in self._parked_prewrites.items()
-                if parked.op == op and t != committed
-            ]:
-                del self._parked_prewrites[tag]
-                self._frag_stash.pop(tag, None)
+            self._drop_zombie(tag, committed)
         if zombies:
             self._retarget_read_waiters()
+
+    def _drop_zombie(self, tag: Tag, committed: Optional[Tag] = None) -> None:
+        """``tag``'s operation committed under another tag: this copy
+        must never commit.  Drop whatever is held for it and answer its
+        ack waiters with the tag the write really committed under
+        (``committed`` when the caller has it at hand)."""
+        entry = self.pending.pop(tag, None)
+        if entry is not None and self.op_index.get(entry.op) == tag:
+            del self.op_index[entry.op]
+        self.values.forget(tag)
+        self.stats_superseded_dropped += 1
+        for client, op in self.ack_waiters.pop(tag, ()):
+            under = self._completed_tag(op) if committed is None else committed
+            self._reply(client, WriteAck(op, under))
 
     def _retarget_read_waiters(self) -> None:
         """Clamp read thresholds to the highest still-outstanding tag.
@@ -2731,9 +2290,9 @@ class ServerProtocol:
                 still_waiting.append((threshold, client, op))
         self.read_waiters = still_waiting
         for client, op in satisfied:
-            # _answer_read may reconstruct (coded mode), which can
-            # re-enter waiter lists — hence the two-phase drain.
-            self._answer_read(client, op)
+            # Answering may re-enter waiter lists (a coded read defers
+            # itself while it reconstructs) — hence the two-phase drain.
+            self.values.answer_read(client, op)
 
     def _reply(self, client: int, message) -> None:
         self._replies.append(Reply(client, message))

@@ -6,10 +6,11 @@ ran over a cluster:
 
 * each server listens on a TCP port; connections identify themselves
   with a one-frame handshake (ring predecessor or client);
-* a writer task pulls ring messages one at a time
-  (:meth:`ServerProtocol.next_ring_message`) and sends them to the
-  current successor — natural backpressure gives the paper's
-  one-message-at-a-time ring slotting;
+* a writer task pulls ring frames one at a time
+  (:meth:`ServerProtocol.next_ring_batch`, up to
+  :func:`~repro.runtime.interface.ring_batch_depth` messages each) and
+  sends them to the current successor — natural backpressure gives the
+  paper's one-frame-at-a-time ring slotting;
 * a broken outgoing ring connection *is* the perfect failure detector
   (the paper: "when a TCP connection fails, the server on the other side
   of the connection failed"); the detecting predecessor coordinates the
@@ -81,6 +82,7 @@ from repro.runtime.interface import (
     Fail,
     SendTo,
     SetTimer,
+    ring_batch_depth,
 )
 from repro.transport.codec import decode_message, encode_message
 from repro.transport.framing import FrameDecoder, frame
@@ -226,6 +228,11 @@ class AsyncServerNode:
         #: can tell a restarted incarnation from a reconnect.
         self.generation = 0
         self.proto = ServerProtocol(server_id, ring, config, durable=self.durable)
+        #: Ring messages per wire frame, fresh or replayed (every TCP
+        #: ring link is dedicated).
+        self._batch_depth = ring_batch_depth(
+            self.proto.config.batch_max_messages, len(ring.members)
+        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._client_writers: dict[int, asyncio.StreamWriter] = {}
         self._inbound_writers: list[asyncio.StreamWriter] = []
@@ -566,12 +573,7 @@ class AsyncServerNode:
                 if isinstance(out_of_band, RejoinRequest):
                     self._announced(delivered)
                 continue
-            limit = self.proto.config.batch_max_messages
-            if limit > 1:
-                batch = self.proto.next_ring_batch(limit)
-            else:
-                message = self.proto.next_ring_message()
-                batch = [] if message is None else [message]
+            batch = self.proto.next_ring_batch(self._batch_depth)
             if not batch:
                 if (
                     self.fd == "heartbeat"
@@ -648,9 +650,8 @@ class AsyncServerNode:
         # seams what TCP does within one connection.  The replay is
         # chunked into batch frames like a fresh burst would be.
         unacked = list(self._ring_session.unacked_segments())
-        chunk_size = max(1, self.proto.config.batch_max_messages)
-        for start in range(0, len(unacked), chunk_size):
-            writer.write(_segments_frame(unacked[start : start + chunk_size]))
+        for start in range(0, len(unacked), self._batch_depth):
+            writer.write(_segments_frame(unacked[start : start + self._batch_depth]))
         await writer.drain()
         self._ring_writer = writer
         self._ring_peer = successor

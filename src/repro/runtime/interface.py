@@ -7,11 +7,12 @@ methods; outputs are returned as lists of the effect values defined here,
 which the runtime then executes.
 
 Ring data messages are deliberately **not** an effect: a server's ring
-link transmits one message at a time, so the runtime *pulls* the next ring
-message (``ServerProtocol.next_ring_message``) whenever the link is free.
-This pull contract is what the paper's ``queue handler`` task becomes in
-an event-driven implementation, and it maps one-to-one onto "send at most
-one message per round" in the round model.
+link transmits one frame at a time, so the runtime *pulls* the next frame
+(``ServerProtocol.next_ring_batch`` with :func:`ring_batch_depth`)
+whenever the link is free.  This pull contract is what the paper's
+``queue handler`` task becomes in an event-driven implementation; at depth
+one it maps one-to-one onto "send at most one message per round" in the
+round model (``ServerProtocol.next_ring_message``).
 """
 
 from __future__ import annotations
@@ -77,3 +78,28 @@ class Fail:
 
 
 Effect = Union[Reply, SendTo, SetTimer, CancelTimer, Complete, Fail]
+
+#: Batch-depth budget per full ring traversal.  16 keeps the default
+#: depth of 4 intact up to the paper's 4-server midpoint and degenerates
+#: to 2 at n=8, where deeper frames measurably cost contended read
+#: throughput (figure 3c's linearity sags ~5 % at n=8 with k=4).
+BATCH_DEPTH_RING_BUDGET = 16
+
+
+def ring_batch_depth(knob: int, num_servers: int, dedicated_link: bool = True) -> int:
+    """Ring messages per wire frame — fresh frames, retransmissions and
+    reconnect replays alike, in every runtime.
+
+    ``knob`` is ``ProtocolConfig.batch_max_messages``.  It is capped by
+    ring size: a frame is stored and forwarded whole at every hop, so the
+    latency a k-deep batch adds to a full traversal grows with ``k*n``;
+    bounding that product keeps the batch a framing optimisation at every
+    cluster size.  Where the ring shares its transmit port with client
+    replies (the simulator's ``shared`` topology) the two round-robin
+    frame by frame, so a k-message ring frame would take a k-fold
+    bandwidth share and starve read replies (figure 3d's balance):
+    batching there is a fairness regression and the depth is 1.
+    """
+    if not dedicated_link:
+        return 1
+    return min(knob, max(1, BATCH_DEPTH_RING_BUDGET // num_servers))

@@ -4,11 +4,12 @@ A :class:`SimCluster` hosts the ring servers and any number of clients on
 a simulated network (dual-network or shared, per the paper's testbed), and
 wires up:
 
-* one *out-loop* per NIC, which pulls at most one message at a time —
-  ring messages via :meth:`ServerProtocol.next_ring_message` (the paper's
-  ``queue handler``) and client replies from a reply queue — so the NIC's
-  transmit port is the only scheduler of outgoing traffic, exactly as in
-  the paper's performance model;
+* one *out-loop* per NIC, which pulls at most one frame at a time —
+  ring frames via :meth:`ServerProtocol.next_ring_batch` (the paper's
+  ``queue handler``, up to :func:`~repro.runtime.interface.ring_batch_depth`
+  messages per frame) and client replies from a reply queue — so the
+  NIC's transmit port is the only scheduler of outgoing traffic, exactly
+  as in the paper's performance model;
 * the perfect failure detector: a server crash is delivered to every
   surviving server after a fixed detection delay (the simulator's stand-in
   for a broken TCP connection in a synchronous cluster);
@@ -61,6 +62,7 @@ from repro.runtime.interface import (
     Reply,
     SendTo,
     SetTimer,
+    ring_batch_depth,
 )
 from repro.sim.counters import (
     CODING_CACHE_READS,
@@ -113,13 +115,6 @@ from repro.transport.reliable import (
 #: wire-borne messages from the dead server land before reconfiguration
 #: starts (the synchrony assumption behind the paper's perfect detector).
 DEFAULT_DETECTION_DELAY = 0.005
-
-#: Batch-depth budget per full ring traversal: the effective ring-frame
-#: batch is ``min(batch_max_messages, BATCH_DEPTH_RING_BUDGET // n)``.
-#: 16 keeps the default depth of 4 intact up to the paper's 4-server
-#: midpoint and degenerates to 2 at n=8, where deeper frames measurably
-#: cost contended read throughput (see SimCluster.batch_limit).
-BATCH_DEPTH_RING_BUDGET = 16
 
 #: Driver events (:meth:`ServerHost.count`) -> registered trace counters.
 _DRIVER_COUNTERS = {
@@ -451,20 +446,6 @@ class ServerHost(_HostBase):
 
     # -- outbound sources ----------------------------------------------
 
-    @property
-    def ring_batch_limit(self) -> int:
-        """Ring-frame batching applies on a *dedicated* ring NIC only.
-
-        On the shared topology the ring and the client replies round-
-        robin frame-by-frame over one transmit port, so a k-message ring
-        frame would take a k-fold bandwidth share and starve read
-        replies (figure 3d's balance).  Batching there is a fairness
-        regression, not an optimisation — the limit degenerates to 1.
-        """
-        if self.nic_ring is self.nic_client:
-            return 1
-        return self.cluster.batch_limit
-
     def _pull_ring(self, proto: ServerProtocol):
         """The next ``(destination, payload)`` of ``proto`` for the ring
         link, or ``None``; the payload is one message or a batch list."""
@@ -475,16 +456,10 @@ class ServerHost(_HostBase):
             # notices, and view-proposal tokens whose first hop differs
             # from the installed successor.
             return directed
-        limit = self.ring_batch_limit
-        if limit > 1:
-            batch = proto.next_ring_batch(limit)
-            if not batch:
-                return None
-            return proto.successor, batch[0] if len(batch) == 1 else batch
-        message = proto.next_ring_message()
-        if message is None:
+        batch = proto.next_ring_batch(self.cluster.batch_limit)
+        if not batch:
             return None
-        return proto.successor, message
+        return proto.successor, batch[0] if len(batch) == 1 else batch
 
     def _ring_source(self):
         pulled = self._pull_ring(self.proto)
@@ -838,20 +813,16 @@ class _ReliableLinkLayer:
         segments = session.poll(self.env.now)
         if segments:
             self.env.trace.count(RELIABLE_RETRANSMITS, len(segments))
+        # Chunk retransmissions into batch frames too — a recovering
+        # link refills the pipe with the same framing a fresh burst
+        # would use.
         limit = self.cluster.batch_limit
-        if limit > 1 and len(segments) > 1:
-            # Chunk retransmissions into batch frames too — a recovering
-            # link refills the pipe with the same framing a fresh burst
-            # would use.
-            for start in range(0, len(segments), limit):
-                chunk = segments[start : start + limit]
-                if len(chunk) == 1:
-                    self._send_segment(local, peer, chunk[0])
-                else:
-                    self._send_batch(local, peer, chunk)
-        else:
-            for segment in segments:
-                self._send_segment(local, peer, segment)
+        for start in range(0, len(segments), limit):
+            chunk = segments[start : start + limit]
+            if len(chunk) == 1:
+                self._send_segment(local, peer, chunk[0])
+            else:
+                self._send_batch(local, peer, chunk)
         self._sync_retx_timer(local, peer)
 
     def _arm_ack(self, local: str, peer: str) -> None:
@@ -947,6 +918,12 @@ class SimCluster:
             network.faults = self.nemesis
         #: Reliable session layer under every unicast between hosts.
         self.reliable = _ReliableLinkLayer(self, config.reliable_config)
+        #: Ring messages per wire frame, fresh or retransmitted.
+        self.batch_limit = ring_batch_depth(
+            config.protocol.batch_max_messages,
+            config.num_servers,
+            dedicated_link=config.topology == "dual",
+        )
         self.ring = RingView.initial(config.num_servers)
         #: Perfect-oracle detector (``fd="perfect"``) or None under the
         #: heartbeat detector, where suspicion comes from missed beacons.
@@ -997,21 +974,6 @@ class SimCluster:
             # Cold start, in id order, once every host exists to receive.
             for host in self.servers.values():
                 host.driver.start()
-
-    @property
-    def batch_limit(self) -> int:
-        """Ring messages per wire frame.
-
-        The knob is capped by ring size: a frame is stored
-        and forwarded whole at every hop, so the extra latency a k-deep
-        batch adds to a full traversal grows with k*n.  Past
-        ``BATCH_DEPTH_RING_BUDGET`` that latency reaches commit-blocked
-        readers (figure 3c's contended linearity sags ~5 % at n=8 with
-        k=4, measured); bounding k*n keeps the batch a framing
-        optimisation at every cluster size.
-        """
-        knob = self.config.protocol.batch_max_messages
-        return min(knob, max(1, BATCH_DEPTH_RING_BUDGET // self.config.num_servers))
 
     @staticmethod
     def _default_host_factory(cluster: "SimCluster", server_id: int) -> "ServerHost":

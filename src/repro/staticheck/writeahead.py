@@ -22,14 +22,20 @@ exit states, iterated to a fixpoint over the intra-class call graph
   on covered attributes;
 * passing a covered attribute to an intra-class helper that mutates the
   corresponding parameter (``_advance_completed``);
+* any call into the value backend (``self.values.<hook>(...)``), which
+  reaches the register through the class's own mutators;
 * ``_mark_dirty()`` / ``self._dirty = True``.
 
 Persist events: ``_maybe_persist()``, ``<durable>.save(...)``,
 ``self._dirty = False``.
 
-``writeahead.host-bypass`` additionally forbids host/runtime code from
-reaching into a protocol's covered attributes directly — hosts must go
-through handler methods, which persist for themselves.
+``writeahead.host-bypass`` additionally forbids code that merely *holds*
+a protocol object — hosts and runtimes (``<x>.proto``), and the value
+backends of ``repro/core/values.py`` (``<x>.core``) — from assigning its
+covered attributes directly.  Hosts must go through handler methods,
+which persist for themselves; a backend goes through the protocol's
+``_install`` / ``_repair_stored``, which mark the state dirty inside the
+class this rule's fixpoint analyses.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ COVERED_ATTRS = frozenset(
     {
         "value",
         "tag",
+        "frag_tag",
         "ts_seen",
         "watermark",
         "completed_ops",
@@ -80,6 +87,10 @@ _MUTATING_METHODS = frozenset(
         "update",
     }
 )
+
+#: The attribute a durable class holds its value backend by
+#: (repro/core/values.py); see :meth:`_ClassAnalysis._apply_call`.
+_BACKEND_ATTR = "values"
 
 # Abstract persistence states.
 _CLEAN = "clean"
@@ -299,6 +310,14 @@ class _ClassAnalysis:
             chain = attr_chain(func)
             if chain is not None and "durable" in chain.split("."):
                 return frozenset({_CLEAN})
+        # A value-backend hook (``self.values.<hook>(...)``) may come back
+        # through ``_install`` / ``_repair_stored`` / ``_note_tag``: the
+        # analysis cannot see into the other class, so it assumes so.
+        if (
+            isinstance(func, ast.Attribute)
+            and _receiver_attr(func.value) == _BACKEND_ATTR
+        ):
+            return frozenset({_DIRTY})
         # Mutating container method on a covered attribute:
         # self.pending.pop(...), proto.completed_ops.update(...).  The
         # receiver is a two-level chain, so check the method name on the
@@ -366,14 +385,23 @@ def _check_durable_classes(sf: SourceFile) -> list[Violation]:
     return out
 
 
-_HOST_SCOPES = ("repro/core/sharded.py", "repro/runtime/")
+#: Path prefix -> the attribute name its code holds a protocol by.
+_HOLDER_SCOPES = {
+    "repro/core/sharded.py": "proto",
+    "repro/runtime/": "proto",
+    "repro/core/values.py": "core",
+}
 
 
 def _check_host_bypass(sf: SourceFile) -> list[Violation]:
-    """Hosts and runtimes must mutate protocol state only through
-    handler methods (which persist for themselves), never by assigning
-    ``<x>.proto.<covered attr>`` directly."""
-    if not any(sf.rel.startswith(scope) for scope in _HOST_SCOPES):
+    """Code that holds a protocol object must mutate its state only
+    through the protocol's methods (which mark and persist for
+    themselves), never by assigning ``<x>.proto.<covered attr>`` (or a
+    backend's ``<x>.core.<covered attr>``) directly."""
+    holders = {
+        name for scope, name in _HOLDER_SCOPES.items() if sf.rel.startswith(scope)
+    }
+    if not holders:
         return []
     out: list[Violation] = []
     for node in ast.walk(sf.tree):  # type: ignore[arg-type]
@@ -392,10 +420,7 @@ def _check_host_bypass(sf: SourceFile) -> list[Violation]:
                 continue
             owner = base.value
             chain = attr_chain(owner)
-            if chain is not None and (
-                chain == "proto" or chain.endswith(".proto") or "proto" in
-                chain.split(".")
-            ):
+            if chain is not None and holders & set(chain.split(".")):
                 out.append(
                     Violation(
                         sf.rel,
@@ -404,7 +429,7 @@ def _check_host_bypass(sf: SourceFile) -> list[Violation]:
                         "writeahead.host-bypass",
                         f"direct store to protocol covered state "
                         f"'{chain}.{base.attr}' bypasses the write-ahead "
-                        "persist discipline; call a handler method instead",
+                        "persist discipline; call a protocol method instead",
                     )
                 )
     return out

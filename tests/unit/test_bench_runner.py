@@ -127,6 +127,4 @@ def test_cli_rejects_window_mismatch_and_bad_flags(tmp_path, monkeypatch):
          "--check-regression", str(tmp_path / "BENCH_quickbase.json")]
     ) == 1
     with pytest.raises(SystemExit):
-        runner.main(["--no-batch", "--batch", "2", "--out", str(tmp_path)])
-    with pytest.raises(SystemExit):
         runner.main(["--batch", "0", "--out", str(tmp_path)])

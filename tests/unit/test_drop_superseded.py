@@ -111,9 +111,9 @@ def test_commit_under_another_tag_sweeps_the_zombie(mode):
     else:
         # Coded reads materialise the value from peers; being released
         # means the reconstruction for the committed tag has started.
-        assert ZOMBIE not in server._origin_values
-        assert ZOMBIE not in server._frag_stash
-        assert list(server._recon_by_tag) == [WINNER]
+        assert ZOMBIE not in server.values._origin_values
+        assert ZOMBIE not in server.values._frag_stash
+        assert list(server.values._recon_by_tag) == [WINNER]
 
 
 @pytest.mark.parametrize("mode", sorted(CONFIGS))

@@ -1,11 +1,15 @@
-"""Meta-tests: the server control plane is wired in exactly one place.
+"""Meta-tests: the server control plane is wired in exactly one place,
+and the stored value has exactly one owner.
 
 ``repro/runtime/driver.py`` owns the heartbeat tracker, the read lease,
 the reconcile / wait-out flags and the rejoin announcements for *every*
-host (simulated, sharded, asyncio).  These tests read the source tree:
-if a runtime grows its own copy of any of that wiring again, or the
-driver starts importing a clock, an event loop or the simulator, or the
-hosting code regrows past its budget, they fail at diff time.
+host (simulated, sharded, asyncio); ``repro/core/values.py`` owns
+everything that depends on how a value is laid out across the ring.
+These tests read the source tree: if a runtime grows its own copy of any
+of that wiring again, or the driver starts importing a clock, an event
+loop or the simulator, or fragment bookkeeping leaks back into the
+protocol core, or either side regrows past its budget, they fail at diff
+time.
 """
 
 from __future__ import annotations
@@ -31,6 +35,32 @@ _DRIVER_ONLY = {
     "lease_waitout_due": {"repro/core/server.py"},
     "queue_rejoin_announce": {"repro/core/server.py"},
 }
+
+_VALUES = "repro/core/values.py"
+
+#: Name -> its definers.  Only these and the value backends may mention
+#: the name in code: the protocol core never looks inside a value.
+_VALUES_ONLY = {
+    "_coded": set(),
+    "_frag_stash": set(),
+    "_parked_prewrites": set(),
+    "_recon": set(),
+    "pack_fragments": {"repro/core/coding.py"},
+    "unpack_fragments": {"repro/core/coding.py"},
+}
+
+#: Messages only a backend (or the wire codec that defines their bytes)
+#: may *construct*; the core still names them to route them.
+_VALUES_ONLY_CALLS = {
+    "FragmentFetch": {"repro/transport/codec.py"},
+    "FragmentReply": {"repro/transport/codec.py"},
+}
+
+#: Logical lines: ``core/server.py`` was 1,581 with the coded backend
+#: threaded through it; all of ``core/`` was 3,380 — splitting the
+#: backend out may not cost code.
+_SERVER_LINE_BUDGET = 1300
+_CORE_LINE_BUDGET = 3380
 
 #: Logical lines of ``repro/runtime/`` + ``repro/core/sharded.py`` —
 #: 2,568 before the driver existed; the extraction had to land at least
@@ -64,6 +94,43 @@ def test_control_plane_names_are_referenced_only_by_the_driver():
     )
     driver_names = _code_names(ast.parse((_SRC / _DRIVER).read_text()))
     assert set(_DRIVER_ONLY) <= driver_names, "the driver no longer wires these"
+
+
+def _called_names(tree: ast.AST) -> set[str]:
+    called: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(
+                func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            )
+    return called
+
+
+def test_value_layout_is_known_only_to_the_value_backends():
+    offenders = []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        if rel == _VALUES:
+            continue
+        tree = ast.parse(path.read_text())
+        mentioned, called = _code_names(tree), _called_names(tree)
+        offenders += [
+            (rel, name) for name, definers in _VALUES_ONLY.items()
+            if name in mentioned and rel not in definers
+        ]
+        offenders += [
+            (rel, name) for name, definers in _VALUES_ONLY_CALLS.items()
+            if name in called and rel not in definers
+        ]
+    assert offenders == [], f"value layout outside {_VALUES}: {offenders}"
+    backend = ast.parse((_SRC / _VALUES).read_text())
+    assert set(_VALUES_ONLY) - {"_coded"} <= _code_names(backend)
+    assert set(_VALUES_ONLY_CALLS) <= _called_names(backend)
+    server = (_SRC / "repro/core/server.py").read_text()
+    assert "coding" not in _code_names(ast.parse(server)), (
+        "the protocol core must not reach repro.core.coding"
+    )
 
 
 def test_driver_is_sans_io():
@@ -115,22 +182,49 @@ def test_hosting_code_stays_within_its_line_budget():
     assert sum(counts.values()) <= _LINE_BUDGET, counts
 
 
-def _mutated_driver_tree(tmp_path: Path, extra: str) -> Path:
+def test_protocol_core_stays_within_its_line_budget():
+    counts = {
+        f.relative_to(_SRC).as_posix(): _logical_lines(f)
+        for f in sorted((_SRC / "repro/core").glob("*.py"))
+    }
+    assert _VALUES in counts
+    assert counts["repro/core/server.py"] <= _SERVER_LINE_BUDGET, counts
+    assert sum(counts.values()) <= _CORE_LINE_BUDGET, counts
+
+
+def _mutated_tree(tmp_path: Path, rel: str, extra: str) -> Path:
     shutil.copytree(_SRC / "repro", tmp_path / "repro")
-    driver = tmp_path / _DRIVER
-    driver.write_text(driver.read_text() + extra)
+    target = tmp_path / rel
+    target.write_text(target.read_text() + extra)
     return tmp_path
 
 
 def test_determinism_rule_covers_the_driver(tmp_path):
-    tree = _mutated_driver_tree(
-        tmp_path, "\nimport time\n\ndef _wall():\n    return time.monotonic()\n"
+    tree = _mutated_tree(
+        tmp_path, _DRIVER, "\nimport time\n\ndef _wall():\n    return time.monotonic()\n"
     )
     assert "determinism.wall-clock" in rules_of(run_paths([str(tree)]))
 
 
 def test_host_bypass_rule_covers_the_driver(tmp_path):
-    tree = _mutated_driver_tree(
-        tmp_path, "\ndef _poke(host):\n    host.proto.pending = {}\n"
+    tree = _mutated_tree(
+        tmp_path, _DRIVER, "\ndef _poke(host):\n    host.proto.pending = {}\n"
     )
     assert "writeahead.host-bypass" in rules_of(run_paths([str(tree)]))
+
+
+def test_writeahead_rule_covers_the_value_backends(tmp_path):
+    """A backend reaches the snapshot-covered register only through the
+    protocol's own mutators; assigning it directly — which would skip
+    ``_mark_dirty()`` and the class the fixpoint analyses — is caught."""
+    tree = _mutated_tree(
+        tmp_path, _VALUES,
+        "\n\ndef _poke(self, share):\n"
+        "    self.core.value = share\n"
+        "    self.core.frag_tag = None\n"
+        "\n\nCodedValues._poke = _poke\n",
+    )
+    violations = run_paths([str(tree)])
+    assert rules_of(violations) == ["writeahead.host-bypass"]
+    assert len(violations) == 2, "one per covered attribute assigned"
+    assert {v.path for v in violations} == {_VALUES}

@@ -148,6 +148,46 @@ def test_non_durable_class_is_out_of_scope(tmp_path):
     assert violations == []
 
 
+def test_value_backend_call_counts_as_a_mutation(tmp_path):
+    """A backend hook may come back through the protocol's own register
+    mutators, which the intra-class analysis cannot follow — so a handler
+    must persist after calling one."""
+    handler = (
+        "    def on_fragment(self, message):\n"
+        "        self.values.on_message(message)\n"
+        "{persist}"
+        "        return []\n"
+    )
+    red = run_tree(
+        tmp_path / "red", {"repro/core/proto.py": _HEADER + handler.format(persist="")}
+    )
+    assert rules_of(red) == ["writeahead.persist-before-output"]
+    green = run_tree(
+        tmp_path / "green",
+        {
+            "repro/core/proto.py": _HEADER
+            + handler.format(persist="        self._maybe_persist()\n")
+        },
+    )
+    assert green == []
+
+
+def test_value_backend_store_to_the_register_flagged(tmp_path):
+    violations = run_tree(
+        tmp_path,
+        {
+            "repro/core/values.py": (
+                "class Backend:\n"
+                "    def repair(self, share):\n"
+                "        self.core.frag_tag = None\n"
+                "        self.core._install(self.core.tag, share)\n"
+            )
+        },
+    )
+    assert rules_of(violations) == ["writeahead.host-bypass"]
+    assert "self.core.frag_tag" in violations[0].message
+
+
 def test_host_bypass_flagged(tmp_path):
     violations = run_tree(
         tmp_path,
