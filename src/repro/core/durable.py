@@ -37,8 +37,9 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.core.messages import OpId, PendingEntry
 from repro.core.tags import Tag
@@ -69,8 +70,11 @@ class ServerSnapshot:
     tag: Tag
     value: bytes
     ts_seen: int
-    watermark: tuple[tuple[int, int], ...]       # origin -> max committed ts
-    completed_ops: tuple[tuple[int, int], ...]   # client -> max committed seq
+    #: The three dedup tables are read-only mappings over a private
+    #: ``dict.copy()`` — one C-level copy per table per snapshot, not a
+    #: pair allocated per client that ever wrote.
+    watermark: Mapping[int, int]        # origin -> max committed ts
+    completed_ops: Mapping[int, int]    # client -> max committed seq
     pending: tuple[PendingEntry, ...]
     reconfig_counter: int = 0
     #: Installed view epoch.  Persisted so a restarted server rejoins
@@ -81,7 +85,7 @@ class ServerSnapshot:
     #: Commit tag behind each client's max completed seq (when known):
     #: lets a restarted server ack a deduplicated retry with the real
     #: committed tag instead of an untagged (coverage-breaking) ack.
-    completed_tags: tuple[tuple[int, Tag], ...] = ()
+    completed_tags: Mapping[int, Tag] = field(default_factory=dict)
     #: Coded backend (v3): the tag the persisted ``value`` fragment
     #: belongs to.  ``None`` means "``value`` matches ``tag``" — true
     #: for every replicated snapshot and for coded servers whose
@@ -101,8 +105,8 @@ class ServerSnapshot:
                 "tag": [self.tag.ts, self.tag.server_id],
                 "value": base64.b64encode(self.value).decode("ascii"),
                 "ts_seen": self.ts_seen,
-                "watermark": [list(item) for item in self.watermark],
-                "completed_ops": [list(item) for item in self.completed_ops],
+                "watermark": [list(item) for item in self.watermark.items()],
+                "completed_ops": [list(item) for item in self.completed_ops.items()],
                 "pending": [
                     {
                         "tag": [entry.tag.ts, entry.tag.server_id],
@@ -115,7 +119,7 @@ class ServerSnapshot:
                 "epoch": self.epoch,
                 "completed_tags": [
                     [client, tag.ts, tag.server_id]
-                    for client, tag in self.completed_tags
+                    for client, tag in self.completed_tags.items()
                 ],
                 "frag_tag": (
                     [self.frag_tag.ts, self.frag_tag.server_id]
@@ -143,8 +147,8 @@ class ServerSnapshot:
                 tag=Tag(*data["tag"]),
                 value=base64.b64decode(data["value"]),
                 ts_seen=data["ts_seen"],
-                watermark=tuple((o, ts) for o, ts in data["watermark"]),
-                completed_ops=tuple((c, s) for c, s in data["completed_ops"]),
+                watermark=MappingProxyType(dict(data["watermark"])),
+                completed_ops=MappingProxyType(dict(data["completed_ops"])),
                 pending=tuple(
                     PendingEntry(
                         Tag(*entry["tag"]),
@@ -155,9 +159,8 @@ class ServerSnapshot:
                 ),
                 reconfig_counter=data.get("reconfig_counter", 0),
                 epoch=data.get("epoch", 0),
-                completed_tags=tuple(
-                    (client, Tag(ts, sid))
-                    for client, ts, sid in data.get("completed_tags", [])
+                completed_tags=MappingProxyType(
+                    {c: Tag(ts, sid) for c, ts, sid in data.get("completed_tags", [])}
                 ),
                 frag_tag=Tag(*frag_tag) if frag_tag is not None else None,
             )

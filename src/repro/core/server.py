@@ -133,6 +133,7 @@ optimisations; see DESIGN.md section 5):
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import Optional
 
 from repro.core.config import ProtocolConfig
@@ -388,11 +389,11 @@ class ServerProtocol:
         redistributes it.  Session-layer state is likewise excluded — a
         restart is a new channel.
         """
-        # The dict-valued fields are captured in insertion order rather
-        # than sorted: ``restore`` rebuilds dicts from them, so ordering
-        # is semantically irrelevant, and this method runs once per ring
-        # send (write-ahead persistence) — sorting here was ~a third of
-        # the write hot path.
+        # This method runs once per ring send (write-ahead persistence),
+        # so the dedup tables are captured by ``dict.copy()`` — one
+        # C-level copy each, insertion order kept, nothing allocated per
+        # client — behind a read-only view; ``restore`` copies them back
+        # into dicts.
         return ServerSnapshot(
             server_id=self.server_id,
             members=tuple(self.ring.members),
@@ -400,12 +401,12 @@ class ServerProtocol:
             tag=self.tag,
             value=self.value,
             ts_seen=self.ts_seen,
-            watermark=tuple(self.watermark.items()),
-            completed_ops=tuple(self.completed_ops.items()),
+            watermark=MappingProxyType(self.watermark.copy()),
+            completed_ops=MappingProxyType(self.completed_ops.copy()),
             pending=tuple(self.pending.values()),
             reconfig_counter=self._reconfig_counter,
             epoch=self.installed_epoch,
-            completed_tags=tuple(self.completed_tags.items()),
+            completed_tags=MappingProxyType(self.completed_tags.copy()),
             frag_tag=self.frag_tag,
         )
 

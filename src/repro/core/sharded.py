@@ -249,7 +249,7 @@ class ShardedServerHost(ServerHost):
         """Crash, stamping the cluster-wide crash order first: elastic
         crash recovery compares stamps to decide which member of a fully
         crashed ring holds the freshest copy (see :meth:`_resume_alone`)."""
-        if self._alive:
+        if self.alive:
             self.cluster.note_crash(self.server_id)
         super().crash()
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.core.client import ClientProtocol
@@ -215,28 +216,42 @@ class _OutLoop:
 
     Sources are callables returning ``(dst_name, message, deliver_kind)``
     or ``None``.  At most one message is in the transmit port at a time;
-    the port's idle callback re-pumps, so backpressure is exact.
+    the port's idle callback re-pumps, so backpressure is exact.  The
+    loop resolves each destination name to its :class:`_Link` once.
     """
 
     def __init__(self, host: "_HostBase", nic: Nic, sources: list[Callable]):
         self.host = host
         self.nic = nic
-        self.sources = sources
-        self._next_index = 0
+        self.tx = nic.tx
+        #: Polling order: the source after the last one that yielded is
+        #: always at the front.
+        self._sources = deque(sources)
+        self._links: dict[str, _Link] = {}
         nic.tx.on_idle(self.pump)
 
     def pump(self) -> None:
-        if not self.host.alive or self.nic.tx.busy:
+        host = self.host
+        if not host.alive or self.tx.busy:
             return
-        for attempt in range(len(self.sources)):
-            source = self.sources[(self._next_index + attempt) % len(self.sources)]
+        for position, source in enumerate(self._sources):
             item = source()
-            if item is None:
-                continue
-            self._next_index = (self._next_index + attempt + 1) % len(self.sources)
-            dst_name, message, kind = item
-            self.host.cluster.transmit(self.host, self.nic, dst_name, message, kind)
+            if item is not None:
+                break
+        else:
             return
+        self._sources.rotate(-position - 1)
+        dst_name, message, kind = item
+        link = self._links.get(dst_name)
+        if link is None:
+            link = self._links[dst_name] = self._resolve(dst_name)
+        host.cluster.transmit(link, message, kind)
+
+    def _resolve(self, dst_name: str) -> "_Link":
+        link = self.host.cluster.reliable.link(self.host.name, dst_name)
+        if link.src_nic is not self.nic:  # pragma: no cover - defensive
+            raise SimulationError(f"{dst_name} is not routed through {self.nic.name}")
+        return link
 
 
 class _HostBase(SimProcess):
@@ -251,9 +266,11 @@ class _HostBase(SimProcess):
         self.on_crash(self._purge_on_crash)
 
     def kick(self) -> None:
-        """Re-run every out-loop (new work may be available)."""
+        """Re-run every out-loop whose port is free (new work may be
+        available; a busy port pumps itself when it drains)."""
         for loop in self._loops:
-            loop.pump()
+            if not loop.tx.busy:
+                loop.pump()
 
     def _purge_on_crash(self, _process) -> None:
         for nic in self.cluster.topo.nics.get(self.name, {}).values():
@@ -287,8 +304,9 @@ class ServerHost(_HostBase):
         self.proto = proto
         self._reply_queues: dict[str, deque[Reply]] = {}
         self._reply_rr: deque[str] = deque()
-        #: Last-mirrored protocol stats, for trace-counter deltas.
-        self._mirrored_stats: dict[str, int] = {}
+        #: Last-mirrored statistics, one tuple per hosted protocol, for
+        #: the trace-counter deltas.
+        self._mirrored_stats: list[tuple] = []
         self.driver = self._new_driver(trusting=True)
         self.on_crash(lambda _process: self.driver.stop())
 
@@ -397,13 +415,13 @@ class ServerHost(_HostBase):
         and a fresh driver announces the rejoin until a reconfiguration
         folds the server back in.
         """
-        if self._alive:
+        if self.alive:
             return
         self.cluster.reopen_server(self.server_id)
         super().restart()
         self._reply_queues.clear()
         self._reply_rr.clear()
-        self._mirrored_stats = {}
+        self._mirrored_stats = []
         self._restore_protos()
         self.driver = self._new_driver(trusting=False)
         self.driver.start()
@@ -666,6 +684,33 @@ class ClientHost(_HostBase):
             handle.cancel()
 
 
+class _Link:
+    """Everything that is fixed per directed host pair, resolved once.
+
+    The route, both hosts, the two session endpoints (``tx`` sends on
+    this link, ``rx`` receives from it; the ``reverse`` link holds the
+    same two the other way round), this direction's timer handles, and
+    the channel ``stamp`` with the one ``receive`` callable that is valid
+    for it — every frame sent under a stamp carries that callable.
+    """
+
+    __slots__ = (
+        "src", "dst", "src_id", "src_nic", "dst_nic", "network", "tx", "rx",
+        "reverse", "retx_timer", "ack_timer", "stamp", "receive",
+    )
+
+    def __init__(self, src, dst, route, tx: ReliableSession, rx: ReliableSession):
+        self.src = src
+        self.dst = dst
+        #: The sender's server or client-machine id, as receivers want it.
+        self.src_id = int(src.name[1:])
+        self.src_nic, self.dst_nic, self.network = route
+        self.tx = tx
+        self.rx = rx
+        self.retx_timer = None
+        self.ack_timer = None
+
+
 class _ReliableLinkLayer:
     """Drives one :class:`~repro.transport.reliable.ReliableSession` per
     directed host pair off the cluster's event scheduler.
@@ -676,83 +721,104 @@ class _ReliableLinkLayer:
     any other traffic, and mirrors session statistics into the trace
     (``reliable.retransmits``, ``reliable.dups_suppressed``,
     ``reliable.acks``, ``reliable.abandoned``) so chaos runs can prove
-    the machinery fired.
+    the machinery fired.  All per-pair state lives on a :class:`_Link`,
+    opened (with its reverse) the first time either direction is used.
     """
 
     def __init__(self, cluster: "SimCluster", config: ReliableConfig):
         self.cluster = cluster
         self.env = cluster.env
+        self.scheduler = cluster.env.scheduler
         self.config = config
-        self.sessions: dict[tuple[str, str], ReliableSession] = {}
-        self._retx_timers: dict[tuple[str, str], object] = {}
-        self._ack_timers: dict[tuple[str, str], object] = {}
+        self.links: dict[tuple[str, str], _Link] = {}
         #: Channel generation per host, bumped whenever the host's
-        #: sessions are torn down (crash detection, restart).  Deliveries
-        #: carry the generations captured at send time; a mismatch at
-        #: arrival means the frame belongs to a connection that no longer
-        #: exists — the simulator's stand-in for a TCP segment of a dead
-        #: connection being discarded, which is what keeps a frame from a
-        #: host's previous incarnation out of its successor's fresh
-        #: session (stale high sequence numbers would otherwise poison
-        #: the reorder buffer).
+        #: sessions are torn down (crash detection, restart).  A link's
+        #: stamp is the pair of generations it was last (re)opened under
+        #: and rides with every frame; a mismatch at arrival means the
+        #: frame belongs to a connection that no longer exists — the
+        #: simulator's stand-in for a TCP segment of a dead connection
+        #: being discarded, which is what keeps a frame from a host's
+        #: previous incarnation out of its successor's fresh session
+        #: (stale high sequence numbers would otherwise poison the
+        #: reorder buffer).
         self._generations: dict[str, int] = {}
 
-    def session(self, local: str, peer: str) -> ReliableSession:
-        key = (local, peer)
-        session = self.sessions.get(key)
-        if session is None:
-            session = self.sessions[key] = ReliableSession(self.config)
-        return session
+    def link(self, src_name: str, dst_name: str) -> _Link:
+        """The link ``src`` -> ``dst``, opened on first use."""
+        return self.links.get((src_name, dst_name)) or self._open(src_name, dst_name)
+
+    def _open(self, src_name: str, dst_name: str) -> _Link:
+        """Open both directions at once: they share the two endpoints."""
+        topo, hosts = self.cluster.topo, self.cluster.process_by_name
+        src, dst = hosts(src_name), hosts(dst_name)
+        near, far = ReliableSession(self.config), ReliableSession(self.config)
+        link = _Link(src, dst, topo.nic_for(src_name, dst_name), near, far)
+        back = link.reverse = _Link(dst, src, topo.nic_for(dst_name, src_name), far, near)
+        back.reverse = link
+        for opened in (link, back):
+            self.links[opened.src.name, opened.dst.name] = opened
+            self._stamp(opened)
+        return link
+
+    def _stamp(self, link: _Link) -> None:
+        """(Re)open ``link`` under the current channel generations."""
+        generations = self._generations
+        stamp = link.stamp = (
+            generations.get(link.src.name, 0), generations.get(link.dst.name, 0)
+        )
+
+        def receive(frame) -> None:
+            self.deliver_stamped(link, frame, stamp)
+
+        link.receive = receive
 
     # -- outbound ------------------------------------------------------
 
-    def wrap(self, src_name: str, dst_name: str, kind: str, message) -> tuple[Segment, int]:
+    def wrap(self, link: _Link, kind: str, message) -> tuple[Segment, int]:
         """Envelope one outgoing message; returns (segment, wire bytes)."""
-        session = self.session(src_name, dst_name)
-        segment = session.send((kind, message), self.env.now)
-        self._cancel(self._ack_timers, (src_name, dst_name))  # ack rides along
-        self._sync_retx_timer(src_name, dst_name)
+        segment = link.tx.send((kind, message), self.scheduler.now)
+        if link.ack_timer is not None:  # the ack rides along
+            link.ack_timer.cancel()
+            link.ack_timer = None
+        self._sync_retx_timer(link)
         return segment, SEGMENT_HEADER_BYTES + _payload_of(message)
 
     # -- inbound -------------------------------------------------------
 
-    def deliver(self, dst_name: str, src_name: str, segment: Segment) -> None:
-        """Receive-port callback: run the segment through ``dst``'s
-        session endpoint and dispatch whatever became deliverable."""
-        session = self.session(dst_name, src_name)
-        dups_before = session.stats.dups_suppressed
-        payloads = session.on_segment(segment, self.env.now)
-        dups = session.stats.dups_suppressed - dups_before
-        if dups:
-            self.env.trace.count(RELIABLE_DUPS_SUPPRESSED, dups)
-        # The piggybacked ack may have advanced our own send window.
-        self._sync_retx_timer(dst_name, src_name)
-        for kind, message in payloads:
-            self.cluster._dispatch_payload(dst_name, src_name, kind, message)
-        if session.ack_owed:
-            self._arm_ack(dst_name, src_name)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def channel_stamp(self, src: str, dst: str) -> tuple[int, int]:
-        """The (src, dst) channel generations; captured per delivery."""
-        return (self._generations.get(src, 0), self._generations.get(dst, 0))
-
-    def deliver_stamped(
-        self, dst_name: str, src_name: str, frame, stamp: tuple[int, int]
-    ) -> None:
+    def deliver_stamped(self, link: _Link, frame, stamp: tuple[int, int]) -> None:
         """Receive-port callback with connection identity: a frame whose
         channel was re-opened since it was sent is discarded.  ``frame``
         is one :class:`Segment` or a batch of them; either way the whole
         frame shares one connection stamp (and one nemesis fate)."""
-        if stamp != self.channel_stamp(src_name, dst_name):
+        if stamp != link.stamp:
             self.env.trace.count(RELIABLE_STALE_DROPPED)
             return
         if isinstance(frame, list):
             for segment in frame:
-                self.deliver(dst_name, src_name, segment)
+                self.deliver(link, segment)
             return
-        self.deliver(dst_name, src_name, frame)
+        self.deliver(link, frame)
+
+    def deliver(self, link: _Link, segment: Segment) -> None:
+        """Run a segment that travelled ``link`` through the receiving
+        endpoint and dispatch whatever became deliverable."""
+        session = link.rx
+        stats = session.stats
+        dups_before = stats.dups_suppressed
+        payloads = session.on_segment(segment, self.scheduler.now)
+        if stats.dups_suppressed != dups_before:
+            self.env.trace.count(
+                RELIABLE_DUPS_SUPPRESSED, stats.dups_suppressed - dups_before
+            )
+        # The piggybacked ack may have advanced the receiver's own send
+        # window, which is the reverse link's.
+        self._sync_retx_timer(link.reverse)
+        for kind, message in payloads:
+            self.cluster._dispatch_payload(link, kind, message)
+        if session.ack_owed:
+            self._arm_ack(link.reverse)
+
+    # -- lifecycle -----------------------------------------------------
 
     def abandon_peer(self, name: str) -> None:
         """Tear down every session touching ``name`` (the peer crashed).
@@ -760,57 +826,59 @@ class _ReliableLinkLayer:
         The failure detector calls this: a dead host's channels are
         reset, not drained, exactly as broken TCP connections would be —
         otherwise retransmission to the dead would outlive the run.
+        Every such link gets a fresh stamp, which orphans the frames
+        still in flight under the old one.
         """
         self._generations[name] = self._generations.get(name, 0) + 1
-        for key, session in self.sessions.items():
+        for key, link in self.links.items():
             if name not in key:
                 continue
-            if session.in_flight:
-                self.env.trace.count(RELIABLE_ABANDONED, session.in_flight)
-            session.reset()
-            self._cancel(self._retx_timers, key)
-            self._cancel(self._ack_timers, key)
+            self._reset(link.tx)
+            for timer in (link.retx_timer, link.ack_timer):
+                if timer is not None:
+                    timer.cancel()
+            link.retx_timer = link.ack_timer = None
+            self._stamp(link)
 
-    def reopen_peer(self, name: str) -> None:
-        """Reset every session touching ``name`` and bump its channel
-        generation (the peer restarted: every link to it is a brand-new
-        connection, and frames of the old incarnation must not land in
-        the fresh sessions)."""
-        self.abandon_peer(name)
+    #: A restart is the same reset: every link to the restarted peer is a
+    #: brand-new connection, and frames of the old incarnation must not
+    #: land in the fresh sessions.
+    reopen_peer = abandon_peer
+
+    def _reset(self, session: ReliableSession) -> None:
+        if session.in_flight:
+            self.env.trace.count(RELIABLE_ABANDONED, session.in_flight)
+        session.reset()
 
     # -- timers --------------------------------------------------------
 
-    def _sync_retx_timer(self, local: str, peer: str) -> None:
-        key = (local, peer)
-        session = self.sessions.get(key)
-        deadline = session.retransmit_deadline if session is not None else None
-        handle = self._retx_timers.get(key)
-        if deadline is None:
-            self._cancel(self._retx_timers, key)
-            return
-        if handle is not None and not handle.cancelled and handle.time <= deadline:
-            return  # fires no later than needed; re-syncs itself
-        self._cancel(self._retx_timers, key)
-        self._retx_timers[key] = self.env.scheduler.schedule_at(
-            deadline, self._on_retx_timer, local, peer
-        )
+    def _sync_retx_timer(self, link: _Link) -> None:
+        deadline = link.tx.retransmit_deadline
+        handle = link.retx_timer
+        if handle is not None:
+            if deadline is not None and not handle.cancelled and handle.time <= deadline:
+                return  # fires no later than needed; re-syncs itself
+            handle.cancel()
+            link.retx_timer = None
+        if deadline is not None:
+            link.retx_timer = self.scheduler.schedule_at(
+                deadline, self._on_retx_timer, link
+            )
 
-    def _on_retx_timer(self, local: str, peer: str) -> None:
-        self._retx_timers.pop((local, peer), None)
-        session = self.sessions.get((local, peer))
-        if session is None or not self._alive(local):
+    def _on_retx_timer(self, link: _Link) -> None:
+        link.retx_timer = None
+        session = link.tx
+        if not link.src.alive:
             return
-        if not self._alive(peer):
+        if not link.dst.alive:
             # The peer died after abandon_peer's one-shot sweep and this
             # session was re-filled by a later send (a client retry
             # round-robining onto the dead server).  Retransmitting into
             # the void forever would keep the scheduler from ever going
             # idle; reset instead — TCP to a dead host errors out too.
-            if session.in_flight:
-                self.env.trace.count(RELIABLE_ABANDONED, session.in_flight)
-            session.reset()
+            self._reset(session)
             return
-        segments = session.poll(self.env.now)
+        segments = session.poll(self.scheduler.now)
         if segments:
             self.env.trace.count(RELIABLE_RETRANSMITS, len(segments))
         # Chunk retransmissions into batch frames too — a recovering
@@ -820,47 +888,42 @@ class _ReliableLinkLayer:
         for start in range(0, len(segments), limit):
             chunk = segments[start : start + limit]
             if len(chunk) == 1:
-                self._send_segment(local, peer, chunk[0])
+                self._send_segment(link, chunk[0])
             else:
-                self._send_batch(local, peer, chunk)
-        self._sync_retx_timer(local, peer)
+                self._send_batch(link, chunk)
+        self._sync_retx_timer(link)
 
-    def _arm_ack(self, local: str, peer: str) -> None:
-        key = (local, peer)
-        handle = self._ack_timers.get(key)
-        if handle is not None and not handle.cancelled:
-            return
-        self._ack_timers[key] = self.env.scheduler.schedule(
-            self.config.ack_delay, self._on_ack_timer, local, peer
-        )
+    def _arm_ack(self, link: _Link) -> None:
+        handle = link.ack_timer
+        if handle is None or handle.cancelled:
+            link.ack_timer = self.scheduler.schedule(
+                self.config.ack_delay, self._on_ack_timer, link
+            )
 
-    def _on_ack_timer(self, local: str, peer: str) -> None:
-        self._ack_timers.pop((local, peer), None)
-        session = self.sessions.get((local, peer))
-        if session is None or not session.ack_owed or not self._alive(local):
+    def _on_ack_timer(self, link: _Link) -> None:
+        link.ack_timer = None
+        session = link.tx
+        if not session.ack_owed or not link.src.alive:
             return
         self.env.trace.count(RELIABLE_ACKS)
-        self._send_segment(local, peer, session.make_ack())
+        self._send_segment(link, session.make_ack())
 
     # -- plumbing ------------------------------------------------------
 
-    def _send_segment(self, local: str, peer: str, segment: Segment) -> None:
-        src_nic, dst_nic, network = self.cluster.topo.nic_for(local, peer)
-        network.unicast(
-            src_nic, dst_nic, self._segment_bytes(segment), segment,
-            self.cluster._segment_deliver(peer, local),
+    def _send_segment(self, link: _Link, segment: Segment) -> None:
+        link.network.unicast(
+            link.src_nic, link.dst_nic, self._segment_bytes(segment), segment,
+            link.receive,
         )
 
-    def _send_batch(self, local: str, peer: str, segments: list) -> None:
-        src_nic, dst_nic, network = self.cluster.topo.nic_for(local, peer)
+    def _send_batch(self, link: _Link, segments: list) -> None:
         wire_bytes = BATCH_HEADER_BYTES + sum(
             BATCH_ENTRY_BYTES + self._segment_bytes(s) for s in segments
         )
         self.env.trace.count(RELIABLE_BATCHED_FRAMES)
         self.env.trace.count(RELIABLE_BATCHED_MESSAGES, len(segments))
-        network.unicast(
-            src_nic, dst_nic, wire_bytes, list(segments),
-            self.cluster._segment_deliver(peer, local),
+        link.network.unicast(
+            link.src_nic, link.dst_nic, wire_bytes, list(segments), link.receive
         )
 
     @staticmethod
@@ -870,16 +933,6 @@ class _ReliableLinkLayer:
             _kind, message = segment.payload
             wire_bytes += _payload_of(message)
         return wire_bytes
-
-    def _alive(self, name: str) -> bool:
-        host = self.cluster.process_by_name(name)
-        return host is not None and host.alive
-
-    @staticmethod
-    def _cancel(timers: dict, key: tuple[str, str]) -> None:
-        handle = timers.pop(key, None)
-        if handle is not None:
-            handle.cancel()
 
 
 class SimCluster:
@@ -936,12 +989,15 @@ class SimCluster:
             self.fd.subscribe(self._fd_notify)
         else:
             self.hb = config.heartbeat
-        #: (stat, counter) pairs :meth:`after_protocol_step` mirrors.
-        self._mirrored = _EPOCH_STATS
+        mirrored = _EPOCH_STATS
         if config.protocol.read_leases:
-            self._mirrored += _LEASE_STATS
+            mirrored += _LEASE_STATS
         if config.protocol.value_coding == "coded":
-            self._mirrored += _CODING_STATS
+            mirrored += _CODING_STATS
+        #: What :meth:`after_protocol_step` mirrors: one reader of every
+        #: mirrored statistic of a protocol, and the counters they feed.
+        self._read_mirrored = attrgetter(*(stat for stat, _counter in mirrored))
+        self._mirrored_counters = tuple(counter for _stat, counter in mirrored)
         self.clients: dict[int, ClientHost] = {}
         self._host_by_client_id: dict[int, ClientHost] = {}
         self._next_client_id = 0
@@ -1060,46 +1116,33 @@ class SimCluster:
             return self.servers.get(int(name[1:]))
         return self.clients.get(int(name[1:]))
 
-    def transmit(self, host, src_nic: Nic, dst_name: str, message, kind: str) -> None:
-        """Send one message from ``host`` through ``src_nic``."""
-        route_src, dst_nic, network = self.topo.nic_for(host.name, dst_name)
-        if route_src is not src_nic:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"route from {host.name} to {dst_name} uses {route_src.name}, "
-                f"but the out-loop pumped {src_nic.name}"
-            )
+    def transmit(self, link: _Link, message, kind: str) -> None:
+        """Send one message (or ring batch) down ``link``."""
+        trace = self.env.trace
         if kind == "ring":
             # Ring-layer traffic volume, independent of wire framing: the
             # bench divides this by completed ops to show a leased read
             # costing zero ring messages where a fenced one costs n.
-            self.env.trace.count(
-                RING_MESSAGES, len(message) if isinstance(message, list) else 1
-            )
+            trace.count(RING_MESSAGES, len(message) if isinstance(message, list) else 1)
+        wrap = self.reliable.wrap
         if isinstance(message, list):
             # A ring batch: each message becomes its own session segment
             # (own seq, own retransmission entry); only the wire framing
             # is shared.  The frame is charged the exact bytes of
             # transport.reliable.encode_batch, so simulated and asyncio
             # transports agree on wire cost.
-            segments = []
+            frame = []
             wire_bytes = BATCH_HEADER_BYTES
             for item in message:
-                segment, seg_bytes = self.reliable.wrap(
-                    host.name, dst_name, kind, item
-                )
-                segments.append(segment)
+                segment, seg_bytes = wrap(link, kind, item)
+                frame.append(segment)
                 wire_bytes += BATCH_ENTRY_BYTES + seg_bytes
-            self.env.trace.count(RELIABLE_BATCHED_FRAMES)
-            self.env.trace.count(RELIABLE_BATCHED_MESSAGES, len(segments))
-            network.unicast(
-                src_nic, dst_nic, wire_bytes, segments,
-                self._segment_deliver(dst_name, host.name),
-            )
-            return
-        segment, wire_bytes = self.reliable.wrap(host.name, dst_name, kind, message)
-        network.unicast(
-            src_nic, dst_nic, wire_bytes, segment,
-            self._segment_deliver(dst_name, host.name),
+            trace.count(RELIABLE_BATCHED_FRAMES)
+            trace.count(RELIABLE_BATCHED_MESSAGES, len(frame))
+        else:
+            frame, wire_bytes = wrap(link, kind, message)
+        link.network.unicast(
+            link.src_nic, link.dst_nic, wire_bytes, frame, link.receive
         )
 
     def multicast_servers(self, host, message) -> None:
@@ -1115,51 +1158,24 @@ class SimCluster:
             return
 
         def deliver(dst_nic, msg) -> None:
-            server = self._server_by_name(dst_nic.name.split("@")[0])
-            if server is not None:
-                server.receive_server(host.server_id, msg)
+            dst_nic.owner.receive_server(host.server_id, msg)
 
         network = src_nic.network
         network.multicast(src_nic, dsts, _payload_of(message), message, deliver)
 
-    def _segment_deliver(self, dst_name: str, src_name: str):
-        """Receive callback for session-layer segments: the session
-        decides delivery; :meth:`_dispatch_payload` routes the results.
-        The channel generations captured here give the frame its
-        connection identity — a restart in flight invalidates it."""
-        reliable = self.reliable
-        stamp = reliable.channel_stamp(src_name, dst_name)
-
-        def deliver(segment: Segment) -> None:
-            reliable.deliver_stamped(dst_name, src_name, segment, stamp)
-
-        return deliver
-
-    def _dispatch_payload(self, dst_name: str, src_name: str, kind: str, message) -> None:
+    def _dispatch_payload(self, link: _Link, kind: str, message) -> None:
+        """Hand a payload the session released to ``link``'s receiver."""
         if kind == "ring":
-            server = self._server_by_name(dst_name)
-            if server is not None:
-                sender = int(src_name[1:]) if src_name.startswith("s") else None
-                server.receive_ring(message, sender)
+            link.dst.receive_ring(message, link.src_id)
         elif kind == "srv":
             # Generic server-to-server delivery (baseline protocols).
-            server = self._server_by_name(dst_name)
-            if server is not None:
-                server.receive_server(int(src_name[1:]), message)
+            link.dst.receive_server(link.src_id, message)
         elif kind == "request":
-            server = self._server_by_name(dst_name)
-            client_id = int(src_name[1:])
-            if server is not None:
-                server.receive_client(client_id, message)
+            link.dst.receive_client(link.src_id, message)
         elif kind == "reply":
-            host = self.clients.get(int(dst_name[1:]))
-            if host is not None:
-                host.on_reply_delivered(message)
+            link.dst.on_reply_delivered(message)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown delivery kind {kind!r}")
-
-    def _server_by_name(self, name: str) -> Optional[ServerHost]:
-        return self.servers.get(int(name[1:]))
 
     # ------------------------------------------------------------------
     # Failure detector
@@ -1246,14 +1262,17 @@ class SimCluster:
         rejoin).  No-op under the perfect detector."""
         if self.hb is None:
             return
-        protos = host.all_protos()
-        mirrored = host._mirrored_stats
-        for stat, counter in self._mirrored:
-            value = sum(getattr(proto, stat) for proto in protos)
-            delta = value - mirrored.get(stat, 0)
-            if delta > 0:
-                self.env.trace.count(counter, delta)
-            mirrored[stat] = value
+        read = self._read_mirrored
+        seen = [read(proto) for proto in host.all_protos()]
+        before = host._mirrored_stats
+        if seen != before:
+            host._mirrored_stats = seen
+            for index, counter in enumerate(self._mirrored_counters):
+                delta = sum(stats[index] for stats in seen) - sum(
+                    stats[index] for stats in before
+                )
+                if delta > 0:
+                    self.env.trace.count(counter, delta)
         host.driver.poll()
 
     def apply_faults(self, plan: FaultPlan) -> None:

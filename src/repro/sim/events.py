@@ -63,13 +63,11 @@ class EventScheduler:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute: the
+        #: clock is read several times per event, and a property costs an
+        #: interpreter call each time.
+        self.now = 0.0
         self._events_fired = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -85,13 +83,13 @@ class EventScheduler:
         """Schedule ``action(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, action, *args)
+        return self.schedule_at(self.now + delay, action, *args)
 
     def schedule_at(self, time: float, action: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``action(*args)`` to run at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event in the past (time={time}, now={self._now})"
+                f"cannot schedule an event in the past (time={time}, now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -108,7 +106,7 @@ class EventScheduler:
                 continue
             action, args = handle._action, handle._args
             handle.cancel()  # mark as consumed; drops references
-            self._now = handle.time
+            self.now = handle.time
             self._events_fired += 1
             action(*args)
             return True
@@ -145,12 +143,12 @@ class EventScheduler:
             handle.cancelled = True  # consumed; drop references
             handle._action = None
             handle._args = ()
-            self._now = time
+            self.now = time
             self._events_fired += 1
             fired += 1
             action(*args)
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain.  Guards against runaway loops."""
@@ -163,4 +161,4 @@ class EventScheduler:
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<EventScheduler now={self._now:.6f} pending={len(self._heap)}>"
+        return f"<EventScheduler now={self.now:.6f} pending={len(self._heap)}>"

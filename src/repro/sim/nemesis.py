@@ -123,16 +123,19 @@ class Nemesis:
         deliver: Callable[[Any], None],
     ) -> None:
         """Decide the fate of one transmitted frame."""
-        link = (src.process_name, dst.process_name)
+        fifo = self._fifo
+        link = (src.process_name, dst.process_name) if fifo else None
+        if link not in fifo:
+            # Never impaired (every faulted link has a FIFO entry, and
+            # with none at all the key is not even built): identical to
+            # an un-faulted network, and no RNG draw, so healthy links
+            # never perturb determinism.
+            network.schedule_arrival(
+                network.propagation_delay, dst, wire_bytes, message, deliver
+            )
+            return
         state = self._links.get(link)
         if state is None:
-            if link not in self._fifo:
-                # Fast path: identical to an un-faulted network (and no
-                # RNG draw, so healthy links never perturb determinism).
-                network.schedule_arrival(
-                    network.propagation_delay, dst, wire_bytes, message, deliver
-                )
-                return
             extra, copies = 0.0, 1
         elif state.cut:
             if state.hold_mode:

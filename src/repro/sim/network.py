@@ -135,24 +135,40 @@ class Network:
 
         ``deliver(message)`` fires after the receive port finishes;
         ``on_sent`` (if given) fires when the transmit port frees up.
+        Nothing is allocated per frame but the argument tuple the ports
+        carry: every stage is a bound method plus its arguments.
         """
-        self._check_attached(src)
-        self._check_attached(dst)
+        if src.network is not self or dst.network is not self:
+            raise SimulationError(
+                f"unicast {src.name!r} -> {dst.name!r}: both NICs must be "
+                f"attached to {self.name!r}"
+            )
         wire_bytes = self.wire.wire_bytes(payload_bytes)
         trace = self.env.trace
         trace.count(self._unicasts)
         trace.count(self._wire_bytes, wire_bytes)
+        src.tx.submit(
+            wire_bytes, self._tx_done, (src, dst, wire_bytes, message, deliver, on_sent)
+        )
 
-        def tx_done() -> None:
-            if src.owner is not None and not src.owner.alive:
-                return  # the sender died mid-transmission; the frame is lost
-            if on_sent is not None:
-                on_sent()
-            if trace.record_events:
-                trace.emit(self.env.now, "net.tx", self.name, src.name, dst.name, wire_bytes)
-            self._dispatch(src, dst, wire_bytes, message, deliver)
-
-        src.tx.submit(wire_bytes, tx_done)
+    def _tx_done(
+        self,
+        src: Nic,
+        dst: Nic,
+        wire_bytes: int,
+        message: Any,
+        deliver: DeliveryCallback,
+        on_sent: Callable[[], None] | None,
+    ) -> None:
+        owner = src.owner
+        if owner is not None and not owner.alive:
+            return  # the sender died mid-transmission; the frame is lost
+        if on_sent is not None:
+            on_sent()
+        trace = self.env.trace
+        if trace.record_events:
+            trace.emit(self.env.now, "net.tx", self.name, src.name, dst.name, wire_bytes)
+        self._dispatch(src, dst, wire_bytes, message, deliver)
 
     def _dispatch(
         self, src: Nic, dst: Nic, wire_bytes: int, message: Any, deliver: DeliveryCallback
@@ -186,12 +202,13 @@ class Network:
     def _arrive(
         self, dst: Nic, wire_bytes: int, message: Any, deliver: DeliveryCallback
     ) -> None:
-        if dst.owner is not None and not dst.owner.alive:
+        owner = dst.owner
+        if owner is not None and not owner.alive:
             return  # receiver is down; the switch drops the frame
         trace = self.env.trace
         if trace.record_events:
             trace.emit(self.env.now, "net.rx", self.name, dst.name, wire_bytes)
-        dst.rx.submit(wire_bytes, lambda: deliver(message))
+        dst.rx.submit(wire_bytes, deliver, (message,))
 
     # ------------------------------------------------------------------
     # Ethernet multicast with collisions
@@ -282,5 +299,5 @@ class Network:
         src.tx.submit(wire_bytes, tx_done, on_start=tx_start)
 
     def _check_attached(self, nic: Nic) -> None:
-        if self._nics.get(nic.name) is not nic:
+        if nic.network is not self:
             raise SimulationError(f"NIC {nic.name!r} is not attached to {self.name!r}")

@@ -27,20 +27,22 @@ FAST_ETHERNET_BPS = 100_000_000.0
 class Port:
     """A FIFO rate server: one message at a time at ``bandwidth_bps``.
 
-    ``submit(wire_bytes, on_done)`` enqueues a message; when the port gets
-    to it, the port stays busy for ``wire_bytes * 8 / bandwidth`` seconds
-    and then invokes ``on_done``.  Callers may also register an idle
-    callback, which fires whenever the port drains — the simulator uses
-    this to implement the protocol's *send slot* (the pseudocode's
+    ``submit(wire_bytes, callback, args)`` enqueues a message; when the
+    port gets to it, the port stays busy for ``wire_bytes * 8 /
+    bandwidth`` seconds and then invokes ``callback(*args)`` — a callable
+    and its arguments rather than a closure, so the per-frame callers
+    allocate nothing to be called back.  Callers may also register an
+    idle callback, which fires whenever the port drains — the simulator
+    uses this to implement the protocol's *send slot* (the pseudocode's
     ``queue handler`` task runs when the outgoing link is free).
     """
 
     __slots__ = (
-        "_env",
+        "_scheduler",
         "name",
         "bandwidth_bps",
         "_queue",
-        "_busy",
+        "busy",
         "_paused",
         "bytes_total",
         "messages_total",
@@ -50,21 +52,18 @@ class Port:
     )
 
     def __init__(self, env: SimEnv, name: str, bandwidth_bps: float):
-        self._env = env
+        self._scheduler = env.scheduler
         self.name = name
         self.bandwidth_bps = bandwidth_bps
         self._queue: deque[tuple] = deque()
-        self._busy = False
+        #: True while a message is being serialised.
+        self.busy = False
         self._paused = False
         self.bytes_total = 0
         self.messages_total = 0
         self.busy_time = 0.0
         self._last_start = 0.0
         self.idle_callbacks: list[Callable[[], None]] = []
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
 
     @property
     def paused(self) -> bool:
@@ -77,7 +76,8 @@ class Port:
     def submit(
         self,
         wire_bytes: int,
-        on_done: Callable[[], None],
+        callback: Callable[..., None],
+        args: tuple = (),
         on_start: Optional[Callable[[], None]] = None,
     ) -> None:
         """Enqueue a message of ``wire_bytes`` for service.
@@ -85,9 +85,11 @@ class Port:
         ``on_start`` (if given) fires when serialisation begins — the
         multicast collision model uses it to detect overlapping frames.
         """
-        self._queue.append((wire_bytes, on_done, on_start))
-        if not self._busy and not self._paused:
-            self._start_next()
+        if self.busy or self._paused:
+            self._queue.append((wire_bytes, callback, args, on_start))
+        else:
+            # An idle, running port has an empty queue: serve at once.
+            self._start(wire_bytes, callback, args, on_start)
 
     def on_idle(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to fire each time the port drains."""
@@ -107,16 +109,14 @@ class Port:
         if not self._paused:
             return
         self._paused = False
-        if self._busy:
+        if self.busy:
             return
         if self._queue:
-            self._start_next()
+            self._start(*self._queue.popleft())
         else:
             # Wake out-loops that went idle against a paused port.
             for callback in list(self.idle_callbacks):
                 callback()
-            if not self._busy and self._queue:
-                self._start_next()
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Change the service rate (slow-NIC throttle).
@@ -144,35 +144,39 @@ class Port:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
 
-    def _start_next(self) -> None:
-        wire_bytes, on_done, on_start = self._queue.popleft()
-        self._busy = True
-        self._last_start = self._env.now
+    def _start(
+        self,
+        wire_bytes: int,
+        callback: Callable[..., None],
+        args: tuple,
+        on_start: Optional[Callable[[], None]],
+    ) -> None:
+        scheduler = self._scheduler
+        self.busy = True
+        self._last_start = now = scheduler.now
         if on_start is not None:
             on_start()
-        duration = wire_bytes * 8.0 / self.bandwidth_bps
-        self._env.scheduler.schedule(duration, self._finish, wire_bytes, on_done)
+        scheduler.schedule_at(
+            now + wire_bytes * 8.0 / self.bandwidth_bps,
+            self._finish, wire_bytes, callback, args,
+        )
 
-    def _finish(self, wire_bytes: int, on_done: Callable[[], None]) -> None:
+    def _finish(self, wire_bytes: int, callback: Callable[..., None], args: tuple) -> None:
         self.bytes_total += wire_bytes
         self.messages_total += 1
-        self.busy_time += self._env.now - self._last_start
-        on_done()
+        self.busy_time += self._scheduler.now - self._last_start
+        callback(*args)
         if self._paused:
-            self._busy = False
-            return
-        if self._queue:
-            self._start_next()
+            self.busy = False
+        elif self._queue:
+            self._start(*self._queue.popleft())
         else:
-            self._busy = False
-            for callback in list(self.idle_callbacks):
-                callback()
-            # A callback may have submitted new work synchronously.
-            if not self._busy and self._queue:
-                self._start_next()
+            self.busy = False
+            for idle in list(self.idle_callbacks):
+                idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "busy" if self._busy else "idle"
+        state = "busy" if self.busy else "idle"
         return f"<Port {self.name} {state} q={len(self._queue)}>"
 
 

@@ -37,16 +37,14 @@ class SimProcess:
     def __init__(self, env: SimEnv, name: str):
         self.env = env
         self.name = name
-        self._alive = True
+        #: False between :meth:`crash` and :meth:`restart`.  A plain
+        #: attribute: the fabric reads it on every frame hop.
+        self.alive = True
         #: Completed crash→restart cycles (the ``process.restarts`` trace
         #: counter aggregates this across the cluster).
         self.restarts = 0
         self._crash_listeners: list[Callable[[SimProcess], None]] = []
         self._restart_listeners: list[Callable[[SimProcess], None]] = []
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
 
     def on_crash(self, listener: Callable[["SimProcess"], None]) -> None:
         """Register ``listener(process)`` to run when this process crashes."""
@@ -58,9 +56,9 @@ class SimProcess:
 
     def crash(self) -> None:
         """Crash the process.  Idempotent; listeners fire once per crash."""
-        if not self._alive:
+        if not self.alive:
             return
-        self._alive = False
+        self.alive = False
         self.env.trace.count(PROCESS_CRASHES)
         self.env.trace.emit(self.env.now, "crash", self.name)
         for listener in list(self._crash_listeners):
@@ -71,9 +69,9 @@ class SimProcess:
         listeners fire once per restart.  Subclasses that own recoverable
         state (e.g. a server host) override this to reload it from
         durable storage before firing listeners."""
-        if self._alive:
+        if self.alive:
             return
-        self._alive = True
+        self.alive = True
         self.restarts += 1
         self.env.trace.count(PROCESS_RESTARTS)
         self.env.trace.emit(self.env.now, "restart", self.name)
@@ -82,9 +80,9 @@ class SimProcess:
 
     def check_alive(self) -> None:
         """Raise :class:`CrashedProcessError` if this process has crashed."""
-        if not self._alive:
+        if not self.alive:
             raise CrashedProcessError(f"process {self.name!r} has crashed")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self._alive else "crashed"
+        state = "up" if self.alive else "crashed"
         return f"<SimProcess {self.name} {state}>"

@@ -158,9 +158,9 @@ def test_sessions_to_a_crashed_server_are_abandoned():
     # Must terminate: abandoned sessions stop rearming timers.
     cluster.env.run_until_idle(max_events=200_000)
     assert len(results) == 2 and results[1].ok
-    for (local, peer), session in cluster.reliable.sessions.items():
+    for (local, peer), link in cluster.reliable.links.items():
         if "s0" in (local, peer):
-            assert session.in_flight == 0
+            assert link.tx.in_flight == 0 and link.retx_timer is None
 
 
 def test_late_sends_to_a_dead_server_still_quiesce():
@@ -180,5 +180,5 @@ def test_late_sends_to_a_dead_server_still_quiesce():
     client.write(b"after the sweep", results.append)
     cluster.env.run_until_idle(max_events=100_000)
     assert results and results[0].ok
-    for (local, peer), session in cluster.reliable.sessions.items():
-        assert session.in_flight == 0, (local, peer)
+    for (local, peer), link in cluster.reliable.links.items():
+        assert link.tx.in_flight == 0, (local, peer)

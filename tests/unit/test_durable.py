@@ -29,15 +29,44 @@ def sample_snapshot() -> ServerSnapshot:
         tag=Tag(7, 1),
         value=b"\x00committed\xff",
         ts_seen=9,
-        watermark=((0, 4), (1, 7)),
-        completed_ops=((10, 3), (11, 0)),
+        watermark={0: 4, 1: 7},
+        completed_ops={10: 3, 11: 0},
         pending=(
             PendingEntry(Tag(8, 0), b"in-flight", OpId(10, 4)),
             PendingEntry(Tag(9, 3), b"", OpId(12, 0)),
         ),
         reconfig_counter=5,
-        completed_tags=((10, Tag(7, 1)),),
+        completed_tags={10: Tag(7, 1)},
     )
+
+
+#: ``sample_snapshot().to_json()`` as the commit before the mapping-typed
+#: fields emitted it: the on-disk format did not move.
+GOLDEN_JSON = (
+    '{"version": 3, "server_id": 1, "members": [0, 1, 2, 3], "dead": [2], '
+    '"tag": [7, 1], "value": "AGNvbW1pdHRlZP8=", "ts_seen": 9, '
+    '"watermark": [[0, 4], [1, 7]], "completed_ops": [[10, 3], [11, 0]], '
+    '"pending": [{"tag": [8, 0], "value": "aW4tZmxpZ2h0", "op": [10, 4]}, '
+    '{"tag": [9, 3], "value": "", "op": [12, 0]}], "reconfig_counter": 5, '
+    '"epoch": 0, "completed_tags": [[10, 7, 1]], "frag_tag": null}'
+)
+
+
+def test_to_json_bytes_are_the_ones_older_builds_wrote():
+    assert sample_snapshot().to_json() == GOLDEN_JSON
+    assert ServerSnapshot.from_json(GOLDEN_JSON) == sample_snapshot()
+    v2 = GOLDEN_JSON.replace('"version": 3', '"version": 2').replace(
+        ', "frag_tag": null', ""
+    )
+    assert ServerSnapshot.from_json(v2) == sample_snapshot()
+
+
+def test_loaded_tables_are_read_only_mappings():
+    loaded = ServerSnapshot.from_json(GOLDEN_JSON)
+    for table in (loaded.watermark, loaded.completed_ops, loaded.completed_tags):
+        with pytest.raises(TypeError):
+            table[99] = 1
+    assert loaded.completed_tags[10] == Tag(7, 1)
 
 
 def test_json_round_trip_is_identity():
@@ -48,7 +77,7 @@ def test_json_round_trip_is_identity():
 def test_json_round_trip_preserves_frag_tag():
     snapshot = ServerSnapshot(
         server_id=2, members=(0, 1, 2, 3), dead=(), tag=Tag(9, 1),
-        value=b"\x01fragment", ts_seen=9, watermark=(), completed_ops=(),
+        value=b"\x01fragment", ts_seen=9, watermark={}, completed_ops={},
         pending=(), frag_tag=Tag(6, 0),
     )
     restored = ServerSnapshot.from_json(snapshot.to_json())
@@ -86,7 +115,7 @@ def test_memory_store_round_trip_latest_wins():
     store.save(first)
     second = ServerSnapshot(
         server_id=1, members=(0, 1), dead=(), tag=Tag(8, 0), value=b"newer",
-        ts_seen=8, watermark=(), completed_ops=(), pending=(),
+        ts_seen=8, watermark={}, completed_ops={}, pending=(),
     )
     store.save(second)
     assert store.load() == second
@@ -102,7 +131,7 @@ def test_file_store_round_trip_and_atomic_overwrite(tmp_path):
     # A second save atomically replaces the first (no .tmp residue).
     newer = ServerSnapshot(
         server_id=1, members=(0, 1, 2, 3), dead=(), tag=Tag(9, 1), value=b"v2",
-        ts_seen=9, watermark=(), completed_ops=(), pending=(),
+        ts_seen=9, watermark={}, completed_ops={}, pending=(),
     )
     store.save(newer)
     assert store.load() == newer
@@ -207,7 +236,7 @@ def test_snapshot_is_write_ahead_of_replies():
     snapshot = store.load()
     assert snapshot is not None
     assert snapshot.value == b"acked"
-    assert dict(snapshot.completed_ops).get(9) == 0
+    assert snapshot.completed_ops.get(9) == 0
 
 
 def test_restore_without_snapshot_starts_fresh_but_rejoining():
@@ -225,8 +254,8 @@ def test_restore_alone_resolves_recovered_pending_writes():
         tag=Tag(2, 1),
         value=b"old",
         ts_seen=4,
-        watermark=((1, 2),),
-        completed_ops=(),
+        watermark={1: 2},
+        completed_ops={},
         pending=(PendingEntry(Tag(4, 2), b"orphaned", OpId(70, 0)),),
     )
     restored = ServerProtocol.restore(
@@ -238,4 +267,56 @@ def test_restore_alone_resolves_recovered_pending_writes():
     assert restored.alone
     assert restored.pending == {}
     assert restored.value == b"orphaned"
-    assert dict(restored.completed_ops).get(70) == 0
+    assert restored.completed_ops.get(70) == 0
+
+
+# ----------------------------------------------------------------------
+# snapshot() copies the dedup tables: isolated, and cheap.
+# ----------------------------------------------------------------------
+
+
+def test_snapshot_is_isolated_from_later_mutation():
+    proto, store = build_server_with_state()
+    saved = proto.snapshot()
+    store.save(saved)
+    before = (dict(saved.watermark), dict(saved.completed_ops), dict(saved.completed_tags))
+    assert before[0], "the fixture must have committed something"
+    proto.watermark[0] = 99
+    proto.watermark[7] = 1
+    proto.completed_ops[50] = 41
+    proto.completed_ops[123] = 5
+    proto.completed_tags[123] = Tag(9, 9)
+    proto.completed_tags.pop(50, None)
+    assert (saved.watermark, saved.completed_ops, saved.completed_tags) == before
+    for table in (saved.watermark, saved.completed_ops, saved.completed_tags):
+        with pytest.raises(TypeError):
+            table[1] = 1
+    # A restart from the saved snapshot never sees the later mutation.
+    restored = ServerProtocol.restore(1, (0, 1, 2), store.load(), durable=store)
+    assert (restored.watermark, restored.completed_ops, restored.completed_tags) == before
+    # ... and owns private dicts again: mutating them leaves the store alone.
+    restored.completed_ops[777] = 1
+    assert 777 not in store.load().completed_ops
+
+
+def test_snapshot_allocates_nothing_per_client():
+    """One ``snapshot()`` costs a fixed number of allocator blocks however
+    many clients ever wrote (tuples of pairs cost two per client per
+    table: > 8,000 here)."""
+    import gc
+    import sys
+
+    proto = ServerProtocol(0, RingView.initial(3))
+    for client in range(4096):
+        proto.completed_ops[client] = client % 7
+        proto.completed_tags[client] = Tag(client + 1, client % 3)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        saved = proto.snapshot()
+        allocated = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert len(saved.completed_ops) == len(saved.completed_tags) == 4096
+    assert allocated < 100, allocated

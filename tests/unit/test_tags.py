@@ -116,14 +116,14 @@ def _snapshot() -> ServerSnapshot:
         tag=Tag(5, 0),
         value=b"committed",
         ts_seen=8,
-        watermark=((0, 5), (1, 4)),
-        completed_ops=((60, 3),),
+        watermark={0: 5, 1: 4},
+        completed_ops={60: 3},
         pending=(
             PendingEntry(Tag(6, 1), b"a", OpId(60, 4)),
             PendingEntry(Tag(8, 0), b"b", OpId(61, 0)),
         ),
         epoch=2,
-        completed_tags=((60, Tag(5, 0)),),
+        completed_tags={60: Tag(5, 0)},
         frag_tag=Tag(4, 2),
     )
 
@@ -141,4 +141,4 @@ def test_snapshot_round_trip_rebuilds_tags_and_op_ids(backend, tmp_path):
     assert type(loaded.tag) is Tag and type(loaded.frag_tag) is Tag
     for entry in loaded.pending:
         assert type(entry.tag) is Tag and type(entry.op) is OpId
-    assert all(type(tag) is Tag for _client, tag in loaded.completed_tags)
+    assert all(type(tag) is Tag for tag in loaded.completed_tags.values())
