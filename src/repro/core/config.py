@@ -17,7 +17,7 @@ ablation benchmarks flip:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 
@@ -33,9 +33,6 @@ class ProtocolConfig:
         Attach queued commit tags to outgoing ring messages (paper
         Section 4.2).  When ``False`` every commit is a standalone
         message, doubling per-write ring traffic.
-    max_piggybacked_commits:
-        Cap on commit tags per carrier message (bounds message growth
-        under bursts).
     fair_forwarding:
         Use the nb_msg fairness rule (pseudocode lines 53–75).  When
         ``False`` a server always prefers its own write queue, the
@@ -79,7 +76,8 @@ class ProtocolConfig:
         epochs, and a wrongly suspected server pauses instead of serving
         possibly-stale reads.  Runtimes enable this automatically when
         built with ``fd="heartbeat"``; with the perfect detector the
-        flag stays off and suspicion remains a crash certificate.
+        flag stays off and suspicion remains a crash certificate
+        (:meth:`for_detector` is the one statement of that rule).
     read_leases:
         Epoch-scoped read leases (docs/leases.md).  The heartbeat
         detector grants per-server leases bounded below the suspicion
@@ -109,7 +107,6 @@ class ProtocolConfig:
     """
 
     piggyback_commits: bool = True
-    max_piggybacked_commits: int = 64
     fair_forwarding: bool = True
     batch_max_messages: int = 4
     client_timeout: float = 5.0
@@ -122,8 +119,6 @@ class ProtocolConfig:
 
     def validate(self) -> "ProtocolConfig":
         """Raise :class:`ConfigurationError` on nonsensical settings."""
-        if self.max_piggybacked_commits < 1:
-            raise ConfigurationError("max_piggybacked_commits must be >= 1")
         if self.batch_max_messages < 1:
             raise ConfigurationError("batch_max_messages must be >= 1")
         if self.client_timeout <= 0:
@@ -164,3 +159,44 @@ class ProtocolConfig:
                     "than k fragments"
                 )
         return self
+
+    def for_detector(self, fd: str, elastic: bool = False) -> "ProtocolConfig":
+        """This configuration as a cluster under detector ``fd`` runs it:
+        validated, with ``view_quorum`` following the detector.
+
+        The heartbeat detector can be wrong, so it *forces* quorum-
+        installed views; the perfect detector's verdicts are crash
+        certificates, so it *rejects* them (nothing would ever propose a
+        view).  Leases and coded values both lean on quorum views
+        (:meth:`validate`), which leaves these rows — every other
+        combination raises :class:`ConfigurationError`:
+
+        =========  ==========  ======  ====================================
+        detector   values      leases
+        =========  ==========  ======  ====================================
+        perfect    replicated  no      the paper; the only ``elastic`` row
+        heartbeat  replicated  no
+        heartbeat  replicated  yes
+        heartbeat  coded       no
+        heartbeat  coded       yes
+        =========  ==========  ======  ====================================
+
+        ``elastic`` (explicit block placement over several rings,
+        :func:`~repro.core.sharded.build_elastic_cluster`) admits the
+        first row only: the cross-ring snapshot handoff assumes crash
+        facts, and erasure coding pins ``coding_n`` to the whole cluster
+        size, which per-ring views break.
+        """
+        if fd not in ("perfect", "heartbeat"):
+            raise ConfigurationError(f"unknown failure detector {fd!r}")
+        if fd == "heartbeat":
+            if elastic:
+                raise ConfigurationError(
+                    "elastic placement requires the perfect failure detector"
+                )
+            return replace(self, view_quorum=True).validate()
+        if self.view_quorum:
+            raise ConfigurationError(
+                "view_quorum requires the heartbeat failure detector"
+            )
+        return self.validate()

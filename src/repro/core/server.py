@@ -15,9 +15,12 @@ lines 41–52 (receive <write>)         :meth:`_process_commit`
 lines 53–75 (task queue handler)      :meth:`next_ring_batch` +
                                       :class:`~repro.core.fairness.FairScheduler`
 lines 76–84 (receive <read>)          :meth:`_on_client_read`
-lines 85–93 (upon pj crashed)         :meth:`on_server_crash` + reconfig
+lines 85–93 (upon pj crashed)         :class:`~repro.core.views.CrashStopViews`
+                                      behind :meth:`on_server_crash`
 "v" wherever the pseudocode stores,   ``self.values`` — a value backend
 forwards or returns a value           (:mod:`repro.core.values`)
+who may change the ring, and how      ``self.views`` — a view policy
+                                      (:mod:`repro.core.views`)
 ====================================  =======================================
 
 The pseudocode moves whole values; this class never looks inside one.
@@ -26,7 +29,12 @@ may be forwarded and how a read materialises the committed value are
 questions put to the backend chosen at construction
 (:class:`~repro.core.values.ReplicatedValues`, the paper's answers, or
 :class:`~repro.core.values.CodedValues`), so the write path below reads
-as lines 21–52 plus the dedup/supersede rules documented here.
+as lines 21–52 plus the dedup/supersede rules documented here.  In the
+same way this class merges state around the ring without deciding *when*
+a membership change starts, which proposal wins or what installing it
+means: those are questions put to the view policy chosen at construction
+(:class:`~repro.core.views.CrashStopViews`, the paper's answers under the
+perfect detector, or :class:`~repro.core.views.QuorumViews`).
 
 Differences from the published pseudocode (deliberate fixes or stated
 optimisations; see DESIGN.md section 5):
@@ -58,21 +66,15 @@ optimisations; see DESIGN.md section 5):
   additionally resolves writes whose origin crashed — otherwise a read
   could block forever on an orphaned pre-write — and redistributes values
   for pre-writes that died mid-ring.
-* **Epoch-guarded, quorum-installed views (imperfect detector).**  With
-  ``config.view_quorum`` (the operating mode behind the runtimes'
-  ``fd="heartbeat"`` option) the perfect-detector shortcut above is
-  replaced: suspicion (:meth:`on_suspect`) may be *wrong*, so it never
-  splices the view — it pauses the server and, after a grace delay, the
-  runtime asks for a proposal (:meth:`propose_reconfig`).  A proposal
-  launches only when the surviving members of the installed view form a
-  majority of it; its token is admitted only over exactly that view
-  (``epoch == installed + 1``), at most one proposal per view wins the
-  per-view promise (lowest coordinator id; a forwarded competitor
-  abandons one's own attempt), and the commit installs the new view
-  wholesale with a strictly larger epoch.  Data traffic across epochs
-  is rejected, wrongly excluded servers are fenced with
-  :class:`StaleEpochNotice` and fold back in as rejoiners via the
-  revived merge.  Full design rationale: docs/reconfiguration.md.
+* **Epoch-guarded, quorum-installed views and read leases** (the
+  heartbeat detector's operating mode): suspicion that may be wrong,
+  quorum-checked proposals, the per-view promise, epoch-guarded data
+  traffic, stale-server demotion, leased reads and their fences.  All of
+  it lives in :class:`~repro.core.views.QuorumViews`; see that module,
+  docs/reconfiguration.md and docs/leases.md.  Here it shows only as the
+  three primitives a policy may call (:meth:`_reroute`,
+  :meth:`_install_view`, :meth:`_next_nonce`), the fence queue the ring
+  pull drains, and the one write gate (``_lease_waitout``) it toggles.
 * **At-most-one commit per client write.**  Aggressive retries can get
   one operation initiated under two tags at two servers concurrently
   (partition-heal bursts make this common); each server endorses at
@@ -147,12 +149,10 @@ from repro.core.messages import (
     OpId,
     PendingEntry,
     PreWrite,
-    ReadFence,
     ReconfigCommit,
     ReconfigToken,
     RejoinRequest,
     RingMessage,
-    StaleEpochNotice,
     StateSync,
     WriteAck,
 )
@@ -160,12 +160,13 @@ from repro.core.pending import PendingSet
 from repro.core.ring import RingView
 from repro.core.tags import Tag
 from repro.core.values import FRAGMENT_MESSAGES, CodedValues, ReplicatedValues
+from repro.core.views import view_policy
 from repro.errors import ProtocolError
 from repro.runtime.interface import Reply
 
-#: Data traffic, valid only within the sender's and receiver's common
-#: installed view (the epoch guard of :meth:`ServerProtocol.on_ring_message`).
-_EPOCH_GUARDED = (PreWrite, Commit, StateSync, ReadFence) + FRAGMENT_MESSAGES
+#: Cap on commit tags per carrier message (bounds message growth under
+#: bursts).
+_MAX_PIGGYBACKED_COMMITS = 64
 
 
 class ServerProtocol:
@@ -197,6 +198,7 @@ class ServerProtocol:
             raise ProtocolError(f"server {server_id} not a ring member")
         self.server_id = server_id
         self.ring = ring
+        self._mark_dirty()
         self.config = (config or ProtocolConfig()).validate()
 
         #: Owner of everything that depends on how a value is laid out
@@ -280,76 +282,42 @@ class ServerProtocol:
         self._rejoin_sponsor: Optional[int] = None
         self._deferred_rejoins: deque[RejoinRequest] = deque()
 
-        # Epoch-guarded view state (imperfect-detector mode, enabled by
-        # ``config.view_quorum``).  ``installed_epoch`` is the epoch of
-        # the last *committed* view — the reference every guard compares
-        # against (``self.ring`` may run ahead tentatively while a
-        # reconfiguration token circulates).  ``suspected`` mirrors the
-        # runtime's heartbeat tracker; suspicion pauses the server but
-        # never mutates the view directly — only a quorum-installed
-        # commit does.  ``view_log`` records every install for the
-        # epoch-agreement property tests.
+        # The committed view.  ``installed_epoch`` is the epoch of the
+        # last *committed* view — the reference every guard compares
+        # against; ``self.ring`` may run ahead tentatively while a
+        # reconfiguration token circulates (routing follows the
+        # proposal), quorum and base-epoch checks always anchor at
+        # ``installed_view``.  ``view_log`` records every quorum install
+        # for the epoch-agreement property tests.
         self.installed_epoch = ring.epoch
-        #: The last *committed* view.  ``self.ring`` may run ahead
-        #: tentatively while a reconfiguration token circulates (routing
-        #: follows the proposal); quorum and base-epoch checks always
-        #: anchor here.
         self.installed_view = ring
-        self.suspected: set[int] = set()
-        self._suspicion_paused = False
-        #: One forwarded token per installed view: (base epoch,
-        #: coordinator, nonce).  Competing proposals for the same base
-        #: are refused unless they outrank the promise (lower
-        #: coordinator id, or a fresh retry by the same coordinator), so
-        #: two interleaved tokens can never both complete their circle
-        #: and install divergent views at the same epoch.
-        self._promise: Optional[tuple[int, int, int]] = None
-        #: Nonce of this server's own in-flight proposal, if any.
-        self._attempt_nonce: Optional[int] = None
-        #: Rejoiners that announced themselves (rid -> claimed epoch).
-        #: A rejoiner that is alive in the installed view but stale —
-        #: restarted before its exclusion installed, or demoted by the
-        #: epoch guard — must ride the next proposal as ``revived`` so
-        #: the base check lets it merge and catch up; cleared at every
-        #: install (still-stale members re-announce).
-        self._announced_rejoiners: dict[int, int] = {}
+        self.view_log: list[tuple[int, int, int]] = []  # (epoch, coordinator, nonce)
         #: Set by handlers when the runtime should (re-)evaluate the
         #: view proposal after the detector's grace delay.
         self.reconcile_due = False
-        #: Directed out-of-ring-order messages (StaleEpochNotice), pulled
-        #: by the runtime ahead of ring traffic.
+        #: Directed out-of-ring-order messages (stale-epoch notices,
+        #: fragment traffic), pulled by the runtime ahead of ring traffic.
         self.outbox: deque[tuple[int, RingMessage]] = deque()
-        self._stale_notified: dict[int, int] = {}  # peer -> epoch notified at
-        self.view_log: list[tuple[int, int, int]] = []  # (epoch, coordinator, nonce)
-
-        # Epoch-scoped read leases (``config.read_leases``; docs/leases.md).
-        # The runtime owns every clock — grant receipt, expiry, the
-        # old-epoch wait-out — and pushes the results in
-        # (:meth:`on_lease_update`, :meth:`lease_waitout_elapsed`), so
-        # the state machine stays clockless.  None of this state is
-        # snapshotted: a restarted server re-earns its lease from
-        # scratch, which is what makes excluding leases from durable
-        # state a safety feature rather than an omission.
-        self.lease_valid = False
-        self.lease_epoch = -1
         #: Fences awaiting transmission to the successor (ours and
         #: forwarded), drained behind commit traffic when not paused.
-        self.fence_queue: deque[ReadFence] = deque()
-        self._fence_nonce = 0
-        #: Fence nonce -> reads served when that fence completes its circle.
-        self._fence_waiters: dict[int, list[tuple[int, ClientRead]]] = {}
-        #: While true (set at a view install that excluded members), new
-        #: write initiations are gated until every lease granted under
-        #: the old epoch has provably expired (HeartbeatConfig.waitout).
+        self.fence_queue: deque[RingMessage] = deque()
+        #: While true (set by the view policy at an install that
+        #: excluded members), new write initiations are gated until
+        #: every lease granted under the old epoch has provably expired
+        #: (HeartbeatConfig.waitout).  One plain attribute, because the
+        #: write path reads it for every pull.
         self._lease_waitout = False
-        #: Set by :meth:`_install_view` when a wait-out starts; the
-        #: runtime consumes it (clearing it) and arms the wait-out timer,
-        #: mirroring the ``reconcile_due`` handshake.
+        #: Set with ``_lease_waitout``; the runtime consumes it (clearing
+        #: it) and arms the wait-out timer, mirroring the
+        #: ``reconcile_due`` handshake.
         self.lease_waitout_due = False
-        #: Coordinator's post-merge re-commit tags, stashed while the
-        #: wait-out runs (re-committing them sooner could complete a
-        #: write an old-epoch leaseholder has never seen).
-        self._waitout_commit_tags: list[Tag] = []
+
+        #: Owner of every membership decision (:mod:`repro.core.views`),
+        #: chosen once; the two per-message hooks are resolved here so a
+        #: crash-stop server makes no policy call on the data path.
+        self.views = view_policy(self)
+        self._epoch_guard = self.views.epoch_guard
+        self._serve_read = self.views.serve_read
 
         self._replies: list[Reply] = []
 
@@ -443,27 +411,12 @@ class ServerProtocol:
             dead = frozenset(snapshot.dead) - {server_id}
         else:
             dead = frozenset()
-        epoch = snapshot.epoch if snapshot is not None else 0
-        proto = cls(
-            server_id,
-            RingView(members, dead, epoch),
-            config,
-            initial_value=initial_value,
-            durable=durable,
+        proto = cls._recovered(
+            server_id, members, dead, snapshot, config, initial_value, durable
         )
-        proto.installed_epoch = epoch
-        proto.installed_view = proto.ring
         if snapshot is not None:
-            proto.value = snapshot.value
-            proto.tag = snapshot.tag
-            proto.frag_tag = snapshot.frag_tag
-            proto.ts_seen = snapshot.ts_seen
-            proto.watermark = dict(snapshot.watermark)
-            proto.completed_ops = dict(snapshot.completed_ops)
-            proto.completed_tags = dict(snapshot.completed_tags)
             proto.pending = PendingSet(snapshot.pending)
             proto.op_index = {entry.op: entry.tag for entry in snapshot.pending}
-            proto._reconfig_counter = snapshot.reconfig_counter
         proto.restart_generation = generation
         if alone:
             # Sole survivor: recovered pending writes commit locally, in
@@ -477,6 +430,28 @@ class ServerProtocol:
             proto.paused = True
         proto._dirty = True
         proto._maybe_persist()
+        return proto
+
+    @classmethod
+    def _recovered(
+        cls, server_id, members, dead, snapshot, config, initial_value, durable
+    ) -> "ServerProtocol":
+        """A server over ``members`` holding ``snapshot``'s committed
+        state (everything but the pending set, whose fate differs
+        between a restart and a block transfer)."""
+        epoch = snapshot.epoch if snapshot is not None else 0
+        proto = cls(
+            server_id, RingView(members, dead, epoch), config, initial_value, durable
+        )
+        if snapshot is not None:
+            proto.value = snapshot.value
+            proto.tag = snapshot.tag
+            proto.frag_tag = snapshot.frag_tag
+            proto.ts_seen = snapshot.ts_seen
+            proto.watermark = dict(snapshot.watermark)
+            proto.completed_ops = dict(snapshot.completed_ops)
+            proto.completed_tags = dict(snapshot.completed_tags)
+            proto._reconfig_counter = snapshot.reconfig_counter
         return proto
 
     @classmethod
@@ -506,36 +481,20 @@ class ServerProtocol:
         source ring's superseded incarnation that survives in the fabric
         can never outrank the destination's installed epoch.
         """
-        members = tuple(members)
-        epoch = snapshot.epoch if snapshot is not None else 0
-        proto = cls(
-            server_id,
-            RingView(members, frozenset(), epoch),
-            config,
-            initial_value=initial_value,
-            durable=durable,
+        proto = cls._recovered(
+            server_id, tuple(members), frozenset(), snapshot, config,
+            initial_value, durable,
         )
-        proto.installed_epoch = epoch
-        proto.installed_view = proto.ring
-        if snapshot is not None:
-            proto.value = snapshot.value
-            proto.tag = snapshot.tag
-            proto.frag_tag = snapshot.frag_tag
-            proto.ts_seen = snapshot.ts_seen
-            proto.watermark = dict(snapshot.watermark)
-            proto.completed_ops = dict(snapshot.completed_ops)
-            proto.completed_tags = dict(snapshot.completed_tags)
-            proto._reconfig_counter = snapshot.reconfig_counter
-            # pending is deliberately *not* installed: the drain predicate
-            # (:meth:`quiescent` on every alive source member) guarantees
-            # the snapshot was taken with an empty pending set, and a
-            # non-empty one here would mean the handoff raced the drain.
-            if snapshot.pending:
-                raise ProtocolError(
-                    f"block transfer snapshot for server {server_id} carries "
-                    f"{len(snapshot.pending)} pending write(s); the source "
-                    "ring was not drained"
-                )
+        # pending is deliberately *not* installed: the drain predicate
+        # (:meth:`quiescent` on every alive source member) guarantees
+        # the snapshot was taken with an empty pending set, and a
+        # non-empty one here would mean the handoff raced the drain.
+        if snapshot is not None and snapshot.pending:
+            raise ProtocolError(
+                f"block transfer snapshot for server {server_id} carries "
+                f"{len(snapshot.pending)} pending write(s); the source "
+                "ring was not drained"
+            )
         proto.restart_generation = generation
         proto._dirty = True
         proto._maybe_persist()
@@ -597,11 +556,9 @@ class ServerProtocol:
         tokens whose first hop differs from the installed successor.
         """
         announce = self.next_rejoin_announce()
-        if announce is not None:
-            return announce
-        if self.outbox:
+        if announce is None and self.outbox:
             return self.outbox.popleft()
-        return None
+        return announce
 
     def complete_rejoin_alone(self) -> None:
         """End a rejoin with no live sponsor: this server is the ring.
@@ -614,13 +571,11 @@ class ServerProtocol:
         """
         if not self.rejoining:
             return
-        self.ring = RingView(
-            self.ring.members,
-            frozenset(self.ring.members) - {self.server_id},
-            max(self.ring.epoch, self.installed_epoch) + 1,
+        members = self.ring.members
+        self.installed_epoch = max(self.ring.epoch, self.installed_epoch) + 1
+        self.ring = self.installed_view = RingView(
+            members, frozenset(members) - {self.server_id}, self.installed_epoch
         )
-        self.installed_epoch = self.ring.epoch
-        self.installed_view = self.ring
         self.rejoining = False
         self._rejoin_sponsor = None
         self._resolve_alone()
@@ -652,8 +607,9 @@ class ServerProtocol:
     def reconfig_blocked(self) -> bool:
         """Whether a view transition this server waits on may need a
         push: it paused over a suspicion, or its own proposal is still
-        in flight.  Read-only, for the runtime's reconcile watchdog."""
-        return self._suspicion_paused or self._attempt_nonce is not None
+        in flight.  Read-only, for the runtime's reconcile watchdog
+        (heartbeat detector only)."""
+        return self.views.blocked
 
     def on_client_message(self, client: int, message: ClientMessage) -> list[Reply]:
         """Handle a client request (pseudocode lines 18–20 and 76–84)."""
@@ -675,23 +631,13 @@ class ServerProtocol:
         it; the epoch guard uses it to notify a stale peer that the ring
         moved on without it.
         """
-        if self.config.view_quorum and isinstance(message, _EPOCH_GUARDED):
-            # Epoch guard: data traffic is valid only within the sender's
-            # and receiver's *common* installed view.  Traffic from an
-            # older epoch is a wrongly-suspected (or healed) server that
-            # does not know it was excluded — tell it; traffic from a
-            # newer epoch means *we* are the stale one (possible only on
-            # reordered seams) and must not process writes we cannot
-            # place.
-            if message.epoch != self.installed_epoch:
-                # This path touches only stats and the outbox — nothing
-                # the snapshot covers — so no persist is needed here
-                # (the writeahead staticheck rule proves every handler
-                # leaves covered state clean).
-                self.stats_stale_epoch_dropped += 1
-                if message.epoch < self.installed_epoch and sender is not None:
-                    self._notify_stale(sender)
-                return self.drain_replies()
+        guard = self._epoch_guard
+        if guard is not None and guard(message, sender):
+            # Rejected by the epoch guard, which touches only stats and
+            # the outbox — nothing the snapshot covers — so no persist
+            # is needed here (the writeahead staticheck rule proves
+            # every handler leaves covered state clean).
+            return self.drain_replies()
         if isinstance(message, PreWrite):
             self._process_commits(message.commits)
             self._on_pre_write(message)
@@ -706,61 +652,26 @@ class ServerProtocol:
             self._on_reconfig_commit(message)
         elif isinstance(message, RejoinRequest):
             self._on_rejoin_request(message)
-        elif isinstance(message, StaleEpochNotice):
-            self._on_stale_epoch(message)
-        elif isinstance(message, ReadFence):
-            self._on_read_fence(message)
         elif isinstance(message, FRAGMENT_MESSAGES):
             self.values.on_message(message)
         else:
-            raise ProtocolError(f"unexpected ring message: {message!r}")
+            self.views.on_message(message)  # fences, notices; else raises
         self._maybe_persist()
         return self.drain_replies()
+
+    # ------------------------------------------------------------------
+    # The detector's entry points.  Each stays the persist-and-drain
+    # boundary; what it *means* is the view policy's (repro.core.views),
+    # and each exists only under the detector that calls it.
+    # ------------------------------------------------------------------
 
     def on_server_crash(self, crashed: int) -> list[Reply]:
-        """Perfect-failure-detector notification (pseudocode lines 85–93)."""
-        if crashed == self.server_id:
-            raise ProtocolError("a server cannot be notified of its own crash")
-        if crashed in self.ring.dead or crashed not in set(self.ring.members):
-            return self.drain_replies()
-
-        if self.rejoining:
-            # Not part of anyone's ring yet: note the crash, stay paused.
-            # Coordinating a reconfiguration from outside the ring would
-            # circulate a token nobody routes back (every survivor still
-            # considers this server dead); the announcement retry brings
-            # us in through a live sponsor instead.
-            self.ring = self.ring.without(crashed)
-            self._maybe_persist()
-            return self.drain_replies()
-
-        was_successor = self.successor == crashed
-        self.ring = self.ring.without(crashed)
-        self.stats_reconfigs += 1
-
-        if self.alone:
-            self._resolve_alone()
-            self._maybe_persist()
-            return self.drain_replies()
-
-        if was_successor:
-            # We are the detector: splice the ring (line 87), push our
-            # committed state to the new successor (line 88), then run
-            # the state-merge reconfiguration, which subsumes the
-            # pending-pre-write retransmission of lines 89-91.
-            self.control_queue.append(
-                StateSync(self.tag, self.values.token_form(self.fresh_value))
-            )
-            self._start_reconfig()
-        else:
-            # Await the coordinator's token; suspend normal ring traffic.
-            self.paused = True
+        """Perfect-failure-detector notification (pseudocode lines 85–93,
+        :meth:`CrashStopViews.on_server_crash
+        <repro.core.views.CrashStopViews.on_server_crash>`)."""
+        self.views.on_server_crash(crashed)
         self._maybe_persist()
         return self.drain_replies()
-
-    # ------------------------------------------------------------------
-    # Imperfect failure detector (epoch-guarded views, config.view_quorum)
-    # ------------------------------------------------------------------
 
     def on_suspect(self, peer: int) -> list[Reply]:
         """Heartbeat-detector suspicion of ``peer`` (may be wrong!).
@@ -773,22 +684,8 @@ class ServerProtocol:
         to re-evaluate the view proposal after the detector's grace
         delay (:attr:`reconcile_due`).
         """
-        if not self.config.view_quorum:
-            raise ProtocolError("on_suspect requires view_quorum mode")
-        if peer == self.server_id or peer not in set(self.ring.members):
-            return self.drain_replies()
-        if peer in self.suspected:
-            return self.drain_replies()
-        self.suspected.add(peer)
-        if self._promise is not None and self._promise[1] == peer:
-            # The coordinator we promised this view transition to may be
-            # gone; release the promise so a surviving proposer can move
-            # the epoch.
-            self._promise = None
-        if self.installed_view.is_alive(peer) and not self.rejoining:
-            self.paused = True
-            self._suspicion_paused = True
-            self.reconcile_due = True
+        self.views.on_suspect(peer)
+        self._maybe_persist()
         return self.drain_replies()
 
     def on_unsuspect(self, peer: int) -> list[Reply]:
@@ -800,73 +697,8 @@ class ServerProtocol:
         paused over a suspicion that has now evaporated, a *confirm*
         reconfiguration proves the view is still live before we resume.
         """
-        if not self.config.view_quorum:
-            raise ProtocolError("on_unsuspect requires view_quorum mode")
-        if peer not in self.suspected:
-            return self.drain_replies()
-        self.suspected.discard(peer)
-        if not self.rejoining and (
-            self._suspicion_paused
-            or peer in self.installed_view.dead
-        ):
-            self.reconcile_due = True
-        return self.drain_replies()
-
-    # ------------------------------------------------------------------
-    # Read leases (config.read_leases; docs/leases.md)
-    # ------------------------------------------------------------------
-
-    def on_lease_update(self, valid: bool, epoch: int) -> list[Reply]:
-        """Runtime-pushed lease validity transition.
-
-        ``epoch`` is the epoch the runtime's :class:`~repro.fd.heartbeat.
-        ReadLease` found every required grant stamped with; serving
-        additionally requires it to equal :attr:`installed_epoch` at
-        read time (checked per read, so a view install between updates
-        cannot be served against).
-        """
-        self.lease_valid = valid
-        self.lease_epoch = epoch if valid else -1
-        return self.drain_replies()
-
-    def may_grant_lease(self, peer: int) -> bool:
-        """Grantor-side gate: may this server extend ``peer``'s lease?
-
-        Grants flow only toward peers the grantor currently believes
-        are full, caught-up members of its installed view: never to a
-        suspect (suspicion and a live grant would let the detector's
-        two hands disagree), never to an announced rejoiner (it holds
-        stale state until the revived merge catches it up — a lease
-        would let it serve that state), and never while this server is
-        itself paused, rejoining, or mid-proposal (its own view may be
-        about to move).
-        """
-        if not (self.config.read_leases and self.config.view_quorum):
-            return False
-        if self.rejoining or self.paused:
-            return False
-        if peer == self.server_id or not self.installed_view.is_alive(peer):
-            return False
-        if peer in self.suspected or peer in self._announced_rejoiners:
-            return False
-        return True
-
-    def lease_waitout_elapsed(self, epoch: int) -> list[Reply]:
-        """The old-epoch lease wait-out for ``epoch`` ran its course.
-
-        Every lease granted under the superseded view has now provably
-        expired on its holder's clock (drift bound included), so the new
-        epoch may complete writes: initiation un-gates, and the
-        coordinator's stashed post-merge re-commits flow.  A stale
-        timer — a newer view installed meanwhile — is ignored; that
-        install started its own wait-out.
-        """
-        if epoch != self.installed_epoch or not self._lease_waitout:
-            return self.drain_replies()
-        self._lease_waitout = False
-        for tag in self._waitout_commit_tags:
-            self.commit_queue.append(tag)
-        self._waitout_commit_tags = []
+        self.views.on_unsuspect(peer)
+        self._maybe_persist()
         return self.drain_replies()
 
     def propose_reconfig(self) -> list[Reply]:
@@ -885,176 +717,50 @@ class ServerProtocol:
         healed minority cannot produce — its stale-epoch token earns a
         :class:`StaleEpochNotice` and a rejoin instead.
         """
-        self.reconcile_due = False
-        if not self.config.view_quorum or self.rejoining:
-            return self.drain_replies()
-        if len(self.ring.members) == 1:
-            return self.drain_replies()  # no peers, nothing to suspect
-        if (
-            self._promise is not None
-            and self._promise[0] == self.installed_epoch
-            and self._promise[1] != self.server_id
-        ):
-            # Another coordinator's transition out of this view is in
-            # flight and we forwarded its token; proposing against it
-            # would only be refused.  Its commit (or its coordinator's
-            # suspicion, which releases the promise) re-triggers us.
-            return self.drain_replies()
-        view = self.installed_view
-        members = set(view.members)
-        suspected = self.suspected & members
-        to_exclude = sorted(s for s in suspected if view.is_alive(s))
-        to_readmit = sorted(s for s in view.dead if s not in suspected)
-        # Announced rejoiners that are alive in the installed view but
-        # claim an *older* epoch are stale, not absent: they restarted
-        # before their exclusion installed, or the epoch guard demoted
-        # them, or a commit died mid-circle and left them behind.  They
-        # must traverse the next token as ``revived`` (exempt from the
-        # base-epoch check) to be caught up by the merge — a proposal
-        # that routes through them without the marking dies at their
-        # staleness forever.  Announcers already *at* our epoch pass the
-        # base check unaided and keep their full arbitration role; they
-        # merely need some commit to resume, which the confirm branch
-        # below guarantees exists.
-        announced = [
-            (rid, epoch)
-            for rid, epoch in sorted(self._announced_rejoiners.items())
-            if rid in members
-            and rid != self.server_id
-            and rid not in suspected
-            and view.is_alive(rid)
-        ]
-        stale_members = sorted(
-            rid for rid, epoch in announced if epoch < self.installed_epoch
-        )
-        current_rejoiners = [
-            rid for rid, epoch in announced if epoch >= self.installed_epoch
-        ]
-        if not to_exclude and not to_readmit and not stale_members:
-            if (
-                self._suspicion_paused
-                or self._attempt_nonce is not None
-                or current_rejoiners
-            ):
-                # Confirm: same membership, next epoch.  Also supersedes
-                # a pending attempt of our own whose proposal no longer
-                # matches the detector (e.g. it tried to revive a peer
-                # that has since fallen silent): the stuck token dies by
-                # abandonment and the confirm — which circulates live
-                # members only — unblocks everyone promised to us.
-                self.stats_confirm_reconfigs += 1
-                self._propose_view(set(view.dead), ())
-            return self.drain_replies()
-        proposed_dead = (set(view.dead) | set(to_exclude)) - set(to_readmit)
-        # The ack quorum is counted over the *installed* view's alive
-        # members only: the token's full circle collects an ack from
-        # every proposed-ring member, but revived servers are not part
-        # of the view being superseded (and stale members, though
-        # nominally in it, skip the promise arbitration) — neither may
-        # pad the count, or a minority plus a rejoiner could
-        # out-install the real majority.
-        old_acks = len(set(view.alive()) - proposed_dead - set(stale_members))
-        if old_acks < view.quorum:
-            # No quorum of the current view survives into the proposal:
-            # refuse to install.  Both sides of a partition land here
-            # symmetrically — neither can move the epoch, so neither
-            # can serve, and the first heal re-triggers reconciliation.
-            self.stats_quorum_stalls += 1
-            self.paused = True
-            self._suspicion_paused = True
-            return self.drain_replies()
-        # No coordinator election: *every* member that sees the diff
-        # proposes once its grace timer fires.  A designated coordinator
-        # (say, the suspected server's predecessor) can itself be stale,
-        # rejoining or freshly crashed — electing it would deadlock the
-        # ring — while concurrent proposals are safe by construction:
-        # the per-view promise arbitrates toward the lowest coordinator
-        # id and every outranked attempt is abandoned mid-circle.
-        self.stats_reconfigs += 1
-        self._propose_view(
-            proposed_dead, tuple(sorted(set(to_readmit) | set(stale_members)))
-        )
+        self.views.propose_reconfig()
+        self._maybe_persist()
         return self.drain_replies()
 
-    def _propose_view(self, proposed_dead, revived: tuple[int, ...]) -> None:
-        """Coordinator side: circulate a token for the proposed view.
+    def on_lease_update(self, valid: bool, epoch: int) -> list[Reply]:
+        """Runtime-pushed lease validity transition (docs/leases.md).
 
-        The coordinator adopts the proposed membership *tentatively*
-        (``installed_view``/``installed_epoch`` stay anchored until the
-        commit) and sends the token through the ordinary control
-        pipeline.  Routing through the ring — never directly to the
-        proposal's first hop — is what keeps the happens-before between
-        a just-created commit and a follow-up proposal: the token rides
-        the same FIFO links behind the commit, so no receiver ever sees
-        a proposal based on a view it has not installed yet.
+        ``epoch`` is the epoch the runtime's :class:`~repro.fd.heartbeat.
+        ReadLease` found every required grant stamped with; serving
+        additionally requires it to equal :attr:`installed_epoch` at
+        read time (checked per read, so a view install between updates
+        cannot be served against).
         """
-        self.paused = True
-        self._reconfig_counter += 1
-        self._attempt_nonce = self._reconfig_counter
-        self._promise = (
-            self.installed_epoch, self.server_id, self._reconfig_counter
-        )
-        self._mark_dirty()
-        token = ReconfigToken(
-            nonce=self._reconfig_counter,
-            epoch=self.installed_epoch + 1,
-            coordinator=self.server_id,
-            dead=tuple(sorted(proposed_dead)),
-            tag=self.tag,
-            value=self.values.token_form(self.fresh_value),
-            pending=self._pending_snapshot(),
-            completed_ops=tuple(sorted(self.completed_ops.items())),
-            revived=tuple(sorted(revived)),
-            completed_tags=tuple(sorted(self.completed_tags.items())),
-        )
-        self.ring = self.installed_view.at_epoch(
-            self.installed_epoch + 1, frozenset(proposed_dead)
-        )
-        self.control_queue.append(token)
+        self.views.on_lease_update(valid, epoch)
         self._maybe_persist()
+        return self.drain_replies()
 
-    def _notify_stale(self, peer: int) -> None:
-        """Queue a StaleEpochNotice to ``peer``, once per installed epoch."""
-        if self._stale_notified.get(peer) == self.installed_epoch:
-            return
-        self._stale_notified[peer] = self.installed_epoch
-        self.outbox.append(
-            (peer, StaleEpochNotice(self.installed_epoch, self.server_id))
-        )
+    def may_grant_lease(self, peer: int) -> bool:  # staticheck: allow(writeahead.persist-before-output) -- a pure query: it reads view state and mutates nothing
+        """Grantor-side gate: may this server extend ``peer``'s lease?
 
-    def _on_stale_epoch(self, message: StaleEpochNotice) -> None:
-        """The ring installed views we never saw: stop and rejoin."""
-        if not self.config.view_quorum:
-            return
-        if message.epoch <= self.installed_epoch or self.rejoining:
-            return
-        self._enter_rejoining()
-
-    def _enter_rejoining(self) -> None:
-        """Demote this live-but-stale server to a rejoiner.
-
-        Same posture as a restarted server: paused, deferring reads,
-        announcing itself until a sponsor's revived reconfiguration
-        commit carries the merged state (including this server's
-        recovered pending writes) back to it.  Nothing is discarded —
-        the fold-in merge is what redistributes the pending set.
+        Grants flow only toward peers the grantor currently believes
+        are full, caught-up members of its installed view: never to a
+        suspect (suspicion and a live grant would let the detector's
+        two hands disagree), never to an announced rejoiner (it holds
+        stale state until the revived merge catches it up — a lease
+        would let it serve that state), and never while this server is
+        itself paused, rejoining, or mid-proposal (its own view may be
+        about to move).
         """
-        self.rejoining = True
-        self.paused = True
-        self._suspicion_paused = False
-        self._rejoin_sponsor = None
-        self._attempt_nonce = None
-        self._promise = None
-        self.values.abort_reads()
-        if self.config.read_leases:
-            # A rejoiner must re-earn its lease after the fold-in merge;
-            # until then nothing may be served locally, and any fence in
-            # flight died with our ring membership.
-            self.lease_valid = False
-            self.lease_epoch = -1
-            self._lease_waitout = False
-            self._waitout_commit_tags = []
-            self._requeue_fence_waiters()
+        return self.views.may_grant_lease(peer)
+
+    def lease_waitout_elapsed(self, epoch: int) -> list[Reply]:
+        """The old-epoch lease wait-out for ``epoch`` ran its course.
+
+        Every lease granted under the superseded view has now provably
+        expired on its holder's clock (drift bound included), so the new
+        epoch may complete writes: initiation un-gates, and the
+        coordinator's stashed post-merge re-commits flow.  A stale
+        timer — a newer view installed meanwhile — is ignored; that
+        install started its own wait-out.
+        """
+        self.views.lease_waitout_elapsed(epoch)
+        self._maybe_persist()
+        return self.drain_replies()
 
     @property
     def has_ring_work(self) -> bool:
@@ -1211,23 +917,9 @@ class ServerProtocol:
             # During reconfiguration the pending set is in flux; defer.
             self.deferred_reads.append((client, message))
             return
-        if self.config.read_leases:
-            # Leased read path: serve locally only while the lease is
-            # valid *for the installed epoch* and local state covers the
-            # client's session; otherwise prove epoch liveness with a
-            # full-circle fence before serving.
-            if (
-                self.lease_valid
-                and self.lease_epoch == self.installed_epoch
-                and self._session_covered(message.session)
-            ):
-                self.stats_lease_local_reads += 1
-                self._serve_read_locally(client, message)
-            else:
-                self.stats_lease_fallbacks += 1
-                self._fence_read(client, message)
-            return
-        self._serve_read_locally(client, message)
+        # Bound once by the view policy: the local read below, or the
+        # leased read path (lease check, fence fallback) in front of it.
+        self._serve_read(client, message)
 
     def _serve_read_locally(self, client: int, message: ClientRead) -> None:
         if not self.pending:
@@ -1241,80 +933,6 @@ class ServerProtocol:
         threshold = self.pending.maxlex()
         self.stats_reads_waited += 1
         self.read_waiters.append((threshold, client, message.op))
-
-    def _session_covered(self, session: Optional[Tag]) -> bool:
-        """Whether local state covers the client's session tag.
-
-        Every tag a client observed belongs to a *completed* write, and
-        completion requires the pre-write's full circle — so a current
-        ring member has the tag installed or pending.  A gap means this
-        server's state predates something the client already saw (a
-        lease valid for a stale epoch is excluded before this check, so
-        in practice: a sharded client whose session tag belongs to
-        another block); the fence fallback covers it.
-        """
-        if session is None or session <= self.tag:
-            return True
-        return session <= self.pending.maxlex()
-
-    def _fence_read(self, client: int, message: ClientRead) -> None:
-        """Fallback read: circulate a fence; serve when it returns.
-
-        One fence per read (not batched): the fence *is* the read's ring
-        cost, and the circulating baseline the lease win is measured
-        against must genuinely pay it.
-        """
-        if self.alone:
-            # A sole survivor has no circle to prove and nobody whose
-            # view could move without it; local state is the register.
-            self._serve_read_locally(client, message)
-            return
-        self._fence_nonce += 1
-        self._fence_waiters[self._fence_nonce] = [(client, message)]
-        self.fence_queue.append(
-            ReadFence(self._fence_nonce, self.server_id, self.installed_epoch)
-        )
-
-    def _on_read_fence(self, message: ReadFence) -> None:
-        """A fence arrived from the predecessor (epoch guard already ran)."""
-        if message.origin == self.server_id:
-            self._complete_fence(message)
-            return
-        self.fence_queue.append(message)
-
-    def _complete_fence(self, message: ReadFence) -> None:
-        """Our fence closed its circle under the installed epoch: every
-        ring member forwarded it, so this view was live for the whole
-        circulation and local committed state covers every write
-        completed before the fence left.  Serve the waiting reads from
-        local state — without the lease check, and without the session
-        check (the full circle pulled every completed write's pre-write
-        through us; a session tag from another shard's block is the one
-        thing left uncovered, and the fence is exactly the proof that
-        serving current local state is linearizable for *this* block)."""
-        waiters = self._fence_waiters.pop(message.nonce, None)
-        if waiters is None:
-            return  # superseded at a view change; the reads were re-queued
-        for client, read in waiters:
-            if self.paused:
-                self.deferred_reads.append((client, read))
-            else:
-                self._serve_read_locally(client, read)
-
-    def _requeue_fence_waiters(self) -> None:
-        """Route every fence-waiting read back through ``_on_client_read``.
-
-        Called when in-flight fences can no longer complete (a view
-        install obsoleted their epoch stamp, or this server was demoted
-        to a rejoiner): the reads re-enter via the deferred queue, so
-        after resume they re-evaluate the lease and re-fence under the
-        new epoch instead of waiting for a circle that will never close.
-        """
-        if not self._fence_waiters:
-            return
-        waiters, self._fence_waiters = self._fence_waiters, {}
-        for nonce in sorted(waiters):
-            self.deferred_reads.extend(waiters[nonce])
 
     # ------------------------------------------------------------------
     # Write path
@@ -1524,28 +1142,44 @@ class ServerProtocol:
             self._wake_readers()
 
     # ------------------------------------------------------------------
-    # Reconfiguration
+    # Reconfiguration: the state merge.  *When* one starts, which token
+    # is admitted and what its commit installs are the view policy's
+    # (repro.core.views); building, merging, applying and resuming are
+    # the same under both policies and live here.
     # ------------------------------------------------------------------
 
-    def _start_reconfig(self, revived: tuple[int, ...] = ()) -> None:
-        """Coordinator side: circulate the state-merge token.
-
-        ``revived`` names servers this reconfiguration folds back into
-        the ring (crash recovery); the coordinator has already spliced
-        them into its own view, and every receiver does the same before
-        merging, so the token traverses the grown ring.
-        """
-        self.paused = True
-        self._reconfig_counter += 1
-        # Reconfig point: persist the nonce counter so a restarted
-        # coordinator can never reuse a nonce (others would drop its
-        # fresh token as an orphaned duplicate).
+    def _reroute(self, ring: RingView) -> None:
+        """Policy primitive: route by ``ring`` *tentatively* (a splice, a
+        circulating proposal); ``installed_view`` stays the anchor."""
+        self.ring = ring
         self._mark_dirty()
-        token = ReconfigToken(
-            nonce=self._reconfig_counter,
-            epoch=max(self.ring.epoch, self.installed_epoch + 1),
+
+    def _install_view(self, ring: RingView, commit: ReconfigCommit) -> None:
+        """Policy primitive: ``ring`` is the committed view from here on
+        (the epoch transition point)."""
+        self.ring = self.installed_view = ring
+        self.installed_epoch = ring.epoch
+        self.view_log.append((ring.epoch, commit.coordinator, commit.nonce))
+        self._mark_dirty()
+
+    def _next_nonce(self) -> int:
+        """Policy primitive: burn one reconfiguration nonce.  Persisted,
+        so a restarted coordinator can never reuse one (others would
+        drop its fresh token as an orphaned duplicate) and an abandoned
+        attempt's returning token is unrecognisable."""
+        self._reconfig_counter += 1
+        self._mark_dirty()
+        return self._reconfig_counter
+
+    def _new_token(self, epoch: int, dead, revived) -> ReconfigToken:
+        """Coordinator side: pause and build the state-merge token for
+        the proposed membership from this server's state."""
+        self.paused = True
+        return ReconfigToken(
+            nonce=self._next_nonce(),
+            epoch=epoch,
             coordinator=self.server_id,
-            dead=tuple(sorted(self.ring.dead)),
+            dead=tuple(sorted(dead)),
             tag=self.tag,
             value=self.values.token_form(self.fresh_value),
             pending=self._pending_snapshot(),
@@ -1553,7 +1187,6 @@ class ServerProtocol:
             revived=tuple(sorted(revived)),
             completed_tags=tuple(sorted(self.completed_tags.items())),
         )
-        self.control_queue.append(token)
 
     def _pending_snapshot(self) -> tuple[PendingEntry, ...]:
         """Every uncommitted write this server knows about: the pending
@@ -1597,24 +1230,10 @@ class ServerProtocol:
                 completed, completed_tags, client, seq,
                 self.completed_tags.get(client),
             )
-        # A server this token revives must not ride along in the merged
-        # dead set via some receiver's stale view.  (In view_quorum mode
-        # the receiver's view was wholesale-adopted from the token, so
-        # the union adds nothing: the proposed membership is fixed by
-        # the coordinator and the token gathers *state*, not exclusions.)
-        # A *rejoining* merger contributes state but no exclusions: its
-        # dead set is its snapshot's — stale by definition — and any
-        # crash it has witnessed since restarting was witnessed by every
-        # live merger too.  Unioning it in re-excluded members that were
-        # folded back while the rejoiner was down, which diverted the
-        # token's circle around them and deadlocked the ring (two
-        # overlapping crash-recovery cycles were enough to hit this).
-        local_dead = frozenset() if self.rejoining else self.ring.dead
-        dead = (frozenset(token.dead) | local_dead) - frozenset(token.revived)
+        epoch, dead = self.views.merged_membership(token)
         return ReconfigToken(
             nonce=token.nonce,
-            epoch=max(token.epoch, len(dead)) if not self.config.view_quorum
-            else token.epoch,
+            epoch=epoch,
             coordinator=token.coordinator,
             dead=tuple(sorted(dead)),
             tag=merged_tag,
@@ -1626,51 +1245,14 @@ class ServerProtocol:
         )
 
     def _on_reconfig_token(self, token: ReconfigToken) -> None:
-        if self.config.view_quorum:
-            if not self._admit_token(token):
-                return
-            # Tentative *wholesale* adoption of the proposed membership:
-            # the token's dead set replaces local state (a receiver's
-            # private suspicions must not leak into the proposal), and
-            # routing follows the proposed ring from here on.
-            self.ring = self.ring.at_epoch(
-                token.epoch, frozenset(token.dead) - frozenset(token.revived)
-            )
-        elif self.rejoining:
-            # Wholesale adoption for a rejoiner: its own dead set is its
-            # snapshot's and must not survive into routing — keeping a
-            # long-since-revived member dead would make this server
-            # forward the token (and every later frame) past it.
-            self.ring = self.ring.at_epoch(
-                max(self.ring.epoch + 1, token.epoch),
-                frozenset(token.dead) - frozenset(token.revived),
-            )
-        else:
-            self.ring = self.ring.with_dead(token.dead).revive_all(token.revived)
+        if not self.views.admit_token(token):
+            return
         if token.coordinator == self.server_id:
-            if self.config.view_quorum and token.nonce != self._attempt_nonce:
-                return  # a superseded/abandoned attempt of our own
-            # Token is back with every survivor's state merged in.  In
-            # view_quorum mode its full circle around the proposed ring
-            # *is* the ack quorum of the old view: the proposal was
-            # quorum-checked against the installed view, and every
-            # proposed member forwarded the token.
-            final = self._merge_into_token(token)
-            commit = ReconfigCommit(
-                nonce=final.nonce,
-                epoch=final.epoch,
-                coordinator=final.coordinator,
-                dead=final.dead,
-                tag=final.tag,
-                value=final.value,
-                pending=final.pending,
-                completed_ops=final.completed_ops,
-                revived=final.revived,
-                completed_tags=final.completed_tags,
-            )
+            # Token is back with every survivor's state merged in.  A
+            # commit has the token's fields by construction.
+            commit = ReconfigCommit(**vars(self._merge_into_token(token)))
             self.control_queue.append(commit)
-            if self.config.view_quorum:
-                self._install_view(commit)
+            self.views.install(commit)
             self._apply_merged_state(commit)
             # Re-commit every surviving pending write so no read blocks
             # forever and every origin can ack its client.  The commits
@@ -1680,14 +1262,13 @@ class ServerProtocol:
             # apply-time filtering has already dropped stale entries and
             # zombies of operations the merged completed_ops says are
             # done, which must not be re-committed (resurrection).
-            # While an old-epoch lease wait-out runs, the re-commits are
-            # stashed instead: completing a merged write before every
-            # old lease died could hide it from a leaseholder's reads.
+            # While an old-epoch lease wait-out runs, the policy holds
+            # the re-commits back until it ends.
+            tags = sorted(self.pending)
             if self._lease_waitout:
-                self._waitout_commit_tags = sorted(self.pending)
+                self.views.stash_recommits(tags)
             else:
-                for tag in sorted(self.pending):
-                    self.commit_queue.append(tag)
+                self.commit_queue.extend(tags)
             self._resume()
         else:
             key = (token.coordinator, token.nonce)
@@ -1699,181 +1280,16 @@ class ServerProtocol:
             self.paused = True
             self.control_queue.append(self._merge_into_token(token))
 
-    def _admit_token(self, token: ReconfigToken) -> bool:
-        """Epoch + promise arbitration for one view transition.
-
-        A token is admitted when it is built on exactly this server's
-        installed view (``epoch == installed + 1`` — the ack quorum it
-        collects must anchor to the view it supersedes) and it wins the
-        per-view promise: at most one *admitted* proposal per installed
-        view, ties broken toward the lower coordinator id, with a
-        coordinator's fresh retry replacing its own older promise.
-        Admitting a competitor's token abandons any in-flight attempt of
-        our own — the abandoned token keeps circulating but its return
-        is ignored, so two proposals can never both install.  A token
-        reviving *us* is exempt from the base check: catching a stale
-        server up is the one sanctioned epoch jump, and the rejoiner is
-        deliberately not counted toward the quorum.
-        """
-        if token.coordinator == self.server_id:
-            # Our own token came back: valid only if it is our current
-            # attempt and nothing installed meanwhile.
-            return (
-                token.epoch == self.installed_epoch + 1
-                and token.nonce == self._attempt_nonce
-            )
-        if self.server_id in token.revived:
-            if token.epoch <= self.installed_epoch:
-                self.stats_epoch_rejected_reconfigs += 1
-                return False
-            return True
-        if token.epoch != self.installed_epoch + 1:
-            self.stats_epoch_rejected_reconfigs += 1
-            if token.epoch <= self.installed_epoch:
-                # A healed minority (or superseded attempt) proposing
-                # from a view the ring has left behind: tell it.
-                self._notify_stale(token.coordinator)
-            else:
-                # A proposal from beyond our next epoch is proof the
-                # ring installed views we never saw (a commit can die
-                # mid-circle when a member crashes while it circulates,
-                # leaving us behind): same signal as a StaleEpochNotice.
-                self._enter_rejoining()
-            return False
-        if token.coordinator in self.suspected:
-            # A straggling token from a coordinator we believe gone
-            # (delivered late across a heal, or its sender crashed after
-            # sending): promising it would wedge this view on an attempt
-            # that can never complete.  If the suspicion is wrong the
-            # coordinator simply retries — liveness cost only.
-            self.stats_epoch_rejected_reconfigs += 1
-            return False
-        promise = self._promise
-        if promise is not None and promise[0] == self.installed_epoch:
-            base, promised_coordinator, promised_nonce = promise
-            if token.coordinator == promised_coordinator:
-                if token.nonce < promised_nonce:
-                    self.stats_epoch_rejected_reconfigs += 1
-                    return False  # stale retry of the promised attempt
-            elif token.coordinator > promised_coordinator:
-                self.stats_epoch_rejected_reconfigs += 1
-                return False  # outranked; the promised attempt proceeds
-        self._promise = (self.installed_epoch, token.coordinator, token.nonce)
-        if self._attempt_nonce is not None:
-            # We had our own proposal in flight and just admitted a
-            # higher-priority one: abandon ours (bumping the persisted
-            # counter makes our returning token unrecognisable).
-            self._reconfig_counter += 1
-            self._attempt_nonce = None
-            self._mark_dirty()
-        return True
-
     def _on_reconfig_commit(self, commit: ReconfigCommit) -> None:
-        if self.config.view_quorum:
-            if commit.coordinator == self.server_id:
-                return  # full circle; applied when created
-            if commit.epoch != self.installed_epoch + 1 and (
-                self.server_id not in commit.revived
-                or commit.epoch <= self.installed_epoch
-            ):
-                # Same chain discipline as tokens: a commit installs
-                # only over the view it superseded; the one sanctioned
-                # jump is the fold-in of the stale server it revives.
-                self.stats_epoch_rejected_reconfigs += 1
-                if commit.epoch > self.installed_epoch + 1 and not self.rejoining:
-                    self._enter_rejoining()
-                return
-            key = (commit.coordinator, -commit.nonce)
-            if key in self._seen_reconfigs:
-                return
-            self._seen_reconfigs.add(key)
-            self._install_view(commit)
-            self._apply_merged_state(commit)
-            self.control_queue.append(commit)
-            self._resume()
-            return
-        if self.rejoining:
-            # Same wholesale adoption as the token path: the commit's
-            # membership replaces the rejoiner's stale snapshot view.
-            self.ring = self.ring.at_epoch(
-                max(self.ring.epoch + 1, commit.epoch),
-                frozenset(commit.dead) - frozenset(commit.revived),
-            )
-        else:
-            self.ring = self.ring.with_dead(commit.dead).revive_all(commit.revived)
-        if commit.coordinator == self.server_id:
-            return  # full circle; applied when created
         key = (commit.coordinator, -commit.nonce)
-        if key in self._seen_reconfigs:
-            return  # orphaned duplicate of a commit we already applied
+        if not self.views.admit_commit(commit) or key in self._seen_reconfigs:
+            return  # our own (applied when created), refused, or a duplicate
         self._seen_reconfigs.add(key)
+        settled = self.views.install(commit)
         self._apply_merged_state(commit)
         self.control_queue.append(commit)
-        if frozenset(commit.dead) >= self.ring.dead:
+        if settled:
             self._resume()
-        # else: we know of a crash this commit predates; stay paused
-        # until the follow-up reconfiguration's commit arrives.
-
-    def _install_view(self, commit: ReconfigCommit) -> None:
-        """Install the committed view: the epoch transition point.
-
-        From here on, traffic of older epochs is rejected, and newly
-        excluded members that may still be alive are told directly.
-        With ``read_leases`` the notice is backed by an invariant: an
-        install that excludes members also starts the old-epoch lease
-        *wait-out* — no new-epoch write may complete until every lease
-        granted under the superseded view has provably expired on its
-        holder's clock — so even an excluded server that hears nothing
-        (the one-way-partition case the notices cannot reach) stops
-        serving leased reads before any conflicting write exists.
-        Without leases the notices remain best-effort (see
-        docs/reconfiguration.md).
-        """
-        newly_dead = frozenset(commit.dead) - self.installed_view.dead
-        self.ring = self.ring.at_epoch(
-            commit.epoch, frozenset(commit.dead) - frozenset(commit.revived)
-        )
-        self.installed_epoch = commit.epoch
-        self.installed_view = self.ring
-        self.view_log.append((commit.epoch, commit.coordinator, commit.nonce))
-        self._announced_rejoiners.clear()  # still-stale members re-announce
-        self._promise = None  # promises are per installed view
-        if commit.coordinator == self.server_id:
-            self._attempt_nonce = None
-        self.values.abort_reads()
-        if self.config.read_leases:
-            # Our own lease was granted under the superseded epoch; the
-            # per-read epoch check already refuses it, but dropping the
-            # flag keeps the runtime's next push authoritative.
-            self.lease_valid = False
-            self.lease_epoch = -1
-            # In-flight fences carry the old epoch stamp and can never
-            # close their circle; re-route their reads through the
-            # deferred queue so they re-fence under the new epoch.
-            self._requeue_fence_waiters()
-            # A stashed re-commit from a previous wait-out is obsolete:
-            # this install's merge carried those pending writes and the
-            # coordinator re-commits them afresh.
-            self._waitout_commit_tags = []
-            if newly_dead - {self.server_id}:
-                # Members were excluded: their leases (and any lease the
-                # old view granted) may live up to the full duration
-                # plus drift; gate new-epoch writes until that horizon
-                # passes.  Confirm/revive installs exclude nobody and
-                # need no wait — the commit itself circulates ahead of
-                # any new-epoch data on FIFO links.
-                self._lease_waitout = True
-                self.lease_waitout_due = True
-                self.stats_lease_waitouts += 1
-            else:
-                self._lease_waitout = False
-        self._mark_dirty()
-        for peer in sorted(newly_dead):
-            if peer != self.server_id:
-                # Best-effort fence: if the excluded peer is actually
-                # alive (wrong suspicion), the notice demotes it to a
-                # rejoiner; if it is dead, the frame dies in transit.
-                self._notify_stale(peer)
 
     def _apply_merged_state(self, commit: ReconfigCommit) -> None:
         self._note_tag(commit.tag)
@@ -1949,27 +1365,13 @@ class ServerProtocol:
 
     def _resume(self) -> None:
         self.paused = False
-        self._suspicion_paused = False
         if self.rejoining:
             # The reconfiguration commit that carries the merged state is
             # the moment a recovering server is caught up: from here on
             # it serves reads and initiates writes like any ring member.
             self.rejoining = False
             self._rejoin_sponsor = None
-        if self.config.view_quorum:
-            # The installed view may not match what the detector says:
-            # leftover suspicions of still-in-view members mean we must
-            # not serve (re-pause, and ask for a new proposal); excluded
-            # members whose heartbeats resumed deserve re-admission.
-            if any(self.ring.is_alive(s) for s in self.suspected):
-                self.paused = True
-                self._suspicion_paused = True
-                self.reconcile_due = True
-            if any(
-                d not in self.suspected and d in set(self.ring.members)
-                for d in self.ring.dead
-            ):
-                self.reconcile_due = True
+        self.views.resumed()  # may pause us again
         deferred, self.deferred_reads = self.deferred_reads, deque()
         for client, message in deferred:
             self._on_client_read(client, message)
@@ -1980,53 +1382,11 @@ class ServerProtocol:
             self._on_rejoin_request(request)
 
     def _on_rejoin_request(self, message: RejoinRequest) -> None:
-        """Sponsor side of the rejoin handshake.
-
-        A restarted server announced itself.  If our view still has it
-        dead, splice it back in and coordinate a reconfiguration whose
-        token (marked ``revived``) circulates the grown ring — through
-        the rejoiner, which merges its recovered state in and resumes on
-        the commit.  If our view already has it alive, a commit is (or
-        was) on its way and the request is a retried duplicate: drop it.
-        """
+        """A restarted (or demoted) server announced itself; how it is
+        folded back in is the view policy's."""
         rid = message.server_id
-        if rid == self.server_id or rid not in set(self.ring.members):
-            return
-        if self.config.view_quorum:
-            if message.epoch > self.installed_epoch:
-                return  # a confused rejoiner cannot drag the ring back
-            if self.rejoining:
-                return
-            # Sponsorship is folded into the proposal pipeline: record
-            # the announcement and let the grace-delayed reconciliation
-            # carry the rejoiner as ``revived`` in the next proposal.
-            # (Unlike the perfect-detector path, a rejoiner still *in*
-            # the installed view needs this too: it restarted — or was
-            # demoted by the epoch guard — holding stale state, and
-            # only a revived-marked merge catches it up.)  "Down" for a
-            # sponsor under an imperfect detector means no heartbeat
-            # evidence of life: while we still suspect the announcer,
-            # the record stays parked — folding in a server we cannot
-            # hear would bounce straight back out.
-            if rid not in self._announced_rejoiners:
-                # Count rejoiners taken on, not their announcement
-                # retries (the perfect path counts once per splice).
-                self.stats_rejoins_sponsored += 1
-            self._announced_rejoiners[rid] = message.epoch
-            if rid not in self.suspected:
-                self.reconcile_due = True
-            return
-        if rid not in self.ring.dead:
-            return
-        if self.paused:
-            # Mid-reconfiguration: the ring is in flux.  Defer; the
-            # rejoiner also retries, so nothing is lost if we crash.
-            self._deferred_rejoins.append(message)
-            return
-        self.ring = self.ring.revived(rid)
-        self.stats_reconfigs += 1
-        self.stats_rejoins_sponsored += 1
-        self._start_reconfig(revived=(rid,))
+        if rid != self.server_id and rid in set(self.ring.members):
+            self.views.on_rejoin_request(message)
 
     def _resolve_alone(self) -> None:
         """Down to a single survivor: every known pending write commits
@@ -2083,7 +1443,7 @@ class ServerProtocol:
             return ()
         if not (self.config.piggyback_commits or carrier_is_commit):
             return ()
-        budget = self.config.max_piggybacked_commits
+        budget = _MAX_PIGGYBACKED_COMMITS
         tags: list[Tag] = []
         while self.commit_queue and len(tags) < budget:
             tags.append(self.commit_queue.popleft())
@@ -2093,29 +1453,14 @@ class ServerProtocol:
         """Piggyback queued commit tags and stamp the installed epoch."""
         if isinstance(message, (ReconfigToken, ReconfigCommit)):
             return message  # reconfiguration messages carry their own epoch
-        if isinstance(message, ReadFence):
-            # A fence keeps its origin's epoch stamp end to end (the
-            # circle proves that epoch's liveness) and carries no
-            # commits — it must stay exactly one read's ring cost.
-            return message
         epoch = self.installed_epoch
         tags = self._pull_commit_tags(carrier_is_commit=isinstance(message, Commit))
+        commits = tags or message.commits
         if isinstance(message, PreWrite):
-            return PreWrite(
-                message.tag,
-                message.value,
-                message.op,
-                tags if tags else message.commits,
-                epoch,
-            )
+            return PreWrite(message.tag, message.value, message.op, commits, epoch)
         if isinstance(message, StateSync):
-            return StateSync(
-                message.tag,
-                message.value,
-                tags if tags else message.commits,
-                epoch,
-            )
-        return Commit(tags if tags else message.commits, epoch)
+            return StateSync(message.tag, message.value, commits, epoch)
+        return Commit(commits, epoch)
 
     def _install(self, tag: Tag, stored: Optional[bytes]) -> None:
         """Monotone register update (lines 33-35 / 43-45).

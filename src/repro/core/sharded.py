@@ -62,6 +62,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.core.config import ProtocolConfig
 from repro.core.durable import MemorySnapshotStore
 from repro.core.messages import OpId, payload_size
 from repro.core.placement import (
@@ -899,7 +900,8 @@ def build_elastic_cluster(
     runs; without it the placement is static but still explicit —
     clients route by the table and stale bindings still redirect.
 
-    Elastic clusters are perfect-detector, replicated-value only: the
+    Elastic clusters are perfect-detector, replicated-value only (the
+    ``elastic`` row of :meth:`ProtocolConfig.for_detector`): the
     heartbeat detector's epoch machinery manages membership *within* a
     ring and is untouched, but the cross-ring snapshot handoff assumes
     crash facts, and erasure coding pins ``coding_n`` to the whole
@@ -916,16 +918,11 @@ def build_elastic_cluster(
         raise ConfigurationError(
             f"ring members must be in [0, {num_servers}); got {sorted(members)}"
         )
-    if kwargs.get("fd", "perfect") != "perfect":
-        raise ConfigurationError(
-            "elastic placement requires the perfect failure detector"
-        )
-    protocol = kwargs.get("protocol")
-    if protocol is not None and protocol.value_coding != "replicated":
-        raise ConfigurationError(
-            "elastic placement requires replicated values (coded fragments "
-            "pin coding_n to the whole cluster)"
-        )
+    # Checked for its raise only; ``SimCluster.build`` derives the config
+    # it keeps from the same rule.
+    (kwargs.get("protocol") or ProtocolConfig()).for_detector(
+        kwargs.get("fd", "perfect"), elastic=True
+    )
     placement = PlacementTable.initial(num_blocks, rings, pack=pack)
 
     def factory(cluster: SimCluster, server_id: int) -> ShardedServerHost:

@@ -73,7 +73,7 @@ from repro.core.durable import MemorySnapshotStore, SnapshotStore
 from repro.core.messages import OpId, ReadAck, RejoinRequest, WriteAck
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
-from repro.errors import ConfigurationError, StorageUnavailableError
+from repro.errors import StorageUnavailableError
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.runtime.driver import ServerDriver
 from repro.runtime.interface import (
@@ -123,6 +123,21 @@ _HB_BACKLOG = 64 * 1024
 #: *not* a crash certificate — the session holds the unacked suffix and
 #: replays it once the dial succeeds).
 _RING_REDIAL = 0.1
+
+#: Bytes asked of the kernel per socket read.  asyncio's default is
+#: 256 KiB, which CPython allocates whole and then shrinks to what
+#: arrived; glibc frees the >= 64 KiB tail next to the heap top and
+#: checks its trim threshold every time, so a process whose top happens
+#: to sit near the threshold returns and re-faults pages on *every*
+#: read — 1.5x the CPU per operation, decided by heap layout at start-up
+#: (docs/perf.md, "PR 22").  Frames here are a few KiB; below 64 KiB the
+#: tail never reaches glibc's consolidation threshold.
+_RECV_BYTES = 32 * 1024
+
+
+def _bound_reads(writer: asyncio.StreamWriter) -> None:
+    """Read ``writer``'s connection :data:`_RECV_BYTES` at a time."""
+    writer.transport.max_size = _RECV_BYTES
 
 #: Default heartbeat timings for real sockets: much coarser than the
 #: simulator's, because an event loop stalled by CI noise must not spray
@@ -235,7 +250,7 @@ class AsyncServerNode:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._client_writers: dict[int, asyncio.StreamWriter] = {}
-        self._inbound_writers: list[asyncio.StreamWriter] = []
+        self._inbound_writers: set[asyncio.StreamWriter] = set()
         self._ring_writer: Optional[asyncio.StreamWriter] = None
         self._ring_peer: Optional[int] = None
         self._ring_wake = asyncio.Event()
@@ -322,7 +337,7 @@ class AsyncServerNode:
         self._stopped = False
         self._tasks = []
         self._client_writers = {}
-        self._inbound_writers = []
+        self._inbound_writers = set()
         self._hb_writers = {}
         self._hb_dialing = set()
         self._refused = 0
@@ -455,12 +470,25 @@ class AsyncServerNode:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one accepted connection; the writer is tracked (for
+        :meth:`stop` to abort) exactly as long as its handler runs — a
+        reconnecting client or a one-shot control dial must not leave a
+        closed writer behind for the life of the node."""
+        self._inbound_writers.add(writer)
+        _bound_reads(writer)
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._inbound_writers.discard(writer)
+            writer.close()
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         decoder = FrameDecoder()
-        self._inbound_writers.append(writer)
         try:
             hello = await reader.readexactly(_HELLO.size)
         except (asyncio.IncompleteReadError, ConnectionError):
-            writer.close()
             return
         kind, peer_id, peer_generation = _HELLO.unpack(hello)
         if kind == _KIND_HB:
@@ -472,8 +500,6 @@ class AsyncServerNode:
                     self.driver.on_raw(decode_message(payload))
             except (ConnectionError, asyncio.CancelledError):
                 pass
-            finally:
-                writer.close()
             return
         if kind == _KIND_REJOIN:
             # Out-of-ring-order control traffic (rejoin announcements,
@@ -490,8 +516,6 @@ class AsyncServerNode:
                     self.after_step()
             except (ConnectionError, asyncio.CancelledError):
                 pass
-            finally:
-                writer.close()
             return
         # Ring predecessors and clients share one id space for sessions;
         # predecessors are mapped below zero to keep them disjoint.
@@ -546,7 +570,6 @@ class AsyncServerNode:
                 # observed EOF, and it must not tear down the new ones.
                 self._client_writers.pop(peer_id, None)
                 self._peer_sessions.pop(peer_id, None)
-            writer.close()
 
     async def _dispatch_replies(self, replies) -> None:
         for reply in replies:
@@ -642,6 +665,7 @@ class AsyncServerNode:
         self._drop_ring_writer()
         host, port = self.addresses[successor]
         reader, writer = await asyncio.open_connection(host, port)
+        _bound_reads(writer)
         writer.write(_HELLO.pack(_KIND_RING, self.server_id, self.generation))
         # Reconnected to the same peer: frames written to the old
         # connection may or may not have reached it — retransmit the
@@ -806,6 +830,7 @@ class AsyncClient:
             return self._connections[server][1]
         host, port = self.addresses[server]
         reader, writer = await asyncio.open_connection(host, port)
+        _bound_reads(writer)
         writer.write(_HELLO.pack(_KIND_CLIENT, self.client_id, 0))
         await writer.drain()
         self._connections[server] = (reader, writer)
@@ -874,21 +899,10 @@ class AsyncCluster:
         fd: str = "perfect",
         heartbeat: Optional[HeartbeatConfig] = None,
     ):
-        if fd not in ("perfect", "heartbeat"):
-            raise ConfigurationError(f"unknown failure detector {fd!r}")
         self.num_servers = num_servers
-        self.config = config or ProtocolConfig()
+        self.config = (config or ProtocolConfig()).for_detector(fd)
         self.fd = fd
         self.heartbeat = heartbeat
-        if fd == "heartbeat":
-            if not self.config.view_quorum:
-                from dataclasses import replace
-
-                self.config = replace(self.config, view_quorum=True)
-        elif self.config.view_quorum:
-            raise ConfigurationError(
-                "view_quorum requires the heartbeat failure detector"
-            )
         self.durable_dir = durable_dir
         self.nodes: dict[int, AsyncServerNode] = {}
         self.addresses: dict[int, tuple[str, int]] = {}

@@ -41,7 +41,7 @@ trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -185,7 +185,8 @@ class ClusterConfig:
     #: the nemesis-routed network, timeout-based suspicion that can be
     #: *wrong* and is withdrawn on a late heartbeat).  Heartbeat mode
     #: forces ``protocol.view_quorum`` on: views become epoch-guarded
-    #: and only install with an ack quorum of the previous view.
+    #: and only install with an ack quorum of the previous view
+    #: (:meth:`ProtocolConfig.for_detector` states the whole rule).
     fd: str = "perfect"
     heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
 
@@ -196,17 +197,9 @@ class ClusterConfig:
             raise ConfigurationError(f"unknown topology {self.topology!r}")
         if self.detection_delay <= 0:
             raise ConfigurationError("detection_delay must be > 0")
-        if self.fd not in ("perfect", "heartbeat"):
-            raise ConfigurationError(f"unknown failure detector {self.fd!r}")
+        self.protocol = self.protocol.for_detector(self.fd)
         if self.fd == "heartbeat":
             self.heartbeat.validate()
-            if not self.protocol.view_quorum:
-                self.protocol = replace(self.protocol, view_quorum=True)
-        elif self.protocol.view_quorum:
-            raise ConfigurationError(
-                "view_quorum requires the heartbeat failure detector"
-            )
-        self.protocol.validate()
         self.reliable_config.validate()
         return self
 

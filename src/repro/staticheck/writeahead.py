@@ -22,20 +22,23 @@ exit states, iterated to a fixpoint over the intra-class call graph
   on covered attributes;
 * passing a covered attribute to an intra-class helper that mutates the
   corresponding parameter (``_advance_completed``);
-* any call into the value backend (``self.values.<hook>(...)``), which
-  reaches the register through the class's own mutators;
+* any call into the value backend (``self.values.<hook>(...)``) or the
+  view policy (``self.views.<hook>(...)``), which reach the register and
+  the membership state through the class's own mutators;
 * ``_mark_dirty()`` / ``self._dirty = True``.
 
 Persist events: ``_maybe_persist()``, ``<durable>.save(...)``,
 ``self._dirty = False``.
 
 ``writeahead.host-bypass`` additionally forbids code that merely *holds*
-a protocol object — hosts and runtimes (``<x>.proto``), and the value
-backends of ``repro/core/values.py`` (``<x>.core``) — from assigning its
-covered attributes directly.  Hosts must go through handler methods,
-which persist for themselves; a backend goes through the protocol's
-``_install`` / ``_repair_stored``, which mark the state dirty inside the
-class this rule's fixpoint analyses.
+a protocol object — hosts and runtimes (``<x>.proto``), the value
+backends of ``repro/core/values.py`` and the view policies of
+``repro/core/views.py`` (``<x>.core``) — from assigning its covered
+attributes directly.  Hosts must go through handler methods, which
+persist for themselves; a backend goes through the protocol's
+``_install`` / ``_repair_stored`` and a policy through ``_reroute`` /
+``_install_view`` / ``_next_nonce``, which mutate (and mark) the state
+inside the class this rule's fixpoint analyses.
 """
 
 from __future__ import annotations
@@ -88,9 +91,10 @@ _MUTATING_METHODS = frozenset(
     }
 )
 
-#: The attribute a durable class holds its value backend by
-#: (repro/core/values.py); see :meth:`_ClassAnalysis._apply_call`.
-_BACKEND_ATTR = "values"
+#: The attributes a durable class holds its value backend
+#: (repro/core/values.py) and view policy (repro/core/views.py) by; see
+#: :meth:`_ClassAnalysis._apply_call`.
+_SEAM_ATTRS = frozenset({"values", "views"})
 
 # Abstract persistence states.
 _CLEAN = "clean"
@@ -310,12 +314,13 @@ class _ClassAnalysis:
             chain = attr_chain(func)
             if chain is not None and "durable" in chain.split("."):
                 return frozenset({_CLEAN})
-        # A value-backend hook (``self.values.<hook>(...)``) may come back
-        # through ``_install`` / ``_repair_stored`` / ``_note_tag``: the
-        # analysis cannot see into the other class, so it assumes so.
+        # A seam hook (``self.values.<hook>(...)``, ``self.views.<hook>(...)``)
+        # may come back through ``_install`` / ``_repair_stored`` /
+        # ``_note_tag`` / ``_install_view`` / ``_next_nonce``: the analysis
+        # cannot see into the other class, so it assumes so.
         if (
             isinstance(func, ast.Attribute)
-            and _receiver_attr(func.value) == _BACKEND_ATTR
+            and _receiver_attr(func.value) in _SEAM_ATTRS
         ):
             return frozenset({_DIRTY})
         # Mutating container method on a covered attribute:
@@ -390,6 +395,7 @@ _HOLDER_SCOPES = {
     "repro/core/sharded.py": "proto",
     "repro/runtime/": "proto",
     "repro/core/values.py": "core",
+    "repro/core/views.py": "core",
 }
 
 
@@ -397,7 +403,7 @@ def _check_host_bypass(sf: SourceFile) -> list[Violation]:
     """Code that holds a protocol object must mutate its state only
     through the protocol's methods (which mark and persist for
     themselves), never by assigning ``<x>.proto.<covered attr>`` (or a
-    backend's ``<x>.core.<covered attr>``) directly."""
+    backend's or policy's ``<x>.core.<covered attr>``) directly."""
     holders = {
         name for scope, name in _HOLDER_SCOPES.items() if sf.rel.startswith(scope)
     }

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.errors import StorageUnavailableError
-from repro.runtime.asyncio_net import AsyncCluster
+from repro.runtime.asyncio_net import _RECV_BYTES, AsyncCluster
 
 
 def run(coro):
@@ -30,6 +30,40 @@ def test_write_then_read_across_clients():
             assert await a.read() == b"world"
             await a.close()
             await b.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_closed_connections_do_not_accumulate_inbound_writers():
+    """Every accepted connection's writer is tracked only while its
+    handler runs: 50 client connect/close cycles (and the ring's own
+    dials) must leave no closed writer behind on the node.  The
+    connections that remain read in bounded buffers."""
+
+    async def scenario():
+        cluster = AsyncCluster(2)
+        await cluster.start()
+        try:
+            node = cluster.nodes[0]
+            for i in range(50):
+                client = cluster.client(home_server=0)
+                await client.write(b"cycle-%d" % i)
+                await client.close()
+            for _ in range(100):  # let the last handler observe its EOF
+                if len(node._inbound_writers) <= 1:
+                    break
+                await asyncio.sleep(0.01)
+            live = [w for w in node._inbound_writers if not w.is_closing()]
+            # Every connection that reads asks for a bounded buffer (the
+            # 256 KiB default makes throughput depend on heap layout).
+            assert all(w.transport.max_size == _RECV_BYTES for w in live)
+            assert node._ring_writer.transport.max_size == _RECV_BYTES
+            # Live: the ring predecessor's connection (no client is open).
+            assert len(node._inbound_writers) == len(live) <= 1, (
+                f"{len(node._inbound_writers)} tracked, {len(live)} live"
+            )
         finally:
             await cluster.stop()
 
@@ -302,7 +336,7 @@ def test_heartbeat_mode_leased_reads_are_served_locally_with_no_ring_traffic():
             protos = [node.proto for node in cluster.nodes.values()]
 
             async def warm():
-                while not all(p.lease_valid and not p.has_ring_work for p in protos):
+                while not all(p.views.lease_valid and not p.has_ring_work for p in protos):
                     await asyncio.sleep(0.02)
 
             await asyncio.wait_for(warm(), timeout=10.0)

@@ -163,7 +163,7 @@ def test_restarted_sharded_host_rejoins_and_re_leases_every_block_on_a_fresh_dri
     for reg, proto in host.protos.items():
         assert not proto.rejoining, f"block {reg} stuck rejoining"
         assert not proto.paused, f"block {reg} stuck paused"
-        assert proto.lease_valid, f"block {reg} never re-earned its lease"
+        assert proto.views.lease_valid, f"block {reg} never re-earned its lease"
     assert host.protos[1].value == b"while-down"
     assert cluster.env.trace.counters["fd.unsuspects"] > unsuspects
 

@@ -237,7 +237,7 @@ def test_rejoin_merge_repairs_fragment_from_k_peers():
     # reconfiguration.
     for sid in alive:
         ring.servers[sid].on_unsuspect(3)
-    ring.servers[3]._enter_rejoining()
+    ring.servers[3].views._enter_rejoining()
     ring.servers[3].queue_rejoin_announce(0)
     ring.pump()
     for sid in alive:

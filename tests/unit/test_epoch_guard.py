@@ -122,7 +122,7 @@ def test_stale_epoch_data_is_rejected_and_notice_queued():
     exclude(servers, 3, [0, 1, 2])
     s0 = servers[0]
     # Install-time fencing already told the excluded server once...
-    assert s0._stale_notified.get(3) == 1
+    assert s0.views._stale_notified.get(3) == 1
     # ...so exercise the data-path guard with a straggler from a peer
     # that was never fenced: an epoch-0 frame after epoch 1 installed.
     stale = PreWrite(Tag(9, 2), b"zombie", OpId(9, 0), (), epoch=0)

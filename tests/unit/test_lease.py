@@ -232,16 +232,16 @@ def test_no_grant_to_announced_rejoiner_before_catchup():
 def test_lease_update_transitions():
     server = make_server()
     server.on_lease_update(True, 0)
-    assert server.lease_valid and server.lease_epoch == 0
+    assert server.views.lease_valid and server.views.lease_epoch == 0
     server.on_lease_update(False, 0)
-    assert not server.lease_valid
-    assert server.lease_epoch == -1, "an invalid lease covers no epoch"
+    assert not server.views.lease_valid
+    assert server.views.lease_epoch == -1, "an invalid lease covers no epoch"
 
 
 def test_waitout_elapsed_ignores_stale_epochs():
     server = make_server()
     server._lease_waitout = True
-    server._waitout_commit_tags = [Tag(1, 1)]
+    server.views._waitout_commit_tags = [Tag(1, 1)]
     server.lease_waitout_elapsed(server.installed_epoch + 1)
     assert server._lease_waitout, "a stale timer must not lift the gate"
     server.lease_waitout_elapsed(server.installed_epoch)

@@ -1,15 +1,18 @@
 """Meta-tests: the server control plane is wired in exactly one place,
-and the stored value has exactly one owner.
+and the stored value and the ring's membership have exactly one owner
+each.
 
 ``repro/runtime/driver.py`` owns the heartbeat tracker, the read lease,
 the reconcile / wait-out flags and the rejoin announcements for *every*
 host (simulated, sharded, asyncio); ``repro/core/values.py`` owns
-everything that depends on how a value is laid out across the ring.
-These tests read the source tree: if a runtime grows its own copy of any
-of that wiring again, or the driver starts importing a clock, an event
-loop or the simulator, or fragment bookkeeping leaks back into the
-protocol core, or either side regrows past its budget, they fail at diff
-time.
+everything that depends on how a value is laid out across the ring;
+``repro/core/views.py`` owns every membership decision — suspicion,
+promises, stale-epoch fencing, leases and their fences.  These tests
+read the source tree: if a runtime grows its own copy of any of that
+wiring again, or the driver starts importing a clock, an event loop or
+the simulator, or fragment or promise bookkeeping leaks back into the
+protocol core, or either side regrows past its budget, they fail at
+diff time.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ _DRIVER = "repro/runtime/driver.py"
 _DRIVER_ONLY = {
     "HeartbeatTracker": {"repro/fd/heartbeat.py", "repro/fd/__init__.py"},
     "ReadLease": {"repro/fd/heartbeat.py"},
-    "reconcile_due": {"repro/core/server.py"},
-    "lease_waitout_due": {"repro/core/server.py"},
+    "reconcile_due": {"repro/core/server.py", "repro/core/views.py"},
+    "lease_waitout_due": {"repro/core/server.py", "repro/core/views.py"},
     "queue_rejoin_announce": {"repro/core/server.py"},
 }
 
@@ -56,10 +59,30 @@ _VALUES_ONLY_CALLS = {
     "FragmentReply": {"repro/transport/codec.py"},
 }
 
+_VIEWS = "repro/core/views.py"
+
+#: Suspicion, promise, lease and fence state: named only by the view
+#: policies.  The protocol core merges state; it never arbitrates views.
+_VIEWS_ONLY = {
+    "_promise",
+    "_attempt_nonce",
+    "_suspicion_paused",
+    "_announced_rejoiners",
+    "_stale_notified",
+    "_fence_waiters",
+    "_waitout_commit_tags",
+    "lease_valid",
+    "lease_epoch",
+}
+
+#: The configuration switches the two seams are chosen by — once, by
+#: ``view_policy`` and the policies' constructors, never in the core.
+_POLICY_SWITCHES = {"view_quorum", "read_leases"}
+
 #: Logical lines: ``core/server.py`` was 1,581 with the coded backend
-#: threaded through it; all of ``core/`` was 3,380 — splitting the
-#: backend out may not cost code.
-_SERVER_LINE_BUDGET = 1300
+#: threaded through it and 1,278 with both membership protocols; all of
+#: ``core/`` was 3,380 — neither seam may cost code.
+_SERVER_LINE_BUDGET = 900
 _CORE_LINE_BUDGET = 3380
 
 #: Logical lines of ``repro/runtime/`` + ``repro/core/sharded.py`` —
@@ -133,6 +156,21 @@ def test_value_layout_is_known_only_to_the_value_backends():
     )
 
 
+def test_view_state_is_known_only_to_the_view_policies():
+    offenders = []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        if rel != _VIEWS:
+            mentioned = _code_names(ast.parse(path.read_text()))
+            offenders += [(rel, name) for name in sorted(_VIEWS_ONLY & mentioned)]
+    assert offenders == [], f"view state outside {_VIEWS}: {offenders}"
+    assert _VIEWS_ONLY <= _code_names(ast.parse((_SRC / _VIEWS).read_text()))
+    server = _code_names(ast.parse((_SRC / "repro/core/server.py").read_text()))
+    assert not _POLICY_SWITCHES & server, (
+        "the protocol core must not branch on the membership mode"
+    )
+
+
 def test_driver_is_sans_io():
     tree = ast.parse((_SRC / _DRIVER).read_text())
     imported = set()
@@ -187,7 +225,7 @@ def test_protocol_core_stays_within_its_line_budget():
         f.relative_to(_SRC).as_posix(): _logical_lines(f)
         for f in sorted((_SRC / "repro/core").glob("*.py"))
     }
-    assert _VALUES in counts
+    assert _VALUES in counts and _VIEWS in counts
     assert counts["repro/core/server.py"] <= _SERVER_LINE_BUDGET, counts
     assert sum(counts.values()) <= _CORE_LINE_BUDGET, counts
 
@@ -228,3 +266,21 @@ def test_writeahead_rule_covers_the_value_backends(tmp_path):
     assert rules_of(violations) == ["writeahead.host-bypass"]
     assert len(violations) == 2, "one per covered attribute assigned"
     assert {v.path for v in violations} == {_VALUES}
+
+
+def test_writeahead_rule_covers_the_view_policies(tmp_path):
+    """A policy reaches the snapshot-covered membership state only
+    through the protocol's primitives (``_reroute``, ``_install_view``,
+    ``_next_nonce``); assigning it directly is caught."""
+    tree = _mutated_tree(
+        tmp_path, _VIEWS,
+        "\n\ndef _poke(self, ring):\n"
+        "    self.core.ring = ring\n"
+        "    self.core.installed_epoch = ring.epoch\n"
+        "    self.core._reconfig_counter += 1\n"
+        "\n\nQuorumViews._poke = _poke\n",
+    )
+    violations = run_paths([str(tree)])
+    assert rules_of(violations) == ["writeahead.host-bypass"]
+    assert len(violations) == 3, "one per covered attribute assigned"
+    assert {v.path for v in violations} == {_VIEWS}

@@ -188,6 +188,46 @@ def test_value_backend_store_to_the_register_flagged(tmp_path):
     assert "self.core.frag_tag" in violations[0].message
 
 
+def test_view_policy_call_counts_as_a_mutation(tmp_path):
+    """A policy hook may come back through ``_install_view`` or
+    ``_next_nonce``; like a backend hook, the handler that calls one must
+    persist before it returns."""
+    handler = (
+        "    def on_suspect(self, peer):\n"
+        "        self.views.on_suspect(peer)\n"
+        "{persist}"
+        "        return []\n"
+    )
+    red = run_tree(
+        tmp_path / "red", {"repro/core/proto.py": _HEADER + handler.format(persist="")}
+    )
+    assert rules_of(red) == ["writeahead.persist-before-output"]
+    green = run_tree(
+        tmp_path / "green",
+        {
+            "repro/core/proto.py": _HEADER
+            + handler.format(persist="        self._maybe_persist()\n")
+        },
+    )
+    assert green == []
+
+
+def test_view_policy_store_to_membership_state_flagged(tmp_path):
+    violations = run_tree(
+        tmp_path,
+        {
+            "repro/core/views.py": (
+                "class Policy:\n"
+                "    def install(self, commit, ring):\n"
+                "        self.core.installed_epoch = commit.epoch\n"
+                "        self.core._install_view(ring, commit)\n"
+            )
+        },
+    )
+    assert rules_of(violations) == ["writeahead.host-bypass"]
+    assert "self.core.installed_epoch" in violations[0].message
+
+
 def test_host_bypass_flagged(tmp_path):
     violations = run_tree(
         tmp_path,
