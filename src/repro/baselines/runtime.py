@@ -7,9 +7,10 @@ A baseline server is a sans-I/O object with three inputs —
 :class:`PeerSend` (unicast to another server) or :class:`MulticastPeers`
 (ethernet multicast to all other servers, collision-prone).
 
-:class:`BaselineServerHost` executes those effects with the same NIC
-accounting as the core algorithm's host: one transmit at a time per NIC,
-per-client-machine reply fairness, and dual/shared topology support.
+:class:`BaselineServerHost` executes those effects on the machine the
+core algorithm's host runs on
+(:class:`~repro.runtime.sim_net.ServerMachine`): one transmit at a time
+per NIC, per-client-machine reply fairness, dual or shared topology.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.runtime.interface import Reply
-from repro.runtime.sim_net import HostBase, OutLoop, SimCluster
+from repro.runtime.sim_net import ServerMachine, SimCluster
 
 
 @dataclass(frozen=True)
@@ -37,28 +38,13 @@ class MulticastPeers:
     message: Any
 
 
-class BaselineServerHost(HostBase):
+class BaselineServerHost(ServerMachine):
     """Hosts one baseline server protocol on the simulated network."""
 
     def __init__(self, cluster: SimCluster, server_id: int, proto):
-        super().__init__(cluster, f"s{server_id}")
-        self.server_id = server_id
+        super().__init__(cluster, server_id, self._peer_source)
         self.proto = proto
         self.peer_queue: deque[tuple[str, Any]] = deque()
-        self._reply_queues: dict[str, deque[Reply]] = {}
-        self._reply_rr: deque[str] = deque()
-
-        nics = cluster.topo.nics[self.name]
-        if cluster.config.topology == "dual":
-            self.nic_ring = nics["srv"]
-            self.nic_client = nics["cli"]
-            self._loops.append(OutLoop(self, self.nic_ring, [self._peer_source]))
-            self._loops.append(OutLoop(self, self.nic_client, [self._reply_source]))
-        else:
-            nic = nics["lan"]
-            self.nic_ring = nic
-            self.nic_client = nic
-            self._loops.append(OutLoop(self, nic, [self._peer_source, self._reply_source]))
 
     # -- inbound ---------------------------------------------------------
 
@@ -89,38 +75,18 @@ class BaselineServerHost(HostBase):
             return None
         return (*self.peer_queue.popleft(), "srv")
 
-    def _reply_source(self):
-        while self._reply_rr:
-            machine = self._reply_rr[0]
-            queue = self._reply_queues.get(machine)
-            if not queue:
-                self._reply_rr.popleft()
-                continue
-            reply = queue.popleft()
-            if queue:
-                self._reply_rr.rotate(-1)
-            else:
-                self._reply_rr.popleft()
-            return (machine, reply.message, "reply")
-        return None
-
     def _post(self, effects) -> None:
+        replies = []
         for effect in effects:
             if isinstance(effect, Reply):
-                machine = self.cluster.client_name(effect.client)
-                if machine is None:
-                    continue
-                queue = self._reply_queues.setdefault(machine, deque())
-                if not queue and machine not in self._reply_rr:
-                    self._reply_rr.append(machine)
-                queue.append(effect)
+                replies.append(effect)
             elif isinstance(effect, PeerSend):
                 self.peer_queue.append((f"s{effect.dst}", effect.message))
             elif isinstance(effect, MulticastPeers):
                 self.cluster.multicast_servers(self, effect.message)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown baseline effect {effect!r}")
-        self.kick()
+        self.post(replies)
 
 
 def build_baseline_cluster(proto_factory, num_servers: int, **kwargs) -> SimCluster:

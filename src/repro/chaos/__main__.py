@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from repro.chaos.runner import TARGETS, ChaosResult, run_schedule
@@ -63,20 +62,12 @@ def run_batch(
     num_servers: int,
     verbose: bool = True,
     profile: Optional[ChaosProfile] = None,
-    batching: bool = True,
 ) -> list[ChaosResult]:
     if profile is None:
         profile = TARGETS[protocol].profile
     results = []
     for index in range(runs):
         schedule = generate_schedule(seed, index, num_servers, profile)
-        if not batching:
-            # Same schedule (plan/seeds compare equal; config is
-            # compare=False), one message per frame.
-            schedule = replace(
-                schedule,
-                config=replace(schedule.config, batch_max_messages=1),
-            )
         result = run_schedule(schedule, protocol)
         results.append(result)
         if verbose:
@@ -116,10 +107,6 @@ def main(argv: list[str] | None = None) -> int:
                              "complete at least one migration")
     parser.add_argument("--smoke", action="store_true",
                         help="fixed quick pass over the whole zoo (CI)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="disable ring-frame batching (one message per "
-                             "wire frame; the default gates the batched "
-                             "path, which is also what benchmarks run)")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -193,8 +180,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"== {protocol}: {runs} randomized {profile_name!r} schedules "
                   f"(seed {args.seed}) ==")
         results = run_batch(protocol, runs, args.seed, args.servers,
-                            verbose=not args.quiet, profile=batch_profile,
-                            batching=not args.no_batch)
+                            verbose=not args.quiet, profile=batch_profile)
         passed = sum(1 for result in results if result.ok)
         failures += sum(1 for result in results if not result.ok)
         anomalies += sum(1 for result in results if result.anomaly)

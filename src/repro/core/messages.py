@@ -17,16 +17,17 @@ Every ring message carries a ``commits`` tuple: commit tags piggybacked on
 whatever message happens to be leaving next (Section 4.2's key throughput
 optimisation — commits almost never consume their own wire slot).
 
-``payload_size`` returns the number of application bytes each message
-occupies; the simulator charges NICs with these sizes, and the asyncio
-codec produces encodings of exactly these sizes (checked by tests), so the
-simulator and the real transport agree on cost.
+``WIRE_LAYOUT`` at the bottom of this module is the wire format: one
+row per message, from which ``payload_size`` (what the simulator charges
+NICs) and the asyncio codec's encoders and decoders are all compiled, so
+the simulator and the real transport cannot disagree on cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+import struct
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.core.tags import Tag
 
@@ -413,6 +414,98 @@ ServerReply = Union[WriteAck, ReadAck]
 Message = Union[RingMessage, ClientMessage, ServerReply]
 
 
+#: Fixed-width field kinds -> ``struct`` format (big-endian, unpadded).
+FIXED_KINDS = {
+    "i32": "i", "u32": "I", "i64": "q", "f64": "d",
+    "tag": "qi",  # Tag(ts, server_id); signed, Tag.ZERO is (0, -1)
+    "opt_tag": "qi",  # Optional[Tag]: None travels as Tag.ZERO
+    "op": "qi",  # OpId(client, seq)
+}  # fmt: skip
+
+#: Variable-width field kinds -> (is a u32 count in front?, format of
+#: each item; ``"s"`` is raw bytes, whose count is their length).
+#: Without the count a field runs to the end of the body, so only a
+#: layout's last field may be one; a layout without one ends where its
+#: last field does.
+SEQUENCE_KINDS = {
+    "bytes": (True, "s"), "tail": (False, "s"),
+    "tags": (True, "qi"), "tags_to_end": (False, "qi"),
+    "i32s": (True, "i"),
+    "op_pairs": (True, "qi"),  # (client, max completed seq)
+    "client_tags": (True, "qqi"),  # (client, Tag)
+    "pending": (True, "qiqiIs"),  # PendingEntry: tag, op, u32 length, value
+}  # fmt: skip
+
+#: A message body: ``(field, kind)`` in wire order.
+Layout = tuple[tuple[str, str], ...]
+
+_RECONFIG_LAYOUT: Layout = (
+    ("nonce", "i64"), ("epoch", "i64"), ("coordinator", "i32"),
+    ("dead", "i32s"), ("revived", "i32s"), ("tag", "tag"), ("value", "bytes"),
+    ("pending", "pending"), ("completed_ops", "op_pairs"),
+    ("completed_tags", "client_tags"),
+)  # fmt: skip
+
+#: The wire format, one row per message: type code, then the body's
+#: fields in wire order.  On the wire the body follows an 8-byte header
+#: (the type code, three reserved bytes, the u32 body length).
+#: :func:`payload_size` and the codec's encoders and decoders
+#: (:mod:`repro.transport.codec`) are all compiled from these rows at
+#: import, so the bytes the simulator charges are the bytes a socket
+#: carries; a new message type is a dataclass, a union entry and a row.
+WIRE_LAYOUT: dict[type, tuple[int, Layout]] = {
+    ClientWrite: (1, (("op", "op"), ("value", "tail"))),
+    WriteAck: (2, (("op", "op"), ("tag", "opt_tag"))),
+    ClientRead: (3, (("op", "op"), ("session", "opt_tag"))),
+    ReadAck: (4, (("op", "op"), ("tag", "tag"), ("value", "tail"))),
+    PreWrite: (5, (("tag", "tag"), ("op", "op"), ("epoch", "i64"),
+                   ("commits", "tags"), ("value", "tail"))),
+    Commit: (6, (("epoch", "i64"), ("commits", "tags_to_end"))),
+    StateSync: (7, (("tag", "tag"), ("epoch", "i64"), ("commits", "tags"),
+                    ("value", "tail"))),
+    ReconfigToken: (8, _RECONFIG_LAYOUT),
+    ReconfigCommit: (9, _RECONFIG_LAYOUT),
+    RejoinRequest: (10, (("server_id", "i32"), ("generation", "u32"),
+                         ("epoch", "i64"))),
+    StaleEpochNotice: (11, (("epoch", "i64"), ("sender", "i32"))),
+    Heartbeat: (12, (("server_id", "i32"),)),
+    LeaseGrant: (13, (("grantor", "i32"), ("epoch", "i64"), ("sent_at", "f64"))),
+    LeaseRevoke: (14, (("grantor", "i32"), ("epoch", "i64"))),
+    ReadFence: (15, (("nonce", "i64"), ("origin", "i32"), ("epoch", "i64"))),
+    FragmentStore: (16, (("tag", "tag"), ("op", "op"), ("index", "i32"),
+                         ("epoch", "i64"), ("fragment", "tail"))),
+    FragmentFetch: (17, (("nonce", "i64"), ("tag", "tag"), ("requester", "i32"),
+                         ("epoch", "i64"))),
+    FragmentReply: (18, (("nonce", "i64"), ("tag", "tag"), ("index", "i32"),
+                         ("epoch", "i64"), ("fragment", "tail"))),
+}  # fmt: skip
+
+
+def compile_size(fields: Layout) -> Callable[[Any], int]:
+    """The function sizing a message laid out as ``fields``: the fixed
+    widths summed once, here, plus one term per variable-width field."""
+    fixed = BASE_WIRE_BYTES
+    terms: list[str] = []
+    for name, kind in fields:
+        if kind in FIXED_KINDS:
+            fixed += struct.calcsize(">" + FIXED_KINDS[kind])
+            continue
+        counted, item = SEQUENCE_KINDS[kind]
+        fixed += 4 * counted
+        width = struct.calcsize(">" + item.rstrip("s"))
+        if item == "s":
+            terms.append(f"len(m.{name})")
+        elif item.endswith("s"):
+            terms.append(f"sum([{width} + len(e.value) for e in m.{name}])")
+        else:
+            terms.append(f"{width} * len(m.{name})")
+    sizer: Callable[[Any], int] = eval("lambda m: " + " + ".join([str(fixed), *terms]))
+    return sizer
+
+
+_SIZERS = {cls: compile_size(fields) for cls, (_, fields) in WIRE_LAYOUT.items()}
+
+
 def payload_size(message: Message) -> int:
     """Application-level payload bytes of ``message``.
 
@@ -420,89 +513,7 @@ def payload_size(message: Message) -> int:
     framing); the binary codec produces encodings of this exact size, so
     simulated and real transports agree.
     """
-    if isinstance(message, ClientWrite):
-        return BASE_WIRE_BYTES + OP_ID_WIRE_BYTES + len(message.value)
-    if isinstance(message, WriteAck):
-        return BASE_WIRE_BYTES + OP_ID_WIRE_BYTES + TAG_WIRE_BYTES
-    if isinstance(message, ClientRead):
-        return BASE_WIRE_BYTES + OP_ID_WIRE_BYTES + TAG_WIRE_BYTES  # session tag
-    if isinstance(message, ReadAck):
-        return BASE_WIRE_BYTES + OP_ID_WIRE_BYTES + TAG_WIRE_BYTES + len(message.value)
-    if isinstance(message, PreWrite):
-        return (
-            BASE_WIRE_BYTES
-            + TAG_WIRE_BYTES
-            + OP_ID_WIRE_BYTES
-            + 8  # epoch stamp
-            + 4  # piggybacked-commit count
-            + len(message.value)
-            + TAG_WIRE_BYTES * len(message.commits)
-        )
-    if isinstance(message, Commit):
-        return BASE_WIRE_BYTES + 8 + TAG_WIRE_BYTES * len(message.commits)
-    if isinstance(message, StateSync):
-        return (
-            BASE_WIRE_BYTES
-            + TAG_WIRE_BYTES
-            + 8  # epoch stamp
-            + 4  # piggybacked-commit count
-            + len(message.value)
-            + TAG_WIRE_BYTES * len(message.commits)
-        )
-    if isinstance(message, (ReconfigToken, ReconfigCommit)):
-        pending_bytes = sum(
-            TAG_WIRE_BYTES + OP_ID_WIRE_BYTES + 4 + len(entry.value)
-            for entry in message.pending
-        )
-        return (
-            BASE_WIRE_BYTES
-            + 8  # nonce
-            + 8  # epoch
-            + 4  # coordinator
-            + 4  # dead count
-            + 4 * len(message.dead)
-            + 4  # revived count
-            + 4 * len(message.revived)
-            + TAG_WIRE_BYTES
-            + 4  # value length
-            + len(message.value)
-            + 4  # pending count
-            + pending_bytes
-            + 4  # completed-ops count
-            + OP_ID_WIRE_BYTES * len(message.completed_ops)
-            + 4  # completed-tags count
-            + (8 + TAG_WIRE_BYTES) * len(message.completed_tags)
-        )
-    if isinstance(message, RejoinRequest):
-        return BASE_WIRE_BYTES + 4 + 4 + 8  # server id + generation + epoch
-    if isinstance(message, StaleEpochNotice):
-        return BASE_WIRE_BYTES + 8 + 4  # epoch + sender id
-    if isinstance(message, ReadFence):
-        return BASE_WIRE_BYTES + 8 + 4 + 8  # nonce + origin + epoch
-    if isinstance(message, FragmentStore):
-        return (
-            BASE_WIRE_BYTES
-            + TAG_WIRE_BYTES
-            + OP_ID_WIRE_BYTES
-            + 4  # fragment index
-            + 8  # epoch stamp
-            + len(message.fragment)
-        )
-    if isinstance(message, FragmentFetch):
-        return BASE_WIRE_BYTES + 8 + TAG_WIRE_BYTES + 4 + 8  # nonce+tag+requester+epoch
-    if isinstance(message, FragmentReply):
-        return (
-            BASE_WIRE_BYTES
-            + 8  # nonce
-            + TAG_WIRE_BYTES
-            + 4  # fragment index (-1: miss)
-            + 8  # epoch stamp
-            + len(message.fragment)
-        )
-    if isinstance(message, Heartbeat):
-        return BASE_WIRE_BYTES + 4  # server id
-    if isinstance(message, LeaseGrant):
-        return BASE_WIRE_BYTES + 4 + 8 + 8  # grantor + epoch + sent_at
-    if isinstance(message, LeaseRevoke):
-        return BASE_WIRE_BYTES + 4 + 8  # grantor + epoch
-    raise TypeError(f"unknown message type: {type(message).__name__}")
+    try:
+        return _SIZERS[type(message)](message)
+    except KeyError:
+        raise TypeError(f"unknown message type: {type(message).__name__}") from None

@@ -230,10 +230,6 @@ class AsyncServerNode:
         self.driver: Optional[ServerDriver] = None
         #: Control-plane event tallies, keyed by the driver's event names.
         self.counters: Counter = Counter()
-        self._hb_writers: dict[int, asyncio.StreamWriter] = {}
-        self._hb_dialing: set[int] = set()
-        #: Consecutive refused rejoin announcements (see :meth:`_announced`).
-        self._refused = 0
         #: Durable snapshot store; a restart reloads from it.  Use a
         #: :class:`~repro.core.durable.FileSnapshotStore` for state that
         #: must survive the *process* (the deployment story); the default
@@ -249,13 +245,23 @@ class AsyncServerNode:
             self.proto.config.batch_max_messages, len(ring.members)
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        self._reset_volatile()
+
+    def _reset_volatile(self) -> None:
+        """Everything an incarnation starts without: connections, tasks
+        and sessions.  A restart's links are all new connections, which
+        the bumped ``generation`` tells the peers."""
+        self._stopped = False
+        self._tasks: list[asyncio.Task] = []
+        self._hb_writers: dict[int, asyncio.StreamWriter] = {}
+        self._hb_dialing: set[int] = set()
+        #: Consecutive refused rejoin announcements (see :meth:`_announced`).
+        self._refused = 0
         self._client_writers: dict[int, asyncio.StreamWriter] = {}
         self._inbound_writers: set[asyncio.StreamWriter] = set()
         self._ring_writer: Optional[asyncio.StreamWriter] = None
         self._ring_peer: Optional[int] = None
         self._ring_wake = asyncio.Event()
-        self._tasks: list[asyncio.Task] = []
-        self._stopped = False
         # Reliable sessions: one endpoint toward the current successor
         # (reset whenever the successor changes — a new ring link is a
         # new channel), one per inbound peer (ring predecessors by
@@ -324,30 +330,16 @@ class AsyncServerNode:
     async def restart(self) -> None:
         """Restart a stopped server from its durable snapshot and rejoin.
 
-        The volatile half is rebuilt from scratch (a new protocol
-        restored from the snapshot, fresh sessions — every link is a new
-        connection, which the bumped ``generation`` communicates — and a
-        fresh suspect-first driver); the node re-listens on its recorded
+        The volatile half is rebuilt from scratch (:meth:`_reset_volatile`,
+        a new protocol restored from the snapshot and a fresh
+        suspect-first driver); the node re-listens on its recorded
         address and the driver announces it to the live servers until a
         reconfiguration folds it back in.
         """
         if not self._stopped:
             return
         self.generation += 1
-        self._stopped = False
-        self._tasks = []
-        self._client_writers = {}
-        self._inbound_writers = set()
-        self._hb_writers = {}
-        self._hb_dialing = set()
-        self._refused = 0
-        self._ring_writer = None
-        self._ring_peer = None
-        self._ring_wake = asyncio.Event()
-        self._ring_session = ReliableSession()
-        self._session_peer = None
-        self._peer_sessions = {}
-        self._peer_generations = {}
+        self._reset_volatile()
         self.proto = ServerProtocol.restore(
             self.server_id,
             sorted(self.addresses),

@@ -271,13 +271,68 @@ class _HostBase(SimProcess):
             nic.rx.purge()
 
 
-class ServerHost(_HostBase):
-    """Hosts one :class:`ServerProtocol` on the simulated network.
+class _ServerMachine(_HostBase):
+    """A server's place on the simulated network, whatever protocol it
+    hosts: its NIC(s) and its replies to clients.
 
     Replies are queued per destination client *machine* and served
     round-robin, modelling per-TCP-connection fairness in a real kernel:
     a writer machine's (tiny) acks are not starved behind another
     machine's (bulk) read replies.
+    """
+
+    def __init__(self, cluster: "SimCluster", server_id: int, peer_source: Callable):
+        """``peer_source`` feeds the server-to-server port."""
+        super().__init__(cluster, f"s{server_id}")
+        self.server_id = server_id
+        self._reply_queues: dict[str, deque[Reply]] = {}
+        self._reply_rr: deque[str] = deque()
+
+        nics = cluster.topo.nics[self.name]
+        if cluster.config.topology == "dual":
+            self.nic_ring = nics["srv"]
+            self.nic_client = nics["cli"]
+            self._loops.append(_OutLoop(self, self.nic_ring, [peer_source]))
+            self._loops.append(_OutLoop(self, self.nic_client, [self._reply_source]))
+        else:
+            nic = nics["lan"]
+            self.nic_ring = nic
+            self.nic_client = nic
+            # One NIC carries both kinds of traffic; round-robin between
+            # forwarding to servers and answering clients (figure 3d).
+            self._loops.append(
+                _OutLoop(self, nic, [peer_source, self._reply_source])
+            )
+
+    def _reply_source(self):
+        while self._reply_rr:
+            machine = self._reply_rr[0]
+            queue = self._reply_queues.get(machine)
+            if not queue:
+                self._reply_rr.popleft()
+                continue
+            reply = queue.popleft()
+            if queue:
+                self._reply_rr.rotate(-1)  # next machine's turn
+            else:
+                self._reply_rr.popleft()
+            return (machine, reply.message, "reply")
+        return None
+
+    def post(self, replies: list[Reply]) -> None:
+        for reply in replies:
+            machine = self.cluster.client_name(reply.client)
+            if machine is None:
+                continue  # client unknown/gone; drop
+            queue = self._reply_queues.setdefault(machine, deque())
+            if not queue and machine not in self._reply_rr:
+                self._reply_rr.append(machine)
+            queue.append(reply)
+        self.kick()
+
+
+class ServerHost(_ServerMachine):
+    """Hosts one :class:`ServerProtocol` on the simulated network.
 
     The host is also the :class:`~repro.runtime.driver.DriverHost` of
     its incarnation's control-plane driver: it lends the simulated
@@ -290,34 +345,15 @@ class ServerHost(_HostBase):
     def __init__(
         self, cluster: "SimCluster", server_id: int, proto: Optional[ServerProtocol]
     ):
-        super().__init__(cluster, f"s{server_id}")
-        self.server_id = server_id
+        super().__init__(cluster, server_id, self._ring_source)
         #: The hosted protocol (``None`` on the sharded subclass, which
         #: keeps one per block in ``protos``).
         self.proto = proto
-        self._reply_queues: dict[str, deque[Reply]] = {}
-        self._reply_rr: deque[str] = deque()
         #: Last-mirrored statistics, one tuple per hosted protocol, for
         #: the trace-counter deltas.
         self._mirrored_stats: list[tuple] = []
         self.driver = self._new_driver(trusting=True)
         self.on_crash(lambda _process: self.driver.stop())
-
-        nics = cluster.topo.nics[self.name]
-        if cluster.config.topology == "dual":
-            self.nic_ring = nics["srv"]
-            self.nic_client = nics["cli"]
-            self._loops.append(_OutLoop(self, self.nic_ring, [self._ring_source]))
-            self._loops.append(_OutLoop(self, self.nic_client, [self._reply_source]))
-        else:
-            nic = nics["lan"]
-            self.nic_ring = nic
-            self.nic_client = nic
-            # One NIC carries both kinds of traffic; round-robin between
-            # forwarding the ring and answering clients (figure 3d).
-            self._loops.append(
-                _OutLoop(self, nic, [self._ring_source, self._reply_source])
-            )
 
     def all_protos(self) -> list[ServerProtocol]:
         """Every hosted protocol instance: one here, one per block on
@@ -477,32 +513,6 @@ class ServerHost(_HostBase):
         if pulled is None:
             return None
         return (f"s{pulled[0]}", pulled[1], "ring")
-
-    def _reply_source(self):
-        while self._reply_rr:
-            machine = self._reply_rr[0]
-            queue = self._reply_queues.get(machine)
-            if not queue:
-                self._reply_rr.popleft()
-                continue
-            reply = queue.popleft()
-            if queue:
-                self._reply_rr.rotate(-1)  # next machine's turn
-            else:
-                self._reply_rr.popleft()
-            return (machine, reply.message, "reply")
-        return None
-
-    def post(self, replies: list[Reply]) -> None:
-        for reply in replies:
-            machine = self.cluster.client_name(reply.client)
-            if machine is None:
-                continue  # client unknown/gone; drop
-            queue = self._reply_queues.setdefault(machine, deque())
-            if not queue and machine not in self._reply_rr:
-                self._reply_rr.append(machine)
-            queue.append(reply)
-        self.kick()
 
 
 class ClientHost(_HostBase):
@@ -1326,7 +1336,7 @@ def _payload_of(message) -> int:
     return payload_size(message)
 
 
-# Public aliases for the baseline runtimes (repro.baselines), which build
-# their own server hosts on the same machinery.
-HostBase = _HostBase
+# Public aliases: the baseline runtimes (repro.baselines) host their
+# protocols on the same machine; perfbench spans the pump.
+ServerMachine = _ServerMachine
 OutLoop = _OutLoop

@@ -1,17 +1,16 @@
-"""codec.* — the wire codec and the message catalogue stay in lockstep.
+"""codec.* — the layout table and the message catalogue stay in lockstep.
 
-PR 6 rewrote the codec hot path around dict dispatch; the cost of that
-shape is that *nothing* fails at import time when a new message class
-misses a table entry — it fails at runtime, on the first message of that
-type, possibly only under chaos.  This rule cross-checks, purely from
-the ASTs of ``core/messages.py``, ``transport/codec.py`` and
-``transport/reliable.py``:
+``WIRE_LAYOUT`` in ``core/messages.py`` is the wire format: sizes,
+encoders and decoders are compiled from it, so they cannot disagree
+with each other — but nothing in Python makes a new message class *get*
+a row.  This rule checks, purely from the ASTs of ``core/messages.py``
+and ``transport/reliable.py``:
 
-* every message class (the ``RingMessage``/``ClientMessage``/
-  ``ServerReply`` unions plus ``Heartbeat``) has a ``_TYPE_CODES`` code,
-  an ``_ENCODERS`` entry, a ``_DECODERS`` entry under that code, and an
-  ``isinstance`` arm in ``payload_size``;
-* type codes are unique;
+* the literal table has exactly one row, with a unique type code and
+  only real dataclass field names, per message class (the
+  ``RingMessage``/``ClientMessage``/``ServerReply`` unions plus
+  ``Heartbeat``/``LeaseGrant``/``LeaseRevoke``) — the codec asserts the
+  same completeness when it is imported;
 * declared byte-accounting constants match the struct formats that
   actually produce the bytes (``TAG_WIRE_BYTES`` == sizeof ``">qi"``,
   ``BASE_WIRE_BYTES`` == sizeof ``">B3xI"``, segment/batch header
@@ -28,13 +27,16 @@ from __future__ import annotations
 
 import ast
 import struct
+from collections import Counter
 from typing import Optional
 
-from repro.staticheck.base import Project, SourceFile, Violation, project_rule
+from repro.staticheck.base import Project, Violation, project_rule
 
 _MESSAGES = "repro/core/messages.py"
-_CODEC = "repro/transport/codec.py"
 _RELIABLE = "repro/transport/reliable.py"
+
+#: Sent outside the unions (heartbeat channel), encoded all the same.
+_UNSESSIONED = ("Heartbeat", "LeaseGrant", "LeaseRevoke")
 
 #: messages.py constant -> struct format that must produce its width.
 _WIDTH_CONSTANTS = {
@@ -49,8 +51,12 @@ def _module_constants(tree: ast.Module) -> dict[str, ast.expr]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
-            if isinstance(target, ast.Name):
-                out[target.id] = node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target = node.target
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            out[target.id] = node.value
     return out
 
 
@@ -91,7 +97,6 @@ def _dataclass_fields(node: ast.ClassDef) -> set[str]:
 @project_rule("codec")
 def check(project: Project) -> list[Violation]:
     messages = project.find(_MESSAGES)
-    codec = project.find(_CODEC)
     if messages is None or messages.tree is None:
         return []
     out: list[Violation] = []
@@ -109,7 +114,7 @@ def check(project: Project) -> list[Violation]:
             ring_members
             + _union_members(constants.get("ClientMessage", ast.Tuple(elts=[])))
             + _union_members(constants.get("ServerReply", ast.Tuple(elts=[])))
-            + (["Heartbeat"] if "Heartbeat" in classes else [])
+            + [name for name in _UNSESSIONED if name in classes]
         )
     )
     if not encodable:
@@ -125,8 +130,8 @@ def check(project: Project) -> list[Violation]:
     # -- fragment messages must ride the ring --------------------------
     # The coded backend's Fragment* messages travel server-to-server and
     # are epoch-fenced; one that is not in the RingMessage union escapes
-    # the epoch-stamp, payload_size and dispatch checks below *and* the
-    # server's on_ring_message dispatch — a silent hole, not an error.
+    # the epoch-stamp and layout checks below *and* the server's
+    # on_ring_message dispatch — a silent hole, not an error.
     for name, node in classes.items():
         if name.startswith("Fragment") and name not in ring_members:
             out.append(
@@ -153,124 +158,7 @@ def check(project: Project) -> list[Violation]:
                 )
             )
 
-    # -- payload_size coverage -----------------------------------------
-    size_fn = next(
-        (
-            node
-            for node in messages.tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "payload_size"
-        ),
-        None,
-    )
-    if size_fn is None:
-        out.append(
-            Violation(
-                _MESSAGES, 1, 0, "codec.payload-size",
-                "payload_size() not found in core/messages.py",
-            )
-        )
-    else:
-        sized: set[str] = set()
-        for node in ast.walk(size_fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance"
-                and len(node.args) == 2
-            ):
-                kind = node.args[1]
-                elements = kind.elts if isinstance(kind, ast.Tuple) else [kind]
-                sized |= {e.id for e in elements if isinstance(e, ast.Name)}
-        for name in encodable:
-            if name not in sized:
-                out.append(
-                    Violation(
-                        _MESSAGES, size_fn.lineno, size_fn.col_offset,
-                        "codec.payload-size",
-                        f"payload_size() has no isinstance arm for {name}; "
-                        "the simulator cannot charge its wire cost",
-                    )
-                )
-
-    # -- dispatch tables -----------------------------------------------
-    if codec is None or codec.tree is None:
-        out.append(
-            Violation(
-                _MESSAGES, 1, 0, "codec.dispatch",
-                f"{_CODEC} not in the analyzed paths; cannot check the "
-                "dispatch tables",
-            )
-        )
-        return out
-    codec_constants = _module_constants(codec.tree)
-
-    type_codes: dict[str, Optional[int]] = {}
-    codes_node = codec_constants.get("_TYPE_CODES")
-    if isinstance(codes_node, ast.Dict):
-        for key, value in zip(codes_node.keys, codes_node.values):
-            if isinstance(key, ast.Name):
-                type_codes[key.id] = _int_value(value)
-    encoder_keys: set[str] = set()
-    encoders_node = codec_constants.get("_ENCODERS")
-    if isinstance(encoders_node, ast.Dict):
-        encoder_keys = {k.id for k in encoders_node.keys if isinstance(k, ast.Name)}
-    decoder_keys: set[str] = set()
-    decoders_node = codec_constants.get("_DECODERS")
-    if isinstance(decoders_node, ast.Dict):
-        for key in decoders_node.keys:
-            # Keys are written _TYPE_CODES[ClassName] so the code lives
-            # in exactly one place.
-            if (
-                isinstance(key, ast.Subscript)
-                and isinstance(key.value, ast.Name)
-                and key.value.id == "_TYPE_CODES"
-                and isinstance(key.slice, ast.Name)
-            ):
-                decoder_keys.add(key.slice.id)
-
-    line = codes_node.lineno if codes_node is not None else 1
-    for name in encodable:
-        if name not in type_codes:
-            out.append(
-                Violation(
-                    _CODEC, line, 0, "codec.dispatch",
-                    f"message class {name} has no _TYPE_CODES entry",
-                )
-            )
-        if name not in encoder_keys:
-            out.append(
-                Violation(
-                    _CODEC,
-                    encoders_node.lineno if encoders_node is not None else 1,
-                    0,
-                    "codec.dispatch",
-                    f"message class {name} has no _ENCODERS entry",
-                )
-            )
-        if name not in decoder_keys:
-            out.append(
-                Violation(
-                    _CODEC,
-                    decoders_node.lineno if decoders_node is not None else 1,
-                    0,
-                    "codec.dispatch",
-                    f"message class {name} has no _DECODERS entry",
-                )
-            )
-
-    seen_codes: dict[int, str] = {}
-    for name, code in type_codes.items():
-        if code is None:
-            continue
-        if code in seen_codes:
-            out.append(
-                Violation(
-                    _CODEC, line, 0, "codec.dispatch",
-                    f"type code {code} assigned to both {seen_codes[code]} "
-                    f"and {name}",
-                )
-            )
-        seen_codes[code] = name
+    out.extend(_check_layout(constants, classes, encodable))
 
     # -- byte-accounting constants -------------------------------------
     for const, fmt in _WIDTH_CONSTANTS.items():
@@ -292,6 +180,53 @@ def check(project: Project) -> list[Violation]:
             )
 
     out.extend(_check_reliable(project))
+    return out
+
+
+def _check_layout(
+    constants: dict[str, ast.expr],
+    classes: dict[str, ast.ClassDef],
+    encodable: list[str],
+) -> list[Violation]:
+    """Exactly one ``WIRE_LAYOUT`` row per encodable class, with a unique
+    type code and only field names the dataclass really has."""
+    out: list[Violation] = []
+
+    def flag(node: Optional[ast.AST], message: str) -> None:
+        at = getattr(node, "lineno", 1), getattr(node, "col_offset", 0)
+        out.append(Violation(_MESSAGES, *at, "codec.layout", message))
+
+    table = constants.get("WIRE_LAYOUT")
+    if not isinstance(table, ast.Dict):
+        flag(table, "WIRE_LAYOUT dict literal not found in core/messages.py")
+        return out
+    rows: Counter[str] = Counter()
+    codes: dict[int, str] = {}
+    for key, row in zip(table.keys, table.values):
+        name = key.id if isinstance(key, ast.Name) else ""
+        parts = row.elts if isinstance(row, ast.Tuple) and len(row.elts) == 2 else None
+        code, fields = (_int_value(parts[0]), parts[1]) if parts else (None, None)
+        if isinstance(fields, ast.Name):  # rows may share a module-level tuple
+            fields = constants.get(fields.id)
+        try:
+            layout = {field for field, _kind in ast.literal_eval(fields)}
+        except (ValueError, TypeError, SyntaxError):
+            layout = None
+        if not name or code is None or layout is None:
+            flag(row, "row is not `Class: (code, ((field, kind), ...))`")
+            continue
+        rows[name] += 1
+        if name not in encodable:
+            flag(row, f"row for {name}, which is in no message union")
+            continue
+        if codes.setdefault(code, name) != name:
+            flag(row, f"type code {code} assigned to both {codes[code]} and {name}")
+        declared = _dataclass_fields(classes[name]) if name in classes else layout
+        for field in sorted(layout - declared):
+            flag(row, f"row for {name} names {field!r}, not a field of {name}")
+    for name in encodable:
+        if rows[name] != 1:
+            flag(table, f"message class {name} has {rows[name]} WIRE_LAYOUT rows, not one")
     return out
 
 

@@ -1,314 +1,196 @@
-"""Binary codec for protocol messages.
+"""Binary codec for protocol messages, compiled from the layout table.
 
-Encodings are deliberately simple: a one-byte type code, fixed-width
-integers (big-endian), and length-prefixed byte strings.  The point is
-not compactness records but *agreement with the simulator*: for the
-client and ring data messages, ``len(encode_message(m))`` equals
-``repro.core.messages.payload_size(m)`` (enforced by tests), so a
-benchmark run over real sockets moves exactly the bytes the simulator
-charges.
+``repro.core.messages.WIRE_LAYOUT`` is the wire format.  At import,
+:func:`compile_layout` turns each row into one specialised encoder and
+one specialised decoder (source generated once, the way ``dataclasses``
+writes ``__init__``): every run of fixed-width fields is a single
+``struct`` call, so no field is interpreted when a message moves.  The
+sizes the simulator charges are compiled from the same rows, so a run
+over real sockets moves exactly the bytes a simulated one pays for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, get_args
 
 from repro.core.messages import (
-    ClientRead,
-    ClientWrite,
-    Commit,
-    FragmentFetch,
-    FragmentReply,
-    FragmentStore,
+    FIXED_KINDS,
+    SEQUENCE_KINDS,
+    WIRE_LAYOUT,
     Heartbeat,
+    Layout,
     LeaseGrant,
     LeaseRevoke,
+    Message,
     OpId,
     PendingEntry,
-    PreWrite,
-    ReadAck,
-    ReadFence,
-    ReconfigCommit,
-    ReconfigToken,
-    RejoinRequest,
-    StaleEpochNotice,
-    StateSync,
-    WriteAck,
 )
 from repro.core.tags import Tag
 from repro.errors import ProtocolError
 
-_TYPE_CODES = {
-    ClientWrite: 1,
-    WriteAck: 2,
-    ClientRead: 3,
-    ReadAck: 4,
-    PreWrite: 5,
-    Commit: 6,
-    StateSync: 7,
-    ReconfigToken: 8,
-    ReconfigCommit: 9,
-    RejoinRequest: 10,
-    StaleEpochNotice: 11,
-    Heartbeat: 12,
-    LeaseGrant: 13,
-    LeaseRevoke: 14,
-    ReadFence: 15,
-    FragmentStore: 16,
-    FragmentFetch: 17,
-    FragmentReply: 18,
+#: Type code, three reserved bytes, body length.
+_HEADER = struct.Struct(">B3xI")
+
+_PAIR = "{v}[0], {v}[1]"
+#: Kind -> (``pack`` arguments of a field value or sequence item ``{v}``,
+#: the value rebuilt from its unpacked slots ``{0}``, ``{1}``...).
+_KIND_CODE = {
+    **dict.fromkeys(("i32", "u32", "i64", "f64", "i32s"), ("{v}", "{0}")),
+    **dict.fromkeys(("tag", "tags", "tags_to_end"), (_PAIR, "Tag({0}, {1})")),
+    "opt_tag": (
+        "(ZERO if {v} is None else {v})[0], (ZERO if {v} is None else {v})[1]",
+        "(None if ({0}, {1}) == ZERO else Tag({0}, {1}))",
+    ),
+    "op": (_PAIR, "OpId({0}, {1})"),
+    "op_pairs": (_PAIR, "({0}, {1})"),
+    "client_tags": ("{v}[0], {v}[1][0], {v}[1][1]", "({0}, Tag({1}, {2}))"),
+    "pending": (
+        "{v}.tag[0], {v}.tag[1], {v}.op[0], {v}.op[1], len({v}.value)",
+        "PendingEntry(Tag({0}, {1}), bytes(_body[_o:_end]), OpId({2}, {3}))",
+    ),
 }
-#: Tag encoded as 8-byte ts + 4-byte server id (signed: Tag.ZERO is -1).
-_TAG = struct.Struct(">qi")
-#: OpId encoded as 8-byte client + 4-byte sequence.
-_OP = struct.Struct(">qi")
+_ITEM_SLOTS = [f"_x[{i}]" for i in range(5)]
+
+_IF_SHORT = 'if _end > len(_body): raise ProtocolError("truncated frame")'
 
 
-def _encode_header(code: int, body_len: int) -> bytes:
-    """8 bytes: type code, 3 reserved, body length."""
-    return struct.pack(">B3xI", code, body_len)
+def compile_layout(
+    cls: type[Any], code: int, fields: Layout
+) -> tuple[Callable[[Any], bytes], Callable[[memoryview], Any]]:
+    """``(encode, decode)`` for dataclass ``cls`` laid out as ``fields``.
+
+    ``encode`` returns the whole message, header included; ``decode``
+    takes the body behind an already-checked header.  A decoder raises
+    ``ProtocolError("truncated frame")`` — or ``struct.error``, which
+    :func:`decode_message` reports as the same — rather than ever yield
+    a field shorter than its declared length, and rejects bytes after
+    the last field of a layout that has a definite end.
+    """
+    names = [field.name for field in dataclasses.fields(cls)]
+    if sorted(names) != sorted(name for name, _ in fields):
+        raise ProtocolError(f"{cls.__name__}: a layout names each field once")
+    scope: dict[str, Any] = {
+        "cls": cls, "Tag": Tag, "ZERO": Tag.ZERO, "OpId": OpId,
+        "PendingEntry": PendingEntry, "ProtocolError": ProtocolError,
+    }  # fmt: skip
+
+    def packer(fmt: str) -> str:
+        """The name of ``Struct(fmt)`` in the generated code's scope."""
+        scope["_s_" + fmt] = struct.Struct(">" + fmt)
+        return "_s_" + fmt
+
+    # Encoder: ``setup`` binds each variable-width part to a local, then
+    # one join of ``parts``; the header rides in the first ``pack``.
+    # Decoder: ``decode`` statements read the body at ``at`` -- a literal
+    # offset until a variable-width field makes it the local ``_o`` --
+    # and ``values`` holds the expression for each field's result.
+    setup: list[str] = []
+    parts: list[str] = []
+    decode: list[str] = []
+    values: dict[str, str] = {}
+    at = "0"
+    head, run, args, slots, fixed = _HEADER.format[1:], "", [str(code), "_n"], 0, 0
+
+    def end_run() -> None:
+        nonlocal at, head, run, args, fixed
+        if head or run:
+            parts.append(f"{packer(head + run)}.pack({', '.join(args)})")
+        if run:
+            size = struct.calcsize(">" + run)
+            targets = "".join(f"_a{i}, " for i in range(slots - len(run), slots))
+            decode.append(f"{targets}= {packer(run)}.unpack_from(_body, {at})")
+            if at == "_o":
+                decode.append(f"_o += {size}")
+            else:
+                at = str(int(at) + size)
+            fixed += size
+        head, run, args = "", "", []
+
+    for position, (name, kind) in enumerate(fields):
+        if kind in FIXED_KINDS:
+            fmt, (pack_args, rebuilt) = FIXED_KINDS[kind], _KIND_CODE[kind]
+            args.append(pack_args.format(v=f"_m.{name}"))
+            values[name] = rebuilt.format(
+                *(f"_a{i}" for i in range(slots, slots + len(fmt)))
+            )
+            run, slots = run + fmt, slots + len(fmt)
+            continue
+        counted, item = SEQUENCE_KINDS[kind]
+        if counted:
+            args.append(f"len(_m.{name})")
+            count, run, slots = f"_a{slots}", run + "I", slots + 1
+        elif position != len(fields) - 1:
+            raise ProtocolError(f"{cls.__name__}.{name}: {kind} must come last")
+        end_run()
+        part, values[name] = f"_v{len(parts)}", name
+        parts.append(part)
+        source = f"_body[{at}:{'_end' if counted else ''}]"
+        raw, ragged = item == "s", item.endswith("s") and item != "s"
+        if raw:
+            setup.append(f"{part} = _m.{name}")
+            width, value = 1, f"bytes({source})"
+        else:
+            items, (pack_args, rebuilt) = packer(item.rstrip("s")), _KIND_CODE[kind]
+            width = scope[items].size
+            packed = f"{items}.pack({pack_args.format(v='_x')})"
+            if ragged:  # each item's own bytes follow its fixed part
+                packed += " + _x.value"
+            setup.append(f'{part} = b"".join([{packed} for _x in _m.{name}])')
+            rebuilt = rebuilt.format(*_ITEM_SLOTS)
+            value = f"tuple([{rebuilt} for _x in {items}.iter_unpack({source})])"
+        if ragged:
+            if at != "_o":
+                decode.append(f"_o = {at}")
+            decode += [
+                f"{name} = []",
+                f"for _ in range({count}):",
+                f"    _x = {items}.unpack_from(_body, _o)",
+                f"    _o += {width}",
+                "    _end = _o + _x[-1]",
+                "    " + _IF_SHORT,
+                f"    {name}.append({rebuilt})",
+                "    _o = _end",
+                f"{name} = tuple({name})",
+            ]
+        elif counted:
+            decode += [
+                f"_end = {at} + {width} * {count}", _IF_SHORT,
+                f"{name} = {value}", "_o = _end",
+            ]  # fmt: skip
+        else:
+            decode.append(f"{name} = {value}")
+        at = "_o" if counted else ""
+    end_run()
+    if at:
+        decode.append(f'if len(_body) != {at}: raise ProtocolError("trailing bytes")')
+    lengths = [f"len({part})" for part in parts if part.startswith("_v")]
+    setup.append(f"_n = {' + '.join([str(fixed), *lengths])}")
+    result = parts[0] if len(parts) == 1 else f'b"".join(({", ".join(parts)}))'
+    lines = ["def encode(_m):", *setup, f"return {result}"]
+    lines += ["def decode(_body):", *decode]
+    lines.append(f"return cls({', '.join(values[name] for name in names)})")
+    exec("\n".join(ln if ln.startswith("def ") else "    " + ln for ln in lines), scope)
+    return scope["encode"], scope["decode"]
 
 
-def _tag_bytes(tag: Tag) -> bytes:
-    return _TAG.pack(tag.ts, tag.server_id)
-
-
-def _read_tag(view: memoryview, offset: int) -> tuple[Tag, int]:
-    ts, sid = _TAG.unpack_from(view, offset)
-    return Tag(ts, sid), offset + _TAG.size
-
-def _op_bytes(op: OpId) -> bytes:
-    return _OP.pack(op.client, op.seq)
-
-
-def _read_op(view: memoryview, offset: int) -> tuple[OpId, int]:
-    client, seq = _OP.unpack_from(view, offset)
-    return OpId(client, seq), offset + _OP.size
-
-
-def _tags_bytes(tags: Iterable[Tag]) -> bytes:
-    return b"".join(_tag_bytes(t) for t in tags)
-
-
-# ----------------------------------------------------------------------
-# Per-type body encoders/decoders.  Dispatch happens through a dict
-# lookup on the message type (or wire code) instead of an isinstance
-# chain: encode/decode run once per message on the ring hot path, and
-# the chain walked ~half the table for the common PreWrite/Commit case.
-# ----------------------------------------------------------------------
-
-
-def _encode_client_write(message: ClientWrite) -> bytes:
-    return _op_bytes(message.op) + message.value
-
-
-def _encode_write_ack(message: WriteAck) -> bytes:
-    tag = message.tag if message.tag is not None else Tag.ZERO
-    return _op_bytes(message.op) + _tag_bytes(tag)
-
-
-def _encode_client_read(message: ClientRead) -> bytes:
-    session = message.session if message.session is not None else Tag.ZERO
-    return _op_bytes(message.op) + _tag_bytes(session)
-
-
-def _encode_read_ack(message: ReadAck) -> bytes:
-    return _op_bytes(message.op) + _tag_bytes(message.tag) + message.value
-
-
-def _encode_pre_write(message: PreWrite) -> bytes:
-    return (
-        _tag_bytes(message.tag)
-        + _op_bytes(message.op)
-        + struct.pack(">q", message.epoch)
-        + struct.pack(">I", len(message.commits))
-        + _tags_bytes(message.commits)
-        + message.value
-    )
-
-
-def _encode_commit(message: Commit) -> bytes:
-    return struct.pack(">q", message.epoch) + _tags_bytes(message.commits)
-
-
-def _encode_state_sync(message: StateSync) -> bytes:
-    return (
-        _tag_bytes(message.tag)
-        + struct.pack(">q", message.epoch)
-        + struct.pack(">I", len(message.commits))
-        + _tags_bytes(message.commits)
-        + message.value
-    )
-
-
-def _encode_rejoin_request(message: RejoinRequest) -> bytes:
-    return struct.pack(">iIq", message.server_id, message.generation, message.epoch)
-
-
-def _encode_stale_epoch(message: StaleEpochNotice) -> bytes:
-    return struct.pack(">qi", message.epoch, message.sender)
-
-
-def _encode_heartbeat(message: Heartbeat) -> bytes:
-    return struct.pack(">i", message.server_id)
-
-
-def _encode_lease_grant(message: LeaseGrant) -> bytes:
-    return struct.pack(">iqd", message.grantor, message.epoch, message.sent_at)
-
-
-def _encode_lease_revoke(message: LeaseRevoke) -> bytes:
-    return struct.pack(">iq", message.grantor, message.epoch)
-
-
-def _encode_read_fence(message: ReadFence) -> bytes:
-    return struct.pack(">qiq", message.nonce, message.origin, message.epoch)
-
-
-def _encode_fragment_store(message: FragmentStore) -> bytes:
-    return (
-        _tag_bytes(message.tag)
-        + _op_bytes(message.op)
-        + struct.pack(">iq", message.index, message.epoch)
-        + message.fragment
-    )
-
-
-def _encode_fragment_fetch(message: FragmentFetch) -> bytes:
-    return (
-        struct.pack(">q", message.nonce)
-        + _tag_bytes(message.tag)
-        + struct.pack(">iq", message.requester, message.epoch)
-    )
-
-
-def _encode_fragment_reply(message: FragmentReply) -> bytes:
-    return (
-        struct.pack(">q", message.nonce)
-        + _tag_bytes(message.tag)
-        + struct.pack(">iq", message.index, message.epoch)
-        + message.fragment
-    )
+_ENCODE: dict[type, Callable[[Any], bytes]] = {}
+_DECODE: dict[int, Callable[[memoryview], Any]] = {}
+for _cls, (_code, _fields) in WIRE_LAYOUT.items():
+    _ENCODE[_cls], _DECODE[_code] = compile_layout(_cls, _code, _fields)
+if len(_DECODE) != len(WIRE_LAYOUT):
+    raise ProtocolError("WIRE_LAYOUT assigns one type code to two messages")
+if set(WIRE_LAYOUT) != {*get_args(Message), Heartbeat, LeaseGrant, LeaseRevoke}:
+    raise ProtocolError("WIRE_LAYOUT must have one row per message class")
 
 
 def encode_message(message: Any) -> bytes:
-    """Serialise ``message`` to bytes (see module docstring)."""
-    kind = type(message)
-    code = _TYPE_CODES.get(kind)
-    if code is None:
-        raise ProtocolError(f"cannot encode {kind.__name__}")
-    body = _ENCODERS[kind](message)
-    return _encode_header(code, len(body)) + body
-
-
-def _decode_client_write(body: memoryview) -> ClientWrite:
-    op, offset = _read_op(body, 0)
-    return ClientWrite(op, bytes(body[offset:]))
-
-
-def _decode_write_ack(body: memoryview) -> WriteAck:
-    op, offset = _read_op(body, 0)
-    tag, _ = _read_tag(body, offset)
-    return WriteAck(op, None if tag == Tag.ZERO else tag)
-
-
-def _decode_client_read(body: memoryview) -> ClientRead:
-    op, offset = _read_op(body, 0)
-    session, _ = _read_tag(body, offset)
-    return ClientRead(op, None if session == Tag.ZERO else session)
-
-
-def _decode_read_ack(body: memoryview) -> ReadAck:
-    op, offset = _read_op(body, 0)
-    tag, offset = _read_tag(body, offset)
-    return ReadAck(op, bytes(body[offset:]), tag)
-
-
-def _read_commit_block(body: memoryview, offset: int) -> tuple[tuple, int]:
-    (count,) = struct.unpack_from(">I", body, offset)
-    offset += 4
-    commits = []
-    for _ in range(count):
-        commit, offset = _read_tag(body, offset)
-        commits.append(commit)
-    return tuple(commits), offset
-
-
-def _decode_pre_write(body: memoryview) -> PreWrite:
-    tag, offset = _read_tag(body, 0)
-    op, offset = _read_op(body, offset)
-    (epoch,) = struct.unpack_from(">q", body, offset)
-    commits, offset = _read_commit_block(body, offset + 8)
-    return PreWrite(tag, bytes(body[offset:]), op, commits, epoch)
-
-
-def _decode_commit(body: memoryview) -> Commit:
-    (epoch,) = struct.unpack_from(">q", body, 0)
-    commits = []
-    offset = 8
-    while offset < len(body):
-        tag, offset = _read_tag(body, offset)
-        commits.append(tag)
-    return Commit(tuple(commits), epoch)
-
-
-def _decode_state_sync(body: memoryview) -> StateSync:
-    tag, offset = _read_tag(body, 0)
-    (epoch,) = struct.unpack_from(">q", body, offset)
-    commits, offset = _read_commit_block(body, offset + 8)
-    return StateSync(tag, bytes(body[offset:]), commits, epoch)
-
-
-def _decode_rejoin_request(body: memoryview) -> RejoinRequest:
-    server_id, generation, epoch = struct.unpack_from(">iIq", body, 0)
-    return RejoinRequest(server_id, generation, epoch)
-
-
-def _decode_stale_epoch(body: memoryview) -> StaleEpochNotice:
-    epoch, sender = struct.unpack_from(">qi", body, 0)
-    return StaleEpochNotice(epoch, sender)
-
-
-def _decode_heartbeat(body: memoryview) -> Heartbeat:
-    (server_id,) = struct.unpack_from(">i", body, 0)
-    return Heartbeat(server_id)
-
-
-def _decode_lease_grant(body: memoryview) -> LeaseGrant:
-    grantor, epoch, sent_at = struct.unpack_from(">iqd", body, 0)
-    return LeaseGrant(grantor, epoch, sent_at)
-
-
-def _decode_lease_revoke(body: memoryview) -> LeaseRevoke:
-    grantor, epoch = struct.unpack_from(">iq", body, 0)
-    return LeaseRevoke(grantor, epoch)
-
-
-def _decode_read_fence(body: memoryview) -> ReadFence:
-    nonce, origin, epoch = struct.unpack_from(">qiq", body, 0)
-    return ReadFence(nonce, origin, epoch)
-
-
-def _decode_fragment_store(body: memoryview) -> FragmentStore:
-    tag, offset = _read_tag(body, 0)
-    op, offset = _read_op(body, offset)
-    index, epoch = struct.unpack_from(">iq", body, offset)
-    return FragmentStore(tag, op, index, bytes(body[offset + 12 :]), epoch)
-
-
-def _decode_fragment_fetch(body: memoryview) -> FragmentFetch:
-    (nonce,) = struct.unpack_from(">q", body, 0)
-    tag, offset = _read_tag(body, 8)
-    requester, epoch = struct.unpack_from(">iq", body, offset)
-    return FragmentFetch(nonce, tag, requester, epoch)
-
-
-def _decode_fragment_reply(body: memoryview) -> FragmentReply:
-    (nonce,) = struct.unpack_from(">q", body, 0)
-    tag, offset = _read_tag(body, 8)
-    index, epoch = struct.unpack_from(">iq", body, offset)
-    return FragmentReply(nonce, tag, index, bytes(body[offset + 12 :]), epoch)
+    """Serialise ``message``: the header, then the body its row lays out."""
+    encoder = _ENCODE.get(type(message))
+    if encoder is None:
+        raise ProtocolError(f"cannot encode {type(message).__name__}")
+    return encoder(message)
 
 
 def decode_message(data: bytes) -> Any:
@@ -320,13 +202,13 @@ def decode_message(data: bytes) -> Any:
     truncated reconfiguration token decoded into short values that
     round-tripped as plausible state).
     """
-    if len(data) < 8:
+    if len(data) < _HEADER.size:
         raise ProtocolError(f"message too short: {len(data)} bytes")
-    code, body_len = struct.unpack_from(">B3xI", data, 0)
-    decoder = _DECODERS.get(code)
+    code, body_len = _HEADER.unpack_from(data, 0)
+    decoder = _DECODE.get(code)
     if decoder is None:
         raise ProtocolError(f"unknown message type code {code}")
-    body = memoryview(data)[8:]
+    body = memoryview(data)[_HEADER.size :]
     if len(body) != body_len:
         raise ProtocolError(f"length mismatch: header {body_len}, body {len(body)}")
     try:
@@ -334,152 +216,3 @@ def decode_message(data: bytes) -> Any:
     except struct.error as exc:
         # A fixed-width field ran past the end of the body.
         raise ProtocolError("truncated frame") from exc
-
-
-def _encode_reconfig(message: ReconfigToken | ReconfigCommit) -> bytes:
-    parts = [
-        struct.pack(
-            ">qqiI",
-            message.nonce,
-            message.epoch,
-            message.coordinator,
-            len(message.dead),
-        ),
-        b"".join(struct.pack(">i", d) for d in message.dead),
-        struct.pack(">I", len(message.revived)),
-        b"".join(struct.pack(">i", r) for r in message.revived),
-        _tag_bytes(message.tag),
-        struct.pack(">I", len(message.value)),
-        message.value,
-        struct.pack(">I", len(message.pending)),
-    ]
-    for entry in message.pending:
-        parts.append(_tag_bytes(entry.tag))
-        parts.append(_op_bytes(entry.op))
-        parts.append(struct.pack(">I", len(entry.value)))
-        parts.append(entry.value)
-    parts.append(struct.pack(">I", len(message.completed_ops)))
-    for client, seq in message.completed_ops:
-        parts.append(struct.pack(">qi", client, seq))
-    parts.append(struct.pack(">I", len(message.completed_tags)))
-    for client, tag in message.completed_tags:
-        parts.append(struct.pack(">q", client))
-        parts.append(_tag_bytes(tag))
-    return b"".join(parts)
-
-
-_ReconfigT = TypeVar("_ReconfigT", ReconfigToken, ReconfigCommit)
-
-
-def _read_sized(body: memoryview, offset: int, length: int) -> tuple[bytes, int]:
-    """Slice ``length`` declared bytes, refusing to run past the body.
-
-    ``bytes(body[offset : offset + length])`` silently yields *short*
-    bytes when the buffer ends early — the truncation bug this helper
-    exists to close: every length-prefixed field must either be fully
-    present or fail the frame.
-    """
-    if offset + length > len(body):
-        raise ProtocolError("truncated frame")
-    return bytes(body[offset : offset + length]), offset + length
-
-
-def _decode_reconfig(cls: Callable[..., _ReconfigT], body: memoryview) -> _ReconfigT:
-    nonce, epoch, coordinator, dead_count = struct.unpack_from(">qqiI", body, 0)
-    offset = struct.calcsize(">qqiI")
-    dead = []
-    for _ in range(dead_count):
-        (d,) = struct.unpack_from(">i", body, offset)
-        dead.append(d)
-        offset += 4
-    (revived_count,) = struct.unpack_from(">I", body, offset)
-    offset += 4
-    revived = []
-    for _ in range(revived_count):
-        (r,) = struct.unpack_from(">i", body, offset)
-        revived.append(r)
-        offset += 4
-    tag, offset = _read_tag(body, offset)
-    (value_len,) = struct.unpack_from(">I", body, offset)
-    offset += 4
-    value, offset = _read_sized(body, offset, value_len)
-    (pending_count,) = struct.unpack_from(">I", body, offset)
-    offset += 4
-    pending = []
-    for _ in range(pending_count):
-        entry_tag, offset = _read_tag(body, offset)
-        op, offset = _read_op(body, offset)
-        (entry_len,) = struct.unpack_from(">I", body, offset)
-        offset += 4
-        entry_value, offset = _read_sized(body, offset, entry_len)
-        pending.append(PendingEntry(entry_tag, entry_value, op))
-    (completed_count,) = struct.unpack_from(">I", body, offset)
-    offset += 4
-    completed = []
-    for _ in range(completed_count):
-        client, seq = struct.unpack_from(">qi", body, offset)
-        completed.append((client, seq))
-        offset += struct.calcsize(">qi")
-    (tagged_count,) = struct.unpack_from(">I", body, offset)
-    offset += 4
-    completed_tags = []
-    for _ in range(tagged_count):
-        (client,) = struct.unpack_from(">q", body, offset)
-        offset += 8
-        client_tag, offset = _read_tag(body, offset)
-        completed_tags.append((client, client_tag))
-    return cls(
-        nonce=nonce,
-        epoch=epoch,
-        coordinator=coordinator,
-        dead=tuple(dead),
-        tag=tag,
-        value=value,
-        pending=tuple(pending),
-        completed_ops=tuple(completed),
-        revived=tuple(revived),
-        completed_tags=tuple(completed_tags),
-    )
-
-
-_ENCODERS = {
-    ClientWrite: _encode_client_write,
-    WriteAck: _encode_write_ack,
-    ClientRead: _encode_client_read,
-    ReadAck: _encode_read_ack,
-    PreWrite: _encode_pre_write,
-    Commit: _encode_commit,
-    StateSync: _encode_state_sync,
-    ReconfigToken: _encode_reconfig,
-    ReconfigCommit: _encode_reconfig,
-    RejoinRequest: _encode_rejoin_request,
-    StaleEpochNotice: _encode_stale_epoch,
-    Heartbeat: _encode_heartbeat,
-    LeaseGrant: _encode_lease_grant,
-    LeaseRevoke: _encode_lease_revoke,
-    ReadFence: _encode_read_fence,
-    FragmentStore: _encode_fragment_store,
-    FragmentFetch: _encode_fragment_fetch,
-    FragmentReply: _encode_fragment_reply,
-}
-
-_DECODERS = {
-    _TYPE_CODES[ClientWrite]: _decode_client_write,
-    _TYPE_CODES[WriteAck]: _decode_write_ack,
-    _TYPE_CODES[ClientRead]: _decode_client_read,
-    _TYPE_CODES[ReadAck]: _decode_read_ack,
-    _TYPE_CODES[PreWrite]: _decode_pre_write,
-    _TYPE_CODES[Commit]: _decode_commit,
-    _TYPE_CODES[StateSync]: _decode_state_sync,
-    _TYPE_CODES[ReconfigToken]: lambda body: _decode_reconfig(ReconfigToken, body),
-    _TYPE_CODES[ReconfigCommit]: lambda body: _decode_reconfig(ReconfigCommit, body),
-    _TYPE_CODES[RejoinRequest]: _decode_rejoin_request,
-    _TYPE_CODES[StaleEpochNotice]: _decode_stale_epoch,
-    _TYPE_CODES[Heartbeat]: _decode_heartbeat,
-    _TYPE_CODES[LeaseGrant]: _decode_lease_grant,
-    _TYPE_CODES[LeaseRevoke]: _decode_lease_revoke,
-    _TYPE_CODES[ReadFence]: _decode_read_fence,
-    _TYPE_CODES[FragmentStore]: _decode_fragment_store,
-    _TYPE_CODES[FragmentFetch]: _decode_fragment_fetch,
-    _TYPE_CODES[FragmentReply]: _decode_fragment_reply,
-}

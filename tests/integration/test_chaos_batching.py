@@ -3,16 +3,15 @@
 The batching knob defaults on, so the chaos-checked path *is* the
 batched path.  These tests pin that down: core- and scale-profile runs
 pass their gates with batching enabled and demonstrably exercise the
-batched wire path (``reliable.batched_frames`` in the trace), the
-``--no-batch`` escape hatch really degenerates to one-message frames,
-and batching on/off leaves the gate verdict unchanged on the same
-schedules.
+batched wire path (``reliable.batched_frames`` in the trace), a
+schedule at ``batch_max_messages=1`` really degenerates to one-message
+frames, and batching on/off leaves the gate verdict unchanged on the
+same schedules.
 """
 
 import dataclasses
 
 from repro.chaos import CORE_PROFILE, SCALE_PROFILE, generate_schedule, run_schedule
-from repro.chaos.__main__ import main as chaos_main
 
 
 def _unbatched(schedule):
@@ -69,6 +68,3 @@ def test_no_batch_flag_disables_the_batched_path():
     assert result.batched_frames == 0
     assert result.batched_messages == 0
 
-
-def test_cli_no_batch_exits_zero():
-    assert chaos_main(["--runs", "2", "--seed", "0", "--no-batch", "-q"]) == 0

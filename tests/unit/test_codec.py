@@ -1,10 +1,13 @@
 """Unit tests for the binary codec and stream framing."""
 
 import struct
+from dataclasses import dataclass
 
 import pytest
 
 from repro.core.messages import (
+    SEQUENCE_KINDS,
+    WIRE_LAYOUT,
     ClientRead,
     ClientWrite,
     Commit,
@@ -25,10 +28,11 @@ from repro.core.messages import (
     StaleEpochNotice,
     StateSync,
     WriteAck,
+    compile_size,
 )
 from repro.core.tags import Tag
 from repro.errors import ProtocolError
-from repro.transport.codec import decode_message, encode_message
+from repro.transport.codec import compile_layout, decode_message, encode_message
 from repro.transport.framing import FrameDecoder, frame
 
 OP = OpId(11, 5)
@@ -191,3 +195,68 @@ def test_fully_length_prefixed_types_reject_every_truncation(message):
     for cut in range(len(encoded) - 8):
         with pytest.raises(ProtocolError):
             decode_message(_truncated_frame(encoded, cut))
+
+
+def _ends_definitely(message) -> bool:
+    """Does the layout's last field say where the body ends (no tail, no
+    tags-to-end)?"""
+    _, fields = WIRE_LAYOUT[type(message)]
+    counted, _ = SEQUENCE_KINDS.get(fields[-1][1], (True, ""))
+    return counted
+
+
+@pytest.mark.parametrize(
+    "message",
+    [m for m in TRUNCATION_SAMPLES if _ends_definitely(m)],
+    ids=lambda m: type(m).__name__,
+)
+def test_bytes_after_the_last_field_are_rejected(message):
+    """A layout with a definite end owns every byte of its body: junk
+    appended under a consistent header is an error, not ignored."""
+    encoded = encode_message(message)
+    for junk in (b"\x00", b"junk!"):
+        body = encoded[8:] + junk
+        with pytest.raises(ProtocolError):
+            decode_message(struct.pack(">B3xI", encoded[0], len(body)) + body)
+
+
+def test_truncation_samples_cover_every_wire_type():
+    assert {type(m) for m in TRUNCATION_SAMPLES} == set(WIRE_LAYOUT)
+
+
+def test_a_new_message_is_a_dataclass_and_one_row():
+    """Everything the codec needs to know about a message type is its
+    row: compile one for a class the codec has never seen."""
+
+    @dataclass(frozen=True)
+    class Probe:
+        op: OpId
+        seen: tuple
+        note: bytes
+        epoch: int = 0
+        session: object = None
+
+    row = (("epoch", "i64"), ("op", "op"), ("session", "opt_tag"),
+           ("note", "bytes"), ("seen", "tags_to_end"))
+    encode, decode = compile_layout(Probe, 77, row)
+    size = compile_size(row)
+    for probe in (
+        Probe(OP, (), b""),
+        Probe(OP, (Tag(1, 0), Tag(2, 1)), b"note", epoch=9, session=Tag(4, 4)),
+    ):
+        data = encode(probe)
+        assert data[0] == 77 and len(data) == size(probe)
+        assert struct.unpack_from(">I", data, 4) == (len(data) - 8,)
+        assert decode(memoryview(data)[8:]) == probe
+
+
+def test_a_row_must_name_every_field_and_keep_open_ended_fields_last():
+    @dataclass(frozen=True)
+    class Probe:
+        value: bytes
+        epoch: int
+
+    with pytest.raises(ProtocolError):
+        compile_layout(Probe, 77, (("epoch", "i64"),))
+    with pytest.raises(ProtocolError):
+        compile_layout(Probe, 77, (("value", "tail"), ("epoch", "i64")))

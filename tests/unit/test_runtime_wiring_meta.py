@@ -7,7 +7,9 @@ the reconcile / wait-out flags and the rejoin announcements for *every*
 host (simulated, sharded, asyncio); ``repro/core/values.py`` owns
 everything that depends on how a value is laid out across the ring;
 ``repro/core/views.py`` owns every membership decision — suspicion,
-promises, stale-epoch fencing, leases and their fences.  These tests
+promises, stale-epoch fencing, leases and their fences;
+``WIRE_LAYOUT`` in ``repro/core/messages.py`` owns the wire format, with
+no per-type function or second table beside it.  These tests
 read the source tree: if a runtime grows its own copy of any of that
 wiring again, or the driver starts importing a clock, an event loop or
 the simulator, or fragment or promise bookkeeping leaks back into the
@@ -81,9 +83,20 @@ _POLICY_SWITCHES = {"view_quorum", "read_leases"}
 
 #: Logical lines: ``core/server.py`` was 1,581 with the coded backend
 #: threaded through it and 1,278 with both membership protocols; all of
-#: ``core/`` was 3,380 — neither seam may cost code.
+#: ``core/`` was 3,380, and 3,372 with ``payload_size`` an ``isinstance``
+#: chain — no seam may cost code.
 _SERVER_LINE_BUDGET = 900
-_CORE_LINE_BUDGET = 3380
+_CORE_LINE_BUDGET = 3360
+
+#: The wire format's three files — the table and sizes, the compiler,
+#: the lint rule — were 886 logical lines as four hand-kept tables and
+#: the rule that cross-checked them.
+_WIRE_FILES = (
+    "repro/core/messages.py",
+    "repro/transport/codec.py",
+    "repro/staticheck/codec_check.py",
+)
+_WIRE_LINE_BUDGET = 620
 
 #: Logical lines of ``repro/runtime/`` + ``repro/core/sharded.py`` —
 #: 2,568 before the driver existed; the extraction had to land at least
@@ -228,6 +241,25 @@ def test_protocol_core_stays_within_its_line_budget():
     assert _VALUES in counts and _VIEWS in counts
     assert counts["repro/core/server.py"] <= _SERVER_LINE_BUDGET, counts
     assert sum(counts.values()) <= _CORE_LINE_BUDGET, counts
+
+
+def test_the_layout_table_has_nothing_beside_it():
+    codec = ast.parse((_SRC / "repro/transport/codec.py").read_text())
+    per_type = [
+        node.name for node in ast.walk(codec)
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith(("_encode_", "_decode_"))
+    ]  # fmt: skip
+    assert per_type == [], "encoders and decoders are compiled from WIRE_LAYOUT"
+    assert not {"_TYPE_CODES", "_ENCODERS", "_DECODERS"} & _code_names(codec)
+    messages = ast.parse((_SRC / "repro/core/messages.py").read_text())
+    (sizer,) = [
+        node for node in messages.body
+        if isinstance(node, ast.FunctionDef) and node.name == "payload_size"
+    ]  # fmt: skip
+    assert "isinstance" not in _code_names(sizer), "sizes dispatch on the type"
+    counts = {rel: _logical_lines(_SRC / rel) for rel in _WIRE_FILES}
+    assert sum(counts.values()) <= _WIRE_LINE_BUDGET, counts
 
 
 def _mutated_tree(tmp_path: Path, rel: str, extra: str) -> Path:

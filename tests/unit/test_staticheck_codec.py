@@ -1,8 +1,9 @@
 """Red/green/pragma fixtures for the codec.* rule family.
 
-Each fixture is a miniature messages.py/codec.py/reliable.py trio laid
-out at the real repro-relative paths, so the project rule cross-checks
-them exactly as it does the committed tree.
+Each fixture is a miniature trio — the message catalogue and its layout
+table (messages.py) and the session constants (reliable.py) — laid out
+at the real repro-relative paths, so the project rule cross-checks them
+exactly as it does the committed tree.
 """
 
 from __future__ import annotations
@@ -27,18 +28,11 @@ _MESSAGES_OK = (
     "\n"
     "RingMessage = Union[PreWrite, Commit]\n"
     "\n"
-    "def payload_size(message):\n"
-    "    if isinstance(message, (PreWrite, Commit)):\n"
-    "        return 4\n"
-    "    raise TypeError(message)\n"
-)
-
-_CODEC_OK = (
-    "from repro.core.messages import Commit, PreWrite\n"
-    "\n"
-    "_TYPE_CODES = {PreWrite: 1, Commit: 2}\n"
-    "_ENCODERS = {PreWrite: None, Commit: None}\n"
-    "_DECODERS = {_TYPE_CODES[PreWrite]: None, _TYPE_CODES[Commit]: None}\n"
+    "_EPOCH_ONLY = ((\"epoch\", \"i64\"),)\n"
+    "WIRE_LAYOUT = {\n"
+    "    PreWrite: (1, ((\"epoch\", \"i64\"),)),\n"
+    "    Commit: (2, _EPOCH_ONLY),\n"
+    "}\n"
 )
 
 _RELIABLE_OK = (
@@ -56,10 +50,9 @@ _RELIABLE_OK = (
 )
 
 
-def _tree(messages=_MESSAGES_OK, codec=_CODEC_OK, reliable=_RELIABLE_OK):
+def _tree(messages=_MESSAGES_OK, reliable=_RELIABLE_OK):
     return {
         "repro/core/messages.py": messages,
-        "repro/transport/codec.py": codec,
         "repro/transport/reliable.py": reliable,
     }
 
@@ -71,7 +64,7 @@ def test_conforming_trio_passes(tmp_path):
 def test_ring_message_without_epoch_flagged(tmp_path):
     messages = _MESSAGES_OK.replace(
         "class Commit:\n    epoch: int\n", "class Commit:\n    seq: int\n"
-    )
+    ).replace("_EPOCH_ONLY = ((\"epoch\"", "_EPOCH_ONLY = ((\"seq\"")
     violations = run_tree(tmp_path, _tree(messages=messages))
     assert rules_of(violations) == ["codec.epoch-stamp"]
     assert "Commit" in violations[0].message
@@ -93,32 +86,55 @@ def test_fragment_class_outside_ring_union_flagged(tmp_path):
     assert any("FragmentStore" in v.message for v in violations)
 
 
-def test_missing_payload_size_arm_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace("(PreWrite, Commit)", "(PreWrite,)")
+def test_missing_row_flagged(tmp_path):
+    messages = _MESSAGES_OK.replace("    Commit: (2, _EPOCH_ONLY),\n", "")
     violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.payload-size"]
-    assert "Commit" in violations[0].message
+    assert rules_of(violations) == ["codec.layout"]
+    assert "Commit has 0 WIRE_LAYOUT rows" in violations[0].message
 
 
-def test_missing_dispatch_entries_flagged(tmp_path):
-    codec = (
-        "from repro.core.messages import Commit, PreWrite\n"
-        "\n"
-        "_TYPE_CODES = {PreWrite: 1}\n"
-        "_ENCODERS = {PreWrite: None}\n"
-        "_DECODERS = {_TYPE_CODES[PreWrite]: None}\n"
+def test_second_row_for_one_class_flagged(tmp_path):
+    # A dict literal keeps the last duplicate silently; the rule does not.
+    messages = _MESSAGES_OK.replace(
+        "    Commit: (2, _EPOCH_ONLY),\n",
+        "    Commit: (2, _EPOCH_ONLY),\n    Commit: (2, _EPOCH_ONLY),\n",
     )
-    violations = run_tree(tmp_path, _tree(codec=codec))
-    assert rules_of(violations) == ["codec.dispatch"]
-    # Commit misses all three tables.
-    assert len(violations) == 3
+    violations = run_tree(tmp_path, _tree(messages=messages))
+    assert rules_of(violations) == ["codec.layout"]
+    assert "Commit has 2 WIRE_LAYOUT rows" in violations[0].message
 
 
 def test_duplicate_type_code_flagged(tmp_path):
-    codec = _CODEC_OK.replace("Commit: 2", "Commit: 1")
-    violations = run_tree(tmp_path, _tree(codec=codec))
-    assert rules_of(violations) == ["codec.dispatch"]
-    assert "assigned to both" in violations[0].message
+    messages = _MESSAGES_OK.replace("Commit: (2,", "Commit: (1,")
+    violations = run_tree(tmp_path, _tree(messages=messages))
+    assert rules_of(violations) == ["codec.layout"]
+    assert "assigned to both PreWrite and Commit" in violations[0].message
+
+
+def test_row_naming_a_non_field_flagged(tmp_path):
+    messages = _MESSAGES_OK.replace(
+        'PreWrite: (1, (("epoch", "i64"),))',
+        'PreWrite: (1, (("epoch", "i64"), ("origin", "i32")))',
+    )
+    violations = run_tree(tmp_path, _tree(messages=messages))
+    assert rules_of(violations) == ["codec.layout"]
+    assert "'origin'" in violations[0].message
+
+
+def test_row_for_a_class_outside_the_unions_flagged(tmp_path):
+    messages = _MESSAGES_OK.replace(
+        "RingMessage = Union[PreWrite, Commit]", "RingMessage = Union[PreWrite]"
+    )
+    violations = run_tree(tmp_path, _tree(messages=messages))
+    assert rules_of(violations) == ["codec.layout"]
+    assert "in no message union" in violations[0].message
+
+
+def test_missing_or_computed_table_flagged(tmp_path):
+    messages = _MESSAGES_OK.replace("WIRE_LAYOUT = {", "WIRE_LAYOUT = dict() or {")
+    violations = run_tree(tmp_path, _tree(messages=messages))
+    assert rules_of(violations) == ["codec.layout"]
+    assert "not found" in violations[0].message
 
 
 def test_width_constant_mismatch_flagged(tmp_path):
@@ -166,6 +182,6 @@ def test_pragma_suppresses_codec_finding(tmp_path):
         "# staticheck: allow(codec.epoch-stamp) -- local-only control frame,"
         " never crosses a view change\n"
         "class Commit:\n    seq: int\n",
-    )
+    ).replace("_EPOCH_ONLY = ((\"epoch\"", "_EPOCH_ONLY = ((\"seq\"")
     violations = run_tree(tmp_path, _tree(messages=messages))
     assert violations == []

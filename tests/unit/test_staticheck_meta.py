@@ -1,12 +1,15 @@
 """Meta-tests: the committed tree is violation-free, and the checker
 actually guards the invariants the acceptance criteria name — deleting
-any persist call, un-registering any codec dispatch entry, or renaming a
+any persist call, deleting a message's wire-layout row, or renaming a
 gated trace counter must each turn the checker red."""
 
 from __future__ import annotations
 
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,26 +47,24 @@ def test_deleting_any_persist_call_is_caught(tmp_path, index):
 
 
 def test_unregistering_codec_entry_is_caught(tmp_path):
-    for rel in (
-        "repro/core/messages.py",
-        "repro/transport/codec.py",
-        "repro/transport/reliable.py",
-    ):
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text((_SRC / rel).read_text())
-    codec = tmp_path / "repro/transport/codec.py"
-    lines = codec.read_text().splitlines(keepends=True)
-    index = next(
-        i
-        for i, line in enumerate(lines)
-        if re.match(r"^    PreWrite: _encode_pre_write,\s*$", line)
-    )
-    del lines[index]
-    codec.write_text("".join(lines))
+    """Deleting a message's ``WIRE_LAYOUT`` row fails the lint rule and,
+    without the linter, the import of the codec itself."""
+    shutil.copytree(_SRC / "repro", tmp_path / "repro")
+    messages = tmp_path / "repro/core/messages.py"
+    text = messages.read_text()
+    row = re.search(r"^    Commit: \(6, .*\n", text, re.MULTILINE)
+    assert row is not None
+    messages.write_text(text.replace(row.group(0), ""))
     violations = run_paths([str(tmp_path)])
-    assert "codec.dispatch" in rules_of(violations)
-    assert any("PreWrite" in v.message for v in violations)
+    assert rules_of(violations) == ["codec.layout"]
+    assert "Commit has 0 WIRE_LAYOUT rows" in violations[0].message
+    imported = subprocess.run(
+        [sys.executable, "-c", "import repro.transport.codec"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        stderr=subprocess.PIPE, text=True,
+    )  # fmt: skip
+    assert imported.returncode != 0
+    assert "one row per message class" in imported.stderr
 
 
 def test_renaming_gated_counter_emit_site_is_caught(tmp_path):
