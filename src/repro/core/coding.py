@@ -21,12 +21,15 @@ The code is a classic systematic Reed-Solomon construction:
   data fragments decode by concatenation) and *any* ``k`` rows remain
   invertible (the MDS property);
 * for the single-parity geometry ``k = n - 1`` the parity row is all
-  ones, so encode/decode degenerate to plain XOR — no table lookups on
-  that fast path.
+  ones: the parity fragment is the XOR of the data fragments.
 
-Byte-level hot loops use ``bytes.translate`` against per-coefficient
-256-byte multiplication tables and big-integer XOR, which is as close to
-SIMD as pure python gets.
+Every computed fragment — a parity row on encode, a missing data stripe
+on decode — is one :func:`_combine`: per non-zero term one
+``bytes.translate`` against that coefficient's 256-byte multiplication
+table (none when the coefficient is 1) and one ``int.from_bytes``, the
+terms XORed into one Python integer, one ``to_bytes`` at the end.  Data
+stripes are never converted: encode returns them as sliced, and decode
+returns a data fragment it holds as it is.
 
 The value length is carried in a 4-byte prefix inside the striped
 payload (fragments are zero-padded to equal length), so ``decode`` needs
@@ -37,7 +40,9 @@ no out-of-band length and fragments of the same write are always
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+from collections.abc import Iterable
+from functools import lru_cache, reduce
+from operator import xor
 
 from repro.errors import ProtocolError
 
@@ -85,18 +90,21 @@ def gf_inv(a: int) -> int:
 _MUL_TABLES = tuple(bytes(gf_mul(c, x) for x in range(256)) for c in range(256))
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
-        len(a), "big"
+def _combine(row: Iterable[int], parts: list[bytes], stripe: int) -> bytes:
+    """``sum(row[i] * parts[i])`` over GF(256): one output fragment.
+
+    Each non-zero term costs one ``translate`` (none for coefficient 1)
+    and one ``int.from_bytes``; the first term is the accumulator, the
+    rest are XORed into it, and it is converted back once.
+    """
+    terms = (
+        int.from_bytes(
+            part if coeff == 1 else part.translate(_MUL_TABLES[coeff]), "big"
+        )
+        for coeff, part in zip(row, parts)
+        if coeff
     )
-
-
-def _mul_bytes(coeff: int, data: bytes) -> bytes:
-    if coeff == 0:
-        return bytes(len(data))
-    if coeff == 1:
-        return data
-    return data.translate(_MUL_TABLES[coeff])
+    return reduce(xor, terms).to_bytes(stripe, "big")
 
 
 # ----------------------------------------------------------------------
@@ -187,21 +195,7 @@ def encode(value: bytes, k: int, n: int) -> list[bytes]:
     raw = _LEN_PREFIX.pack(len(value)) + value
     raw += bytes(k * stripe - len(raw))
     shards = [raw[i * stripe : (i + 1) * stripe] for i in range(k)]
-    if n == k:
-        return shards
-    if n == k + 1:
-        parity = shards[0]
-        for shard in shards[1:]:
-            parity = _xor_bytes(parity, shard)
-        return shards + [parity]
-    fragments = list(shards)
-    for row in matrix[k:]:
-        acc = bytes(stripe)
-        for coeff, shard in zip(row, shards):
-            if coeff:
-                acc = _xor_bytes(acc, _mul_bytes(coeff, shard))
-        fragments.append(acc)
-    return fragments
+    return shards + [_combine(row, shards, stripe) for row in matrix[k:]]
 
 
 def decode(fragments: dict[int, bytes], k: int, n: int) -> bytes:
@@ -221,19 +215,17 @@ def decode(fragments: dict[int, bytes], k: int, n: int) -> bytes:
     stripe = len(fragments[chosen[0]])
     if any(len(fragments[index]) != stripe for index in chosen):
         raise CodingError("fragments of one write must share a length")
-    if chosen == list(range(k)):
-        shards = [fragments[i] for i in range(k)]
-    else:
+    # A data fragment that is present is its own stripe; only the missing
+    # ones are combined, each from a row of the chosen rows' inverse.
+    shards = [fragments.get(i) for i in range(k)]
+    if None in shards:
         matrix = coding_matrix(k, n)
-        sub = [list(matrix[index]) for index in chosen]
-        inverse = _mat_invert(sub)
-        shards = []
-        for row in inverse:
-            acc = bytes(stripe)
-            for coeff, index in zip(row, chosen):
-                if coeff:
-                    acc = _xor_bytes(acc, _mul_bytes(coeff, fragments[index]))
-            shards.append(acc)
+        inverse = _mat_invert([list(matrix[index]) for index in chosen])
+        parts = [fragments[index] for index in chosen]
+        shards = [
+            shard if shard is not None else _combine(row, parts, stripe)
+            for shard, row in zip(shards, inverse)
+        ]
     raw = b"".join(shards)
     (value_len,) = _LEN_PREFIX.unpack_from(raw, 0)
     if value_len > len(raw) - _LEN_PREFIX.size:

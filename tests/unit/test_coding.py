@@ -3,10 +3,25 @@
 The coded value backend rests on two facts proven here for every
 geometry the repo ships: *any* k of the n fragments reconstruct the
 value byte-identically, and k-1 fragments never suffice.
+
+Round trips cannot see a kernel that changes parity bytes consistently,
+and stored shares (snapshots, in-flight ``FragmentStore``s) would not
+survive one, so the bytes are pinned twice: against ``coding_golden.json``
+— fragments written by the encoder before the single-accumulator kernel
+and never regenerated — and against a per-byte ``gf_mul`` reference
+coder kept in this file.  The kernel's work per fragment is pinned as a
+count of its C calls, taken in a fresh interpreter.
 """
 
+import hashlib
 import itertools
+import json
+import os
 import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +38,60 @@ from repro.core.coding import (
 )
 
 GEOMETRIES = [(1, 1), (1, 3), (2, 3), (2, 4), (3, 4), (3, 6), (4, 7)]
+
+#: ``{k, n, size, hex | sha256}`` per geometry and size: sizes 0, 1, 17
+#: and 4096 as hex fragments, 65,536 as one sha256 per fragment.
+GOLDEN = json.loads(Path(__file__).with_name("coding_golden.json").read_text())
+
+
+def _golden_value(k: int, n: int, size: int) -> bytes:
+    return random.Random(f"golden {k} {n} {size}").randbytes(size)
+
+
+def _dot(row, column) -> int:
+    acc = 0
+    for coeff, byte in zip(row, column):
+        acc ^= gf_mul(coeff, byte)
+    return acc
+
+
+def _ref_invert(matrix) -> list[list[int]]:
+    """Gauss-Jordan over GF(256), one element at a time."""
+    k = len(matrix)
+    aug = [
+        list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(matrix)
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = gf_inv(aug[col][col])
+        aug[col] = [gf_mul(scale, x) for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x ^ gf_mul(factor, y) for x, y in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]
+
+
+def _ref_encode(value: bytes, k: int, n: int) -> list[bytes]:
+    """Every fragment, data rows included, one ``gf_mul`` per byte and term."""
+    stripe = stripe_size(len(value), k)
+    raw = struct.pack(">I", len(value)) + value
+    raw += bytes(k * stripe - len(raw))
+    data = [raw[i * stripe : (i + 1) * stripe] for i in range(k)]
+    return [
+        bytes(_dot(row, column) for column in zip(*data))
+        for row in coding_matrix(k, n)
+    ]
+
+
+def _ref_decode(fragments: dict[int, bytes], k: int, n: int) -> bytes:
+    chosen = sorted(fragments)[:k]
+    inverse = _ref_invert([coding_matrix(k, n)[i] for i in chosen])
+    columns = list(zip(*(fragments[i] for i in chosen)))
+    raw = b"".join(bytes(_dot(row, column) for column in columns) for row in inverse)
+    (length,) = struct.unpack_from(">I", raw)
+    return raw[4 : 4 + length]
 
 
 def test_gf_field_axioms_on_samples():
@@ -70,8 +139,9 @@ def test_data_fragments_are_verbatim_stripes():
 
 
 def test_single_parity_is_xor():
-    # k = n-1 takes the fast path; the parity fragment must equal the
-    # XOR of the data fragments (what the generic matrix row encodes).
+    # k = n-1: the generator's parity row is all ones, so the parity
+    # fragment must be the plain XOR of the data fragments.
+    assert coding_matrix(3, 4)[3] == (1, 1, 1)
     value = b"the quick brown fox" * 11
     fragments = encode(value, 3, 4)
     xor = bytes(
@@ -128,3 +198,125 @@ def test_fragment_blob_rejects_truncation():
     for cut in range(1, len(blob)):
         with pytest.raises(CodingError):
             unpack_fragments(blob[:cut])
+
+
+def test_the_golden_corpus_covers_every_geometry():
+    assert sorted({(r["k"], r["n"]) for r in GOLDEN}) == sorted(GEOMETRIES)
+    assert {r["size"] for r in GOLDEN} == {0, 1, 17, 4096, 65536}
+
+
+@pytest.mark.parametrize(
+    "record", GOLDEN, ids=lambda r: f"k{r['k']}n{r['n']}-{r['size']}B"
+)
+def test_fragments_are_the_golden_bytes(record):
+    k, n, size = record["k"], record["n"], record["size"]
+    value = _golden_value(k, n, size)
+    fragments = encode(value, k, n)
+    if "hex" in record:
+        assert [f.hex() for f in fragments] == record["hex"]
+        fragments = [bytes.fromhex(h) for h in record["hex"]]
+    else:
+        assert [hashlib.sha256(f).hexdigest() for f in fragments] == record["sha256"]
+    # Shares written by the earlier encoder decode from every k-subset.
+    for combo in itertools.combinations(range(n), k):
+        assert decode({i: fragments[i] for i in combo}, k, n) == value, combo
+
+
+@pytest.mark.parametrize("k,n", GEOMETRIES)
+def test_kernel_matches_the_per_byte_reference(k, n):
+    rng = random.Random(7000 + 10 * k + n)
+    for size in (0, 1, 17, 255, 1000):
+        value = rng.randbytes(size)
+        fragments = encode(value, k, n)
+        assert fragments == _ref_encode(value, k, n), size
+        for combo in itertools.combinations(range(n), k):
+            subset = {index: fragments[index] for index in combo}
+            assert _ref_decode(subset, k, n) == value, (size, combo)
+            assert decode(subset, k, n) == value, (size, combo)
+
+
+# ----------------------------------------------------------------------
+# Kernel work per fragment, as a count of C calls
+# ----------------------------------------------------------------------
+
+KERNEL_CALLS = ("translate", "from_bytes", "to_bytes")
+WORK_GEOMETRIES = [(2, 4), (3, 5)]
+
+
+def _kernel_calls(function, *args) -> dict[str, int]:
+    counts = dict.fromkeys(KERNEL_CALLS, 0)
+
+    def profiler(frame, event, arg) -> None:
+        if event == "c_call" and getattr(arg, "__name__", None) in counts:
+            counts[arg.__name__] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def _work_cases(k: int, n: int):
+    """``(label, rows combined, fragment indices decoded or None)`` per
+    measured call: encode combines the parity rows; decode combines one
+    row of the chosen rows' inverse per *missing* data fragment — none
+    for the all-data set."""
+    cases = [("encode", list(coding_matrix(k, n)[k:]), None)]
+    all_data = tuple(range(k))
+    one_data = (0, *range(k, 2 * k - 1))
+    last_k = tuple(range(n - k, n))
+    for combo in (all_data, one_data, last_k):
+        inverse = _ref_invert([coding_matrix(k, n)[i] for i in combo])
+        missing = [row for i, row in enumerate(inverse) if i not in combo]
+        cases.append((f"decode {combo}", missing, combo))
+    return cases
+
+
+def _expected_calls(rows) -> dict[str, int]:
+    return {
+        "translate": sum(c not in (0, 1) for row in rows for c in row),
+        "from_bytes": sum(c != 0 for row in rows for c in row),
+        "to_bytes": len(rows),
+    }
+
+
+def _measure_here() -> dict[str, dict[str, int]]:
+    value = random.Random(5).randbytes(4096)
+    measured = {}
+    for k, n in WORK_GEOMETRIES:
+        fragments = encode(value, k, n)  # and warm coding_matrix's cache
+        for label, _, combo in _work_cases(k, n):
+            if combo is None:
+                counts = _kernel_calls(encode, value, k, n)
+            else:
+                subset = {i: fragments[i] for i in combo}
+                counts = _kernel_calls(decode, subset, k, n)
+            measured[f"({k}, {n}) {label}"] = counts
+    return measured
+
+
+def test_kernel_work_is_one_conversion_per_term():
+    # Counted in a fresh interpreter: sys.setprofile sees every call the
+    # process makes (docs/perf.md, "PR 21").
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True,
+        check=True,
+    )
+    measured = json.loads(done.stdout)
+    expected = {
+        f"({k}, {n}) {label}": _expected_calls(rows)
+        for k, n in WORK_GEOMETRIES
+        for label, rows, _ in _work_cases(k, n)
+    }
+    assert measured == expected
+    # A held data fragment is passed through: an all-data decode does no
+    # kernel work at all.
+    assert measured["(2, 4) decode (0, 1)"] == dict.fromkeys(KERNEL_CALLS, 0)
+
+
+if __name__ == "__main__":
+    print(json.dumps(_measure_here()))
