@@ -6,12 +6,19 @@ ran over a cluster:
 
 * each server listens on a TCP port; connections identify themselves
   with a one-frame handshake (ring predecessor or client);
-* a writer task pulls ring frames one at a time
-  (:meth:`ServerProtocol.next_ring_batch`, up to
-  :func:`~repro.runtime.interface.ring_batch_depth` messages each) and
-  sends them to the current successor — natural backpressure gives the
-  paper's one-frame-at-a-time ring slotting;
-* a broken outgoing ring connection *is* the perfect failure detector
+* every connection is one :class:`_Link` driven by the loop's protocol
+  callbacks — no stream objects, no task per connection.  Inbound bytes
+  are framed, session-filtered and stepped through the protocol inside
+  ``data_received``, and the replies are written before it returns;
+* ring frames leave from one ``flush`` per loop turn, armed when a step
+  queued ring or directed work: it pulls
+  :meth:`ServerProtocol.next_ring_batch` (up to
+  :func:`~repro.runtime.interface.ring_batch_depth` messages a frame)
+  while the successor link accepts bytes.  The link's
+  ``pause_writing``/``resume_writing`` are the backpressure, so a slow
+  successor holds messages in the protocol's queues — the paper's
+  one-frame-at-a-time ring slotting — not in a socket buffer;
+* a lost outgoing ring connection *is* the perfect failure detector
   (the paper: "when a TCP connection fails, the server on the other side
   of the connection failed"); the detecting predecessor coordinates the
   reconfiguration, and other servers learn of the crash from the
@@ -65,7 +72,7 @@ from __future__ import annotations
 import asyncio
 import struct
 from collections import Counter
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.client import ClientProtocol
 from repro.core.config import ProtocolConfig
@@ -114,11 +121,11 @@ _KIND_REJOIN = 2
 _KIND_HB = 3
 
 #: Unsent bytes on a heartbeat connection past which the peer is not
-#: draining it (asyncio's default high-water mark, where ``drain()``
-#: would start to block): the connection is dropped and redialled.
+#: draining it (asyncio's default high-water mark, where the transport
+#: would pause its writer): the connection is dropped and redialled.
 _HB_BACKLOG = 64 * 1024
 
-#: How long the ring sender waits before redialling an unreachable
+#: How long the ring link waits before redialling an unreachable
 #: successor under the heartbeat detector (where a refused connection is
 #: *not* a crash certificate — the session holds the unacked suffix and
 #: replays it once the dial succeeds).
@@ -134,11 +141,6 @@ _RING_REDIAL = 0.1
 #: tail never reaches glibc's consolidation threshold.
 _RECV_BYTES = 32 * 1024
 
-
-def _bound_reads(writer: asyncio.StreamWriter) -> None:
-    """Read ``writer``'s connection :data:`_RECV_BYTES` at a time."""
-    writer.transport.max_size = _RECV_BYTES
-
 #: Default heartbeat timings for real sockets: much coarser than the
 #: simulator's, because an event loop stalled by CI noise must not spray
 #: wrong suspicions (they would be *safe*, but churny).
@@ -153,9 +155,7 @@ def _segment_frame(segment: Segment) -> bytes:
     return frame(encode_segment(segment, encode_message))
 
 
-def _ack_later(
-    armed: set, session: ReliableSession, writer: asyncio.StreamWriter
-) -> None:
+def _ack_later(armed: set, session: ReliableSession, transport) -> None:
     """``session`` owes its peer an ack: give reverse traffic
     ``ack_delay`` to carry it (``session.send`` piggybacks the ack and
     clears ``ack_owed``), then spend a frame on a pure one.  ``armed``
@@ -167,8 +167,8 @@ def _ack_later(
 
     def fire() -> None:
         armed.discard(session)
-        if session.ack_owed and not writer.is_closing():
-            writer.write(_segment_frame(session.make_ack()))
+        if session.ack_owed and not transport.is_closing():
+            transport.write(_segment_frame(session.make_ack()))
 
     asyncio.get_running_loop().call_later(session.config.ack_delay, fire)
 
@@ -182,18 +182,75 @@ def _segments_frame(segments: list) -> bytes:
     return frame(encode_batch(segments, encode_message))
 
 
-def _now() -> float:
-    return asyncio.get_running_loop().time()
+def _ignore(link: "_Link", payload: bytes) -> None:
+    """Frame handler of a link whose peer never sends frames."""
 
 
-async def _read_frames(reader: asyncio.StreamReader, decoder: FrameDecoder):
-    """Yield complete frames from ``reader`` until EOF."""
-    while True:
-        chunk = await reader.read(64 * 1024)
-        if not chunk:
-            return
-        for payload in decoder.feed(chunk):
-            yield payload
+class _Link(asyncio.Protocol):
+    """One TCP connection, either end, run by the loop's callbacks.
+
+    ``on_frame(link, payload)`` runs for every complete inbound frame
+    inside ``data_received``; ``on_lost(link)`` once, when the
+    connection is gone.  An accepted connection first reads the hello
+    and hands it to ``on_hello(link, kind, peer, generation)``, which
+    returns the frame handler.  ``paused`` mirrors the transport's
+    write-side flow control, and ``on_resume`` runs when it lifts.
+    """
+
+    def __init__(self, on_frame: Callable = _ignore, on_lost=None, on_hello=None):
+        self.on_frame = on_frame
+        self.on_lost = on_lost
+        self.on_hello = on_hello
+        self.on_resume: Optional[Callable[[], None]] = None
+        self.transport: Optional[asyncio.Transport] = None
+        self.kind: Optional[int] = None
+        self.peer = 0
+        self.session: Optional[ReliableSession] = None
+        self.paused = False
+        self._decoder = FrameDecoder()
+        self._head = b""
+
+    def connection_made(self, transport) -> None:
+        transport.max_size = _RECV_BYTES
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        if self.on_hello is not None:
+            data = self._head + data
+            if len(data) < _HELLO.size:
+                self._head = data
+                return
+            on_hello, self.on_hello = self.on_hello, None
+            self.on_frame = on_hello(self, *_HELLO.unpack_from(data))
+            data = data[_HELLO.size :]
+        for payload in self._decoder.feed(data):
+            self.on_frame(self, payload)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.on_resume is not None:
+            self.on_resume()
+
+    def connection_lost(self, exc) -> None:
+        if self.on_lost is not None:
+            self.on_lost(self)
+
+
+async def _dial(
+    address: tuple[str, int], kind: int, sender: int, generation: int,
+    on_frame: Callable = _ignore, on_lost=None,
+) -> _Link:
+    """Connect to ``address`` and send the hello."""
+    loop = asyncio.get_running_loop()
+    _transport, link = await loop.create_connection(
+        lambda: _Link(on_frame, on_lost), *address
+    )
+    link.kind = kind
+    link.transport.write(_HELLO.pack(kind, sender, generation))
+    return link
 
 
 class AsyncServerNode:
@@ -245,6 +302,7 @@ class AsyncServerNode:
             self.proto.config.batch_max_messages, len(ring.members)
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._reset_volatile()
 
     def _reset_volatile(self) -> None:
@@ -252,20 +310,22 @@ class AsyncServerNode:
         and sessions.  A restart's links are all new connections, which
         the bumped ``generation`` tells the peers."""
         self._stopped = False
-        self._tasks: list[asyncio.Task] = []
-        self._hb_writers: dict[int, asyncio.StreamWriter] = {}
+        self._tasks: set[asyncio.Task] = set()
+        self._hb_links: dict[int, _Link] = {}
         self._hb_dialing: set[int] = set()
         #: Consecutive refused rejoin announcements (see :meth:`_announced`).
         self._refused = 0
-        self._client_writers: dict[int, asyncio.StreamWriter] = {}
-        self._inbound_writers: set[asyncio.StreamWriter] = set()
-        self._ring_writer: Optional[asyncio.StreamWriter] = None
-        self._ring_peer: Optional[int] = None
-        self._ring_wake = asyncio.Event()
+        #: Accepted connections, for :meth:`stop` to abort; each leaves
+        #: in its own ``connection_lost``, as does its client entry.
+        self._inbound: set[_Link] = set()
+        self._client_links: dict[int, _Link] = {}
+        self._ring_link: Optional[_Link] = None
+        self._ring_dialing = False
+        self._flush_armed = False
         # Reliable sessions: one endpoint toward the current successor
         # (reset whenever the successor changes — a new ring link is a
-        # new channel), one per inbound peer (ring predecessors by
-        # ``-peer_id - 1`` to keep them disjoint from client ids).
+        # new channel), one per inbound ring peer (by ``-peer_id - 1``).
+        # A client's session lives on its link: connection-scoped.
         self._ring_session = ReliableSession()
         #: The peer the ring session's stream is addressed to; a
         #: successor change resets the session *before* new messages
@@ -277,26 +337,22 @@ class AsyncServerNode:
         self._peer_generations: dict[int, int] = {}
         self._acks_armed: set[ReliableSession] = set()
 
-    def _peer_session(self, key: int) -> ReliableSession:
-        session = self._peer_sessions.get(key)
-        if session is None:
-            session = self._peer_sessions[key] = ReliableSession()
-        return session
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
+    async def _listen(self, host: str, port: int) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(self._accept, host, port)
+
     async def start(self) -> None:
-        host, port = self.addresses[self.server_id]
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        await self._listen(*self.addresses[self.server_id])
         self.spawn_background(trusting=True)
 
     def spawn_background(self, trusting: bool) -> None:
-        """Start the ring sender and this incarnation's control-plane
-        driver (``trusting``: a cold start trusts its peers for one
-        timeout, a restart starts suspect-first)."""
-        self._tasks.append(asyncio.create_task(self._ring_sender()))
+        """Start this incarnation's control-plane driver (``trusting``:
+        a cold start trusts its peers for one timeout, a restart starts
+        suspect-first)."""
         self.driver = ServerDriver(
             self,
             self.server_id,
@@ -306,6 +362,7 @@ class AsyncServerNode:
             trusting,
         )
         self.driver.start()
+        self._arm()
 
     async def stop(self) -> None:
         """Crash the server: abort every connection immediately."""
@@ -316,15 +373,9 @@ class AsyncServerNode:
             self._server.close()
         for task in self._tasks:
             task.cancel()
-        writers = [
-            self._ring_writer,
-            *self._client_writers.values(),
-            *self._inbound_writers,
-            *self._hb_writers.values(),
-        ]
-        for writer in writers:
-            if writer is not None:
-                writer.transport.abort()
+        for link in (self._ring_link, *self._inbound, *self._hb_links.values()):
+            if link is not None and link.transport is not None:
+                link.transport.abort()
         await asyncio.sleep(0)
 
     async def restart(self) -> None:
@@ -349,9 +400,14 @@ class AsyncServerNode:
             generation=self.generation,
             alone=len(self.addresses) == 1,
         )
-        host, port = self.addresses[self.server_id]
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        await self._listen(*self.addresses[self.server_id])
         self.spawn_background(trusting=False)
+
+    def _spawn(self, coro) -> None:
+        """Run ``coro`` as a task :meth:`stop` cancels."""
+        task = self._loop.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------------
     # Driver capabilities (repro.runtime.driver.DriverHost)
@@ -361,10 +417,10 @@ class AsyncServerNode:
         return [self.proto]
 
     def now(self) -> float:
-        return _now()
+        return self._loop.time()
 
     def set_timer(self, delay: float, callback, *args) -> None:
-        asyncio.get_running_loop().call_later(delay, callback, *args)
+        self._loop.call_later(delay, callback, *args)
 
     def send_raw(self, peer: int, message) -> None:
         """One raw frame on the persistent heartbeat connection to
@@ -378,40 +434,39 @@ class AsyncServerNode:
         dial.  Silence *is* the signal, and one dead peer must not hold
         up the beacons every *other* peer relies on for our liveness.
         """
-        writer = self._hb_writers.get(peer)
-        if writer is not None and not writer.is_closing():
-            if writer.transport.get_write_buffer_size() <= _HB_BACKLOG:
-                writer.write(frame(encode_message(message)))
+        link = self._hb_links.get(peer)
+        if link is not None and not link.transport.is_closing():
+            if link.transport.get_write_buffer_size() <= _HB_BACKLOG:
+                link.transport.write(frame(encode_message(message)))
                 return
-            writer.transport.abort()
+            link.transport.abort()
         if peer not in self._hb_dialing:
             self._hb_dialing.add(peer)
-            self._track(asyncio.create_task(self._dial_hb(peer, message)))
+            self._spawn(self._dial_hb(peer, message))
 
     async def _dial_hb(self, peer: int, message) -> None:
         try:
-            _r, writer = await asyncio.wait_for(
-                asyncio.open_connection(*self.addresses[peer]),
+            link = await asyncio.wait_for(
+                _dial(self.addresses[peer], _KIND_HB, self.server_id, self.generation),
                 timeout=self.hb_config.period,
             )
-            writer.write(_HELLO.pack(_KIND_HB, self.server_id, self.generation))
-            writer.write(frame(encode_message(message)))
-            self._hb_writers[peer] = writer
+            link.transport.write(frame(encode_message(message)))
+            self._hb_links[peer] = link
         except (ConnectionError, OSError, asyncio.TimeoutError):
             pass  # this beat is lost; the next one redials
         finally:
             self._hb_dialing.discard(peer)
 
     def post(self, replies) -> None:
-        if replies:
-            self._track(asyncio.create_task(self._dispatch_replies(replies)))
-        self._ring_wake.set()
+        self._reply(replies)
+        self._arm()
 
     def after_step(self) -> None:
         """Post-handler hook: let the driver act on what the handlers
-        asked for, and wake the sender for what they queued."""
+        asked for, and arm the flush for what they queued."""
         self.driver.poll()
-        self._ring_wake.set()
+        if self.proto.has_ring_work:
+            self._arm()
 
     def count(self, event: str, peer: int) -> None:
         self.counters[event] += 1
@@ -435,290 +490,247 @@ class AsyncServerNode:
         if self.fd != "heartbeat" and self._refused >= 2 * len(self.driver.peers):
             self.driver.resume_alone()
 
-    def _track(self, task: asyncio.Task) -> None:
-        """Register a background task, pruning finished ones (driver
-        callbacks spawn them for the whole life of the node)."""
-        self._tasks = [t for t in self._tasks if not t.done()]
-        self._tasks.append(task)
-
     async def _send_control(self, destination: int, message) -> bool:
         """Best-effort out-of-ring-order frame (rejoin announcements,
-        stale-epoch notices, first-hop tokens); whether the dial went
-        through."""
+        stale-epoch notices, first-hop tokens) on a connection of its
+        own, closed on every path; whether the dial went through."""
         try:
-            _r, writer = await asyncio.open_connection(*self.addresses[destination])
-            writer.write(_HELLO.pack(_KIND_REJOIN, self.server_id, self.generation))
-            writer.write(frame(encode_message(message)))
-            await writer.drain()
-            writer.close()
-            return True
+            link = await _dial(
+                self.addresses[destination], _KIND_REJOIN, self.server_id,
+                self.generation,
+            )
         except (ConnectionError, OSError):
-            return False  # advisory traffic; its sender re-triggers it
+            delivered = False  # advisory traffic; its sender re-triggers it
+        else:
+            try:
+                link.transport.write(frame(encode_message(message)))
+            finally:
+                link.transport.close()
+            delivered = True
+        if isinstance(message, RejoinRequest):
+            self._announced(delivered)
+        return delivered
 
     # ------------------------------------------------------------------
-    # Inbound connections
+    # Inbound connections: stepped inside data_received
     # ------------------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one accepted connection; the writer is tracked (for
-        :meth:`stop` to abort) exactly as long as its handler runs — a
-        reconnecting client or a one-shot control dial must not leave a
-        closed writer behind for the life of the node."""
-        self._inbound_writers.add(writer)
-        _bound_reads(writer)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            self._inbound_writers.discard(writer)
-            writer.close()
+    def _accept(self) -> _Link:
+        link = _Link(on_lost=self._inbound_lost, on_hello=self._on_hello)
+        self._inbound.add(link)
+        return link
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder()
-        try:
-            hello = await reader.readexactly(_HELLO.size)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return
-        kind, peer_id, peer_generation = _HELLO.unpack(hello)
+    def _on_hello(self, link: _Link, kind: int, peer: int, generation: int):
+        link.kind, link.peer = kind, peer
+        if self._stopped:
+            link.transport.abort()
+            return _ignore
         if kind == _KIND_HB:
             # Peer heartbeat stream: raw frames, no session.
-            try:
-                async for payload in _read_frames(reader, decoder):
-                    if self._stopped:
-                        break
-                    self.driver.on_raw(decode_message(payload))
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-            return
+            return self._on_beacon
         if kind == _KIND_REJOIN:
             # Out-of-ring-order control traffic (rejoin announcements,
             # stale-epoch notices): raw frames, no session — each
             # message is idempotent and retried by its sender.
-            try:
-                async for payload in _read_frames(reader, decoder):
-                    if self._stopped:
-                        break
-                    replies = self.proto.on_ring_message(
-                        decode_message(payload), int(peer_id)
-                    )
-                    await self._dispatch_replies(replies)
-                    self.after_step()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-            return
-        # Ring predecessors and clients share one id space for sessions;
-        # predecessors are mapped below zero to keep them disjoint.
-        session_key = peer_id if kind == _KIND_CLIENT else -peer_id - 1
-        if kind == _KIND_RING:
-            # Ring sessions persist across same-peer reconnects (the
-            # unacked-suffix replay needs the receive cursor) — but only
-            # within one incarnation.  A higher hello generation means
-            # the peer restarted with fresh sequence numbers; keeping the
-            # old cursor would suppress its entire fresh stream as
-            # duplicates.
-            if self._peer_generations.get(session_key) != peer_generation:
-                self._peer_generations[session_key] = peer_generation
-                self._peer_sessions[session_key] = ReliableSession()
+            return self._on_control
         if kind == _KIND_CLIENT:
-            self._client_writers[peer_id] = writer
             # Client sessions are connection-scoped (both ends make a
             # fresh one per connection): cross-connection exactly-once
             # for client operations is the protocol's OpId dedup, so
             # tying the session to the connection avoids both permanent
             # seq gaps across seams and leaking sessions under client
-            # churn.  Ring sessions, by contrast, persist across
-            # same-peer reconnects — there the unacked-suffix replay is
-            # the only recovery short of a reconfiguration.
-            self._peer_sessions[peer_id] = ReliableSession()
-        # Bind this connection to its session object once: a stale
-        # handler must never feed late frames into a replacement
-        # connection's fresh session.
-        session = self._peer_session(session_key)
-        try:
-            async for payload in _read_frames(reader, decoder):
-                if self._stopped:
-                    break
-                for segment in decode_frame(payload, decode_message):
-                    for message in session.on_segment(segment, _now()):
-                        if kind == _KIND_RING:
-                            replies = self.proto.on_ring_message(message, int(peer_id))
-                        else:
-                            replies = self.proto.on_client_message(peer_id, message)
-                        self.after_step()
-                        await self._dispatch_replies(replies)
-                if session.ack_owed:
-                    # Ring links are one-directional and a client request
-                    # may defer its reply, so a pure ack may be needed.
-                    _ack_later(self._acks_armed, session, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if kind == _KIND_CLIENT and self._client_writers.get(peer_id) is writer:
-                # Deregister only our own writer and session: a reconnect
-                # may have replaced both before this stale handler
-                # observed EOF, and it must not tear down the new ones.
-                self._client_writers.pop(peer_id, None)
-                self._peer_sessions.pop(peer_id, None)
+            # churn.
+            link.session = ReliableSession()
+            self._client_links[peer] = link
+            return self._on_segments
+        # Ring sessions persist across same-peer reconnects (the
+        # unacked-suffix replay needs the receive cursor) — but only
+        # within one incarnation.  A higher hello generation means the
+        # peer restarted with fresh sequence numbers; keeping the old
+        # cursor would suppress its entire fresh stream as duplicates.
+        key = -peer - 1
+        if self._peer_generations.get(key) != generation:
+            self._peer_generations[key] = generation
+            self._peer_sessions[key] = ReliableSession()
+        # Bound once: a stale connection must never feed late frames
+        # into a replacement's fresh session.
+        link.session = self._peer_sessions[key]
+        return self._on_segments
 
-    async def _dispatch_replies(self, replies) -> None:
+    def _inbound_lost(self, link: _Link) -> None:
+        """The one place an accepted connection is forgotten.  A
+        reconnecting client may already have replaced its entry; only
+        this connection's own is removed."""
+        self._inbound.discard(link)
+        if link.kind == _KIND_CLIENT and self._client_links.get(link.peer) is link:
+            del self._client_links[link.peer]
+
+    def _on_beacon(self, link: _Link, payload: bytes) -> None:
+        self.driver.on_raw(decode_message(payload))
+
+    def _on_control(self, link: _Link, payload: bytes) -> None:
+        self._reply(self.proto.on_ring_message(decode_message(payload), link.peer))
+        self.after_step()
+
+    def _on_segments(self, link: _Link, payload: bytes) -> None:
+        """A session frame from a ring predecessor or a client."""
+        session = link.session
+        now = self._loop.time()
+        for segment in decode_frame(payload, decode_message):
+            for message in session.on_segment(segment, now):
+                if link.kind == _KIND_RING:
+                    replies = self.proto.on_ring_message(message, link.peer)
+                else:
+                    replies = self.proto.on_client_message(link.peer, message)
+                self.after_step()
+                if replies:
+                    self._reply(replies)
+        if session.ack_owed:
+            # Ring links are one-directional and a client request may
+            # defer its reply, so a pure ack may be needed.
+            _ack_later(self._acks_armed, session, link.transport)
+
+    def _reply(self, replies) -> None:
+        """Write each reply to its client's connection, if it has one."""
+        now = self._loop.time()
         for reply in replies:
-            writer = self._client_writers.get(reply.client)
-            if writer is None:
-                continue
-            session = self._peer_session(reply.client)
-            try:
-                writer.write(_segment_frame(session.send(reply.message, _now())))
-                await writer.drain()
-            except ConnectionError:
-                self._client_writers.pop(reply.client, None)
+            link = self._client_links.get(reply.client)
+            if link is not None and not link.transport.is_closing():
+                link.transport.write(
+                    _segment_frame(link.session.send(reply.message, now))
+                )
 
     # ------------------------------------------------------------------
     # Outgoing ring connection + perfect failure detection
     # ------------------------------------------------------------------
 
-    async def _ring_sender(self) -> None:
+    def _arm(self) -> None:
+        """Flush once, at the end of this loop turn."""
+        if not self._flush_armed and not self._stopped:
+            self._flush_armed = True
+            self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """Send what the protocol queued: directed messages on their own
+        connections, ring batches to the successor while its link takes
+        bytes.  A dial in progress or a paused link stops the pull; the
+        dial's end or ``resume_writing`` arms the next flush."""
+        self._flush_armed = False
+        proto = self.proto
         while not self._stopped:
-            directed = self.proto.next_directed_message()
+            directed = proto.next_directed_message()
             if directed is not None:
-                destination, out_of_band = directed
-                delivered = await self._send_control(destination, out_of_band)
-                if isinstance(out_of_band, RejoinRequest):
-                    self._announced(delivered)
+                self._spawn(self._send_control(*directed))
                 continue
-            batch = self.proto.next_ring_batch(self._batch_depth)
+            link = self._ring_link
+            if self._ring_dialing or (
+                link is not None and link.paused and link.peer == proto.successor
+            ):
+                # A paused link to a *former* successor holds nothing
+                # up: the next batch redials the current one.
+                return
+            batch = proto.has_ring_work and proto.next_ring_batch(self._batch_depth)
             if not batch:
                 if (
                     self.fd == "heartbeat"
                     and self._ring_session.in_flight
-                    and (self._ring_writer is None or self._ring_writer.is_closing())
+                    and (link is None or link.transport.is_closing())
                 ):
                     # Unacked ring traffic but no connection and no new
                     # work to trigger a dial: keep redialling, or the
                     # suffix would sit in the session until the next
                     # outbound message (a final standalone commit could
                     # otherwise stall forever on a healthy cluster).
-                    # _successor_writer replays the unacked suffix.
-                    try:
-                        await self._successor_writer(self.proto.successor)
-                    except (ConnectionError, OSError):
-                        pass
-                    await asyncio.sleep(_RING_REDIAL)
-                    continue
-                self._ring_wake.clear()
-                if self.proto.has_ring_work:
-                    continue
-                await self._ring_wake.wait()
-                continue
-            successor = self.proto.successor
+                    self._dial_ring(proto.successor)
+                return
+            successor = proto.successor
             if self._session_peer != successor:
                 # A different successor is a different channel: fresh
                 # seqs.  Reset happens *before* the message enters the
                 # session, so a retargeted stream never wipes live data.
                 self._ring_session.reset()
                 self._session_peer = successor
-            now = _now()
+            now = self._loop.time()
             segments = [self._ring_session.send(m, now) for m in batch]
-            try:
-                writer = await self._successor_writer(successor)
-                writer.write(_segments_frame(segments))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                self._drop_ring_writer()
-                if self.fd == "heartbeat":
-                    # Not a crash certificate here: the successor may be
-                    # pausing, partitioned, or restarting.  The message
-                    # sits unacked in the session (replayed on the next
-                    # successful dial); suspicion — and with it the
-                    # reconfiguration — is the heartbeat tracker's call.
-                    await asyncio.sleep(_RING_REDIAL)
-                    self._ring_wake.set()
-                    continue
-                # The paper's failure detector: a broken ring connection
-                # means the successor crashed.  Splice and reconfigure.
-                self._ring_session.reset()
-                self._session_peer = None
-                if self.proto.ring.is_alive(successor) and self.proto.ring.num_alive > 1:
-                    replies = self.proto.on_server_crash(successor)
-                    await self._dispatch_replies(replies)
-                # The undelivered messages' state is covered by the
-                # reconfiguration merge; do not retransmit them verbatim.
-                continue
+            if link is None or link.peer != successor or link.transport.is_closing():
+                # The dial replays the unacked suffix, these included.
+                self._dial_ring(successor)
+                return
+            link.transport.write(_segments_frame(segments))
 
-    async def _successor_writer(self, successor: int) -> asyncio.StreamWriter:
-        if (
-            self._ring_writer is not None
-            and self._ring_peer == successor
-            and not self._ring_writer.is_closing()
-        ):
-            return self._ring_writer
-        self._drop_ring_writer()
-        host, port = self.addresses[successor]
-        reader, writer = await asyncio.open_connection(host, port)
-        _bound_reads(writer)
-        writer.write(_HELLO.pack(_KIND_RING, self.server_id, self.generation))
+    def _dial_ring(self, successor: int) -> None:
+        self._drop_ring_link()
+        self._ring_dialing = True
+        self._spawn(self._connect_ring(successor))
+
+    async def _connect_ring(self, successor: int) -> None:
+        try:
+            link = await _dial(
+                self.addresses[successor], _KIND_RING, self.server_id,
+                self.generation, self._on_ring_acks, self._ring_lost,
+            )
+        except (ConnectionError, OSError):
+            self._ring_dialing = False
+            self._successor_down(successor, _RING_REDIAL)
+            return
+        self._ring_dialing = False
+        link.peer = successor
+        link.on_resume = self._arm
         # Reconnected to the same peer: frames written to the old
         # connection may or may not have reached it — retransmit the
         # unacked suffix and let receive-side dedup resolve the
         # ambiguity.  This is the session layer doing for connection
         # seams what TCP does within one connection.  The replay is
         # chunked into batch frames like a fresh burst would be.
-        unacked = list(self._ring_session.unacked_segments())
+        unacked = self._ring_session.unacked_segments()
         for start in range(0, len(unacked), self._batch_depth):
-            writer.write(_segments_frame(unacked[start : start + self._batch_depth]))
-        await writer.drain()
-        self._ring_writer = writer
-        self._ring_peer = successor
-        # Watch the read side: the successor's cumulative acks arrive
-        # here, and EOF or a reset on this connection is the paper's
-        # failure-detector signal for the successor's crash.
-        self._tasks.append(
-            asyncio.create_task(self._watch_successor(reader, writer, successor))
-        )
-        return writer
+            link.transport.write(
+                _segments_frame(unacked[start : start + self._batch_depth])
+            )
+        self._ring_link = link
+        self._arm()
 
-    async def _watch_successor(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer: int,
-    ) -> None:
-        decoder = FrameDecoder()
-        try:
-            async for payload in _read_frames(reader, decoder):
-                if self._ring_writer is not writer:
-                    break
-                for segment in decode_frame(payload, decode_message):
-                    self._ring_session.on_segment(segment, _now())
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        if self._stopped or self._ring_writer is not writer:
-            # A stale watcher (its connection was already replaced, e.g.
-            # by a same-peer reconnect) must not tear down the live
-            # connection or report a live successor as crashed —
-            # identity is the *connection*, not the peer id.
+    def _on_ring_acks(self, link: _Link, payload: bytes) -> None:
+        """The successor's cumulative acks, on the ring link's read side."""
+        if link is self._ring_link:
+            now = self._loop.time()
+            for segment in decode_frame(payload, decode_message):
+                self._ring_session.on_segment(segment, now)
+
+    def _ring_lost(self, link: _Link) -> None:
+        """The paper's failure-detector signal: the connection to the
+        successor is gone.  A replaced connection (a same-peer reconnect,
+        a new successor) reports nothing — identity is the *connection*,
+        not the peer id."""
+        if self._stopped or link is not self._ring_link:
             return
-        self._drop_ring_writer()
+        self._ring_link = None
+        self._successor_down(link.peer, 0.0)
+
+    def _successor_down(self, peer: int, redial_after: float) -> None:
+        if self._stopped:
+            return
         if self.fd == "heartbeat":
-            # Just a broken connection: keep the session (the unacked
-            # suffix replays on reconnect) and let the tracker decide
-            # whether anyone is actually gone.
-            self._ring_wake.set()
+            # Not a crash certificate here: the successor may be
+            # pausing, partitioned, or restarting.  The session keeps
+            # the unacked suffix (replayed on the next successful dial);
+            # suspicion — and with it the reconfiguration — is the
+            # heartbeat tracker's call.
+            self._loop.call_later(redial_after, self._arm)
             return
+        # The paper's failure detector: the successor crashed.  Splice
+        # and reconfigure; the undelivered messages' state is covered by
+        # the reconfiguration merge, so they are not retransmitted.
         self._ring_session.reset()
         self._session_peer = None
         if self.proto.ring.is_alive(peer) and self.proto.ring.num_alive > 1:
-            replies = self.proto.on_server_crash(peer)
-            await self._dispatch_replies(replies)
-        self._ring_wake.set()
+            self._reply(self.proto.on_server_crash(peer))
+        self._arm()
 
-    def _drop_ring_writer(self) -> None:
-        if self._ring_writer is not None:
-            self._ring_writer.close()
-        self._ring_writer = None
-        self._ring_peer = None
+    def _drop_ring_link(self) -> None:
+        link, self._ring_link = self._ring_link, None
+        if link is not None:
+            link.transport.close()
 
 
 class AsyncClient:
@@ -734,27 +746,20 @@ class AsyncClient:
         self.proto = ClientProtocol(client_id, servers, config)
         self.client_id = client_id
         self.addresses = dict(addresses)
-        self._connections: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
+        # One link per live server connection, each with its own
+        # reliable session.  Sessions are connection-scoped (dropped with
+        # the connection, matching the server side): requests lost at a
+        # connection seam are recovered by the protocol's retry timer
+        # plus server-side OpId dedup, the same machinery that covers
+        # retries to a different server.
+        self._links: dict[int, _Link] = {}
+        #: Messages waiting for a dial in progress, per server.
+        self._queued: dict[int, list] = {}
+        self._dials: set[asyncio.Task] = set()
         self._futures: dict[OpId, asyncio.Future] = {}
         self._timers: dict[int, asyncio.TimerHandle] = {}
-        self._reader_tasks: dict[int, asyncio.Task] = {}
-        # Strong references to in-flight timeout handlers: the loop only
-        # holds weak ones, so an untracked task can be collected
-        # mid-retry and its exceptions silently dropped.
-        self._timeout_tasks: set[asyncio.Task] = set()
-        # One reliable session per live server connection.  Sessions are
-        # connection-scoped (dropped with the connection, matching the
-        # server side): requests lost at a connection seam are recovered
-        # by the protocol's retry timer plus server-side OpId dedup, the
-        # same machinery that covers retries to a different server.
-        self._sessions: dict[int, ReliableSession] = {}
         self._acks_armed: set[ReliableSession] = set()
-
-    def _session(self, server: int) -> ReliableSession:
-        session = self._sessions.get(server)
-        if session is None:
-            session = self._sessions[server] = ReliableSession()
-        return session
+        self._closed = False
 
     async def write(self, value: bytes) -> None:
         op, effects = self.proto.start_write(value)
@@ -762,37 +767,33 @@ class AsyncClient:
 
     async def read(self) -> bytes:
         op, effects = self.proto.start_read()
-        result = await self._run_op(op, effects)
-        return result
+        return await self._run_op(op, effects)
 
     async def close(self) -> None:
+        self._closed = True
         for timer in self._timers.values():
             timer.cancel()
-        for task in self._timeout_tasks:
+        for task in self._dials:
             task.cancel()
-        for task in self._reader_tasks.values():
-            task.cancel()
-        for _reader, writer in self._connections.values():
-            writer.close()
-        self._connections.clear()
+        for link in self._links.values():
+            link.transport.close()
+        self._links.clear()
 
     # ------------------------------------------------------------------
 
     async def _run_op(self, op: OpId, effects) -> Optional[bytes]:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         self._futures[op] = future
-        await self._execute(effects)
+        self._execute(effects)
         return await future
 
-    async def _execute(self, effects) -> None:
-        loop = asyncio.get_running_loop()
+    def _execute(self, effects) -> None:
         for effect in effects:
             if isinstance(effect, SendTo):
-                await self._send(effect.server, effect.message)
+                self._send(effect.server, effect.message)
             elif isinstance(effect, SetTimer):
                 self._cancel(effect.timer_id)
-                self._timers[effect.timer_id] = loop.call_later(
+                self._timers[effect.timer_id] = asyncio.get_running_loop().call_later(
                     effect.delay, self._timeout, effect.timer_id
                 )
             elif isinstance(effect, CancelTimer):
@@ -808,69 +809,64 @@ class AsyncClient:
                         StorageUnavailableError(f"{effect.op}: {effect.reason}")
                     )
 
-    async def _send(self, server: int, message) -> None:
+    def _send(self, server: int, message) -> None:
+        link = self._links.get(server)
+        if link is not None:
+            now = asyncio.get_running_loop().time()
+            link.transport.write(_segment_frame(link.session.send(message, now)))
+            return
+        queued = self._queued.setdefault(server, [])
+        queued.append(message)
+        if len(queued) == 1:
+            task = asyncio.get_running_loop().create_task(self._connect(server))
+            self._dials.add(task)
+            task.add_done_callback(self._dials.discard)
+
+    async def _connect(self, server: int) -> None:
         try:
-            writer = await self._connection(server)
-            writer.write(_segment_frame(self._session(server).send(message, _now())))
-            await writer.drain()
+            link = await _dial(
+                self.addresses[server], _KIND_CLIENT, self.client_id, 0,
+                self._on_frame, self._lost,
+            )
         except (ConnectionError, OSError):
-            self._drop(server)
-            # The retry timer will move us to another server.
+            self._queued.pop(server, None)
+            return  # the retry timer will move us to another server
+        if self._closed:
+            link.transport.close()
+            return
+        link.peer = server
+        link.session = ReliableSession()
+        self._links[server] = link
+        for message in self._queued.pop(server, ()):
+            self._send(server, message)
 
-    async def _connection(self, server: int) -> asyncio.StreamWriter:
-        if server in self._connections:
-            return self._connections[server][1]
-        host, port = self.addresses[server]
-        reader, writer = await asyncio.open_connection(host, port)
-        _bound_reads(writer)
-        writer.write(_HELLO.pack(_KIND_CLIENT, self.client_id, 0))
-        await writer.drain()
-        self._connections[server] = (reader, writer)
-        self._reader_tasks[server] = asyncio.create_task(self._reader(server, reader))
-        return writer
+    def _on_frame(self, link: _Link, payload: bytes) -> None:
+        session = link.session
+        now = asyncio.get_running_loop().time()
+        for segment in decode_frame(payload, decode_message):
+            for message in session.on_segment(segment, now):
+                if isinstance(message, (ReadAck, WriteAck)):
+                    self._execute(self.proto.on_reply(message))
+        if session.ack_owed:
+            # Acknowledge replies even when no further request is
+            # imminent, so the server's send window stays clean.
+            _ack_later(self._acks_armed, session, link.transport)
 
-    async def _reader(self, server: int, reader: asyncio.StreamReader) -> None:
-        decoder = FrameDecoder()
-        session = self._session(server)
-        try:
-            async for payload in _read_frames(reader, decoder):
-                for segment in decode_frame(payload, decode_message):
-                    for message in session.on_segment(segment, _now()):
-                        if isinstance(message, (ReadAck, WriteAck)):
-                            await self._execute(self.proto.on_reply(message))
-                if session.ack_owed:
-                    # Acknowledge replies even when no further request is
-                    # imminent, so the server's send window stays clean.
-                    _ack_later(
-                        self._acks_armed, session, self._connections[server][1]
-                    )
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._drop(server)
+    def _lost(self, link: _Link) -> None:
+        # The session dies with its connection (the server makes a fresh
+        # one per connection too); the retry timer re-issues anything
+        # that was in flight, and OpId dedup absorbs double delivery.
+        if self._links.get(link.peer) is link:
+            del self._links[link.peer]
 
     def _timeout(self, timer_id: int) -> None:
         self._timers.pop(timer_id, None)
-        task = asyncio.ensure_future(self._execute(self.proto.on_timeout(timer_id)))
-        self._timeout_tasks.add(task)
-        task.add_done_callback(self._timeout_tasks.discard)
+        self._execute(self.proto.on_timeout(timer_id))
 
     def _cancel(self, timer_id: int) -> None:
         timer = self._timers.pop(timer_id, None)
         if timer is not None:
             timer.cancel()
-
-    def _drop(self, server: int) -> None:
-        conn = self._connections.pop(server, None)
-        if conn is not None:
-            conn[1].close()
-        task = self._reader_tasks.pop(server, None)
-        if task is not None:
-            task.cancel()
-        # The session dies with its connection (the server makes a fresh
-        # one per connection too); the retry timer re-issues anything
-        # that was in flight, and OpId dedup absorbs double delivery.
-        self._sessions.pop(server, None)
 
 
 class AsyncCluster:
@@ -922,8 +918,7 @@ class AsyncCluster:
                 fd=self.fd,
                 heartbeat=self.heartbeat,
             )
-            host, port = "127.0.0.1", 0
-            node._server = await asyncio.start_server(node._on_connection, host, port)
+            await node._listen("127.0.0.1", 0)
             actual = node._server.sockets[0].getsockname()
             self.addresses[server_id] = (actual[0], actual[1])
             self.nodes[server_id] = node

@@ -170,7 +170,7 @@ class ReliableSession:
 
     def unacked_segments(self) -> list[Segment]:
         """Every in-flight segment, for retransmit-on-reconnect runtimes
-        (the asyncio ring sender resends these on a fresh connection)."""
+        (the asyncio ring link replays these on a fresh connection)."""
         return [Segment(seq, self._cursor, payload)
                 for seq, payload in self._unacked.items()]
 

@@ -5,12 +5,32 @@ the paper's connection-break failure detector and client failover.
 """
 
 import asyncio
+import gc
+import socket
+import struct
+import warnings
+from collections import Counter
 
 import pytest
 
+from repro.analysis.history import History
+from repro.analysis.linearizability import check_register_history
 from repro.core.config import ProtocolConfig
-from repro.errors import StorageUnavailableError
-from repro.runtime.asyncio_net import _RECV_BYTES, AsyncCluster
+from repro.core.messages import ClientRead, OpId, StaleEpochNotice
+from repro.core.server import ServerProtocol
+from repro.errors import ProtocolError, StorageUnavailableError
+from repro.runtime.asyncio_net import (
+    _HELLO,
+    _KIND_CLIENT,
+    _KIND_HB,
+    _KIND_REJOIN,
+    _KIND_RING,
+    _RECV_BYTES,
+    AsyncCluster,
+    _Link,
+    _segment_frame,
+)
+from repro.transport.reliable import ReliableSession
 
 
 def run(coro):
@@ -37,10 +57,9 @@ def test_write_then_read_across_clients():
 
 
 def test_closed_connections_do_not_accumulate_inbound_writers():
-    """Every accepted connection's writer is tracked only while its
-    handler runs: 50 client connect/close cycles (and the ring's own
-    dials) must leave no closed writer behind on the node.  The
-    connections that remain read in bounded buffers."""
+    """Every accepted connection is tracked only until it is lost: 50
+    client connect/close cycles (and the ring's own dials) must leave no
+    closed connection behind on the node."""
 
     async def scenario():
         cluster = AsyncCluster(2)
@@ -51,19 +70,208 @@ def test_closed_connections_do_not_accumulate_inbound_writers():
                 client = cluster.client(home_server=0)
                 await client.write(b"cycle-%d" % i)
                 await client.close()
-            for _ in range(100):  # let the last handler observe its EOF
-                if len(node._inbound_writers) <= 1:
+            for _ in range(100):  # let the last connection_lost run
+                if len(node._inbound) <= 1:
                     break
                 await asyncio.sleep(0.01)
-            live = [w for w in node._inbound_writers if not w.is_closing()]
-            # Every connection that reads asks for a bounded buffer (the
-            # 256 KiB default makes throughput depend on heap layout).
-            assert all(w.transport.max_size == _RECV_BYTES for w in live)
-            assert node._ring_writer.transport.max_size == _RECV_BYTES
+            live = [link for link in node._inbound if not link.transport.is_closing()]
             # Live: the ring predecessor's connection (no client is open).
-            assert len(node._inbound_writers) == len(live) <= 1, (
-                f"{len(node._inbound_writers)} tracked, {len(live)} live"
+            assert len(node._inbound) == len(live) <= 1, (
+                f"{len(node._inbound)} tracked, {len(live)} live"
             )
+            assert node._client_links == {}
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_client_state_is_released_when_a_reply_write_fails():
+    """Clients that send a request and reset the connection before the
+    reply arrives: the reply write fails, and the node must keep neither
+    a connection nor a session for any of them afterwards."""
+
+    async def scenario():
+        cluster = AsyncCluster(2)
+        await cluster.start()
+        try:
+            node = cluster.nodes[0]
+            survivor = cluster.client(home_server=0)
+            await survivor.write(b"v")
+            for client_id in range(1, 21):
+                _reader, writer = await asyncio.open_connection(*cluster.addresses[0])
+                # Zero linger: close sends a reset, so the reply write fails.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                request = ReliableSession().send(ClientRead(OpId(client_id, 1)), 0.0)
+                writer.write(
+                    _HELLO.pack(_KIND_CLIENT, client_id, 0) + _segment_frame(request)
+                )
+                writer.transport.abort()
+            for _ in range(100):
+                if len(node._inbound) <= 2:
+                    break
+                await asyncio.sleep(0.01)
+            assert await survivor.read() == b"v"
+            clients = {key for key in node._peer_sessions if key >= 0}
+            assert clients == set(), clients
+            assert set(node._client_links) == {survivor.client_id}
+            await survivor.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_control_sends_close_their_connection_on_every_path():
+    """A control frame rides a connection of its own, which is closed
+    whether the frame went out or writing it raised."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        sink = await loop.create_server(asyncio.Protocol, "127.0.0.1", 0)
+        cluster = AsyncCluster(1)
+        await cluster.start()
+        try:
+            node = cluster.nodes[0]
+            node.addresses[7] = sink.sockets[0].getsockname()
+            dialled = []
+            create_connection = loop.create_connection
+
+            async def spy(*args, **kwargs):
+                transport, protocol = await create_connection(*args, **kwargs)
+                dialled.append(transport)
+                return transport, protocol
+
+            loop.create_connection = spy
+            assert await node._send_control(7, StaleEpochNotice(epoch=0, sender=0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ProtocolError):
+                    await node._send_control(7, object())  # cannot be encoded
+                gc.collect()
+            del loop.create_connection
+            assert len(dialled) == 2
+            assert all(transport.is_closing() for transport in dialled)
+            # Closed by the sender, not by a finaliser that found it open.
+            assert not [w for w in caught if w.category is ResourceWarning]
+        finally:
+            await cluster.stop()
+            sink.close()
+
+    run(scenario())
+
+
+def test_every_connection_kind_reads_in_bounded_buffers(monkeypatch):
+    """Ring in and out, client (both ends), heartbeat (both ends) and
+    control connections all ask the kernel for at most ``_RECV_BYTES``
+    per read: asyncio's 256 KiB default makes throughput depend on heap
+    layout (docs/perf.md, "PR 22")."""
+    made = []
+    connection_made = _Link.connection_made
+
+    def record(link, transport):
+        connection_made(link, transport)
+        made.append(link)
+
+    monkeypatch.setattr(_Link, "connection_made", record)
+
+    async def scenario():
+        cluster = AsyncCluster(3, fd="heartbeat")
+        await cluster.start()
+        try:
+            client = cluster.client(home_server=0)
+            await client.write(b"bounded")
+            assert await client.read() == b"bounded"
+            # A control connection: a stale-epoch notice from the past
+            # is ignored by its receiver.
+            notice = StaleEpochNotice(epoch=0, sender=1)
+            assert await cluster.nodes[1]._send_control(0, notice)
+            await asyncio.sleep(0.3)  # beacons flow, the hello arrives
+            # Each kind shows up on both ends: the dialled side and the
+            # accepted side, which learns it from the hello.
+            kinds = Counter(link.kind for link in made)
+            for kind in (_KIND_RING, _KIND_CLIENT, _KIND_HB, _KIND_REJOIN):
+                assert kinds[kind] >= 2, kinds
+            assert all(link.transport.max_size == _RECV_BYTES for link in made)
+            await client.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_a_paused_successor_stops_the_ring_pull_and_bounds_the_buffer(monkeypatch):
+    """Backpressure lives in the successor link's flow control: while the
+    successor stops reading, the predecessor stops pulling ring batches
+    once its transport pauses, so its buffer stays within the high-water
+    mark plus one frame and the rest of the work waits in the protocol's
+    queues.  Once reading resumes every started operation completes and
+    the history is atomic."""
+    value_bytes, clients_count = 16 * 1024, 48
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        config = ProtocolConfig(client_timeout=30.0, client_max_retries=2)
+        cluster = AsyncCluster(3, config)
+        await cluster.start()
+        try:
+            history = History()
+            clients = [cluster.client(home_server=0) for _ in range(clients_count)]
+
+            async def write_then_read(client):
+                value = b"%d:" % client.client_id + bytes(value_bytes)
+                history.invoke(loop.time(), client.client_id, 0, "write", value)
+                await client.write(value)
+                history.respond(loop.time(), client.client_id, 0, None)
+                history.invoke(loop.time(), client.client_id, 1, "read", None)
+                got = await client.read()
+                history.respond(loop.time(), client.client_id, 1, got)
+
+            await write_then_read(clients[0])  # the ring links are up
+            predecessor, successor = cluster.nodes[0], cluster.nodes[1]
+            link = predecessor._ring_link
+            (inbound,) = [l for l in successor._inbound if l.kind == _KIND_RING]
+            # Fixed kernel buffers, smaller than the backlog, so that it
+            # reaches the transport (yet above the loopback MSS: smaller
+            # ones leave the resumed window to the persist timer).
+            for end, option in ((link, socket.SO_SNDBUF), (inbound, socket.SO_RCVBUF)):
+                end.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, option, 128 * 1024
+                )
+            inbound.transport.pause_reading()
+            pulled_while_paused = []
+            next_ring_batch = ServerProtocol.next_ring_batch
+
+            def spy(proto, limit):
+                if proto is predecessor.proto and link.paused:
+                    pulled_while_paused.append(limit)
+                return next_ring_batch(proto, limit)
+
+            monkeypatch.setattr(ServerProtocol, "next_ring_batch", spy)
+            tasks = [asyncio.create_task(write_then_read(c)) for c in clients[1:]]
+
+            async def paused():
+                while not link.paused:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(paused(), timeout=10.0)
+            await asyncio.sleep(0.2)  # the ring keeps stepping meanwhile
+            assert pulled_while_paused == []
+            assert predecessor.proto.has_ring_work, "the backlog waits in the queues"
+            _low, high = link.transport.get_write_buffer_limits()
+            frame_bytes = predecessor._batch_depth * (value_bytes + 1024)
+            assert link.transport.get_write_buffer_size() <= high + frame_bytes
+
+            inbound.transport.resume_reading()
+            await asyncio.wait_for(asyncio.gather(*tasks), timeout=30.0)
+            assert not link.paused and link is predecessor._ring_link
+            history.close()
+            ok, why = check_register_history(history, initial=b"")
+            assert ok, why
+            for client in clients:
+                await client.close()
         finally:
             await cluster.stop()
 

@@ -101,7 +101,9 @@ _WIRE_LINE_BUDGET = 620
 #: Logical lines of ``repro/runtime/`` + ``repro/core/sharded.py`` —
 #: 2,568 before the driver existed; the extraction had to land at least
 #: 200 below that, and the hosting code may not silently grow back.
-_LINE_BUDGET = 2368
+#: ``asyncio_net.py`` on protocol callbacks is 563 lines, 26 below the
+#: streams version it replaced.
+_LINE_BUDGET = 2342
 
 
 def _code_names(tree: ast.AST) -> set[str]:
