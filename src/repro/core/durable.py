@@ -22,10 +22,15 @@ module supplies the persistence half of that model:
   the asyncio runtime (atomic write-to-temp + rename, so a crash during
   ``save`` leaves the previous snapshot intact).
 
-Snapshots are *write-ahead* with respect to acknowledgements: the server
-persists before its replies are handed to the runtime, so any write or
-read a client observed as complete is covered by the snapshot a restart
-reloads.  What is deliberately *not* persisted: the forward queue
+Snapshots are *write-ahead* with respect to every output: a
+:class:`~repro.core.server.ServerProtocol` saves a dirty state inside the
+three methods its outputs leave through (``drain_replies``,
+``next_directed_message``, ``next_ring_batch``) before it hands anything
+to the runtime, so any write or read a client observed as complete, and
+any message a peer acted on, is covered by the snapshot a restart
+reloads.  ``tests/integration/test_write_ahead.py`` checks that the last
+saved snapshot equals the live state after every output of every chaos
+profile.  What is deliberately *not* persisted: the forward queue
 (queued pre-writes live in their sender's pending set and are
 redistributed by the rejoin merge) and the reliable-session state (a
 restart is a new channel; sequence numbers restart from scratch on both
@@ -207,11 +212,12 @@ class FileSnapshotStore(SnapshotStore):
 
     ``save`` writes to ``<path>.tmp`` and renames it over the target, so
     a crash mid-save can never leave a torn snapshot — the previous
-    complete snapshot survives.  Saves run synchronously inside protocol
-    handlers (the write-ahead guarantee requires the snapshot on disk
-    before a reply leaves), so by default they rely on rename atomicity
-    alone: fully durable against *process* crashes — this repo's
-    recovery model — at microseconds per save.  Pass ``fsync=True`` to
+    complete snapshot survives.  Saves run synchronously inside the
+    protocol's output methods (the write-ahead guarantee requires the
+    snapshot on disk before an output leaves), so by default they rely
+    on rename atomicity alone: fully durable against *process* crashes —
+    this repo's recovery model — at microseconds per save.  Pass
+    ``fsync=True`` to
     also survive power loss, at the cost of a synchronous disk flush per
     dirty protocol step; on the asyncio event loop that stalls every
     connection of the node for each sync, so it belongs behind a

@@ -108,8 +108,12 @@ optimisations; see DESIGN.md section 5):
 * **Crash recovery.**  The paper's model is crash-stop; this server
   additionally supports restart-and-rejoin, the recovery model of
   erasure-coded atomic-storage successors.  A server persists a
-  write-ahead snapshot (:mod:`repro.core.durable`) before any reply
-  leaves a handler; after a restart, :meth:`ServerProtocol.restore`
+  write-ahead snapshot (:mod:`repro.core.durable`) before any output
+  leaves it: outputs leave only through
+  :meth:`~ServerProtocol.drain_replies`,
+  :meth:`~ServerProtocol.next_directed_message` and
+  :meth:`~ServerProtocol.next_ring_batch`, and each saves a dirty state
+  first, whatever the handler did.  After a restart, :meth:`ServerProtocol.restore`
   reloads it and the server comes back *rejoining*: paused, deferring
   reads, and announcing itself (:class:`RejoinRequest`) to a live
   sponsor.  The sponsor folds it back in by coordinating a
@@ -175,15 +179,22 @@ class ServerProtocol:
     Runtime contract:
 
     * deliver inbound traffic via :meth:`on_client_message`,
-      :meth:`on_ring_message` and :meth:`on_server_crash`; each returns
-      the :class:`~repro.runtime.interface.Reply` effects to send to
+      :meth:`on_ring_message` and :meth:`on_server_crash` (and the
+      detector's entry points); each returns the
+      :class:`~repro.runtime.interface.Reply` effects to send to
       clients;
-    * whenever the outgoing ring link is free and :attr:`has_ring_work`
-      is true, pull one frame's worth of messages with
+    * whenever the outgoing ring link is free, pull directed messages
+      with :meth:`next_directed_message`, then — while
+      :attr:`has_ring_work` is true — one frame's worth of messages with
       :meth:`next_ring_batch` (:meth:`next_ring_message` is the
       one-message form) and send it to :attr:`successor`; afterwards
       collect replies produced as a side effect with
       :meth:`drain_replies`.
+
+    Outputs leave only through :meth:`drain_replies`,
+    :meth:`next_directed_message` and :meth:`next_ring_batch`, and each
+    of them persists a dirty state before it hands anything back, so
+    write-ahead holds by construction: no handler persists for itself.
     """
 
     def __init__(
@@ -198,7 +209,6 @@ class ServerProtocol:
             raise ProtocolError(f"server {server_id} not a ring member")
         self.server_id = server_id
         self.ring = ring
-        self._mark_dirty()
         self.config = (config or ProtocolConfig()).validate()
 
         #: Owner of everything that depends on how a value is laid out
@@ -209,8 +219,8 @@ class ServerProtocol:
 
         #: Durable snapshot store (crash recovery).  When set, the
         #: protocol persists a write-ahead snapshot of its committed and
-        #: pending state before any reply leaves a handler, so a restart
-        #: via :meth:`restore` never forgets an acknowledged operation.
+        #: pending state before any output leaves it, so a restart via
+        #: :meth:`restore` never forgets an acknowledged operation.
         self.durable = durable
         self._dirty = False
 
@@ -423,8 +433,7 @@ class ServerProtocol:
             # tag order, exactly as a live server resolves them when the
             # ring shrinks to one.
             if proto.pending:
-                proto._resolve_alone()
-                proto.drain_replies()  # no client is waiting across a restart
+                proto._resolve_alone()  # no waiter survives a restart to answer
         else:
             proto.rejoining = True
             proto.paused = True
@@ -534,33 +543,29 @@ class ServerProtocol:
         if self.rejoining:
             self._rejoin_sponsor = sponsor
 
-    def next_rejoin_announce(self) -> Optional[tuple[int, RejoinRequest]]:
-        """The pending ``(sponsor, announcement)``, if one is queued.
-
-        Pulled by the runtime's outbound pump ahead of ring traffic —
-        the announcement travels outside ring order because the
-        rejoiner is not part of anyone's ring yet.
-        """
-        if self._rejoin_sponsor is None:
-            return None
-        sponsor, self._rejoin_sponsor = self._rejoin_sponsor, None
-        return sponsor, RejoinRequest(
-            self.server_id, self.restart_generation, self.installed_epoch
-        )
-
     def next_directed_message(self) -> Optional[tuple[int, RingMessage]]:
         """The next out-of-ring-order ``(destination, message)``, if any.
 
         Pulled by the runtime's outbound pump ahead of ring traffic:
-        rejoin announcements, stale-epoch notices and reconfiguration
-        tokens whose first hop differs from the installed successor.
+        the queued rejoin announcement first (the rejoiner is not part
+        of anyone's ring yet), then stale-epoch notices and
+        reconfiguration tokens whose first hop differs from the
+        installed successor.
         """
-        announce = self.next_rejoin_announce()
-        if announce is None and self.outbox:
-            return self.outbox.popleft()
-        return announce
+        sponsor = self._rejoin_sponsor
+        if sponsor is not None:
+            self._rejoin_sponsor = None
+            directed = sponsor, RejoinRequest(
+                self.server_id, self.restart_generation, self.installed_epoch
+            )
+        elif self.outbox:
+            directed = self.outbox.popleft()
+        else:
+            return None
+        self._maybe_persist()
+        return directed
 
-    def complete_rejoin_alone(self) -> None:
+    def complete_rejoin_alone(self) -> list[Reply]:
         """End a rejoin with no live sponsor: this server is the ring.
 
         The runtime calls this when every other server is dead — there
@@ -569,22 +574,24 @@ class ServerProtocol:
         writes resolve locally, exactly as a live sole survivor resolves
         them when the ring shrinks to one.
         """
-        if not self.rejoining:
-            return
-        members = self.ring.members
-        self.installed_epoch = max(self.ring.epoch, self.installed_epoch) + 1
-        self.ring = self.installed_view = RingView(
-            members, frozenset(members) - {self.server_id}, self.installed_epoch
-        )
-        self.rejoining = False
-        self._rejoin_sponsor = None
-        self._resolve_alone()
-        self._maybe_persist()
+        if self.rejoining:
+            members = self.ring.members
+            self.installed_epoch = max(self.ring.epoch, self.installed_epoch) + 1
+            self.ring = self.installed_view = RingView(
+                members, frozenset(members) - {self.server_id}, self.installed_epoch
+            )
+            self.rejoining = False
+            self._rejoin_sponsor = None
+            self._resolve_alone()
+        return self.drain_replies()
 
     def _mark_dirty(self) -> None:
         self._dirty = True
 
     def _maybe_persist(self) -> None:
+        """Save the snapshot if covered state changed since the last
+        save.  Called by the three output methods (and at construction
+        by :meth:`restore` / :meth:`from_transfer`), never by a handler."""
         if self._dirty and self.durable is not None:
             self.durable.save(self.snapshot())
             self._dirty = False
@@ -619,7 +626,6 @@ class ServerProtocol:
             self._on_client_read(client, message)
         else:
             raise ProtocolError(f"unexpected client message: {message!r}")
-        self._maybe_persist()
         return self.drain_replies()
 
     def on_ring_message(
@@ -633,11 +639,7 @@ class ServerProtocol:
         """
         guard = self._epoch_guard
         if guard is not None and guard(message, sender):
-            # Rejected by the epoch guard, which touches only stats and
-            # the outbox — nothing the snapshot covers — so no persist
-            # is needed here (the writeahead staticheck rule proves
-            # every handler leaves covered state clean).
-            return self.drain_replies()
+            return self.drain_replies()  # rejected by the epoch guard
         if isinstance(message, PreWrite):
             self._process_commits(message.commits)
             self._on_pre_write(message)
@@ -656,13 +658,13 @@ class ServerProtocol:
             self.values.on_message(message)
         else:
             self.views.on_message(message)  # fences, notices; else raises
-        self._maybe_persist()
         return self.drain_replies()
 
     # ------------------------------------------------------------------
-    # The detector's entry points.  Each stays the persist-and-drain
-    # boundary; what it *means* is the view policy's (repro.core.views),
-    # and each exists only under the detector that calls it.
+    # The detector's entry points.  Each ends in the drain (and so in
+    # the persist); what it *means* is the view policy's
+    # (repro.core.views), and each exists only under the detector that
+    # calls it.
     # ------------------------------------------------------------------
 
     def on_server_crash(self, crashed: int) -> list[Reply]:
@@ -670,7 +672,6 @@ class ServerProtocol:
         :meth:`CrashStopViews.on_server_crash
         <repro.core.views.CrashStopViews.on_server_crash>`)."""
         self.views.on_server_crash(crashed)
-        self._maybe_persist()
         return self.drain_replies()
 
     def on_suspect(self, peer: int) -> list[Reply]:
@@ -685,7 +686,6 @@ class ServerProtocol:
         delay (:attr:`reconcile_due`).
         """
         self.views.on_suspect(peer)
-        self._maybe_persist()
         return self.drain_replies()
 
     def on_unsuspect(self, peer: int) -> list[Reply]:
@@ -698,7 +698,6 @@ class ServerProtocol:
         reconfiguration proves the view is still live before we resume.
         """
         self.views.on_unsuspect(peer)
-        self._maybe_persist()
         return self.drain_replies()
 
     def propose_reconfig(self) -> list[Reply]:
@@ -718,7 +717,6 @@ class ServerProtocol:
         :class:`StaleEpochNotice` and a rejoin instead.
         """
         self.views.propose_reconfig()
-        self._maybe_persist()
         return self.drain_replies()
 
     def on_lease_update(self, valid: bool, epoch: int) -> list[Reply]:
@@ -731,10 +729,9 @@ class ServerProtocol:
         cannot be served against).
         """
         self.views.on_lease_update(valid, epoch)
-        self._maybe_persist()
         return self.drain_replies()
 
-    def may_grant_lease(self, peer: int) -> bool:  # staticheck: allow(writeahead.persist-before-output) -- a pure query: it reads view state and mutates nothing
+    def may_grant_lease(self, peer: int) -> bool:
         """Grantor-side gate: may this server extend ``peer``'s lease?
 
         Grants flow only toward peers the grantor currently believes
@@ -759,7 +756,6 @@ class ServerProtocol:
         install started its own wait-out.
         """
         self.views.lease_waitout_elapsed(epoch)
-        self._maybe_persist()
         return self.drain_replies()
 
     @property
@@ -778,23 +774,20 @@ class ServerProtocol:
 
     def next_ring_message(self) -> Optional[RingMessage]:
         """Pull the next message for the successor (the ``queue handler``
-        task, lines 53–75, plus commit piggybacking)."""
-        message = self._next_ring_message()
-        # Initiating or forwarding mutates the pending set; persist
-        # before the message leaves (write-ahead of the wire).
-        self._maybe_persist()
-        return message
+        task, lines 53–75, plus commit piggybacking): the one-message
+        form of :meth:`next_ring_batch`."""
+        batch = self.next_ring_batch(1)
+        return batch[0] if batch else None
 
     def next_ring_batch(self, limit: int) -> list[RingMessage]:
         """Pull up to ``limit`` successor-bound messages for one wire
         frame (:attr:`ProtocolConfig.batch_max_messages`).
 
-        Persistence stays write-ahead — the single :meth:`_maybe_persist`
-        below runs before the runtime puts any of these messages on the
-        wire — but is amortised over the whole batch instead of paid per
-        message.  The drain stops early if the successor changes between
-        pulls (a control message may retarget the ring) so one frame
-        never mixes destinations.
+        Initiating or forwarding mutates the pending set, so the state
+        is persisted before the batch is handed back (write-ahead of the
+        wire), once per batch rather than per message.  The drain stops
+        early if the successor changes between pulls (a control message
+        may retarget the ring) so one frame never mixes destinations.
         """
         batch: list[RingMessage] = []
         successor = self.successor
@@ -887,7 +880,9 @@ class ServerProtocol:
         return None
 
     def drain_replies(self) -> list[Reply]:
-        """Replies produced since the last drain."""
+        """Replies produced since the last drain, handed back after the
+        state behind them is persisted.  Every entry point ends here."""
+        self._maybe_persist()
         replies, self._replies = self._replies, []
         return replies
 
@@ -950,9 +945,6 @@ class ServerProtocol:
         if op in self.op_index:
             self.ack_waiters.setdefault(self.op_index[op], []).append((client, op))
             return None
-        if self.alone:
-            self._commit_locally(op, value, client)
-            return None
 
         new_tag = Tag(self._next_ts(), self.server_id)
         # Note our own mint: if this entry is later zombie-dropped (a
@@ -967,7 +959,6 @@ class ServerProtocol:
         self.ack_waiters.setdefault(new_tag, []).append((client, op))
         self.fair.note_initiated()
         self.stats_writes_initiated += 1
-        self._mark_dirty()
         return PreWrite(new_tag, wire, op)
 
     def _commit_locally(self, op: OpId, value: bytes, client: int) -> None:
@@ -1565,7 +1556,8 @@ class ServerProtocol:
         """Remove pending zombies of ``op`` left by duplicate initiations.
 
         ``op`` just committed under ``committed`` (the caller popped
-        that entry and ``op``'s endorsement); any pending tag still
+        that entry and ``op``'s endorsement, and marked the state
+        dirty at the commit point); any pending tag still
         carrying the operation is a duplicate whose circle may never
         close, and read thresholds pointing at it are clamped so no
         read waits for a commit that will never arrive.
@@ -1573,7 +1565,6 @@ class ServerProtocol:
         zombies = self.pending.tags_of(op)
         for tag in zombies:
             self.queued_tags.discard(tag)
-            self._mark_dirty()
             self._drop_zombie(tag, committed)
         if zombies:
             self._retarget_read_waiters()

@@ -340,5 +340,4 @@ class ServerDriver:
         alone without quorum evidence would fork the register."""
         for proto in self._host.all_protos():
             if proto.rejoining:
-                proto.complete_rejoin_alone()
-                self._host.post(proto.drain_replies())
+                self._host.post(proto.complete_rejoin_alone())

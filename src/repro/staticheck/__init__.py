@@ -1,7 +1,7 @@
 """protolint: AST-based checks for this repo's protocol invariants.
 
 The repo's load-bearing guarantees — seed => byte-identical traces,
-write-ahead persistence before any reply leaves a handler, codec
+protocol state changed only where it is persisted, codec
 dispatch-table completeness, asyncio hygiene, and honest chaos-gate
 coverage — are invariants of the *source*, not of any one test input.
 This package checks them statically, at diff time, with repo-specific

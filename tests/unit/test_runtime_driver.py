@@ -79,10 +79,7 @@ class FakeProto:
 
     def complete_rejoin_alone(self):
         self.rejoining = False
-        self.calls.append(("complete_rejoin_alone",))
-
-    def drain_replies(self):
-        return [(self.name, "drained")]
+        return self._call("complete_rejoin_alone")
 
 
 class FakeHost:
@@ -359,7 +356,7 @@ def test_oracle_says_nobody_is_alive_resume_alone():
     host = FakeHost([proto], sponsors=None)
     host.make_driver(heartbeat=None).start()
     assert ("complete_rejoin_alone",) in proto.calls
-    assert ("p", "drained") in host.posted
+    assert ("p", "complete_rejoin_alone") in host.posted
     assert not proto.announced and not host.timers
 
 

@@ -218,7 +218,7 @@ def test_rejoin_handshake_folds_restarted_server_back_in():
     # reconfiguration circulates the grown ring and resumes the
     # rejoiner with the merged state.
     restored.queue_rejoin_announce(0)
-    sponsor, announce = restored.next_rejoin_announce()
+    sponsor, announce = restored.next_directed_message()
     assert sponsor == 0
     h.replies.extend(h.server(0).on_ring_message(announce))
     h.pump_until_quiet()
