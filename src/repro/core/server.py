@@ -580,6 +580,7 @@ class ServerProtocol:
             self.ring = self.installed_view = RingView(
                 members, frozenset(members) - {self.server_id}, self.installed_epoch
             )
+            self._mark_dirty()  # the new view, whether or not anything commits
             self.rejoining = False
             self._rejoin_sponsor = None
             self._resolve_alone()

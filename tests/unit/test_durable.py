@@ -14,7 +14,14 @@ from repro.core.durable import (
     MemorySnapshotStore,
     ServerSnapshot,
 )
-from repro.core.messages import ClientWrite, Commit, OpId, PendingEntry, PreWrite
+from repro.core.messages import (
+    ClientRead,
+    ClientWrite,
+    Commit,
+    OpId,
+    PendingEntry,
+    PreWrite,
+)
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.core.tags import Tag
@@ -268,6 +275,22 @@ def test_restore_alone_resolves_recovered_pending_writes():
     assert restored.pending == {}
     assert restored.value == b"orphaned"
     assert restored.completed_ops.get(70) == 0
+
+
+def test_resuming_alone_saves_the_new_view_before_serving():
+    """A rejoiner with nothing pending that resumes alone installs a new
+    view — epoch up, every peer dead; the snapshot must hold that view
+    before the first reply leaves, or a restart would come back in the
+    view it left."""
+    store = MemorySnapshotStore()
+    restored = ServerProtocol.restore(0, (0, 1, 2), None, durable=store)
+    saves = store.saves
+    restored.complete_rejoin_alone()
+    assert restored.on_client_message(9, ClientRead(OpId(9, 0))), "served at once"
+    saved = store.load()
+    assert (saved.epoch, saved.dead) == (1, (1, 2))
+    assert saved == restored.snapshot()
+    assert store.saves == saves + 1
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,7 @@ _POLICY_SWITCHES = {"view_quorum", "read_leases"}
 #: with a persist call in every handler; all of ``core/`` was 3,380, and
 #: 3,372 with ``payload_size`` an ``isinstance`` chain — no seam may
 #: cost code.
-_SERVER_LINE_BUDGET = 880
+_SERVER_LINE_BUDGET = 881
 _CORE_LINE_BUDGET = 3360
 
 #: Physical lines of ``repro/staticheck/``: 1,841 while a 441-line
