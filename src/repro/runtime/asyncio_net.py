@@ -630,6 +630,10 @@ class AsyncServerNode:
                 # up: the next batch redials the current one.
                 return
             batch = proto.has_ring_work and proto.next_ring_batch(self._batch_depth)
+            if batch is not False and (replies := proto.drain_replies()):
+                # Dequeuing a write whose operation completed meanwhile
+                # acks it.
+                self._reply(replies)
             if not batch:
                 if (
                     self.fd == "heartbeat"

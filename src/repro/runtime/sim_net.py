@@ -504,6 +504,12 @@ class ServerHost(_ServerMachine):
             # from the installed successor.
             return directed
         batch = proto.next_ring_batch(self.cluster.batch_limit)
+        replies = proto.drain_replies()
+        if replies:
+            # Dequeuing a write whose operation completed meanwhile acks
+            # it.  Posted after this pump, not from inside it: posting
+            # kicks the very port that is pulling.
+            self.env.scheduler.schedule(0.0, self.post, replies)
         if not batch:
             return None
         return proto.successor, batch[0] if len(batch) == 1 else batch

@@ -16,8 +16,17 @@ import pytest
 from repro.analysis.history import History
 from repro.analysis.linearizability import check_register_history
 from repro.core.config import ProtocolConfig
-from repro.core.messages import ClientRead, OpId, StaleEpochNotice
+from repro.core.messages import (
+    ClientRead,
+    ClientWrite,
+    Commit,
+    OpId,
+    PreWrite,
+    StaleEpochNotice,
+    WriteAck,
+)
 from repro.core.server import ServerProtocol
+from repro.core.tags import Tag
 from repro.errors import ProtocolError, StorageUnavailableError
 from repro.runtime.asyncio_net import (
     _HELLO,
@@ -50,6 +59,37 @@ def test_write_then_read_across_clients():
             assert await a.read() == b"world"
             await a.close()
             await b.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())
+
+
+def test_an_ack_produced_by_a_ring_pull_is_written_by_the_flush():
+    """A queued client write whose operation committed while it sat in
+    the write queue is acked by the ring pull that dequeues it; the
+    flush that pulled must write that ack."""
+
+    async def scenario():
+        cluster = AsyncCluster(3, config=ProtocolConfig(batch_max_messages=1))
+        await cluster.start()
+        try:
+            client = cluster.client(home_server=2)
+            await client.write(b"first")
+            node = cluster.nodes[2]
+            proto = node.proto
+            op, tag = OpId(client.client_id, 9), Tag(proto.ts_seen + 10, 1)
+            # Staged as in the simulator's test: queued, passed by a
+            # retry's copy from origin 1, committed.
+            proto.on_client_message(client.client_id, ClientWrite(op, b"v"))
+            proto.on_ring_message(PreWrite(tag, b"v", op))
+            assert proto.next_ring_batch(1)[0].tag == tag
+            proto.on_ring_message(Commit((tag,)))
+            written = []
+            node._reply = written.extend
+            node._flush()
+            assert [reply.message for reply in written] == [WriteAck(op, tag)]
+            await client.close()
         finally:
             await cluster.stop()
 

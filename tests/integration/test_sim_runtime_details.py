@@ -10,7 +10,15 @@ import pytest
 
 from repro import AtomicStorage, SimCluster
 from repro.core.config import ProtocolConfig
-from repro.core.messages import payload_size
+from repro.core.messages import (
+    ClientWrite,
+    Commit,
+    OpId,
+    PreWrite,
+    WriteAck,
+    payload_size,
+)
+from repro.core.tags import Tag
 from repro.errors import ConfigurationError
 from repro.sim.faults import FaultPlan
 
@@ -182,3 +190,42 @@ def test_late_sends_to_a_dead_server_still_quiesce():
     assert results and results[0].ok
     for (local, peer), link in cluster.reliable.links.items():
         assert link.tx.in_flight == 0, (local, peer)
+
+
+@pytest.mark.parametrize("topology", ["dual", "shared"])
+def test_an_ack_produced_by_a_ring_pull_leaves_with_the_pull(topology):
+    """A queued client write whose operation committed while it sat in
+    the write queue is acked by the ring pull that dequeues it; the ack
+    must leave then, not wait for the server's next inbound event."""
+    cluster = SimCluster.build(
+        num_servers=3, topology=topology, seed=58,
+        protocol=ProtocolConfig(batch_max_messages=1),
+    )  # fmt: skip
+    client = cluster.add_client(home_server=2)
+    host = cluster.servers[2]
+    proto = host.proto
+    op = OpId(client.client_id, 0)
+    # The write queues at s2 while a retry's copy from origin 1 passes
+    # it and commits — the race aggressive client timeouts produce.
+    proto.on_client_message(client.client_id, ClientWrite(op, b"v"))
+    proto.on_ring_message(PreWrite(Tag(5, 1), b"v", op))
+    assert proto.next_ring_batch(1)[0].tag == Tag(5, 1)  # forwarded
+    proto.on_ring_message(Commit((Tag(5, 1),)))
+    events = []
+    transmit, on_ring = cluster.transmit, proto.on_ring_message
+
+    def sent(link, message, kind):
+        events.append((kind, message))
+        transmit(link, message, kind)
+
+    def received(message, sender=None):
+        events.append(("inbound", message))
+        return on_ring(message, sender)
+
+    cluster.transmit, proto.on_ring_message = sent, received
+    host.kick()  # the pull dequeues the write and acks it
+    cluster.run(until=cluster.now + 0.001)
+    ack = ("reply", WriteAck(op, Tag(5, 1)))
+    assert ack in events
+    inbound = [i for i, (kind, _) in enumerate(events) if kind == "inbound"]
+    assert events.index(ack) < min(inbound, default=len(events))

@@ -45,7 +45,9 @@ WINDOW_S = 0.3
 #: about 835 with per-link state resolved once, closure-free NIC stages
 #: and ``dict.copy()`` snapshots; 817.2 with ``payload_size`` a dict
 #: dispatch instead of an ``isinstance`` chain (4 calls per ``PreWrite``
-#: sized, was 8; 3 per ``Commit``, was 8).  The budget is that count
+#: sized, was 8; 3 per ``Commit``, was 8); 813.2 with the rejoin
+#: announcement read inline and a drain after every ring pull (the
+#: acks a pull produces leave with it).  The budget is that count
 #: plus 10 %: room for features, not for scans or per-frame lookups.
 CALLS_PER_OP_BUDGET = 900
 

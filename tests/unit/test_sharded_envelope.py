@@ -98,6 +98,9 @@ class _StubProto:
             batch.append(message)
         return batch
 
+    def drain_replies(self):
+        return []
+
 
 def _sharded_host(num_blocks: int, **kwargs):
     store = BlockStore.build(num_servers=2, num_blocks=num_blocks, seed=0, **kwargs)
