@@ -217,11 +217,10 @@ class FileSnapshotStore(SnapshotStore):
     snapshot on disk before an output leaves), so by default they rely
     on rename atomicity alone: fully durable against *process* crashes —
     this repo's recovery model — at microseconds per save.  Pass
-    ``fsync=True`` to
-    also survive power loss, at the cost of a synchronous disk flush per
-    dirty protocol step; on the asyncio event loop that stalls every
-    connection of the node for each sync, so it belongs behind a
-    battery-backed or NVMe-fast write path.
+    ``fsync=True`` to also survive power loss, at the cost of a
+    synchronous disk flush per dirty protocol step; on the asyncio event
+    loop that stalls every connection of the node for each sync, so it
+    belongs behind a battery-backed or NVMe-fast write path.
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:

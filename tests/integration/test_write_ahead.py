@@ -34,7 +34,6 @@ import os
 import shutil
 import subprocess
 import sys
-import textwrap
 import weakref
 from pathlib import Path
 
@@ -42,7 +41,6 @@ import pytest
 
 from repro.chaos import generate_schedule, run_schedule
 from repro.chaos.schedule import PROFILES
-from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 
 #: Schedules per profile, all at seed 0.  Cheap profiles first: a red
@@ -145,23 +143,14 @@ def test_saved_snapshot_equals_live_state_after_every_output(profile):
     assert check_profile(profile, CORPUS[profile]) > 0
 
 
-def test_restore_from_nothing_rebuilds_the_initial_state():
-    ring = RingView.initial(3)
-    for value in (b"", b"seeded"):
-        fresh = ServerProtocol(1, ring, initial_value=value)
-        rebuilt = ServerProtocol.restore(1, ring.members, None, initial_value=value)
-        assert rebuilt.snapshot() == fresh.snapshot()
-
-
 def test_outputs_leave_only_through_three_persisting_methods():
     """The construction the dynamic check relies on: exactly five saves
     in the class — the three output methods, and the two constructors
     whose result is itself a visible step (a restart, a migration
     cutover) — and every entry point ends in the persisting drain."""
-    source = inspect.getsource(ServerProtocol)
     methods = {
         node.name: node
-        for node in ast.parse(textwrap.dedent(source)).body[0].body
+        for node in ast.parse(inspect.getsource(ServerProtocol)).body[0].body
         if isinstance(node, ast.FunctionDef)
     }
 

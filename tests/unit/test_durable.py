@@ -250,6 +250,12 @@ def test_restore_without_snapshot_starts_fresh_but_rejoining():
     restored = ServerProtocol.restore(2, (0, 1, 2), None)
     assert restored.tag == Tag.ZERO
     assert restored.rejoining and restored.paused
+    # Exactly the initial state, which the write-ahead check compares a
+    # server that never saved against (tests/integration/test_write_ahead.py).
+    for value in (b"", b"seeded"):
+        fresh = ServerProtocol(2, RingView.initial(3), initial_value=value)
+        rebuilt = ServerProtocol.restore(2, (0, 1, 2), None, initial_value=value)
+        assert rebuilt.snapshot() == fresh.snapshot()
 
 
 def test_restore_alone_resolves_recovered_pending_writes():
