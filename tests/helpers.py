@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable
+
 from repro.analysis.history import History
 from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRead, ClientWrite, OpId
@@ -85,3 +92,24 @@ def run_recorded_cluster(num_servers: int, script, seed: int = 0, **kwargs):
     script(cluster)
     cluster.history.close()
     return cluster.history
+
+
+_TESTS = Path(__file__).resolve().parent
+_WRITE_AHEAD_SCRIPT = _TESTS / "integration/test_write_ahead.py"
+
+
+def run_write_ahead_check(
+    tmp_path: Path, edit: Callable[[str], str], *args: str
+) -> subprocess.CompletedProcess:
+    """Run ``tests/integration/test_write_ahead.py`` as a script against
+    a copy of ``src/repro`` whose ``core/server.py`` source is passed
+    through ``edit``; ``args`` go to the script (``--structure`` runs
+    the structural test instead of the chaos corpus)."""
+    shutil.copytree(_TESTS.parent / "src/repro", tmp_path / "repro")
+    server = tmp_path / "repro/core/server.py"
+    server.write_text(edit(server.read_text()))
+    return subprocess.run(
+        [sys.executable, str(_WRITE_AHEAD_SCRIPT), *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path])),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )  # fmt: skip

@@ -16,8 +16,9 @@ The check runs over fixed seeds of every chaos profile.  What it
 catches that a static reading cannot: a mutation that forgets
 ``_mark_dirty()`` leaves ``_dirty`` false, ``_maybe_persist()`` skips
 the save, and the next output leaves ahead of its state.  The
-meta-tests delete output-method persists and dirty marks in a copy of
-the tree and watch the check go red.
+meta-tests here delete dirty marks in a copy of the tree and watch the
+check go red; ``tests/unit/test_staticheck_meta.py`` deletes each save
+on an output path and watches this check or the structural test go red.
 
 Run as a script (``python tests/integration/test_write_ahead.py
 [profile ...]``) it checks the corpus of the named profiles against the
@@ -30,12 +31,8 @@ from __future__ import annotations
 import ast
 import contextlib
 import inspect
-import os
-import shutil
-import subprocess
 import sys
 import weakref
-from pathlib import Path
 
 import pytest
 
@@ -147,7 +144,8 @@ def test_outputs_leave_only_through_three_persisting_methods():
     """The construction the dynamic check relies on: exactly five saves
     in the class — the three output methods, and the two constructors
     whose result is itself a visible step (a restart, a migration
-    cutover) — and every entry point ends in the persisting drain."""
+    cutover) — every entry point ends in the persisting drain, and the
+    one-message ring pull is the batch pull."""
     methods = {
         node.name: node
         for node in ast.parse(inspect.getsource(ServerProtocol)).body[0].body
@@ -174,28 +172,19 @@ def test_outputs_leave_only_through_three_persisting_methods():
     ):  # fmt: skip
         last = ast.unparse(methods[name].body[-1])
         assert last == "return self.drain_replies()", name
+    pull = ast.unparse(methods["next_ring_message"])
+    assert "self.next_ring_batch(1)" in pull, "next_ring_message"
 
 
 # ----------------------------------------------------------------------
 # Meta-tests: break the write-ahead construction in a copy of the tree.
+# Deleting a persist is in tests/unit/test_staticheck_meta.py; here the
+# dirty marks go, which no static reading of the persists can see.
 # ----------------------------------------------------------------------
 
-_SRC = Path(__file__).resolve().parents[2] / "src"
-
 #: (id, exact source text in core/server.py, replacement); each text
-#: occurs exactly once.  Deletions a chaos run observes:
-_CAUGHT_BY_THE_CHECK = [
-    (
-        "drain_replies-persist",
-        '        state behind them is persisted.  Every entry point ends here."""\n'
-        "        self._maybe_persist()\n",
-        '        state behind them is persisted.  Every entry point ends here."""\n',
-    ),
-    (
-        "next_ring_batch-persist",
-        "        # dirty anyway.\n        self._maybe_persist()\n        return batch\n",
-        "        # dirty anyway.\n        return batch\n",
-    ),
+#: occurs exactly once.
+_MARK_DELETIONS = [
     (
         "forward-mark",
         "            self.stats_forwards += 1\n            self._mark_dirty()\n",
@@ -218,66 +207,23 @@ _CAUGHT_BY_THE_CHECK = [
     ),
 ]
 
-#: Persist deletions no run can observe: every entry point drains, so
-#: the state is already saved whenever a host pulls a directed message,
-#: and the construction-time saves only repeat what the first output
-#: would save.  The structural test guards them.
-_CAUGHT_BY_THE_STRUCTURE = [
-    (
-        "next_directed_message-persist",
-        "            return None\n        self._maybe_persist()\n        return directed\n",
-        "            return None\n        return directed\n",
-    ),
-    (
-        "restore-persist",
-        "            proto.paused = True\n        proto._dirty = True\n"
-        "        proto._maybe_persist()\n",
-        "            proto.paused = True\n        proto._dirty = True\n",
-    ),
-    (
-        "from_transfer-persist",
-        "        proto.restart_generation = generation\n        proto._dirty = True\n"
-        "        proto._maybe_persist()\n",
-        "        proto.restart_generation = generation\n        proto._dirty = True\n",
-    ),
-]
-
-
-def _run_against(tmp_path: Path, old: str, new: str, *args: str):
-    """Run this file as a script against a copy of the tree with one
-    source edit in core/server.py."""
-    shutil.copytree(_SRC / "repro", tmp_path / "repro")
-    server = tmp_path / "repro/core/server.py"
-    text = server.read_text()
-    assert text.count(old) == 1, "the mutation site moved"
-    server.write_text(text.replace(old, new))
-    return subprocess.run(
-        [sys.executable, __file__, *args],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path])),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )  # fmt: skip
-
 
 @pytest.mark.parametrize(
     "old,new",
-    [m[1:] for m in _CAUGHT_BY_THE_CHECK],
-    ids=[m[0] for m in _CAUGHT_BY_THE_CHECK],
+    [m[1:] for m in _MARK_DELETIONS],
+    ids=[m[0] for m in _MARK_DELETIONS],
 )
 def test_breaking_the_construction_turns_the_check_red(tmp_path, old, new):
-    done = _run_against(tmp_path, old, new)
+    # Imported here: the script mode runs without ``tests`` on the path.
+    from tests.helpers import run_write_ahead_check
+
+    def edit(text: str) -> str:
+        assert text.count(old) == 1, "the mutation site moved"
+        return text.replace(old, new)
+
+    done = run_write_ahead_check(tmp_path, edit)
     assert done.returncode != 0
     assert "Mismatch" in done.stderr and "ahead of its state" in done.stderr
-
-
-@pytest.mark.parametrize(
-    "old,new",
-    [m[1:] for m in _CAUGHT_BY_THE_STRUCTURE],
-    ids=[m[0] for m in _CAUGHT_BY_THE_STRUCTURE],
-)
-def test_an_unobservable_persist_deletion_breaks_the_structure(tmp_path, old, new):
-    done = _run_against(tmp_path, old, new, "--structure")
-    assert done.returncode != 0
-    assert "AssertionError" in done.stderr
 
 
 if __name__ == "__main__":
