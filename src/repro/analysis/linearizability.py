@@ -170,34 +170,46 @@ def _sequence_segment(segment: list[_Cluster], base_bound: float) -> bool:
     # only ever make things harder, so failing at b implies failing at
     # every b' >= b.
     failed_at: dict[frozenset, float] = {}
-    steps = [0]
-
-    def search(remaining: frozenset, bound: float) -> bool:
-        if not remaining:
-            return True
-        known = failed_at.get(remaining)
-        if known is not None and bound >= known:
+    steps = 0
+    # A depth-first search with its recursion unrolled, so a segment of
+    # any length fits: each frame is a remaining set, its bound and the
+    # position in ``order`` of the next cluster to try placing first.
+    stack: list[list] = []
+    child: Optional[tuple[frozenset, float]] = (
+        frozenset(range(len(segment))), base_bound
+    )
+    while True:
+        if child is not None:  # enter it
+            remaining, bound = child
+            if not remaining:
+                return True
+            known = failed_at.get(remaining)
+            if known is None or bound < known:
+                steps += 1
+                if steps > _SEGMENT_STEP_BUDGET:
+                    raise HistoryError(
+                        "linearizability search exceeded its step budget "
+                        f"(segment of {len(segment)} clusters)"
+                    )
+                stack.append([remaining, bound, 0])
+        if not stack:
             return False
-        steps[0] += 1
-        if steps[0] > _SEGMENT_STEP_BUDGET:
-            raise HistoryError(
-                "linearizability search exceeded its step budget "
-                f"(segment of {len(segment)} clusters)"
-            )
-        for index in order:
+        frame = stack[-1]
+        remaining, bound, start = frame
+        child = None
+        for position in range(start, len(order)):
+            index = order[position]
             if index not in remaining:
                 continue
             cluster = segment[index]
             point = max(bound, cluster.b)
-            if point > cluster.e:
-                continue
-            if search(remaining - {index}, max(point, cluster.m)):
-                return True
-        previous = failed_at.get(remaining, _INF)
-        failed_at[remaining] = min(previous, bound)
-        return False
-
-    return search(frozenset(range(len(segment))), base_bound)
+            if point <= cluster.e:
+                frame[2] = position + 1
+                child = (remaining - {index}, max(point, cluster.m))
+                break
+        if child is None:  # every placement from this frame failed
+            stack.pop()
+            failed_at[remaining] = min(failed_at.get(remaining, _INF), bound)
 
 
 def check_register_history_slow(history: History, initial: bytes = b"") -> CheckResult:

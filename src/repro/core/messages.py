@@ -31,15 +31,6 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.core.tags import Tag
 
-#: Bytes charged per tag on the wire (8-byte ts + 4-byte server id).
-TAG_WIRE_BYTES = 12
-
-#: Fixed header charged per client-op identification (client id + seq).
-OP_ID_WIRE_BYTES = 12
-
-#: Small fixed cost for message type/bookkeeping fields.
-BASE_WIRE_BYTES = 8
-
 
 class OpId(NamedTuple):
     """Globally unique client operation identifier (client id, sequence).
@@ -422,6 +413,17 @@ FIXED_KINDS = {
     "op": "qi",  # OpId(client, seq)
 }  # fmt: skip
 
+#: The header in front of every message body: the type code, three
+#: reserved bytes, the u32 body length.
+HEADER_FORMAT = ">B3xI"
+
+#: Bytes charged per message header, per tag (8-byte ts + 4-byte server
+#: id) and per client-op identification (client id + seq): the widths of
+#: the formats that pack them.
+BASE_WIRE_BYTES = struct.calcsize(HEADER_FORMAT)
+TAG_WIRE_BYTES = struct.calcsize(">" + FIXED_KINDS["tag"])
+OP_ID_WIRE_BYTES = struct.calcsize(">" + FIXED_KINDS["op"])
+
 #: Variable-width field kinds -> (is a u32 count in front?, format of
 #: each item; ``"s"`` is raw bytes, whose count is their length).
 #: Without the count a field runs to the end of the body, so only a
@@ -447,8 +449,8 @@ _RECONFIG_LAYOUT: Layout = (
 )  # fmt: skip
 
 #: The wire format, one row per message: type code, then the body's
-#: fields in wire order.  On the wire the body follows an 8-byte header
-#: (the type code, three reserved bytes, the u32 body length).
+#: fields in wire order.  On the wire the body follows the
+#: ``HEADER_FORMAT`` header.
 #: :func:`payload_size` and the codec's encoders and decoders
 #: (:mod:`repro.transport.codec`) are all compiled from these rows at
 #: import, so the bytes the simulator charges are the bytes a socket

@@ -10,10 +10,10 @@ module — so renaming an emit site can never again make a coverage gate
 vacuously pass (the PR 5 bug this registry exists to prevent).
 
 The constants' *values* are the wire format: they appear verbatim in
-trace logs and in the committed BENCH_*.json snapshots.  Renaming a
-counter therefore needs a deprecation alias (see :data:`_ALIASES` and
-:func:`canonical`) so external scripts reading old snapshots keep
-working; the string values below must never change silently.
+trace logs and in the committed BENCH_*.json snapshots, so the string
+values below must never change silently.  Renaming a counter renames
+its key in every snapshot and in every script that reads one; it is a
+deliberate change to those files, made in the same commit.
 """
 
 from __future__ import annotations
@@ -110,68 +110,14 @@ MIGRATION_SPLITS = "migration.splits"
 #: Snapshot bytes shipped by block transfers (wire-charged).
 MIGRATION_BYTES = "migration.bytes"
 
-#: Every fixed-name counter above.  The staticheck ``counters`` rule
-#: treats any of these values appearing as a literal outside this
-#: module as a violation.
+#: Every fixed-name counter above: the module's upper-case constants
+#: with a dotted value.  The staticheck ``counters`` rule treats any of
+#: these values appearing as a literal outside this module as a
+#: violation.
 REGISTERED_COUNTERS = frozenset(
-    {
-        PROCESS_CRASHES,
-        PROCESS_RESTARTS,
-        NEMESIS_CUTS,
-        NEMESIS_CUT_DROPS,
-        NEMESIS_DELAYED,
-        NEMESIS_DROPS,
-        NEMESIS_DUP_DELIVERIES,
-        NEMESIS_HEALS,
-        NEMESIS_HELD,
-        NEMESIS_HELD_DELIVERED,
-        NEMESIS_PARTITIONS,
-        NEMESIS_PAUSES,
-        NEMESIS_POSTHUMOUS_DROPS,
-        NEMESIS_RULES,
-        NEMESIS_THROTTLES,
-        NEMESIS_CLOCK_SKEWS,
-        RELIABLE_ABANDONED,
-        RELIABLE_ACKS,
-        RELIABLE_BATCHED_FRAMES,
-        RELIABLE_BATCHED_MESSAGES,
-        RELIABLE_DUPS_SUPPRESSED,
-        RELIABLE_RETRANSMITS,
-        RELIABLE_STALE_DROPPED,
-        FD_DETECTIONS,
-        FD_RECOVERIES,
-        FD_SUSPICIONS,
-        FD_UNSUSPECTS,
-        FD_WRONG_SUSPICIONS,
-        EPOCH_CONFIRMS,
-        EPOCH_QUORUM_STALLS,
-        EPOCH_REJECTED_RECONFIGS,
-        EPOCH_STALE_DROPPED,
-        LEASE_GRANTED,
-        LEASE_RENEWED,
-        LEASE_REVOKED,
-        LEASE_EXPIRED,
-        LEASE_LOCAL_READS,
-        LEASE_FALLBACKS,
-        LEASE_WAITOUTS,
-        CODING_FRAGMENT_STORES,
-        CODING_CACHE_READS,
-        CODING_RECONSTRUCTIONS,
-        CODING_REPAIRS,
-        CODING_PENDING_DROPPED,
-        RING_MESSAGES,
-        SHARD_BLOCK_OPS,
-        SHARD_BLOCK_BYTES,
-        SHARD_QUEUE_DEPTH,
-        SHARD_REDIRECTS,
-        SHARD_PARKED,
-        SHARD_STALE_DROPPED,
-        MIGRATION_STARTED,
-        MIGRATION_COMPLETED,
-        MIGRATION_ABORTED,
-        MIGRATION_SPLITS,
-        MIGRATION_BYTES,
-    }
+    value
+    for name, value in globals().items()
+    if name.isupper() and isinstance(value, str) and "." in value
 )
 
 # -- per-network scoped counters (sim/network.py) ----------------------
@@ -202,16 +148,3 @@ def net_suffix(kind: str) -> str:
     if kind not in NET_KINDS:
         raise ValueError(f"unknown scoped counter kind: {kind!r}")
     return f".{kind}"
-
-
-# -- deprecation shim --------------------------------------------------
-#: Old counter name -> current name.  Empty today: the registry was
-#: introduced without renaming anything, so committed BENCH_*.json
-#: snapshots and external scripts keep reading the same keys.  A future
-#: rename must keep the old spelling here for one release.
-_ALIASES: dict[str, str] = {}
-
-
-def canonical(name: str) -> str:
-    """Resolve a possibly-deprecated counter name to its current form."""
-    return _ALIASES.get(name, name)

@@ -7,6 +7,8 @@ writes ``__init__``): every run of fixed-width fields is a single
 ``struct`` call, so no field is interpreted when a message moves.  The
 sizes the simulator charges are compiled from the same rows, so a run
 over real sockets moves exactly the bytes a simulated one pays for.
+Before compiling, :func:`check_catalogue` checks that the table and the
+message classes agree, so an incomplete catalogue fails the import.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any, Callable, get_args
 
 from repro.core.messages import (
     FIXED_KINDS,
+    HEADER_FORMAT,
     SEQUENCE_KINDS,
     WIRE_LAYOUT,
     Heartbeat,
@@ -26,12 +29,12 @@ from repro.core.messages import (
     Message,
     OpId,
     PendingEntry,
+    RingMessage,
 )
 from repro.core.tags import Tag
 from repro.errors import ProtocolError
 
-#: Type code, three reserved bytes, body length.
-_HEADER = struct.Struct(">B3xI")
+_HEADER = struct.Struct(HEADER_FORMAT)
 
 _PAIR = "{v}[0], {v}[1]"
 #: Kind -> (``pack`` arguments of a field value or sequence item ``{v}``,
@@ -175,14 +178,32 @@ def compile_layout(
     return scope["encode"], scope["decode"]
 
 
+def check_catalogue(layout: dict[type, tuple[int, Layout]]) -> None:
+    """Raise ``ProtocolError``, naming the class, for what Python does
+    not enforce about the message classes: a class without a row or a
+    row for a class no union holds, two rows sharing a type code, and a
+    ring message without the ``epoch`` field the epoch guard filters on
+    (such a type would be dropped by every receiver after the first
+    reconfiguration).  Runs at import, against ``WIRE_LAYOUT``."""
+    classes = {*get_args(Message), Heartbeat, LeaseGrant, LeaseRevoke}
+    stray = ", ".join(sorted(cls.__name__ for cls in classes ^ set(layout)))
+    if stray:
+        raise ProtocolError(f"WIRE_LAYOUT must have one row per message class: {stray}")
+    owners: dict[int, str] = {}
+    for cls, (code, _fields) in layout.items():
+        owner = owners.setdefault(code, cls.__name__)
+        if owner != cls.__name__:
+            raise ProtocolError(f"type code {code} is both {owner} and {cls.__name__}")
+    for cls in get_args(RingMessage):
+        if "epoch" not in {field.name for field in dataclasses.fields(cls)}:
+            raise ProtocolError(f"ring message {cls.__name__} has no epoch field")
+
+
+check_catalogue(WIRE_LAYOUT)
 _ENCODE: dict[type, Callable[[Any], bytes]] = {}
 _DECODE: dict[int, Callable[[memoryview], Any]] = {}
 for _cls, (_code, _fields) in WIRE_LAYOUT.items():
     _ENCODE[_cls], _DECODE[_code] = compile_layout(_cls, _code, _fields)
-if len(_DECODE) != len(WIRE_LAYOUT):
-    raise ProtocolError("WIRE_LAYOUT assigns one type code to two messages")
-if set(WIRE_LAYOUT) != {*get_args(Message), Heartbeat, LeaseGrant, LeaseRevoke}:
-    raise ProtocolError("WIRE_LAYOUT must have one row per message class")
 
 
 def encode_message(message: Any) -> bytes:

@@ -49,13 +49,13 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigurationError, ProtocolError
 
+_SEGMENT_HEADER = struct.Struct(">II")
+
 #: Wire overhead of the session envelope: two u32s (sequence number and
 #: cumulative ack).  The simulator charges this on top of the payload;
-#: :func:`encode_segment` produces exactly this many header bytes, so
-#: simulated and real transports agree on the session layer's cost.
-SEGMENT_HEADER_BYTES = 8
-
-_SEGMENT_HEADER = struct.Struct(">II")
+#: :func:`encode_segment` packs this header, so simulated and real
+#: transports agree on the session layer's cost.
+SEGMENT_HEADER_BYTES = _SEGMENT_HEADER.size
 
 
 @dataclass(frozen=True)
@@ -277,14 +277,14 @@ def decode_segment(data: bytes, decode_payload: Callable[[bytes], Any]) -> Segme
 #: long before, so the sentinel can never collide with a real segment.
 BATCH_SENTINEL = 0xFFFFFFFF
 
+_BATCH_ENTRY = struct.Struct(">I")
+
 #: Wire overhead of a batch container: the 8-byte ``(sentinel, count)``
 #: header plus a u32 length prefix per enclosed segment.  The simulator
 #: charges exactly these bytes for a batched frame, so simulated and
 #: real transports keep agreeing on wire cost with batching on.
 BATCH_HEADER_BYTES = SEGMENT_HEADER_BYTES
-BATCH_ENTRY_BYTES = 4
-
-_BATCH_ENTRY = struct.Struct(">I")
+BATCH_ENTRY_BYTES = _BATCH_ENTRY.size
 
 
 def batch_wire_bytes(segment_bytes: Iterable[int]) -> int:

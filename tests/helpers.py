@@ -98,6 +98,22 @@ _TESTS = Path(__file__).resolve().parent
 _WRITE_AHEAD_SCRIPT = _TESTS / "integration/test_write_ahead.py"
 
 
+def run_mutated(
+    tmp_path: Path, rel: str, edit: Callable[[str], str], *argv: str
+) -> subprocess.CompletedProcess:
+    """Run ``python argv...`` against a copy of ``src/repro`` whose
+    ``rel`` source (e.g. ``"core/server.py"``) is passed through
+    ``edit``."""
+    shutil.copytree(_TESTS.parent / "src/repro", tmp_path / "repro")
+    target = tmp_path / "repro" / rel
+    target.write_text(edit(target.read_text()))
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path])),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )  # fmt: skip
+
+
 def run_write_ahead_check(
     tmp_path: Path, edit: Callable[[str], str], *args: str
 ) -> subprocess.CompletedProcess:
@@ -105,11 +121,6 @@ def run_write_ahead_check(
     a copy of ``src/repro`` whose ``core/server.py`` source is passed
     through ``edit``; ``args`` go to the script (``--structure`` runs
     the structural test instead of the chaos corpus)."""
-    shutil.copytree(_TESTS.parent / "src/repro", tmp_path / "repro")
-    server = tmp_path / "repro/core/server.py"
-    server.write_text(edit(server.read_text()))
-    return subprocess.run(
-        [sys.executable, str(_WRITE_AHEAD_SCRIPT), *args],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path])),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )  # fmt: skip
+    return run_mutated(
+        tmp_path, "core/server.py", edit, str(_WRITE_AHEAD_SCRIPT), *args
+    )

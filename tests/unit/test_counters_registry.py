@@ -1,4 +1,4 @@
-"""The trace-counter registry: constants, scoped helpers, alias shim."""
+"""The trace-counter registry: constants and scoped helpers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.sim.counters import (
     NET_UNICASTS,
     NET_WIRE_BYTES,
     REGISTERED_COUNTERS,
-    canonical,
     net_suffix,
     scoped,
 )
@@ -48,10 +47,3 @@ def test_unknown_scoped_kind_rejected():
     with pytest.raises(ValueError):
         net_suffix("unicast")
 
-
-def test_canonical_is_identity_until_a_rename_ships():
-    for name in REGISTERED_COUNTERS:
-        assert canonical(name) == name
-    # Unknown names pass through untouched (external scripts may read
-    # counters this registry never owned).
-    assert canonical("custom.counter") == "custom.counter"

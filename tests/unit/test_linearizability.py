@@ -127,6 +127,23 @@ def test_duplicate_written_values_rejected_by_contract():
         ]))
 
 
+def _overlapping_writes(n: int, late_read: bytes) -> History:
+    """``n`` writes, write ``i`` over ``[i, i + 2.5]``: each overlaps the
+    next, so the fast checker sees one segment of ``n`` clusters.  One
+    read after the last write completes returns ``late_read``."""
+    ops = [Operation(i, "write", b"w%d" % i, i, i + 2.5) for i in range(n)]
+    ops.append(Operation(n, "read", late_read, n + 0.6, n + 1.0))
+    return History.of(ops)
+
+
+def test_a_segment_of_a_thousand_clusters_fits_the_search():
+    """The search over one segment used to recurse once per cluster, so
+    a segment of ~1,000 overlapping values raised ``RecursionError``."""
+    assert check_register_history(_overlapping_writes(1200, b"w1199"))[0]
+    ok, reason = check_register_history(_overlapping_writes(1200, b""))
+    assert not ok and "no valid sequencing" in reason
+
+
 def test_slow_checker_guards_history_size():
     ops = [Operation(i, "write", bytes([i]), i, i + 1) for i in range(30)]
     with pytest.raises(HistoryError):

@@ -91,18 +91,16 @@ _CORE_LINE_BUDGET = 3360
 
 #: Physical lines of ``repro/staticheck/``: 1,841 while a 441-line
 #: abstract interpreter policed the write-ahead rule that
-#: ``ServerProtocol`` now keeps by construction.
-_STATICHECK_LINE_BUDGET = 1506
+#: ``ServerProtocol`` now keeps by construction, and 1,506 while a
+#: 318-line rule re-read the wire format's facts from its source.
+_STATICHECK_LINE_BUDGET = 1189
 
-#: The wire format's three files — the table and sizes, the compiler,
-#: the lint rule — were 886 logical lines as four hand-kept tables and
-#: the rule that cross-checked them.
-_WIRE_FILES = (
-    "repro/core/messages.py",
-    "repro/transport/codec.py",
-    "repro/staticheck/codec_check.py",
-)
-_WIRE_LINE_BUDGET = 620
+#: The wire format — the table and sizes, the compiler and its import
+#: check — was 886 logical lines as four hand-kept tables and the lint
+#: rule that cross-checked them, and 620 as one table, the compiler and
+#: that rule.
+_WIRE_FILES = ("repro/core/messages.py", "repro/transport/codec.py")
+_WIRE_LINE_BUDGET = 387
 
 #: Logical lines of ``repro/runtime/`` + ``repro/core/sharded.py`` —
 #: 2,568 before the driver existed; the extraction had to land at least

@@ -1,26 +1,24 @@
 """Meta-tests: the committed tree is violation-free, and the checks
-actually guard the invariants the acceptance criteria name — deleting a
-message's wire-layout row or renaming a gated trace counter must each
-turn the checker red, and deleting any write-ahead save on an output
-path must turn the write-ahead check red.  Write-ahead is guarded by
-construction and by ``tests/integration/test_write_ahead.py``, not by
-this checker."""
+actually guard the invariants the acceptance criteria name — renaming a
+gated trace counter must turn the checker red, deleting a message's
+wire-layout row, an epoch stamp or a fragment message's place in the
+ring union must fail the codec's import, and deleting any write-ahead
+save on an output path must turn the write-ahead check red.  Write-ahead
+is guarded by construction and by ``tests/integration/test_write_ahead.py``,
+the wire format by ``repro.transport.codec.check_catalogue``, not by this
+checker."""
 
 from __future__ import annotations
 
 import ast
-import os
-import re
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.staticheck import run_paths
 from repro.staticheck.__main__ import main
-from tests.helpers import run_write_ahead_check
+from tests.helpers import run_mutated, run_write_ahead_check
 from tests.staticheck_helpers import rules_of
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
@@ -120,9 +118,13 @@ def test_deleting_any_persist_call_is_caught(tmp_path, index):
 
 def test_persist_before_output_rule_is_gone(tmp_path, capsys):
     """A protocol class that returns with unsaved state is no longer a
-    static finding; only the host-bypass half of the family is left."""
+    static finding; only the host-bypass half of the family is left.
+    The wire format is checked where its bytes are made, by the codec's
+    import, so no ``codec.*`` rule is listed either."""
     assert main(["--list-rules"]) == 0
-    assert "persist-before-output" not in capsys.readouterr().out
+    listed = capsys.readouterr().out.split()
+    assert "writeahead" in listed and "persist-before-output" not in listed
+    assert not [family for family in listed if family.startswith("codec")]
     durable = tmp_path / "repro/core/proto.py"
     durable.parent.mkdir(parents=True)
     durable.write_text(
@@ -137,25 +139,47 @@ def test_persist_before_output_rule_is_gone(tmp_path, capsys):
     assert run_paths([str(tmp_path)]) == []
 
 
+def _import_codec_after(tmp_path, *replacements: tuple[str, str]) -> str:
+    """The last stderr line of importing the codec from a copy of the
+    tree whose ``core/messages.py`` has each ``(old, new)`` replaced."""
+
+    def edit(text: str) -> str:
+        for old, new in replacements:
+            assert text.count(old) == 1, "the mutation site moved"
+            text = text.replace(old, new)
+        return text
+
+    done = run_mutated(
+        tmp_path, "core/messages.py", edit, "-c", "import repro.transport.codec"
+    )
+    assert done.returncode != 0
+    return done.stderr.strip().splitlines()[-1]
+
+
 def test_unregistering_codec_entry_is_caught(tmp_path):
-    """Deleting a message's ``WIRE_LAYOUT`` row fails the lint rule and,
-    without the linter, the import of the codec itself."""
-    shutil.copytree(_SRC / "repro", tmp_path / "repro")
-    messages = tmp_path / "repro/core/messages.py"
-    text = messages.read_text()
-    row = re.search(r"^    Commit: \(6, .*\n", text, re.MULTILINE)
-    assert row is not None
-    messages.write_text(text.replace(row.group(0), ""))
-    violations = run_paths([str(tmp_path)])
-    assert rules_of(violations) == ["codec.layout"]
-    assert "Commit has 0 WIRE_LAYOUT rows" in violations[0].message
-    imported = subprocess.run(
-        [sys.executable, "-c", "import repro.transport.codec"],
-        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-        stderr=subprocess.PIPE, text=True,
-    )  # fmt: skip
-    assert imported.returncode != 0
-    assert "one row per message class" in imported.stderr
+    """Deleting a message's ``WIRE_LAYOUT`` row fails the codec import."""
+    error = _import_codec_after(
+        tmp_path, ('    Commit: (6, (("epoch", "i64"), ("commits", "tags_to_end"))),\n', "")
+    )
+    assert "one row per message class: Commit" in error
+
+
+def test_ring_message_without_epoch_is_caught(tmp_path):
+    """A ring message without the epoch stamp fails the codec import."""
+    error = _import_codec_after(
+        tmp_path,
+        ("    origin: int\n    epoch: int = 0\n", "    origin: int\n"),
+        ('("origin", "i32"), ("epoch", "i64")', '("origin", "i32")'),
+    )
+    assert "ring message ReadFence has no epoch field" in error
+
+
+def test_fragment_message_outside_the_ring_union_is_caught(tmp_path):
+    """A fragment message dropped from ``RingMessage`` — it would skip
+    the epoch guard and the server's ring dispatch — fails the codec
+    import; ``test_codec.py`` pins every fragment message in the union."""
+    error = _import_codec_after(tmp_path, ("    FragmentReply,\n]", "]"))
+    assert "one row per message class: FragmentReply" in error
 
 
 def test_renaming_gated_counter_emit_site_is_caught(tmp_path):
