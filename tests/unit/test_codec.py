@@ -2,15 +2,11 @@
 
 import struct
 from dataclasses import dataclass
-from typing import get_args
 
 import pytest
 
 from repro.core.messages import (
-    BASE_WIRE_BYTES,
-    OP_ID_WIRE_BYTES,
     SEQUENCE_KINDS,
-    TAG_WIRE_BYTES,
     WIRE_LAYOUT,
     ClientRead,
     ClientWrite,
@@ -29,23 +25,15 @@ from repro.core.messages import (
     ReconfigCommit,
     ReconfigToken,
     RejoinRequest,
-    RingMessage,
     StaleEpochNotice,
     StateSync,
     WriteAck,
     compile_size,
 )
 from repro.core.tags import Tag
-from repro.core.values import FRAGMENT_MESSAGES
 from repro.errors import ProtocolError
-from repro.transport.codec import (
-    check_catalogue,
-    compile_layout,
-    decode_message,
-    encode_message,
-)
+from repro.transport.codec import compile_layout, decode_message, encode_message
 from repro.transport.framing import FrameDecoder, frame
-from repro.transport.reliable import BATCH_ENTRY_BYTES, SEGMENT_HEADER_BYTES
 
 OP = OpId(11, 5)
 
@@ -260,33 +248,6 @@ def test_a_new_message_is_a_dataclass_and_one_row():
         assert data[0] == 77 and len(data) == size(probe)
         assert struct.unpack_from(">I", data, 4) == (len(data) - 8,)
         assert decode(memoryview(data)[8:]) == probe
-
-
-def test_the_catalogue_check_names_the_class():
-    """What the import-time check rejects: a class without a row, a row
-    for a class in no union, and two classes on one type code."""
-    check_catalogue(WIRE_LAYOUT)
-    without_commit = {cls: row for cls, row in WIRE_LAYOUT.items() if cls is not Commit}
-    with pytest.raises(ProtocolError, match="message class: Commit$"):
-        check_catalogue(without_commit)
-    with pytest.raises(ProtocolError, match="message class: OpId$"):
-        check_catalogue({**WIRE_LAYOUT, OpId: (99, (("client", "i64"),))})
-    with pytest.raises(ProtocolError, match="type code 5 is both PreWrite and Commit"):
-        check_catalogue({**WIRE_LAYOUT, Commit: (5, WIRE_LAYOUT[Commit][1])})
-
-
-def test_every_fragment_message_rides_the_ring():
-    """The coded backend's messages are epoch-fenced ring traffic: one
-    outside ``RingMessage`` would skip the epoch guard, the epoch-stamp
-    check and the server's ring dispatch."""
-    assert set(FRAGMENT_MESSAGES) <= set(get_args(RingMessage))
-
-
-def test_width_constants_keep_their_values():
-    """Derived from the formats that pack them, so they cannot disagree
-    with the bytes; pinned so a format change is seen here too."""
-    assert (TAG_WIRE_BYTES, OP_ID_WIRE_BYTES, BASE_WIRE_BYTES) == (12, 12, 8)
-    assert (SEGMENT_HEADER_BYTES, BATCH_ENTRY_BYTES) == (8, 4)
 
 
 def test_a_row_must_name_every_field_and_keep_open_ended_fields_last():

@@ -1,187 +1,131 @@
-"""Red/green/pragma fixtures for the codec.* rule family.
+"""The wire format's catalogue facts, checked against the live classes.
 
-Each fixture is a miniature trio — the message catalogue and its layout
-table (messages.py) and the session constants (reliable.py) — laid out
-at the real repro-relative paths, so the project rule cross-checks them
-exactly as it does the committed tree.
+No lint rule re-reads the message catalogue: the codec's import check
+(``repro.transport.codec.check_catalogue``) rejects a class without a
+row, a row for a class in no union, a shared type code and a ring
+message without an epoch stamp; ``compile_layout`` rejects a row that
+does not name each field once; and the width constants are derived from
+the formats that pack them.  Each case here drives one of those checks
+directly, or pins a constant against the bytes the codec writes.
 """
 
 from __future__ import annotations
 
-from tests.staticheck_helpers import rules_of, run_tree
+import struct
+from dataclasses import dataclass
+from typing import Union, get_args
 
-_MESSAGES_OK = (
-    "from dataclasses import dataclass\n"
-    "from typing import Union\n"
-    "\n"
-    "TAG_WIRE_BYTES = 12\n"
-    "OP_ID_WIRE_BYTES = 12\n"
-    "BASE_WIRE_BYTES = 8\n"
-    "\n"
-    "@dataclass(frozen=True)\n"
-    "class PreWrite:\n"
-    "    epoch: int\n"
-    "\n"
-    "@dataclass(frozen=True)\n"
-    "class Commit:\n"
-    "    epoch: int\n"
-    "\n"
-    "RingMessage = Union[PreWrite, Commit]\n"
-    "\n"
-    "_EPOCH_ONLY = ((\"epoch\", \"i64\"),)\n"
-    "WIRE_LAYOUT = {\n"
-    "    PreWrite: (1, ((\"epoch\", \"i64\"),)),\n"
-    "    Commit: (2, _EPOCH_ONLY),\n"
-    "}\n"
+import pytest
+
+from repro.core.messages import (
+    BASE_WIRE_BYTES,
+    OP_ID_WIRE_BYTES,
+    TAG_WIRE_BYTES,
+    WIRE_LAYOUT,
+    Commit,
+    OpId,
+    PreWrite,
+    RingMessage,
+    WriteAck,
+)
+from repro.core.tags import Tag
+from repro.core.values import FRAGMENT_MESSAGES
+from repro.errors import ProtocolError
+from repro.transport import codec
+from repro.transport.codec import check_catalogue, compile_layout, encode_message
+from repro.transport.reliable import (
+    BATCH_ENTRY_BYTES,
+    BATCH_HEADER_BYTES,
+    BATCH_SENTINEL,
+    SEGMENT_HEADER_BYTES,
+    ReliableSession,
+    Segment,
+    encode_batch,
+    encode_segment,
 )
 
-_RELIABLE_OK = (
-    "import struct\n"
-    "\n"
-    "SEGMENT_HEADER_BYTES = 13\n"
-    "_SEGMENT_HEADER = struct.Struct('>BIII')\n"
-    "BATCH_ENTRY_BYTES = 4\n"
-    "_BATCH_ENTRY = struct.Struct('>I')\n"
-    "BATCH_SENTINEL = 0xFFFFFFFF\n"
-    "\n"
-    "class Channel:\n"
-    "    def __init__(self):\n"
-    "        self._next_seq = 1\n"
-)
+OP = OpId(11, 5)
 
 
-def _tree(messages=_MESSAGES_OK, reliable=_RELIABLE_OK):
-    return {
-        "repro/core/messages.py": messages,
-        "repro/transport/reliable.py": reliable,
-    }
+def test_conforming_trio_passes():
+    """The committed catalogue passes the import check, and every row
+    compiles."""
+    check_catalogue(WIRE_LAYOUT)
+    for cls, (code, fields) in WIRE_LAYOUT.items():
+        compile_layout(cls, code, fields)
 
 
-def test_conforming_trio_passes(tmp_path):
-    assert run_tree(tmp_path, _tree()) == []
+def test_ring_message_without_epoch_flagged(monkeypatch):
+    @dataclass(frozen=True)
+    class Probe:
+        seq: int
+
+    monkeypatch.setattr(codec, "RingMessage", Union[PreWrite, Probe])
+    with pytest.raises(ProtocolError, match="ring message Probe has no epoch field"):
+        check_catalogue(WIRE_LAYOUT)
 
 
-def test_ring_message_without_epoch_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace(
-        "class Commit:\n    epoch: int\n", "class Commit:\n    seq: int\n"
-    ).replace("_EPOCH_ONLY = ((\"epoch\"", "_EPOCH_ONLY = ((\"seq\"")
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.epoch-stamp"]
-    assert "Commit" in violations[0].message
+def test_fragment_class_outside_ring_union_flagged():
+    """The coded backend's messages are epoch-fenced ring traffic: one
+    outside ``RingMessage`` would skip the epoch guard, the epoch-stamp
+    check and the server's ring dispatch."""
+    assert FRAGMENT_MESSAGES
+    assert set(FRAGMENT_MESSAGES) <= set(get_args(RingMessage))
 
 
-def test_fragment_class_outside_ring_union_flagged(tmp_path):
-    # A Fragment* message not in the RingMessage union would silently
-    # bypass the epoch guard and every codec coverage check.
-    messages = _MESSAGES_OK.replace(
-        "RingMessage = Union[PreWrite, Commit]\n",
-        "@dataclass(frozen=True)\n"
-        "class FragmentStore:\n"
-        "    epoch: int\n"
-        "\n"
-        "RingMessage = Union[PreWrite, Commit]\n",
-    )
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert "codec.fragment-union" in rules_of(violations)
-    assert any("FragmentStore" in v.message for v in violations)
+def test_missing_row_flagged():
+    without_commit = {cls: row for cls, row in WIRE_LAYOUT.items() if cls is not Commit}
+    with pytest.raises(ProtocolError, match="message class: Commit$"):
+        check_catalogue(without_commit)
 
 
-def test_missing_row_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace("    Commit: (2, _EPOCH_ONLY),\n", "")
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.layout"]
-    assert "Commit has 0 WIRE_LAYOUT rows" in violations[0].message
+def test_duplicate_type_code_flagged():
+    with pytest.raises(ProtocolError, match="type code 5 is both PreWrite and Commit"):
+        check_catalogue({**WIRE_LAYOUT, Commit: (5, WIRE_LAYOUT[Commit][1])})
 
 
-def test_second_row_for_one_class_flagged(tmp_path):
-    # A dict literal keeps the last duplicate silently; the rule does not.
-    messages = _MESSAGES_OK.replace(
-        "    Commit: (2, _EPOCH_ONLY),\n",
-        "    Commit: (2, _EPOCH_ONLY),\n    Commit: (2, _EPOCH_ONLY),\n",
-    )
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.layout"]
-    assert "Commit has 2 WIRE_LAYOUT rows" in violations[0].message
+def test_row_naming_a_non_field_flagged():
+    code, fields = WIRE_LAYOUT[PreWrite]
+    with pytest.raises(ProtocolError, match="PreWrite: a layout names each field once"):
+        compile_layout(PreWrite, code, (*fields, ("origin", "i32")))
 
 
-def test_duplicate_type_code_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace("Commit: (2,", "Commit: (1,")
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.layout"]
-    assert "assigned to both PreWrite and Commit" in violations[0].message
+def test_row_for_a_class_outside_the_unions_flagged():
+    with pytest.raises(ProtocolError, match="message class: OpId$"):
+        check_catalogue({**WIRE_LAYOUT, OpId: (99, (("client", "i64"),))})
 
 
-def test_row_naming_a_non_field_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace(
-        'PreWrite: (1, (("epoch", "i64"),))',
-        'PreWrite: (1, (("epoch", "i64"), ("origin", "i32")))',
-    )
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.layout"]
-    assert "'origin'" in violations[0].message
+def test_width_constant_mismatch_flagged():
+    """The header, tag and op-id widths are the bytes the codec writes."""
+    assert (TAG_WIRE_BYTES, OP_ID_WIRE_BYTES, BASE_WIRE_BYTES) == (12, 12, 8)
+    ack = encode_message(WriteAck(OP, Tag(3, 1)))
+    assert len(ack) == BASE_WIRE_BYTES + OP_ID_WIRE_BYTES + TAG_WIRE_BYTES
 
 
-def test_row_for_a_class_outside_the_unions_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace(
-        "RingMessage = Union[PreWrite, Commit]", "RingMessage = Union[PreWrite]"
-    )
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.layout"]
-    assert "in no message union" in violations[0].message
+def test_segment_header_mismatch_flagged():
+    """The segment header and batch entry widths are the bytes the
+    session layer writes."""
+    assert (SEGMENT_HEADER_BYTES, BATCH_ENTRY_BYTES) == (8, 4)
+    segment = Segment(1, 0, Commit((Tag(3, 1),)))
+    alone = encode_segment(segment, encode_message)
+    assert len(alone) == SEGMENT_HEADER_BYTES + len(encode_message(segment.payload))
+    batch = encode_batch([segment, segment], encode_message)
+    assert len(batch) == BATCH_HEADER_BYTES + 2 * (BATCH_ENTRY_BYTES + len(alone))
 
 
-def test_missing_or_computed_table_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace("WIRE_LAYOUT = {", "WIRE_LAYOUT = dict() or {")
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.layout"]
-    assert "not found" in violations[0].message
+def test_non_maximal_sentinel_flagged():
+    """The sentinel is the largest value the seq slot can carry."""
+    assert BATCH_SENTINEL == 2 ** (8 * BATCH_ENTRY_BYTES) - 1
+    encode_segment(Segment(BATCH_SENTINEL, 0, Commit(())), encode_message)
+    with pytest.raises(struct.error):
+        encode_segment(Segment(BATCH_SENTINEL + 1, 0, Commit(())), encode_message)
 
 
-def test_width_constant_mismatch_flagged(tmp_path):
-    messages = _MESSAGES_OK.replace("TAG_WIRE_BYTES = 12", "TAG_WIRE_BYTES = 16")
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert rules_of(violations) == ["codec.byte-accounting"]
-    assert "TAG_WIRE_BYTES" in violations[0].message
-
-
-def test_segment_header_mismatch_flagged(tmp_path):
-    reliable = _RELIABLE_OK.replace(
-        "SEGMENT_HEADER_BYTES = 13", "SEGMENT_HEADER_BYTES = 12"
-    )
-    violations = run_tree(tmp_path, _tree(reliable=reliable))
-    assert rules_of(violations) == ["codec.byte-accounting"]
-
-
-def test_non_maximal_sentinel_flagged(tmp_path):
-    reliable = _RELIABLE_OK.replace(
-        "BATCH_SENTINEL = 0xFFFFFFFF", "BATCH_SENTINEL = 0x7FFFFFFF"
-    )
-    violations = run_tree(tmp_path, _tree(reliable=reliable))
-    assert rules_of(violations) == ["codec.batch-sentinel"]
-
-
-def test_seq_initialised_at_sentinel_flagged(tmp_path):
-    reliable = _RELIABLE_OK.replace(
-        "self._next_seq = 1", "self._next_seq = 0xFFFFFFFF"
-    )
-    violations = run_tree(tmp_path, _tree(reliable=reliable))
-    assert rules_of(violations) == ["codec.batch-sentinel"]
-    assert "_next_seq" in violations[0].message
-
-
-def test_fixture_tree_without_catalogue_is_skipped(tmp_path):
-    # A tree with no core/messages.py (every per-rule fixture in this
-    # suite) must not trip the codec rule.
-    violations = run_tree(tmp_path, {"repro/sim/other.py": "x = 1\n"})
-    assert violations == []
-
-
-def test_pragma_suppresses_codec_finding(tmp_path):
-    messages = _MESSAGES_OK.replace(
-        "class Commit:\n    epoch: int\n",
-        "# staticheck: allow(codec.epoch-stamp) -- local-only control frame,"
-        " never crosses a view change\n"
-        "class Commit:\n    seq: int\n",
-    ).replace("_EPOCH_ONLY = ((\"epoch\"", "_EPOCH_ONLY = ((\"seq\"")
-    violations = run_tree(tmp_path, _tree(messages=messages))
-    assert violations == []
+def test_seq_initialised_at_sentinel_flagged():
+    """A fresh session, and a reset one, numbers its first data segment
+    1, far from the sentinel."""
+    session = ReliableSession()
+    assert session.send(Commit(()), 0.0).seq == 1
+    session.send(Commit(()), 0.0)
+    session.reset()
+    assert session.send(Commit(()), 0.0).seq == 1

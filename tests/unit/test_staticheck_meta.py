@@ -177,7 +177,8 @@ def test_ring_message_without_epoch_is_caught(tmp_path):
 def test_fragment_message_outside_the_ring_union_is_caught(tmp_path):
     """A fragment message dropped from ``RingMessage`` — it would skip
     the epoch guard and the server's ring dispatch — fails the codec
-    import; ``test_codec.py`` pins every fragment message in the union."""
+    import; ``test_staticheck_codec.py`` pins every fragment message in
+    the union."""
     error = _import_codec_after(tmp_path, ("    FragmentReply,\n]", "]"))
     assert "one row per message class: FragmentReply" in error
 
