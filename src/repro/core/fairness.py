@@ -24,6 +24,7 @@ every write (liveness).
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Generic, Optional, TypeVar, Union
 
 T = TypeVar("T")
@@ -53,8 +54,11 @@ class FairScheduler(Generic[T]):
         self.server_id = server_id
         self.fair = fair
         self.nb_msg: dict[int, int] = {}
-        self._queues: dict[int, deque[T]] = {}
-        self._order: deque[int] = deque()  # FIFO of (origin) arrival events
+        #: Per-origin FIFO of ``(arrival number, item)``; the arrival
+        #: numbers give the cross-origin order :meth:`drain` needs
+        #: without a shared arrival deque to search on every pop.
+        self._queues: dict[int, deque[tuple[int, T]]] = {}
+        self._arrivals = 0
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -63,8 +67,8 @@ class FairScheduler(Generic[T]):
 
     def enqueue(self, origin: int, item: T) -> None:
         """Add a message originated by ``origin`` to the forward queue."""
-        self._queues.setdefault(origin, deque()).append(item)
-        self._order.append(origin)
+        self._queues.setdefault(origin, deque()).append((self._arrivals, item))
+        self._arrivals += 1
         self._size += 1
 
     def __len__(self) -> int:
@@ -79,20 +83,18 @@ class FairScheduler(Generic[T]):
         return [origin for origin, queue in self._queues.items() if queue]
 
     def drain(self) -> list[tuple[int, T]]:
-        """Remove and return every queued (origin, message) pair in FIFO
-        order.  Used when a reconfiguration supersedes queued messages."""
-        drained: list[tuple[int, T]] = []
-        seen_counts: dict[int, int] = {}
-        for origin in self._order:
-            index = seen_counts.get(origin, 0)
-            queue = self._queues.get(origin)
-            if queue is not None and index < len(queue):
-                drained.append((origin, queue[index]))
-                seen_counts[origin] = index + 1
+        """Remove and return every queued (origin, message) pair in
+        arrival order.  Used when a reconfiguration supersedes queued
+        messages."""
+        queued = [
+            (arrival, origin, item)
+            for origin, queue in self._queues.items()
+            for arrival, item in queue
+        ]
+        queued.sort(key=itemgetter(0))
         self._queues.clear()
-        self._order.clear()
         self._size = 0
-        return drained
+        return [(origin, item) for _arrival, origin, item in queued]
 
     def reset_counters(self) -> None:
         """Zero every nb_msg counter (pseudocode line 55)."""
@@ -131,12 +133,19 @@ class FairScheduler(Generic[T]):
             self.reset_counters()
             return INITIATE_OWN if want_initiate else None
 
-        # Lines 60-64: candidates are queued origins, plus self when we
-        # have writes of our own to initiate.
-        candidates = self.origins_queued()
+        # Lines 60-64: the least-served candidate, lowest id on a tie;
+        # candidates are queued origins, plus self when we have writes
+        # of our own to initiate.  Not empty, so some origin is queued.
+        nb_msg = self.nb_msg
+        chosen = least = -1
         if want_initiate:
-            candidates.append(self.server_id)
-        chosen = min(candidates, key=lambda origin: (self.nb_msg.get(origin, 0), origin))
+            chosen = self.server_id
+            least = nb_msg.get(chosen, 0)
+        for origin, queue in self._queues.items():
+            if queue:
+                sent = nb_msg.get(origin, 0)
+                if chosen < 0 or sent < least or (sent == least and origin < chosen):
+                    chosen, least = origin, sent
         if chosen == self.server_id and want_initiate:
             return INITIATE_OWN
         return self._pop_from(chosen)
@@ -146,30 +155,14 @@ class FairScheduler(Generic[T]):
         self.nb_msg[self.server_id] = self.nb_msg.get(self.server_id, 0) + 1
 
     def _pop_from(self, origin: int) -> tuple[int, T]:
-        queue = self._queues[origin]
-        item = queue.popleft()
+        _arrival, item = self._queues[origin].popleft()
         self._size -= 1
-        self._drop_order_entry(origin)
         self.nb_msg[origin] = self.nb_msg.get(origin, 0) + 1
         return origin, item
 
     def _pop_any(self) -> Optional[tuple[int, T]]:
         """FIFO pop across all origins (unfair mode only)."""
-        while self._order:
-            origin = self._order[0]
-            queue = self._queues.get(origin)
-            if queue:
-                item = queue.popleft()
-                self._order.popleft()
-                self._size -= 1
-                self.nb_msg[origin] = self.nb_msg.get(origin, 0) + 1
-                return origin, item
-            self._order.popleft()
-        return None
-
-    def _drop_order_entry(self, origin: int) -> None:
-        """Remove the oldest arrival-order entry for ``origin``."""
-        try:
-            self._order.remove(origin)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+        heads = [(queue[0][0], origin) for origin, queue in self._queues.items() if queue]
+        if not heads:
+            return None
+        return self._pop_from(min(heads)[1])

@@ -505,7 +505,9 @@ def compile_size(fields: Layout) -> Callable[[Any], int]:
     return sizer
 
 
-_SIZERS = {cls: compile_size(fields) for cls, (_, fields) in WIRE_LAYOUT.items()}
+#: Payload sizer per message class; the simulator looks a message's type
+#: up here directly on its per-frame path.
+PAYLOAD_SIZERS = {cls: compile_size(fields) for cls, (_, fields) in WIRE_LAYOUT.items()}
 
 
 def payload_size(message: Message) -> int:
@@ -516,6 +518,6 @@ def payload_size(message: Message) -> int:
     simulated and real transports agree.
     """
     try:
-        return _SIZERS[type(message)](message)
+        return PAYLOAD_SIZERS[type(message)](message)
     except KeyError:
         raise TypeError(f"unknown message type: {type(message).__name__}") from None

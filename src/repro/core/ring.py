@@ -46,9 +46,11 @@ class RingView:
     members: tuple[int, ...]
     dead: frozenset[int] = field(default_factory=frozenset)
     epoch: int = -1
-    # Derived once per (immutable) view: the alive set and every member's
-    # next/previous alive member.  ``successor`` is read for every ring
-    # message pulled, so it must not walk the ring each time.
+    # Derived once per (immutable) view: the alive count and set and
+    # every member's next/previous alive member.  ``successor`` is read
+    # for every ring message pulled and ``num_alive`` for every ring
+    # pull, so neither may walk the ring (or call) each time.
+    num_alive: int = field(init=False, repr=False, compare=False)
     _alive: frozenset[int] = field(init=False, repr=False, compare=False)
     _next: dict[int, int] = field(init=False, repr=False, compare=False)
     _prev: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -71,6 +73,7 @@ class RingView:
             raise ConfigurationError("a ring view must contain at least one alive server")
         if self.epoch < 0:
             object.__setattr__(self, "epoch", len(self.dead))
+        object.__setattr__(self, "num_alive", len(alive))
         object.__setattr__(self, "_alive", frozenset(alive))
         object.__setattr__(self, "_next", self._neighbours(self.members[::-1], alive[0]))
         object.__setattr__(self, "_prev", self._neighbours(self.members, alive[-1]))
@@ -88,10 +91,6 @@ class RingView:
     def alive(self) -> list[int]:
         """Alive members in initial ring order."""
         return [m for m in self.members if m not in self.dead]
-
-    @property
-    def num_alive(self) -> int:
-        return len(self.members) - len(self.dead)
 
     @property
     def quorum(self) -> int:

@@ -189,7 +189,9 @@ class ServerProtocol:
       :meth:`next_ring_batch` (:meth:`next_ring_message` is the
       one-message form) and send it to :attr:`successor`; afterwards
       collect replies produced as a side effect with
-      :meth:`drain_replies`.
+      :meth:`drain_replies`.  With no ring work, the simulator calls
+      :meth:`ring_link_idle` instead of pulling an empty batch (the
+      asyncio runtime skips both).
 
     Outputs leave only through :meth:`drain_replies`,
     :meth:`next_directed_message` and :meth:`next_ring_batch`, and each
@@ -772,6 +774,14 @@ class ServerProtocol:
             or self.fence_queue
             or not self.fair.empty
         )
+
+    def ring_link_idle(self) -> None:
+        """The outgoing ring link is free and :attr:`has_ring_work` is
+        false: what a pull would do with nothing to send.  The queue
+        handler found the forward queue empty, so the nb_msg counters
+        reset (line 55) — unless paused or alone, where it never looks."""
+        if not (self.paused or self.alone):
+            self.fair.reset_counters()
 
     def next_ring_message(self) -> Optional[RingMessage]:
         """Pull the next message for the successor (the ``queue handler``

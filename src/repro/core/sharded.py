@@ -201,7 +201,9 @@ class ShardedServerHost(ServerHost):
             self.env.trace.count(SHARD_STALE_DROPPED)
             return
         self.post(proto.on_ring_message(envelope.inner, sender))
-        self.cluster.after_protocol_step(self)
+        cluster = self.cluster
+        if cluster.hb is not None:
+            cluster.after_protocol_step(self)
 
     def receive_client(self, client_id: int, envelope: ShardEnvelope) -> None:
         if not self.alive:
@@ -233,7 +235,9 @@ class ShardedServerHost(ServerHost):
         # Leased reads complete with zero ring traffic; without this the
         # lease stat mirror would wait for a ring receipt that may never
         # come (see ServerHost.receive_client).
-        self.cluster.after_protocol_step(self)
+        cluster = self.cluster
+        if cluster.hb is not None:
+            cluster.after_protocol_step(self)
 
     def _redirect(self, client_id: int, envelope: ShardEnvelope) -> None:
         """Reply with the authoritative placement entry for the block

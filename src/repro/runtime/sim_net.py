@@ -48,7 +48,7 @@ from typing import Callable, Optional
 from repro.core.client import ClientProtocol
 from repro.core.config import ProtocolConfig
 from repro.core.durable import MemorySnapshotStore
-from repro.core.messages import ClientMessage, OpId, payload_size
+from repro.core.messages import PAYLOAD_SIZERS, ClientMessage, OpId, payload_size
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.core.tags import Tag
@@ -221,6 +221,7 @@ class _OutLoop:
         #: Polling order: the source after the last one that yielded is
         #: always at the front.
         self._sources = deque(sources)
+        self._rotates = len(sources) > 1
         self._links: dict[str, _Link] = {}
         nic.tx.on_idle(self.pump)
 
@@ -234,7 +235,8 @@ class _OutLoop:
                 break
         else:
             return
-        self._sources.rotate(-position - 1)
+        if self._rotates:
+            self._sources.rotate(-position - 1)
         dst_name, message, kind = item
         link = self._links.get(dst_name)
         if link is None:
@@ -367,7 +369,9 @@ class ServerHost(_ServerMachine):
         if not self.alive:
             return
         self.post(self.proto.on_ring_message(message, sender))
-        self.cluster.after_protocol_step(self)
+        cluster = self.cluster
+        if cluster.hb is not None:
+            cluster.after_protocol_step(self)
 
     def receive_client(self, client_id: int, message: ClientMessage) -> None:
         if not self.alive:
@@ -376,7 +380,9 @@ class ServerHost(_ServerMachine):
         # A leased read completes with zero ring traffic, so the stat
         # mirror cannot wait for the next ring receipt — under heartbeat
         # mode the trace would undercount local reads forever.
-        self.cluster.after_protocol_step(self)
+        cluster = self.cluster
+        if cluster.hb is not None:
+            cluster.after_protocol_step(self)
 
     def receive_raw(self, message) -> None:
         """A beacon or lease message off the raw fabric."""
@@ -504,6 +510,11 @@ class ServerHost(_ServerMachine):
             # notices, and view-proposal tokens whose first hop differs
             # from the installed successor.
             return directed
+        if not proto.has_ring_work:
+            # Instead of an empty next_ring_batch, whose only effect
+            # would be the fair-counter reset.
+            proto.ring_link_idle()
+            return None
         batch = proto.next_ring_batch(self.cluster.batch_limit)
         replies = proto.drain_replies()
         if replies:
@@ -646,21 +657,24 @@ class ClientHost(_HostBase):
     def _execute(self, proto: ClientProtocol, effects) -> None:
         client_id = proto.client_id
         for effect in effects:
-            if isinstance(effect, SendTo):
+            # Effect records are final classes: an identity test per
+            # branch instead of an isinstance call.
+            kind = type(effect)
+            if kind is SendTo:
                 self.out_queue.append(
                     (
                         self._request_destination(effect.server, effect.message),
                         self._wrap_request(effect.message),
                     )
                 )
-            elif isinstance(effect, SetTimer):
+            elif kind is SetTimer:
                 self._cancel_timer(client_id, effect.timer_id)
                 self._timers[(client_id, effect.timer_id)] = self.env.scheduler.schedule(
                     effect.delay, self._on_timeout, client_id, effect.timer_id
                 )
-            elif isinstance(effect, CancelTimer):
+            elif kind is CancelTimer:
                 self._cancel_timer(client_id, effect.timer_id)
-            elif isinstance(effect, Complete):
+            elif kind is Complete:
                 result = OpResult(
                     effect.op, effect.kind, ok=True, value=effect.value, tag=effect.tag
                 )
@@ -668,7 +682,7 @@ class ClientHost(_HostBase):
                 callback = self._callbacks.pop(effect.op, None)
                 if callback is not None:
                     callback(result)
-            elif isinstance(effect, Fail):
+            elif kind is Fail:
                 result = OpResult(effect.op, "unknown", ok=False, error=effect.reason)
                 callback = self._callbacks.pop(effect.op, None)
                 if callback is not None:
@@ -906,8 +920,9 @@ class _ReliableLinkLayer:
     def _arm_ack(self, link: _Link) -> None:
         handle = link.ack_timer
         if handle is None or handle.cancelled:
-            link.ack_timer = self.scheduler.schedule(
-                self.config.ack_delay, self._on_ack_timer, link
+            scheduler = self.scheduler
+            link.ack_timer = scheduler.schedule_at(
+                scheduler.now + self.config.ack_delay, self._on_ack_timer, link
             )
 
     def _on_ack_timer(self, link: _Link) -> None:
@@ -939,7 +954,7 @@ class _ReliableLinkLayer:
     @staticmethod
     def _segment_bytes(segment: Segment) -> int:
         wire_bytes = SEGMENT_HEADER_BYTES
-        if segment.is_data:
+        if segment.seq > 0:  # ``is_data``, without the property call
             _kind, message = segment.payload
             wire_bytes += _payload_of(message)
         return wire_bytes
@@ -1129,13 +1144,14 @@ class SimCluster:
     def transmit(self, link: _Link, message, kind: str) -> None:
         """Send one message (or ring batch) down ``link``."""
         trace = self.env.trace
+        batch = type(message) is list
         if kind == "ring":
             # Ring-layer traffic volume, independent of wire framing: the
             # bench divides this by completed ops to show a leased read
             # costing zero ring messages where a fenced one costs n.
-            trace.count(RING_MESSAGES, len(message) if isinstance(message, list) else 1)
+            trace.count(RING_MESSAGES, len(message) if batch else 1)
         wrap = self.reliable.wrap
-        if isinstance(message, list):
+        if batch:
             # A ring batch: each message becomes its own session segment
             # (own seq, own retransmission entry); only the wire framing
             # is shared.  The frame is charged the exact bytes of
@@ -1317,7 +1333,8 @@ class SimCluster:
 
     @property
     def now(self) -> float:
-        return self.env.now
+        # The scheduler's clock directly: one property call, not two.
+        return self.env.scheduler.now
 
     def run(self, until: Optional[float] = None) -> None:
         self.env.run(until=until)
@@ -1334,13 +1351,13 @@ class SimCluster:
 
 
 def _payload_of(message) -> int:
-    """Payload bytes of a message: baseline messages size themselves via
-    a ``payload_bytes()`` method; core messages use
-    :func:`repro.core.messages.payload_size`."""
-    sizer = getattr(message, "payload_bytes", None)
-    if callable(sizer):
-        return sizer()
-    return payload_size(message)
+    """Payload bytes of a message: core messages by their wire layout
+    (:func:`repro.core.messages.payload_size`), anything else — baseline
+    messages, the sharded envelope — by its own ``payload_bytes()``."""
+    sizer = PAYLOAD_SIZERS.get(type(message))
+    if sizer is not None:
+        return sizer(message)
+    return message.payload_bytes()
 
 
 # Public aliases: the baseline runtimes (repro.baselines) host their

@@ -19,26 +19,31 @@ class EventHandle:
     """A cancelable reference to a scheduled event.
 
     Handles are returned by :meth:`EventScheduler.schedule` and
-    :meth:`EventScheduler.schedule_at`.  Cancelling an already-fired or
-    already-cancelled event is a harmless no-op, which keeps timer
-    bookkeeping in protocol code simple.
+    :meth:`EventScheduler.schedule_at`, which fill the slots directly
+    (no ``__init__``, so no Python frame per event).  Cancelling an
+    already-fired or already-cancelled event is a harmless no-op, which
+    keeps timer bookkeeping in protocol code simple.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_action", "_args")
+    __slots__ = ("time", "seq", "cancelled", "_action", "_args", "_scheduler")
 
-    def __init__(self, time: float, seq: int, action: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        #: True once the event fired or was cancelled.
-        self.cancelled = False
-        self._action = action
-        self._args = args
+    time: float
+    seq: int
+    #: True once the event fired or was cancelled.
+    cancelled: bool
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
+        if self.cancelled:
+            return
         self.cancelled = True
         self._action = None
         self._args = ()
+        # The entry stays on the heap until popped or compacted away.
+        scheduler = self._scheduler
+        scheduler._dead += 1
+        if scheduler._dead * 2 > len(scheduler._heap):
+            scheduler._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -50,7 +55,10 @@ class EventScheduler:
 
     The heap holds ``(time, seq, handle)`` tuples, so ``heapq`` orders
     entries by comparing a float and an int in C; ``seq`` is unique, so
-    the comparison never reaches the handle.
+    the comparison never reaches the handle.  Cancelled entries stay on
+    the heap until they are popped, or until they outnumber the live
+    ones and :meth:`_compact` drops them all; ``(time, seq)`` is a total
+    order, so compaction never changes which event fires next.
 
     Example::
 
@@ -68,6 +76,8 @@ class EventScheduler:
         #: interpreter call each time.
         self.now = 0.0
         self._events_fired = 0
+        #: Cancelled entries still on the heap.
+        self._dead = 0
 
     @property
     def events_fired(self) -> int:
@@ -76,7 +86,8 @@ class EventScheduler:
 
     @property
     def pending(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
+        """Number of entries on the heap (cancelled ones not yet dropped
+        included)."""
         return len(self._heap)
 
     def schedule(self, delay: float, action: Callable[..., Any], *args: Any) -> EventHandle:
@@ -93,9 +104,23 @@ class EventScheduler:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, action, args)
+        handle = EventHandle()
+        handle.time = time
+        handle.seq = seq
+        handle.cancelled = False
+        handle._action = action
+        handle._args = args
+        handle._scheduler = self
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry.  In place: :meth:`run` holds the
+        list while actions (which may cancel) execute."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
+        self._dead = 0
 
     def step(self) -> bool:
         """Run the next pending event.  Returns ``False`` when idle."""
@@ -103,9 +128,12 @@ class EventScheduler:
         while heap:
             handle = heapq.heappop(heap)[2]
             if handle.cancelled:
+                self._dead -= 1
                 continue
             action, args = handle._action, handle._args
-            handle.cancel()  # mark as consumed; drops references
+            handle.cancelled = True  # consumed; drop references
+            handle._action = None
+            handle._args = ()
             self.now = handle.time
             self._events_fired += 1
             action(*args)
@@ -133,6 +161,7 @@ class EventScheduler:
             time, _seq, handle = heap[0]
             if handle.cancelled:
                 heappop(heap)
+                self._dead -= 1
                 continue
             if until is not None and time > until:
                 break

@@ -1,10 +1,11 @@
 """Runtime fault controller: the cluster's nemesis.
 
 A :class:`Nemesis` sits between the switched fabric and the receive
-ports (:meth:`~repro.sim.network.Network.unicast` hands it every
-transmitted frame) and decides whether, when and how often each frame
-arrives.  It implements the link-level half of the fault algebra declared
-by :class:`~repro.sim.faults.FaultPlan`:
+ports (:class:`~repro.sim.network.Network` hands it every transmitted
+frame on a link it has ever impaired; the rest never enter it) and
+decides whether, when and how often each frame arrives.  It implements
+the link-level half of the fault algebra declared by
+:class:`~repro.sim.faults.FaultPlan`:
 
 * **partition / cut link** — a directed link can be *cut*.  In ``hold``
   mode (the default, TCP semantics) frames are buffered and flushed in
@@ -99,7 +100,8 @@ class Nemesis:
         #: Latest scheduled arrival per link, for the FIFO clamp.  A link
         #: enters this map on first impairment and stays, so a delayed
         #: frame can never be overtaken after the fault window closes.
-        self._fifo: dict[Link, float] = {}
+        #: The network routes a frame here only if its link is a key.
+        self.impaired: dict[Link, float] = {}
         self._rng = env.rng.stream("nemesis")
         self._rule_seq = 0
         #: Per-process local-clock offsets (seconds added to the fabric
@@ -110,7 +112,8 @@ class Nemesis:
         self._clock_offsets: dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    # Frame routing (called by Network for every transmitted frame)
+    # Frame routing (called by Network for every frame on an impaired
+    # link and every multicast copy)
     # ------------------------------------------------------------------
 
     def route(
@@ -123,9 +126,9 @@ class Nemesis:
         deliver: Callable[[Any], None],
     ) -> None:
         """Decide the fate of one transmitted frame."""
-        fifo = self._fifo
-        link = (src.process_name, dst.process_name) if fifo else None
-        if link not in fifo:
+        impaired = self.impaired
+        link = (src.process_name, dst.process_name) if impaired else None
+        if link not in impaired:
             # Never impaired (every faulted link has a FIFO entry, and
             # with none at all the key is not even built): identical to
             # an un-faulted network, and no RNG draw, so healthy links
@@ -181,8 +184,8 @@ class Nemesis:
         deliver: Callable[[Any], None],
         arrival: float,
     ) -> None:
-        arrival = max(arrival, self._fifo.get(link, 0.0))
-        self._fifo[link] = arrival
+        arrival = max(arrival, self.impaired.get(link, 0.0))
+        self.impaired[link] = arrival
 
         def fire() -> None:
             if src.owner is not None and not src.owner.alive:
@@ -332,7 +335,7 @@ class Nemesis:
         state = self._links.get(link)
         if state is None:
             state = self._links[link] = _LinkState()
-            self._fifo.setdefault(link, 0.0)
+            self.impaired.setdefault(link, 0.0)
         return state
 
     def _gc(self, link: Link) -> None:

@@ -84,12 +84,14 @@ class Network:
         propagation_delay: float = DEFAULT_PROPAGATION_DELAY,
     ):
         self.env = env
+        self._scheduler = env.scheduler
         self.name = name
         self.wire = wire or WireModel()
         self.propagation_delay = propagation_delay
         #: Optional fault controller (see :mod:`repro.sim.nemesis`).  When
-        #: set, every delivery is routed through it so partitions, drops,
-        #: delays and duplicates can be injected per directed link.
+        #: set, every delivery on a link it has ever impaired is routed
+        #: through it so partitions, drops, delays and duplicates can be
+        #: injected per directed link.
         self.faults = None
         self._nics: dict[str, Nic] = {}
         # Multicast collision domain: currently-in-the-air frames.  Any
@@ -168,12 +170,24 @@ class Network:
         trace = self.env.trace
         if trace.record_events:
             trace.emit(self.env.now, "net.tx", self.name, src.name, dst.name, wire_bytes)
-        self._dispatch(src, dst, wire_bytes, message, deliver)
+        faults = self.faults
+        if faults is not None and faults.impaired and (
+            (src.process_name, dst.process_name) in faults.impaired
+        ):
+            faults.route(self, src, dst, wire_bytes, message, deliver)
+            return
+        # A link the nemesis never impaired: the plain propagation-delayed
+        # arrival its healthy path would schedule, without entering it.
+        scheduler = self._scheduler
+        scheduler.schedule_at(
+            scheduler.now + self.propagation_delay,
+            self._arrive, dst, wire_bytes, message, deliver,
+        )
 
     def _dispatch(
         self, src: Nic, dst: Nic, wire_bytes: int, message: Any, deliver: DeliveryCallback
     ) -> None:
-        """Hand a transmitted frame to the fabric.
+        """Hand a transmitted multicast copy to the fabric.
 
         Without a fault controller this is a plain propagation-delayed
         arrival; with one, the controller decides whether/when/how often

@@ -14,7 +14,6 @@ measures on 100 Mbit/s links.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 #: Default TCP maximum segment size on a 1500-byte-MTU ethernet
@@ -57,9 +56,11 @@ class WireModel:
         """Total bytes a ``payload_bytes`` message occupies on the wire."""
         if payload_bytes < 0:
             raise ValueError(f"payload_bytes must be >= 0, got {payload_bytes}")
+        # Called per simulated frame: integer arithmetic, no builtins.
         total_app = payload_bytes + self.app_header
-        segments = max(1, math.ceil(total_app / self.mss))
-        return max(self.min_frame, total_app + segments * self.segment_overhead)
+        segments = (total_app - 1) // self.mss + 1 if total_app > 0 else 1
+        wire_bytes = total_app + segments * self.segment_overhead
+        return wire_bytes if wire_bytes > self.min_frame else self.min_frame
 
     def tx_time(self, payload_bytes: int, bandwidth_bps: float) -> float:
         """Seconds the wire is occupied transmitting the message."""

@@ -186,10 +186,10 @@ class ReliableSession:
         deliverable, in order.  Counts a data segment in :attr:`ack_owed`
         (duplicates too: their re-ack is what ends a retransmit storm)."""
         self._on_ack(segment.ack, now)
-        if not segment.is_data:
+        seq = segment.seq
+        if seq <= 0:  # a pure ack (``is_data`` without the property call)
             return []
         self.ack_owed += 1
-        seq = segment.seq
         if seq <= self._cursor:
             self.stats.dups_suppressed += 1
             return []
@@ -202,11 +202,12 @@ class ReliableSession:
             return []
         # In-order: deliver it plus any buffered successors.
         delivered = [segment.payload]
+        out_of_order = self._out_of_order
+        while seq + 1 in out_of_order:
+            seq += 1
+            delivered.append(out_of_order.pop(seq))
+        self.stats.delivered += seq - self._cursor
         self._cursor = seq
-        while self._cursor + 1 in self._out_of_order:
-            self._cursor += 1
-            delivered.append(self._out_of_order.pop(self._cursor))
-        self.stats.delivered += len(delivered)
         return delivered
 
     def make_ack(self) -> Segment:
@@ -229,19 +230,20 @@ class ReliableSession:
         self.ack_owed = 0
 
     def _on_ack(self, ack: int, now: float) -> None:
-        if ack <= 0 or not self._unacked:
+        unacked = self._unacked
+        if ack <= 0 or not unacked:
             return
-        # ``_unacked`` is insertion-ordered and seqs are assigned
-        # monotonically, so the acked prefix is the dict's front.
-        advanced = False
-        while self._unacked:
-            seq = next(iter(self._unacked))
-            if seq > ack:
-                break
-            del self._unacked[seq]
-            advanced = True
-        if not advanced:
+        # Seqs are assigned consecutively and only an acked prefix (or
+        # everything, on reset) ever leaves, so the keys are the run
+        # ``first .. _next_seq - 1`` and the acked ones its front.
+        for first in unacked:
+            break
+        if first > ack:
             return
+        seq = first
+        while seq <= ack and unacked:
+            del unacked[seq]
+            seq += 1
         self._rto = self.config.rto_initial
         self.retransmit_deadline = (now + self._rto) if self._unacked else None
 

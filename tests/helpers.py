@@ -15,6 +15,7 @@ from repro.core.messages import ClientRead, ClientWrite, OpId
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.runtime.sim_net import SimCluster
+from repro.sim.faults import FaultPlan
 
 
 def make_servers(n: int, config: ProtocolConfig | None = None) -> list[ServerProtocol]:
@@ -92,6 +93,54 @@ def run_recorded_cluster(num_servers: int, script, seed: int = 0, **kwargs):
     script(cluster)
     cluster.history.close()
     return cluster.history
+
+
+def run_faulted_cluster(seed: int) -> SimCluster:
+    """The determinism property's run: four clients (two writers, two
+    readers, six ops each) on a 4-server ring under a partition, delay,
+    duplication, loss, a throttle, a pause and a crash, recorded event
+    by event and run to t=3.0."""
+    cluster = SimCluster.build(
+        num_servers=4,
+        seed=seed,
+        protocol=ProtocolConfig(client_timeout=0.6, client_max_retries=20),
+    )
+    cluster.env.trace.record_events = True
+    cluster.history = History()
+
+    def spawn(host, kind: str) -> None:
+        state = {"i": 0}
+
+        def on_complete(result) -> None:
+            state["i"] += 1
+            if state["i"] < 6:
+                cluster.env.scheduler.schedule(0.05, issue)
+
+        def issue() -> None:
+            if kind == "write":
+                host.write(b"%d:%d" % (host.client_id, state["i"]), on_complete)
+            else:
+                host.read(on_complete)
+
+        issue()
+
+    for i, kind in enumerate(["write", "write", "read", "read"]):
+        spawn(cluster.add_client(home_server=i % 4), kind)
+
+    plan = (
+        FaultPlan()
+        .partition([["s0", "s1"], ["s2", "s3"]], at=0.05, heal_at=0.12)
+        .delay("s1", "s2", at=0.0, until=0.4, extra=0.001, jitter=0.002, symmetric=True)
+        .duplicate("c0", "s0", p=0.4, at=0.0, until=0.4, symmetric=True)
+        .drop("c1", "s1", p=0.2, at=0.0, until=0.4, symmetric=True)
+        .throttle("s3", factor=3.0, at=0.1, until=0.3)
+        .pause("s2", at=0.2, resume_at=0.26)
+        .crash("s0", at=0.45)
+    )
+    cluster.apply_faults(plan)
+    cluster.run(until=3.0)
+    cluster.history.close()
+    return cluster
 
 
 _TESTS = Path(__file__).resolve().parent

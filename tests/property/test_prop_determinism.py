@@ -12,60 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.history import History
 from repro.chaos import generate_schedule, run_schedule
-from repro.core.config import ProtocolConfig
-from repro.runtime.sim_net import SimCluster
-from repro.sim.faults import FaultPlan
+from tests.helpers import run_faulted_cluster
 
 
 def _run_cluster(seed: int) -> tuple[bytes, dict]:
     """One full cluster run under faults; returns (trace bytes, counters)."""
-    cluster = SimCluster.build(
-        num_servers=4,
-        seed=seed,
-        protocol=ProtocolConfig(client_timeout=0.6, client_max_retries=20),
-    )
-    cluster.env.trace.record_events = True
-    cluster.history = History()
-
-    left = {"n": 4}
-
-    def spawn(host, kind: str) -> None:
-        state = {"i": 0}
-
-        def on_complete(result) -> None:
-            state["i"] += 1
-            if state["i"] >= 6:
-                left["n"] -= 1
-                return
-            cluster.env.scheduler.schedule(0.05, issue)
-
-        def issue() -> None:
-            if kind == "write":
-                host.write(b"%d:%d" % (host.client_id, state["i"]), on_complete)
-            else:
-                host.read(on_complete)
-
-        issue()
-
-    for i, kind in enumerate(["write", "write", "read", "read"]):
-        spawn(cluster.add_client(home_server=i % 4), kind)
-
-    plan = (
-        FaultPlan()
-        .partition([["s0", "s1"], ["s2", "s3"]], at=0.05, heal_at=0.12)
-        .delay("s1", "s2", at=0.0, until=0.4, extra=0.001, jitter=0.002, symmetric=True)
-        .duplicate("c0", "s0", p=0.4, at=0.0, until=0.4, symmetric=True)
-        .drop("c1", "s1", p=0.2, at=0.0, until=0.4, symmetric=True)
-        .throttle("s3", factor=3.0, at=0.1, until=0.3)
-        .pause("s2", at=0.2, resume_at=0.26)
-        .crash("s0", at=0.45)
-    )
-    cluster.apply_faults(plan)
-    cluster.run(until=3.0)
-    cluster.history.close()
-
+    cluster = run_faulted_cluster(seed)
     blob = "\n".join(repr(event) for event in cluster.env.trace.events).encode()
     return blob, dict(cluster.env.trace.counters)
 

@@ -98,3 +98,33 @@ def test_events_fired_counter():
         sched.schedule(1.0, lambda: None)
     sched.run()
     assert sched.events_fired == 5
+
+
+def test_cancelled_entries_are_compacted_and_order_is_kept():
+    sched = EventScheduler()
+    fired = []
+    handles = [sched.schedule(0.001 * (i % 7), fired.append, i) for i in range(100)]
+    for handle in handles[::3] + handles[1::3]:
+        handle.cancel()
+    # 67 cancelled against 33 live: the dead entries went the moment
+    # they outnumbered the live ones.
+    assert sched.pending < 67
+    sched.run()
+    live = [i for i in range(100) if i % 3 == 2]
+    assert fired == sorted(live, key=lambda i: (i % 7, i))
+    assert sched.pending == 0
+
+
+def test_cancel_from_inside_a_running_event_compacts_safely():
+    sched = EventScheduler()
+    fired = []
+    later = [sched.schedule(2.0, fired.append, i) for i in range(10)]
+
+    def cancel_most() -> None:
+        for handle in later[:8]:
+            handle.cancel()
+        sched.schedule(0.5, fired.append, "after")
+
+    sched.schedule(1.0, cancel_most)
+    sched.run()
+    assert fired == ["after", 8, 9]

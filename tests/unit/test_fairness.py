@@ -94,3 +94,29 @@ def test_no_origin_starves_under_saturation():
         served[origin] = served.get(origin, 0) + 1
     # Perfect fairness: equal share for all four origins.
     assert all(count == 100 for count in served.values()), served
+
+
+def test_drain_after_interleaved_choices_keeps_arrival_order():
+    """Forwarding pops one origin's oldest item; what is left drains in
+    the order it arrived, across origins."""
+    sched = FairScheduler(server_id=0)
+    for i in range(3):
+        sched.enqueue(1, f"a{i}")
+        sched.enqueue(2, f"b{i}")
+    assert sched.choose(want_initiate=False) == (1, "a0")
+    sched.enqueue(3, "c0")
+    assert sched.choose(want_initiate=False) == (2, "b0")
+    assert sched.choose(want_initiate=False) == (3, "c0")
+    sched.enqueue(1, "a3")
+    assert sched.choose(want_initiate=False) == (1, "a1")
+    assert sched.drain() == [(2, "b1"), (1, "a2"), (2, "b2"), (1, "a3")]
+    assert sched.empty and len(sched) == 0
+
+
+def test_unfair_forwarding_is_fifo_across_origins():
+    sched = FairScheduler(server_id=0, fair=False)
+    for origin, item in [(2, "b0"), (1, "a0"), (2, "b1")]:
+        sched.enqueue(origin, item)
+    got = [sched.choose(want_initiate=False) for _ in range(3)]
+    assert got == [(2, "b0"), (1, "a0"), (2, "b1")]
+    assert sched.choose(want_initiate=False) is None

@@ -1,16 +1,21 @@
-"""A deterministic budget for the write path's interpreter work.
+"""Deterministic budgets for the simulator's interpreter work per operation.
 
 Wall clock is ungated because it is noisy on shared hosts; the number of
 Python-level and C-level calls the interpreter makes is not — it repeats
-exactly per seed.  This test saturates a 4-server ring with 128
-closed-loop 4 KiB writers (the shape of perfbench's ``ring_write``),
-warms up, then counts ``call``/``c_call`` profile events over a fixed
-simulated window and holds calls per completed write under a budget.
+exactly per seed.  Two shapes are counted, each warmed up and then
+profiled (``call``/``c_call`` events) over a fixed simulated window:
 
-The simulated behaviour is pinned beside it: the same window must fire
-exactly the events (and complete exactly the writes) it did before the
-scheduler and pending-set rewrite, so a "saving" that changes what the
-simulator does fails here rather than passing as a speed-up.
+* ``write``: a 4-server ring saturated by 128 closed-loop 4 KiB writers
+  (the shape of perfbench's ``ring_write``);
+* ``open``: open-loop Poisson arrivals at half saturation, 1,400 writes
+  and 5,600 reads per simulated second over 64-client pools per machine
+  (the shape of perfbench's ``mixed_open``), so the read path and an
+  unsaturated ring are counted too.
+
+The simulated behaviour is pinned beside each count: the window must fire
+exactly the events (and complete exactly the operations) it did before,
+so a "saving" that changes what the simulator does fails here rather
+than passing as a speed-up.
 
 The count is taken in a fresh interpreter (this file run as a script, as
 ``perfbench/worker.py`` is for its workloads): ``sys.setprofile`` sees
@@ -24,36 +29,51 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from repro.runtime.sim_net import SimCluster
+from repro.sim.rng import derive_seed
 
 SERVERS = 4
+VALUE = bytes(4096)
+
+# -- write: closed-loop saturation ---------------------------------------
+
 MACHINES_PER_SERVER = 2
 CLIENTS_PER_MACHINE = 16
-VALUE = bytes(4096)
 THINK_S = 0.0005
-WARMUP_S = 0.5
-WINDOW_S = 0.3
 
-#: Calls per completed write over the window.  1,927 with the
-#: ``EventHandle.__lt__`` heap, dataclass tags and scanned pending set;
-#: about 1,130 with tuple heap entries, tuple tags and ``PendingSet``;
-#: about 835 with per-link state resolved once, closure-free NIC stages
-#: and ``dict.copy()`` snapshots; 817.2 with ``payload_size`` a dict
-#: dispatch instead of an ``isinstance`` chain (4 calls per ``PreWrite``
-#: sized, was 8; 3 per ``Commit``, was 8); 813.2 with the rejoin
-#: announcement read inline and a drain after every ring pull (the
-#: acks a pull produces leave with it).  The budget is that count
-#: plus 10 %: room for features, not for scans or per-frame lookups.
-CALLS_PER_OP_BUDGET = 900
+# -- open: Poisson reads beside writes -----------------------------------
 
-#: What the window did on the commit before the rewrite (seed 11).
-EVENTS_IN_WINDOW = 10_200
-WRITES_IN_WINDOW = 848
+#: Per server: (kind, logical clients, arrivals per simulated second).
+OPEN_MACHINES = (("write", 64, 1400.0 / SERVERS), ("read", 64, 5600.0 / SERVERS))
+
+#: Simulated seconds of warm-up and of counted window per shape.
+WINDOWS = {"write": (0.5, 0.3), "open": (0.5, 0.2)}
+
+#: Calls per completed operation over the window, and the budget: the
+#: count plus 10 %, room for features, not for scans or per-frame
+#: lookups.  ``write`` history: 1,927 with the ``EventHandle.__lt__``
+#: heap, dataclass tags and scanned pending set; about 1,130 with tuple
+#: heap entries, tuple tags and ``PendingSet``; about 835 with per-link
+#: state resolved once, closure-free NIC stages and ``dict.copy()``
+#: snapshots; 817.2 with ``payload_size`` a dict dispatch (4 calls per
+#: ``PreWrite`` sized, was 8; 3 per ``Commit``, was 8); 813.2 with the
+#: rejoin announcement read inline and a drain after every ring pull;
+#: 809.2 after the asyncio runtime's record changes; 646.4 with
+#: cancelled timers compacted off the heap, no empty ring pulls, healthy
+#: links past the nemesis, no perfect-detector post-step hook, and
+#: call-free handles, wire sizes and effect dispatch.  ``open``: 489.3
+#: before that last step, 381.6 after it.
+CALLS_PER_OP_BUDGET = {"write": 711, "open": 419}
+
+#: What each window did (seed 11): events fired and operations completed.
+EVENTS_IN_WINDOW = {"write": 10_200, "open": 17_134}
+OPS_IN_WINDOW = {"write": 848, "open": 1_361}
 
 
 def _saturated_cluster(seed: int):
@@ -82,13 +102,60 @@ def _saturated_cluster(seed: int):
     return cluster, completed
 
 
-def _measure_here(seed: int) -> tuple[int, int, int]:
-    """(calls, events fired, writes completed) over the window, counted
-    in this interpreter."""
-    cluster, completed = _saturated_cluster(seed)
-    cluster.run(until=WARMUP_S)
+def _open_loop_cluster(seed: int):
+    """Seeded Poisson arrivals per machine; an arrival with no free
+    client in the pool waits in the machine's backlog."""
+    cluster = SimCluster.build(num_servers=SERVERS, seed=seed, initial_value=VALUE)
+    scheduler = cluster.env.scheduler
+    completed = [0]
+
+    def machine(host, kind: str, clients: int, rate: float, rng: random.Random):
+        free = [host.client_id] + [host.add_virtual_client() for _ in range(clients - 1)]
+        backlog = [0]
+
+        def issue(client_id: int) -> None:
+            if kind == "write":
+                host.write(VALUE, lambda result: done(client_id, result), client_id=client_id)
+            else:
+                host.read(lambda result: done(client_id, result), client_id=client_id)
+
+        def done(client_id: int, result) -> None:
+            assert result.ok
+            completed[0] += 1
+            if backlog[0]:
+                backlog[0] -= 1
+                issue(client_id)
+            else:
+                free.append(client_id)
+
+        def arrival() -> None:
+            scheduler.schedule(rng.expovariate(rate), arrival)
+            if free:
+                issue(free.pop())
+            else:
+                backlog[0] += 1
+
+        scheduler.schedule(rng.expovariate(rate), arrival)
+
+    for server_id in range(SERVERS):
+        for kind, clients, rate in OPEN_MACHINES:
+            host = cluster.add_client(home_server=server_id)
+            rng = random.Random(derive_seed(seed, f"open.{kind}.{server_id}"))
+            machine(host, kind, clients, rate, rng)
+    return cluster, completed
+
+
+SHAPES = {"write": _saturated_cluster, "open": _open_loop_cluster}
+
+
+def _measure_here(shape: str, seed: int) -> tuple[int, int, int]:
+    """(calls, events fired, operations completed) over the window,
+    counted in this interpreter."""
+    cluster, completed = SHAPES[shape](seed)
+    warmup, window = WINDOWS[shape]
+    cluster.run(until=warmup)
     events_before = cluster.env.scheduler.events_fired
-    writes_before = completed[0]
+    ops_before = completed[0]
     calls = [0]
 
     def profiler(frame, event, arg) -> None:
@@ -98,48 +165,56 @@ def _measure_here(seed: int) -> tuple[int, int, int]:
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
-        cluster.run(until=WARMUP_S + WINDOW_S)
+        cluster.run(until=warmup + window)
     finally:
         sys.setprofile(previous)
     return (
         calls[0],
         cluster.env.scheduler.events_fired - events_before,
-        completed[0] - writes_before,
+        completed[0] - ops_before,
     )
 
 
-def _measure(seed: int) -> tuple[int, int, int]:
+def _measure(shape: str, seed: int) -> tuple[int, int, int]:
     """:func:`_measure_here` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
-        [sys.executable, __file__, str(seed)],
+        [sys.executable, __file__, shape, str(seed)],
         env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     return tuple(json.loads(done.stdout))
 
 
 @pytest.fixture(scope="module")
-def measured() -> tuple[int, int, int]:
-    return _measure(seed=11)
+def measured() -> dict[str, tuple[int, int, int]]:
+    return {shape: _measure(shape, seed=11) for shape in SHAPES}
+
+
+def _check_budget(shape: str, counts: tuple[int, int, int]) -> None:
+    calls, events, ops = counts
+    assert (events, ops) == (EVENTS_IN_WINDOW[shape], OPS_IN_WINDOW[shape]), (
+        f"the simulated {shape!r} window changed: this budget compares "
+        "interpreter work for identical simulated behaviour"
+    )
+    per_op = calls / ops
+    budget = CALLS_PER_OP_BUDGET[shape]
+    assert per_op <= budget, (
+        f"{per_op:.0f} calls per {shape!r} op (budget {budget}); something "
+        "on the per-message path started scanning or comparing in Python again"
+    )
 
 
 def test_write_path_stays_within_its_call_budget(measured):
-    calls, events, writes = measured
-    assert (events, writes) == (EVENTS_IN_WINDOW, WRITES_IN_WINDOW), (
-        "the simulated window changed: this budget compares interpreter "
-        "work for identical simulated behaviour"
-    )
-    per_op = calls / writes
-    assert per_op <= CALLS_PER_OP_BUDGET, (
-        f"{per_op:.0f} calls per write (budget {CALLS_PER_OP_BUDGET}); "
-        "something on the per-message path started scanning or comparing "
-        "in Python again"
-    )
+    _check_budget("write", measured["write"])
+
+
+def test_open_loop_reads_and_writes_stay_within_their_call_budget(measured):
+    _check_budget("open", measured["open"])
 
 
 def test_the_count_repeats_exactly(measured):
-    assert _measure(seed=11) == measured
+    assert {shape: _measure(shape, seed=11) for shape in SHAPES} == measured
 
 
 if __name__ == "__main__":
-    print(json.dumps(_measure_here(int(sys.argv[1]))))
+    print(json.dumps(_measure_here(sys.argv[1], int(sys.argv[2]))))

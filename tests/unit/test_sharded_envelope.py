@@ -80,8 +80,15 @@ class _StubProto:
         self.backlog = backlog
         self.successor = 1
 
+    @property
+    def has_ring_work(self):
+        return self.backlog > 0
+
     def next_directed_message(self):
         return None
+
+    def ring_link_idle(self):
+        pass
 
     def next_ring_message(self):
         if self.backlog == 0:
