@@ -58,8 +58,9 @@ class BaselineServerHost(ServerMachine):
             return
         self._post(self.proto.on_server_message(src, message))
 
-    def receive_ring(self, message, sender=None) -> None:  # pragma: no cover - unused
-        raise NotImplementedError("baseline hosts use receive_server")
+    def receive_ring(self, message, sender=None) -> None:
+        """Server-to-server traffic off the simulated links."""
+        self.receive_server(sender, message)
 
     def notify_crash(self, crashed_id: int) -> None:
         if not self.alive:

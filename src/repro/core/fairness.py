@@ -59,7 +59,9 @@ class FairScheduler(Generic[T]):
         #: without a shared arrival deque to search on every pop.
         self._queues: dict[int, deque[tuple[int, T]]] = {}
         self._arrivals = 0
-        self._size = 0
+        #: Messages in the forward queue: an attribute, read on every
+        #: ring pull.
+        self.size = 0
 
     # ------------------------------------------------------------------
     # Forward-queue management
@@ -69,14 +71,14 @@ class FairScheduler(Generic[T]):
         """Add a message originated by ``origin`` to the forward queue."""
         self._queues.setdefault(origin, deque()).append((self._arrivals, item))
         self._arrivals += 1
-        self._size += 1
+        self.size += 1
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     @property
     def empty(self) -> bool:
-        return self._size == 0
+        return not self.size
 
     def origins_queued(self) -> list[int]:
         """Origins that currently have at least one queued message."""
@@ -93,7 +95,7 @@ class FairScheduler(Generic[T]):
         ]
         queued.sort(key=itemgetter(0))
         self._queues.clear()
-        self._size = 0
+        self.size = 0
         return [(origin, item) for _arrival, origin, item in queued]
 
     def reset_counters(self) -> None:
@@ -128,7 +130,7 @@ class FairScheduler(Generic[T]):
                 return INITIATE_OWN
             return self._pop_any()
 
-        if self.empty:
+        if not self.size:
             # Line 54-58: queue empty -> reset counters, maybe initiate.
             self.reset_counters()
             return INITIATE_OWN if want_initiate else None
@@ -156,7 +158,7 @@ class FairScheduler(Generic[T]):
 
     def _pop_from(self, origin: int) -> tuple[int, T]:
         _arrival, item = self._queues[origin].popleft()
-        self._size -= 1
+        self.size -= 1
         self.nb_msg[origin] = self.nb_msg.get(origin, 0) + 1
         return origin, item
 

@@ -211,6 +211,7 @@ class ServerProtocol:
             raise ProtocolError(f"server {server_id} not a ring member")
         self.server_id = server_id
         self.ring = ring
+        self._follow_ring()
         self.config = (config or ProtocolConfig()).validate()
 
         #: Owner of everything that depends on how a value is laid out
@@ -582,6 +583,7 @@ class ServerProtocol:
             self.ring = self.installed_view = RingView(
                 members, frozenset(members) - {self.server_id}, self.installed_epoch
             )
+            self._follow_ring()
             self._mark_dirty()  # the new view, whether or not anything commits
             self.rejoining = False
             self._rejoin_sponsor = None
@@ -603,15 +605,14 @@ class ServerProtocol:
     # Public protocol surface
     # ------------------------------------------------------------------
 
-    @property
-    def successor(self) -> int:
-        """Current ring successor (pseudocode ``pnext``)."""
-        return self.ring.successor(self.server_id)
-
-    @property
-    def alone(self) -> bool:
-        """True when this server is the only survivor."""
-        return self.ring.num_alive == 1
+    def _follow_ring(self) -> None:
+        """``self.ring`` was set: refresh the two facts of it every pull
+        reads, attributes so that reading them costs no call —
+        ``successor`` (pseudocode ``pnext``) and ``alone`` (this server
+        is the only survivor).  Every assignment to ``self.ring`` is
+        followed by this."""
+        self.successor: int = self.ring.successor(self.server_id)
+        self.alone: bool = self.ring.num_alive == 1
 
     @property
     def reconfig_blocked(self) -> bool:
@@ -772,7 +773,7 @@ class ServerProtocol:
             self.commit_queue
             or self.write_queue
             or self.fence_queue
-            or not self.fair.empty
+            or self.fair.size
         )
 
     def ring_link_idle(self) -> None:
@@ -832,7 +833,7 @@ class ServerProtocol:
             message = self._initiate_write()
             if message is not None:
                 return message
-            if self.write_queue or not self.fair.empty:
+            if self.write_queue or self.fair.size:
                 # The popped write was absorbed (duplicate); keep going.
                 return self._next_ring_message()
         elif choice is not None:
@@ -1148,11 +1149,13 @@ class ServerProtocol:
         circulating proposal); ``installed_view`` stays the anchor."""
         self.ring = ring
         self._mark_dirty()
+        self._follow_ring()
 
     def _install_view(self, ring: RingView, commit: ReconfigCommit) -> None:
         """Policy primitive: ``ring`` is the committed view from here on
         (the epoch transition point)."""
         self.ring = self.installed_view = ring
+        self._follow_ring()
         self.installed_epoch = ring.epoch
         self.view_log.append((ring.epoch, commit.coordinator, commit.nonce))
         self._mark_dirty()

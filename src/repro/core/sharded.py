@@ -406,12 +406,12 @@ class ShardedServerHost(ServerHost):
             if pulled is None:
                 continue
             self._ring_rr = (index + 1) % slots
-            destination, payload = pulled
+            destination, payload, kind = pulled
             if isinstance(payload, list):
                 payload = [ShardEnvelope(reg, message) for message in payload]
             else:
                 payload = ShardEnvelope(reg, payload)
-            return (f"s{destination}", payload, "ring")
+            return (destination, payload, kind)
         return None
 
     def _reply_source(self):
@@ -810,18 +810,17 @@ class ShardClientHost(ClientHost):
         self._op_blocks[op] = reg
         return reg
 
-    def _wrap_request(self, message):
-        return ShardEnvelope(self._op_blocks[message.op], message)
-
     # -- elastic placement routing -------------------------------------
 
-    def _request_destination(self, server: int, message) -> str:
+    def _request(self, server: int, message):
+        """The request in its block's envelope, to ``server`` — or, on an
+        elastic cluster, to the member of the block's cached ring at the
+        same position."""
+        reg = self._op_blocks[message.op]
+        envelope = ShardEnvelope(reg, message)
         placement = self.cluster.placement
         if placement is None:
-            return super()._request_destination(server, message)
-        reg = self._op_blocks.get(message.op)
-        if reg is None:
-            return super()._request_destination(server, message)
+            return f"s{server}", envelope
         entry = self._placement_cache.get(reg)
         if entry is None:
             # First touch: consult the placement service once.  From
@@ -834,7 +833,7 @@ class ShardClientHost(ClientHost):
         # The protocol walks its full server list on retries; fold that
         # walk onto the block's ring so every retry lands on a member.
         position = self.servers.index(server)
-        return f"s{members[position % len(members)]}"
+        return f"s{members[position % len(members)]}", envelope
 
     def on_reply_delivered(self, message) -> None:
         if isinstance(message, PlacementRedirect):

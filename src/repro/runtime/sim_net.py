@@ -221,7 +221,8 @@ class _OutLoop:
         #: Polling order: the source after the last one that yielded is
         #: always at the front.
         self._sources = deque(sources)
-        self._rotates = len(sources) > 1
+        #: The only source, or ``None`` when there are several to rotate.
+        self._source = sources[0] if len(sources) == 1 else None
         self._links: dict[str, _Link] = {}
         nic.tx.on_idle(self.pump)
 
@@ -229,13 +230,18 @@ class _OutLoop:
         host = self.host
         if not host.alive or self.tx.busy:
             return
-        for position, source in enumerate(self._sources):
+        source = self._source
+        if source is not None:
             item = source()
-            if item is not None:
-                break
+            if item is None:
+                return
         else:
-            return
-        if self._rotates:
+            for position, source in enumerate(self._sources):
+                item = source()
+                if item is not None:
+                    break
+            else:
+                return
             self._sources.rotate(-position - 1)
         dst_name, message, kind = item
         link = self._links.get(dst_name)
@@ -323,10 +329,12 @@ class _ServerMachine(_HostBase):
         return None
 
     def post(self, replies: list[Reply]) -> None:
+        hosts = self.cluster.host_by_client_id
         for reply in replies:
-            machine = self.cluster.client_name(reply.client)
-            if machine is None:
+            host = hosts.get(reply.client)
+            if host is None:
                 continue  # client unknown/gone; drop
+            machine = host.name
             queue = self._reply_queues.setdefault(machine, deque())
             if not queue and machine not in self._reply_rr:
                 self._reply_rr.append(machine)
@@ -501,15 +509,16 @@ class ServerHost(_ServerMachine):
     # -- outbound sources ----------------------------------------------
 
     def _pull_ring(self, proto: ServerProtocol):
-        """The next ``(destination, payload)`` of ``proto`` for the ring
-        link, or ``None``; the payload is one message or a batch list."""
+        """The next ``(destination name, payload, "ring")`` of ``proto``
+        for the ring link, or ``None``; the payload is one message or a
+        batch list."""
         directed = proto.next_directed_message()
         if directed is not None:
             # Out-of-ring-order traffic: rejoin announcements (the
             # rejoiner is not part of anyone's ring yet), stale-epoch
             # notices, and view-proposal tokens whose first hop differs
             # from the installed successor.
-            return directed
+            return f"s{directed[0]}", directed[1], "ring"
         if not proto.has_ring_work:
             # Instead of an empty next_ring_batch, whose only effect
             # would be the fair-counter reset.
@@ -521,16 +530,14 @@ class ServerHost(_ServerMachine):
             # Dequeuing a write whose operation completed meanwhile acks
             # it.  Posted after this pump, not from inside it: posting
             # kicks the very port that is pulling.
-            self.env.scheduler.schedule(0.0, self.post, replies)
+            scheduler = self.env.scheduler
+            scheduler.schedule_at(scheduler.now, self.post, replies)
         if not batch:
             return None
-        return proto.successor, batch[0] if len(batch) == 1 else batch
+        return f"s{proto.successor}", batch[0] if len(batch) == 1 else batch, "ring"
 
     def _ring_source(self):
-        pulled = self._pull_ring(self.proto)
-        if pulled is None:
-            return None
-        return (f"s{pulled[0]}", pulled[1], "ring")
+        return self._pull_ring(self.proto)
 
 
 class ClientHost(_HostBase):
@@ -564,7 +571,8 @@ class ClientHost(_HostBase):
             "cli" if cluster.config.topology == "dual" else "lan"
         ]
         self.nic = nic
-        self._loops.append(_OutLoop(self, nic, [self._request_source]))
+        self._loop = _OutLoop(self, nic, [self._request_source])
+        self._loops.append(self._loop)
 
     def add_virtual_client(self) -> int:
         """Create another logical client on this machine; returns its id."""
@@ -581,12 +589,9 @@ class ClientHost(_HostBase):
         client_id: Optional[int] = None,
     ) -> OpId:
         self.check_alive()
-        proto = self._proto(client_id)
+        proto = self.protos[self.client_id if client_id is None else client_id]
         op, effects = proto.start_write(value)
-        self._callbacks[op] = callback
-        block = self._bind_block(op)
-        self.cluster.record_invoke(proto.client_id, op, "write", value, block)
-        self._execute(proto, effects)
+        self._started(proto, op, "write", value, callback, effects)
         return op
 
     def read(
@@ -595,12 +600,9 @@ class ClientHost(_HostBase):
         client_id: Optional[int] = None,
     ) -> OpId:
         self.check_alive()
-        proto = self._proto(client_id)
+        proto = self.protos[self.client_id if client_id is None else client_id]
         op, effects = proto.start_read()
-        self._callbacks[op] = callback
-        block = self._bind_block(op)
-        self.cluster.record_invoke(proto.client_id, op, "read", None, block)
-        self._execute(proto, effects)
+        self._started(proto, op, "read", None, callback, effects)
         return op
 
     def abort_op(self, client_id: Optional[int] = None) -> Optional[OpId]:
@@ -615,6 +617,17 @@ class ClientHost(_HostBase):
             self._cancel_timer(proto.client_id, op.seq)
             self._callbacks.pop(op, None)
         return op
+
+    def _started(self, proto: ClientProtocol, op: OpId, kind: str, value,
+                 callback: Callable[[OpResult], None], effects) -> None:
+        """Bookkeeping of an operation ``proto`` just started, then its
+        effects."""
+        self._callbacks[op] = callback
+        block = self._bind_block(op)
+        history = self.cluster.history
+        if history is not None:
+            history.invoke(self.env.now, proto.client_id, op, kind, value, block=block)
+        self._execute(proto, effects)
 
     def _bind_block(self, op: OpId) -> Optional[int]:
         """Hook: pin the block an operation targets at start time.
@@ -637,9 +650,7 @@ class ClientHost(_HostBase):
     # -- internals ---------------------------------------------------------
 
     def _proto(self, client_id: Optional[int]) -> ClientProtocol:
-        if client_id is None:
-            client_id = self.client_id
-        return self.protos[client_id]
+        return self.protos[self.client_id if client_id is None else client_id]
 
     def _request_source(self):
         if not self.out_queue:
@@ -656,29 +667,36 @@ class ClientHost(_HostBase):
 
     def _execute(self, proto: ClientProtocol, effects) -> None:
         client_id = proto.client_id
+        timers = self._timers
+        sent = False
         for effect in effects:
             # Effect records are final classes: an identity test per
             # branch instead of an isinstance call.
             kind = type(effect)
             if kind is SendTo:
-                self.out_queue.append(
-                    (
-                        self._request_destination(effect.server, effect.message),
-                        self._wrap_request(effect.message),
-                    )
-                )
+                self.out_queue.append(self._request(effect.server, effect.message))
+                sent = True
             elif kind is SetTimer:
-                self._cancel_timer(client_id, effect.timer_id)
-                self._timers[(client_id, effect.timer_id)] = self.env.scheduler.schedule(
-                    effect.delay, self._on_timeout, client_id, effect.timer_id
+                key = (client_id, effect.timer_id)
+                handle = timers.pop(key, None)
+                if handle is not None:
+                    handle.cancel()
+                scheduler = self.env.scheduler
+                timers[key] = scheduler.schedule_at(
+                    scheduler.now + effect.delay, self._on_timeout, client_id,
+                    effect.timer_id,
                 )
             elif kind is CancelTimer:
-                self._cancel_timer(client_id, effect.timer_id)
+                handle = timers.pop((client_id, effect.timer_id), None)
+                if handle is not None:
+                    handle.cancel()
             elif kind is Complete:
                 result = OpResult(
                     effect.op, effect.kind, ok=True, value=effect.value, tag=effect.tag
                 )
-                self.cluster.record_response(client_id, effect.op, result)
+                history = self.cluster.history
+                if history is not None:
+                    history.respond(self.env.now, client_id, effect.op, result.value, result.tag)
                 callback = self._callbacks.pop(effect.op, None)
                 if callback is not None:
                     callback(result)
@@ -689,18 +707,18 @@ class ClientHost(_HostBase):
                     callback(result)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown effect {effect!r}")
-        self.kick()
+        if sent and not self._loop.tx.busy:
+            # Only a batch that queued a request has anything to pump.
+            self._loop.pump()
 
-    def _wrap_request(self, message: ClientMessage) -> ClientMessage:
-        """Hook for subclasses that envelope requests (sharded store)."""
-        return message
-
-    def _request_destination(self, server: int, message: ClientMessage) -> str:
-        """Hook: process name a request is sent to.  The protocol picks
-        ``server`` from its full server list; the sharded client host
-        overrides this to map the pick onto the target block's current
-        placement (retries walk that ring, not the whole cluster)."""
-        return f"s{server}"
+    def _request(self, server: int, message: ClientMessage) -> tuple[str, ClientMessage]:
+        """Hook: the ``(process name, wire message)`` a request to
+        ``server`` leaves as.  The protocol picks ``server`` from its
+        full server list; the sharded client host overrides this to
+        envelope the request and to map the pick onto the target
+        block's current placement (retries walk that ring, not the whole
+        cluster)."""
+        return f"s{server}", message
 
     def _cancel_timer(self, client_id: int, timer_id: int) -> None:
         handle = self._timers.pop((client_id, timer_id), None)
@@ -713,14 +731,14 @@ class _Link:
 
     The route, both hosts, the two session endpoints (``tx`` sends on
     this link, ``rx`` receives from it; the ``reverse`` link holds the
-    same two the other way round), this direction's timer handles, and
-    the channel ``stamp`` with the one ``receive`` callable that is valid
-    for it — every frame sent under a stamp carries that callable.
+    same two the other way round), this direction's timer handles, which
+    receive method of ``dst`` its payloads go to, and the channel
+    ``stamp``: every frame carries the stamp it was sent under.
     """
 
     __slots__ = (
         "src", "dst", "src_id", "src_nic", "dst_nic", "network", "tx", "rx",
-        "reverse", "retx_timer", "ack_timer", "stamp", "receive",
+        "reverse", "retx_timer", "ack_timer", "stamp", "to_client", "from_client",
     )
 
     def __init__(self, src, dst, route, tx: ReliableSession, rx: ReliableSession):
@@ -733,6 +751,11 @@ class _Link:
         self.rx = rx
         self.retx_timer = None
         self.ack_timer = None
+        #: Payloads are replies (``dst.on_reply_delivered``), requests
+        #: (``dst.receive_client``) or, server to server, ring traffic
+        #: (``dst.receive_ring``).
+        self.to_client = isinstance(dst, ClientHost)
+        self.from_client = isinstance(src, ClientHost)
 
 
 class _ReliableLinkLayer:
@@ -787,60 +810,60 @@ class _ReliableLinkLayer:
     def _stamp(self, link: _Link) -> None:
         """(Re)open ``link`` under the current channel generations."""
         generations = self._generations
-        stamp = link.stamp = (
+        link.stamp = (
             generations.get(link.src.name, 0), generations.get(link.dst.name, 0)
         )
 
-        def receive(frame) -> None:
-            self.deliver_stamped(link, frame, stamp)
-
-        link.receive = receive
-
-    # -- outbound ------------------------------------------------------
-
-    def wrap(self, link: _Link, kind: str, message) -> tuple[Segment, int]:
-        """Envelope one outgoing message; returns (segment, wire bytes)."""
-        segment = link.tx.send((kind, message), self.scheduler.now)
-        if link.ack_timer is not None:  # the ack rides along
-            link.ack_timer.cancel()
-            link.ack_timer = None
-        self._sync_retx_timer(link)
-        return segment, SEGMENT_HEADER_BYTES + _payload_of(message)
-
     # -- inbound -------------------------------------------------------
 
-    def deliver_stamped(self, link: _Link, frame, stamp: tuple[int, int]) -> None:
-        """Receive-port callback with connection identity: a frame whose
-        channel was re-opened since it was sent is discarded.  ``frame``
-        is one :class:`Segment` or a batch of them; either way the whole
-        frame shares one connection stamp (and one nemesis fate)."""
+    def deliver_stamped(self, parcel: tuple) -> None:
+        """The receive call: the receive port hands over one frame, as the
+        ``(link, frame, stamp)`` it was sent with, and everything it
+        carries happens here.
+
+        A frame whose channel was re-opened since it was sent is
+        discarded.  ``frame`` is one :class:`Segment` or a batch of them
+        (one connection stamp, one nemesis fate); each runs through the
+        receiving endpoint, which takes the piggybacked ack, the reverse
+        link's retransmission timer follows the ack, and what became
+        deliverable goes to the receiving host."""
+        link, frame, stamp = parcel
         if stamp != link.stamp:
             self.env.trace.count(RELIABLE_STALE_DROPPED)
             return
-        if isinstance(frame, list):
-            for segment in frame:
-                self.deliver(link, segment)
-            return
-        self.deliver(link, frame)
-
-    def deliver(self, link: _Link, segment: Segment) -> None:
-        """Run a segment that travelled ``link`` through the receiving
-        endpoint and dispatch whatever became deliverable."""
         session = link.rx
         stats = session.stats
-        dups_before = stats.dups_suppressed
-        payloads = session.on_segment(segment, self.scheduler.now)
-        if stats.dups_suppressed != dups_before:
-            self.env.trace.count(
-                RELIABLE_DUPS_SUPPRESSED, stats.dups_suppressed - dups_before
-            )
-        # The piggybacked ack may have advanced the receiver's own send
-        # window, which is the reverse link's.
-        self._sync_retx_timer(link.reverse)
-        for kind, message in payloads:
-            self.cluster._dispatch_payload(link, kind, message)
-        if session.ack_owed:
-            self._arm_ack(link.reverse)
+        reverse = link.reverse
+        dst = link.dst
+        now = self.scheduler.now
+        for segment in frame if type(frame) is list else (frame,):
+            dups_before = stats.dups_suppressed
+            payloads = session.on_segment(segment, now)
+            if stats.dups_suppressed != dups_before:
+                self.env.trace.count(
+                    RELIABLE_DUPS_SUPPRESSED, stats.dups_suppressed - dups_before
+                )
+            # The piggybacked ack may have advanced the receiver's own
+            # send window, which is the reverse link's: resync its timer
+            # unless it is armed, live and no later than the deadline.
+            deadline = reverse.tx.retransmit_deadline
+            handle = reverse.retx_timer
+            if handle is None:
+                if deadline is not None:
+                    self._sync_retx_timer(reverse)
+            elif deadline is None or handle[2] is None or handle[0] > deadline:
+                self._sync_retx_timer(reverse)
+            for message in payloads:
+                if link.to_client:
+                    dst.on_reply_delivered(message)
+                elif link.from_client:
+                    dst.receive_client(link.src_id, message)
+                else:
+                    dst.receive_ring(message, link.src_id)
+            if session.ack_owed:
+                handle = reverse.ack_timer
+                if handle is None or handle[2] is None:
+                    self._arm_ack(reverse)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -880,7 +903,7 @@ class _ReliableLinkLayer:
         deadline = link.tx.retransmit_deadline
         handle = link.retx_timer
         if handle is not None:
-            if deadline is not None and not handle.cancelled and handle.time <= deadline:
+            if deadline is not None and handle[2] is not None and handle[0] <= deadline:
                 return  # fires no later than needed; re-syncs itself
             handle.cancel()
             link.retx_timer = None
@@ -919,7 +942,7 @@ class _ReliableLinkLayer:
 
     def _arm_ack(self, link: _Link) -> None:
         handle = link.ack_timer
-        if handle is None or handle.cancelled:
+        if handle is None or handle[2] is None:
             scheduler = self.scheduler
             link.ack_timer = scheduler.schedule_at(
                 scheduler.now + self.config.ack_delay, self._on_ack_timer, link
@@ -937,8 +960,8 @@ class _ReliableLinkLayer:
 
     def _send_segment(self, link: _Link, segment: Segment) -> None:
         link.network.unicast(
-            link.src_nic, link.dst_nic, self._segment_bytes(segment), segment,
-            link.receive,
+            link.src_nic, link.dst_nic, self._segment_bytes(segment),
+            (link, segment, link.stamp), self.deliver_stamped,
         )
 
     def _send_batch(self, link: _Link, segments: list) -> None:
@@ -948,15 +971,15 @@ class _ReliableLinkLayer:
         self.env.trace.count(RELIABLE_BATCHED_FRAMES)
         self.env.trace.count(RELIABLE_BATCHED_MESSAGES, len(segments))
         link.network.unicast(
-            link.src_nic, link.dst_nic, wire_bytes, list(segments), link.receive
+            link.src_nic, link.dst_nic, wire_bytes,
+            (link, list(segments), link.stamp), self.deliver_stamped,
         )
 
     @staticmethod
     def _segment_bytes(segment: Segment) -> int:
         wire_bytes = SEGMENT_HEADER_BYTES
         if segment.seq > 0:  # ``is_data``, without the property call
-            _kind, message = segment.payload
-            wire_bytes += _payload_of(message)
+            wire_bytes += _payload_of(segment.payload)
         return wire_bytes
 
 
@@ -1024,7 +1047,8 @@ class SimCluster:
         self._read_mirrored = attrgetter(*(stat for stat, _counter in mirrored))
         self._mirrored_counters = tuple(counter for _stat, counter in mirrored)
         self.clients: dict[int, ClientHost] = {}
-        self._host_by_client_id: dict[int, ClientHost] = {}
+        #: Client machine of every logical client id.
+        self.host_by_client_id: dict[int, ClientHost] = {}
         self._next_client_id = 0
         #: Durable snapshot stores, one per server: the simulated "disk"
         #: that outlives a crashed process and feeds its restart.
@@ -1117,14 +1141,14 @@ class SimCluster:
             order = order[index:] + order[:index]
         host = host_cls(self, client_id, order, self.config.protocol)
         self.clients[client_id] = host
-        self._host_by_client_id[client_id] = host
+        self.host_by_client_id[client_id] = host
         return host
 
     def register_virtual_client(self, host: "ClientHost") -> int:
         """Allocate a fresh logical-client id bound to ``host``."""
         client_id = self._next_client_id
         self._next_client_id += 1
-        self._host_by_client_id[client_id] = host
+        self.host_by_client_id[client_id] = host
         return client_id
 
     # ------------------------------------------------------------------
@@ -1132,7 +1156,7 @@ class SimCluster:
     # ------------------------------------------------------------------
 
     def client_name(self, client_id: int) -> Optional[str]:
-        host = self._host_by_client_id.get(client_id)
+        host = self.host_by_client_id.get(client_id)
         return host.name if host is not None else None
 
     def process_by_name(self, name: str) -> Optional[_HostBase]:
@@ -1142,33 +1166,63 @@ class SimCluster:
         return self.clients.get(int(name[1:]))
 
     def transmit(self, link: _Link, message, kind: str) -> None:
-        """Send one message (or ring batch) down ``link``."""
-        trace = self.env.trace
-        batch = type(message) is list
-        if kind == "ring":
-            # Ring-layer traffic volume, independent of wire framing: the
-            # bench divides this by completed ops to show a leased read
-            # costing zero ring messages where a fenced one costs n.
-            trace.count(RING_MESSAGES, len(message) if batch else 1)
-        wrap = self.reliable.wrap
-        if batch:
-            # A ring batch: each message becomes its own session segment
-            # (own seq, own retransmission entry); only the wire framing
-            # is shared.  The frame is charged the exact bytes of
-            # transport.reliable.encode_batch, so simulated and asyncio
-            # transports agree on wire cost.
+        """The send call: put one message (or ring batch) on ``link``.
+
+        Sequencing, wire size, counters and the hand-off to the transmit
+        port all happen here.  A ring batch puts each message in its own
+        session segment (own seq, own retransmission entry) and shares
+        only the wire framing, charged the exact bytes of
+        ``transport.reliable.encode_batch``, so simulated and asyncio
+        transports agree on wire cost.  Any ack owed on the reverse
+        direction rides along."""
+        counters = self.env.trace.counters
+        session = link.tx
+        now = self.env.scheduler.now
+        if type(message) is list:
+            if kind == "ring":
+                # Ring-layer traffic volume, independent of wire framing:
+                # the bench divides this by completed ops to show a
+                # leased read costing zero ring messages where a fenced
+                # one costs n.
+                counters[RING_MESSAGES] += len(message)
             frame = []
-            wire_bytes = BATCH_HEADER_BYTES
+            payload_bytes = BATCH_HEADER_BYTES
             for item in message:
-                segment, seg_bytes = wrap(link, kind, item)
-                frame.append(segment)
-                wire_bytes += BATCH_ENTRY_BYTES + seg_bytes
-            trace.count(RELIABLE_BATCHED_FRAMES)
-            trace.count(RELIABLE_BATCHED_MESSAGES, len(frame))
+                frame.append(session.send(item, now))
+                sizer = PAYLOAD_SIZERS.get(type(item))
+                payload_bytes += BATCH_ENTRY_BYTES + SEGMENT_HEADER_BYTES + (
+                    sizer(item) if sizer is not None else item.payload_bytes()
+                )
+            counters[RELIABLE_BATCHED_FRAMES] += 1
+            counters[RELIABLE_BATCHED_MESSAGES] += len(frame)
         else:
-            frame, wire_bytes = wrap(link, kind, message)
-        link.network.unicast(
-            link.src_nic, link.dst_nic, wire_bytes, frame, link.receive
+            if kind == "ring":
+                counters[RING_MESSAGES] += 1
+            frame = session.send(message, now)
+            sizer = PAYLOAD_SIZERS.get(type(message))
+            payload_bytes = SEGMENT_HEADER_BYTES + (
+                sizer(message) if sizer is not None else message.payload_bytes()
+            )
+        if link.ack_timer is not None:  # the ack rides along
+            link.ack_timer.cancel()
+            link.ack_timer = None
+        handle = link.retx_timer
+        if handle is None or handle[2] is None or handle[0] > session.retransmit_deadline:
+            self.reliable._sync_retx_timer(link)
+        network = link.network
+        # WireModel.wire_bytes, inlined (the payload is never empty).
+        wire = network.wire
+        app_bytes = payload_bytes + wire.app_header
+        wire_bytes = app_bytes + ((app_bytes - 1) // wire.mss + 1) * wire.segment_overhead
+        if wire_bytes < wire.min_frame:
+            wire_bytes = wire.min_frame
+        counters[network.counter_unicasts] += 1
+        counters[network.counter_wire_bytes] += wire_bytes
+        src = link.src_nic
+        src.tx.submit(
+            wire_bytes, network._tx_done,
+            (src, link.dst_nic, wire_bytes, (link, frame, link.stamp),
+             self.reliable.deliver_stamped, None),
         )
 
     def multicast_servers(self, host, message) -> None:
@@ -1188,20 +1242,6 @@ class SimCluster:
 
         network = src_nic.network
         network.multicast(src_nic, dsts, _payload_of(message), message, deliver)
-
-    def _dispatch_payload(self, link: _Link, kind: str, message) -> None:
-        """Hand a payload the session released to ``link``'s receiver."""
-        if kind == "ring":
-            link.dst.receive_ring(message, link.src_id)
-        elif kind == "srv":
-            # Generic server-to-server delivery (baseline protocols).
-            link.dst.receive_server(link.src_id, message)
-        elif kind == "request":
-            link.dst.receive_client(link.src_id, message)
-        elif kind == "reply":
-            link.dst.on_reply_delivered(message)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown delivery kind {kind!r}")
 
     # ------------------------------------------------------------------
     # Failure detector
@@ -1312,20 +1352,6 @@ class SimCluster:
 
     def alive_servers(self) -> list[int]:
         return [sid for sid, host in self.servers.items() if host.alive]
-
-    # ------------------------------------------------------------------
-    # History hooks (filled in by the workload/bench layers)
-    # ------------------------------------------------------------------
-
-    def record_invoke(
-        self, client_id: int, op: OpId, kind: str, value, block: Optional[int] = None
-    ) -> None:
-        if self.history is not None:
-            self.history.invoke(self.env.now, client_id, op, kind, value, block=block)
-
-    def record_response(self, client_id: int, op: OpId, result: OpResult) -> None:
-        if self.history is not None:
-            self.history.respond(self.env.now, client_id, op, result.value, result.tag)
 
     # ------------------------------------------------------------------
     # Clock helpers

@@ -15,39 +15,49 @@ from typing import Any, Callable, Optional
 from repro.errors import SimulationError
 
 
-class EventHandle:
-    """A cancelable reference to a scheduled event.
+class EventHandle(list):
+    """A scheduled event: the heap entry itself, and its cancel handle.
 
-    Handles are returned by :meth:`EventScheduler.schedule` and
-    :meth:`EventScheduler.schedule_at`, which fill the slots directly
-    (no ``__init__``, so no Python frame per event).  Cancelling an
-    already-fired or already-cancelled event is a harmless no-op, which
-    keeps timer bookkeeping in protocol code simple.
+    The entry is ``[time, seq, action, args, scheduler]``.  ``heapq``
+    orders entries by comparing ``time`` and then ``seq`` in C; ``seq``
+    is unique, so the comparison never reaches the action.  Being a
+    list, the entry costs no ``__init__`` frame and no attribute stores,
+    and there is no second object per event.  Firing or cancelling an
+    event clears its ``action`` slot, so cancelling an already-fired or
+    already-cancelled event is a harmless no-op, which keeps timer
+    bookkeeping in protocol code simple.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_action", "_args", "_scheduler")
+    __slots__ = ()
 
-    time: float
-    seq: int
-    #: True once the event fired or was cancelled.
-    cancelled: bool
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def cancelled(self) -> bool:
+        """True once the event fired or was cancelled."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
+        if self[2] is None:
             return
-        self.cancelled = True
-        self._action = None
-        self._args = ()
+        self[2] = None
+        self[3] = ()
         # The entry stays on the heap until popped or compacted away.
-        scheduler = self._scheduler
+        scheduler = self[4]
         scheduler._dead += 1
         if scheduler._dead * 2 > len(scheduler._heap):
             scheduler._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
+        state = "cancelled" if self[2] is None else "pending"
+        return f"<EventHandle t={self[0]:.6f} seq={self[1]} {state}>"
 
 
 class EventScheduler:
@@ -69,7 +79,7 @@ class EventScheduler:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[EventHandle] = []
         self._seq = 0
         #: Current simulated time in seconds.  A plain attribute: the
         #: clock is read several times per event, and a property costs an
@@ -104,21 +114,15 @@ class EventScheduler:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle()
-        handle.time = time
-        handle.seq = seq
-        handle.cancelled = False
-        handle._action = action
-        handle._args = args
-        handle._scheduler = self
-        heapq.heappush(self._heap, (time, seq, handle))
-        return handle
+        entry = EventHandle((time, seq, action, args, self))
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def _compact(self) -> None:
         """Drop every cancelled entry.  In place: :meth:`run` holds the
         list while actions (which may cancel) execute."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapq.heapify(heap)
         self._dead = 0
 
@@ -126,17 +130,15 @@ class EventScheduler:
         """Run the next pending event.  Returns ``False`` when idle."""
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)[2]
-            if handle.cancelled:
+            entry = heapq.heappop(heap)
+            action = entry[2]
+            if action is None:
                 self._dead -= 1
                 continue
-            action, args = handle._action, handle._args
-            handle.cancelled = True  # consumed; drop references
-            handle._action = None
-            handle._args = ()
-            self.now = handle.time
+            entry[2] = None  # consumed
+            self.now = entry[0]
             self._events_fired += 1
-            action(*args)
+            action(*entry[3])
             return True
         return False
 
@@ -158,24 +160,22 @@ class EventScheduler:
         heappop = heapq.heappop
         fired = 0
         while heap:
-            time, _seq, handle = heap[0]
-            if handle.cancelled:
+            entry = heap[0]
+            action = entry[2]
+            if action is None:
                 heappop(heap)
                 self._dead -= 1
                 continue
-            if until is not None and time > until:
+            if until is not None and entry[0] > until:
                 break
             if max_events is not None and fired >= max_events:
                 return
             heappop(heap)
-            action, args = handle._action, handle._args
-            handle.cancelled = True  # consumed; drop references
-            handle._action = None
-            handle._args = ()
-            self.now = time
+            entry[2] = None  # consumed
+            self.now = entry[0]
             self._events_fired += 1
             fired += 1
-            action(*args)
+            action(*entry[3])
         if until is not None and self.now < until:
             self.now = until
 

@@ -101,8 +101,8 @@ class Network:
         self._backoff_rng = env.rng.stream(f"{name}.backoff")
         # Counter names are fixed per network; building them per message
         # is the same membership test and f-string every time.
-        self._unicasts = scoped(name, NET_UNICASTS)
-        self._wire_bytes = scoped(name, NET_WIRE_BYTES)
+        self.counter_unicasts = scoped(name, NET_UNICASTS)
+        self.counter_wire_bytes = scoped(name, NET_WIRE_BYTES)
         self._multicasts = scoped(name, NET_MULTICASTS)
         self._multicast_drops = scoped(name, NET_MULTICAST_DROPS)
         self._collisions = scoped(name, NET_COLLISIONS)
@@ -147,8 +147,8 @@ class Network:
             )
         wire_bytes = self.wire.wire_bytes(payload_bytes)
         trace = self.env.trace
-        trace.count(self._unicasts)
-        trace.count(self._wire_bytes, wire_bytes)
+        trace.count(self.counter_unicasts)
+        trace.count(self.counter_wire_bytes, wire_bytes)
         src.tx.submit(
             wire_bytes, self._tx_done, (src, dst, wire_bytes, message, deliver, on_sent)
         )
@@ -302,7 +302,7 @@ class Network:
                 )
                 return
             self.env.trace.count(self._multicasts)
-            self.env.trace.count(self._wire_bytes, wire_bytes)
+            self.env.trace.count(self.counter_wire_bytes, wire_bytes)
             if on_sent is not None:
                 on_sent()
             for dst in dsts:

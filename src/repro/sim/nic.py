@@ -63,7 +63,9 @@ class Port:
         self.messages_total = 0
         self.busy_time = 0.0
         self._last_start = 0.0
-        self.idle_callbacks: list[Callable[[], None]] = []
+        #: A tuple, replaced on registration, so that draining the port
+        #: iterates it without copying.
+        self.idle_callbacks: tuple[Callable[[], None], ...] = ()
 
     @property
     def paused(self) -> bool:
@@ -87,13 +89,22 @@ class Port:
         """
         if self.busy or self._paused:
             self._queue.append((wire_bytes, callback, args, on_start))
-        else:
-            # An idle, running port has an empty queue: serve at once.
-            self._start(wire_bytes, callback, args, on_start)
+            return
+        # An idle, running port has an empty queue: serve at once (the
+        # start, inlined — this is every healthy frame's hand-off).
+        scheduler = self._scheduler
+        self.busy = True
+        self._last_start = now = scheduler.now
+        if on_start is not None:
+            on_start()
+        scheduler.schedule_at(
+            now + wire_bytes * 8.0 / self.bandwidth_bps,
+            self._finish, wire_bytes, callback, args,
+        )
 
     def on_idle(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to fire each time the port drains."""
-        self.idle_callbacks.append(callback)
+        self.idle_callbacks += (callback,)
 
     def pause(self) -> None:
         """Stop serving the queue (a stop-the-world pause of the host).
@@ -115,7 +126,7 @@ class Port:
             self._start(*self._queue.popleft())
         else:
             # Wake out-loops that went idle against a paused port.
-            for callback in list(self.idle_callbacks):
+            for callback in self.idle_callbacks:
                 callback()
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
@@ -172,7 +183,7 @@ class Port:
             self._start(*self._queue.popleft())
         else:
             self.busy = False
-            for idle in list(self.idle_callbacks):
+            for idle in self.idle_callbacks:
                 idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -184,8 +184,25 @@ class ReliableSession:
     def on_segment(self, segment: Segment, now: float) -> list[Any]:
         """Process an arriving segment; returns the payloads that became
         deliverable, in order.  Counts a data segment in :attr:`ack_owed`
-        (duplicates too: their re-ack is what ends a retransmit storm)."""
-        self._on_ack(segment.ack, now)
+        (duplicates too: their re-ack is what ends a retransmit storm).
+
+        The cumulative ack the segment carries is taken first: it may
+        advance this endpoint's own send window."""
+        ack = segment.ack
+        unacked = self._unacked
+        if ack > 0 and unacked:
+            # Seqs are assigned consecutively and only an acked prefix
+            # (or everything, on reset) ever leaves, so the keys are the
+            # run ``first .. _next_seq - 1`` and the acked ones its front.
+            for first in unacked:
+                break
+            if first <= ack:
+                seq = first
+                while seq <= ack and unacked:
+                    del unacked[seq]
+                    seq += 1
+                self._rto = self.config.rto_initial
+                self.retransmit_deadline = (now + self._rto) if unacked else None
         seq = segment.seq
         if seq <= 0:  # a pure ack (``is_data`` without the property call)
             return []
@@ -228,24 +245,6 @@ class ReliableSession:
         self._cursor = 0
         self._out_of_order.clear()
         self.ack_owed = 0
-
-    def _on_ack(self, ack: int, now: float) -> None:
-        unacked = self._unacked
-        if ack <= 0 or not unacked:
-            return
-        # Seqs are assigned consecutively and only an acked prefix (or
-        # everything, on reset) ever leaves, so the keys are the run
-        # ``first .. _next_seq - 1`` and the acked ones its front.
-        for first in unacked:
-            break
-        if first > ack:
-            return
-        seq = first
-        while seq <= ack and unacked:
-            del unacked[seq]
-            seq += 1
-        self._rto = self.config.rto_initial
-        self.retransmit_deadline = (now + self._rto) if self._unacked else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

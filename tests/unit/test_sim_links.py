@@ -2,10 +2,11 @@
 
 Everything that is fixed per pair — route, hosts, both session
 endpoints, timer handles — is resolved when the link is first used; what
-changes is the channel *stamp* (bumped by crash detection and restart)
-and the one receive callable minted for it.  These tests pin the
-lifecycle around a cached link, and (an ``ast`` pass) that the per-frame
-functions build no closures and the name-keyed tables stay gone.
+changes is the channel *stamp* (bumped by crash detection and restart),
+which every frame carries to the layer's one receive call.  These tests
+pin the lifecycle around a cached link, and (an ``ast`` pass) that the
+per-frame functions build no closures and the name-keyed tables stay
+gone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from repro.core.config import ProtocolConfig
 from repro.runtime.sim_net import SimCluster
 from repro.sim.faults import FaultPlan
+from repro.sim.nic import Port
 
 _SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -37,7 +39,7 @@ def test_restart_over_cached_links_drops_old_frames_by_stamp():
     links = cluster.reliable.links
     link = links["s0", "s1"]
     assert link.reverse is links["s1", "s0"] and link.tx is link.reverse.rx
-    old_stamp, old_receive = link.stamp, link.receive
+    old_stamp = link.stamp
 
     start = cluster.now
     cluster.apply_faults(
@@ -47,14 +49,16 @@ def test_restart_over_cached_links_drops_old_frames_by_stamp():
         .restart("s1", at=start + 0.04)
     )
     seen = []
-    deliver = cluster.reliable.deliver
+    # ``link.rx`` is the endpoint of this link alone, and the receive
+    # call hands it only what passed the stamp check.
+    on_segment = link.rx.on_segment
 
-    def recording_deliver(on_link, segment):
-        if on_link is link and segment.is_data:
+    def recording_on_segment(segment, now):
+        if segment.is_data:
             seen.append((cluster.now, segment.seq))
-        deliver(on_link, segment)
+        return on_segment(segment, now)
 
-    cluster.reliable.deliver = recording_deliver
+    link.rx.on_segment = recording_on_segment
     writers = [client.client_id, client.add_virtual_client(), client.add_virtual_client()]
     for index, writer in enumerate(writers):
         client.write(b"in flight %d" % index, results.append, client_id=writer)
@@ -68,7 +72,7 @@ def test_restart_over_cached_links_drops_old_frames_by_stamp():
     assert counters["reliable.stale_dropped"] > 0
     # Same link object, new connection identity.
     assert links["s0", "s1"] is link
-    assert link.stamp != old_stamp and link.receive is not old_receive
+    assert link.stamp != old_stamp
     assert link.stamp == link.reverse.stamp[::-1]
     # Nothing of the old incarnation got through, and the first segment
     # the restarted server accepted on this link opened a fresh session.
@@ -96,9 +100,10 @@ def test_client_added_after_its_servers_links_exist_is_reachable():
     assert set(cluster.reliable.links) - known == {("c1", "s0"), ("s0", "c1")}
 
 
-def test_retransmitted_batches_and_pure_acks_use_the_links_callable():
-    """Fresh frames, retransmitted batch frames and pure acks all hand
-    the fabric the receive callable cached on their link."""
+def test_retransmitted_batches_and_pure_acks_use_the_links_callable(monkeypatch):
+    """Fresh frames, retransmitted batch frames and pure acks all reach
+    their link's transmit port as the ``(link, frame, stamp)`` of the
+    link, for the layer's one receive call."""
     cluster = SimCluster.build(num_servers=3, seed=58, protocol=_fast_retry())
     assert cluster.batch_limit > 1
     clients = [cluster.add_client(home_server=0) for _ in range(4)]
@@ -106,25 +111,26 @@ def test_retransmitted_batches_and_pure_acks_use_the_links_callable():
     frames = {"fresh": 0, "batch": 0, "ack": 0}
     links = cluster.reliable.links
 
-    def watch(network):
-        unicast = network.unicast
+    submit = Port.submit
 
-        def recording_unicast(src, dst, payload_bytes, message, deliver, on_sent=None):
-            link = links[src.process_name, dst.process_name]
-            assert deliver is link.receive
-            assert (src, dst, network) == (link.src_nic, link.dst_nic, link.network)
-            if isinstance(message, list):
-                frames["batch"] += 1
-            elif message.is_data:
-                frames["fresh"] += 1
-            else:
-                frames["ack"] += 1
-            unicast(src, dst, payload_bytes, message, deliver, on_sent)
+    def recording_submit(port, wire_bytes, callback, args=(), on_start=None):
+        if not port.name.endswith(".tx"):  # a receive port: the frame's end
+            return submit(port, wire_bytes, callback, args, on_start)
+        src, dst, _wire_bytes, parcel, deliver, _on_sent = args
+        link, frame, stamp = parcel
+        assert link is links[src.process_name, dst.process_name]
+        assert deliver == cluster.reliable.deliver_stamped and stamp == link.stamp
+        assert (port, src, dst) == (link.src_nic.tx, link.src_nic, link.dst_nic)
+        assert callback == link.network._tx_done
+        if isinstance(frame, list):
+            frames["batch"] += 1
+        elif frame.is_data:
+            frames["fresh"] += 1
+        else:
+            frames["ack"] += 1
+        submit(port, wire_bytes, callback, args, on_start)
 
-        network.unicast = recording_unicast
-
-    for network in cluster.topo.networks.values():
-        watch(network)
+    monkeypatch.setattr(Port, "submit", recording_submit)
     results = []
     for index, client in enumerate(clients):
         client.write(b"w%d" % index * 50, results.append)
