@@ -132,7 +132,7 @@ class FairScheduler(Generic[T]):
 
         if not self.size:
             # Line 54-58: queue empty -> reset counters, maybe initiate.
-            self.reset_counters()
+            self.nb_msg.clear()
             return INITIATE_OWN if want_initiate else None
 
         # Lines 60-64: the least-served candidate, lowest id on a tie;

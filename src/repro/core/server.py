@@ -189,9 +189,9 @@ class ServerProtocol:
       :meth:`next_ring_batch` (:meth:`next_ring_message` is the
       one-message form) and send it to :attr:`successor`; afterwards
       collect replies produced as a side effect with
-      :meth:`drain_replies`.  With no ring work, the simulator calls
-      :meth:`ring_link_idle` instead of pulling an empty batch (the
-      asyncio runtime skips both).
+      :meth:`drain_replies`.  With no ring work, both runtimes skip the
+      pull: the fairness counters reset where a pull drains the forward
+      queue (line 55), so no empty pull is needed for it.
 
     Outputs leave only through :meth:`drain_replies`,
     :meth:`next_directed_message` and :meth:`next_ring_batch`, and each
@@ -764,8 +764,10 @@ class ServerProtocol:
 
     @property
     def has_ring_work(self) -> bool:
-        """Whether :meth:`next_ring_batch` would return a message."""
-        if self.control_queue or self.outbox:
+        """Whether a pull — :meth:`next_directed_message`, then
+        :meth:`next_ring_batch` — would return a message.  False means a
+        runtime need not pull at all."""
+        if self.control_queue or self.outbox or self._rejoin_sponsor is not None:
             return True
         if self.paused or self.alone:
             return False
@@ -775,14 +777,6 @@ class ServerProtocol:
             or self.fence_queue
             or self.fair.size
         )
-
-    def ring_link_idle(self) -> None:
-        """The outgoing ring link is free and :attr:`has_ring_work` is
-        false: what a pull would do with nothing to send.  The queue
-        handler found the forward queue empty, so the nb_msg counters
-        reset (line 55) — unless paused or alone, where it never looks."""
-        if not (self.paused or self.alone):
-            self.fair.reset_counters()
 
     def next_ring_message(self) -> Optional[RingMessage]:
         """Pull the next message for the successor (the ``queue handler``
@@ -838,6 +832,8 @@ class ServerProtocol:
                 return self._next_ring_message()
         elif choice is not None:
             _origin, prewrite = choice
+            if not self.fair.size:  # drained: line 55's reset, not left to a pull
+                self.fair.reset_counters()
             self.queued_tags.discard(prewrite.tag)
             if self._is_stale(prewrite.tag):
                 # Committed while queued (possible around reconfigs).

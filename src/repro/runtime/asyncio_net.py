@@ -84,17 +84,19 @@ from repro.errors import StorageUnavailableError
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.runtime.driver import ServerDriver
 from repro.runtime.interface import (
-    BATCH_DEPTH_RING_BUDGET,
     CancelTimer,
     Complete,
     Fail,
     SendTo,
     SetTimer,
+    ack_every,
     ring_batch_depth,
 )
 from repro.transport.codec import decode_message, encode_message
 from repro.transport.framing import FrameDecoder, frame
 from repro.transport.reliable import (
+    AckPacer,
+    ReliableConfig,
     ReliableSession,
     Segment,
     decode_frame,
@@ -142,6 +144,12 @@ _RING_REDIAL = 0.1
 #: tail never reaches glibc's consolidation threshold.
 _RECV_BYTES = 32 * 1024
 
+#: The ack flush delay over TCP: ``rto_initial``, the time a simulated
+#: sender waits before it retransmits, so a link that went quiet is
+#: acked within it (TCP retransmits here; the ack only trims the
+#: reconnect-replay buffer).
+_ACK_FLUSH_S = ReliableConfig.rto_initial
+
 #: Default heartbeat timings for real sockets: much coarser than the
 #: simulator's, because an event loop stalled by CI noise must not spray
 #: wrong suspicions (they would be *safe*, but churny).
@@ -156,63 +164,18 @@ def _segment_frame(segment: Segment) -> bytes:
     return frame(encode_segment(segment, encode_message))
 
 
-def ack_every(depth: int) -> int:
-    """Segments a receiver may owe before it spends a frame on a pure
-    ack, on links whose sender batches ``depth`` messages a frame.
+def _new_acks(every: int, delay: float = _ACK_FLUSH_S) -> AckPacer:
+    """A node's or client's pacer: acks written to the link's transport
+    unless it is closing, the flush on a loop timer."""
 
-    TCP retransmits within a connection, so here an ack only trims the
-    sender's reconnect-replay buffer.  This count bounds that buffer: a
-    replay is at most ``BATCH_DEPTH_RING_BUDGET`` full frames."""
-    return BATCH_DEPTH_RING_BUDGET * depth
-
-
-class _AckPacer:
-    """When the sessions of one node or one client spend a frame on a
-    pure ack (docs/runtime.md, "Timers and acks over TCP").
-
-    An ack rides reverse traffic for free: ``session.send`` piggybacks
-    it and zeroes ``ack_owed``.  A pure ack is spent in two cases only.
-    A session owing ``every`` segments acks at once; only a link with
-    no reverse traffic, a ring link, gets there.  Any other owed ack
-    leaves with the flush of one timer shared by all the sessions,
-    armed by the first session left owing and firing ``rto_initial``
-    later (the time a simulated sender would wait before it
-    retransmits), so a link that went quiet is acked within it.  No
-    timer is armed per inbound burst: a busy node costs one timer per
-    ``rto_initial``, not one per frame."""
-
-    def __init__(self, every: int):
-        self.every = every
-        #: Sessions left owing an ack after a frame, with their link's
-        #: transport.
-        self._owing: dict[ReliableSession, asyncio.BaseTransport] = {}
-        self._timer: Optional[asyncio.TimerHandle] = None
-
-    def owed(self, session: ReliableSession, transport) -> None:
-        """``session`` still owes an ack after a frame from its peer."""
-        if session.ack_owed >= self.every:
+    def send_ack(session: ReliableSession, transport) -> None:
+        if not transport.is_closing():
             transport.write(_segment_frame(session.make_ack()))
-            return
-        self._owing[session] = transport
-        if self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                session.config.rto_initial, self._flush
-            )
 
-    def _flush(self) -> None:
-        """Ack every session still owing; the timer lapses until a
-        session owes again."""
-        self._timer = None
-        for session, transport in self._owing.items():
-            if session.ack_owed and not transport.is_closing():
-                transport.write(_segment_frame(session.make_ack()))
-        self._owing.clear()
-
-    def close(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._owing.clear()
+    return AckPacer(
+        every, delay, send_ack,
+        lambda delay, flush: asyncio.get_running_loop().call_later(delay, flush),
+    )
 
 
 def _segments_frame(segments: list) -> bytes:
@@ -377,7 +340,7 @@ class AsyncServerNode:
         # Last hello generation seen per inbound ring peer: a higher one
         # means the peer restarted, so its persistent session is void.
         self._peer_generations: dict[int, int] = {}
-        self._acks = _AckPacer(ack_every(self._batch_depth))
+        self._acks = _new_acks(ack_every(self._batch_depth))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -811,7 +774,7 @@ class AsyncClient:
         self._deadline: Optional[tuple[int, float]] = None
         self._timer: Optional[asyncio.TimerHandle] = None
         #: Replies are unbatched frames: depth 1.
-        self._acks = _AckPacer(ack_every(1))
+        self._acks = _new_acks(ack_every(1))
         self._closed = False
 
     async def write(self, value: bytes) -> None:

@@ -103,3 +103,16 @@ def ring_batch_depth(knob: int, num_servers: int, dedicated_link: bool = True) -
     if not dedicated_link:
         return 1
     return min(knob, max(1, BATCH_DEPTH_RING_BUDGET // num_servers))
+
+
+def ack_every(depth: int) -> int:
+    """Segments a receiver may owe before it spends a frame on a pure
+    ack, on links whose sender batches ``depth`` messages a frame
+    (:class:`~repro.transport.reliable.AckPacer`).
+
+    Over TCP an ack only trims the sender's reconnect-replay buffer, and
+    this count bounds that buffer: a replay is at most
+    ``BATCH_DEPTH_RING_BUDGET`` full frames.  The simulator's senders
+    retransmit themselves; the flush timer, not this count, bounds how
+    late their acks come."""
+    return BATCH_DEPTH_RING_BUDGET * depth

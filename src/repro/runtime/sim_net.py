@@ -64,6 +64,7 @@ from repro.runtime.interface import (
     Reply,
     SendTo,
     SetTimer,
+    ack_every,
     ring_batch_depth,
 )
 from repro.sim.counters import (
@@ -107,6 +108,7 @@ from repro.transport.reliable import (
     BATCH_ENTRY_BYTES,
     BATCH_HEADER_BYTES,
     SEGMENT_HEADER_BYTES,
+    AckPacer,
     ReliableConfig,
     ReliableSession,
     Segment,
@@ -209,15 +211,21 @@ class _OutLoop:
     """Round-robin message pump for one NIC transmit port.
 
     Sources are callables returning ``(dst_name, message, deliver_kind)``
-    or ``None``.  At most one message is in the transmit port at a time;
-    the port's idle callback re-pumps, so backpressure is exact.  The
-    loop resolves each destination name to its :class:`_Link` once.
+    or ``None``; a loop fed by a ``queue`` of such items instead (a
+    client machine's requests) pops it without calling anything.  At
+    most one message is in the transmit port at a time; the port's idle
+    callback re-pumps, so backpressure is exact.  The loop resolves each
+    destination name to its :class:`_Link` once.
     """
 
-    def __init__(self, host: "_HostBase", nic: Nic, sources: list[Callable]):
+    def __init__(
+        self, host: "_HostBase", nic: Nic, sources: list[Callable] = (),
+        queue: Optional[deque] = None,
+    ):
         self.host = host
         self.nic = nic
         self.tx = nic.tx
+        self.queue = queue
         #: Polling order: the source after the last one that yielded is
         #: always at the front.
         self._sources = deque(sources)
@@ -230,8 +238,13 @@ class _OutLoop:
         host = self.host
         if not host.alive or self.tx.busy:
             return
+        queue = self.queue
         source = self._source
-        if source is not None:
+        if queue is not None:
+            if not queue:
+                return
+            item = queue.popleft()
+        elif source is not None:
             item = source()
             if item is None:
                 return
@@ -259,9 +272,12 @@ class _OutLoop:
 class _HostBase(SimProcess):
     """Common machinery for server and client hosts."""
 
-    def __init__(self, cluster: "SimCluster", name: str):
+    def __init__(self, cluster: "SimCluster", name: str, depth: int):
+        """``depth``: messages per frame on the links this host receives
+        from, which sets how many segments it may owe before it acks."""
         super().__init__(cluster.env, name)
         self.cluster = cluster
+        self.acks = cluster.reliable.pacer(depth)
         self._loops: list[_OutLoop] = []
         for nic in cluster.topo.nics.get(name, {}).values():
             nic.owner = self
@@ -292,7 +308,7 @@ class _ServerMachine(_HostBase):
 
     def __init__(self, cluster: "SimCluster", server_id: int, peer_source: Callable):
         """``peer_source`` feeds the server-to-server port."""
-        super().__init__(cluster, f"s{server_id}")
+        super().__init__(cluster, f"s{server_id}", cluster.batch_limit)
         self.server_id = server_id
         self._reply_queues: dict[str, deque[Reply]] = {}
         self._reply_rr: deque[str] = deque()
@@ -330,6 +346,7 @@ class _ServerMachine(_HostBase):
 
     def post(self, replies: list[Reply]) -> None:
         hosts = self.cluster.host_by_client_id
+        queued = False
         for reply in replies:
             host = hosts.get(reply.client)
             if host is None:
@@ -339,7 +356,13 @@ class _ServerMachine(_HostBase):
             if not queue and machine not in self._reply_rr:
                 self._reply_rr.append(machine)
             queue.append(reply)
-        self.kick()
+            queued = True
+        # The ring loop (the first) always: the handler may have queued
+        # ring or directed messages.  The reply loop only if a reply was
+        # queued.
+        for loop in self._loops if queued else self._loops[:1]:
+            if not loop.tx.busy:
+                loop.pump()
 
 
 class ServerHost(_ServerMachine):
@@ -376,7 +399,14 @@ class ServerHost(_ServerMachine):
     def receive_ring(self, message, sender: Optional[int] = None) -> None:
         if not self.alive:
             return
-        self.post(self.proto.on_ring_message(message, sender))
+        replies = self.proto.on_ring_message(message, sender)
+        if replies:
+            self.post(replies)
+        else:
+            # :meth:`post` of nothing: only the ring loop may have work.
+            ring = self._loops[0]
+            if not ring.tx.busy:
+                ring.pump()
         cluster = self.cluster
         if cluster.hb is not None:
             cluster.after_protocol_step(self)
@@ -508,10 +538,14 @@ class ServerHost(_ServerMachine):
 
     # -- outbound sources ----------------------------------------------
 
-    def _pull_ring(self, proto: ServerProtocol):
+    def _pull_ring(self, proto: Optional[ServerProtocol] = None):
         """The next ``(destination name, payload, "ring")`` of ``proto``
-        for the ring link, or ``None``; the payload is one message or a
-        batch list."""
+        (the hosted one by default) for the ring link, or ``None``; the
+        payload is one message or a batch list."""
+        if proto is None:
+            proto = self.proto
+        if not proto.has_ring_work:
+            return None
         directed = proto.next_directed_message()
         if directed is not None:
             # Out-of-ring-order traffic: rejoin announcements (the
@@ -519,11 +553,6 @@ class ServerHost(_ServerMachine):
             # notices, and view-proposal tokens whose first hop differs
             # from the installed successor.
             return f"s{directed[0]}", directed[1], "ring"
-        if not proto.has_ring_work:
-            # Instead of an empty next_ring_batch, whose only effect
-            # would be the fair-counter reset.
-            proto.ring_link_idle()
-            return None
         batch = proto.next_ring_batch(self.cluster.batch_limit)
         replies = proto.drain_replies()
         if replies:
@@ -536,8 +565,8 @@ class ServerHost(_ServerMachine):
             return None
         return f"s{proto.successor}", batch[0] if len(batch) == 1 else batch, "ring"
 
-    def _ring_source(self):
-        return self._pull_ring(self.proto)
+    #: The ring link's source: the hosted protocol's next frame.
+    _ring_source = _pull_ring
 
 
 class ClientHost(_HostBase):
@@ -557,21 +586,28 @@ class ClientHost(_HostBase):
         servers: list[int],
         config: ProtocolConfig,
     ):
-        super().__init__(cluster, f"c{client_id}")
+        super().__init__(cluster, f"c{client_id}", 1)
         self.client_id = client_id
         self.servers = list(servers)
         self.config = config
         self.protos: dict[int, ClientProtocol] = {
             client_id: ClientProtocol(client_id, servers, config)
         }
-        self.out_queue: deque[tuple[str, ClientMessage]] = deque()
-        self._timers: dict[tuple[int, int], object] = {}
+        #: Requests ready to send, as the out-loop's items.
+        self.out_queue: deque[tuple[str, ClientMessage, str]] = deque()
+        #: Per logical client, the protocol's retry timer as ``(timer_id,
+        #: due)`` and the one scheduler timer behind it, as
+        #: ``AsyncClient`` keeps them: a completed op only drops the
+        #: deadline, and the timer fires at most once per timeout,
+        #: re-arming then for the op in flight.
+        self._deadlines: dict[int, tuple[int, float]] = {}
+        self._timers: dict[int, object] = {}
         self._callbacks: dict[OpId, Callable[[OpResult], None]] = {}
         nic = cluster.topo.nics[self.name][
             "cli" if cluster.config.topology == "dual" else "lan"
         ]
         self.nic = nic
-        self._loop = _OutLoop(self, nic, [self._request_source])
+        self._loop = _OutLoop(self, nic, queue=self.out_queue)
         self._loops.append(self._loop)
 
     def add_virtual_client(self) -> int:
@@ -614,7 +650,7 @@ class ClientHost(_HostBase):
         proto = self._proto(client_id)
         op = proto.abandon()
         if op is not None:
-            self._cancel_timer(proto.client_id, op.seq)
+            self._deadlines.pop(proto.client_id, None)
             self._callbacks.pop(op, None)
         return op
 
@@ -652,44 +688,49 @@ class ClientHost(_HostBase):
     def _proto(self, client_id: Optional[int]) -> ClientProtocol:
         return self.protos[self.client_id if client_id is None else client_id]
 
-    def _request_source(self):
-        if not self.out_queue:
-            return None
-        server_name, message = self.out_queue.popleft()
-        return (server_name, message, "request")
+    def _set_deadline(self, client_id: int, timer_id: int, delay: float) -> None:
+        scheduler = self.env.scheduler
+        due = scheduler.now + delay
+        self._deadlines[client_id] = (timer_id, due)
+        timer = self._timers.get(client_id)
+        if timer is not None:
+            if timer[0] <= due:
+                return  # fires early, then re-arms for this deadline
+            timer.cancel()
+        self._timers[client_id] = scheduler.schedule_at(due, self._expire, client_id)
 
-    def _on_timeout(self, client_id: int, timer_id: int) -> None:
-        if not self.alive:
+    def _expire(self, client_id: int) -> None:
+        del self._timers[client_id]
+        deadline = self._deadlines.get(client_id)
+        if deadline is None or not self.alive:
+            return  # the op completed; the next one arms afresh
+        timer_id, due = deadline
+        scheduler = self.env.scheduler
+        if due > scheduler.now:
+            self._timers[client_id] = scheduler.schedule_at(due, self._expire, client_id)
             return
-        self._timers.pop((client_id, timer_id), None)
+        del self._deadlines[client_id]
         proto = self.protos[client_id]
         self._execute(proto, proto.on_timeout(timer_id))
 
     def _execute(self, proto: ClientProtocol, effects) -> None:
         client_id = proto.client_id
-        timers = self._timers
         sent = False
         for effect in effects:
             # Effect records are final classes: an identity test per
             # branch instead of an isinstance call.
             kind = type(effect)
             if kind is SendTo:
-                self.out_queue.append(self._request(effect.server, effect.message))
+                self.out_queue.append(
+                    (*self._request(effect.server, effect.message), "request")
+                )
                 sent = True
             elif kind is SetTimer:
-                key = (client_id, effect.timer_id)
-                handle = timers.pop(key, None)
-                if handle is not None:
-                    handle.cancel()
-                scheduler = self.env.scheduler
-                timers[key] = scheduler.schedule_at(
-                    scheduler.now + effect.delay, self._on_timeout, client_id,
-                    effect.timer_id,
-                )
+                self._set_deadline(client_id, effect.timer_id, effect.delay)
             elif kind is CancelTimer:
-                handle = timers.pop((client_id, effect.timer_id), None)
-                if handle is not None:
-                    handle.cancel()
+                deadline = self._deadlines.get(client_id)
+                if deadline is not None and deadline[0] == effect.timer_id:
+                    del self._deadlines[client_id]
             elif kind is Complete:
                 result = OpResult(
                     effect.op, effect.kind, ok=True, value=effect.value, tag=effect.tag
@@ -720,25 +761,20 @@ class ClientHost(_HostBase):
         cluster)."""
         return f"s{server}", message
 
-    def _cancel_timer(self, client_id: int, timer_id: int) -> None:
-        handle = self._timers.pop((client_id, timer_id), None)
-        if handle is not None:
-            handle.cancel()
-
 
 class _Link:
     """Everything that is fixed per directed host pair, resolved once.
 
     The route, both hosts, the two session endpoints (``tx`` sends on
     this link, ``rx`` receives from it; the ``reverse`` link holds the
-    same two the other way round), this direction's timer handles, which
-    receive method of ``dst`` its payloads go to, and the channel
-    ``stamp``: every frame carries the stamp it was sent under.
+    same two the other way round), this direction's retransmission
+    timer, which receive method of ``dst`` its payloads go to, and the
+    channel ``stamp``: every frame carries the stamp it was sent under.
     """
 
     __slots__ = (
         "src", "dst", "src_id", "src_nic", "dst_nic", "network", "tx", "rx",
-        "reverse", "retx_timer", "ack_timer", "stamp", "to_client", "from_client",
+        "reverse", "retx_timer", "stamp", "to_client", "from_client",
     )
 
     def __init__(self, src, dst, route, tx: ReliableSession, rx: ReliableSession):
@@ -750,7 +786,6 @@ class _Link:
         self.tx = tx
         self.rx = rx
         self.retx_timer = None
-        self.ack_timer = None
         #: Payloads are replies (``dst.on_reply_delivered``), requests
         #: (``dst.receive_client``) or, server to server, ring traffic
         #: (``dst.receive_ring``).
@@ -763,9 +798,10 @@ class _ReliableLinkLayer:
     directed host pair off the cluster's event scheduler.
 
     The sans-I/O sessions decide *what* to (re)transmit and *what* is
-    deliverable; this adapter owns the timers (retransmission backoff,
-    delayed pure acks), charges segments to the NIC transmit ports like
-    any other traffic, and mirrors session statistics into the trace
+    deliverable, and each host's :class:`AckPacer` when to spend a pure
+    ack; this adapter owns the timers (retransmission backoff, the ack
+    flushes), charges segments to the NIC transmit ports like any other
+    traffic, and mirrors session statistics into the trace
     (``reliable.retransmits``, ``reliable.dups_suppressed``,
     ``reliable.acks``, ``reliable.abandoned``) so chaos runs can prove
     the machinery fired.  All per-pair state lives on a :class:`_Link`,
@@ -789,6 +825,15 @@ class _ReliableLinkLayer:
         #: (stale high sequence numbers would otherwise poison the
         #: reorder buffer).
         self._generations: dict[str, int] = {}
+
+    def pacer(self, depth: int) -> AckPacer:
+        """A host's ack pacer, for links that carry ``depth`` messages a
+        frame.  The flush waits half of ``rto_initial``: here the
+        senders retransmit, so an ack must be back before their timer."""
+        return AckPacer(
+            ack_every(depth), self.config.rto_initial / 2, self._send_ack,
+            self.scheduler.schedule,
+        )
 
     def link(self, src_name: str, dst_name: str) -> _Link:
         """The link ``src`` -> ``dst``, opened on first use."""
@@ -826,7 +871,8 @@ class _ReliableLinkLayer:
         (one connection stamp, one nemesis fate); each runs through the
         receiving endpoint, which takes the piggybacked ack, the reverse
         link's retransmission timer follows the ack, and what became
-        deliverable goes to the receiving host."""
+        deliverable goes to the receiving host.  If the frame leaves the
+        receiver owing an ack, its host's pacer decides when it goes."""
         link, frame, stamp = parcel
         if stamp != link.stamp:
             self.env.trace.count(RELIABLE_STALE_DROPPED)
@@ -844,15 +890,14 @@ class _ReliableLinkLayer:
                     RELIABLE_DUPS_SUPPRESSED, stats.dups_suppressed - dups_before
                 )
             # The piggybacked ack may have advanced the receiver's own
-            # send window, which is the reverse link's: resync its timer
-            # unless it is armed, live and no later than the deadline.
+            # send window, which is the reverse link's: its timer needs
+            # moving only if the deadline came forward (an ack after a
+            # backoff); an emptied window leaves it to lapse.
             deadline = reverse.tx.retransmit_deadline
-            handle = reverse.retx_timer
-            if handle is None:
-                if deadline is not None:
+            if deadline is not None:
+                handle = reverse.retx_timer
+                if handle is None or handle[0] > deadline:
                     self._sync_retx_timer(reverse)
-            elif deadline is None or handle[2] is None or handle[0] > deadline:
-                self._sync_retx_timer(reverse)
             for message in payloads:
                 if link.to_client:
                     dst.on_reply_delivered(message)
@@ -860,10 +905,13 @@ class _ReliableLinkLayer:
                     dst.receive_client(link.src_id, message)
                 else:
                     dst.receive_ring(message, link.src_id)
-            if session.ack_owed:
-                handle = reverse.ack_timer
-                if handle is None or handle[2] is None:
-                    self._arm_ack(reverse)
+        owed = session.ack_owed
+        if owed:
+            # Nothing the frame released went back to the sender.  A
+            # session the pacer already holds is acked by its flush.
+            acks = dst.acks
+            if owed >= acks.every or session not in acks.owing:
+                acks.owed(session, reverse)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -881,10 +929,9 @@ class _ReliableLinkLayer:
             if name not in key:
                 continue
             self._reset(link.tx)
-            for timer in (link.retx_timer, link.ack_timer):
-                if timer is not None:
-                    timer.cancel()
-            link.retx_timer = link.ack_timer = None
+            if link.retx_timer is not None:
+                link.retx_timer.cancel()
+                link.retx_timer = None
             self._stamp(link)
 
     #: A restart is the same reset: every link to the restarted peer is a
@@ -900,22 +947,25 @@ class _ReliableLinkLayer:
     # -- timers --------------------------------------------------------
 
     def _sync_retx_timer(self, link: _Link) -> None:
+        """Lazy: a timer armed no later than the deadline stays, and an
+        emptied window cancels nothing — the timer lapses when it fires
+        and finds no unacked data, so it fires at most once per RTO."""
         deadline = link.tx.retransmit_deadline
+        if deadline is None:
+            return
         handle = link.retx_timer
         if handle is not None:
-            if deadline is not None and handle[2] is not None and handle[0] <= deadline:
+            if handle[0] <= deadline:
                 return  # fires no later than needed; re-syncs itself
             handle.cancel()
-            link.retx_timer = None
-        if deadline is not None:
-            link.retx_timer = self.scheduler.schedule_at(
-                deadline, self._on_retx_timer, link
-            )
+        link.retx_timer = self.scheduler.schedule_at(
+            deadline, self._on_retx_timer, link
+        )
 
     def _on_retx_timer(self, link: _Link) -> None:
         link.retx_timer = None
         session = link.tx
-        if not link.src.alive:
+        if session.retransmit_deadline is None or not link.src.alive:
             return
         if not link.dst.alive:
             # The peer died after abandon_peer's one-shot sweep and this
@@ -940,21 +990,11 @@ class _ReliableLinkLayer:
                 self._send_batch(link, chunk)
         self._sync_retx_timer(link)
 
-    def _arm_ack(self, link: _Link) -> None:
-        handle = link.ack_timer
-        if handle is None or handle[2] is None:
-            scheduler = self.scheduler
-            link.ack_timer = scheduler.schedule_at(
-                scheduler.now + self.config.ack_delay, self._on_ack_timer, link
-            )
-
-    def _on_ack_timer(self, link: _Link) -> None:
-        link.ack_timer = None
-        session = link.tx
-        if not session.ack_owed or not link.src.alive:
-            return
-        self.env.trace.count(RELIABLE_ACKS)
-        self._send_segment(link, session.make_ack())
+    def _send_ack(self, session: ReliableSession, link: _Link) -> None:
+        """A pacer's pure ack (``session`` is ``link.tx``)."""
+        if link.src.alive:
+            self.env.trace.count(RELIABLE_ACKS)
+            self._send_segment(link, session.make_ack())
 
     # -- plumbing ------------------------------------------------------
 
@@ -1174,7 +1214,7 @@ class SimCluster:
         only the wire framing, charged the exact bytes of
         ``transport.reliable.encode_batch``, so simulated and asyncio
         transports agree on wire cost.  Any ack owed on the reverse
-        direction rides along."""
+        direction rides along (the session zeroes it)."""
         counters = self.env.trace.counters
         session = link.tx
         now = self.env.scheduler.now
@@ -1203,12 +1243,9 @@ class SimCluster:
             payload_bytes = SEGMENT_HEADER_BYTES + (
                 sizer(message) if sizer is not None else message.payload_bytes()
             )
-        if link.ack_timer is not None:  # the ack rides along
-            link.ack_timer.cancel()
-            link.ack_timer = None
         handle = link.retx_timer
-        if handle is None or handle[2] is None or handle[0] > session.retransmit_deadline:
-            self.reliable._sync_retx_timer(link)
+        if handle is None or handle[0] > session.retransmit_deadline:
+            self.reliable._sync_retx_timer(link)  # else it fires early and re-syncs
         network = link.network
         # WireModel.wire_bytes, inlined (the payload is never empty).
         wire = network.wire

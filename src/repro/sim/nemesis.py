@@ -186,6 +186,7 @@ class Nemesis:
     ) -> None:
         arrival = max(arrival, self.impaired.get(link, 0.0))
         self.impaired[link] = arrival
+        dst.rx.expect(arrival)
 
         def fire() -> None:
             if src.owner is not None and not src.owner.alive:

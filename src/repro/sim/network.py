@@ -1,15 +1,23 @@
 """Switched network fabric connecting NICs.
 
-Unicast transfer of a message from NIC *a* to NIC *b* goes through three
-stages, each charged at the wire cost of the message:
+Unicast transfer of a message from NIC *a* to NIC *b* is charged three
+times at the wire cost of the message, in two events:
 
 1. *a*'s transmit port serialises the message (``wire_bytes / bandwidth``);
+   its finish is the first event;
 2. the fabric propagates it (``propagation_delay`` seconds, switch-like);
-3. *b*'s receive port serialises it, then the delivery callback fires.
+3. *b*'s receive port serialises it, then the delivery callback fires —
+   the second event.  The receive port is booked when the transmit port
+   finishes: the frame starts at ``max(arrival, free time)`` (see
+   :class:`~repro.sim.nic.RxPort`), which is what a FIFO port serving
+   arrivals would do, because under a constant delay frames arrive in
+   the order they finish transmitting.
 
-Because both ports are FIFO and the propagation delay is constant,
-messages between a fixed NIC pair are delivered in order — the simulator's
-stand-in for a TCP connection's FIFO guarantee.
+A frame the nemesis routes, a multicast copy, and a frame to a paused or
+dead host take the staged path instead: an arrival event, then the
+receive port.  Because both ports are FIFO and the propagation delay is
+constant, messages between a fixed NIC pair are delivered in order — the
+simulator's stand-in for a TCP connection's FIFO guarantee.
 
 The fabric also offers an *ethernet multicast* primitive used by the
 naive write-all baseline: one transmit occupies the sender's port once,
@@ -137,7 +145,7 @@ class Network:
 
         ``deliver(message)`` fires after the receive port finishes;
         ``on_sent`` (if given) fires when the transmit port frees up.
-        Nothing is allocated per frame but the argument tuple the ports
+        Nothing is allocated per frame but the argument tuples the ports
         carry: every stage is a bound method plus its arguments.
         """
         if src.network is not self or dst.network is not self:
@@ -176,13 +184,34 @@ class Network:
         ):
             faults.route(self, src, dst, wire_bytes, message, deliver)
             return
-        # A link the nemesis never impaired: the plain propagation-delayed
-        # arrival its healthy path would schedule, without entering it.
+        # A link the nemesis never impaired: book the receive port now,
+        # or stage the arrival its healthy path would schedule.
         scheduler = self._scheduler
-        scheduler.schedule_at(
-            scheduler.now + self.propagation_delay,
-            self._arrive, dst, wire_bytes, message, deliver,
-        )
+        now = scheduler.now
+        arrival = now + self.propagation_delay
+        rx = dst.rx
+        owner = dst.owner
+        if rx._paused or rx.staged_until >= now or (owner is not None and not owner.alive):
+            # Paused, down, or a staged frame may still arrive before it.
+            rx.expect(arrival)
+            scheduler.schedule_at(arrival, self._arrive, dst, wire_bytes, message, deliver)
+            return
+        if trace.record_events:
+            trace.emit(arrival, "net.rx", self.name, dst.name, wire_bytes)
+        # RxPort._book, inlined: this is every healthy frame's booking.
+        booked = rx._booked
+        while booked and booked[0][2] <= now:
+            booked.popleft()  # ended: delivered, or delivered at ``now``
+        free_at = rx.free_at
+        start = arrival if arrival >= free_at else free_at
+        end = rx.free_at = start + wire_bytes * 8.0 / rx.bandwidth_bps
+        rx.bytes_total += wire_bytes
+        rx.messages_total += 1
+        rx.busy_time += end - start
+        booked.append((
+            start, arrival, end, wire_bytes, deliver, (message,),
+            scheduler.schedule_at(end, deliver, message),
+        ))
 
     def _dispatch(
         self, src: Nic, dst: Nic, wire_bytes: int, message: Any, deliver: DeliveryCallback
@@ -203,8 +232,10 @@ class Network:
         deliver: DeliveryCallback,
     ) -> None:
         """Schedule the receive-port stage ``delay`` seconds from now."""
-        self.env.scheduler.schedule(
-            delay, self._arrive, dst, wire_bytes, message, deliver
+        arrival = self._scheduler.now + delay
+        dst.rx.expect(arrival)
+        self._scheduler.schedule_at(
+            arrival, self._arrive, dst, wire_bytes, message, deliver
         )
 
     def deliver_now(

@@ -1,12 +1,17 @@
 """Full-duplex network interface model.
 
-A :class:`Nic` owns two independent :class:`Port` rate servers — transmit
-and receive — matching the paper's observation that "modern full-duplex
-network interfaces can receive and send messages at the same time".  Each
-port serialises messages: a port transmits (or receives) exactly one
-message at a time at its configured bandwidth, which is precisely the
-"receive at most one message per round" constraint of the paper's
-performance model, translated to continuous time.
+A :class:`Nic` owns two independent rate servers — a transmit
+:class:`Port` and a receive :class:`RxPort` — matching the paper's
+observation that "modern full-duplex network interfaces can receive and
+send messages at the same time".  Each port serialises messages: a port
+transmits (or receives) exactly one message at a time at its configured
+bandwidth, which is precisely the "receive at most one message per
+round" constraint of the paper's performance model, translated to
+continuous time.  The transmit port is a FIFO queue its out-loop feeds
+one frame at a time, with one event per frame (its finish); the receive
+port is a free-time clock that books each frame's service when the
+frame is sent, with one event per frame (its delivery; see
+:class:`RxPort`).
 
 The ring communication pattern keeps each server's ports collision-free;
 quorum/multicast patterns overload the receive ports, which is how the
@@ -18,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
+from repro.errors import SimulationError
 from repro.sim.env import SimEnv
 
 #: 100 Mbit/s fast ethernet, the paper's testbed NIC speed.
@@ -191,6 +197,157 @@ class Port:
         return f"<Port {self.name} {state} q={len(self._queue)}>"
 
 
+class RxPort(Port):
+    """A receive port as a free-time clock: one event per frame.
+
+    A FIFO receive port fed by arrival events (an arrival
+    ``propagation_delay`` after the sender's port finishes, then a
+    serialisation ending in a finish event) is replaced by arithmetic.
+    When the sender's port finishes, the network books the frame here
+    (:meth:`~repro.sim.network.Network._tx_done` inlines :meth:`_book`):
+    it starts at ``max(arrival, free_at)`` and its one event, at its
+    end, is the delivery callback itself.  That is exact
+    because under a constant propagation delay frames arrive in the
+    order their transmissions finish, which is the order they are
+    booked.  So every frame starts and is delivered when the staged FIFO
+    port would, to the float.
+
+    Frames that arrive any other way are *staged*: the network schedules
+    their arrival (:meth:`expect` announces it), and on arrival
+    :meth:`submit` books them at ``now``.  Those are nemesis-routed
+    frames, multicast copies, frames to a dead or paused host, and any
+    frame sent while a staged arrival is still due (``staged_until``): a
+    frame booked at send time must not jump ahead of one that arrives
+    before it.
+
+    A booking is final only once it starts.  A pause, a crash
+    (:meth:`purge`) or a rate change takes back every booked frame that
+    has not started — its delivery event is cancelled — and puts it
+    where the staged model holds it: on the wire, queued at the port, or
+    dropped.  The port's totals count a frame when it is booked.
+    """
+
+    __slots__ = ("nic", "free_at", "staged_until", "_booked")
+
+    def __init__(self, env: SimEnv, name: str, bandwidth_bps: float, nic: "Nic"):
+        super().__init__(env, name, bandwidth_bps)
+        self.nic = nic
+        #: When the last booked frame ends.
+        self.free_at = 0.0
+        #: Latest arrival time of a staged frame; until it has passed,
+        #: new frames are staged too.
+        self.staged_until = -1.0
+        #: Booked frames, in start order, dropped once they have ended:
+        #: ``(start, arrival, end, wire_bytes, callback, args, event)``.
+        self._booked: deque[tuple] = deque()
+
+    def expect(self, arrival: float) -> None:
+        """A staged frame will arrive at ``arrival``."""
+        if arrival > self.staged_until:
+            self.staged_until = arrival
+
+    def submit(
+        self,
+        wire_bytes: int,
+        callback: Callable[..., None],
+        args: tuple = (),
+        on_start: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """A frame at the port now: queued while paused, else booked."""
+        if on_start is not None:  # pragma: no cover - defensive
+            raise SimulationError("a receive port has no start callback")
+        if self._paused:
+            self._queue.append((wire_bytes, callback, args))
+        else:
+            self._book(self._scheduler.now, wire_bytes, callback, args)
+
+    def _book(self, arrival: float, wire_bytes: int,
+              callback: Callable[..., None], args: tuple) -> None:
+        """Book a frame arriving at ``arrival`` (``Network._tx_done``
+        inlines this for a healthy frame)."""
+        scheduler = self._scheduler
+        booked = self._booked
+        now = scheduler.now
+        while booked and booked[0][2] <= now:
+            booked.popleft()  # ended: delivered, or delivered at ``now``
+        free_at = self.free_at
+        start = arrival if arrival >= free_at else free_at
+        end = self.free_at = start + wire_bytes * 8.0 / self.bandwidth_bps
+        self.bytes_total += wire_bytes
+        self.messages_total += 1
+        self.busy_time += end - start
+        booked.append((
+            start, arrival, end, wire_bytes, callback, args,
+            scheduler.schedule_at(end, callback, *args),
+        ))
+
+    def _unbook(self) -> list[tuple]:
+        """Take back every booked frame that has not started, in order."""
+        now = self._scheduler.now
+        booked = self._booked
+        taken = []
+        while booked and booked[-1][0] > now:
+            entry = booked.pop()
+            entry[6].cancel()
+            self.bytes_total -= entry[3]
+            self.messages_total -= 1
+            self.busy_time -= entry[2] - entry[0]
+            taken.append(entry)
+        taken.reverse()
+        self.free_at = booked[-1][2] if booked else now
+        return taken
+
+    def _restage(self, entry: tuple) -> None:
+        """Put a frame still on the wire back on it: its arrival event
+        meets whatever the host is by then."""
+        _start, arrival, _end, wire_bytes, callback, args, _event = entry
+        self.expect(arrival)
+        self._scheduler.schedule_at(arrival, self._arrive, wire_bytes, callback, args)
+
+    def _arrive(self, wire_bytes: int, callback: Callable[..., None], args: tuple) -> None:
+        owner = self.nic.owner
+        if owner is None or owner.alive:
+            self.submit(wire_bytes, callback, args)
+
+    def pause(self) -> None:
+        """Frames in service finish; the booked rest wait, at the port or
+        on the wire, for :meth:`resume`."""
+        self._paused = True
+        now = self._scheduler.now
+        for entry in self._unbook():
+            if entry[1] <= now:
+                self._queue.append(entry[3:6])
+            else:
+                self._restage(entry)
+
+    def resume(self) -> None:
+        """Book the queued frames, in order, from now."""
+        if not self._paused:
+            return
+        self._paused = False
+        queue = self._queue
+        now = self._scheduler.now
+        while queue:
+            self._book(now, *queue.popleft())
+
+    def set_bandwidth(self, bandwidth_bps: float) -> None:
+        """The frame in service keeps its duration; the booked rest are
+        booked again at the new rate."""
+        super().set_bandwidth(bandwidth_bps)
+        for entry in self._unbook():
+            self._book(entry[1], *entry[3:6])
+
+    def purge(self) -> None:
+        """The host crashed: frames waiting at the port die with it, the
+        frame in service finishes, and frames still on the wire arrive
+        to find the host down (or restarted)."""
+        self._queue.clear()
+        now = self._scheduler.now
+        for entry in self._unbook():
+            if entry[1] > now:
+                self._restage(entry)
+
+
 class Nic:
     """A full-duplex NIC: independent transmit and receive ports."""
 
@@ -210,7 +367,7 @@ class Nic:
         #: precomputed because the nemesis keys links by it per delivery.
         self.process_name = name.split("@", 1)[0]
         self.tx = Port(env, f"{name}.tx", bandwidth_bps)
-        self.rx = Port(env, f"{name}.rx", bandwidth_bps)
+        self.rx = RxPort(env, f"{name}.rx", bandwidth_bps, self)
         #: Set by Network.attach; a NIC belongs to exactly one network.
         self.network: Optional[Any] = None
         #: Optional owning process; when it is dead, the network drops

@@ -83,19 +83,14 @@ class ReliableConfig:
     """Session-layer tunables.
 
     ``rto_initial`` must exceed the healthy round-trip of the deployment
-    (serialisation + propagation + ack delay), or every segment is sent
-    twice; it only needs to be *safe*, not tight, because duplicates are
-    suppressed anyway.
+    (serialisation + propagation + the :class:`AckPacer` flush delay),
+    or every segment is sent twice; it only needs to be *safe*, not
+    tight, because duplicates are suppressed anyway.
     """
 
     rto_initial: float = 0.05
     rto_max: float = 0.8
     rto_backoff: float = 2.0
-    #: How long a simulated receiver waits for reverse traffic to
-    #: piggyback its ack before spending a wire slot on a pure ack.  The
-    #: asyncio runtime paces its acks by count instead (TCP retransmits
-    #: there, so an ack only trims the reconnect-replay buffer).
-    ack_delay: float = 0.002
 
     def validate(self) -> "ReliableConfig":
         if self.rto_initial <= 0:
@@ -104,8 +99,6 @@ class ReliableConfig:
             raise ConfigurationError("rto_max must be >= rto_initial")
         if self.rto_backoff < 1.0:
             raise ConfigurationError("rto_backoff must be >= 1")
-        if self.ack_delay < 0:
-            raise ConfigurationError("ack_delay must be >= 0")
         return self
 
 
@@ -251,6 +244,76 @@ class ReliableSession:
             f"<ReliableSession next={self._next_seq} unacked={len(self._unacked)} "
             f"cursor={self._cursor} oob={len(self._out_of_order)}>"
         )
+
+
+class AckPacer:
+    """When the sessions of one host spend a frame on a pure ack: the
+    one ack rule of both runtimes (docs/runtime.md, "One ack rule").
+
+    An ack rides reverse traffic for free: :meth:`ReliableSession.send`
+    piggybacks it and zeroes ``ack_owed``.  A pure ack is spent in two
+    cases only.  A session owing ``every`` segments acks at once; only a
+    link with no reverse traffic, a ring link, gets there.  Any other
+    owed ack leaves with the flush of one timer shared by all the
+    host's sessions, armed by the first session left owing and firing
+    ``delay`` later.  No timer is armed per inbound burst: a busy host
+    costs one timer per ``delay``, not one per frame.
+
+    Sans-I/O: the runtime reports each session left owing after a frame
+    (:meth:`owed`) and lends two capabilities.  ``send_ack(session,
+    link)`` sends ``session.make_ack()`` on ``link`` if the link can
+    still carry it (``link`` is whatever the runtime sends a session's
+    acks on); ``arm(delay, callback)`` calls ``callback()`` once,
+    ``delay`` seconds later, and may return a handle for :meth:`close`
+    to cancel.
+    """
+
+    def __init__(
+        self,
+        every: int,
+        delay: float,
+        send_ack: Callable[[ReliableSession, Any], None],
+        arm: Callable[[float, Callable[[], None]], Any],
+    ):
+        self.every = every
+        self.delay = delay
+        self._send_ack = send_ack
+        self._arm = arm
+        #: Sessions left owing an ack after a frame, with their link.
+        #: While a session is in here, the flush is armed and will ack
+        #: it: a runtime may skip :meth:`owed` for it below ``every``.
+        self.owing: dict[ReliableSession, Any] = {}
+        self._armed = False
+        #: The armed flush's handle, if the runtime gave one.
+        self.timer: Any = None
+
+    def owed(self, session: ReliableSession, link: Any) -> None:
+        """``session`` still owes an ack after a frame from its peer."""
+        if session.ack_owed >= self.every:
+            self._send_ack(session, link)
+            return
+        self.owing[session] = link
+        if not self._armed:
+            self._armed = True
+            self.timer = self._arm(self.delay, self.flush)
+
+    def flush(self) -> None:
+        """The flush timer fired: ack every session still owing; the
+        timer lapses until a session owes again."""
+        self._armed = False
+        self.timer = None
+        for session, link in self.owing.items():
+            if session.ack_owed:
+                self._send_ack(session, link)
+        self.owing.clear()
+
+    def close(self) -> None:
+        """Forget what is owed and cancel the armed flush, if any."""
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = None
+        self._armed = False
+        self.owing.clear()
 
 
 # ----------------------------------------------------------------------

@@ -622,8 +622,7 @@ def test_pure_acks_pace_by_count_and_share_one_flush_timer():
     acked by one timer shared by every session and burst, never one per
     burst; reverse traffic carries the ack for free; a closed
     connection gets nothing."""
-    from repro.runtime.asyncio_net import _AckPacer
-    from repro.transport.reliable import ReliableConfig
+    from repro.runtime.asyncio_net import _new_acks
 
     class Writer:
         def __init__(self):
@@ -637,9 +636,8 @@ def test_pure_acks_pace_by_count_and_share_one_flush_timer():
 
     async def scenario():
         window = 0.02
-        config = ReliableConfig(rto_initial=window)
-        pacer = _AckPacer(every=4)
-        receiver, other = ReliableSession(config), ReliableSession(config)
+        pacer = _new_acks(every=4, delay=window)
+        receiver, other = ReliableSession(), ReliableSession()
         sender, other_sender = ReliableSession(), ReliableSession()
         writer, other_writer = Writer(), Writer()
 
@@ -650,17 +648,17 @@ def test_pure_acks_pace_by_count_and_share_one_flush_timer():
 
         inbound(receiver, sender, writer, 3)
         assert writer.frames == [] and receiver.ack_owed == 3
-        timer = pacer._timer
+        timer = pacer.timer
         assert timer is not None
         inbound(receiver, sender, writer, 2)  # five owed: ack at once
         assert len(writer.frames) == 1 and receiver.ack_owed == 0
         inbound(receiver, sender, writer, 1)
         inbound(other, other_sender, other_writer, 2)
-        assert pacer._timer is timer, "one timer for every session and burst"
+        assert pacer.timer is timer, "one timer for every session and burst"
         await asyncio.sleep(window * 3)
         assert len(writer.frames) == 2 and len(other_writer.frames) == 1
         assert not receiver.ack_owed and not other.ack_owed
-        assert pacer._timer is None, "nothing owed: the timer lapses"
+        assert pacer.timer is None, "nothing owed: the timer lapses"
 
         inbound(receiver, sender, writer, 1)
         receiver.send("reply", 0.0)  # reverse traffic piggybacks the ack
@@ -672,7 +670,7 @@ def test_pure_acks_pace_by_count_and_share_one_flush_timer():
 
         inbound(receiver, sender, writer, 1)
         pacer.close()
-        assert pacer._timer is None
+        assert pacer.timer is None
 
     run(scenario())
 
@@ -774,7 +772,7 @@ def test_close_leaves_no_armed_handle():
         await client.close()
         await cluster.stop()
         owners = {client, client._acks, *(n._acks for n in cluster.nodes.values())}
-        assert client._timer is None and all(o._timer is None for o in owners - {client})
+        assert client._timer is None and all(o.timer is None for o in owners - {client})
         live = [
             handle for handle in asyncio.get_running_loop()._scheduled
             if not handle.cancelled()

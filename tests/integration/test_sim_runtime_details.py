@@ -229,3 +229,29 @@ def test_an_ack_produced_by_a_ring_pull_leaves_with_the_pull(topology):
     assert ack in events
     inbound = [i for i, (kind, _) in enumerate(events) if kind == "inbound"]
     assert events.index(ack) < min(inbound, default=len(events))
+
+
+def test_simulated_acks_follow_the_hosts_pacers_and_timers_stay_lazy():
+    """One ack rule in the simulator: ring links carry no reverse
+    traffic, so a burst of writes leaves every ring sender's window
+    waiting on pure acks.  Each host's ``AckPacer`` flushes once, half
+    an RTO after its first owed segment: every window is empty by then,
+    nothing was retransmitted, and the whole burst cost at most one pure
+    ack per host (a timer per link and burst spent 23 here).  The
+    retransmission timers left armed lapse without resending."""
+    cluster = SimCluster.build(num_servers=3, seed=63)
+    storage = AtomicStorage.over(cluster)
+    for i in range(20):
+        storage.write(bytes([i]) * 200)
+    links = cluster.reliable.links.values()
+    assert sum(link.tx.in_flight for link in links) > 0
+    rto = cluster.config.reliable_config.rto_initial
+    assert cluster.now < rto / 2, "the burst must fit inside one flush"
+    cluster.run(until=rto / 2 + 0.005)  # the flush plus one hop
+    counters = cluster.env.trace.counters
+    assert all(link.tx.in_flight == 0 and not link.rx.ack_owed for link in links)
+    hosts = len(cluster.servers) + len(cluster.clients)
+    assert 0 < counters["reliable.acks"] <= hosts
+    cluster.env.run_until_idle()
+    assert counters.get("reliable.retransmits", 0) == 0
+    assert all(link.retx_timer is None for link in links)

@@ -11,8 +11,11 @@ sharded block store.
 
 A digest changes only in a deliberate trace-epoch change (ROADMAP
 item 6: a change that spends the tie-order budget on purpose), and that
-change says so in CHANGES.md.  Anything else that moves a digest
-changed what the simulator does.  The digests must not depend on the
+change says so in CHANGES.md.  The digests were re-pinned once so far,
+by the change that booked receive ports at send (two events per frame),
+made timers lazy, gave both runtimes one ack rule and reset the fairness
+counters where a pull drains the forward queue.  Anything else that
+moves a digest changed what the simulator does.  The digests must not depend on the
 interpreter's hash seed either; CI reruns this file under two values of
 ``PYTHONHASHSEED``.
 """
@@ -32,10 +35,10 @@ from tests.helpers import run_faulted_cluster
 
 #: sha256 per case; see the module docstring before changing one.
 DIGESTS = {
-    "faulted": "c4b204a916d1d9e5b0f192ddaa4fdb974c12bf8b955b212699436623acf3b0e4",
-    "heartbeat_leases": "99ac974352c760705c1b35923e819f9ded4d7b952f614c0ac7db91b9aa040d2c",
-    "coded_heartbeat": "68776d399d7f892183d0d1ac2af7e2d0d38761905b1ced176eef6d062fa2e336",
-    "sharded": "ca81291eb0c28ade2e5559885e2948d7a4d949cb369b6ce923acb8227714f578",
+    "faulted": "b0e66e06cec0e39406d73c50d02569131a247c1b3db38bd8b919ee380453f849",
+    "heartbeat_leases": "c40ab04a5405b0272708482e5fe254550b85e447ef1ff8eb9c004c21ed975b9b",
+    "coded_heartbeat": "58532441303596381d8874515df47bb3d6bab92cf7ea2d670f8e6efd88b571df",
+    "sharded": "7441d142bcf6a812c482f3c28a68cabfa2e063a74c1f4ec39201b143384317b6",
 }
 
 

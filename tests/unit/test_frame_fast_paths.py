@@ -2,15 +2,17 @@
 
 The simulator skips three pieces of work on the common path: the
 nemesis for links it never impaired, the post-step hook under the
-perfect detector, and the empty ``next_ring_batch`` pull when a server
-has no ring work.  Each skip must leave the simulation unchanged (the
-seeded digests in ``tests/integration/test_trace_digest.py`` pin that);
-these tests pin where each one applies.
+perfect detector, and any ring pull when a server has no ring work.
+Each skip must leave the simulation unchanged (the seeded digests in
+``tests/integration/test_trace_digest.py`` pin that); these tests pin
+where each one applies.
 """
 
 from __future__ import annotations
 
 from repro.core.config import ProtocolConfig
+from repro.core.messages import OpId, PreWrite
+from repro.core.tags import Tag
 from repro.runtime.sim_net import SimCluster
 from repro.sim.faults import FaultPlan
 from repro.sim.nemesis import Nemesis
@@ -61,20 +63,26 @@ def test_the_post_step_hook_runs_only_under_the_heartbeat_detector(monkeypatch):
     assert steps
 
 
-def test_an_idle_ring_link_still_resets_the_fair_counters():
-    """With nothing to send, the pump skips ``next_ring_batch`` but not
-    its one effect: the queue handler saw an empty forward queue, so the
-    nb_msg counters reset (pseudocode line 55)."""
-    cluster = SimCluster.build(num_servers=3, seed=1, protocol=ProtocolConfig())
+def test_the_fair_counters_reset_where_a_pull_drains_the_forward_queue():
+    """One idle rule for both runtimes: no runtime pulls an empty ring
+    link, so an idle link touches nothing, and the nb_msg counters reset
+    (pseudocode line 55) in the pull that forwards the last queued
+    pre-write."""
+    cluster = SimCluster.build(
+        num_servers=3, seed=1, protocol=ProtocolConfig(batch_max_messages=1)
+    )
     host = cluster.servers[0]
     proto = host.proto
     assert not proto.has_ring_work
     proto.fair.nb_msg.update({1: 3, 2: 1})
     assert host._ring_source() is None
-    assert proto.fair.nb_msg == {}
+    assert proto.fair.nb_msg == {1: 3, 2: 1}, "an idle link pulls nothing"
 
-    # Paused, the queue handler never looks at the forward queue.
-    proto.fair.nb_msg[1] = 2
-    proto.paused = True
-    assert host._ring_source() is None
-    assert proto.fair.nb_msg == {1: 2}
+    # Two pre-writes from s2 (s0's predecessor) in the forward queue.
+    for seq in (1, 2):
+        proto.on_ring_message(PreWrite(Tag(seq, 2), b"v", OpId(9, seq)), 2)
+    assert len(proto.fair) == 2
+    assert host._ring_source() is not None  # forwards the first
+    assert proto.fair.nb_msg == {1: 3, 2: 2}
+    assert host._ring_source() is not None  # forwards the last: drained
+    assert len(proto.fair) == 0 and proto.fair.nb_msg == {}

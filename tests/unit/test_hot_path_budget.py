@@ -67,12 +67,17 @@ WINDOWS = {"write": (0.5, 0.3), "open": (0.5, 0.2)}
 #: 809.2 after the asyncio runtime's record changes; 646.4 with
 #: cancelled timers compacted off the heap, no empty ring pulls, healthy
 #: links past the nemesis, no perfect-detector post-step hook, and
-#: call-free handles, wire sizes and effect dispatch.  ``open``: 489.3
-#: before that last step, 381.6 after it.
-CALLS_PER_OP_BUDGET = {"write": 711, "open": 419}
+#: call-free handles, wire sizes and effect dispatch; 472.9 with one send
+#: call and one receive call per frame, two events per frame (a receive
+#: port booked at send), lazy timers, one ack rule and the heap entry as
+#: the event handle.  ``open``: 489.3, then 381.6, then 243.2.
+CALLS_PER_OP_BUDGET = {"write": 520, "open": 268}
 
 #: What each window did (seed 11): events fired and operations completed.
-EVENTS_IN_WINDOW = {"write": 10_200, "open": 17_134}
+#: The event counts were re-pinned once, by the trace-epoch change that
+#: booked receive ports at send and made timers lazy (was 10,200 and
+#: 17,134 for the same operations).
+EVENTS_IN_WINDOW = {"write": 6_500, "open": 10_570}
 OPS_IN_WINDOW = {"write": 848, "open": 1_361}
 
 

@@ -1,4 +1,9 @@
-"""Unit tests for the network fabric: unicast path and multicast collisions."""
+"""Unit tests for the network fabric: unicast path and multicast collisions.
+
+A healthy unicast is two events — the transmit port's finish, which
+books the receive port, and the delivery — and still charges transmit,
+propagation and receive time in full (tests/property/test_prop_rx_clock.py
+holds the booked port to the staged one it replaced)."""
 
 import pytest
 
@@ -26,16 +31,37 @@ def test_unicast_charges_tx_prop_rx():
     env.run_until_idle()
     # 0.5s tx + 0.01 prop + 0.5s rx.
     assert got == [("hello", pytest.approx(1.01))]
+    assert env.scheduler.events_fired == 2  # transmit finish, delivery
+    assert nics[1].rx.bytes_total == 500 and nics[1].rx.busy_time == pytest.approx(0.5)
 
 
 def test_unicast_fifo_between_pair():
     env = SimEnv()
     net, nics = _net(env)
     got = []
-    net.unicast(nics[0], nics[1], 100, "a", got.append)
-    net.unicast(nics[0], nics[1], 100, "b", got.append)
+    net.unicast(nics[0], nics[1], 100, "a", lambda m: got.append((m, env.now)))
+    net.unicast(nics[0], nics[1], 100, "b", lambda m: got.append((m, env.now)))
     env.run_until_idle()
-    assert got == ["a", "b"]
+    # b leaves at 0.2 and arrives at 0.21, as a finishes receiving.
+    assert got == [("a", pytest.approx(0.21)), ("b", pytest.approx(0.31))]
+    assert env.scheduler.events_fired == 4
+
+
+def test_receive_port_serialises_senders_and_holds_frames_while_paused():
+    env = SimEnv()
+    net, nics = _net(env)
+    got = []
+    net.unicast(nics[0], nics[2], 100, "a", lambda m: got.append((m, env.now)))
+    net.unicast(nics[1], nics[2], 100, "b", lambda m: got.append((m, env.now)))
+    env.scheduler.run(until=0.15)  # a is being received, b waits for it
+    nics[2].rx.pause()
+    env.scheduler.run(until=0.5)
+    assert got == [("a", pytest.approx(0.21))]
+    nics[2].rx.resume()
+    env.run_until_idle()
+    # Both arrive at 0.11; a occupies the port to 0.21, and b, queued
+    # by the pause, is received from the resume on.
+    assert got == [("a", pytest.approx(0.21)), ("b", pytest.approx(0.6))]
 
 
 def test_unicast_requires_attached_nics():
@@ -90,6 +116,24 @@ def test_crashed_receiver_drops_frames():
     net.unicast(nics[0], nics[1], 100, "m", got.append)
     env.run_until_idle()
     assert got == []
+    assert env.scheduler.events_fired == 2  # transmit finish, staged arrival
+
+
+def test_receiver_crash_drops_a_booked_frame_still_on_the_wire():
+    env = SimEnv()
+    net, nics = _net(env)
+
+    class Owner:
+        alive = True
+
+    owner = nics[1].owner = Owner()
+    got = []
+    net.unicast(nics[0], nics[1], 100, "m", got.append)
+    env.scheduler.run(until=0.105)  # booked at 0.1, arrives at 0.11
+    owner.alive = False
+    nics[1].rx.purge()
+    env.run_until_idle()
+    assert got == [] and nics[1].rx.messages_total == 0
 
 
 def test_crashed_sender_loses_in_flight_frame():
@@ -107,6 +151,7 @@ def test_crashed_sender_loses_in_flight_frame():
     owner.alive = False
     env.run_until_idle()
     assert got == []
+    assert env.scheduler.events_fired == 1  # the transmit finish only
 
 
 def test_unicast_counters_and_events_with_and_without_recording():

@@ -159,5 +159,3 @@ def test_config_validation():
         ReliableConfig(rto_initial=0.2, rto_max=0.1).validate()
     with pytest.raises(ConfigurationError):
         ReliableConfig(rto_backoff=0.5).validate()
-    with pytest.raises(ConfigurationError):
-        ReliableConfig(ack_delay=-1.0).validate()

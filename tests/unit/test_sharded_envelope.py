@@ -87,9 +87,6 @@ class _StubProto:
     def next_directed_message(self):
         return None
 
-    def ring_link_idle(self):
-        pass
-
     def next_ring_message(self):
         if self.backlog == 0:
             return None

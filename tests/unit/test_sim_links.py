@@ -18,6 +18,7 @@ from repro.core.config import ProtocolConfig
 from repro.runtime.sim_net import SimCluster
 from repro.sim.faults import FaultPlan
 from repro.sim.nic import Port
+from repro.transport.reliable import Segment
 
 _SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -78,6 +79,31 @@ def test_restart_over_cached_links_drops_old_frames_by_stamp():
     # the restarted server accepted on this link opened a fresh session.
     after_restart = [seq for when, seq in seen if when >= start + 0.04]
     assert after_restart and after_restart[0] == 1
+
+
+def test_the_receive_call_drops_a_frame_of_a_closed_connection():
+    """``deliver_stamped`` checks the stamp a frame was sent under before
+    anything else: a frame of a connection that was torn down since is
+    counted and dropped, and never reaches the session."""
+    cluster = SimCluster.build(num_servers=3, seed=5, protocol=_fast_retry())
+    client = cluster.add_client(home_server=0)
+    results = []
+    client.write(b"warm", results.append)
+    cluster.run_until(lambda: bool(results))
+    link = cluster.reliable.links["s0", "s1"]
+    old_stamp = link.stamp
+    cluster.reliable.abandon_peer("s1")  # the detector fired: a new connection
+    assert link.stamp != old_stamp
+    offered = []
+    link.rx.on_segment = lambda segment, now: offered.append(segment) or []
+    counters = cluster.env.trace.counters
+    stale = Segment(1, 0, "never dispatched")
+    cluster.reliable.deliver_stamped((link, stale, old_stamp))
+    cluster.reliable.deliver_stamped((link, [stale, stale], old_stamp))
+    assert counters["reliable.stale_dropped"] == 2 and offered == []
+    # The same frame under the link's current stamp is taken.
+    cluster.reliable.deliver_stamped((link, Segment(0, 0), link.stamp))
+    assert counters["reliable.stale_dropped"] == 2 and offered == [Segment(0, 0)]
 
 
 def test_client_added_after_its_servers_links_exist_is_reachable():
