@@ -130,9 +130,9 @@ _DRIVER_COUNTERS = {
     driver.LEASE_EXPIRED: LEASE_EXPIRED,
 }
 
-#: Protocol statistics mirrored into the trace after each step under the
-#: heartbeat detector: the epoch-guard ones always, the rest when the
-#: feature that moves them is configured.
+#: Protocol statistics mirrored into the trace under the heartbeat
+#: detector: the epoch-guard ones always, the rest when the feature that
+#: moves them is configured.
 _EPOCH_STATS = (
     ("stats_stale_epoch_dropped", EPOCH_STALE_DROPPED),
     ("stats_quorum_stalls", EPOCH_QUORUM_STALLS),
@@ -495,6 +495,8 @@ class ServerHost(_ServerMachine):
         super().restart()
         self._reply_queues.clear()
         self._reply_rr.clear()
+        if self.cluster.hb is not None:
+            self.cluster.mirror_stats(self)  # the old incarnation's last
         self._mirrored_stats = []
         self._restore_protos()
         self.driver = self._new_driver(trusting=False)
@@ -1082,10 +1084,12 @@ class SimCluster:
             mirrored += _LEASE_STATS
         if config.protocol.value_coding == "coded":
             mirrored += _CODING_STATS
-        #: What :meth:`after_protocol_step` mirrors: one reader of every
-        #: mirrored statistic of a protocol, and the counters they feed.
+        #: What :meth:`mirror_stats` mirrors: one reader of every mirrored
+        #: statistic of a protocol, and the counters they feed.
         self._read_mirrored = attrgetter(*(stat for stat, _counter in mirrored))
         self._mirrored_counters = tuple(counter for _stat, counter in mirrored)
+        if self.hb is not None:
+            self.env.trace.folds.append(self._mirror_all_stats)
         self.clients: dict[int, ClientHost] = {}
         #: Client machine of every logical client id.
         self.host_by_client_id: dict[int, ClientHost] = {}
@@ -1215,7 +1219,7 @@ class SimCluster:
         ``transport.reliable.encode_batch``, so simulated and asyncio
         transports agree on wire cost.  Any ack owed on the reverse
         direction rides along (the session zeroes it)."""
-        counters = self.env.trace.counters
+        counters = self.env.trace.tally
         session = link.tx
         now = self.env.scheduler.now
         if type(message) is list:
@@ -1359,12 +1363,18 @@ class SimCluster:
     # ------------------------------------------------------------------
 
     def after_protocol_step(self, host) -> None:
-        """Post-handler hook for the epoch-guarded mode: mirror the
-        protocol statistics into the trace, then let the host's driver
-        act on what the handlers asked for (reconcile, lease wait-out,
-        rejoin).  No-op under the perfect detector."""
-        if self.hb is None:
-            return
+        """Post-handler hook for the epoch-guarded mode: let the host's
+        driver act on what the handlers asked for (reconcile, lease
+        wait-out, rejoin).  No-op under the perfect detector."""
+        if self.hb is not None:
+            host.driver.poll()
+
+    def mirror_stats(self, host) -> None:
+        """Fold what changed in ``host``'s protocol statistics into the
+        trace counters.  Runs when the counters are read and before a
+        restart replaces the host's protocols — not after every step:
+        the statistics only grow within a protocol's life, so the sums
+        are the same."""
         read = self._read_mirrored
         seen = [read(proto) for proto in host.all_protos()]
         before = host._mirrored_stats
@@ -1376,7 +1386,11 @@ class SimCluster:
                 )
                 if delta > 0:
                     self.env.trace.count(counter, delta)
-        host.driver.poll()
+
+    def _mirror_all_stats(self) -> None:
+        for host in self.servers.values():
+            if isinstance(host, ServerHost):
+                self.mirror_stats(host)
 
     def apply_faults(self, plan: FaultPlan) -> None:
         """Schedule a :class:`~repro.sim.faults.FaultPlan` against this

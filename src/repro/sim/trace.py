@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,24 @@ class TraceRecorder:
     """Collects counters and (optionally) a full event log."""
 
     record_events: bool = False
-    counters: Counter = field(default_factory=Counter)
+    #: The counters as emitters write them; readers use :attr:`counters`.
+    tally: Counter = field(default_factory=Counter)
     events: list[TraceEvent] = field(default_factory=list)
+    #: Called whenever :attr:`counters` is read: an owner of statistics
+    #: kept elsewhere folds what changed into :attr:`tally` here, instead
+    #: of after every step.
+    folds: list[Callable[[], None]] = field(default_factory=list)
+
+    @property
+    def counters(self) -> Counter:
+        """Every counter, statistics kept elsewhere folded in."""
+        for fold in self.folds:
+            fold()
+        return self.tally
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
-        self.counters[name] += amount
+        self.tally[name] += amount
 
     def emit(self, time: float, kind: str, *details: Any) -> None:
         """Record an event if event recording is enabled."""
@@ -54,5 +66,6 @@ class TraceRecorder:
         return None
 
     def reset_counters(self) -> None:
-        """Zero all counters (used between warm-up and measurement)."""
+        """Zero all counters (used between warm-up and measurement);
+        what is folded in from elsewhere restarts from here too."""
         self.counters.clear()
