@@ -153,6 +153,8 @@ GENTLE_PROFILE = ChaosProfile(
     p_throttle=0.5,
     p_pause=0.5,
     retries=False,
+    # What its menu draws: no crash, no loss, no duplication.
+    required_kinds=("partition", "delay", "throttle", "pause"),
 )
 
 #: Partition-tolerant reconfiguration under the *imperfect* detector.

@@ -129,3 +129,36 @@ def test_gentle_profile_still_disables_retries():
         assert not schedule.plan.crashes
         for fault in schedule.plan.link_faults:
             assert fault.profile.drop_p == 0.0 and fault.profile.dup_p == 0.0
+
+
+def _drawable_kinds(profile) -> set[str]:
+    """The fault kinds ``profile``'s generator can draw at all: a
+    non-zero crash weight or a non-zero probability."""
+    drawable = {
+        "partition": profile.p_partition > 0 or profile.partition_heavy,
+        "drop": profile.p_ring_loss > 0 or profile.p_client_loss > 0,
+        "delay": profile.p_delay > 0,
+        "duplicate": profile.p_duplicate > 0,
+        "throttle": profile.p_throttle > 0,
+        "pause": profile.p_pause > 0,
+        "clock_skew": profile.p_clock_skew > 0,
+    }
+    crashes = any(profile.crash_weights)
+    drawable["crash"] = crashes
+    drawable["restart"] = crashes and profile.p_restart > 0
+    return {kind for kind, possible in drawable.items() if possible}
+
+
+def test_every_profile_requires_only_kinds_it_can_draw():
+    """A batch gate that demands a fault kind its profile never draws
+    can never pass (``--profile gentle`` demanded crashes and drops)."""
+    from repro.chaos.__main__ import REQUIRED_KINDS
+    from repro.chaos.schedule import FAULT_KINDS, PROFILES
+
+    for name, profile in PROFILES.items():
+        required = set(profile.required_kinds or REQUIRED_KINDS)
+        assert required <= set(FAULT_KINDS), name
+        assert required <= _drawable_kinds(profile), (
+            f"profile {name!r} requires {sorted(required - _drawable_kinds(profile))}, "
+            "which its generator never draws"
+        )
