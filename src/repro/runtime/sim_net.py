@@ -1260,7 +1260,7 @@ class SimCluster:
         counters[network.counter_unicasts] += 1
         counters[network.counter_wire_bytes] += wire_bytes
         src = link.src_nic
-        src.tx.submit(
+        src.tx.carry(
             wire_bytes, network._tx_done,
             (src, link.dst_nic, wire_bytes, (link, frame, link.stamp),
              self.reliable.deliver_stamped, None),

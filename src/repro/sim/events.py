@@ -155,27 +155,32 @@ class EventScheduler:
         keeps ticking after a quiet period.
         """
         # The simulator's innermost loop: one peek and one pop per fired
-        # event, no attribute or method lookups that can be hoisted.
+        # event, no attribute or method lookups that can be hoisted, and
+        # the fired count kept in a local until the loop ends.
         heap = self._heap
         heappop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        budget = -1 if max_events is None else max_events
         fired = 0
-        while heap:
-            entry = heap[0]
-            action = entry[2]
-            if action is None:
+        try:
+            while heap:
+                entry = heap[0]
+                action = entry[2]
+                if action is None:
+                    heappop(heap)
+                    self._dead -= 1
+                    continue
+                if entry[0] > horizon:
+                    break
+                if fired == budget:
+                    return
                 heappop(heap)
-                self._dead -= 1
-                continue
-            if until is not None and entry[0] > until:
-                break
-            if max_events is not None and fired >= max_events:
-                return
-            heappop(heap)
-            entry[2] = None  # consumed
-            self.now = entry[0]
-            self._events_fired += 1
-            fired += 1
-            action(*entry[3])
+                entry[2] = None  # consumed
+                self.now = entry[0]
+                fired += 1
+                action(*entry[3])
+        finally:
+            self._events_fired += fired
         if until is not None and self.now < until:
             self.now = until
 

@@ -157,12 +157,13 @@ class Network:
         trace = self.env.trace
         trace.count(self.counter_unicasts)
         trace.count(self.counter_wire_bytes, wire_bytes)
-        src.tx.submit(
+        src.tx.carry(
             wire_bytes, self._tx_done, (src, dst, wire_bytes, message, deliver, on_sent)
         )
 
     def _tx_done(
         self,
+        port,
         src: Nic,
         dst: Nic,
         wire_bytes: int,
@@ -170,48 +171,64 @@ class Network:
         deliver: DeliveryCallback,
         on_sent: Callable[[], None] | None,
     ) -> None:
-        owner = src.owner
-        if owner is not None and not owner.alive:
-            return  # the sender died mid-transmission; the frame is lost
-        if on_sent is not None:
-            on_sent()
-        trace = self.env.trace
-        if trace.record_events:
-            trace.emit(self.env.now, "net.tx", self.name, src.name, dst.name, wire_bytes)
-        faults = self.faults
-        if faults is not None and faults.impaired and (
-            (src.process_name, dst.process_name) in faults.impaired
-        ):
-            faults.route(self, src, dst, wire_bytes, message, deliver)
-            return
-        # A link the nemesis never impaired: book the receive port now,
-        # or stage the arrival its healthy path would schedule.
+        """The transmit ``port`` finished the frame (``Port.carry``): hand
+        it to the fabric, then let the port move on."""
         scheduler = self._scheduler
         now = scheduler.now
-        arrival = now + self.propagation_delay
-        rx = dst.rx
-        owner = dst.owner
-        if rx._paused or rx.staged_until >= now or (owner is not None and not owner.alive):
-            # Paused, down, or a staged frame may still arrive before it.
-            rx.expect(arrival)
-            scheduler.schedule_at(arrival, self._arrive, dst, wire_bytes, message, deliver)
-            return
-        if trace.record_events:
-            trace.emit(arrival, "net.rx", self.name, dst.name, wire_bytes)
-        # RxPort._book, inlined: this is every healthy frame's booking.
-        booked = rx._booked
-        while booked and booked[0][2] <= now:
-            booked.popleft()  # ended: delivered, or delivered at ``now``
-        free_at = rx.free_at
-        start = arrival if arrival >= free_at else free_at
-        end = rx.free_at = start + wire_bytes * 8.0 / rx.bandwidth_bps
-        rx.bytes_total += wire_bytes
-        rx.messages_total += 1
-        rx.busy_time += end - start
-        booked.append((
-            start, arrival, end, wire_bytes, deliver, (message,),
-            scheduler.schedule_at(end, deliver, message),
-        ))
+        port.bytes_total += wire_bytes
+        port.messages_total += 1
+        port.busy_time += now - port._last_start
+        owner = src.owner
+        if owner is not None and not owner.alive:
+            pass  # the sender died mid-transmission; the frame is lost
+        else:
+            if on_sent is not None:
+                on_sent()
+            trace = self.env.trace
+            if trace.record_events:
+                trace.emit(now, "net.tx", self.name, src.name, dst.name, wire_bytes)
+            faults = self.faults
+            arrival = now + self.propagation_delay
+            rx = dst.rx
+            owner = dst.owner
+            if faults is not None and faults.impaired and (
+                (src.process_name, dst.process_name) in faults.impaired
+            ):
+                faults.route(self, src, dst, wire_bytes, message, deliver)
+            elif rx._paused or rx.staged_until >= now or (
+                owner is not None and not owner.alive
+            ):
+                # Paused, down, or a staged frame may still arrive before
+                # it: the arrival its staged path would schedule.
+                rx.expect(arrival)
+                scheduler.schedule_at(arrival, self._arrive, dst, wire_bytes, message, deliver)
+            else:
+                # A link the nemesis never impaired: book the receive port
+                # now (RxPort._book, inlined: every healthy frame's booking).
+                if trace.record_events:
+                    trace.emit(arrival, "net.rx", self.name, dst.name, wire_bytes)
+                booked = rx._booked
+                while booked and booked[0][2] <= now:
+                    booked.popleft()  # ended: delivered, or delivered at ``now``
+                free_at = rx.free_at
+                start = arrival if arrival >= free_at else free_at
+                end = rx.free_at = start + wire_bytes * 8.0 / rx.bandwidth_bps
+                rx.bytes_total += wire_bytes
+                rx.messages_total += 1
+                rx.busy_time += end - start
+                booked.append((
+                    start, arrival, end, wire_bytes, deliver, (message,),
+                    scheduler.schedule_at(end, deliver, message),
+                ))
+        # Port._finish, after its callback: the next frame, or idle.
+        if port._paused:
+            port.busy = False
+        elif port._queue:
+            port._start(*port._queue.popleft())
+        else:
+            port.busy = False
+            for idle in port.idle_callbacks:
+                idle()
 
     def _dispatch(
         self, src: Nic, dst: Nic, wire_bytes: int, message: Any, deliver: DeliveryCallback

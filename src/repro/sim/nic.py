@@ -29,6 +29,10 @@ from repro.sim.env import SimEnv
 #: 100 Mbit/s fast ethernet, the paper's testbed NIC speed.
 FAST_ETHERNET_BPS = 100_000_000.0
 
+#: In a queued entry's start-callback slot: the entry was handed over by
+#: :meth:`Port.carry`.
+_CARRIED = object()
+
 
 class Port:
     """A FIFO rate server: one message at a time at ``bandwidth_bps``.
@@ -41,6 +45,10 @@ class Port:
     idle callback, which fires whenever the port drains — the simulator
     uses this to implement the protocol's *send slot* (the pseudocode's
     ``queue handler`` task runs when the outgoing link is free).
+
+    :meth:`carry` is the network's own hand-off: the frame's finish
+    event is the network's handler itself, which does the port's
+    :meth:`_finish` bookkeeping inline — one call per frame, not two.
     """
 
     __slots__ = (
@@ -108,6 +116,22 @@ class Port:
             self._finish, wire_bytes, callback, args,
         )
 
+    def carry(self, wire_bytes: int, finish: Callable[..., None], args: tuple) -> None:
+        """Like :meth:`submit`, but ``finish(self, *args)`` is the finish
+        event itself and must do what :meth:`_finish` does around its
+        callback: the totals before, and the next frame or the idle
+        callbacks after (``Network._tx_done`` does, for every unicast
+        frame)."""
+        if self.busy or self._paused:
+            self._queue.append((wire_bytes, finish, args, _CARRIED))
+            return
+        scheduler = self._scheduler
+        self.busy = True
+        self._last_start = now = scheduler.now
+        scheduler.schedule_at(
+            now + wire_bytes * 8.0 / self.bandwidth_bps, finish, self, *args
+        )
+
     def on_idle(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to fire each time the port drains."""
         self.idle_callbacks += (callback,)
@@ -171,12 +195,13 @@ class Port:
         scheduler = self._scheduler
         self.busy = True
         self._last_start = now = scheduler.now
+        end = now + wire_bytes * 8.0 / self.bandwidth_bps
+        if on_start is _CARRIED:
+            scheduler.schedule_at(end, callback, self, *args)
+            return
         if on_start is not None:
             on_start()
-        scheduler.schedule_at(
-            now + wire_bytes * 8.0 / self.bandwidth_bps,
-            self._finish, wire_bytes, callback, args,
-        )
+        scheduler.schedule_at(end, self._finish, wire_bytes, callback, args)
 
     def _finish(self, wire_bytes: int, callback: Callable[..., None], args: tuple) -> None:
         self.bytes_total += wire_bytes

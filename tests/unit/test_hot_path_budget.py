@@ -67,11 +67,12 @@ WINDOWS = {"write": (0.5, 0.3), "open": (0.5, 0.2)}
 #: 809.2 after the asyncio runtime's record changes; 646.4 with
 #: cancelled timers compacted off the heap, no empty ring pulls, healthy
 #: links past the nemesis, no perfect-detector post-step hook, and
-#: call-free handles, wire sizes and effect dispatch; 472.9 with one send
+#: call-free handles, wire sizes and effect dispatch; 469.8 with one send
 #: call and one receive call per frame, two events per frame (a receive
-#: port booked at send), lazy timers, one ack rule and the heap entry as
-#: the event handle.  ``open``: 489.3, then 381.6, then 243.2.
-CALLS_PER_OP_BUDGET = {"write": 520, "open": 268}
+#: port booked at send, by the transmit port's finish itself), lazy
+#: timers, one ack rule and the heap entry as the event handle.
+#: ``open``: 489.3, then 381.6, then 239.9.
+CALLS_PER_OP_BUDGET = {"write": 517, "open": 264}
 
 #: What each window did (seed 11): events fired and operations completed.
 #: The event counts were re-pinned once, by the trace-epoch change that

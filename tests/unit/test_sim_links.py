@@ -137,26 +137,24 @@ def test_retransmitted_batches_and_pure_acks_use_the_links_callable(monkeypatch)
     frames = {"fresh": 0, "batch": 0, "ack": 0}
     links = cluster.reliable.links
 
-    submit = Port.submit
+    carry = Port.carry
 
-    def recording_submit(port, wire_bytes, callback, args=(), on_start=None):
-        if not port.name.endswith(".tx"):  # a receive port: the frame's end
-            return submit(port, wire_bytes, callback, args, on_start)
+    def recording_carry(port, wire_bytes, finish, args):
         src, dst, _wire_bytes, parcel, deliver, _on_sent = args
         link, frame, stamp = parcel
         assert link is links[src.process_name, dst.process_name]
         assert deliver == cluster.reliable.deliver_stamped and stamp == link.stamp
         assert (port, src, dst) == (link.src_nic.tx, link.src_nic, link.dst_nic)
-        assert callback == link.network._tx_done
+        assert finish == link.network._tx_done
         if isinstance(frame, list):
             frames["batch"] += 1
         elif frame.is_data:
             frames["fresh"] += 1
         else:
             frames["ack"] += 1
-        submit(port, wire_bytes, callback, args, on_start)
+        carry(port, wire_bytes, finish, args)
 
-    monkeypatch.setattr(Port, "submit", recording_submit)
+    monkeypatch.setattr(Port, "carry", recording_carry)
     results = []
     for index, client in enumerate(clients):
         client.write(b"w%d" % index * 50, results.append)
