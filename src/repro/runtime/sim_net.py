@@ -649,7 +649,7 @@ class ClientHost(_HostBase):
         completion callback.  Used by blocking wrappers that give up on
         an operation the simulation can no longer complete.  Returns the
         abandoned op id (subclasses clean their own per-op state)."""
-        proto = self._proto(client_id)
+        proto = self.protos[self.client_id if client_id is None else client_id]
         op = proto.abandon()
         if op is not None:
             self._deadlines.pop(proto.client_id, None)
@@ -686,9 +686,6 @@ class ClientHost(_HostBase):
             self._execute(proto, proto.on_reply(message))
 
     # -- internals ---------------------------------------------------------
-
-    def _proto(self, client_id: Optional[int]) -> ClientProtocol:
-        return self.protos[self.client_id if client_id is None else client_id]
 
     def _set_deadline(self, client_id: int, timer_id: int, delay: float) -> None:
         scheduler = self.env.scheduler

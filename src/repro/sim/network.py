@@ -178,10 +178,9 @@ class Network:
         port.bytes_total += wire_bytes
         port.messages_total += 1
         port.busy_time += now - port._last_start
-        owner = src.owner
-        if owner is not None and not owner.alive:
-            pass  # the sender died mid-transmission; the frame is lost
-        else:
+        sender = src.owner
+        # A sender that died mid-transmission lost the frame.
+        if sender is None or sender.alive:
             if on_sent is not None:
                 on_sent()
             trace = self.env.trace
@@ -190,13 +189,13 @@ class Network:
             faults = self.faults
             arrival = now + self.propagation_delay
             rx = dst.rx
-            owner = dst.owner
+            receiver = dst.owner
             if faults is not None and faults.impaired and (
                 (src.process_name, dst.process_name) in faults.impaired
             ):
                 faults.route(self, src, dst, wire_bytes, message, deliver)
             elif rx._paused or rx.staged_until >= now or (
-                owner is not None and not owner.alive
+                receiver is not None and not receiver.alive
             ):
                 # Paused, down, or a staged frame may still arrive before
                 # it: the arrival its staged path would schedule.

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.errors import SimulationError
 from repro.sim.env import SimEnv
 
 #: 100 Mbit/s fast ethernet, the paper's testbed NIC speed.
@@ -103,25 +102,17 @@ class Port:
         """
         if self.busy or self._paused:
             self._queue.append((wire_bytes, callback, args, on_start))
-            return
-        # An idle, running port has an empty queue: serve at once (the
-        # start, inlined — this is every healthy frame's hand-off).
-        scheduler = self._scheduler
-        self.busy = True
-        self._last_start = now = scheduler.now
-        if on_start is not None:
-            on_start()
-        scheduler.schedule_at(
-            now + wire_bytes * 8.0 / self.bandwidth_bps,
-            self._finish, wire_bytes, callback, args,
-        )
+        else:
+            # An idle, running port has an empty queue: serve at once.
+            self._start(wire_bytes, callback, args, on_start)
 
     def carry(self, wire_bytes: int, finish: Callable[..., None], args: tuple) -> None:
         """Like :meth:`submit`, but ``finish(self, *args)`` is the finish
         event itself and must do what :meth:`_finish` does around its
         callback: the totals before, and the next frame or the idle
         callbacks after (``Network._tx_done`` does, for every unicast
-        frame)."""
+        frame).  An idle port starts the frame here, not in :meth:`_start`:
+        this is every healthy frame's hand-off."""
         if self.busy or self._paused:
             self._queue.append((wire_bytes, finish, args, _CARRIED))
             return
@@ -278,9 +269,8 @@ class RxPort(Port):
         args: tuple = (),
         on_start: Optional[Callable[[], None]] = None,
     ) -> None:
-        """A frame at the port now: queued while paused, else booked."""
-        if on_start is not None:  # pragma: no cover - defensive
-            raise SimulationError("a receive port has no start callback")
+        """A frame at the port now: queued while paused, else booked
+        (``on_start`` is for transmit ports; none is ever given here)."""
         if self._paused:
             self._queue.append((wire_bytes, callback, args))
         else:
