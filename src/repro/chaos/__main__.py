@@ -44,7 +44,13 @@ import sys
 from typing import Optional
 
 from repro.chaos.runner import TARGETS, ChaosResult, run_schedule
-from repro.chaos.schedule import FAULT_KINDS, PROFILES, ChaosProfile, generate_schedule
+from repro.chaos.schedule import (
+    CODED_K,
+    FAULT_KINDS,
+    PROFILES,
+    ChaosProfile,
+    generate_schedule,
+)
 
 #: Fault types the acceptance gate requires to have demonstrably fired
 #: (throttle/pause are reported but not required: they are refinements).
@@ -112,14 +118,21 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
-    if args.servers < 1:
-        parser.error(f"--servers must be >= 1, got {args.servers}")
+    if args.servers < 2:
+        # Schedules crash at most n-1 servers and cut partitions between
+        # two sides: one server can never fire either, so the coverage
+        # gate could never pass.
+        parser.error(f"--servers must be >= 2, got {args.servers}")
     profile = None
     if args.profile is not None:
         if args.profile not in PROFILES:
             parser.error(f"unknown profile {args.profile!r}; "
                          f"choices: {','.join(PROFILES)}")
         profile = PROFILES[args.profile]
+        if profile.value_coding == "coded" and args.servers <= CODED_K:
+            parser.error(f"the coded profile needs more servers than "
+                         f"coding_k={CODED_K} (a spare share to repair from), "
+                         f"got --servers {args.servers}")
         if args.smoke:
             parser.error("--smoke runs fixed profiles; drop --profile")
         if args.protocols not in ("core", "sharded"):

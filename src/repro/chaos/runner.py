@@ -308,7 +308,7 @@ def run_schedule(schedule: ChaosSchedule, protocol: str = "core") -> ChaosResult
         builder_kwargs["fd"] = profile.fd
     if protocol == "sharded":
         builder_kwargs["num_blocks"] = schedule.num_blocks
-    started = time.perf_counter()  # staticheck: allow(determinism.wall-clock) -- wall_seconds is diagnostic reporting only; nothing simulated reads it
+    started = time.perf_counter()
     if profile.elastic:
         # Elastic skew run: explicit placement over the profile's rings
         # with the rebalancer live.  Its cadence is drawn per schedule so
@@ -415,7 +415,7 @@ def run_schedule(schedule: ChaosSchedule, protocol: str = "core") -> ChaosResult
         migrations_aborted=counters.get(MIGRATION_ABORTED, 0),
         migration_splits=counters.get(MIGRATION_SPLITS, 0),
         shard_redirects=counters.get(SHARD_REDIRECTS, 0),
-        wall_seconds=time.perf_counter() - started,  # staticheck: allow(determinism.wall-clock) -- wall_seconds is diagnostic reporting only; nothing simulated reads it
+        wall_seconds=time.perf_counter() - started,
     )
 
 

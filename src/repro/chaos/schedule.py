@@ -337,6 +337,9 @@ AGGRESSIVE_CLIENT_TIMEOUT = 0.25
 #: retransmission backoff (rto_max plus a round trip) and a few client
 #: retries to finish every straggler after the last window closes.
 SETTLE_TIME = 4.0
+#: Shares a coded value needs: n = the cluster size must exceed it, or
+#: no spare share is left to repair a lost fragment from.
+CODED_K = 2
 
 
 @dataclass(frozen=True)
@@ -604,15 +607,15 @@ def generate_schedule(
         # fd-driven default) because read_leases validates against it.
         config = replace(config, view_quorum=True, read_leases=True)
     if profile.value_coding == "coded":
-        # k=2 stripes, n = the cluster size: with quorum-installed views
-        # every active view keeps n-f >= k fragment holders, so reads
-        # stay reconstructable through any schedule the quorum
+        # k=CODED_K stripes, n = the cluster size: with quorum-installed
+        # views every active view keeps n-f >= k fragment holders, so
+        # reads stay reconstructable through any schedule the quorum
         # discipline itself survives (the config validates the bound).
         config = replace(
             config,
             view_quorum=True,
             value_coding="coded",
-            coding_k=2,
+            coding_k=CODED_K,
             coding_n=num_servers,
         )
 

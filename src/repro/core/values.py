@@ -42,8 +42,10 @@ question; there is no base class and no third backend):
 
 The snapshot-covered register (``tag``, ``value``, ``frag_tag``) stays on
 the protocol object; a backend changes it only through the protocol's own
-``_install`` / ``_repair_stored`` (the ``writeahead.host-bypass``
-staticheck rule rejects a direct store from this module).
+``_install`` / ``_repair_stored``
+(``test_protocol_holders_store_no_covered_state`` in
+``tests/unit/test_runtime_wiring_meta.py`` rejects a direct store from
+this module).
 """
 
 from __future__ import annotations

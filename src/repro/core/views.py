@@ -51,8 +51,9 @@ The snapshot-covered membership state (``ring``, ``installed_epoch``,
 ``installed_view``, ``_reconfig_counter``) stays on the protocol object.
 A policy changes it only through three core primitives — ``_reroute``
 (tentative routing view), ``_install_view`` (the epoch transition point)
-and ``_next_nonce`` (via ``_new_token`` when it starts a merge) — and the
-``writeahead.host-bypass`` staticheck rule rejects a direct store from
+and ``_next_nonce`` (via ``_new_token`` when it starts a merge) — and
+``test_protocol_holders_store_no_covered_state`` in
+``tests/unit/test_runtime_wiring_meta.py`` rejects a direct store from
 this module.  The state merge itself (token building, merging, applying,
 resuming) and crash recovery are not policy and stay in the core.
 """

@@ -3,11 +3,11 @@
 Every counter the simulator emits through :meth:`TraceRecorder.count`
 has one constant here, and every consumer (the chaos gate's coverage
 tables, the bench runner's wire accounting) refers to the same constant.
-The ``counters`` staticheck rule enforces both directions: a counter
-name may not appear as a string literal outside this module, and every
-constant a gate consumes must be referenced by at least one emitting
-module — so renaming an emit site can never again make a coverage gate
-vacuously pass (the PR 5 bug this registry exists to prevent).
+``tests/unit/test_counters_registry.py`` checks both directions on the
+tallies of a fixed set of runs: every tallied name is registered, and
+every constant a gate consumes is tallied — so renaming an emit site
+can never again make a coverage gate vacuously pass (the PR 5 bug this
+registry exists to prevent).
 
 The constants' *values* are the wire format: they appear verbatim in
 trace logs and in the committed BENCH_*.json snapshots, so the string
@@ -111,9 +111,7 @@ MIGRATION_SPLITS = "migration.splits"
 MIGRATION_BYTES = "migration.bytes"
 
 #: Every fixed-name counter above: the module's upper-case constants
-#: with a dotted value.  The staticheck ``counters`` rule treats any of
-#: these values appearing as a literal outside this module as a
-#: violation.
+#: with a dotted value.
 REGISTERED_COUNTERS = frozenset(
     value
     for name, value in globals().items()

@@ -15,7 +15,7 @@ from repro.chaos import (
     generate_schedule,
     run_schedule,
 )
-from repro.chaos.schedule import AGGRESSIVE_CLIENT_TIMEOUT
+from repro.chaos.schedule import AGGRESSIVE_CLIENT_TIMEOUT, PROFILES
 from repro.chaos.__main__ import main as chaos_main
 from repro.errors import ConfigurationError
 
@@ -179,6 +179,44 @@ def test_cli_small_batch_exits_zero(capsys):
     assert chaos_main(["--runs", "3", "--seed", "0", "-q"]) == 0
     out = capsys.readouterr().out
     assert "3/3 schedules passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["--servers", "1"], "--servers must be >= 2, got 1"),
+        (
+            ["--profile", "coded", "--servers", "2", "--runs", "10"],
+            "the coded profile needs more servers than coding_k=2",
+        ),
+    ],
+    ids=["one-server", "coded-without-a-spare-share"],
+)
+def test_cli_rejects_server_counts_whose_gate_cannot_pass(capsys, argv, reason):
+    """One server never crashes or partitions, and k = n leaves no share
+    to repair from: each batch would fail its coverage gate after
+    running every schedule."""
+    with pytest.raises(SystemExit) as exited:
+        chaos_main(argv)
+    assert exited.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize(
+    "profile,servers,index",
+    [("coded", 4, i) for i in (41, 57, 58)] + [("partition", 3, i) for i in (1, 8, 21)],
+)
+def test_a_healed_connected_ring_finishes_every_operation(profile, servers, index):
+    """Runs that stall today: every fault heals seconds before the
+    deadline, yet operations stay open until it and fewer than half
+    complete.  The history is linearizable; the run is not live.  A
+    non-linearizable run fails outright, not as an expected failure."""
+    schedule = generate_schedule(0, index, servers, PROFILES[profile])
+    result = run_schedule(schedule, "core")
+    if not result.linearizable:
+        pytest.fail(f"not linearizable: {result.reason}")
+    assert result.ok
 
 
 def test_restart_schedules_are_generated_and_pass():

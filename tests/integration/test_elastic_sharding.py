@@ -86,16 +86,23 @@ def test_split_leaves_dominant_block_alone_on_its_ring():
     assert store.read_block(0) == b"dom-59"
 
 
+def crash_destination_mid_migration() -> BlockStore:
+    """Start moving block 0 to ring 1, then crash a ring-1 member."""
+    store = _build(rebalance=True, seed=64, rebalance_first_delay=500.0)
+    store.write_block(0, b"precious")
+    rebalancer = store.cluster.rebalancer
+    rebalancer._start(MigrationPlan(block=0, source=0, dest=1))
+    assert rebalancer._active is not None, "migration should be in flight"
+    store.cluster.crash_server(2)  # destination member dies mid-attempt
+    return store
+
+
 def test_destination_crash_mid_migration_aborts_cleanly():
     """A destination-member crash aborts the attempt: staged state is
     discarded, the table is untouched and the source ring resumes."""
-    store = _build(rebalance=True, seed=64, rebalance_first_delay=500.0)
+    store = crash_destination_mid_migration()
     cluster = store.cluster
-    store.write_block(0, b"precious")
     rebalancer = cluster.rebalancer
-    rebalancer._start(MigrationPlan(block=0, source=0, dest=1))
-    assert rebalancer._active is not None, "migration should be in flight"
-    cluster.crash_server(2)  # destination member dies mid-attempt
     assert rebalancer._active is None
     assert rebalancer.aborted == 1 and rebalancer.completed == 0
     assert cluster.env.trace.counters.get(MIGRATION_ABORTED) == 1

@@ -16,9 +16,9 @@ The check runs over fixed seeds of every chaos profile.  What it
 catches that a static reading cannot: a mutation that forgets
 ``_mark_dirty()`` leaves ``_dirty`` false, ``_maybe_persist()`` skips
 the save, and the next output leaves ahead of its state.  The
-meta-tests here delete dirty marks in a copy of the tree and watch the
-check go red; ``tests/unit/test_staticheck_meta.py`` deletes each save
-on an output path and watches this check or the structural test go red.
+meta-tests here delete each save on an output path, and each dirty mark,
+in a copy of the tree and watch this check or the structural test go
+red.
 
 Run as a script (``python tests/integration/test_write_ahead.py
 [profile ...]``) it checks the corpus of the named profiles against the
@@ -33,6 +33,7 @@ import contextlib
 import inspect
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -178,9 +179,103 @@ def test_outputs_leave_only_through_three_persisting_methods():
 
 # ----------------------------------------------------------------------
 # Meta-tests: break the write-ahead construction in a copy of the tree.
-# Deleting a persist is in tests/unit/test_staticheck_meta.py; here the
-# dirty marks go, which no static reading of the persists can see.
+# Each save on an output path goes, then each dirty mark, which no
+# static reading of the saves can see.
 # ----------------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
+_PERSIST = "_maybe_persist()"
+_DRAIN = "return self.drain_replies()"
+_UNSAVED_DRAIN = ("replies, self._replies = self._replies, []", "return replies")
+
+#: Every save an output of ``ServerProtocol`` depends on, as (method,
+#: line in it, lines that replace it, the check that must go red).  The
+#: first thirteen are the thirteen persist calls the server once had, in
+#: source order; an entry point's save is now its closing drain, and
+#: ``next_ring_message``'s is the batch pull it delegates to.  The
+#: structural test guards what no run can observe: restarts and
+#: cutovers only repeat what the first output saves, an entry point
+#: that skips the drain skips the patched method too, and every entry
+#: point drains before a host pulls a directed message.
+_SAVES = [
+    ("restore", f"proto.{_PERSIST}", (), "--structure"),
+    ("from_transfer", f"proto.{_PERSIST}", (), "--structure"),
+    *(
+        (entry, _DRAIN, _UNSAVED_DRAIN, "--structure")
+        for entry in (
+            "complete_rejoin_alone", "on_client_message", "on_ring_message",
+            "on_server_crash", "on_suspect", "on_unsuspect", "propose_reconfig",
+            "on_lease_update", "lease_waitout_elapsed",
+        )
+    ),  # fmt: skip
+    (
+        "next_ring_message",
+        "batch = self.next_ring_batch(1)",
+        (
+            "message = self._next_ring_message()",
+            "batch = [message] if message is not None else []",
+        ),
+        "--structure",
+    ),
+    ("next_ring_batch", f"self.{_PERSIST}", (), None),
+    ("drain_replies", f"self.{_PERSIST}", (), None),
+    ("next_directed_message", f"self.{_PERSIST}", (), "--structure"),
+]
+
+
+def _server_methods(text: str) -> dict[str, ast.FunctionDef]:
+    (cls,) = (
+        node
+        for node in ast.parse(text).body
+        if isinstance(node, ast.ClassDef) and node.name == "ServerProtocol"
+    )
+    return {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+
+
+def _replace_in_method(text: str, method: str, old: str, new: tuple) -> str:
+    """Replace the one line of ``method`` that reads ``old``."""
+    node = _server_methods(text)[method]
+    lines = text.splitlines(keepends=True)
+    (index,) = (
+        i
+        for i in range(node.lineno - 1, node.end_lineno)
+        if lines[i].strip() == old
+    )
+    indent = lines[index][: len(lines[index]) - len(lines[index].lstrip())]
+    lines[index : index + 1] = [f"{indent}{line}\n" for line in new]
+    return "".join(lines)
+
+
+def test_server_has_persist_calls_to_mutate():
+    """Every ``_maybe_persist()`` in the server is a site below."""
+    text = (_SRC / "repro/core/server.py").read_text()
+    persisting = sorted(
+        name
+        for name, node in _server_methods(text).items()
+        for line in ast.unparse(node).splitlines()
+        if line.strip().endswith(_PERSIST)
+    )
+    assert len(persisting) >= 5
+    assert persisting == sorted(m for m, old, _, _ in _SAVES if old.endswith(_PERSIST))
+
+
+@pytest.mark.parametrize("index", range(len(_SAVES)))
+def test_deleting_any_persist_call_is_caught(tmp_path, index):
+    # Imported here: the script mode runs without ``tests`` on the path.
+    from tests.helpers import run_write_ahead_check
+
+    method, old, new, mode = _SAVES[index]
+    done = run_write_ahead_check(
+        tmp_path,
+        lambda text: _replace_in_method(text, method, old, new),
+        *([mode] if mode else []),
+    )
+    assert done.returncode != 0
+    if mode:
+        assert "AssertionError" in done.stderr
+    else:
+        assert "Mismatch" in done.stderr and "ahead of its state" in done.stderr
+
 
 #: (id, exact source text in core/server.py, replacement); each text
 #: occurs exactly once.

@@ -14,19 +14,18 @@ read the source tree: if a runtime grows its own copy of any of that
 wiring again, or the driver starts importing a clock, an event loop or
 the simulator, or fragment or promise bookkeeping leaks back into the
 protocol core, or either side regrows past its budget, they fail at
-diff time.
+diff time.  So do a clock or entropy read in the seeded code, a store
+to snapshot-covered state from code that merely holds a protocol, and
+an asyncio task nobody keeps.  Each of those checks is a function of
+source text, and its mutation test hands it a mutated string.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import shutil
 import tokenize
 from pathlib import Path
-
-from repro.staticheck import run_paths
-from tests.staticheck_helpers import rules_of
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 _DRIVER = "repro/runtime/driver.py"
@@ -88,12 +87,6 @@ _POLICY_SWITCHES = {"view_quorum", "read_leases"}
 #: cost code.
 _SERVER_LINE_BUDGET = 881
 _CORE_LINE_BUDGET = 3360
-
-#: Physical lines of ``repro/staticheck/``: 1,841 while a 441-line
-#: abstract interpreter policed the write-ahead rule that
-#: ``ServerProtocol`` now keeps by construction, and 1,506 while a
-#: 318-line rule re-read the wire format's facts from its source.
-_STATICHECK_LINE_BUDGET = 1189
 
 #: The wire format — the table and sizes, the compiler and its import
 #: check — was 886 logical lines as four hand-kept tables and the lint
@@ -205,6 +198,66 @@ def test_driver_is_sans_io():
         assert module != "repro.runtime.sim_net" and module != "repro.runtime.asyncio_net"
 
 
+#: Code that must replay bit-identically from a seed.
+_SEEDED = (
+    "repro/core/", "repro/sim/", "repro/transport/", "repro/fd/",
+    "repro/chaos/", _DRIVER, "repro/bench/experiments.py",
+)  # fmt: skip
+
+#: (file, name) -> why that file may read the host.
+_HOST_READS_ALLOWED = {
+    ("repro/chaos/runner.py", "time.perf_counter"): (
+        "wall_seconds is diagnostic reporting only; nothing simulated reads it"
+    ),
+}
+
+
+def _host_reads(text: str) -> set[str]:
+    """Clock and entropy names ``text`` imports or reads: anything of
+    ``time``, ``datetime``, ``secrets``, ``uuid``, ``os.urandom``, and
+    of ``random`` everything but the seeded ``random.Random``."""
+    tree = ast.parse(text)
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.add(f"{modules[node.value.id]}.{node.attr}")
+    return {
+        name for name in names
+        if name.split(".")[0] in {"time", "datetime", "secrets", "uuid"}
+        or name == "os.urandom"
+        or (name.startswith("random.") and name != "random.Random")
+    }  # fmt: skip
+
+
+def test_seeded_code_reads_no_clock_and_no_entropy():
+    offenders, allowed = [], set()
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        if rel.startswith(_SEEDED):
+            for name in sorted(_host_reads(path.read_text())):
+                if (rel, name) in _HOST_READS_ALLOWED:
+                    allowed.add((rel, name))
+                else:
+                    offenders.append((rel, name))
+    assert offenders == [], f"seeded code reads the host: {offenders}"
+    assert allowed == set(_HOST_READS_ALLOWED), "a stale allow-list entry"
+
+
+def test_determinism_rule_covers_the_driver():
+    driver = (_SRC / _DRIVER).read_text()
+    wall = "\nimport time\n\ndef _wall():\n    return time.monotonic()\n"
+    assert _host_reads(driver) == set()
+    assert _host_reads(driver + wall) == {"time.monotonic"}
+    rng = (_SRC / "repro/sim/rng.py").read_text()
+    assert _host_reads(rng + "\n_JITTER = random.random()\n") == {"random.random"}
+
+
 def _logical_lines(path: Path) -> int:
     """Non-blank, non-comment, non-docstring lines."""
     source = path.read_text()
@@ -249,12 +302,6 @@ def test_protocol_core_stays_within_its_line_budget():
     assert sum(counts.values()) <= _CORE_LINE_BUDGET, counts
 
 
-def test_the_checker_stays_within_its_line_budget():
-    files = sorted((_SRC / "repro/staticheck").glob("*.py"))
-    counts = {f.name: len(f.read_text().splitlines()) for f in files}
-    assert sum(counts.values()) <= _STATICHECK_LINE_BUDGET, counts
-
-
 def test_the_layout_table_has_nothing_beside_it():
     codec = ast.parse((_SRC / "repro/transport/codec.py").read_text())
     per_type = [
@@ -274,58 +321,112 @@ def test_the_layout_table_has_nothing_beside_it():
     assert sum(counts.values()) <= _WIRE_LINE_BUDGET, counts
 
 
-def _mutated_tree(tmp_path: Path, rel: str, extra: str) -> Path:
-    shutil.copytree(_SRC / "repro", tmp_path / "repro")
-    target = tmp_path / rel
-    target.write_text(target.read_text() + extra)
-    return tmp_path
+#: Attributes the write-ahead snapshot covers (``ServerSnapshot``).
+_COVERED = {
+    "value", "tag", "frag_tag", "ts_seen", "watermark", "completed_ops",
+    "completed_tags", "pending", "installed_epoch", "_reconfig_counter", "ring",
+}  # fmt: skip
+
+#: Path prefix -> the attribute its code holds a protocol by.  Such
+#: code changes covered state only through the protocol's methods,
+#: which mark it dirty; a direct store would skip ``_mark_dirty()``.
+_HOLDERS = {
+    "repro/runtime/": "proto", "repro/core/sharded.py": "proto",
+    _VALUES: "core", _VIEWS: "core",
+}  # fmt: skip
 
 
-def test_determinism_rule_covers_the_driver(tmp_path):
-    tree = _mutated_tree(
-        tmp_path, _DRIVER, "\nimport time\n\ndef _wall():\n    return time.monotonic()\n"
-    )
-    assert "determinism.wall-clock" in rules_of(run_paths([str(tree)]))
+def _covered_stores(text: str, holder: str) -> list[str]:
+    """Stores in ``text`` to a covered attribute through ``.holder.``."""
+    stores = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if (
+                isinstance(target, ast.Attribute)
+                and target.attr in _COVERED
+                and f".{holder}." in f".{ast.unparse(target.value)}."
+            ):
+                stores.append(ast.unparse(target))
+    return stores
 
 
-def test_host_bypass_rule_covers_the_driver(tmp_path):
-    tree = _mutated_tree(
-        tmp_path, _DRIVER, "\ndef _poke(host):\n    host.proto.pending = {}\n"
-    )
-    assert "writeahead.host-bypass" in rules_of(run_paths([str(tree)]))
+def _holder_source(rel: str) -> tuple[str, str]:
+    (holder,) = [name for scope, name in _HOLDERS.items() if rel.startswith(scope)]
+    return (_SRC / rel).read_text(), holder
 
 
-def test_writeahead_rule_covers_the_value_backends(tmp_path):
+def test_protocol_holders_store_no_covered_state():
+    offenders = []
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        if rel.startswith(tuple(_HOLDERS)):
+            stores = _covered_stores(*_holder_source(rel))
+            offenders += [(rel, store) for store in stores]
+    assert offenders == [], f"covered state stored around the protocol: {offenders}"
+
+
+def test_host_bypass_rule_covers_the_driver():
+    text, holder = _holder_source(_DRIVER)
+    poke = "\ndef _poke(host):\n    host.proto.pending = {}\n"
+    assert _covered_stores(text + poke, holder) == ["host.proto.pending"]
+
+
+def test_writeahead_rule_covers_the_value_backends():
     """A backend reaches the snapshot-covered register only through the
     protocol's own mutators; assigning it directly — which would skip
     ``_mark_dirty()``, so the next output would leave unsaved — is
     caught."""
-    tree = _mutated_tree(
-        tmp_path, _VALUES,
+    text, holder = _holder_source(_VALUES)
+    poke = (
         "\n\ndef _poke(self, share):\n"
         "    self.core.value = share\n"
         "    self.core.frag_tag = None\n"
-        "\n\nCodedValues._poke = _poke\n",
+        "\n\nCodedValues._poke = _poke\n"
     )
-    violations = run_paths([str(tree)])
-    assert rules_of(violations) == ["writeahead.host-bypass"]
+    violations = _covered_stores(text + poke, holder)
     assert len(violations) == 2, "one per covered attribute assigned"
-    assert {v.path for v in violations} == {_VALUES}
 
 
-def test_writeahead_rule_covers_the_view_policies(tmp_path):
+def test_writeahead_rule_covers_the_view_policies():
     """A policy reaches the snapshot-covered membership state only
     through the protocol's primitives (``_reroute``, ``_install_view``,
     ``_next_nonce``); assigning it directly is caught."""
-    tree = _mutated_tree(
-        tmp_path, _VIEWS,
+    text, holder = _holder_source(_VIEWS)
+    poke = (
         "\n\ndef _poke(self, ring):\n"
         "    self.core.ring = ring\n"
         "    self.core.installed_epoch = ring.epoch\n"
         "    self.core._reconfig_counter += 1\n"
-        "\n\nQuorumViews._poke = _poke\n",
+        "\n\nQuorumViews._poke = _poke\n"
     )
-    violations = run_paths([str(tree)])
-    assert rules_of(violations) == ["writeahead.host-bypass"]
+    violations = _covered_stores(text + poke, holder)
     assert len(violations) == 3, "one per covered attribute assigned"
-    assert {v.path for v in violations} == {_VIEWS}
+
+
+_ASYNCIO_NET = "repro/runtime/asyncio_net.py"
+
+
+def _discarded_tasks(text: str) -> list[int]:
+    """Lines whose ``create_task(...)`` result is thrown away: the loop
+    holds a task only weakly, so it can be collected mid-flight."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and "create_task" in {getattr(node.value.func, a, None) for a in ("attr", "id")}
+    ]  # fmt: skip
+
+
+def test_every_task_the_asyncio_runtime_creates_is_kept():
+    text = (_SRC / _ASYNCIO_NET).read_text()
+    assert text.count("create_task(") == 2
+    assert _discarded_tasks(text) == []
+    orphan = "\n\ndef _spawn(self, coro):\n    self._loop.create_task(coro)\n"
+    assert len(_discarded_tasks(text + orphan)) == 1

@@ -6,7 +6,9 @@ row, a row for a class in no union, a shared type code and a ring
 message without an epoch stamp; ``compile_layout`` rejects a row that
 does not name each field once; and the width constants are derived from
 the formats that pack them.  Each case here drives one of those checks
-directly, or pins a constant against the bytes the codec writes.
+directly, or pins a constant against the bytes the codec writes; the
+last three break ``core/messages.py`` in a copy of the tree and watch
+the codec's import fail.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.transport.reliable import (
     encode_batch,
     encode_segment,
 )
+from tests.helpers import run_mutated
 
 OP = OpId(11, 5)
 
@@ -129,3 +132,47 @@ def test_seq_initialised_at_sentinel_flagged():
     session.send(Commit(()), 0.0)
     session.reset()
     assert session.send(Commit(()), 0.0).seq == 1
+
+
+def _import_codec_after(tmp_path, *replacements: tuple[str, str]) -> str:
+    """The last stderr line of importing the codec from a copy of the
+    tree whose ``core/messages.py`` has each ``(old, new)`` replaced."""
+
+    def edit(text: str) -> str:
+        for old, new in replacements:
+            assert text.count(old) == 1, "the mutation site moved"
+            text = text.replace(old, new)
+        return text
+
+    done = run_mutated(
+        tmp_path, "core/messages.py", edit, "-c", "import repro.transport.codec"
+    )
+    assert done.returncode != 0
+    return done.stderr.strip().splitlines()[-1]
+
+
+def test_unregistering_codec_entry_is_caught(tmp_path):
+    """Deleting a message's ``WIRE_LAYOUT`` row fails the codec import."""
+    error = _import_codec_after(
+        tmp_path, ('    Commit: (6, (("epoch", "i64"), ("commits", "tags_to_end"))),\n', "")
+    )
+    assert "one row per message class: Commit" in error
+
+
+def test_ring_message_without_epoch_is_caught(tmp_path):
+    """A ring message without the epoch stamp fails the codec import."""
+    error = _import_codec_after(
+        tmp_path,
+        ("    origin: int\n    epoch: int = 0\n", "    origin: int\n"),
+        ('("origin", "i32"), ("epoch", "i64")', '("origin", "i32")'),
+    )
+    assert "ring message ReadFence has no epoch field" in error
+
+
+def test_fragment_message_outside_the_ring_union_is_caught(tmp_path):
+    """A fragment message dropped from ``RingMessage`` — it would skip
+    the epoch guard and the server's ring dispatch — fails the codec
+    import; ``test_fragment_class_outside_ring_union_flagged`` pins
+    every fragment message in the union."""
+    error = _import_codec_after(tmp_path, ("    FragmentReply,\n]", "]"))
+    assert "one row per message class: FragmentReply" in error
