@@ -12,7 +12,7 @@ Run:  python examples/block_store.py
 """
 
 from repro.core.config import ProtocolConfig
-from repro.core.sharded import BlockStore
+from repro.runtime.sharded import BlockStore
 
 BLOCK_SIZE = 512
 

@@ -39,8 +39,8 @@ from typing import Callable, Optional
 
 from repro.analysis.stats import LatencyStats, mbit_per_s
 from repro.core.config import ProtocolConfig
-from repro.core.sharded import build_elastic_cluster
 from repro.fd.heartbeat import HeartbeatConfig
+from repro.runtime.sharded import build_elastic_cluster
 from repro.runtime.sim_net import SimCluster
 from repro.sim.counters import (
     CODING_CACHE_READS,

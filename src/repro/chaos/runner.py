@@ -69,12 +69,12 @@ from repro.sim.counters import (
     RELIABLE_RETRANSMITS,
     SHARD_REDIRECTS,
 )
-from repro.core.sharded import (
+from repro.errors import ConfigurationError
+from repro.runtime.sharded import (
     ShardedServerHost,
     add_shard_client,
     build_elastic_cluster,
 )
-from repro.errors import ConfigurationError
 from repro.runtime.sim_net import SimCluster
 from repro.sim.rng import derive_seed
 

@@ -1,7 +1,11 @@
 """The paper's contribution: the high-throughput atomic storage algorithm.
 
 The package is organised as sans-I/O state machines plus a thin public
-facade:
+facade.  Nothing here imports the simulator or a socket runtime; the
+hosts that put these machines on a network live in :mod:`repro.runtime`
+(the multi-register block store, the "distributed storage system" layer
+the paper's introduction motivates, is :mod:`repro.runtime.sharded`,
+over the placement table of :mod:`repro.core.placement`):
 
 * :mod:`repro.core.tags` — logical timestamps ``(ts, server_id)`` ordered
   lexicographically;
@@ -15,10 +19,7 @@ facade:
   11–93 plus the reconfiguration protocol);
 * :mod:`repro.core.client` — the client state machine (retry on crash);
 * :mod:`repro.core.storage` — the blocking public API over a simulated
-  cluster;
-* :mod:`repro.core.sharded` — a multi-register store composed of
-  independent registers, the "distributed storage system" layer the
-  paper's introduction motivates.
+  cluster.
 """
 
 from repro.core.client import ClientProtocol

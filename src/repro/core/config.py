@@ -182,7 +182,7 @@ class ProtocolConfig:
         =========  ==========  ======  ====================================
 
         ``elastic`` (explicit block placement over several rings,
-        :func:`~repro.core.sharded.build_elastic_cluster`) admits the
+        :func:`~repro.runtime.sharded.build_elastic_cluster`) admits the
         first row only: the cross-ring snapshot handoff assumes crash
         facts, and erasure coding pins ``coding_n`` to the whole cluster
         size, which per-ring views break.

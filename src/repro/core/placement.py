@@ -14,7 +14,7 @@ onto spare capacity — so this module replaces it with data:
   samples, decide which block to migrate (or whether a hot block earns a
   *dedicated* placement, the "split" decision).  Deterministic: sorted
   iteration, no RNG, no clocks — the rebalancer in
-  :mod:`repro.core.sharded` just executes what this returns.
+  :mod:`repro.runtime.sharded` just executes what this returns.
 * :class:`PlacementRedirect` / :class:`BlockTransfer` — the two wire
   messages migration adds.  They live here rather than in
   :mod:`repro.core.messages` because they are runtime-routed control

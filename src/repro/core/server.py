@@ -413,9 +413,10 @@ class ServerProtocol:
         ``alone=False`` the server comes back *rejoining*: paused,
         deferring reads, and announcing itself until a reconfiguration
         commit folds it back into the ring with the merged state.  With
-        ``alone=True`` (no other server is alive) there is nobody to
-        rejoin: the server resumes immediately as the sole survivor and
-        resolves its recovered pending writes locally.
+        ``alone=True`` (the host found no serving peer and no peer that
+        crashed after this one) there is nobody to rejoin: the server
+        resumes immediately as the sole survivor and resolves its
+        recovered pending writes locally.
         """
         members = tuple(members)
         if alone:
@@ -571,11 +572,11 @@ class ServerProtocol:
     def complete_rejoin_alone(self) -> list[Reply]:
         """End a rejoin with no live sponsor: this server is the ring.
 
-        The runtime calls this when every other server is dead — there
-        is nobody to announce to, and with a perfect failure detector
-        "nobody answers" *means* "nobody is alive".  Recovered pending
-        writes resolve locally, exactly as a live sole survivor resolves
-        them when the ring shrinks to one.
+        The asyncio runtime calls this when every other server refuses
+        its dials — with a perfect failure detector "nobody answers"
+        *means* "nobody is alive".  Recovered pending writes resolve
+        locally, exactly as a live sole survivor resolves them when the
+        ring shrinks to one.
         """
         if self.rejoining:
             members = self.ring.members

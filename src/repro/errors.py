@@ -32,7 +32,7 @@ class StorageUnavailableError(ReproError):
 class PlacementStaleError(StorageUnavailableError):
     """A client chased placement redirects past its budget.
 
-    Raised by the sharded :class:`~repro.core.sharded.BlockStore` when an
+    Raised by the sharded :class:`~repro.runtime.sharded.BlockStore` when an
     operation keeps landing on servers that no longer host its block —
     the placement table moved faster than the client could follow.  A
     subclass of :class:`StorageUnavailableError` so existing callers that

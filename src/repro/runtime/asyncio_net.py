@@ -486,11 +486,12 @@ class AsyncServerNode:
         With the paper's failure model a refused connection means that
         server is down, so two full rounds of nothing-but-refusals mean
         *nobody* is alive: the restarted server is the whole ring and
-        resumes alone from its snapshot, mirroring the simulator's
-        oracle.  Perfect-detector reasoning only — under the heartbeat
-        detector silence could be a partition, and resuming alone
-        without quorum evidence would fork the register, so the driver
-        keeps announcing instead.
+        resumes alone from its snapshot.  Unlike the simulator's rule
+        this knows no crash order, so a node that did not crash last
+        serves a stale copy (ROADMAP).  Perfect-detector reasoning only
+        — under the heartbeat detector silence could be a partition, and
+        resuming alone without quorum evidence would fork the register,
+        so the driver keeps announcing instead.
         """
         self._refused = 0 if delivered else self._refused + 1
         if self.fd != "heartbeat" and self._refused >= 2 * len(self.driver.peers):

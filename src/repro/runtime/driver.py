@@ -8,7 +8,7 @@ wait-out, the rejoin announcement pump — lives in :class:`ServerDriver`.
 The driver touches no socket, scheduler or clock.  It reaches the
 outside world only through the :class:`DriverHost` capability object its
 host supplies, so the simulator (:mod:`repro.runtime.sim_net`, also the
-sharded hosts of :mod:`repro.core.sharded`) and the TCP runtime
+sharded hosts of :mod:`repro.runtime.sharded`) and the TCP runtime
 (:mod:`repro.runtime.asyncio_net`) run one timeline instead of two
 hand-kept copies of it.  See docs/runtime.md.
 
@@ -74,10 +74,10 @@ class DriverHost(Protocol):
     def count(self, event: str, peer: int) -> None:
         """Bump the counter for ``event`` (a constant of this module)."""
 
-    def rejoin_sponsors(self, proto: ServerProtocol) -> Optional[Sequence[int]]:
+    def rejoin_sponsors(self, proto: ServerProtocol) -> Sequence[int]:
         """Servers worth announcing ``proto``'s rejoin to, in a stable
-        order; empty when none is reachable right now, ``None`` when the
-        host *knows* nobody else is alive (a fact only an oracle has)."""
+        order; empty when none is reachable right now (the pump then
+        waits and asks again)."""
 
 
 class ServerDriver:
@@ -319,9 +319,6 @@ class ServerDriver:
             if not proto.rejoining:
                 continue
             sponsors = self._host.rejoin_sponsors(proto)
-            if sponsors is None:
-                self.resume_alone()
-                break
             if sponsors:
                 proto.queue_rejoin_announce(sponsors[attempt % len(sponsors)])
         if not any(proto.rejoining for proto in self._host.all_protos()):
@@ -337,7 +334,9 @@ class ServerDriver:
         recovered pending writes resolve locally.  Only a host that
         knows every other server is down may call this — under the
         heartbeat detector silence could be a partition, and resuming
-        alone without quorum evidence would fork the register."""
+        alone without quorum evidence would fork the register.  The
+        asyncio node calls it on refused dials; the simulator decides
+        at restart instead, by crash order."""
         for proto in self._host.all_protos():
             if proto.rejoining:
                 self._host.post(proto.complete_rejoin_alone())

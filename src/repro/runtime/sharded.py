@@ -15,10 +15,10 @@ operations retain the single-register atomicity guarantees.
 
 A :class:`ShardedServerHost` *is* a
 :class:`~repro.runtime.sim_net.ServerHost`: NIC wiring, the restart
-skeleton and the control-plane driver
-(:mod:`repro.runtime.driver` — one per host incarnation, serving every
-block) are inherited, so the sharded hosts participate fully in the
-cluster's fault machinery without re-typing any of it.  Each block's
+skeleton, the crash-recovery and sponsor rules and the control-plane
+driver (:mod:`repro.runtime.driver` — one per host incarnation, serving
+every block) are inherited, so the sharded hosts participate fully in
+the cluster's fault machinery without re-typing any of it.  Each block's
 protocol persists a durable snapshot, a crashed server restarts from
 the per-block stores and one rejoin pump folds every block back into
 its ring, and under ``fd="heartbeat"`` every block runs the
@@ -26,10 +26,11 @@ epoch-guarded quorum-installed view discipline behind one server-level
 detector — suspicion, stale-epoch fencing and reconfiguration tokens
 all travel in :class:`ShardEnvelope`\\ s like any other ring traffic.
 
-Elastic mode (``placement`` given) replaces the implicit "every server
-hosts every block" map with an explicit versioned
+Every host places blocks by a versioned
 :class:`~repro.core.placement.PlacementTable` over fixed disjoint
-*rings* of servers, and adds the control plane a skewed workload needs:
+*rings* of servers.  A static store's table is one ring of every server
+hosting every block; an elastic store (``rings`` given) has several, and
+adds the control plane a skewed workload needs:
 
 * hosts consult the table — a request for a block not placed here gets
   a :class:`~repro.core.placement.PlacementRedirect` instead of silent
@@ -125,13 +126,14 @@ class ShardedServerHost(ServerHost):
     """One machine hosting a register protocol instance per block.
 
     A :class:`~repro.runtime.sim_net.ServerHost` — same NICs, same
-    control-plane driver, same restart skeleton — that adds what
-    sharding needs: block envelopes, a placement check on every inbound
-    frame, per-block stores and load tallies.  Without a ``placement``
-    every block lives here over the cluster-wide ring.  With one, this
-    host builds protocol instances only for the blocks placed on its
-    ring, answers requests for anything else with a placement redirect,
-    and lets the rebalancer install and evict blocks live.
+    control-plane driver, same restart skeleton and recovery rules —
+    that adds what sharding needs: block envelopes, a placement check on
+    every inbound frame, per-block stores and load tallies.  The host
+    builds protocol instances only for the blocks its ``placement``
+    puts on its ring, answers requests for anything else with a
+    placement redirect, and lets the rebalancer install and evict blocks
+    live.  Without a ``placement`` it holds a static one: one ring of
+    every server, hosting every block.
     """
 
     def __init__(
@@ -142,28 +144,27 @@ class ShardedServerHost(ServerHost):
         placement: Optional[PlacementTable] = None,
     ):
         super().__init__(cluster, server_id, None)
-        self._placement = placement
-        if placement is None:
-            hosted = tuple(range(num_blocks))
-        else:
-            hosted = placement.blocks_of(server_id)
+        self._placement = placement or PlacementTable.initial(
+            num_blocks, [tuple(range(cluster.config.num_servers))]
+        )
+        hosted = self._placement.blocks_of(server_id)
         #: Per-block durable snapshot stores — this machine's "disk".
         #: They live on the host (not the protocols) because the host
         #: object models the machine across crash/restart cycles: the
         #: protocol instances are volatile and rebuilt by :meth:`restart`,
         #: the stores survive.
         self._stores: dict[int, MemorySnapshotStore] = {
-            reg: MemorySnapshotStore() for reg in sorted(hosted)
+            reg: MemorySnapshotStore() for reg in hosted
         }
         self.protos: dict[int, ServerProtocol] = {
             reg: ServerProtocol(
                 server_id,
-                self._block_ring(reg),
+                RingView(self._placement.servers_of(reg), frozenset(), 0),
                 cluster.config.protocol,
                 initial_value=cluster.config.initial_value,
                 durable=self._stores[reg],
             )
-            for reg in sorted(hosted)
+            for reg in hosted
         }
         #: Cumulative per-block client-op and byte tallies, read as
         #: deltas by the rebalancer's sampling tick.  Never reset — not
@@ -175,16 +176,11 @@ class ShardedServerHost(ServerHost):
         #: per-machine round-robin would reorder seeded block traces).
         self._reply_queue: deque = deque()
 
-    def _block_ring(self, reg: int) -> RingView:
-        """The view a fresh protocol instance for ``reg`` starts in: the
-        cluster-wide ring without a placement, the block's placed ring
-        (all members alive, epoch 0) with one."""
-        if self._placement is None:
-            return self.cluster.ring
-        return RingView(self._placement.servers_of(reg), frozenset(), 0)
-
     def all_protos(self) -> list[ServerProtocol]:
         return list(self.protos.values())
+
+    def registers(self) -> dict[int, ServerProtocol]:
+        return self.protos
 
     # -- inbound ------------------------------------------------------
 
@@ -211,12 +207,13 @@ class ShardedServerHost(ServerHost):
         reg = envelope.reg
         proto = self.protos.get(reg)
         if proto is None:
-            if self._placement is not None:
+            if reg in self._placement.blocks:
                 # The client's binding is stale: answer with the
                 # authoritative placement entry instead of serving (or
                 # silently dropping) the mis-routed request.
                 self._redirect(client_id, envelope)
             else:
+                # No ring holds such a block: nothing to redirect to.
                 self.env.trace.count(SHARD_STALE_DROPPED)
             return
         rebalancer = self.cluster.rebalancer
@@ -249,14 +246,6 @@ class ShardedServerHost(ServerHost):
         )
         self.env.trace.count(SHARD_REDIRECTS)
         self.post([Reply(client_id, redirect)])
-
-    def crash(self) -> None:
-        """Crash, stamping the cluster-wide crash order first: elastic
-        crash recovery compares stamps to decide which member of a fully
-        crashed ring holds the freshest copy (see :meth:`_resume_alone`)."""
-        if self.alive:
-            self.cluster.note_crash(self.server_id)
-        super().crash()
 
     # -- elastic placement hooks (rebalancer-driven) -------------------
 
@@ -291,98 +280,24 @@ class ShardedServerHost(ServerHost):
         """Rebuild every block's protocol from its snapshot store; one
         driver then pumps the rejoin of every still-rejoining block.
 
-        With a placement, the hosted set is recomputed from the
-        *current* table: blocks migrated away while this server was down
-        are dropped (their local snapshots belong to a superseded
-        placement), and per-block aloneness is judged against the
-        block's own ring, not the whole cluster.
+        The hosted set is recomputed from the *current* table: blocks
+        migrated away while this server was down are dropped (their
+        local snapshots belong to a superseded placement), and per-block
+        aloneness is judged against the block's own ring.
         """
         self._reply_queue.clear()
         self._ring_rr = 0
-        if self._placement is None:
-            alone = self.cluster.restart_resumes_alone(self.server_id)
-            members = range(self.cluster.config.num_servers)
-            self.protos = {
-                reg: self._restore(store, members, alone)
-                for reg, store in self._stores.items()
-            }
-            return
-        hosted = set(self._placement.blocks_of(self.server_id))
-        for reg in sorted(set(self._stores) - hosted):
+        hosted = self._placement.blocks_of(self.server_id)
+        for reg in sorted(set(self._stores) - set(hosted)):
             del self._stores[reg]
             self.env.trace.count(SHARD_STALE_DROPPED)
         self.protos = {}
-        for reg in sorted(hosted):
+        for reg in hosted:
             store = self._stores.setdefault(reg, MemorySnapshotStore())
             members = self._placement.servers_of(reg)
             self.protos[reg] = self._restore(
-                store, members, self._resume_alone(reg, members)
+                store, members, self._resumes_alone(reg, members)
             )
-
-    def _resume_alone(self, reg: int, members) -> bool:
-        """Whether this restarting server may serve ``reg`` without a
-        rejoin.
-
-        ``cluster.restart_resumes_alone`` answers this for the whole
-        cluster; with per-block rings the question is per block, and
-        "no other member alive" is *not* sufficient: when every member
-        of a 2-member ring crashes, only the member that crashed *last*
-        saw every completed write (a write circulates all alive view
-        members, so the longest-lived member's snapshot is the freshest).
-        A member that crashed earlier resuming alone would serve — and
-        the drained-snapshot migration path would propagate — a stale
-        copy of the block.
-
-        The rule: a live peer that is actually serving the block means a
-        normal rejoin (it has the authoritative state).  Otherwise every
-        other member is dead or itself mid-rejoin, i.e. frozen at its
-        own last crash — this server may resume alone only if it crashed
-        after all of them.  Liveness note: the last-crashed member must
-        eventually restart for the block to make progress, which is
-        inherent to this recovery model (it holds the only complete
-        copy).
-        """
-        stamps = self.cluster.crash_stamps
-        mine = stamps.get(self.server_id, 0)
-        for sid in members:
-            if sid == self.server_id:
-                continue
-            host = self.cluster.servers[sid]
-            if host.alive:
-                proto = host.protos.get(reg)
-                if proto is not None and not proto.rejoining:
-                    return False  # live serving peer: rejoin from it
-                # Alive but itself rejoining (or not yet hosting the
-                # block): no fresher than its last crash; fall through
-                # to the stamp comparison.
-            if stamps.get(sid, 0) > mine:
-                return False  # peer crashed after us: it holds fresher state
-        return True
-
-    def rejoin_sponsors(self, proto: ServerProtocol) -> Optional[list[int]]:
-        if self._placement is None:
-            return super().rejoin_sponsors(proto)
-        # Per-block rings: a block's rejoin can only be sponsored by a
-        # member of *its* ring — an announcement to any other server
-        # dies as stale-placement traffic.  Prefer a member that is
-        # actually serving; if every peer of the ring is down or itself
-        # rejoining, the block stays pending and the pump retries (the
-        # crash-order rule in _resume_alone already decided who may
-        # serve without a sponsor).
-        reg = next(reg for reg, hosted in self.protos.items() if hosted is proto)
-        servers = self.cluster.servers
-        candidates = [
-            sid
-            for sid in proto.ring.members
-            if sid != self.server_id and servers[sid].alive
-        ]
-        serving = [
-            sid
-            for sid in candidates
-            if (peer := servers[sid].protos.get(reg)) is not None
-            and not peer.rejoining
-        ]
-        return serving or candidates
 
     # -- outbound -------------------------------------------------------
 

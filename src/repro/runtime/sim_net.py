@@ -32,10 +32,10 @@ hand-off, grace-delayed view proposals, lease wait-outs, the rejoin pump
 — is not here: each :class:`ServerHost` incarnation owns a sans-I/O
 :class:`~repro.runtime.driver.ServerDriver` and lends it the simulated
 clock, scheduler and raw fabric (docs/runtime.md).  What this module
-adds is what only a simulator knows: which hosts are *really* alive
-(``fd.wrong_suspicions``, the choice of rejoin sponsors, "nobody else is
-up, resume alone") and the mirroring of protocol statistics into the
-trace.
+adds is what only a simulator knows: which hosts are *really* alive and
+in which order they crashed (``fd.wrong_suspicions``, the choice of
+rejoin sponsors, whether a restarted server may resume alone) and the
+mirroring of protocol statistics into the trace.
 """
 
 from __future__ import annotations
@@ -370,10 +370,13 @@ class ServerHost(_ServerMachine):
 
     The host is also the :class:`~repro.runtime.driver.DriverHost` of
     its incarnation's control-plane driver: it lends the simulated
-    clock, scheduler and raw fabric, and answers from the simulator's
-    oracle where a real runtime could only guess.  The sharded host
-    (:mod:`repro.core.sharded`) subclasses this with one protocol per
-    block; everything here goes through :meth:`all_protos`.
+    clock, scheduler and raw fabric.  It owns the one crash-recovery
+    rule (:meth:`_resumes_alone`) and the one sponsor rule
+    (:meth:`rejoin_sponsors`) of every simulated server; both are
+    judged per register over that register's ring.  The sharded host
+    (:mod:`repro.runtime.sharded`) subclasses this with one protocol per
+    block; everything here goes through :meth:`all_protos` and
+    :meth:`registers`.
     """
 
     def __init__(
@@ -393,6 +396,17 @@ class ServerHost(_ServerMachine):
         """Every hosted protocol instance: one here, one per block on
         the sharded host."""
         return [self.proto]
+
+    def registers(self) -> dict[int, ServerProtocol]:
+        """Register id -> the hosted instance: register 0 here, each
+        placed block on the sharded host."""
+        return {0: self.proto}
+
+    def _serving(self, reg: int) -> bool:
+        """Whether this host is up and serving register ``reg`` (not
+        rejoining it): a server that holds its authoritative state."""
+        proto = self.registers().get(reg)
+        return self.alive and proto is not None and not proto.rejoining
 
     # -- inbound ------------------------------------------------------
 
@@ -467,15 +481,23 @@ class ServerHost(_ServerMachine):
             # that a run exercised the wrongly-suspected-but-alive case.
             self.env.trace.count(FD_WRONG_SUSPICIONS)
 
-    def rejoin_sponsors(self, proto: ServerProtocol) -> Optional[list[int]]:
+    def rejoin_sponsors(self, proto: ServerProtocol) -> list[int]:
+        """Servers to announce ``proto``'s rejoin to.  Under the
+        heartbeat detector every peer in turn: frames to the dead die in
+        transit.  Under the perfect detector the alive members of the
+        register's ring, only its serving ones while any serves.  An
+        empty list keeps the rejoiner waiting: whether it may serve
+        without a sponsor was decided once, at restart
+        (:meth:`_resumes_alone`)."""
         if self.cluster.hb is not None:
-            # No aliveness oracle: announce to every other member in
-            # turn; frames to the dead die in transit, and "nobody is
-            # alive" is indistinguishable from a partition, so there is
-            # deliberately no resume-alone shortcut here.
             return self.driver.peers
+        reg = next(reg for reg, hosted in self.registers().items() if hosted is proto)
         servers = self.cluster.servers
-        return [sid for sid in self.driver.peers if servers[sid].alive] or None
+        alive = [
+            sid for sid in proto.ring.members
+            if sid != self.server_id and servers[sid].alive
+        ]  # fmt: skip
+        return [sid for sid in alive if servers[sid]._serving(reg)] or alive
 
     # -- restart (crash recovery) --------------------------------------
 
@@ -507,11 +529,37 @@ class ServerHost(_ServerMachine):
         store = self.cluster.durable_stores.setdefault(
             self.server_id, MemorySnapshotStore()
         )
-        self.proto = self._restore(
-            store,
-            range(self.cluster.config.num_servers),
-            self.cluster.restart_resumes_alone(self.server_id),
-        )
+        members = range(self.cluster.config.num_servers)
+        self.proto = self._restore(store, members, self._resumes_alone(0, members))
+
+    def _resumes_alone(self, reg: int, members) -> bool:
+        """Whether this restarting server may serve register ``reg``
+        over ring ``members`` without a rejoin.
+
+        Under the heartbeat detector only if it is the whole cluster:
+        silence could be a partition, and resuming alone without quorum
+        evidence would fork the register.  Under the perfect detector a
+        live peer that is serving the register means a normal rejoin (it
+        holds the authoritative state).  Otherwise every other member is
+        dead or itself rejoining, i.e. frozen at its last crash while
+        serving, and only the member that crashed *last* while serving
+        saw every acknowledged write (a write circulates every serving
+        member), so this server resumes alone only if no peer did so
+        after it.  An earlier-crashed member that resumed alone would
+        serve a stale copy.  Liveness cost: the register waits for that
+        last member to restart, since it holds the only complete copy.
+        """
+        cluster = self.cluster
+        if cluster.hb is not None:
+            return cluster.config.num_servers == 1
+        stamps = cluster.crash_stamps
+        mine = stamps.get((self.server_id, reg), 0)
+        for sid in members:
+            if sid != self.server_id and (
+                cluster.servers[sid]._serving(reg) or stamps.get((sid, reg), 0) > mine
+            ):
+                return False
+        return True
 
     def _restore(self, store, members, alone: bool) -> ServerProtocol:
         """Rebuild one protocol instance from its durable snapshot."""
@@ -1096,18 +1144,18 @@ class SimCluster:
         self.durable_stores: dict[int, MemorySnapshotStore] = {}
         #: Optional history recorder (see repro.analysis.history).
         self.history = None
-        #: Elastic sharding control plane (set by the sharded builders in
-        #: :mod:`repro.core.sharded`): the versioned block placement
-        #: table and the rebalancer driving live block migration.  None
-        #: on every non-elastic cluster — hosts and clients treat that
-        #: as "one ring owns everything", today's behaviour.
+        #: Elastic sharding control plane (set by the elastic builder in
+        #: :mod:`repro.runtime.sharded`): the placement service clients
+        #: consult and the rebalancer driving live block migration.  None
+        #: on every other cluster: no placement service to consult.
         self.placement = None
         self.rebalancer = None
-        #: Per-server crash order (server_id -> monotone stamp).  Stamped
-        #: by :meth:`note_crash`; elastic crash recovery compares stamps
-        #: to decide whether a restarting ring member holds the freshest
-        #: copy of its blocks (the last member to crash does).
-        self.crash_stamps: dict[int, int] = {}
+        #: Crash order, ``(server_id, register) -> monotone stamp`` of
+        #: the server's last crash while serving the register, stamped
+        #: by :meth:`_server_crashed`.  Crash recovery compares stamps to
+        #: decide whether a restarting ring member holds the freshest
+        #: copy of a register (the last member to crash serving it does).
+        self.crash_stamps: dict[tuple[int, int], int] = {}
         self._crash_seq = 0
         if host_factory is None:
             host_factory = self._default_host_factory
@@ -1287,6 +1335,13 @@ class SimCluster:
 
     def _server_crashed(self, process) -> None:
         crashed_id = int(process.name[1:])
+        self._crash_seq += 1
+        if isinstance(process, ServerHost):
+            for reg, proto in process.registers().items():
+                if not proto.rejoining:
+                    # A rejoining instance holds nothing newer than its
+                    # last crash: only a serving one refreshes the stamp.
+                    self.crash_stamps[crashed_id, reg] = self._crash_seq
         if self.ring.is_alive(crashed_id) and self.ring.num_alive > 1:
             # Track the surviving membership (RingView requires at least
             # one alive member, so the very last crash is not recorded).
@@ -1306,11 +1361,6 @@ class SimCluster:
         for server_id, host in self.servers.items():
             if server_id != crashed_id and host.alive:
                 host.notify_crash(crashed_id)
-
-    def note_crash(self, server_id: int) -> None:
-        """Record crash order (called by server hosts as they go down)."""
-        self._crash_seq += 1
-        self.crash_stamps[server_id] = self._crash_seq
 
     def crash_server(self, server_id: int) -> None:
         """Crash a server now (tests and fault plans)."""
@@ -1338,22 +1388,6 @@ class SimCluster:
         if self.fd is not None:
             self.fd.report_recovery(server_id)
         self.reliable.reopen_peer(f"s{server_id}")
-
-    def restart_resumes_alone(self, server_id: int) -> bool:
-        """Whether a restarting server may resume without a rejoin.
-
-        With the perfect detector, "no other host is alive" is a fact
-        the runtime may consult, and a sole survivor restarts straight
-        into serving.  The heartbeat detector has no such oracle: a
-        restarted server always comes back *rejoining* (unless it is the
-        whole cluster) — silence could be a partition, and resuming
-        alone without quorum evidence would fork the register.
-        """
-        if self.config.fd == "heartbeat":
-            return self.config.num_servers == 1
-        return not any(
-            sid != server_id and host.alive for sid, host in self.servers.items()
-        )
 
     # ------------------------------------------------------------------
     # Post-step hook

@@ -82,7 +82,7 @@ CODING_PENDING_DROPPED = "coding.pending_dropped"
 #: messages/op collapse the leased read path buys.
 RING_MESSAGES = "ring.messages"
 
-# -- elastic sharding: per-block load accounting (core/sharded.py) -----
+# -- elastic sharding: per-block load accounting (runtime/sharded.py) --
 #: Client operations dispatched into block protocols (all blocks).
 SHARD_BLOCK_OPS = "shard.block_ops"
 #: Client payload bytes dispatched into block protocols.
@@ -100,7 +100,7 @@ SHARD_PARKED = "shard.parked"
 #: superseded placement, or block transfers failing the nonce check.
 SHARD_STALE_DROPPED = "shard.stale_dropped"
 
-# -- elastic sharding: live block migration (core/sharded.py) ----------
+# -- elastic sharding: live block migration (runtime/sharded.py) -------
 MIGRATION_STARTED = "migration.started"
 MIGRATION_COMPLETED = "migration.completed"
 MIGRATION_ABORTED = "migration.aborted"

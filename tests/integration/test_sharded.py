@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.sharded import BlockStore, ShardedServerHost, add_shard_client
 from repro.errors import ConfigurationError
+from repro.runtime.sharded import BlockStore, ShardedServerHost, add_shard_client
 from repro.runtime.sim_net import ServerHost
+from repro.sim.counters import SHARD_STALE_DROPPED
 
 
 def test_blocks_are_independent():
@@ -41,6 +42,22 @@ def test_block_bounds_checked():
         store.write_block(-1, b"")
     with pytest.raises(ConfigurationError):
         BlockStore.build(num_servers=2, num_blocks=0)
+
+
+def test_a_request_for_a_block_no_ring_holds_is_dropped():
+    """A client without the facade's bounds check asks for block 7 of 2:
+    no placement entry exists to redirect to, so the host drops the
+    request, counted, and the operation fails by its own retries."""
+    store = BlockStore.build(
+        num_servers=2, num_blocks=2, seed=35,
+        protocol=ProtocolConfig(client_timeout=0.05, client_max_retries=2),
+    )  # fmt: skip
+    cluster = store.cluster
+    done: list = []
+    add_shard_client(cluster).read_block(7, done.append)
+    cluster.run_until(lambda: bool(done))
+    assert not done[0].ok
+    assert cluster.env.trace.counters[SHARD_STALE_DROPPED] >= 1
 
 
 def test_retry_after_block_switch_stays_in_its_block():

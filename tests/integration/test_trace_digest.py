@@ -27,8 +27,8 @@ import hashlib
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.sharded import ShardedServerHost, add_shard_client
 from repro.fd.heartbeat import HeartbeatConfig
+from repro.runtime.sharded import ShardedServerHost, add_shard_client
 from repro.runtime.sim_net import SimCluster
 from repro.sim.faults import FaultPlan
 from tests.helpers import run_faulted_cluster

@@ -79,7 +79,7 @@ def test_for_detector_rejects_every_other_combination(fd, given, elastic):
 
 
 def test_both_runtimes_and_the_elastic_builder_apply_the_one_rule():
-    from repro.core.sharded import build_elastic_cluster
+    from repro.runtime.sharded import build_elastic_cluster
     from repro.runtime.asyncio_net import AsyncCluster
 
     assert ClusterConfig(num_servers=3, fd="heartbeat").validate().protocol.view_quorum

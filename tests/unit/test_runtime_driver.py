@@ -350,14 +350,19 @@ def test_one_pump_per_incarnation_and_poll_starts_it_under_heartbeat():
     assert not perfect.timers, "poll is inert under the perfect detector"
 
 
-def test_oracle_says_nobody_is_alive_resume_alone():
+def test_an_empty_sponsor_list_keeps_rejoining_and_rearms_the_pump():
+    """No sponsor is never a licence to serve: the pump waits with its
+    backoff and announces once a sponsor is up again."""
     proto = FakeProto()
     proto.rejoining = True
-    host = FakeHost([proto], sponsors=None)
+    host = FakeHost([proto], sponsors=[])
     host.make_driver(heartbeat=None).start()
-    assert ("complete_rejoin_alone",) in proto.calls
-    assert ("p", "complete_rejoin_alone") in host.posted
-    assert not proto.announced and not host.timers
+    host.advance(1.75)  # attempts at 0, 0.25, 0.75 and 1.75
+    assert proto.rejoining and not proto.calls and not proto.announced
+    assert len(host.timers) == 1, "the pump re-arms while nobody sponsors"
+    host.sponsors = [2]
+    host.advance(2.75)
+    assert proto.announced == [2] and proto.rejoining
 
 
 def test_no_reachable_sponsor_keeps_the_pump_alive():

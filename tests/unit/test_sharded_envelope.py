@@ -13,8 +13,8 @@ from repro.core.messages import (
     PreWrite,
     payload_size,
 )
-from repro.core.sharded import BlockStore, ShardEnvelope
 from repro.core.tags import Tag
+from repro.runtime.sharded import BlockStore, ShardEnvelope
 from repro.runtime.sim_net import _payload_of
 
 

@@ -3,8 +3,8 @@ mixed value sizes, and the spec validation that guards them."""
 
 import pytest
 
-from repro.core.sharded import BlockStore
 from repro.errors import ConfigurationError
+from repro.runtime.sharded import BlockStore
 from repro.workload.generator import LoadDriver, WorkloadSpec
 
 
@@ -133,7 +133,7 @@ def test_fixed_value_size_without_tuple():
 
 
 def test_block_mode_machines_are_shard_clients():
-    from repro.core.sharded import ShardClientHost
+    from repro.runtime.sharded import ShardClientHost
 
     spec = WorkloadSpec(num_blocks=2, reader_machines_per_server=1)
     driver = _driver(spec)
