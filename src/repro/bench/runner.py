@@ -113,22 +113,19 @@ class Scenario:
     seed_offset: int = 0
     #: Failure detector the cluster runs ("perfect" or "heartbeat").
     fd: str = "perfect"
-    #: Epoch-scoped read leases (implies heartbeat + view_quorum): reads
+    #: Epoch-scoped read leases (needs fd="heartbeat", which forces
+    #: quorum-installed views, ``ProtocolConfig.for_detector``): reads
     #: are served locally under a valid lease, zero ring messages.
     read_leases: bool = False
     #: With ``read_leases`` but no grants, every read takes the fence
     #: fallback around the ring — the measured circulating baseline the
     #: leased scenario's win is quoted against.
     grant_leases: bool = True
-    #: Value backend ("replicated" or "coded"); "coded" implies
-    #: view_quorum and sets coding_n to the ring size.
+    #: Value backend ("replicated" or "coded"); "coded" needs
+    #: fd="heartbeat" and sets coding_n to the ring size.
     value_coding: str = "replicated"
     #: Data fragments per stripe when ``value_coding == "coded"``.
     coding_k: int = 2
-    #: Force quorum-installed views even without leases/coding — used so
-    #: a replicated comparison scenario differs from its coded twin in
-    #: the value backend only.
-    view_quorum: bool = False
     #: Stretch warmup and window by this factor.  The 64 KiB pair needs
     #: it: at quick windows a replicated write pipeline completes only
     #: ~64 ops per window while holding 64 in flight, so ramp-up
@@ -192,7 +189,7 @@ SCENARIOS = (
     # backend, gated by test_bench_snapshots.
     Scenario(
         "replicated_large_value", large_write_scenario, servers=4,
-        seed_offset=7, fd="heartbeat", view_quorum=True, window_scale=3.0,
+        seed_offset=7, fd="heartbeat", window_scale=3.0,
         batch_max_messages=1,
     ),
     Scenario(
@@ -257,16 +254,11 @@ def run_scenario(
     spec = scenario.spec_factory()
     build_kwargs = {}
     if scenario.read_leases:
-        protocol = replace(
-            protocol or ProtocolConfig(), view_quorum=True, read_leases=True
-        )
+        protocol = replace(protocol or ProtocolConfig(), read_leases=True)
         build_kwargs["heartbeat"] = _calm_heartbeat(scenario.grant_leases)
-    if scenario.view_quorum:
-        protocol = replace(protocol or ProtocolConfig(), view_quorum=True)
     if scenario.value_coding == "coded":
         protocol = replace(
             protocol or ProtocolConfig(),
-            view_quorum=True,
             value_coding="coded",
             coding_k=scenario.coding_k,
             coding_n=scenario.servers,

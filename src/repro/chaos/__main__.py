@@ -41,15 +41,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import Optional
 
-from repro.chaos.runner import TARGETS, ChaosResult, run_schedule
+from repro.chaos.runner import FEATURES, TARGETS, ChaosResult, run_schedule, target_for
 from repro.chaos.schedule import (
     CODED_K,
     FAULT_KINDS,
     PROFILES,
     ChaosProfile,
     generate_schedule,
+)
+from repro.sim.counters import (
+    RELIABLE_BATCHED_FRAMES,
+    RELIABLE_BATCHED_MESSAGES,
+    RELIABLE_DUPS_SUPPRESSED,
+    RELIABLE_RETRANSMITS,
 )
 
 #: Fault types the acceptance gate requires to have demonstrably fired
@@ -135,86 +142,64 @@ def main(argv: list[str] | None = None) -> int:
                          f"got --servers {args.servers}")
         if args.smoke:
             parser.error("--smoke runs fixed profiles; drop --profile")
-        if args.protocols not in ("core", "sharded"):
-            parser.error("--profile only applies to the core or sharded protocol")
-        if args.protocols == "sharded" and profile.name not in ("scale", "skew"):
-            parser.error("the sharded protocol only runs 'scale' or 'skew' "
-                         "schedules")
+        tolerant = [name for name, target in TARGETS.items() if target.tolerant]
+        if args.protocols not in tolerant:
+            parser.error(f"--profile only applies to the {' or '.join(tolerant)} "
+                         "protocol")
+        named = TARGETS[args.protocols]
+        # A one-register target hands a sharded profile to the block
+        # store below; the block store has no one-register schedules.
+        if named.profile.sharded and not named.accepts(profile):
+            shapes = [repr(name) for name, known in PROFILES.items()
+                      if named.accepts(known)]
+            parser.error(f"the {args.protocols} protocol only runs "
+                         f"{' or '.join(shapes)} schedules")
     if args.smoke:
         batches = [("core", 12), ("abd", 2), ("chain", 2), ("tob", 2), ("naive", 2)]
+    elif profile is not None:
+        # A profile runs on the target of its shape: `--profile scale`
+        # or `skew` *is* the sharded block store (skew additionally runs
+        # it elastic, with the rebalancer live-migrating blocks mid-run).
+        batches = [(target_for(profile), args.runs)]
     else:
         if args.protocols == "all":
             # 'all' means the single-register zoo; the sharded target runs
             # multi-thousand-op schedules and is opted into explicitly
             # (--profile scale or --protocols sharded) so 'all' batches
             # keep their historical cost.
-            names = [name for name in TARGETS if name != "sharded"]
+            names = [name for name, target in TARGETS.items()
+                     if not target.profile.sharded]
         else:
             names = args.protocols.split(",")
         for name in names:
             if name not in TARGETS:
                 parser.error(f"unknown protocol {name!r}; choices: {','.join(TARGETS)}")
         batches = [(name, args.runs) for name in names]
-    if profile is not None and profile.name in ("scale", "skew"):
-        # The scale and skew profiles *are* the sharded block store:
-        # `--profile scale|skew` retargets the batch at the
-        # multi-register cluster (skew additionally runs it elastic, with
-        # the rebalancer live-migrating blocks mid-run).
-        batches = [("sharded", args.runs)]
 
     failures = 0
     anomalies = 0
-    retransmits = 0
-    dups_suppressed = 0
-    batched_frames = 0
-    batched_messages = 0
-    wrong_suspicions = 0
-    lease_local_reads = 0
-    lease_fallbacks = 0
-    lease_waitouts = 0
-    coding_fragment_stores = 0
-    coding_reconstructions = 0
-    coding_repairs = 0
+    totals: Counter[str] = Counter()
     sharded_blocks = 0
     sharded_min_coverage = None
-    migrations_completed = 0
-    migrations_aborted = 0
-    migration_splits = 0
-    shard_redirects = 0
     exercised: set[str] = set()
     #: Coverage accumulated over the profile-gated batches (the core
     #: ring protocol and its sharded block-store variant) — the
     #: baselines' gentle schedules would dilute the gate.
     gated_exercised: set[str] = set()
     for protocol, runs in batches:
-        batch_profile = profile if protocol in ("core", "sharded") else None
-        profile_name = (batch_profile or TARGETS[protocol].profile).name
+        profile_name = (profile or TARGETS[protocol].profile).name
         if not args.quiet:
             print(f"== {protocol}: {runs} randomized {profile_name!r} schedules "
                   f"(seed {args.seed}) ==")
         results = run_batch(protocol, runs, args.seed, args.servers,
-                            verbose=not args.quiet, profile=batch_profile)
+                            verbose=not args.quiet, profile=profile)
         passed = sum(1 for result in results if result.ok)
         failures += sum(1 for result in results if not result.ok)
         anomalies += sum(1 for result in results if result.anomaly)
         for result in results:
+            totals.update(result.counters)
             exercised |= result.exercised
-            retransmits += result.retransmits
-            dups_suppressed += result.dups_suppressed
-            batched_frames += result.batched_frames
-            batched_messages += result.batched_messages
-            wrong_suspicions += result.wrong_suspicions
-            lease_local_reads += result.lease_local_reads
-            lease_fallbacks += result.lease_fallbacks
-            lease_waitouts += result.lease_waitouts
-            coding_fragment_stores += result.coding_fragment_stores
-            coding_reconstructions += result.coding_reconstructions
-            coding_repairs += result.coding_repairs
-            migrations_completed += result.migrations_completed
-            migrations_aborted += result.migrations_aborted
-            migration_splits += result.migration_splits
-            shard_redirects += result.shard_redirects
-            if protocol in ("core", "sharded"):
+            if TARGETS[protocol].tolerant:
                 gated_exercised |= result.exercised
             if result.tag_coverage is not None:
                 sharded_blocks += result.blocks_checked
@@ -228,11 +213,11 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"fault types exercised: "
           f"{', '.join(kind for kind in FAULT_KINDS if kind in exercised) or 'none'}")
-    print(f"reliable transport: {retransmits} retransmission(s), "
-          f"{dups_suppressed} duplicate(s) suppressed")
-    if batched_frames:
-        print(f"ring-frame batching: {batched_messages} message(s) shared "
-              f"{batched_frames} batch frame(s)")
+    print(f"reliable transport: {totals[RELIABLE_RETRANSMITS]} retransmission(s), "
+          f"{totals[RELIABLE_DUPS_SUPPRESSED]} duplicate(s) suppressed")
+    if totals[RELIABLE_BATCHED_FRAMES]:
+        print(f"ring-frame batching: {totals[RELIABLE_BATCHED_MESSAGES]} message(s) "
+              f"shared {totals[RELIABLE_BATCHED_FRAMES]} batch frame(s)")
     if anomalies:
         print(f"expected anomalies observed (naive baseline): {anomalies}")
     if sharded_min_coverage is not None:
@@ -241,29 +226,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{sharded_min_coverage:.3f}")
 
     gated = [(protocol, runs) for protocol, runs in batches
-             if protocol in ("core", "sharded")]
-    if profile is not None:
-        gate_profile = profile
-    elif gated:
-        gate_profile = TARGETS[gated[0][0]].profile
-    else:
-        gate_profile = TARGETS["core"].profile
-    if gate_profile.fd == "heartbeat":
-        print(f"imperfect detector: {wrong_suspicions} wrong suspicion(s) "
-              "of live servers, all runs gated through the checker")
-    if gate_profile.read_leases:
-        print(f"read leases: {lease_local_reads} read(s) served locally, "
-              f"{lease_fallbacks} fence fallback(s), "
-              f"{lease_waitouts} old-epoch wait-out(s)")
-    if gate_profile.value_coding == "coded":
-        print(f"coded backend: {coding_fragment_stores} fragment(s) "
-              f"scattered, {coding_reconstructions} reconstruction(s), "
-              f"{coding_repairs} fragment repair(s)")
-    if gate_profile.elastic:
-        print(f"elastic placement: {migrations_completed} migration(s) "
-              f"completed, {migrations_aborted} aborted, "
-              f"{migration_splits} hot-block split(s), "
-              f"{shard_redirects} client redirect(s)")
+             if TARGETS[protocol].tolerant]
+    gate_profile = profile or TARGETS[gated[0][0] if gated else "core"].profile
+    features = [feature for feature in FEATURES if feature.on(gate_profile)]
+    for feature in features:
+        print(feature.summary.format(*(totals[name] for name in feature.shown)))
 
     code = 0
     if failures:
@@ -279,28 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     if missing and gated_runs >= 10:
         print(f"FAIL: fault coverage incomplete, never fired: {', '.join(missing)}")
         code = 1
-    if gate_profile.fd == "heartbeat" and gated_runs >= 10 and not wrong_suspicions:
-        print("FAIL: no run wrongly suspected a live server — the batch "
-              "never exercised the imperfect detector's defining hazard")
-        code = 1
-    if gate_profile.read_leases and gated_runs >= 10 and not lease_local_reads:
-        print("FAIL: no read was served locally under a lease — the batch "
-              "fenced everything and never exercised the leased path")
-        code = 1
-    if (gate_profile.value_coding == "coded" and gated_runs >= 10
-            and not coding_repairs):
-        print("FAIL: no fragment was ever repaired from peers — the batch "
-              "never exercised coded durability (merge union / RADON "
-              "repair), only coded steady state")
-        code = 1
-    # Aborts need a crash to land inside a migration's short drain/transfer
-    # window — rarer than the per-run fault kinds, so this gate needs a
-    # bigger batch before "never fired" is evidence of a dead code path.
-    if gate_profile.elastic and gated_runs >= 20 and not migrations_aborted:
-        print("FAIL: no migration was ever aborted — the batch never "
-              "exercised the crash-mid-migration abort path (staged state "
-              "discarded, parked requests replayed)")
-        code = 1
+    for feature in features:
+        if gated_runs >= feature.min_runs and not totals[feature.gate]:
+            print(f"FAIL: {feature.fail}")
+            code = 1
     if code == 0:
         print("chaos: all gates green")
     return code

@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,10 +34,7 @@ from repro.baselines import (
 from repro.chaos.schedule import (
     CORE_PROFILE,
     GENTLE_PROFILE,
-    LEASE_PROFILE,
-    PARTITION_PROFILE,
     SCALE_PROFILE,
-    SKEW_PROFILE,
     PROFILES,
     ChaosProfile,
     ChaosSchedule,
@@ -89,6 +87,15 @@ class ProtocolTarget:
     #: Whether a linearizability violation fails the run (False only for
     #: the naive baseline, whose read inversion is the expected anomaly).
     atomic: bool = True
+    #: Whether the target survives every fault profile of its own shape
+    #: (one register or the block store); a failure-free baseline runs
+    #: only its own loss-free profile.
+    tolerant: bool = False
+
+    def accepts(self, profile: ChaosProfile) -> bool:
+        if self.tolerant:
+            return profile.sharded == self.profile.sharded
+        return profile is self.profile
 
 
 def _build_core(num_servers: int, **kwargs) -> SimCluster:
@@ -105,13 +112,22 @@ def _build_sharded(num_servers: int, num_blocks: int = 8, **kwargs) -> SimCluste
 
 
 TARGETS: dict[str, ProtocolTarget] = {
-    "core": ProtocolTarget("core", _build_core, CORE_PROFILE),
-    "sharded": ProtocolTarget("sharded", _build_sharded, SCALE_PROFILE),
+    "core": ProtocolTarget("core", _build_core, CORE_PROFILE, tolerant=True),
+    "sharded": ProtocolTarget("sharded", _build_sharded, SCALE_PROFILE, tolerant=True),
     "abd": ProtocolTarget("abd", build_abd_cluster, GENTLE_PROFILE),
     "chain": ProtocolTarget("chain", build_chain_cluster, GENTLE_PROFILE),
     "tob": ProtocolTarget("tob", build_tob_cluster, GENTLE_PROFILE),
     "naive": ProtocolTarget("naive", build_naive_cluster, GENTLE_PROFILE, atomic=False),
 }
+
+
+def target_for(profile: ChaosProfile) -> str:
+    """The tolerant target that runs ``profile``: its shape decides."""
+    return next(
+        name for name, target in TARGETS.items()
+        if target.tolerant and target.accepts(profile)
+    )  # fmt: skip
+
 
 #: Trace counters proving a fault type actually fired during a run.
 #: Where possible these count *effect*, not injection: a partition is
@@ -129,6 +145,94 @@ _KIND_COUNTERS = {
     "clock_skew": (NEMESIS_CLOCK_SKEWS,),
 }
 
+#: The counter fragments of a run's line, in order: the format, the
+#: counters it shows, and the counters any of which, nonzero, make it
+#: show (none: always shown).  Session retransmits and suppressed
+#: duplicates prove the channel machinery, not generator restraint,
+#: kept the run in the reliable-FIFO model; the rest prove a feature's
+#: path ran rather than degenerating (one-message frames, all reads
+#: fenced, coded steady state only).
+RUN_FRAGMENTS = (
+    ("rtx={} dup={} ", (RELIABLE_RETRANSMITS, RELIABLE_DUPS_SUPPRESSED), ()),
+    ("batched={}f/{}m ", (RELIABLE_BATCHED_FRAMES, RELIABLE_BATCHED_MESSAGES),
+     (RELIABLE_BATCHED_FRAMES,)),
+    ("wrongsusp={} stale={} ", (FD_WRONG_SUSPICIONS, EPOCH_STALE_DROPPED),
+     (FD_WRONG_SUSPICIONS, EPOCH_STALE_DROPPED)),
+    ("lease={}lo/{}fb/{}wo ", (LEASE_LOCAL_READS, LEASE_FALLBACKS, LEASE_WAITOUTS),
+     (LEASE_LOCAL_READS, LEASE_FALLBACKS)),
+    ("coded={}fs/{}rc/{}rp ",
+     (CODING_FRAGMENT_STORES, CODING_RECONSTRUCTIONS, CODING_REPAIRS),
+     (CODING_FRAGMENT_STORES, CODING_REPAIRS)),
+)  # fmt: skip
+
+_MIGRATIONS = (MIGRATION_COMPLETED, MIGRATION_ABORTED, MIGRATION_SPLITS, SHARD_REDIRECTS)
+
+
+@dataclass(frozen=True)
+class Feature:
+    """What a batch must prove about one profile feature.
+
+    The feature is on when the gated profile's ``field`` equals
+    ``value``.  Its summary line formats the batch totals of ``shown``;
+    its gate fails a batch of at least ``min_runs`` gated runs in which
+    the ``gate`` counter never fired: such a batch passed the checker
+    without exercising the path under test.
+    """
+
+    field: str
+    value: object
+    summary: str
+    shown: tuple[str, ...]
+    gate: str
+    min_runs: int
+    fail: str
+
+    def on(self, profile: ChaosProfile) -> bool:
+        return getattr(profile, self.field) == self.value
+
+
+FEATURES = (
+    Feature(
+        "fd", "heartbeat",
+        "imperfect detector: {} wrong suspicion(s) of live servers, all "
+        "runs gated through the checker", (FD_WRONG_SUSPICIONS,),
+        FD_WRONG_SUSPICIONS, 10,
+        "no run wrongly suspected a live server — the batch never "
+        "exercised the imperfect detector's defining hazard",
+    ),
+    Feature(
+        "read_leases", True,
+        "read leases: {} read(s) served locally, {} fence fallback(s), "
+        "{} old-epoch wait-out(s)", (LEASE_LOCAL_READS, LEASE_FALLBACKS, LEASE_WAITOUTS),
+        LEASE_LOCAL_READS, 10,
+        "no read was served locally under a lease — the batch fenced "
+        "everything and never exercised the leased path",
+    ),
+    Feature(
+        "value_coding", "coded",
+        "coded backend: {} fragment(s) scattered, {} reconstruction(s), "
+        "{} fragment repair(s)",
+        (CODING_FRAGMENT_STORES, CODING_RECONSTRUCTIONS, CODING_REPAIRS),
+        CODING_REPAIRS, 10,
+        "no fragment was ever repaired from peers — the batch never "
+        "exercised coded durability (merge union / RADON repair), only "
+        "coded steady state",
+    ),
+    # Aborts need a crash to land inside a migration's short
+    # drain/transfer window — rarer than the per-run fault kinds, so
+    # this gate needs a bigger batch before "never fired" is evidence
+    # of a dead code path.
+    Feature(
+        "elastic", True,
+        "elastic placement: {} migration(s) completed, {} aborted, {} "
+        "hot-block split(s), {} client redirect(s)", _MIGRATIONS,
+        MIGRATION_ABORTED, 20,
+        "no migration was ever aborted — the batch never exercised the "
+        "crash-mid-migration abort path (staged state discarded, parked "
+        "requests replayed)",
+    ),
+)  # fmt: skip
+
 
 @dataclass
 class ChaosResult:
@@ -145,57 +249,29 @@ class ChaosResult:
     #: near-empty history passes the linearizability check vacuously, so
     #: safety alone would let a total deadlock report green.
     ops_required: int = 0
-    exercised: set[str] = field(default_factory=set)
-    #: Session-layer activity (repro.transport.reliable): proof that the
-    #: implemented channel machinery — not generator restraint — is what
-    #: kept the run inside the protocol's reliable-FIFO model.
-    retransmits: int = 0
-    dups_suppressed: int = 0
-    #: Ring-frame batching activity: frames that carried more than one
-    #: session segment, and the segments they carried.  Nonzero proves a
-    #: batched run actually exercised the batched wire path rather than
-    #: degenerating to one-message frames.
-    batched_frames: int = 0
-    batched_messages: int = 0
-    #: Imperfect-detector activity (fd="heartbeat" profiles): suspicions
-    #: raised against servers that were actually alive — the in-trace
-    #: proof that a run exercised wrong suspicion — and data frames the
-    #: epoch guard rejected as stale.
-    wrong_suspicions: int = 0
-    stale_epoch_drops: int = 0
-    #: Leased-read activity (``read_leases`` profiles): reads served
-    #: locally under a valid lease, reads that fell back to a ring
-    #: fence, and old-epoch wait-outs honoured at view installs — the
-    #: in-trace proof that a run exercised the leased path and its
-    #: safety machinery rather than silently fencing everything.
-    lease_local_reads: int = 0
-    lease_fallbacks: int = 0
-    lease_waitouts: int = 0
-    #: Coded-backend activity (``value_coding="coded"`` profiles):
-    #: fragments scattered by writes, full-value reconstructions served
-    #: to readers, and fragment *repairs* — shares re-derived from k
-    #: peers by a reconfiguration merge or a read that found its local
-    #: share stale.  Nonzero repairs are the in-trace proof that a run
-    #: exercised coded durability, not just coded steady state.
-    coding_fragment_stores: int = 0
-    coding_reconstructions: int = 0
-    coding_repairs: int = 0
+    #: The run's trace counters by registered name
+    #: (:mod:`repro.sim.counters`): the evidence of which faults fired
+    #: and what each feature did, for the run line and the batch gates.
+    counters: Counter = field(default_factory=Counter)
     #: Sharded runs: how many per-block histories passed the tagged
     #: gate, and the fraction of completed operations carrying a
     #: protocol tag (the gate demands 1.0 — an untagged op would make
     #: the tagged check vacuous, not green).
     blocks_checked: int = 0
     tag_coverage: Optional[float] = None
-    #: Elastic runs: live-migration activity.  ``migration_required``
-    #: makes completed migrations part of the per-run gate — a skew run
-    #: whose rebalancer never moved a block would pass the checker
-    #: while exercising none of the machinery under test.
+    #: Elastic runs: completed migrations are part of the per-run gate
+    #: — a skew run whose rebalancer never moved a block would pass the
+    #: checker while exercising none of the machinery under test.
     migration_required: bool = False
-    migrations_completed: int = 0
-    migrations_aborted: int = 0
-    migration_splits: int = 0
-    shard_redirects: int = 0
     wall_seconds: float = 0.0
+
+    @property
+    def exercised(self) -> set[str]:
+        return {
+            kind
+            for kind, names in _KIND_COUNTERS.items()
+            if any(self.counters[name] for name in names)
+        }
 
     @property
     def progressed(self) -> bool:
@@ -203,7 +279,7 @@ class ChaosResult:
 
     @property
     def migrated(self) -> bool:
-        return not self.migration_required or self.migrations_completed >= 1
+        return not self.migration_required or self.counters[MIGRATION_COMPLETED] >= 1
 
     @property
     def ok(self) -> bool:
@@ -233,47 +309,21 @@ class ChaosResult:
         else:
             verdict = f"VIOLATION: {self.reason}"
         kinds = ",".join(sorted(self.exercised)) or "none"
-        imperfect = (
-            f"wrongsusp={self.wrong_suspicions} stale={self.stale_epoch_drops} "
-            if self.wrong_suspicions or self.stale_epoch_drops
-            else ""
+        counts = self.counters
+        shown = "".join(
+            form.format(*(counts[name] for name in names))
+            for form, names, shows_if in RUN_FRAGMENTS
+            if not shows_if or any(counts[name] for name in shows_if)
         )
-        leases = (
-            f"lease={self.lease_local_reads}lo/{self.lease_fallbacks}fb/"
-            f"{self.lease_waitouts}wo "
-            if self.lease_local_reads or self.lease_fallbacks
-            else ""
-        )
-        coded = (
-            f"coded={self.coding_fragment_stores}fs/"
-            f"{self.coding_reconstructions}rc/{self.coding_repairs}rp "
-            if self.coding_fragment_stores or self.coding_repairs
-            else ""
-        )
-        sharded = (
-            f"blocks={self.blocks_checked} "
-            f"tagcov={self.tag_coverage:.3f} "
-            if self.tag_coverage is not None
-            else ""
-        )
-        elastic = (
-            f"mig={self.migrations_completed}c/{self.migrations_aborted}a/"
-            f"{self.migration_splits}s redir={self.shard_redirects} "
-            if self.migration_required
-            else ""
-        )
-        batching = (
-            f"batched={self.batched_frames}f/{self.batched_messages}m "
-            if self.batched_frames
-            else ""
-        )
+        if self.tag_coverage is not None:
+            shown += f"blocks={self.blocks_checked} tagcov={self.tag_coverage:.3f} "
+        if self.migration_required:
+            shown += "mig={}c/{}a/{}s redir={} ".format(*(counts[n] for n in _MIGRATIONS))
         return (
             f"{self.protocol:<5} {self.schedule.describe()} "
             f"done={self.ops_completed} open={self.ops_open} "
             f"failed={self.ops_failed} hit={kinds} "
-            f"rtx={self.retransmits} dup={self.dups_suppressed} {batching}"
-            f"{imperfect}{leases}{coded}{sharded}{elastic}"
-            f"-> {verdict} ({self.wall_seconds:.2f}s)"
+            f"{shown}-> {verdict} ({self.wall_seconds:.2f}s)"
         )
 
 
@@ -284,29 +334,20 @@ def run_schedule(schedule: ChaosSchedule, protocol: str = "core") -> ChaosResult
         raise ConfigurationError(
             f"unknown protocol {protocol!r}; choose from {sorted(TARGETS)}"
         )
-    allowed_profiles = {target.profile.name}
-    if protocol == "sharded":
-        # The sharded block store runs both the uniform benchmark-scale
-        # profile and the elastic skewed one.
-        allowed_profiles.add(SKEW_PROFILE.name)
-    if protocol != "core" and schedule.profile not in allowed_profiles:
-        raise ConfigurationError(
-            f"protocol {protocol!r} only survives {sorted(allowed_profiles)} "
-            f"schedules, got a {schedule.profile!r} one (crashes and message "
-            "loss are outside the failure-free baselines' model)"
-        )
-    if schedule.num_blocks > 1 and protocol != "sharded":
-        raise ConfigurationError(
-            f"schedule targets {schedule.num_blocks} blocks; only the "
-            "'sharded' protocol hosts a multi-register cluster"
-        )
     profile = PROFILES.get(schedule.profile, target.profile)
+    if not target.accepts(profile):
+        accepted = [name for name, known in PROFILES.items() if target.accepts(known)]
+        raise ConfigurationError(
+            f"protocol {protocol!r} only runs {accepted} schedules, got a "
+            f"{schedule.profile!r} one (a baseline survives no crash or "
+            "loss; a profile's block count picks one register or the store)"
+        )
     builder_kwargs = {}
     if profile.fd != "perfect":
         # Heartbeat schedules run the imperfect detector (and therefore
         # epoch-guarded quorum-installed views) in the cluster.
         builder_kwargs["fd"] = profile.fd
-    if protocol == "sharded":
+    if profile.sharded:
         builder_kwargs["num_blocks"] = schedule.num_blocks
     started = time.perf_counter()
     if profile.elastic:
@@ -348,11 +389,11 @@ def run_schedule(schedule: ChaosSchedule, protocol: str = "core") -> ChaosResult
     # workload demonstrably overlaps every scheduled fault window; the
     # stagger desynchronises clients to maximise read/write concurrency.
     pacing = schedule.workload_span / max(1, schedule.ops_per_client)
-
-    if protocol == "sharded":
-        _spawn_sharded_workload(schedule, cluster, progress, pacing)
+    if profile.sharded:
+        client = _block_clients(schedule, cluster, profile)
     else:
-        _spawn_register_workload(schedule, cluster, progress, pacing)
+        client = _register_clients(schedule, cluster)
+    _spawn_workload(schedule, cluster, progress, pacing, client)
 
     # Faults are applied after the clients exist so client-side links
     # (partitions isolating clients) resolve to real processes.
@@ -366,17 +407,11 @@ def run_schedule(schedule: ChaosSchedule, protocol: str = "core") -> ChaosResult
     cluster.history.close()
     blocks_checked = 0
     tag_coverage = None
-    if protocol == "sharded":
+    if profile.sharded:
         ok, reason, blocks_checked, tag_coverage = _gate_sharded(cluster.history)
     else:
         ok, reason = check_register_history(cluster.history)
 
-    counters = cluster.env.trace.counters
-    exercised = {
-        kind
-        for kind, names in _KIND_COUNTERS.items()
-        if any(counters.get(name, 0) > 0 for name in names)
-    }
     completed = len(cluster.history.completed())
     total_ops = schedule.num_clients * schedule.ops_per_client
     # Gentle schedules lose nothing, so every operation must complete;
@@ -395,35 +430,24 @@ def run_schedule(schedule: ChaosSchedule, protocol: str = "core") -> ChaosResult
         ops_open=len(cluster.history) - completed,
         ops_failed=progress["failed"],
         ops_required=required,
-        exercised=exercised,
-        retransmits=counters.get(RELIABLE_RETRANSMITS, 0),
-        dups_suppressed=counters.get(RELIABLE_DUPS_SUPPRESSED, 0),
-        batched_frames=counters.get(RELIABLE_BATCHED_FRAMES, 0),
-        batched_messages=counters.get(RELIABLE_BATCHED_MESSAGES, 0),
-        wrong_suspicions=counters.get(FD_WRONG_SUSPICIONS, 0),
-        stale_epoch_drops=counters.get(EPOCH_STALE_DROPPED, 0),
-        lease_local_reads=counters.get(LEASE_LOCAL_READS, 0),
-        lease_fallbacks=counters.get(LEASE_FALLBACKS, 0),
-        lease_waitouts=counters.get(LEASE_WAITOUTS, 0),
-        coding_fragment_stores=counters.get(CODING_FRAGMENT_STORES, 0),
-        coding_reconstructions=counters.get(CODING_RECONSTRUCTIONS, 0),
-        coding_repairs=counters.get(CODING_REPAIRS, 0),
+        counters=Counter(cluster.env.trace.counters),
         blocks_checked=blocks_checked,
         tag_coverage=tag_coverage,
         migration_required=profile.elastic,
-        migrations_completed=counters.get(MIGRATION_COMPLETED, 0),
-        migrations_aborted=counters.get(MIGRATION_ABORTED, 0),
-        migration_splits=counters.get(MIGRATION_SPLITS, 0),
-        shard_redirects=counters.get(SHARD_REDIRECTS, 0),
         wall_seconds=time.perf_counter() - started,
     )
 
 
-def _spawn_register_workload(schedule, cluster, progress, pacing) -> None:
-    """Closed-loop workload over the single register: one client machine
-    per logical client, reads and writes paced across the fault span."""
+def _spawn_workload(schedule, cluster, progress, pacing, client) -> None:
+    """The closed loop: logical client ``index`` (writers first, then
+    readers) starts ``pacing * index / num_clients`` in and issues its
+    ``ops_per_client`` operations ``pacing`` apart, each after the last
+    completes.  ``client(index, kind)`` attaches the client and returns
+    its ``issue(seq, on_complete)``."""
+    scheduler = cluster.env.scheduler
+    roles = ["write"] * schedule.writers + ["read"] * schedule.readers
 
-    def spawn(host, kind: str, stagger: float) -> None:
+    def spawn(op, stagger: float) -> None:
         state = {"seq": 0}
 
         def on_complete(result) -> None:
@@ -433,28 +457,38 @@ def _spawn_register_workload(schedule, cluster, progress, pacing) -> None:
             if state["seq"] >= schedule.ops_per_client:
                 progress["left"] -= 1
                 return
-            cluster.env.scheduler.schedule(pacing, issue)
+            scheduler.schedule(pacing, issue)
 
         def issue() -> None:
-            if kind == "write":
-                stamp = b"%d:%d" % (host.client_id, state["seq"])
-                host.write(stamp.ljust(schedule.value_size, b"."), on_complete)
-            else:
-                host.read(on_complete)
+            op(state["seq"], on_complete)
 
-        cluster.env.scheduler.schedule(stagger, issue)
+        scheduler.schedule(stagger, issue)
 
-    num_clients = schedule.num_clients
-    for i in range(schedule.writers):
-        spawn(cluster.add_client(home_server=i % schedule.num_servers), "write",
-              stagger=pacing * i / max(1, num_clients))
-    for i in range(schedule.readers):
-        spawn(cluster.add_client(home_server=i % schedule.num_servers), "read",
-              stagger=pacing * (schedule.writers + i) / max(1, num_clients))
+    for index, kind in enumerate(roles):
+        spawn(client(index, kind), stagger=pacing * index / max(1, len(roles)))
 
 
-def _spawn_sharded_workload(schedule, cluster, progress, pacing) -> None:
-    """Benchmark-scale workload over the block store.
+def _register_clients(schedule, cluster):
+    """One client machine per logical client of the single register,
+    homed round-robin within its role."""
+
+    def client(index: int, kind: str):
+        position = index if kind == "write" else index - schedule.writers
+        host = cluster.add_client(home_server=position % schedule.num_servers)
+        if kind == "read":
+            return lambda seq, done: host.read(done)
+
+        def write(seq: int, done) -> None:
+            stamp = b"%d:%d" % (host.client_id, seq)
+            host.write(stamp.ljust(schedule.value_size, b"."), done)
+
+        return write
+
+    return client
+
+
+def _block_clients(schedule, cluster, profile: ChaosProfile):
+    """Benchmark-scale clients of the block store.
 
     The paper's methodology scaled out by emulating clients: "the client
     application can emulate multiple clients... a single writing node can
@@ -470,14 +504,11 @@ def _spawn_sharded_workload(schedule, cluster, progress, pacing) -> None:
     rng = random.Random(
         derive_seed(schedule.seed, f"chaos.workload.{schedule.profile}.{schedule.index}")
     )
-    chaos_profile = PROFILES.get(schedule.profile)
-    elastic = chaos_profile is not None and chaos_profile.elastic
-    hop_p = 0.1 if elastic else 0.2
+    hop_p = 0.1 if profile.elastic else 0.2
     machines = [
         add_shard_client(cluster, home_server=i % schedule.num_servers)
         for i in range(max(1, schedule.client_machines))
     ]
-    roles = ["write"] * schedule.writers + ["read"] * schedule.readers
 
     def elastic_home(pos: int) -> int:
         # Skewed homes are the whole point of the skew profile: the first
@@ -494,44 +525,27 @@ def _spawn_sharded_workload(schedule, cluster, progress, pacing) -> None:
             return 1 % schedule.num_blocks
         return rng.randrange(schedule.num_blocks)
 
-    def spawn(host, vid: int, kind: str, home: int, stagger: float) -> None:
-        state = {"seq": 0}
-
-        def on_complete(result) -> None:
-            if not result.ok:
-                progress["failed"] += 1
-            state["seq"] += 1
-            if state["seq"] >= schedule.ops_per_client:
-                progress["left"] -= 1
-                return
-            cluster.env.scheduler.schedule(pacing, issue)
-
-        def issue() -> None:
-            if rng.random() < hop_p:
-                reg = rng.randrange(schedule.num_blocks)
-            else:
-                reg = home
-            if kind == "write":
-                stamp = b"%d:%d" % (vid, state["seq"])
-                host.write_block(
-                    reg, stamp.ljust(schedule.value_size, b"."),
-                    on_complete, client_id=vid,
-                )
-            else:
-                host.read_block(reg, on_complete, client_id=vid)
-
-        cluster.env.scheduler.schedule(stagger, issue)
-
-    for index, kind in enumerate(roles):
+    def client(index: int, kind: str):
         host = machines[index % len(machines)]
         vid = host.add_virtual_client()
-        if elastic:
-            pos = index if kind == "write" else index - schedule.writers
-            home = elastic_home(pos)
+        if profile.elastic:
+            home = elastic_home(index if kind == "write" else index - schedule.writers)
         else:
             home = index % schedule.num_blocks
-        spawn(host, vid, kind, home=home,
-              stagger=pacing * index / max(1, len(roles)))
+
+        def issue(seq: int, done) -> None:
+            reg = rng.randrange(schedule.num_blocks) if rng.random() < hop_p else home
+            if kind == "write":
+                stamp = b"%d:%d" % (vid, seq)
+                host.write_block(
+                    reg, stamp.ljust(schedule.value_size, b"."), done, client_id=vid
+                )
+            else:
+                host.read_block(reg, done, client_id=vid)
+
+        return issue
+
+    return client
 
 
 #: Below this many blocks the per-block gate runs inline: worker startup

@@ -45,9 +45,7 @@ benchmark scale, gated per block by the tagged checker):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import ProtocolConfig
 from repro.fd.heartbeat import HeartbeatConfig
@@ -127,6 +125,11 @@ class ChaosProfile:
     elastic: bool = False
     rings: tuple[tuple[int, ...], ...] = ()
 
+    @property
+    def sharded(self) -> bool:
+        """Whether schedules run on the multi-register block store."""
+        return self.blocks[0] > 0
+
 
 CORE_PROFILE = ChaosProfile(
     name="core",
@@ -198,26 +201,12 @@ PARTITION_PROFILE = ChaosProfile(
 #: absorb it).  The batch gate additionally demands in-trace leased
 #: local reads: a batch that silently fenced every read would pass the
 #: checker without ever exercising the path under test.
-LEASE_PROFILE = ChaosProfile(
+LEASE_PROFILE = replace(
+    PARTITION_PROFILE,
     name="lease",
-    fd="heartbeat",
-    partition_heavy=True,
     read_leases=True,
-    crash_weights=(0, 1, 1, 2),
-    p_restart=1.0,
-    p_partition=1.0,
-    p_ring_loss=0.45,
-    p_client_loss=0.5,
-    p_duplicate=0.5,
-    p_delay=0.6,
-    p_throttle=0.4,
-    p_pause=0.4,
     p_clock_skew=0.6,
-    retries=True,
-    required_kinds=(
-        "crash", "restart", "partition", "drop", "delay", "duplicate",
-        "clock_skew",
-    ),
+    required_kinds=PARTITION_PROFILE.required_kinds + ("clock_skew",),
 )
 
 #: The erasure-coded value backend under the partition envelope.  Same
@@ -230,23 +219,7 @@ LEASE_PROFILE = ChaosProfile(
 #: gate additionally demands in-trace fragment repairs: a batch whose
 #: merges never repaired a share would pass the checker without ever
 #: exercising the path that makes coded durability work.
-CODED_PROFILE = ChaosProfile(
-    name="coded",
-    fd="heartbeat",
-    partition_heavy=True,
-    value_coding="coded",
-    crash_weights=(0, 1, 1, 2),
-    p_restart=1.0,
-    p_partition=1.0,
-    p_ring_loss=0.45,
-    p_client_loss=0.5,
-    p_duplicate=0.5,
-    p_delay=0.6,
-    p_throttle=0.4,
-    p_pause=0.4,
-    retries=True,
-    required_kinds=("crash", "restart", "partition", "drop", "delay", "duplicate"),
-)
+CODED_PROFILE = replace(PARTITION_PROFILE, name="coded", value_coding="coded")
 
 #: Chaos at benchmark scale: the sharded ``BlockStore`` under the core
 #: fault envelope — crashes with restarts, partitions, link loss, delay,
@@ -399,7 +372,7 @@ def generate_schedule(
     servers = [f"s{i}" for i in range(num_servers)]
     num_blocks = 1
     client_machines = 0
-    if profile.blocks[0] > 0:
+    if profile.sharded:
         # Benchmark scale: 8+ blocks, dozens of *logical* clients spread
         # over a few client machines, enough operations per client that
         # the total clears the profile's floor.  Writer and reader

@@ -696,12 +696,22 @@ class ShardClientHost(ClientHost):
     def write_block(
         self, reg: int, value: bytes, callback: Callable, client_id: Optional[int] = None
     ):
-        self._pending_block[self._logical(client_id)] = reg
+        self._pending_block[self._logical(client_id)] = self._placed(reg)
         return self.write(value, callback, client_id=client_id)
 
     def read_block(self, reg: int, callback: Callable, client_id: Optional[int] = None):
-        self._pending_block[self._logical(client_id)] = reg
+        self._pending_block[self._logical(client_id)] = self._placed(reg)
         return self.read(callback, client_id=client_id)
+
+    def _placed(self, reg: int) -> int:
+        """``reg``, if some ring holds it.  Every server host keeps the
+        whole block table (the shared elastic one or its static copy),
+        so any host can answer; a block none holds would only be
+        dropped by every server until the retries ran out."""
+        host = next(iter(self.cluster.servers.values()))
+        if reg not in host._placement.blocks:
+            raise ConfigurationError(f"block {reg} is held by no ring")
+        return reg
 
     def abort_op(self, client_id: Optional[int] = None):
         op = super().abort_op(client_id)
@@ -911,22 +921,14 @@ class BlockStore:
         )
         return cls(cluster, num_blocks)
 
-    def _check_block(self, index: int) -> None:
-        if not 0 <= index < self.num_blocks:
-            raise ConfigurationError(
-                f"block {index} out of range [0, {self.num_blocks})"
-            )
-
     def write_block(self, index: int, data: bytes) -> None:
         """Write one block; linearizable per block."""
-        self._check_block(index)
         result = self._run(lambda cb: self._client.write_block(index, data, cb))
         if not result.ok:
             self._fail(f"write_block({index})", result.error)
 
     def read_block(self, index: int) -> bytes:
         """Read one block; linearizable per block."""
-        self._check_block(index)
         result = self._run(lambda cb: self._client.read_block(index, cb))
         if not result.ok:
             self._fail(f"read_block({index})", result.error)

@@ -137,7 +137,7 @@ def test_ring_loss_combined_with_crash_stays_linearizable():
     assert result.progressed, (
         f"only {result.ops_completed}/{result.ops_required} required ops"
     )
-    assert result.retransmits > 0, (
+    assert result.counters["reliable.retransmits"] > 0, (
         "the session layer never retransmitted; the loss windows cannot "
         "have been exercised"
     )
@@ -152,8 +152,8 @@ def test_batch_proves_session_layer_fired():
     for index in range(8):
         result = run_schedule(generate_schedule(seed=0, index=index), "core")
         assert result.ok, result.describe()
-        retransmits += result.retransmits
-        dups += result.dups_suppressed
+        retransmits += result.counters["reliable.retransmits"]
+        dups += result.counters["reliable.dups_suppressed"]
     assert retransmits > 0
     assert dups > 0
 
@@ -284,7 +284,7 @@ def test_partition_profile_slice_passes_with_wrong_suspicion_proof():
         schedule = generate_schedule(0, index, 4, PARTITION_PROFILE)
         result = run_schedule(schedule, "core")
         assert result.ok, f"{schedule.describe()}: {result.reason}"
-        wrong += result.wrong_suspicions
+        wrong += result.counters["fd.wrong_suspicions"]
         exercised |= result.exercised
     assert wrong > 0, "no run wrongly suspected a live server"
     assert "partition" in exercised

@@ -33,8 +33,9 @@ def test_core_profile_gates_green_with_batching_enabled():
         )
         result = run_schedule(schedule, "core")
         assert result.ok, result.describe()
-        batched_frames += result.batched_frames
-        assert result.batched_messages >= result.batched_frames * 2
+        frames = result.counters["reliable.batched_frames"]
+        batched_frames += frames
+        assert result.counters["reliable.batched_messages"] >= frames * 2
     assert batched_frames > 0, "no run ever coalesced a frame"
 
 
@@ -47,7 +48,7 @@ def test_scale_profile_gates_green_with_batching_enabled():
     result = run_schedule(small, "sharded")
     assert result.ok, result.describe()
     assert result.tag_coverage == 1.0
-    assert result.batched_frames > 0, "sharded ring never coalesced a frame"
+    assert result.counters["reliable.batched_frames"] > 0, "sharded ring never coalesced a frame"
 
 
 def test_gate_verdict_is_batching_invariant():
@@ -58,13 +59,13 @@ def test_gate_verdict_is_batching_invariant():
     unbatched = run_schedule(_unbatched(schedule), "core")
     assert batched.ok, batched.describe()
     assert unbatched.ok, unbatched.describe()
-    assert unbatched.batched_frames == 0
+    assert unbatched.counters["reliable.batched_frames"] == 0
 
 
 def test_no_batch_flag_disables_the_batched_path():
     schedule = _unbatched(generate_schedule(0, 0, 4, CORE_PROFILE))
     result = run_schedule(schedule, "core")
     assert result.ok, result.describe()
-    assert result.batched_frames == 0
-    assert result.batched_messages == 0
+    assert result.counters["reliable.batched_frames"] == 0
+    assert result.counters["reliable.batched_messages"] == 0
 

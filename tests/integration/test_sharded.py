@@ -6,7 +6,6 @@ from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.runtime.sharded import BlockStore, ShardedServerHost, add_shard_client
 from repro.runtime.sim_net import ServerHost
-from repro.sim.counters import SHARD_STALE_DROPPED
 
 
 def test_blocks_are_independent():
@@ -44,20 +43,34 @@ def test_block_bounds_checked():
         BlockStore.build(num_servers=2, num_blocks=0)
 
 
-def test_a_request_for_a_block_no_ring_holds_is_dropped():
-    """A client without the facade's bounds check asks for block 7 of 2:
-    no placement entry exists to redirect to, so the host drops the
-    request, counted, and the operation fails by its own retries."""
-    store = BlockStore.build(
-        num_servers=2, num_blocks=2, seed=35,
-        protocol=ProtocolConfig(client_timeout=0.05, client_max_retries=2),
-    )  # fmt: skip
+def _refuses_block_7_of_2(store: BlockStore) -> None:
     cluster = store.cluster
+    client = add_shard_client(cluster)
+    before = dict(cluster.env.trace.counters)
     done: list = []
-    add_shard_client(cluster).read_block(7, done.append)
+    with pytest.raises(ConfigurationError, match="block 7"):
+        client.read_block(7, done.append)
+    with pytest.raises(ConfigurationError, match="block 7"):
+        client.write_block(7, b"x", done.append)
+    assert dict(cluster.env.trace.counters) == before, "nothing may be sent"
+    client.read_block(1, done.append)
     cluster.run_until(lambda: bool(done))
-    assert not done[0].ok
-    assert cluster.env.trace.counters[SHARD_STALE_DROPPED] >= 1
+    assert done[0].ok, "the refusal leaves the client usable"
+
+
+def test_a_static_client_refuses_a_block_no_ring_holds():
+    """Block 7 of 2 on a static store: refused at the client, where
+    every server used to drop it until the retries ran out."""
+    _refuses_block_7_of_2(BlockStore.build(num_servers=2, num_blocks=2, seed=35))
+
+
+def test_an_elastic_client_refuses_a_block_no_ring_holds():
+    """The same block on an elastic store: a ``ConfigurationError``
+    naming it, not a ``KeyError`` from the placement table."""
+    store = BlockStore.build(
+        num_servers=4, num_blocks=2, seed=35, rings=[(0, 1), (2, 3)], rebalance=False
+    )
+    _refuses_block_7_of_2(store)
 
 
 def test_retry_after_block_switch_stays_in_its_block():
