@@ -22,8 +22,11 @@ Usage::
     python -m repro.bench.runner --tag pr --check-regression BENCH_batched.json
 
 ``--check-regression`` exits non-zero if any scenario's *simulated*
-ops/s fell more than 20 % below the baseline snapshot (wall-clock
-numbers are machine-dependent and are reported, not gated).
+ops/s fell more than 20 % below the baseline snapshot, or if any
+deterministic field of the baseline is not reproduced exactly — every
+field but the wall-clock ones, ``tag`` and ``python`` — so a committed
+snapshot cannot go stale (wall-clock numbers are machine-dependent and
+are reported, not gated).
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ SCHEMA_VERSION = 1
 
 #: Default regression tolerance for --check-regression (fraction lost).
 REGRESSION_THRESHOLD = 0.20
+
+#: Per-scenario fields that move with the host, not with the code.
+WALL_FIELDS = ("wall_seconds", "wall_ops_per_s")
+#: Top-level fields that name the run rather than measure the code.
+RUN_FIELDS = ("tag", "python")
 
 #: Value size of the coded-vs-replicated pair: large enough that the
 #: value dominates the frame (headers are noise at 64 KiB), so the ring
@@ -463,6 +471,50 @@ def check_regression(
     return failures
 
 
+def _flatten(record: dict, prefix: str = "") -> dict:
+    """``{"write": {"ops": 848}}`` as ``{"write.ops": 848}``."""
+    flat = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def check_drift(current: dict, baseline: dict) -> list[str]:
+    """Every deterministic field on which ``current`` and ``baseline``
+    differ, as ``"<scenario>: <field> <baseline> -> <current>"``.
+
+    Simulated numbers repeat exactly per seed, so any difference means
+    the code changed what it measures and the baseline must be
+    regenerated with it.  Wall-clock fields (:data:`WALL_FIELDS`) and
+    the run's own name (:data:`RUN_FIELDS`) are not compared; a
+    baseline scenario this run lacks is a drift.
+    """
+    drifts: list[str] = []
+    absent = object()
+
+    def compare(where: str, theirs: dict, ours: dict, skipped) -> None:
+        for field in sorted(set(theirs) | set(ours)):
+            was, now = theirs.get(field, absent), ours.get(field, absent)
+            if field not in skipped and was != now:
+                shown = ["(absent)" if v is absent else repr(v) for v in (was, now)]
+                drifts.append(f"{where}: {field} {shown[0]} -> {shown[1]}")
+
+    top = {key: value for key, value in baseline.items() if key != "scenarios"}
+    ours_top = {key: value for key, value in current.items() if key != "scenarios"}
+    compare("snapshot", top, ours_top, RUN_FIELDS)
+    current_by_name = {s["name"]: s for s in current.get("scenarios", ())}
+    for base in baseline.get("scenarios", ()):
+        scenario = current_by_name.get(base["name"])
+        if scenario is None:
+            drifts.append(f"{base['name']}: not in this run")
+        else:
+            compare(base["name"], _flatten(base), _flatten(scenario), WALL_FIELDS)
+    return drifts
+
+
 def _summarise(snapshot: dict) -> str:
     lines = [
         f"tag={snapshot['tag']} quick={snapshot['quick']} "
@@ -525,7 +577,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="directory for BENCH_<tag>.json (default: cwd)")
     parser.add_argument("--check-regression", metavar="BASELINE",
                         help="compare against a committed snapshot; exit "
-                             "non-zero on >20%% simulated ops/s regression")
+                             "non-zero on >20%% simulated ops/s regression "
+                             "or on any drift of a deterministic field")
     parser.add_argument("--threshold", type=float, default=REGRESSION_THRESHOLD,
                         help="regression tolerance as a fraction "
                              "(default 0.20)")
@@ -554,6 +607,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             print("FAIL: simulated throughput regressed:")
             for failure in failures:
                 print(f"  {failure}")
+        drifts = check_drift(snapshot, baseline)
+        if drifts:
+            print(f"FAIL: {len(drifts)} deterministic field(s) differ from "
+                  f"{args.check_regression}; regenerate it if the change "
+                  "is intended:")
+            for drift in drifts:
+                print(f"  {drift}")
+        if failures or drifts:
             return 1
         print(f"regression gate: ok vs {args.check_regression}")
     return 0

@@ -574,11 +574,12 @@ def generate_schedule(
         # Nothing in the gentle menu loses a frame, so every operation
         # completes without retries; an enormous timeout documents that.
         config = ProtocolConfig(client_timeout=1e9, client_max_retries=0)
+    # Leases and coded values lean on epoch-guarded quorum installs; both
+    # profiles run under the heartbeat detector, whose cluster builder
+    # turns ``view_quorum`` on (``ProtocolConfig.for_detector``) before
+    # validating.
     if profile.read_leases:
-        # Leased local reads ride on epoch-guarded quorum installs;
-        # view_quorum is set here (rather than trusting the builder's
-        # fd-driven default) because read_leases validates against it.
-        config = replace(config, view_quorum=True, read_leases=True)
+        config = replace(config, read_leases=True)
     if profile.value_coding == "coded":
         # k=CODED_K stripes, n = the cluster size: with quorum-installed
         # views every active view keeps n-f >= k fragment holders, so
@@ -586,7 +587,6 @@ def generate_schedule(
         # discipline itself survives (the config validates the bound).
         config = replace(
             config,
-            view_quorum=True,
             value_coding="coded",
             coding_k=CODED_K,
             coding_n=num_servers,

@@ -132,7 +132,8 @@ class FairScheduler(Generic[T]):
 
         if not self.size:
             # Line 54-58: queue empty -> reset counters, maybe initiate.
-            self.nb_msg.clear()
+            if self.nb_msg:
+                self.nb_msg.clear()
             return INITIATE_OWN if want_initiate else None
 
         # Lines 60-64: the least-served candidate, lowest id on a tie;
@@ -150,7 +151,10 @@ class FairScheduler(Generic[T]):
                     chosen, least = origin, sent
         if chosen == self.server_id and want_initiate:
             return INITIATE_OWN
-        return self._pop_from(chosen)
+        _arrival, item = self._queues[chosen].popleft()
+        self.size -= 1
+        nb_msg[chosen] = least + 1
+        return chosen, item
 
     def note_initiated(self) -> None:
         """Record that the caller initiated its own write (line 26)."""

@@ -26,7 +26,7 @@ class PendingSet(dict):  # dict[Tag, PendingEntry]
     """``tag -> PendingEntry`` in insertion order, plus the tracked
     maximum tag and the tags pending per operation."""
 
-    __slots__ = ("_max", "_by_op")
+    __slots__ = ("_max", "tags_by_op")
 
     def __init__(self, entries: Iterable[PendingEntry] = ()) -> None:
         super().__init__()
@@ -34,8 +34,10 @@ class PendingSet(dict):  # dict[Tag, PendingEntry]
         #: next :meth:`maxlex` recomputes it).  Commits remove old tags,
         #: so the recompute is rare.
         self._max: Optional[Tag] = Tag.ZERO
-        #: op -> its pending tags, in the order they entered the set.
-        self._by_op: dict[OpId, list[Tag]] = {}
+        #: op -> its pending tags, in the order they entered the set;
+        #: read-only outside this class (``op in tags_by_op`` is the
+        #: commit path's call-free zombie test).
+        self.tags_by_op: dict[OpId, list[Tag]] = {}
         for entry in entries:
             self[entry.tag] = entry
 
@@ -49,21 +51,21 @@ class PendingSet(dict):  # dict[Tag, PendingEntry]
     def tags_of(self, op: OpId) -> tuple[Tag, ...]:
         """The pending tags carrying ``op``, oldest entry first (more
         than one only after duplicate initiations of one operation)."""
-        return tuple(self._by_op.get(op, ()))
+        return tuple(self.tags_by_op.get(op, ()))
 
     def __setitem__(self, tag: Tag, entry: PendingEntry) -> None:
-        old = self.get(tag)
-        if old is not None:
-            if old.op == entry.op:
+        op = entry.op
+        if tag in self:
+            if self[tag].op == op:
                 dict.__setitem__(self, tag, entry)
                 return
             del self[tag]
         dict.__setitem__(self, tag, entry)
-        tags = self._by_op.get(entry.op)
-        if tags is None:
-            self._by_op[entry.op] = [tag]
+        by_op = self.tags_by_op
+        if op in by_op:
+            by_op[op].append(tag)
         else:
-            tags.append(tag)
+            by_op[op] = [tag]
         top = self._max
         if top is not None and tag > top:
             self._max = tag
@@ -74,9 +76,9 @@ class PendingSet(dict):  # dict[Tag, PendingEntry]
                 return default[0]
             raise KeyError(tag)
         entry = dict.pop(self, tag)
-        tags = self._by_op[entry.op]
+        tags = self.tags_by_op[entry.op]
         if len(tags) == 1:
-            del self._by_op[entry.op]
+            del self.tags_by_op[entry.op]
         else:
             tags.remove(tag)
         if tag == self._max:
@@ -93,7 +95,7 @@ class PendingSet(dict):  # dict[Tag, PendingEntry]
 
     def clear(self) -> None:
         dict.clear(self)
-        self._by_op.clear()
+        self.tags_by_op.clear()
         self._max = Tag.ZERO
 
     def _refused(self, *args, **kwargs):

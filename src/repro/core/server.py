@@ -219,6 +219,9 @@ class ServerProtocol:
         self.values = (
             CodedValues if self.config.value_coding == "coded" else ReplicatedValues
         )(self)
+        #: The backend's write-path hooks are identities (the paper's
+        #: whole-value ring): the per-message path skips them.
+        self._passthrough = self.values.passthrough
 
         #: Durable snapshot store (crash recovery).  When set, the
         #: protocol persists a write-ahead snapshot of its committed and
@@ -343,7 +346,6 @@ class ServerProtocol:
         self.stats_duplicates_dropped = 0
         self.stats_superseded_dropped = 0
         self.stats_reconfigs = 0
-        self.stats_commit_unknown_tag = 0
         self.stats_rejoins_sponsored = 0
         self.stats_stale_epoch_dropped = 0
         self.stats_quorum_stalls = 0
@@ -374,11 +376,11 @@ class ServerProtocol:
         # so the dedup tables are captured by ``dict.copy()`` — one
         # C-level copy each, insertion order kept, nothing allocated per
         # client — behind a read-only view; ``restore`` copies them back
-        # into dicts.
+        # into dicts.  The ring's tuples are built once per ring change.
         return ServerSnapshot(
             server_id=self.server_id,
-            members=tuple(self.ring.members),
-            dead=tuple(sorted(self.ring.dead)),
+            members=self._ring_tuples[0],
+            dead=self._ring_tuples[1],
             tag=self.tag,
             value=self.value,
             ts_seen=self.ts_seen,
@@ -585,14 +587,11 @@ class ServerProtocol:
                 members, frozenset(members) - {self.server_id}, self.installed_epoch
             )
             self._follow_ring()
-            self._mark_dirty()  # the new view, whether or not anything commits
+            self._dirty = True  # the new view, whether or not anything commits
             self.rejoining = False
             self._rejoin_sponsor = None
             self._resolve_alone()
         return self.drain_replies()
-
-    def _mark_dirty(self) -> None:
-        self._dirty = True
 
     def _maybe_persist(self) -> None:
         """Save the snapshot if covered state changed since the last
@@ -607,13 +606,14 @@ class ServerProtocol:
     # ------------------------------------------------------------------
 
     def _follow_ring(self) -> None:
-        """``self.ring`` was set: refresh the two facts of it every pull
-        reads, attributes so that reading them costs no call —
-        ``successor`` (pseudocode ``pnext``) and ``alone`` (this server
-        is the only survivor).  Every assignment to ``self.ring`` is
-        followed by this."""
+        """``self.ring`` was set: refresh the facts of it that every pull
+        or save reads, attributes so that reading them costs no call —
+        ``successor`` (pseudocode ``pnext``), ``alone`` (this server is
+        the only survivor) and the member and dead tuples a snapshot
+        carries.  Every assignment to ``self.ring`` is followed by this."""
         self.successor: int = self.ring.successor(self.server_id)
         self.alone: bool = self.ring.num_alive == 1
+        self._ring_tuples = (tuple(self.ring.members), tuple(sorted(self.ring.dead)))
 
     @property
     def reconfig_blocked(self) -> bool:
@@ -625,9 +625,9 @@ class ServerProtocol:
 
     def on_client_message(self, client: int, message: ClientMessage) -> list[Reply]:
         """Handle a client request (pseudocode lines 18–20 and 76–84)."""
-        if isinstance(message, ClientWrite):
+        if type(message) is ClientWrite:
             self._on_client_write(client, message)
-        elif isinstance(message, ClientRead):
+        elif type(message) is ClientRead:
             self._on_client_read(client, message)
         else:
             raise ProtocolError(f"unexpected client message: {message!r}")
@@ -645,19 +645,23 @@ class ServerProtocol:
         guard = self._epoch_guard
         if guard is not None and guard(message, sender):
             return self.drain_replies()  # rejected by the epoch guard
-        if isinstance(message, PreWrite):
-            self._process_commits(message.commits)
+        # One dispatch per message; the data-path kinds are compared by
+        # type (no call) before the rarer ones.
+        kind = type(message)
+        if kind is PreWrite:
+            if message.commits:
+                self._process_commits(message.commits)
             self._on_pre_write(message)
-        elif isinstance(message, Commit):
+        elif kind is Commit:
             self._process_commits(message.commits)
-        elif isinstance(message, StateSync):
+        elif kind is StateSync:
             self._process_commits(message.commits)
             self._on_state_sync(message)
-        elif isinstance(message, ReconfigToken):
+        elif kind is ReconfigToken:
             self._on_reconfig_token(message)
-        elif isinstance(message, ReconfigCommit):
+        elif kind is ReconfigCommit:
             self._on_reconfig_commit(message)
-        elif isinstance(message, RejoinRequest):
+        elif kind is RejoinRequest:
             self._on_rejoin_request(message)
         elif isinstance(message, FRAGMENT_MESSAGES):
             self.values.on_message(message)
@@ -773,10 +777,7 @@ class ServerProtocol:
         if self.paused or self.alone:
             return False
         return bool(
-            self.commit_queue
-            or self.write_queue
-            or self.fence_queue
-            or self.fair.size
+            self.commit_queue or self.write_queue or self.fence_queue or self.fair.size
         )
 
     def next_ring_message(self) -> Optional[RingMessage]:
@@ -798,7 +799,7 @@ class ServerProtocol:
         """
         batch: list[RingMessage] = []
         successor = self.successor
-        while len(batch) < limit:
+        for _ in range(limit):
             message = self._next_ring_message()
             if message is None:
                 break
@@ -835,40 +836,42 @@ class ServerProtocol:
             _origin, prewrite = choice
             if not self.fair.size:  # drained: line 55's reset, not left to a pull
                 self.fair.reset_counters()
-            self.queued_tags.discard(prewrite.tag)
-            if self._is_stale(prewrite.tag):
+            tag, op = prewrite.tag, prewrite.op
+            self.queued_tags.discard(tag)
+            if tag.ts <= self.watermark.get(tag.server_id, 0):
                 # Committed while queued (possible around reconfigs).
                 self.stats_duplicates_dropped += 1
                 return self._next_ring_message()
-            if self._op_completed(prewrite.op):
+            endorsed = self.op_index.get(op)
+            if self.completed_ops.get(op.client, -1) >= op.seq:
                 # A duplicate initiation whose operation committed under
                 # another tag while this copy sat queued; forwarding it
                 # would re-enter it into our pending set as a zombie.
-                if self.op_index.get(prewrite.op) == prewrite.tag:
-                    del self.op_index[prewrite.op]
+                if endorsed == tag:
+                    del self.op_index[op]
                 self.stats_superseded_dropped += 1
                 return self._next_ring_message()
-            endorsed = self.op_index.get(prewrite.op)
-            if endorsed is not None and endorsed != prewrite.tag:
+            if endorsed is not None and endorsed != tag:
                 # While this copy sat queued, a lower-tag copy of the
                 # same operation was endorsed; forwarding both would let
                 # two circles race to commit one write.
                 self.stats_superseded_dropped += 1
                 return self._next_ring_message()
-            stored = self.values.take_stored(prewrite)
+            stored = prewrite.value
+            if not self._passthrough:
+                stored = self.values.take_stored(prewrite)
             if stored is None:
                 self.stats_duplicates_dropped += 1
                 return self._next_ring_message()
             # Line 71: entering pending at *forward* time keeps reads
             # immediate for as long as possible; by the time any commit
             # for this tag can exist, we have forwarded the pre-write.
-            self.pending[prewrite.tag] = PendingEntry(
-                prewrite.tag, stored, prewrite.op
-            )
-            self.op_index[prewrite.op] = prewrite.tag
+            self.pending[tag] = PendingEntry(tag, stored, op)
+            self.op_index[op] = tag
             self.stats_forwards += 1
-            self._mark_dirty()
-            return self._pre_write(prewrite.tag, prewrite.value, prewrite.op)
+            self._dirty = True
+            commits = self._pull_commit_tags(carrier_is_commit=False)
+            return PreWrite(tag, prewrite.value, op, commits, self.installed_epoch)
 
         if self.commit_queue:
             tags = self._pull_commit_tags(carrier_is_commit=True)
@@ -895,7 +898,7 @@ class ServerProtocol:
         op = message.op
         # Duplicate of a committed write (retry after a lost ack):
         # carry the committed tag so the completion stays tag-covered.
-        if self._op_completed(op):
+        if self.completed_ops.get(op.client, -1) >= op.seq:
             self._reply(client, WriteAck(op, self._completed_tag(op)))
             return
         # Duplicate of an in-flight write: join its ack waiters.
@@ -940,7 +943,7 @@ class ServerProtocol:
             return None
         op, value, client = self.write_queue.popleft()
         # A queued duplicate may have completed meanwhile.
-        if self._op_completed(op):
+        if self.completed_ops.get(op.client, -1) >= op.seq:
             self._reply(client, WriteAck(op, self._completed_tag(op)))
             return None
         if op in self.op_index:
@@ -948,27 +951,30 @@ class ServerProtocol:
             return None
 
         new_tag = Tag(self._next_ts(), self.server_id)
-        # Note our own mint: if this entry is later zombie-dropped (a
-        # duplicate initiation losing to a lower tag), _next_ts must
-        # still never re-issue the timestamp — a coded ring's share
-        # stashes are keyed by tag, and a re-minted tag would commit
-        # one tag over two different ops' share sets.
-        self._note_tag(new_tag)
-        stored, wire = self.values.stage_write(new_tag, op, value)
+        # Note our own mint (always a new high): if this entry is later
+        # zombie-dropped (a duplicate initiation losing to a lower tag),
+        # _next_ts must still never re-issue the timestamp — a coded
+        # ring's share stashes are keyed by tag, and a re-minted tag
+        # would commit one tag over two different ops' share sets.
+        self.ts_seen = new_tag.ts
+        self._dirty = True
+        stored = wire = value
+        if not self._passthrough:
+            stored, wire = self.values.stage_write(new_tag, op, value)
         self.pending[new_tag] = PendingEntry(new_tag, stored, op)
         self.op_index[op] = new_tag
-        self.ack_waiters.setdefault(new_tag, []).append((client, op))
+        self.ack_waiters[new_tag] = [(client, op)]  # a fresh tag: nobody waits yet
         self.fair.note_initiated()
         self.stats_writes_initiated += 1
-        return self._pre_write(new_tag, wire, op)
+        commits = self._pull_commit_tags(carrier_is_commit=False)
+        return PreWrite(new_tag, wire, op, commits, self.installed_epoch)
 
     def _commit_locally(self, op: OpId, value: bytes, client: int) -> None:
         """Single-survivor fast path: the write is trivially everywhere."""
         new_tag = Tag(self._next_ts(), self.server_id)
         self._note_tag(new_tag)
-        self.watermark[self.server_id] = max(
-            self.watermark.get(self.server_id, 0), new_tag.ts
-        )
+        # A fresh mint is above every committed timestamp, ours included.
+        self.watermark[self.server_id] = new_tag.ts
         self._install(new_tag, self.values.localize(new_tag, value))
         self._record_completed(op, new_tag)
         self.stats_writes_initiated += 1
@@ -976,9 +982,13 @@ class ServerProtocol:
         self._wake_readers()
 
     def _on_pre_write(self, message: PreWrite) -> None:
-        tag = message.tag
-        origin = tag.server_id
-        self._note_tag(tag)
+        tag, op = message.tag, message.op
+        ts, origin = tag
+        if ts > self.ts_seen:
+            self.ts_seen = ts
+            self._dirty = True
+        # Completion (and, past our own circle, staleness): once each.
+        done = self.completed_ops.get(op.client, -1) >= op.seq
         if origin == self.server_id:
             # Lines 32-38: our own pre-write completed the circle; every
             # server now stores the value, so install it and start the
@@ -986,8 +996,7 @@ class ServerProtocol:
             if tag not in self.pending:
                 self.stats_duplicates_dropped += 1
                 return
-            entry = self.pending[tag]
-            if self._op_completed(entry.op):
+            if done:
                 # The operation committed under another tag while our
                 # circle was in flight (a duplicate initiation racing
                 # us).  Committing this copy too would give one write
@@ -996,36 +1005,45 @@ class ServerProtocol:
                 self._drop_zombie(tag)
                 self._retarget_read_waiters()
                 return
-            if self.op_index.get(entry.op) != tag:
+            if self.op_index.get(op) != tag:
                 # Our endorsement moved to a lower-tag copy of the same
                 # operation while this circle was out.  Only the
                 # endorsed copy may commit; this one stays pending as a
                 # zombie (the winner's commit answers its waiters).
                 self.stats_superseded_dropped += 1
                 return
-            del self.pending[tag]
-            self._install(tag, entry.value)
-            self.values.own_circle_closed(tag)
-            self._record_completed(entry.op, tag)
-            self.op_index.pop(entry.op, None)
+            # The commit point at the origin: the register, the
+            # completion and the pending set all move here.
+            entry = self.pending.pop(tag)
+            self._dirty = True
+            if tag > self.tag:
+                self.value, self.frag_tag, self.tag = entry.value, None, tag
+            if not self._passthrough:
+                self.values.own_circle_closed(tag)
+            # Not ``done``, so this advances the client's completion.
+            self.completed_ops[op.client] = op.seq
+            self.completed_tags[op.client] = tag
+            del self.op_index[op]
             self.commit_queue.append(tag)
-            self._wake_readers()
+            if self.read_waiters:
+                self._wake_readers()
             return
+        stale = ts <= self.watermark.get(origin, 0)
         if origin in self.ring.dead and self.ring.adopter(origin) == self.server_id:
             # The origin died and we are its adopter: act as the origin.
             # The pre-write reaching us means every surviving server on
             # the path stored the value; the commit distributes the
             # decision (and dies by staleness after one circle).
-            if self._is_stale(tag):
+            if stale:
                 self.stats_duplicates_dropped += 1
                 return
-            if self._op_completed(message.op):
+            if done:
                 # The operation committed under another tag; committing
                 # this copy too would re-install a superseded value.
                 self._drop_zombie(tag)
                 self._retarget_read_waiters()
                 return
-            lower = self.op_index.get(message.op)
+            lower = self.op_index.get(op)
             if lower is not None and lower < tag:
                 # A lower-tag initiation of the same operation is still
                 # in flight; the lowest tag is the one copy allowed to
@@ -1037,20 +1055,18 @@ class ServerProtocol:
             # with the backend (not yet).  Neither: the tag advances
             # without bytes and the lag is repaired on the next read.
             entry = self.pending.pop(tag, None)
-            self._install(
-                tag,
-                self.values.take_stored(message) if entry is None else entry.value,
-            )
-            self._record_completed(message.op, tag)
-            self.op_index.pop(message.op, None)
+            stored = self.values.take_stored(message) if entry is None else entry.value
+            self._install(tag, stored)
+            self._record_completed(op, tag)
+            self.op_index.pop(op, None)
             self.commit_queue.append(tag)
             self._wake_readers()
             return
         # Lines 30-31: enqueue for (fair) forwarding.
-        if self._is_stale(tag) or tag in self.pending or tag in self.queued_tags:
+        if stale or tag in self.pending or tag in self.queued_tags:
             self.stats_duplicates_dropped += 1
             return
-        if self._op_completed(message.op):
+        if done:
             # Duplicate initiation of an operation that already committed
             # under another tag (an aggressive retry raced the stalled
             # original).  Dropping it here breaks the duplicate's circle,
@@ -1058,7 +1074,7 @@ class ServerProtocol:
             # future initiations still outbid it.
             self.stats_superseded_dropped += 1
             return
-        other = self.op_index.get(message.op)
+        other = self.op_index.get(op)
         if other is not None and other < tag:
             # Concurrent duplicate initiations of one operation: at most
             # one may ever commit, or two servers could end up with
@@ -1071,59 +1087,71 @@ class ServerProtocol:
             # lower one, while the lowest circle passes everywhere.
             self.stats_superseded_dropped += 1
             return
-        if not self.values.may_forward(message):
+        if not (self._passthrough or self.values.may_forward(message)):
             return  # parked; the backend re-enters it here when ready
         self.queued_tags.add(tag)
-        self.op_index[message.op] = tag
+        self.op_index[op] = tag
         # Queued as received: the forward builds the one outgoing copy.
         self.fair.enqueue(origin, message)
 
     def _process_commits(self, tags: tuple[Tag, ...]) -> None:
-        for tag in tags:
-            self._process_commit(tag)
+        """Pseudocode lines 41–52, on tag-only commits, in one pass.
 
-    def _process_commit(self, tag: Tag) -> None:
-        """Pseudocode lines 41–52, on a tag-only commit.
-
-        Termination: the tag is re-enqueued for the successor unless this
+        Termination: a tag is re-enqueued for the successor unless this
         server had already processed it (staleness).  A commit therefore
         travels one full circle — every server processes it exactly
         once — plus one extra hop back to the first processor.
         """
-        origin = tag.server_id
-        self._note_tag(tag)
-        if self._is_stale(tag):
-            self.stats_duplicates_dropped += 1
-            return
-        self.watermark[origin] = max(self.watermark.get(origin, 0), tag.ts)
-        self._mark_dirty()  # commit point: watermark and pending change
-        self.stats_commits_processed += 1
+        for tag in tags:
+            ts, origin = tag
+            if ts > self.ts_seen:
+                self.ts_seen = ts
+                self._dirty = True
+            if ts <= self.watermark.get(origin, 0):
+                self.stats_duplicates_dropped += 1
+                continue
+            self.watermark[origin] = ts
+            self._dirty = True  # commit point: watermark and pending change
+            self.stats_commits_processed += 1
 
-        entry = self.pending.pop(tag, None)
-        # Whatever the backend still holds for a tag that just committed
-        # is residue of a circle that completed without our forward
-        # (reconfiguration reroute).
-        self.values.forget(tag)
-        if entry is not None:
-            self._install(tag, entry.value)
-            self._record_completed(entry.op, tag)
-            self.op_index.pop(entry.op, None)
-            self._drop_superseded(entry.op, tag)
-        elif tag > self.tag:
-            # We never saw this write's value and are asked to commit
-            # above our installed state: only possible for flows already
-            # covered by reconfiguration; counted for test visibility.
-            self.stats_commit_unknown_tag += 1
+            # (An unknown tag — we never saw this write's value — can
+            # only come from flows reconfiguration already covers.)
+            entry = self.pending.pop(tag, None)
+            if not self._passthrough:
+                # Whatever the backend still holds for a tag that just
+                # committed is residue of a circle that completed
+                # without our forward (reconfiguration reroute).
+                self.values.forget(tag)
+            if entry is not None:
+                op = entry.op
+                if tag > self.tag:
+                    self.value, self.frag_tag, self.tag = entry.value, None, tag
+                if op.seq > self.completed_ops.get(op.client, -1):
+                    self.completed_ops[op.client] = op.seq
+                    self.completed_tags[op.client] = tag
+                else:
+                    self._record_completed(op, tag)  # a tie may backfill the tag
+                self.op_index.pop(op, None)
+                if op in self.pending.tags_by_op:
+                    # Zombies of a duplicate initiation of ``op``: their
+                    # circles may never close.  Drop them, answer their
+                    # waiters with this tag, and clamp read thresholds
+                    # pointing at them so no read waits for a commit
+                    # that will never arrive.
+                    for zombie in self.pending.tags_of(op):
+                        self.queued_tags.discard(zombie)
+                        self._drop_zombie(zombie, tag)
+                    self._retarget_read_waiters()
 
-        # Ack every client waiting on this tag at *this* server (the
-        # origin's own client, plus any retries that attached here).
-        for client, op in self.ack_waiters.pop(tag, ()):
-            self._reply(client, WriteAck(op, tag))
-
-        self._wake_readers()
-
-        if not self.alone:
-            self.commit_queue.append(tag)
+            # Ack every client waiting on this tag at *this* server (the
+            # origin's own client, plus any retries that attached here).
+            if tag in self.ack_waiters:
+                for client, op in self.ack_waiters.pop(tag):
+                    self._replies.append(Reply(client, WriteAck(op, tag)))
+            if self.read_waiters:
+                self._wake_readers()
+            if not self.alone:
+                self.commit_queue.append(tag)
 
     def _on_state_sync(self, message: StateSync) -> None:
         """Predecessor's committed state after a splice (line 88)."""
@@ -1145,7 +1173,7 @@ class ServerProtocol:
         """Policy primitive: route by ``ring`` *tentatively* (a splice, a
         circulating proposal); ``installed_view`` stays the anchor."""
         self.ring = ring
-        self._mark_dirty()
+        self._dirty = True
         self._follow_ring()
 
     def _install_view(self, ring: RingView, commit: ReconfigCommit) -> None:
@@ -1155,7 +1183,7 @@ class ServerProtocol:
         self._follow_ring()
         self.installed_epoch = ring.epoch
         self.view_log.append((ring.epoch, commit.coordinator, commit.nonce))
-        self._mark_dirty()
+        self._dirty = True
 
     def _next_nonce(self) -> int:
         """Policy primitive: burn one reconfiguration nonce.  Persisted,
@@ -1163,7 +1191,7 @@ class ServerProtocol:
         drop its fresh token as an orphaned duplicate) and an abandoned
         attempt's returning token is unrecognisable."""
         self._reconfig_counter += 1
-        self._mark_dirty()
+        self._dirty = True
         return self._reconfig_counter
 
     def _new_token(self, epoch: int, dead, revived) -> ReconfigToken:
@@ -1307,8 +1335,8 @@ class ServerProtocol:
         endorsed: dict[OpId, Tag] = {}
         for entry in commit.pending:  # ascending tag order by construction
             self._note_tag(entry.tag)
-            if self._is_stale(entry.tag):
-                continue
+            if entry.tag.ts <= self.watermark.get(entry.tag.server_id, 0):
+                continue  # committed here already
             if self._op_completed(entry.op):
                 # A zombie of an operation the merged completed_ops says
                 # is done: re-committing it would resurrect a superseded
@@ -1340,17 +1368,16 @@ class ServerProtocol:
         self.pending = merged
         self.op_index = {entry.op: entry.tag for entry in merged.values()}
         self.values.merged()
-        self._mark_dirty()  # reconfig point: the merged state is durable
+        self._dirty = True  # reconfig point: the merged state is durable
         # Waiters for operations the merge knows are complete would now
         # wait forever (their tag was filtered); answer them here.
         for tag in sorted(self.ack_waiters):
-            waiting = self.ack_waiters[tag]
-            remaining = [
-                (client, op) for client, op in waiting if not self._op_completed(op)
-            ]
-            for client, op in waiting:
+            remaining = []
+            for client, op in self.ack_waiters[tag]:
                 if self._op_completed(op):
                     self._reply(client, WriteAck(op, self._completed_tag(op)))
+                else:
+                    remaining.append((client, op))
             if remaining:
                 self.ack_waiters[tag] = remaining
             else:
@@ -1405,7 +1432,7 @@ class ServerProtocol:
             self.watermark[tag.server_id] = max(
                 self.watermark.get(tag.server_id, 0), tag.ts
             )
-            self._mark_dirty()
+            self._dirty = True
             self._install(tag, entry.value)
             self._record_completed(entry.op, tag)
             self.op_index.pop(entry.op, None)
@@ -1433,22 +1460,16 @@ class ServerProtocol:
     # ------------------------------------------------------------------
 
     def _pull_commit_tags(self, carrier_is_commit: bool) -> tuple:
-        """Drain up to the piggyback budget of queued commit tags."""
-        if not self.commit_queue:
+        """Drain queued commit tags, up to the piggyback budget, in one
+        slice (a pre-write or state sync carries them only when commits
+        piggyback, Section 4.2)."""
+        queue = self.commit_queue
+        if not queue or not (carrier_is_commit or self.config.piggyback_commits):
             return ()
-        if not (self.config.piggyback_commits or carrier_is_commit):
-            return ()
-        budget = _MAX_PIGGYBACKED_COMMITS
-        tags: list[Tag] = []
-        while self.commit_queue and len(tags) < budget:
-            tags.append(self.commit_queue.popleft())
-        return tuple(tags)
-
-    def _pre_write(self, tag: Tag, value: bytes, op: OpId) -> PreWrite:
-        """The outgoing pre-write, built once: piggybacked commit tags
-        and the installed epoch go in with the rest."""
-        commits = self._pull_commit_tags(carrier_is_commit=False)
-        return PreWrite(tag, value, op, commits, self.installed_epoch)
+        tags = tuple(queue)
+        queue.clear()
+        queue.extend(tags[_MAX_PIGGYBACKED_COMMITS:])  # over budget: the next carrier
+        return tags[:_MAX_PIGGYBACKED_COMMITS]
 
     def _attach_commits(self, message: RingMessage) -> RingMessage:
         """A control-queue message as it leaves: a ``StateSync`` takes
@@ -1476,22 +1497,18 @@ class ServerProtocol:
             elif self.frag_tag is None:
                 self.frag_tag = self.tag
             self.tag = tag
-            self._mark_dirty()
+            self._dirty = True
 
     def _repair_stored(self, stored: bytes) -> None:
         """The backend re-derived the bytes that belong to :attr:`tag`."""
         self.value = stored
         self.frag_tag = None
-        self._mark_dirty()
+        self._dirty = True
 
     @property
     def fresh_value(self) -> Optional[bytes]:
         """:attr:`value` while it belongs to :attr:`tag`, else ``None``."""
         return self.value if self.frag_tag is None else None
-
-    def _is_stale(self, tag: Tag) -> bool:
-        """True when ``tag`` is already committed here (duplicate filter)."""
-        return tag.ts <= self.watermark.get(tag.server_id, 0)
 
     @staticmethod
     def _advance_completed(
@@ -1525,7 +1542,7 @@ class ServerProtocol:
         if self._advance_completed(
             self.completed_ops, self.completed_tags, op.client, op.seq, tag
         ):
-            self._mark_dirty()
+            self._dirty = True
 
     def _op_completed(self, op: OpId) -> bool:
         """Whether ``op`` is known to have committed (under any tag).
@@ -1549,7 +1566,7 @@ class ServerProtocol:
         """Track the highest timestamp ever seen (duplicates included)."""
         if tag.ts > self.ts_seen:
             self.ts_seen = tag.ts
-            self._mark_dirty()
+            self._dirty = True
 
     def _next_ts(self) -> int:
         """Timestamp for a fresh initiation: strictly above everything
@@ -1558,23 +1575,6 @@ class ServerProtocol:
         needs no look: every tag passes :meth:`_note_tag` before it can
         enter the pending set, so ``ts_seen`` already dominates it."""
         return max(self.tag.ts, self.ts_seen) + 1
-
-    def _drop_superseded(self, op: OpId, committed: Tag) -> None:
-        """Remove pending zombies of ``op`` left by duplicate initiations.
-
-        ``op`` just committed under ``committed`` (the caller popped
-        that entry and ``op``'s endorsement, and marked the state
-        dirty at the commit point); any pending tag still
-        carrying the operation is a duplicate whose circle may never
-        close, and read thresholds pointing at it are clamped so no
-        read waits for a commit that will never arrive.
-        """
-        zombies = self.pending.tags_of(op)
-        for tag in zombies:
-            self.queued_tags.discard(tag)
-            self._drop_zombie(tag, committed)
-        if zombies:
-            self._retarget_read_waiters()
 
     def _drop_zombie(self, tag: Tag, committed: Optional[Tag] = None) -> None:
         """``tag``'s operation committed under another tag: this copy
@@ -1603,15 +1603,11 @@ class ServerProtocol:
         if not self.read_waiters:
             return
         ceiling = max(self.pending.maxlex(), self.tag)
-        changed = False
-        clamped = []
-        for threshold, client, op in self.read_waiters:
-            if threshold > ceiling:
-                threshold = ceiling
-                changed = True
-            clamped.append((threshold, client, op))
-        if changed:
-            self.read_waiters = clamped
+        if any(threshold > ceiling for threshold, _client, _op in self.read_waiters):
+            self.read_waiters = [
+                (min(threshold, ceiling), client, op)
+                for threshold, client, op in self.read_waiters
+            ]
             self._wake_readers()
 
     def _wake_readers(self) -> None:
@@ -1625,18 +1621,14 @@ class ServerProtocol:
         """
         if not self.read_waiters:
             return
-        still_waiting = []
-        satisfied = []
-        for threshold, client, op in self.read_waiters:
-            if self.tag >= threshold:
-                satisfied.append((client, op))
-            else:
-                still_waiting.append((threshold, client, op))
-        self.read_waiters = still_waiting
-        for client, op in satisfied:
-            # Answering may re-enter waiter lists (a coded read defers
-            # itself while it reconstructs) — hence the two-phase drain.
-            self.values.answer_read(client, op)
+        tag, waiters = self.tag, self.read_waiters
+        self.read_waiters = [waiter for waiter in waiters if tag < waiter[0]]
+        for threshold, client, op in waiters:
+            if tag >= threshold:
+                # Answering may re-enter waiter lists (a coded read
+                # defers itself while it reconstructs) — hence the list
+                # is replaced before anyone is answered.
+                self.values.answer_read(client, op)
 
     def _reply(self, client: int, message) -> None:
         self._replies.append(Reply(client, message))

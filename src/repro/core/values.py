@@ -15,8 +15,11 @@ backend chosen once, at construction, from ``config.value_coding``:
   reads reconstruct from any ``k`` shares, and the reconfiguration token
   carries fragment *sets* that the merge unions and repairs.
 
-What the core asks, in its own vocabulary (both classes answer every
-question; there is no base class and no third backend):
+What the core asks, in its own vocabulary (there is no base class and
+no third backend).  ``passthrough`` says the write-path hooks are
+identities; the core then skips them on its per-message path, and
+:class:`ReplicatedValues` leaves out the three it is never asked —
+``stage_write``, ``own_circle_closed`` and ``may_forward``:
 
 ==============================  =========================================
 ``localize(tag, value)``        bytes to store for a value known in full
@@ -76,20 +79,15 @@ FRAGMENT_MESSAGES = (FragmentStore, FragmentFetch, FragmentReply)
 class ReplicatedValues:
     """Store and forward the whole value (the paper's server)."""
 
+    #: The pre-write carries the value and nothing is parked or stashed,
+    #: so the core skips the write-path hooks (module docstring).
+    passthrough = True
+
     def __init__(self, core: "ServerProtocol"):
         self.core = core
 
     def localize(self, tag: Tag, value: bytes) -> bytes:
         return value
-
-    def stage_write(self, tag: Tag, op: OpId, value: bytes) -> tuple[bytes, bytes]:
-        return value, value
-
-    def own_circle_closed(self, tag: Tag) -> None:
-        pass
-
-    def may_forward(self, prewrite: PreWrite) -> bool:
-        return True
 
     def take_stored(self, prewrite: PreWrite) -> Optional[bytes]:
         return prewrite.value
@@ -144,6 +142,8 @@ class CodedValues:
     tuple, so every server derives the same indexing without
     coordination.
     """
+
+    passthrough = False
 
     def __init__(self, core: "ServerProtocol"):
         config = core.config
@@ -363,7 +363,8 @@ class CodedValues:
         core._note_tag(tag)
         if message.index != self._index:
             return
-        if core._is_stale(tag) or core._op_completed(message.op):
+        stale = tag.ts <= core.watermark.get(tag.server_id, 0)
+        if stale or core._op_completed(message.op):
             # Committed (or superseded) while the share was in flight;
             # a parked pre-write for it is equally dead.
             self._parked_prewrites.pop(tag, None)

@@ -301,6 +301,7 @@ class AsyncServerNode:
         #: can tell a restarted incarnation from a reconnect.
         self.generation = 0
         self.proto = ServerProtocol(server_id, ring, config, durable=self.durable)
+        self.hosted = (self.proto,)  # DriverHost.hosted
         #: Ring messages per wire frame, fresh or replayed (every TCP
         #: ring link is dedicated).
         self._batch_depth = ring_batch_depth(
@@ -406,6 +407,7 @@ class AsyncServerNode:
             generation=self.generation,
             alone=len(self.addresses) == 1,
         )
+        self.hosted = (self.proto,)
         await self._listen(*self.addresses[self.server_id])
         self.spawn_background(trusting=False)
 
@@ -418,9 +420,6 @@ class AsyncServerNode:
     # ------------------------------------------------------------------
     # Driver capabilities (repro.runtime.driver.DriverHost)
     # ------------------------------------------------------------------
-
-    def all_protos(self) -> list[ServerProtocol]:
-        return [self.proto]
 
     def now(self) -> float:
         return self._loop.time()

@@ -19,7 +19,7 @@ one armed inert.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Collection, Optional, Protocol, Sequence
 
 from repro.core.messages import Heartbeat, LeaseGrant, LeaseRevoke
 from repro.core.server import ServerProtocol
@@ -48,9 +48,11 @@ LEASE_EXPIRED = "lease_expired"
 class DriverHost(Protocol):
     """What a runtime lends the driver: the whole I/O surface."""
 
-    def all_protos(self) -> list[ServerProtocol]:
-        """The protocol instances hosted right now (one per block on a
-        sharded host; the set may change between calls)."""
+    #: The protocol instances hosted right now (one per block on a
+    #: sharded host), kept current by the host — a tuple it replaces,
+    #: or a live view of its block map — so the per-step poll reads it
+    #: without building anything.
+    hosted: Collection[ServerProtocol]
 
     def now(self) -> float:
         """This server's local clock (skewed, if the runtime skews it)."""
@@ -151,7 +153,7 @@ class ServerDriver:
     def _beacon(self) -> None:
         if self._stopped:
             return
-        protos = self._host.all_protos()
+        protos = self._host.hosted
         for peer in self.peers:
             self._host.send_raw(peer, Heartbeat(self.server_id))
             if self._granting and all(p.may_grant_lease(peer) for p in protos):
@@ -165,7 +167,7 @@ class ServerDriver:
     def _epoch(self) -> int:
         """The epoch lease traffic is stamped with: the oldest installed
         across hosted instances (can only under-claim, strictly safe)."""
-        return min(proto.installed_epoch for proto in self._host.all_protos())
+        return min(proto.installed_epoch for proto in self._host.hosted)
 
     def _check(self) -> None:
         if self._stopped:
@@ -186,7 +188,7 @@ class ServerDriver:
     def _verdict(self, peer: int, suspect: bool) -> None:
         """Feed the detector's verdict on ``peer`` to every hosted
         instance (server-level suspicion pauses every block's register)."""
-        for proto in self._host.all_protos():
+        for proto in self._host.hosted:
             self._host.post(
                 proto.on_suspect(peer) if suspect else proto.on_unsuspect(peer)
             )
@@ -222,7 +224,7 @@ class ServerDriver:
         installed view(s) — the union across blocks on a sharded host,
         which can only over-require (strictly safe)."""
         required: set[int] = set()
-        for proto in self._host.all_protos():
+        for proto in self._host.hosted:
             required.update(proto.installed_view.alive())
         required.discard(self.server_id)
         return required
@@ -242,7 +244,7 @@ class ServerDriver:
         if expiry and last is not None and last[0] and not pushed[0]:
             self._host.count(LEASE_EXPIRED, self.server_id)
         self._lease_pushed = pushed
-        for proto in self._host.all_protos():
+        for proto in self._host.hosted:
             self._host.post(proto.on_lease_update(*pushed))
 
     # -- post-step poll -------------------------------------------------
@@ -252,7 +254,9 @@ class ServerDriver:
         proposal re-evaluation, an old-epoch lease wait-out, a rejoin."""
         if self.heartbeat is None:
             return
-        for proto in self._host.all_protos():
+        rejoining = False
+        for proto in self._host.hosted:  # one pass, nothing allocated
+            rejoining = rejoining or proto.rejoining
             if proto.reconcile_due:
                 proto.reconcile_due = False
                 self._arm_reconcile(self.heartbeat.propose_grace)
@@ -265,7 +269,8 @@ class ServerDriver:
                     self.heartbeat.waitout(), self._waitout_elapsed,
                     proto, proto.installed_epoch,
                 )
-        self._begin_rejoin()
+        if rejoining:
+            self._begin_rejoin()
 
     def _waitout_elapsed(self, proto: ServerProtocol, epoch: int) -> None:
         if not self._stopped:
@@ -285,7 +290,7 @@ class ServerDriver:
         self._reconcile_armed = False
         if self._stopped:
             return
-        protos = self._host.all_protos()
+        protos = self._host.hosted
         for proto in protos:
             self._host.post(proto.propose_reconfig())
         self._host.after_step()
@@ -305,7 +310,7 @@ class ServerDriver:
         """At most one pump per incarnation; it announces for every
         still-rejoining instance (a restarted server, or a live one
         demoted by the epoch guard)."""
-        if not self._pumping and any(p.rejoining for p in self._host.all_protos()):
+        if not self._pumping and any(p.rejoining for p in self._host.hosted):
             self._pumping = True
             self._pump_rejoin(0, REJOIN_RETRY_INITIAL)
 
@@ -315,13 +320,13 @@ class ServerDriver:
         the pump retires when the last one clears."""
         if self._stopped:
             return
-        for proto in self._host.all_protos():
+        for proto in self._host.hosted:
             if not proto.rejoining:
                 continue
             sponsors = self._host.rejoin_sponsors(proto)
             if sponsors:
                 proto.queue_rejoin_announce(sponsors[attempt % len(sponsors)])
-        if not any(proto.rejoining for proto in self._host.all_protos()):
+        if not any(proto.rejoining for proto in self._host.hosted):
             self._pumping = False
             return
         self._host.post(())  # the announcements leave by the directed pull
@@ -337,6 +342,6 @@ class ServerDriver:
         alone without quorum evidence would fork the register.  The
         asyncio node calls it on refused dials; the simulator decides
         at restart instead, by crash order."""
-        for proto in self._host.all_protos():
+        for proto in self._host.hosted:
             if proto.rejoining:
                 self._host.post(proto.complete_rejoin_alone())

@@ -166,6 +166,9 @@ class ShardedServerHost(ServerHost):
             )
             for reg in hosted
         }
+        #: ``DriverHost.hosted``: a live view of the block map, current
+        #: through every install, drop and restart.
+        self.hosted = self.protos.values()
         #: Cumulative per-block client-op and byte tallies, read as
         #: deltas by the rebalancer's sampling tick.  Never reset — not
         #: even across restarts — so the deltas stay non-negative.
@@ -175,9 +178,6 @@ class ShardedServerHost(ServerHost):
         #: One FIFO for every client machine (the unsharded host's
         #: per-machine round-robin would reorder seeded block traces).
         self._reply_queue: deque = deque()
-
-    def all_protos(self) -> list[ServerProtocol]:
-        return list(self.protos.values())
 
     def registers(self) -> dict[int, ServerProtocol]:
         return self.protos
@@ -291,7 +291,7 @@ class ShardedServerHost(ServerHost):
         for reg in sorted(set(self._stores) - set(hosted)):
             del self._stores[reg]
             self.env.trace.count(SHARD_STALE_DROPPED)
-        self.protos = {}
+        self.protos.clear()  # the same map: ``hosted`` stays its view
         for reg in hosted:
             store = self._stores.setdefault(reg, MemorySnapshotStore())
             members = self._placement.servers_of(reg)

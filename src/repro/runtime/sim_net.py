@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.core.client import ClientProtocol
 from repro.core.config import ProtocolConfig
@@ -375,7 +375,7 @@ class ServerHost(_ServerMachine):
     (:meth:`rejoin_sponsors`) of every simulated server; both are
     judged per register over that register's ring.  The sharded host
     (:mod:`repro.runtime.sharded`) subclasses this with one protocol per
-    block; everything here goes through :meth:`all_protos` and
+    block; everything here goes through :attr:`hosted` and
     :meth:`registers`.
     """
 
@@ -386,16 +386,14 @@ class ServerHost(_ServerMachine):
         #: The hosted protocol (``None`` on the sharded subclass, which
         #: keeps one per block in ``protos``).
         self.proto = proto
+        #: Every hosted protocol instance (``DriverHost.hosted``): this
+        #: one, or one per block on the sharded host.
+        self.hosted: Collection[ServerProtocol] = () if proto is None else (proto,)
         #: Last-mirrored statistics, one tuple per hosted protocol, for
         #: the trace-counter deltas.
         self._mirrored_stats: list[tuple] = []
         self.driver = self._new_driver(trusting=True)
         self.on_crash(lambda _process: self.driver.stop())
-
-    def all_protos(self) -> list[ServerProtocol]:
-        """Every hosted protocol instance: one here, one per block on
-        the sharded host."""
-        return [self.proto]
 
     def registers(self) -> dict[int, ServerProtocol]:
         """Register id -> the hosted instance: register 0 here, each
@@ -444,7 +442,7 @@ class ServerHost(_ServerMachine):
     def notify_crash(self, crashed_id: int) -> None:
         if not self.alive:
             return
-        for proto in self.all_protos():
+        for proto in self.hosted:
             if crashed_id in proto.ring.members:
                 self.post(proto.on_server_crash(crashed_id))
 
@@ -531,6 +529,7 @@ class ServerHost(_ServerMachine):
         )
         members = range(self.cluster.config.num_servers)
         self.proto = self._restore(store, members, self._resumes_alone(0, members))
+        self.hosted = (self.proto,)
 
     def _resumes_alone(self, reg: int, members) -> bool:
         """Whether this restarting server may serve register ``reg``
@@ -1407,7 +1406,7 @@ class SimCluster:
         the statistics only grow within a protocol's life, so the sums
         are the same."""
         read = self._read_mirrored
-        seen = [read(proto) for proto in host.all_protos()]
+        seen = [read(proto) for proto in host.hosted]
         before = host._mirrored_stats
         if seen != before:
             host._mirrored_stats = seen

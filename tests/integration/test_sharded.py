@@ -187,7 +187,7 @@ def test_restarted_sharded_host_rejoins_and_re_leases_every_block_on_a_fresh_dri
     unsuspects = cluster.env.trace.counters["fd.unsuspects"]
     cluster.restart_server(2)
     assert host.driver is not first_driver, "a restart builds a fresh driver"
-    assert all(proto.rejoining for proto in host.all_protos())
+    assert all(proto.rejoining for proto in host.hosted)
     cluster.run(until=cluster.now + 2.5)
 
     for reg, proto in host.protos.items():

@@ -13,9 +13,10 @@ has never saved is compared against its initial state, which is what
 ``ServerProtocol.restore(..., None, ...)`` rebuilds.
 
 The check runs over fixed seeds of every chaos profile.  What it
-catches that a static reading cannot: a mutation that forgets
-``_mark_dirty()`` leaves ``_dirty`` false, ``_maybe_persist()`` skips
-the save, and the next output leaves ahead of its state.  The
+catches that a static reading cannot: a mutation that forgets a dirty
+mark (``self._dirty = True``) leaves ``_dirty`` false,
+``_maybe_persist()`` skips the save, and the next output leaves ahead
+of its state.  The
 meta-tests here delete each save on an output path, and each dirty mark,
 in a copy of the tree and watch this check or the structural test go
 red.
@@ -282,23 +283,24 @@ def test_deleting_any_persist_call_is_caught(tmp_path, index):
 _MARK_DELETIONS = [
     (
         "forward-mark",
-        "            self.stats_forwards += 1\n            self._mark_dirty()\n",
+        "            self.stats_forwards += 1\n            self._dirty = True\n",
         "            self.stats_forwards += 1\n",
     ),
     (
         "commit-point-mark",
-        "        self._mark_dirty()  # commit point: watermark and pending change\n",
+        "            self._dirty = True  # commit point: watermark and pending change\n",
         "",
     ),
     (
         "reroute-mark",
-        "        self.ring = ring\n        self._mark_dirty()\n",
+        "        self.ring = ring\n        self._dirty = True\n",
         "        self.ring = ring\n",
     ),
     (
         "note-tag-mark",
-        "            self.ts_seen = tag.ts\n            self._mark_dirty()\n",
-        "            self.ts_seen = tag.ts\n",
+        "        if ts > self.ts_seen:\n            self.ts_seen = ts\n"
+        "            self._dirty = True\n",
+        "        if ts > self.ts_seen:\n            self.ts_seen = ts\n",
     ),
 ]
 

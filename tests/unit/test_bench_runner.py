@@ -3,9 +3,10 @@
 The snapshots committed as BENCH_*.json are only trustworthy if (a) the
 simulated numbers are bit-deterministic per seed, (b) batching at the
 default depth changes the wire accounting but not the simulated result
-on the dedicated-ring topology, and (c) the regression gate actually
-fails on a drop.  All three are pinned here; the CLI round-trip runs on
-a shrunken scenario so the tier-1 suite stays fast.
+on the dedicated-ring topology, (c) the regression gate actually fails
+on a drop, and (d) the drift gate fails when a committed snapshot no
+longer matches the code.  All four are pinned here; the CLI round-trip
+runs on a shrunken scenario so the tier-1 suite stays fast.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from repro.bench import runner
 from repro.bench.runner import (
     Scenario,
+    check_drift,
     check_regression,
     run_scenario,
     run_suite,
@@ -92,7 +94,53 @@ def test_check_regression_announces_skipped_scenarios(capsys):
     assert "skipped: other (not in baseline)" in capsys.readouterr().out
 
 
-def test_cli_writes_snapshot_and_gates(tmp_path, monkeypatch):
+def _full_snapshot(tag: str = "a") -> dict:
+    """A snapshot shaped like a real one: top-level run fields and one
+    scenario with nested records and wall-clock fields."""
+    return {
+        "schema": 1, "tag": tag, "quick": True, "base_seed": 7,
+        "batch_max_messages": 4, "python": "3.11.7",
+        "scenarios": [{
+            "name": "fig3b_write_4",
+            "read": {"ops": 0, "sim_ops_per_s": 0.0},
+            "write": {"ops": 844, "sim_ops_per_s": 2813.3, "p50_ms": 45.3},
+            "wall_seconds": 0.26, "wall_ops_per_s": 3243.4,
+            "wire": {"messages_per_op": 3.51, "retransmits": 0},
+            "leases": None,
+        }],
+    }  # fmt: skip
+
+
+def test_check_drift_names_every_deterministic_field_that_moved():
+    baseline = _full_snapshot()
+    # Another host, another run: wall fields, tag and python never drift.
+    rerun = _full_snapshot(tag="ci")
+    rerun["python"] = "3.12.1"
+    rerun["scenarios"][0].update(wall_seconds=0.5, wall_ops_per_s=1700.0)
+    assert check_drift(rerun, baseline) == []
+
+    # A synthetic drift well inside the 20 % throughput tolerance: the
+    # throughput gate passes it, the drift gate names each field.
+    drifted = _full_snapshot()
+    scenario = drifted["scenarios"][0]
+    scenario["write"]["ops"] = 848
+    scenario["wire"]["messages_per_op"] = 3.22
+    scenario["leases"] = {"local_reads": 3}
+    drifted["base_seed"] = 8
+    assert check_regression(drifted, baseline) == []
+    assert check_drift(drifted, baseline) == [
+        "snapshot: base_seed 7 -> 8",
+        "fig3b_write_4: leases None -> (absent)",
+        "fig3b_write_4: leases.local_reads (absent) -> 3",
+        "fig3b_write_4: wire.messages_per_op 3.51 -> 3.22",
+        "fig3b_write_4: write.ops 844 -> 848",
+    ]
+    # A baseline scenario the run no longer has is stale too.
+    drifted["scenarios"] = []
+    assert check_drift(drifted, baseline)[-1] == "fig3b_write_4: not in this run"
+
+
+def test_cli_writes_snapshot_and_gates(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(runner, "SCENARIOS", (TINY,))
     assert runner.main(["--tag", "a", "--out", str(tmp_path)]) == 0
     path = tmp_path / "BENCH_a.json"
@@ -115,6 +163,16 @@ def test_cli_writes_snapshot_and_gates(tmp_path, monkeypatch):
         ["--tag", "c", "--out", str(tmp_path),
          "--check-regression", str(inflated)]
     ) == 1
+    # A stale baseline fails even when throughput is within tolerance.
+    record["write"]["sim_ops_per_s"] /= 2
+    record["write"]["ops"] += 1
+    stale = tmp_path / "BENCH_stale.json"
+    stale.write_text(json.dumps(snapshot))
+    assert runner.main(
+        ["--tag", "d", "--out", str(tmp_path),
+         "--check-regression", str(stale)]
+    ) == 1
+    assert "write.ops" in capsys.readouterr().out
 
 
 def test_cli_rejects_window_mismatch_and_bad_flags(tmp_path, monkeypatch):

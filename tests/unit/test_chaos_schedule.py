@@ -73,7 +73,9 @@ def test_coded_profile_configures_striping_within_liveness_bound():
         )
         config = schedule.config
         assert config.value_coding == "coded"
-        assert config.view_quorum
+        # Epoch-guarded views come from the detector the profile runs
+        # under: the config as its cluster runs it.
+        assert config.for_detector(CODED_PROFILE.fd).view_quorum
         assert config.coding_n == schedule.num_servers
         assert 1 < config.coding_k <= config.coding_n // 2 + 1
         assert schedule.plan.partitions, "coded profile guarantees partitions"

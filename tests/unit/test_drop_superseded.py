@@ -1,4 +1,4 @@
-"""The zombie sweep after a commit (``ServerProtocol._drop_superseded``).
+"""The zombie sweep after a commit (``ServerProtocol._process_commits``).
 
 A client retry can make two servers initiate the same operation under
 two tags.  The lowest tag is the one copy allowed to commit; a server

@@ -104,8 +104,9 @@ class FakeHost:
 
     # -- capabilities ---------------------------------------------------
 
-    def all_protos(self):
-        return list(self.protos)
+    @property
+    def hosted(self):
+        return tuple(self.protos)
 
     def now(self):
         return self.clock

@@ -383,7 +383,7 @@ _COVERED = {
 
 #: Path prefix -> the attribute its code holds a protocol by.  Such
 #: code changes covered state only through the protocol's methods,
-#: which mark it dirty; a direct store would skip ``_mark_dirty()``.
+#: which mark it dirty; a direct store would skip the dirty mark.
 _HOLDERS = {"repro/runtime/": "proto", _VALUES: "core", _VIEWS: "core"}
 
 
@@ -433,7 +433,7 @@ def test_host_bypass_rule_covers_the_driver():
 def test_writeahead_rule_covers_the_value_backends():
     """A backend reaches the snapshot-covered register only through the
     protocol's own mutators; assigning it directly — which would skip
-    ``_mark_dirty()``, so the next output would leave unsaved — is
+    the dirty mark, so the next output would leave unsaved — is
     caught."""
     text, holder = _holder_source(_VALUES)
     poke = (

@@ -44,6 +44,7 @@ class FakeCore:
         )
         self.tag, self.value, self.frag_tag = Tag.ZERO, b"", None
         self.pending: dict = {}
+        self.watermark: dict = {}  # nothing committed: no tag is stale
         self.outbox: list = []
         self.deferred_reads: list = []
         self.installed_epoch = 5
@@ -64,9 +65,6 @@ class FakeCore:
 
     def _note_tag(self, tag):
         self.noted.append(tag)
-
-    def _is_stale(self, tag):
-        return False
 
     def _op_completed(self, op):
         return op in self.completed
@@ -265,9 +263,11 @@ def test_replicated_values_answers_every_question_with_its_input():
     entry = PendingEntry(TAG, VALUE, OP)
     other = PendingEntry(TAG, b"ours", OP)
 
+    # The write-path hooks a passthrough backend is never asked are gone.
+    assert values.passthrough and not CodedValues.passthrough
+    for skipped in ("stage_write", "own_circle_closed", "may_forward"):
+        assert not hasattr(values, skipped) and hasattr(CodedValues, skipped)
     assert values.localize(TAG, VALUE) is VALUE
-    assert values.stage_write(TAG, OP, VALUE) == (VALUE, VALUE)
-    assert values.may_forward(prewrite) is True
     assert values.take_stored(prewrite) is VALUE
     assert values.peek_stored(prewrite) is VALUE
     assert values.token_form(VALUE) is VALUE
@@ -276,10 +276,7 @@ def test_replicated_values_answers_every_question_with_its_input():
     assert values.adopt_entry(entry) is entry
     assert values.merge_register(TAG, VALUE) == (TAG, VALUE)
     assert values.merge_register(Tag(1, 0), VALUE) == (Tag(2, 1), b"the register")
-    for nothing in (
-        values.own_circle_closed(TAG), values.forget(TAG),
-        values.abort_reads(), values.merged(),
-    ):
+    for nothing in (values.forget(TAG), values.abort_reads(), values.merged()):
         assert nothing is None
     values.answer_read(READER, READ)
     assert core.replies == [(READER, ReadAck(READ, b"the register", Tag(2, 1)))]
