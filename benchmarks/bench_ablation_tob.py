@@ -6,9 +6,9 @@ broadcast algorithm for both read and write operations.  The highest
 throughput we know of for such algorithms is 1."  Ordering the *reads*
 is what kills scalability; the paper's algorithm keeps reads local.
 
-A companion wire-model measurement (`abl3-tob-wire`) is recorded in
-EXPERIMENTS.md: with byte-based costs, small read tokens let TOB reads
-scale further than the message-count model suggests — an honest caveat
+A companion wire-model measurement (`python -m repro.bench
+abl3-tob-wire`) shows that with byte-based costs, small read tokens let
+TOB reads scale further than the message-count model suggests — an honest caveat
 to the paper's round-model argument.
 """
 

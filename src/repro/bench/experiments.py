@@ -9,8 +9,9 @@ functions themselves are also directly usable::
     from repro.bench.experiments import run_fig3a
     headers, rows = run_fig3a(servers=(2, 4, 6, 8))
 
-``quick`` mode (shorter warmup/window) is used by the test-suite; the
-defaults match the committed EXPERIMENTS.md numbers.
+``quick`` mode (the shorter windows of :func:`repro.bench.harness.windows`)
+is what the test-suite and ``benchmarks/`` run; the defaults are the
+full windows.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from repro.baselines import (
     build_naive_cluster,
     build_tob_cluster,
 )
-from repro.bench.harness import (
-    run_baseline_throughput_point,
-    run_latency_point,
-    run_throughput_point,
-)
+from repro.bench.harness import run_latency_point, run_throughput_point, windows
 from repro.core.config import ProtocolConfig
 from repro.rounds import RoundStorage, run_figure1
 from repro.rounds.tob_round import RoundTobStorage
@@ -38,10 +35,6 @@ from repro.workload.scenarios import (
 )
 
 DEFAULT_SERVERS = (2, 3, 4, 5, 6, 7, 8)
-
-
-def _windows(quick: bool) -> tuple[float, float]:
-    return (0.15, 0.3) if quick else (0.3, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +86,7 @@ def run_sec4(servers: Sequence[int] = (2, 3, 5, 8), rounds: int = 200):
 
 def run_fig3a(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, seed: int = 0):
     """Read throughput without contention: linear, ~90 Mbit/s/server."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     headers = ["servers", "total read Mbit/s", "per server"]
     rows = []
     for n in servers:
@@ -104,7 +97,7 @@ def run_fig3a(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, see
 
 def run_fig3b(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, seed: int = 0):
     """Write throughput without contention: constant ~80-95 Mbit/s."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     headers = ["servers", "total write Mbit/s", "per writer machine"]
     rows = []
     for n in servers:
@@ -115,7 +108,7 @@ def run_fig3b(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, see
 
 def run_fig3c(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, seed: int = 0):
     """Contention, separate networks: write constant, read linear."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     headers = ["servers", "read Mbit/s", "read/server", "write Mbit/s"]
     rows = []
     for n in servers:
@@ -126,7 +119,7 @@ def run_fig3c(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, see
 
 def run_fig3d(servers: Sequence[int] = DEFAULT_SERVERS, quick: bool = False, seed: int = 0):
     """Contention, shared network: both lower; write roughly constant."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     headers = ["servers", "read Mbit/s", "read/server", "write Mbit/s", "per-NIC total"]
     rows = []
     for n in servers:
@@ -163,33 +156,33 @@ def run_fig4(servers: Sequence[int] = DEFAULT_SERVERS, samples: int = 10, seed: 
 
 def run_ablation_quorum(servers: Sequence[int] = (2, 4, 8), quick: bool = True, seed: int = 0):
     """ABL1: ring vs ABD quorum — read scaling and write behaviour."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     ro, wo = read_only_scenario(), write_only_scenario()
     headers = ["servers", "ring read", "abd read", "ring write", "abd write"]
     rows = []
     for n in servers:
         ring_r = run_throughput_point(n, ro, warmup=warmup, window=window, seed=seed)
-        abd_r = run_baseline_throughput_point(build_abd_cluster, n, ro, warmup=warmup, window=window, seed=seed)
+        abd_r = run_throughput_point(n, ro, build=build_abd_cluster, warmup=warmup, window=window, seed=seed)
         ring_w = run_throughput_point(n, wo, warmup=warmup, window=window, seed=seed)
-        abd_w = run_baseline_throughput_point(build_abd_cluster, n, wo, warmup=warmup, window=window, seed=seed)
+        abd_w = run_throughput_point(n, wo, build=build_abd_cluster, warmup=warmup, window=window, seed=seed)
         rows.append([n, ring_r.read_mbps, abd_r.read_mbps, ring_w.write_mbps, abd_w.write_mbps])
     return headers, rows
 
 
 def run_ablation_chain(servers: Sequence[int] = (2, 4, 8), quick: bool = True, seed: int = 0):
     """ABL2: chain replication reads are tail-bound (flat)."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     ro = read_only_scenario()
     headers = ["servers", "ring read", "chain read"]
     rows = []
     for n in servers:
         ring = run_throughput_point(n, ro, warmup=warmup, window=window, seed=seed)
-        chain = run_baseline_throughput_point(build_chain_cluster, n, ro, warmup=warmup, window=window, seed=seed)
+        chain = run_throughput_point(n, ro, build=build_chain_cluster, warmup=warmup, window=window, seed=seed)
         rows.append([n, ring.read_mbps, chain.read_mbps])
     return headers, rows
 
 
-def run_ablation_tob(servers: Sequence[int] = (2, 4, 8), quick: bool = True):
+def run_ablation_tob(servers: Sequence[int] = (2, 4, 8)):
     """ABL3: totally ordering reads caps round-model throughput at 1."""
     headers = ["servers", "tob ops/round", "ours write + reads /round"]
     rows = []
@@ -210,7 +203,7 @@ def run_ablation_fairness(num_servers: int = 4, quick: bool = True, seed: int = 
     * ``piggyback_commits=False`` makes every commit a standalone
       message, costing ring slots.
     """
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     spec = write_only_scenario()
     headers = ["config", "write Mbit/s", "p99/med latency"]
     rows = []
@@ -233,15 +226,15 @@ def run_ablation_fairness(num_servers: int = 4, quick: bool = True, seed: int = 
 
 def run_ablation_collisions(servers: Sequence[int] = (2, 4, 8), quick: bool = True, seed: int = 0):
     """ABL5: multicast write-all collapses under collisions; ring doesn't."""
-    warmup, window = _windows(quick)
+    warmup, window = windows(quick)
     wo = write_only_scenario()
     headers = ["servers", "ring write", "naive unicast", "naive multicast"]
     rows = []
     for n in servers:
         ring = run_throughput_point(n, wo, warmup=warmup, window=window, seed=seed)
-        uni = run_baseline_throughput_point(build_naive_cluster, n, wo, warmup=warmup, window=window, seed=seed)
-        mc = run_baseline_throughput_point(
-            build_naive_cluster, n, wo, warmup=warmup, window=window,
+        uni = run_throughput_point(n, wo, build=build_naive_cluster, warmup=warmup, window=window, seed=seed)
+        mc = run_throughput_point(
+            n, wo, build=build_naive_cluster, warmup=warmup, window=window,
             use_multicast=True, seed=seed,
         )
         rows.append([n, ring.write_mbps, uni.write_mbps, mc.write_mbps])
@@ -250,20 +243,20 @@ def run_ablation_collisions(servers: Sequence[int] = (2, 4, 8), quick: bool = Tr
 
 def run_ablation_tob_wire(servers: Sequence[int] = (2, 4, 8), quick: bool = True, seed: int = 0):
     """Companion to ABL3 in the wire model: small read tokens let TOB
-    reads scale further than the round model suggests — an honest note
-    recorded in EXPERIMENTS.md."""
-    warmup, window = _windows(quick)
+    reads scale further than the round model suggests — an honest caveat
+    to the paper's round-model argument."""
+    warmup, window = windows(quick)
     ro = read_only_scenario()
     headers = ["servers", "ours read", "tob read (wire model)"]
     rows = []
     for n in servers:
         ours = run_throughput_point(n, ro, warmup=warmup, window=window, seed=seed)
-        tob = run_baseline_throughput_point(build_tob_cluster, n, ro, warmup=warmup, window=window, seed=seed)
+        tob = run_throughput_point(n, ro, build=build_tob_cluster, warmup=warmup, window=window, seed=seed)
         rows.append([n, ours.read_mbps, tob.read_mbps])
     return headers, rows
 
 
-#: Registry used by ``python -m repro.bench`` and EXPERIMENTS.md.
+#: Registry used by ``python -m repro.bench``.
 EXPERIMENTS = {
     "fig1": run_fig1,
     "sec4": run_sec4,

@@ -1,25 +1,27 @@
 """Experiment runner: one measured point per call.
 
-``run_throughput_point`` reproduces the paper's measurement methodology:
-build the cluster, start the closed-loop load, let it warm up, measure
-over a window, and report total read/write throughput in Mbit/s (the
-paper's unit: payload bits delivered to/accepted from clients per
-second).  ``run_latency_point`` measures isolated (unloaded) operation
-latency for Figure 4.
-
-The paper averages over at least three runs; ``repeat_throughput_point``
-does the same with distinct seeds.
+``measure_cluster`` is the one measuring loop of the paper's
+methodology: start the closed-loop load, let it warm up, measure over a
+window, and report total read/write throughput in Mbit/s (the paper's
+unit: payload bits delivered to/accepted from clients per second).
+``run_throughput_point`` builds the cluster for it; ``run_latency_point``
+measures isolated (unloaded) operation latency for Figure 4.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.stats import LatencyStats, mbit_per_s
-from repro.core.config import ProtocolConfig
 from repro.runtime.sim_net import SimCluster
 from repro.workload.generator import LoadDriver, WorkloadSpec
+
+
+def windows(quick: bool) -> tuple[float, float]:
+    """(warmup, window) in simulated seconds: the quick windows of the
+    test suite and the snapshot runner, or the full ones."""
+    return (0.15, 0.3) if quick else (0.3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,8 @@ class ThroughputPoint:
     read_latency: LatencyStats
     write_latency: LatencyStats
     window: float
-
-    @property
-    def total_mbps(self) -> float:
-        return self.read_mbps + self.write_mbps
+    #: Real seconds the measuring loop took: host-dependent, reported only.
+    wall_seconds: float
 
     @property
     def read_mbps_per_server(self) -> float:
@@ -52,36 +52,18 @@ def run_throughput_point(
     seed: int = 0,
     warmup: float = 0.25,
     window: float = 1.0,
-    protocol: Optional[ProtocolConfig] = None,
+    build=SimCluster.build,
+    **cluster_kwargs,
 ) -> ThroughputPoint:
     """Measure saturated throughput for one cluster size.
 
-    The register starts pre-populated with a value of the workload's
-    size, so read replies carry full payloads from the first request.
+    ``build`` is the cluster factory — :meth:`SimCluster.build` or a
+    baseline's (e.g. :func:`repro.baselines.build_abd_cluster`); the
+    rest of ``cluster_kwargs`` goes to it.  The register starts
+    pre-populated with a value of the workload's size, so read replies
+    carry full payloads from the first request.
     """
-    cluster = SimCluster.build(
-        num_servers=num_servers,
-        topology=topology,
-        seed=seed,
-        protocol=protocol,
-        initial_value=b"\xa5" * spec.value_size,
-    )
-    return measure_cluster(cluster, spec, warmup=warmup, window=window)
-
-
-def run_baseline_throughput_point(
-    build_cluster,
-    num_servers: int,
-    spec: WorkloadSpec,
-    topology: str = "dual",
-    seed: int = 0,
-    warmup: float = 0.25,
-    window: float = 1.0,
-    **cluster_kwargs,
-) -> ThroughputPoint:
-    """Like :func:`run_throughput_point` but for a baseline cluster
-    factory (e.g. :func:`repro.baselines.build_abd_cluster`)."""
-    cluster = build_cluster(
+    cluster = build(
         num_servers,
         topology=topology,
         seed=seed,
@@ -92,17 +74,22 @@ def run_baseline_throughput_point(
 
 
 def measure_cluster(
-    cluster, spec: WorkloadSpec, warmup: float, window: float
+    cluster, spec: WorkloadSpec, warmup: float, window: float, seed: int = 0
 ) -> ThroughputPoint:
-    """Apply the closed-loop workload to ``cluster`` and measure one
-    warm-started window."""
-    driver = LoadDriver(cluster, spec)
+    """Apply the closed-loop workload (its driver seeded by ``seed``) to
+    ``cluster`` and measure one warm-started window.  The trace counters
+    are zeroed when the window opens, so they cover exactly the window
+    the throughput numbers do."""
+    driver = LoadDriver(cluster, spec, seed=seed)
+    wall_start = time.perf_counter()
     driver.start()
     cluster.run(until=cluster.now + warmup)
+    cluster.env.trace.reset_counters()
     driver.begin_measurement()
     cluster.run(until=cluster.now + window)
     driver.end_measurement()
     driver.stop()
+    wall_seconds = time.perf_counter() - wall_start
 
     reads = driver.stats["read"]
     writes = driver.stats["write"]
@@ -116,39 +103,7 @@ def measure_cluster(
         read_latency=LatencyStats.from_samples(reads.latencies),
         write_latency=LatencyStats.from_samples(writes.latencies),
         window=window,
-    )
-
-
-def repeat_throughput_point(
-    num_servers: int,
-    spec: WorkloadSpec,
-    runs: int = 3,
-    **kwargs,
-) -> ThroughputPoint:
-    """Average ``runs`` measurements with distinct seeds (paper: "every
-    measurement has been performed at least 3 times and the average ...
-    recorded")."""
-    points = [
-        run_throughput_point(num_servers, spec, seed=run, **kwargs)
-        for run in range(runs)
-    ]
-    first = points[0]
-    read_lat = LatencyStats.from_samples(
-        [p.read_latency.mean for p in points if p.read_ops]
-    )
-    write_lat = LatencyStats.from_samples(
-        [p.write_latency.mean for p in points if p.write_ops]
-    )
-    return ThroughputPoint(
-        num_servers=num_servers,
-        topology=first.topology,
-        read_ops=sum(p.read_ops for p in points) // runs,
-        write_ops=sum(p.write_ops for p in points) // runs,
-        read_mbps=sum(p.read_mbps for p in points) / runs,
-        write_mbps=sum(p.write_mbps for p in points) / runs,
-        read_latency=read_lat,
-        write_latency=write_lat,
-        window=first.window,
+        wall_seconds=wall_seconds,
     )
 
 
@@ -165,14 +120,10 @@ def run_latency_point(
     num_servers: int,
     value_size: int = 4096,
     samples: int = 20,
-    topology: str = "dual",
     seed: int = 0,
-    protocol: Optional[ProtocolConfig] = None,
 ) -> LatencyPoint:
     """Measure unloaded read/write latency (one client, one op at a time)."""
-    cluster = SimCluster.build(
-        num_servers=num_servers, topology=topology, seed=seed, protocol=protocol
-    )
+    cluster = SimCluster.build(num_servers=num_servers, seed=seed)
     host = cluster.add_client(home_server=0)
     read_samples: list[float] = []
     write_samples: list[float] = []

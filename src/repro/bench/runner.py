@@ -21,12 +21,12 @@ Usage::
     python -m repro.bench.runner --tag batched               # default knob
     python -m repro.bench.runner --tag pr --check-regression BENCH_batched.json
 
-``--check-regression`` exits non-zero if any scenario's *simulated*
-ops/s fell more than 20 % below the baseline snapshot, or if any
-deterministic field of the baseline is not reproduced exactly — every
-field but the wall-clock ones, ``tag`` and ``python`` — so a committed
-snapshot cannot go stale (wall-clock numbers are machine-dependent and
-are reported, not gated).
+``--check-regression`` exits non-zero if any deterministic field of the
+run and the baseline differ — every field but the wall-clock ones,
+``tag`` and ``python``, over every scenario either of them has — so a
+committed snapshot cannot go stale and no simulated number can move
+unnoticed (wall-clock numbers are machine-dependent and are reported,
+not gated).
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ import argparse
 import json
 import platform
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.analysis.stats import LatencyStats, mbit_per_s
+from repro.analysis.stats import LatencyStats
+from repro.bench.harness import measure_cluster, windows
 from repro.core.config import ProtocolConfig
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.runtime.sharded import build_elastic_cluster
@@ -61,7 +61,6 @@ from repro.sim.counters import (
     net_suffix,
     scoped,
 )
-from repro.workload.generator import LoadDriver
 from repro.workload.scenarios import (
     contention_scenario,
     read_only_scenario,
@@ -71,9 +70,6 @@ from repro.workload.scenarios import (
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
-
-#: Default regression tolerance for --check-regression (fraction lost).
-REGRESSION_THRESHOLD = 0.20
 
 #: Per-scenario fields that move with the host, not with the code.
 WALL_FIELDS = ("wall_seconds", "wall_ops_per_s")
@@ -93,61 +89,41 @@ def large_write_scenario():
                                writer_concurrency=8)
 
 
-def _calm_heartbeat(grant_leases: bool = True) -> HeartbeatConfig:
-    """A calmer beacon cadence than the chaos default: the bench cluster
-    is failure-free, so the detector only needs to renew leases, and n^2
-    beacon traffic would otherwise dominate the event count the
-    wall-clock numbers measure."""
-    return HeartbeatConfig(
-        period=0.05,
-        timeout=0.3,
-        check_interval=0.025,
-        propose_grace=0.08,
-        lease_duration=0.2,
-        clock_drift_bound=0.02,
-        grant_leases=grant_leases,
-    )
+#: A calmer beacon cadence than the chaos default: the bench cluster is
+#: failure-free, so the detector only needs to renew leases, and n^2
+#: beacon traffic would otherwise dominate the event count the
+#: wall-clock numbers measure.
+CALM_HEARTBEAT = HeartbeatConfig(
+    period=0.05,
+    timeout=0.3,
+    check_interval=0.025,
+    propose_grace=0.08,
+    lease_duration=0.2,
+    clock_drift_bound=0.02,
+)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fixed measurement point of the snapshot suite."""
+    """One fixed measurement point of the snapshot suite: the record
+    shape of perfbench's ``SimWorkload`` (a protocol configuration plus
+    an optional heartbeat detector) with the runner's window and
+    placement knobs."""
 
     name: str
     spec_factory: Callable
     servers: int
     topology: str = "dual"
-    #: Per-scenario seed offset so scenarios never share RNG streams.
-    seed_offset: int = 0
-    #: Failure detector the cluster runs ("perfect" or "heartbeat").
-    fd: str = "perfect"
-    #: Epoch-scoped read leases (needs fd="heartbeat", which forces
-    #: quorum-installed views, ``ProtocolConfig.for_detector``): reads
-    #: are served locally under a valid lease, zero ring messages.
-    read_leases: bool = False
-    #: With ``read_leases`` but no grants, every read takes the fence
-    #: fallback around the ring — the measured circulating baseline the
-    #: leased scenario's win is quoted against.
-    grant_leases: bool = True
-    #: Value backend ("replicated" or "coded"); "coded" needs
-    #: fd="heartbeat" and sets coding_n to the ring size.
-    value_coding: str = "replicated"
-    #: Data fragments per stripe when ``value_coding == "coded"``.
-    coding_k: int = 2
+    protocol: ProtocolConfig = ProtocolConfig()
+    #: The heartbeat detector's timing, or ``None`` for the perfect
+    #: detector.  Read leases and the coded backend need it.
+    heartbeat: Optional[HeartbeatConfig] = None
     #: Stretch warmup and window by this factor.  The 64 KiB pair needs
     #: it: at quick windows a replicated write pipeline completes only
     #: ~64 ops per window while holding 64 in flight, so ramp-up
     #: boundary effects distort bytes/op by ~25%; a 3x window makes the
     #: wire accounting steady-state.
     window_scale: float = 1.0
-    #: Per-scenario batch-depth override (None = suite default).  The
-    #: 64 KiB pair pins it to 1: batching four value-bearing pre-writes
-    #: into a ~256 KiB frame adds store-and-forward latency at every
-    #: hop, which is a property of message-count batching at huge value
-    #: sizes, not of the value backend this pair measures.  Real stacks
-    #: cap batch *bytes*; until the transport does, large-value frames
-    #: travel alone.
-    batch_max_messages: Optional[int] = None
     #: >0 runs the sharded block store over an explicit placement: the
     #: cluster is built by ``build_elastic_cluster`` and the workload
     #: spec must be a block-mode spec (``spec.num_blocks`` matching).
@@ -162,18 +138,24 @@ class Scenario:
     elastic: bool = False
 
 
-#: The snapshot suite.  ``fig3b_write_4`` is the headline workload of
-#: the batching work (the paper's write-throughput regime: 2 writer
+#: The 64 KiB pair pins the batch depth to 1: batching four
+#: value-bearing pre-writes into a ~256 KiB frame adds store-and-forward
+#: latency at every hop, which is a property of message-count batching
+#: at huge value sizes, not of the value backend this pair measures.
+#: Real stacks cap batch *bytes*; until the transport does, large-value
+#: frames travel alone.
+_UNBATCHED = ProtocolConfig(batch_max_messages=1)
+
+#: The snapshot suite; a scenario's seed is the base seed plus its
+#: position here.  ``fig3b_write_4`` is the headline workload of the
+#: batching work (the paper's write-throughput regime: 2 writer
 #: machines per server, 4 KiB values, concurrency 16).
 SCENARIOS = (
-    Scenario("fig3b_write_4", write_only_scenario, servers=4, seed_offset=0),
-    Scenario("fig3b_write_8", write_only_scenario, servers=8, seed_offset=1),
-    Scenario("fig3a_read_4", read_only_scenario, servers=4, seed_offset=2),
-    Scenario("fig3c_mixed_4", contention_scenario, servers=4, seed_offset=3),
-    Scenario(
-        "fig3d_shared_4", contention_scenario, servers=4,
-        topology="shared", seed_offset=4,
-    ),
+    Scenario("fig3b_write_4", write_only_scenario, servers=4),
+    Scenario("fig3b_write_8", write_only_scenario, servers=8),
+    Scenario("fig3a_read_4", read_only_scenario, servers=4),
+    Scenario("fig3c_mixed_4", contention_scenario, servers=4),
+    Scenario("fig3d_shared_4", contention_scenario, servers=4, topology="shared"),
     # The leased-read pair: identical read-heavy workload and detector,
     # differing only in whether leases are granted.  Leased steady state
     # serves every read locally (0 ring messages/op); the no-grant
@@ -181,12 +163,13 @@ SCENARIOS = (
     # collapse and the wall-clock read-throughput multiple between the
     # two is the headline number of the leased read path.
     Scenario(
-        "read_leased_16", read_only_scenario, servers=16, seed_offset=5,
-        fd="heartbeat", read_leases=True,
+        "read_leased_16", read_only_scenario, servers=16,
+        protocol=ProtocolConfig(read_leases=True), heartbeat=CALM_HEARTBEAT,
     ),
     Scenario(
-        "read_circulating_16", read_only_scenario, servers=16, seed_offset=6,
-        fd="heartbeat", read_leases=True, grant_leases=False,
+        "read_circulating_16", read_only_scenario, servers=16,
+        protocol=ProtocolConfig(read_leases=True),
+        heartbeat=replace(CALM_HEARTBEAT, grant_leases=False),
     ),
     # The coded-value pair: identical 64 KiB write-only workload,
     # detector and view machinery, differing only in the value backend.
@@ -197,13 +180,14 @@ SCENARIOS = (
     # backend, gated by test_bench_snapshots.
     Scenario(
         "replicated_large_value", large_write_scenario, servers=4,
-        seed_offset=7, fd="heartbeat", window_scale=3.0,
-        batch_max_messages=1,
+        protocol=_UNBATCHED, heartbeat=CALM_HEARTBEAT, window_scale=3.0,
     ),
     Scenario(
         "coded_large_value", large_write_scenario, servers=4,
-        seed_offset=8, fd="heartbeat", value_coding="coded", coding_k=2,
-        window_scale=3.0, batch_max_messages=1,
+        protocol=replace(
+            _UNBATCHED, value_coding="coded", coding_k=2, coding_n=4
+        ),
+        heartbeat=CALM_HEARTBEAT, window_scale=3.0,
     ),
     # The elastic-placement pair: identical Zipf(1.1) hot/cold workload
     # over 8 blocks, all packed on ring 0 of an 8-server / 4-ring
@@ -215,70 +199,42 @@ SCENARIOS = (
     # of elastic sharding (ROADMAP item 3), pinned by
     # test_bench_snapshots.
     Scenario(
-        "skewed_static", skewed_block_scenario, servers=8, seed_offset=9,
+        "skewed_static", skewed_block_scenario, servers=8,
         num_blocks=8, rings=((0, 1), (2, 3), (4, 5), (6, 7)), pack=True,
     ),
     Scenario(
-        "skewed_elastic", skewed_block_scenario, servers=8, seed_offset=10,
+        "skewed_elastic", skewed_block_scenario, servers=8,
         num_blocks=8, rings=((0, 1), (2, 3), (4, 5), (6, 7)), pack=True,
         elastic=True,
     ),
 )
 
 
-def _windows(quick: bool) -> tuple[float, float]:
-    # Mirrors repro.bench.experiments._windows so snapshot numbers are
-    # directly comparable to the figure tables.
-    return (0.15, 0.3) if quick else (0.3, 1.0)
-
-
-def _kind_record(stats, window: float) -> dict:
-    latency = LatencyStats.from_samples(stats.latencies)
+def _kind_record(ops: int, mbps: float, latency: LatencyStats, window: float) -> dict:
     return {
-        "ops": stats.operations,
-        "sim_ops_per_s": stats.operations / window,
-        "mbps": mbit_per_s(stats.payload_bytes, window),
+        "ops": ops,
+        "sim_ops_per_s": ops / window,
+        "mbps": mbps,
         "p50_ms": latency.p50 * 1e3 if latency.count else None,
         "p95_ms": latency.p95 * 1e3 if latency.count else None,
         "p99_ms": latency.p99 * 1e3 if latency.count else None,
     }
 
 
-def run_scenario(
-    scenario: Scenario,
-    seed: int,
-    quick: bool,
-    protocol: Optional[ProtocolConfig] = None,
-) -> dict:
-    """Measure one scenario; returns its JSON-ready record.
-
-    The trace counters are zeroed at the start of the measurement
-    window, so the wire accounting (bytes/op, messages/op, batched
-    frames) covers exactly the window the throughput numbers do.
-    """
-    warmup, window = _windows(quick)
-    warmup *= scenario.window_scale
-    window *= scenario.window_scale
+def run_scenario(scenario: Scenario, seed: int, quick: bool) -> dict:
+    """Measure one scenario with cluster and driver seed ``seed``;
+    returns its JSON-ready record.  The wire accounting (bytes/op,
+    messages/op, batched frames) covers exactly the measured window."""
+    warmup, window = (w * scenario.window_scale for w in windows(quick))
     spec = scenario.spec_factory()
-    build_kwargs = {}
-    if scenario.read_leases:
-        protocol = replace(protocol or ProtocolConfig(), read_leases=True)
-        build_kwargs["heartbeat"] = _calm_heartbeat(scenario.grant_leases)
-    if scenario.value_coding == "coded":
-        protocol = replace(
-            protocol or ProtocolConfig(),
-            value_coding="coded",
-            coding_k=scenario.coding_k,
-            coding_n=scenario.servers,
-        )
-    if scenario.batch_max_messages is not None:
-        protocol = replace(
-            protocol or ProtocolConfig(),
-            batch_max_messages=scenario.batch_max_messages,
-        )
-    if scenario.fd != "perfect":
-        build_kwargs["fd"] = scenario.fd
-        build_kwargs.setdefault("heartbeat", _calm_heartbeat())
+    build_kwargs = dict(
+        topology=scenario.topology,
+        seed=seed,
+        protocol=scenario.protocol,
+        initial_value=b"\xa5" * spec.value_size,
+    )
+    if scenario.heartbeat is not None:
+        build_kwargs.update(fd="heartbeat", heartbeat=scenario.heartbeat)
     if scenario.num_blocks:
         # Rebalance on a tight cadence so the elastic twin converges
         # within the warmup and the measured window sees the *settled*
@@ -287,34 +243,14 @@ def run_scenario(
             scenario.servers,
             scenario.num_blocks,
             list(scenario.rings),
-            seed=seed + scenario.seed_offset,
             pack=scenario.pack,
             rebalance=scenario.elastic,
             rebalance_interval=0.02,
-            topology=scenario.topology,
-            protocol=protocol,
-            initial_value=b"\xa5" * spec.value_size,
             **build_kwargs,
         )
     else:
-        cluster = SimCluster.build(
-            num_servers=scenario.servers,
-            topology=scenario.topology,
-            seed=seed + scenario.seed_offset,
-            protocol=protocol,
-            initial_value=b"\xa5" * spec.value_size,
-            **build_kwargs,
-        )
-    driver = LoadDriver(cluster, spec, seed=seed + scenario.seed_offset)
-    wall_start = time.perf_counter()
-    driver.start()
-    cluster.run(until=cluster.now + warmup)
-    cluster.env.trace.reset_counters()
-    driver.begin_measurement()
-    cluster.run(until=cluster.now + window)
-    driver.end_measurement()
-    driver.stop()
-    wall_seconds = time.perf_counter() - wall_start
+        cluster = SimCluster.build(scenario.servers, **build_kwargs)
+    point = measure_cluster(cluster, spec, warmup, window, seed=seed)
 
     counters = cluster.env.trace.counters
     wire_bytes = sum(
@@ -333,18 +269,17 @@ def run_scenario(
         if scenario.topology == "dual"
         else None
     )
-    reads = driver.stats["read"]
-    writes = driver.stats["write"]
-    ops = reads.operations + writes.operations
+    ops = point.read_ops + point.write_ops
+    wall_seconds = point.wall_seconds
     return {
         "name": scenario.name,
         "servers": scenario.servers,
         "topology": scenario.topology,
-        "seed": seed + scenario.seed_offset,
+        "seed": seed,
         "warmup_s": warmup,
         "window_s": window,
-        "read": _kind_record(reads, window),
-        "write": _kind_record(writes, window),
+        "read": _kind_record(point.read_ops, point.read_mbps, point.read_latency, window),
+        "write": _kind_record(point.write_ops, point.write_mbps, point.write_latency, window),
         "wall_seconds": round(wall_seconds, 4),
         "wall_ops_per_s": round(ops / wall_seconds, 1) if wall_seconds > 0 else None,
         "wire": {
@@ -367,7 +302,7 @@ def run_scenario(
                 "local_reads": counters.get(LEASE_LOCAL_READS, 0),
                 "fallbacks": counters.get(LEASE_FALLBACKS, 0),
             }
-            if scenario.read_leases
+            if scenario.protocol.read_leases
             else None
         ),
         "coding": (
@@ -376,7 +311,7 @@ def run_scenario(
                 "cache_reads": counters.get(CODING_CACHE_READS, 0),
                 "reconstructions": counters.get(CODING_RECONSTRUCTIONS, 0),
             }
-            if scenario.value_coding == "coded"
+            if scenario.protocol.value_coding == "coded"
             else None
         ),
         "sharding": (
@@ -405,70 +340,25 @@ def run_scenario(
     }
 
 
-def run_suite(
-    tag: str,
-    seed: int = 7,
-    quick: bool = True,
-    batch_max_messages: Optional[int] = None,
-) -> dict:
+def run_suite(tag: str, seed: int = 7, quick: bool = True) -> dict:
     """Run every scenario and assemble the snapshot document."""
-    protocol = (
-        None
-        if batch_max_messages is None
-        else ProtocolConfig(batch_max_messages=batch_max_messages)
-    )
-    effective = (protocol or ProtocolConfig()).batch_max_messages
-    scenarios = [
-        run_scenario(scenario, seed, quick, protocol) for scenario in SCENARIOS
-    ]
     return {
         "schema": SCHEMA_VERSION,
         "tag": tag,
         "quick": quick,
         "base_seed": seed,
-        "batch_max_messages": effective,
+        "batch_max_messages": ProtocolConfig().batch_max_messages,
         "python": platform.python_version(),
-        "scenarios": scenarios,
+        "scenarios": [
+            run_scenario(scenario, seed + offset, quick)
+            for offset, scenario in enumerate(SCENARIOS)
+        ],
     }
 
 
 # ----------------------------------------------------------------------
-# Regression gate
+# The gate
 # ----------------------------------------------------------------------
-
-
-def check_regression(
-    current: dict, baseline: dict, threshold: float = REGRESSION_THRESHOLD
-) -> list[str]:
-    """Compare simulated ops/s per scenario and kind; return failures.
-
-    Only scenarios present in both snapshots are compared, and only op
-    kinds the baseline actually measured (ops > 0).  Wall-clock numbers
-    are never gated — they move with the host machine.  A scenario the
-    baseline does not know is announced (``skipped: ...``), never
-    silently ignored: an unannounced skip is how a renamed scenario
-    slips past the gate ungated.
-    """
-    failures: list[str] = []
-    baseline_by_name = {s["name"]: s for s in baseline.get("scenarios", ())}
-    for scenario in current.get("scenarios", ()):
-        base = baseline_by_name.get(scenario["name"])
-        if base is None:
-            print(f"skipped: {scenario['name']} (not in baseline)")
-            continue
-        for kind in ("read", "write"):
-            base_rate = base[kind]["sim_ops_per_s"]
-            if not base_rate:
-                continue
-            rate = scenario[kind]["sim_ops_per_s"]
-            ratio = rate / base_rate
-            if ratio < 1.0 - threshold:
-                failures.append(
-                    f"{scenario['name']}/{kind}: {rate:.1f} sim ops/s is "
-                    f"{(1.0 - ratio) * 100:.1f}% below baseline {base_rate:.1f} "
-                    f"(tolerance {threshold * 100:.0f}%)"
-                )
-    return failures
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -490,7 +380,7 @@ def check_drift(current: dict, baseline: dict) -> list[str]:
     the code changed what it measures and the baseline must be
     regenerated with it.  Wall-clock fields (:data:`WALL_FIELDS`) and
     the run's own name (:data:`RUN_FIELDS`) are not compared; a
-    baseline scenario this run lacks is a drift.
+    scenario only one side has is a drift.
     """
     drifts: list[str] = []
     absent = object()
@@ -505,13 +395,15 @@ def check_drift(current: dict, baseline: dict) -> list[str]:
     top = {key: value for key, value in baseline.items() if key != "scenarios"}
     ours_top = {key: value for key, value in current.items() if key != "scenarios"}
     compare("snapshot", top, ours_top, RUN_FIELDS)
-    current_by_name = {s["name"]: s for s in current.get("scenarios", ())}
-    for base in baseline.get("scenarios", ()):
-        scenario = current_by_name.get(base["name"])
-        if scenario is None:
-            drifts.append(f"{base['name']}: not in this run")
+    theirs = {s["name"]: s for s in baseline.get("scenarios", ())}
+    ours = {s["name"]: s for s in current.get("scenarios", ())}
+    for name in [*theirs, *(name for name in ours if name not in theirs)]:
+        if name not in ours:
+            drifts.append(f"{name}: not in this run")
+        elif name not in theirs:
+            drifts.append(f"{name}: not in the baseline")
         else:
-            compare(base["name"], _flatten(base), _flatten(scenario), WALL_FIELDS)
+            compare(name, _flatten(theirs[name]), _flatten(ours[name]), WALL_FIELDS)
     return drifts
 
 
@@ -561,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.runner",
         description="seeded perf snapshots (BENCH_<tag>.json) with a "
-                    "regression gate",
+                    "drift gate",
     )
     parser.add_argument("--tag", default="local",
                         help="snapshot tag; output file is BENCH_<tag>.json")
@@ -571,25 +463,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="full windows (0.3s warmup / 1.0s window) "
                              "instead of the quick CI windows")
-    parser.add_argument("--batch", type=int, default=None, metavar="K",
-                        help="override batch_max_messages explicitly")
     parser.add_argument("--out", default=".",
                         help="directory for BENCH_<tag>.json (default: cwd)")
     parser.add_argument("--check-regression", metavar="BASELINE",
                         help="compare against a committed snapshot; exit "
-                             "non-zero on >20%% simulated ops/s regression "
-                             "or on any drift of a deterministic field")
-    parser.add_argument("--threshold", type=float, default=REGRESSION_THRESHOLD,
-                        help="regression tolerance as a fraction "
-                             "(default 0.20)")
+                             "non-zero on any drift of a deterministic field")
     args = parser.parse_args(argv)
 
-    if args.batch is not None and args.batch < 1:
-        parser.error(f"--batch must be >= 1, got {args.batch}")
-
-    snapshot = run_suite(
-        args.tag, seed=args.seed, quick=not args.full, batch_max_messages=args.batch
-    )
+    snapshot = run_suite(args.tag, seed=args.seed, quick=not args.full)
     print(_summarise(snapshot))
 
     out_path = Path(args.out) / f"BENCH_{args.tag}.json"
@@ -598,15 +479,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.check_regression:
         baseline = json.loads(Path(args.check_regression).read_text())
-        if baseline.get("quick") != snapshot["quick"]:
-            print(f"FAIL: window mismatch — baseline quick="
-                  f"{baseline.get('quick')} vs current quick={snapshot['quick']}")
-            return 1
-        failures = check_regression(snapshot, baseline, args.threshold)
-        if failures:
-            print("FAIL: simulated throughput regressed:")
-            for failure in failures:
-                print(f"  {failure}")
         drifts = check_drift(snapshot, baseline)
         if drifts:
             print(f"FAIL: {len(drifts)} deterministic field(s) differ from "
@@ -614,9 +486,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                   "is intended:")
             for drift in drifts:
                 print(f"  {drift}")
-        if failures or drifts:
             return 1
-        print(f"regression gate: ok vs {args.check_regression}")
+        print(f"drift gate: ok vs {args.check_regression}")
     return 0
 
 

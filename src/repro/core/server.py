@@ -11,7 +11,7 @@ lines 11–17 (initialisation)          :meth:`ServerProtocol.__init__`
 lines 18–20 (receive <write> req)     :meth:`_on_client_write`
 lines 21–28 (procedure write)         :meth:`_initiate_write`
 lines 29–40 (receive <pre_write>)     :meth:`_on_pre_write`
-lines 41–52 (receive <write>)         :meth:`_process_commit`
+lines 41–52 (receive <write>)         :meth:`_process_commits`
 lines 53–75 (task queue handler)      :meth:`next_ring_batch` +
                                       :class:`~repro.core.fairness.FairScheduler`
 lines 76–84 (receive <read>)          :meth:`_on_client_read`
@@ -37,7 +37,7 @@ means: those are questions put to the view policy chosen at construction
 perfect detector, or :class:`~repro.core.views.QuorumViews`).
 
 Differences from the published pseudocode (deliberate fixes or stated
-optimisations; see DESIGN.md section 5):
+optimisations):
 
 * **Commit messages carry tags only, and piggyback.**  Every server
   stores a pending write's *value* when it forwards the pre-write, so the
@@ -870,7 +870,7 @@ class ServerProtocol:
             self.op_index[op] = tag
             self.stats_forwards += 1
             self._dirty = True
-            commits = self._pull_commit_tags(carrier_is_commit=False)
+            commits = self._pull_commit_tags(False) if self.commit_queue else ()
             return PreWrite(tag, prewrite.value, op, commits, self.installed_epoch)
 
         if self.commit_queue:
@@ -966,7 +966,7 @@ class ServerProtocol:
         self.ack_waiters[new_tag] = [(client, op)]  # a fresh tag: nobody waits yet
         self.fair.note_initiated()
         self.stats_writes_initiated += 1
-        commits = self._pull_commit_tags(carrier_is_commit=False)
+        commits = self._pull_commit_tags(False) if self.commit_queue else ()
         return PreWrite(new_tag, wire, op, commits, self.installed_epoch)
 
     def _commit_locally(self, op: OpId, value: bytes, client: int) -> None:

@@ -80,14 +80,6 @@ class Port:
         #: iterates it without copying.
         self.idle_callbacks: tuple[Callable[[], None], ...] = ()
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
-
     def submit(
         self,
         wire_bytes: int,

@@ -14,10 +14,9 @@ linearizability checker and good hygiene regardless.
 
 Block mode (``num_blocks > 0``) targets a sharded cluster: machines are
 :class:`~repro.runtime.sharded.ShardClientHost`\\ s and every operation
-draws a block first — uniformly, by a Zipf law over block ranks
-(``block_skew``), and/or concentrated on an explicit hotset
-(``hot_blocks`` / ``hot_fraction``).  The skewed draws are what the
-elastic placement benchmarks feed the rebalancer.
+draws a block first — uniformly, or by a Zipf law over block ranks
+(``block_skew``).  The skewed draws are what the elastic placement
+benchmarks feed the rebalancer.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ class WorkloadSpec:
     block_skew:
         Zipf exponent ``s`` over block ranks: block ``i`` is drawn with
         weight ``1/(i+1)**s``, so block 0 is the hottest.  0 = uniform.
-    hot_blocks / hot_fraction:
-        An explicit hotset: with probability ``hot_fraction`` the draw
-        picks uniformly among ``hot_blocks`` instead of the Zipf/uniform
-        law.  Both must be set together.
-    value_sizes:
-        Mixed write sizes: each write draws uniformly from this tuple
-        instead of using the fixed ``value_size``.  Empty = fixed.
     """
 
     reader_machines_per_server: int = 2
@@ -70,9 +62,6 @@ class WorkloadSpec:
     value_size: int = 4096
     num_blocks: int = 0
     block_skew: float = 0.0
-    hot_blocks: tuple = ()
-    hot_fraction: float = 0.0
-    value_sizes: tuple = ()
 
     def validate(self) -> "WorkloadSpec":
         if self.reader_machines_per_server < 0 or self.writer_machines_per_server < 0:
@@ -83,32 +72,10 @@ class WorkloadSpec:
             raise ConfigurationError("value_size must be >= 16 (unique-value header)")
         if self.num_blocks < 0:
             raise ConfigurationError("num_blocks must be >= 0")
-        if self.num_blocks == 0 and (
-            self.block_skew or self.hot_blocks or self.hot_fraction
-        ):
-            raise ConfigurationError(
-                "block-distribution knobs (block_skew/hot_blocks/hot_fraction) "
-                "require num_blocks > 0"
-            )
+        if self.num_blocks == 0 and self.block_skew:
+            raise ConfigurationError("block_skew requires num_blocks > 0")
         if self.block_skew < 0:
             raise ConfigurationError("block_skew must be >= 0")
-        if not 0.0 <= self.hot_fraction <= 1.0:
-            raise ConfigurationError("hot_fraction must be in [0, 1]")
-        if bool(self.hot_blocks) != (self.hot_fraction > 0):
-            raise ConfigurationError(
-                "hot_blocks and hot_fraction must be set together (a hotset "
-                "without a fraction, or vice versa, silently does nothing)"
-            )
-        if any(b < 0 or b >= self.num_blocks for b in self.hot_blocks):
-            raise ConfigurationError(
-                f"hot_blocks must be in [0, {self.num_blocks}); got {self.hot_blocks}"
-            )
-        if len(set(self.hot_blocks)) != len(self.hot_blocks):
-            raise ConfigurationError("hot_blocks must not repeat")
-        if any(size < 16 for size in self.value_sizes):
-            raise ConfigurationError(
-                "every value_sizes entry must be >= 16 (unique-value header)"
-            )
         return self
 
 
@@ -119,8 +86,6 @@ class KindStats:
     operations: int = 0
     payload_bytes: int = 0
     latencies: list = field(default_factory=list)
-    #: per logical-client completed ops (for per-client fairness checks)
-    per_client: dict = field(default_factory=dict)
 
 
 class LoadDriver:
@@ -144,7 +109,6 @@ class LoadDriver:
         self._measuring = False
         self._stopped = False
         self._clients: list[tuple[object, int, str]] = []  # (host, client_id, kind)
-        self._inflight_started: dict = {}
         self._write_seq = 0
         #: Block draws issued so far, per block (tests assert the
         #: distribution shape against this, not against completions,
@@ -171,20 +135,10 @@ class LoadDriver:
         return cdf
 
     def _draw_block(self) -> int:
-        spec = self.spec
-        if spec.hot_fraction and self._rng.random() < spec.hot_fraction:
-            block = spec.hot_blocks[self._rng.randrange(len(spec.hot_blocks))]
-        else:
-            cdf = self._block_cdf
-            block = bisect_left(cdf, self._rng.random() * cdf[-1])
+        cdf = self._block_cdf
+        block = bisect_left(cdf, self._rng.random() * cdf[-1])
         self.block_ops_issued[block] = self.block_ops_issued.get(block, 0) + 1
         return block
-
-    def _draw_value_size(self) -> int:
-        sizes = self.spec.value_sizes
-        if not sizes:
-            return self.spec.value_size
-        return sizes[self._rng.randrange(len(sizes))]
 
     def _build(self) -> None:
         for server_id in sorted(self.cluster.servers):
@@ -247,13 +201,9 @@ class LoadDriver:
         if self._stopped or not host.alive:
             return
         started = self.cluster.now
-        if kind == "read":
-            payload = self.spec.value_size
-        else:
-            payload = self._draw_value_size()
 
         def on_complete(result) -> None:
-            self._completed(host, client_id, kind, started, payload, result)
+            self._completed(host, client_id, kind, started, result)
 
         if self.spec.num_blocks > 0:
             reg = self._draw_block()
@@ -261,30 +211,22 @@ class LoadDriver:
                 host.read_block(reg, on_complete, client_id=client_id)
             else:
                 host.write_block(
-                    reg, self._next_value(client_id, payload), on_complete,
-                    client_id=client_id,
+                    reg, self._next_value(client_id), on_complete, client_id=client_id
                 )
         elif kind == "read":
             host.read(on_complete, client_id=client_id)
         else:
-            host.write(
-                self._next_value(client_id, payload), on_complete, client_id=client_id
-            )
+            host.write(self._next_value(client_id), on_complete, client_id=client_id)
 
-    def _completed(
-        self, host, client_id: int, kind: str, started: float, payload: int, result
-    ) -> None:
+    def _completed(self, host, client_id: int, kind: str, started: float, result) -> None:
         if result.ok and self._measuring:
             stats = self.stats[kind]
             stats.operations += 1
-            stats.payload_bytes += payload
+            stats.payload_bytes += self.spec.value_size
             stats.latencies.append(self.cluster.now - started)
-            stats.per_client[client_id] = stats.per_client.get(client_id, 0) + 1
         self._issue(host, client_id, kind)
 
-    def _next_value(self, client_id: int, size: int = 0) -> bytes:
+    def _next_value(self, client_id: int) -> bytes:
         self._write_seq += 1
         header = client_id.to_bytes(8, "big") + self._write_seq.to_bytes(8, "big")
-        if size <= 0:
-            size = self.spec.value_size
-        return header + b"\x00" * (size - len(header))
+        return header + b"\x00" * (self.spec.value_size - len(header))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.harness import (
     measure_cluster,
-    repeat_throughput_point,
     run_latency_point,
     run_throughput_point,
 )
@@ -53,13 +52,6 @@ def test_throughput_point_write_only_regime():
     point = run_throughput_point(3, write_only_scenario(), warmup=0.1, window=0.2)
     assert point.read_ops == 0
     assert 80.0 < point.write_mbps < 96.0
-
-
-def test_repeat_point_averages_runs():
-    point = repeat_throughput_point(
-        2, read_only_scenario(), runs=2, warmup=0.1, window=0.15
-    )
-    assert 85.0 < point.read_mbps_per_server < 96.0
 
 
 def test_latency_point_shape():

@@ -3,24 +3,20 @@
 The snapshots committed as BENCH_*.json are only trustworthy if (a) the
 simulated numbers are bit-deterministic per seed, (b) batching at the
 default depth changes the wire accounting but not the simulated result
-on the dedicated-ring topology, (c) the regression gate actually fails
-on a drop, and (d) the drift gate fails when a committed snapshot no
-longer matches the code.  All four are pinned here; the CLI round-trip
-runs on a shrunken scenario so the tier-1 suite stays fast.
+on the dedicated-ring topology, and (c) the drift gate fails when a
+committed snapshot no longer matches the code — on any moved field and
+on a scenario only one side has.  All three are pinned here; the CLI
+round-trip runs on a shrunken scenario so the tier-1 suite stays fast.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.bench import runner
-from repro.bench.runner import (
-    Scenario,
-    check_drift,
-    check_regression,
-    run_scenario,
-    run_suite,
-)
+from repro.bench.runner import Scenario, check_drift, run_scenario
+from repro.core.config import ProtocolConfig
 from repro.workload.scenarios import write_only_scenario
 
 #: One small, fast measurement point (2 servers, quick windows).
@@ -40,8 +36,8 @@ def test_simulated_numbers_are_seed_deterministic():
 def test_batching_changes_wire_accounting_not_simulated_result():
     batched = run_scenario(TINY, seed=7, quick=True)
     unbatched = run_scenario(
-        TINY, seed=7, quick=True,
-        protocol=runner.ProtocolConfig(batch_max_messages=1),
+        replace(TINY, protocol=ProtocolConfig(batch_max_messages=1)),
+        seed=7, quick=True,
     )
     assert batched["wire"]["batched_frames"] > 0
     assert unbatched["wire"]["batched_frames"] == 0
@@ -58,40 +54,6 @@ def test_batching_changes_wire_accounting_not_simulated_result():
         batched["wire"]["messages_per_op"] < unbatched["wire"]["messages_per_op"]
     ), "batch frames must coalesce unicasts"
     assert batched["wire"]["bytes_per_op"] < unbatched["wire"]["bytes_per_op"] * 1.01
-
-
-def _snapshot(rate: float) -> dict:
-    return {
-        "scenarios": [
-            {
-                "name": "s",
-                "read": {"ops": 0, "sim_ops_per_s": 0.0},
-                "write": {"ops": 100, "sim_ops_per_s": rate},
-            }
-        ]
-    }
-
-
-def test_check_regression_flags_only_real_drops():
-    baseline = _snapshot(1000.0)
-    assert check_regression(_snapshot(1000.0), baseline) == []
-    assert check_regression(_snapshot(850.0), baseline) == []  # within 20%
-    failures = check_regression(_snapshot(700.0), baseline)
-    assert len(failures) == 1 and "s/write" in failures[0]
-    # Scenarios unknown to the baseline are ignored, not failed.
-    renamed = _snapshot(700.0)
-    renamed["scenarios"][0]["name"] = "other"
-    assert check_regression(renamed, baseline) == []
-
-
-def test_check_regression_announces_skipped_scenarios(capsys):
-    """A scenario the baseline does not know must be *announced*, not
-    silently ignored — an unannounced skip is how a renamed scenario
-    slips past the gate ungated."""
-    renamed = _snapshot(700.0)
-    renamed["scenarios"][0]["name"] = "other"
-    assert check_regression(renamed, _snapshot(1000.0)) == []
-    assert "skipped: other (not in baseline)" in capsys.readouterr().out
 
 
 def _full_snapshot(tag: str = "a") -> dict:
@@ -119,15 +81,13 @@ def test_check_drift_names_every_deterministic_field_that_moved():
     rerun["scenarios"][0].update(wall_seconds=0.5, wall_ops_per_s=1700.0)
     assert check_drift(rerun, baseline) == []
 
-    # A synthetic drift well inside the 20 % throughput tolerance: the
-    # throughput gate passes it, the drift gate names each field.
+    # A synthetic drift: the gate names each field that moved.
     drifted = _full_snapshot()
     scenario = drifted["scenarios"][0]
     scenario["write"]["ops"] = 848
     scenario["wire"]["messages_per_op"] = 3.22
     scenario["leases"] = {"local_reads": 3}
     drifted["base_seed"] = 8
-    assert check_regression(drifted, baseline) == []
     assert check_drift(drifted, baseline) == [
         "snapshot: base_seed 7 -> 8",
         "fig3b_write_4: leases None -> (absent)",
@@ -140,13 +100,32 @@ def test_check_drift_names_every_deterministic_field_that_moved():
     assert check_drift(drifted, baseline)[-1] == "fig3b_write_4: not in this run"
 
 
+def test_check_regression_announces_skipped_scenarios(tmp_path, monkeypatch, capsys):
+    """A scenario the baseline does not know fails the gate by name: an
+    unannounced skip is how a renamed scenario slips past it ungated."""
+    renamed = _full_snapshot()
+    renamed["scenarios"][0]["name"] = "fig3b_write_4_renamed"
+    assert check_drift(renamed, _full_snapshot()) == [
+        "fig3b_write_4: not in this run",
+        "fig3b_write_4_renamed: not in the baseline",
+    ]
+    monkeypatch.setattr(runner, "SCENARIOS", (TINY,))
+    assert runner.main(["--tag", "base", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(runner, "SCENARIOS", (TINY, replace(TINY, name="tiny_new")))
+    assert runner.main(
+        ["--tag", "grown", "--out", str(tmp_path),
+         "--check-regression", str(tmp_path / "BENCH_base.json")]
+    ) == 1
+    assert "tiny_new: not in the baseline" in capsys.readouterr().out
+
+
 def test_cli_writes_snapshot_and_gates(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(runner, "SCENARIOS", (TINY,))
     assert runner.main(["--tag", "a", "--out", str(tmp_path)]) == 0
     path = tmp_path / "BENCH_a.json"
     snapshot = json.loads(path.read_text())
     assert snapshot["schema"] == runner.SCHEMA_VERSION
-    assert snapshot["batch_max_messages"] == runner.ProtocolConfig().batch_max_messages
+    assert snapshot["batch_max_messages"] == ProtocolConfig().batch_max_messages
     [record] = snapshot["scenarios"]
     assert record["write"]["ops"] > 0
     assert record["wire"]["bytes_per_op"] > 0
@@ -163,7 +142,7 @@ def test_cli_writes_snapshot_and_gates(tmp_path, monkeypatch, capsys):
         ["--tag", "c", "--out", str(tmp_path),
          "--check-regression", str(inflated)]
     ) == 1
-    # A stale baseline fails even when throughput is within tolerance.
+    # So does a baseline stale in any other deterministic field.
     record["write"]["sim_ops_per_s"] /= 2
     record["write"]["ops"] += 1
     stale = tmp_path / "BENCH_stale.json"
@@ -175,14 +154,17 @@ def test_cli_writes_snapshot_and_gates(tmp_path, monkeypatch, capsys):
     assert "write.ops" in capsys.readouterr().out
 
 
-def test_cli_rejects_window_mismatch_and_bad_flags(tmp_path, monkeypatch):
+def test_cli_rejects_window_mismatch_and_bad_flags(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(runner, "SCENARIOS", (TINY,))
     assert runner.main(["--tag", "quickbase", "--out", str(tmp_path)]) == 0
     # A --full run must refuse to gate against a quick-window baseline:
-    # the windows differ, so the ops/s comparison would be meaningless.
+    # the windows differ, so no simulated number is comparable.
     assert runner.main(
         ["--tag", "full", "--out", str(tmp_path), "--full",
          "--check-regression", str(tmp_path / "BENCH_quickbase.json")]
     ) == 1
-    with pytest.raises(SystemExit):
-        runner.main(["--batch", "0", "--out", str(tmp_path)])
+    assert "snapshot: quick True -> False" in capsys.readouterr().out
+    # The gate has no tolerance and the suite no batch override.
+    for flag in ("--threshold", "--batch"):
+        with pytest.raises(SystemExit):
+            runner.main([flag, "1", "--out", str(tmp_path)])

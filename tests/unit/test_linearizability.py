@@ -108,8 +108,9 @@ def test_two_writers_interleaved_reads():
 
 
 def test_sandwich_anomaly_detected():
-    """A write taking effect twice around another write (the retry
-    anomaly discussed in DESIGN.md) is not linearizable."""
+    """A write taking effect twice around another write (what a retried
+    write would do without the servers' duplicate filtering) is not
+    linearizable."""
     assert not both(History.of([
         Operation(0, "write", b"v", 0.0, 9.0),
         Operation(1, "write", b"w", 2.0, 3.0),
