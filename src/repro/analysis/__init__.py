@@ -16,13 +16,12 @@ from repro.analysis.linearizability import (
     check_register_history_slow,
     check_tagged_history,
 )
-from repro.analysis.stats import LatencyStats, ThroughputSample, mbit_per_s
+from repro.analysis.stats import LatencyStats, mbit_per_s
 
 __all__ = [
     "History",
     "LatencyStats",
     "Operation",
-    "ThroughputSample",
     "check_register_history",
     "check_register_history_slow",
     "check_tagged_history",

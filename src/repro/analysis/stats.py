@@ -21,27 +21,6 @@ def mbit_per_s(payload_bytes: float, seconds: float) -> float:
 
 
 @dataclass(frozen=True)
-class ThroughputSample:
-    """Throughput measured over one window of one run."""
-
-    operations: int
-    payload_bytes: int
-    seconds: float
-
-    @property
-    def ops_per_s(self) -> float:
-        # Guard like mbit_per_s: a zero-duration window must raise the
-        # same ValueError, not leak a bare ZeroDivisionError.
-        if self.seconds <= 0:
-            raise ValueError(f"duration must be > 0, got {self.seconds}")
-        return self.operations / self.seconds
-
-    @property
-    def mbit_per_s(self) -> float:
-        return mbit_per_s(self.payload_bytes, self.seconds)
-
-
-@dataclass(frozen=True)
 class LatencyStats:
     """Latency summary over a set of completed operations (seconds)."""
 
@@ -65,10 +44,6 @@ class LatencyStats:
             p99=percentile(ordered, 99.0),
             max=ordered[-1],
         )
-
-    @property
-    def mean_ms(self) -> float:
-        return self.mean * 1e3
 
 
 def percentile(ordered: Sequence[float], pct: float) -> float:

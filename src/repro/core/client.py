@@ -20,14 +20,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRead, ClientWrite, OpId, ReadAck, WriteAck
 from repro.core.tags import Tag
 from repro.errors import ProtocolError
-from repro.runtime.interface import (
-    CancelTimer,
-    Complete,
-    Effect,
-    Fail,
-    SendTo,
-    SetTimer,
-)
+from repro.runtime.interface import Complete, Effect, Fail, SendTo
 
 
 class ClientProtocol:
@@ -60,7 +53,6 @@ class ClientProtocol:
         self._seq = 0
         self._server_index = 0
         self._outstanding: Optional[OpId] = None
-        self._kind: Optional[str] = None
         self._message = None
         self._retries = 0
         #: Largest tag observed across this client's completed ops.  Sent
@@ -92,13 +84,13 @@ class ClientProtocol:
 
     def start_write(self, value: bytes) -> tuple[OpId, list[Effect]]:
         """Begin a write; returns the op id and the effects to execute."""
-        op = self._begin("write")
+        op = self._begin()
         self._message = ClientWrite(op, value)
         return op, self._issue()
 
     def start_read(self) -> tuple[OpId, list[Effect]]:
         """Begin a read; returns the op id and the effects to execute."""
-        op = self._begin("read")
+        op = self._begin()
         self._message = ClientRead(op, self._session)
         return op, self._issue()
 
@@ -108,43 +100,33 @@ class ClientProtocol:
 
     def on_reply(self, message) -> list[Effect]:
         """Handle a server reply (ack for the outstanding operation)."""
-        if self._outstanding is None or message.op != self._outstanding:
-            return []  # stale reply from a retried server; ignore
         op = self._outstanding
-        kind = self._kind
-        self._outstanding = None
-        self._kind = None
-        self._message = None
-        self._retries = 0
+        if op is None or message.op != op:
+            return []  # stale reply from a retried server; ignore
+        # Replies are final record classes: identity tests, no isinstance.
+        kind, tag = type(message), message.tag
+        if kind is WriteAck:
+            done = Complete(op, kind="write", tag=tag)
+        elif kind is ReadAck:
+            done = Complete(op, kind="read", value=message.value, tag=tag)
+        else:
+            raise ProtocolError(f"unexpected reply: {message!r}")
+        self._reset()
         self.stats_ops_completed += 1
-        if isinstance(message, WriteAck):
-            self._advance_session(message.tag)
-            return [CancelTimer(op.seq), Complete(op, kind="write", tag=message.tag)]
-        if isinstance(message, ReadAck):
-            self._advance_session(message.tag)
-            return [
-                CancelTimer(op.seq),
-                Complete(op, kind="read", value=message.value, tag=message.tag),
-            ]
-        raise ProtocolError(f"unexpected reply: {message!r}")
+        if tag is not None and (self._session is None or tag > self._session):
+            self._session = tag
+        return [done]
 
-    def on_timeout(self, timer_id: int) -> list[Effect]:
-        """Retry the outstanding operation at the next server."""
-        if self._outstanding is None or timer_id != self._outstanding.seq:
-            return []  # stale timer
+    def on_timeout(self) -> list[Effect]:
+        """The outstanding attempt's deadline passed: retry at the next
+        server, or fail the operation once the retries are spent.  The
+        runtime keeps one deadline per client and drops it on
+        :class:`Complete`/:class:`Fail`, so a timeout always belongs to
+        the operation in flight; with none in flight it is a no-op."""
+        if self._outstanding is None:
+            return []
         if self._retries >= self.config.client_max_retries:
-            # Reset the *whole* op state, exactly as the ack path does:
-            # a stale _kind would mislabel the next operation's failure,
-            # and leftover _retries would shorten its retry budget.  The
-            # CancelTimer disarms any runtime that re-arms timers around
-            # delivery (the timer that fired here is already gone, but
-            # runtimes treat cancel-unarmed as a no-op).
-            op = self._outstanding
-            self._outstanding = None
-            self._kind = None
-            self._message = None
-            self._retries = 0
-            return [CancelTimer(op.seq), Fail(op, reason="retries exhausted")]
+            return self.fail_current("retries exhausted")
         self._retries += 1
         self.stats_retries += 1
         self._server_index += 1
@@ -157,7 +139,7 @@ class ClientProtocol:
         arrives: the operation is fine, only its destination was stale,
         so it goes straight back out (the host maps the send onto the
         block's refreshed placement) without burning a retry or waiting
-        for the timeout.  The re-armed timer replaces the old one.
+        for the timeout.  The request's timeout replaces the old one.
         """
         if self._outstanding is None:
             return []  # redirect raced the completion; nothing to resend
@@ -166,47 +148,41 @@ class ClientProtocol:
     def fail_current(self, reason: str) -> list[Effect]:
         """Fail the outstanding operation without waiting for timeouts.
 
-        For runtime-detected dead ends (e.g. a placement-redirect budget
-        exhausted): further retries would only chase the same stale
-        state.  Resets the full op state exactly as retry exhaustion
-        does, so the handle is immediately reusable.
+        For dead ends: retries exhausted, or a runtime-detected one (e.g.
+        a placement-redirect budget exhausted) where further retries
+        would only chase the same stale state.  The handle is
+        immediately reusable.
         """
-        if self._outstanding is None:
-            return []
-        op = self._outstanding
-        self._outstanding = None
-        self._kind = None
-        self._message = None
-        self._retries = 0
-        return [CancelTimer(op.seq), Fail(op, reason=reason)]
+        op = self._reset()
+        return [] if op is None else [Fail(op, reason=reason)]
 
     def abandon(self) -> Optional[OpId]:
         """Forget the in-flight operation without completing it.
 
         The runtime calls this when it gives up on an operation for
         reasons the protocol cannot see (e.g. the simulation went idle
-        with the operation half-open).  Resetting the full op state here
-        keeps the handle reusable: a later ``start_read``/``start_write``
-        must begin from scratch, not from a stale ``_kind``/``_retries``
-        or a phantom outstanding op.  Returns the abandoned op id (for
-        timer/callback cleanup), or ``None`` if nothing was in flight.
+        with the operation half-open).  Returns the abandoned op id, or
+        ``None`` if nothing was in flight.
         """
-        op = self._outstanding
-        self._outstanding = None
-        self._kind = None
-        self._message = None
-        self._retries = 0
-        return op
+        return self._reset()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _advance_session(self, tag: Optional[Tag]) -> None:
-        if tag is not None and (self._session is None or tag > self._session):
-            self._session = tag
+    def _reset(self) -> Optional[OpId]:
+        """End the operation in flight, if any, and return its id.
 
-    def _begin(self, kind: str) -> OpId:
+        The whole op state goes, however the op ended: leftover
+        ``_retries`` would shorten the next operation's retry budget,
+        and a phantom ``_outstanding`` would refuse it."""
+        op = self._outstanding
+        self._outstanding = None
+        self._message = None
+        self._retries = 0
+        return op
+
+    def _begin(self) -> OpId:
         if self._outstanding is not None:
             raise ProtocolError(
                 f"client {self.client_id} already has {self._outstanding} in flight"
@@ -214,16 +190,10 @@ class ClientProtocol:
         op = OpId(self.client_id, self._seq)
         self._seq += 1
         self._outstanding = op
-        self._kind = kind
-        self._retries = 0
         return op
 
     def _issue(self) -> list[Effect]:
-        assert self._outstanding is not None
-        return [
-            SendTo(self.current_server, self._message),
-            SetTimer(self._outstanding.seq, self.config.client_timeout),
-        ]
+        return [SendTo(self.current_server, self._message, self.config.client_timeout)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClientProtocol {self.client_id} outstanding={self._outstanding}>"

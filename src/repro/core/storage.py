@@ -48,29 +48,13 @@ class AtomicStorage:
         """
         if not isinstance(value, bytes):
             raise TypeError(f"values are bytes, got {type(value).__name__}")
-        result = self._run(lambda cb: self.client.write(value, cb))
+        result = self.client.run_op(self.client.write, value)
         if not result.ok:
             raise StorageUnavailableError(f"write failed: {result.error}")
 
     def read(self) -> bytes:
         """Read the register's current value (linearizable)."""
-        result = self._run(lambda cb: self.client.read(cb))
+        result = self.client.run_op(self.client.read)
         if not result.ok:
             raise StorageUnavailableError(f"read failed: {result.error}")
         return result.value
-
-    def _run(self, start):
-        done: list = []
-        start(done.append)
-        scheduler = self.cluster.env.scheduler
-        while not done:
-            if not scheduler.step():
-                # Abandon the half-open operation before raising: the
-                # client protocol would otherwise keep it outstanding
-                # forever, so the next read/write on this handle would
-                # start from stale in-flight state instead of fresh.
-                self.client.abort_op()
-                raise StorageUnavailableError(
-                    "simulation went idle before the operation completed"
-                )
-        return done[0]

@@ -5,7 +5,6 @@ homogeneous cluster with fine-tuned TCP, a broken ring connection means
 the peer crashed ("it is reasonable to assume that when a TCP connection
 fails, the server on the other side of the connection failed").
 
-* :mod:`repro.fd.base` — the detector interface;
 * :mod:`repro.fd.perfect` — an oracle-backed perfect detector used by
   the simulator (crash events are known to the simulation);
 * :mod:`repro.fd.heartbeat` — a heartbeat timeout tracker, usable two
@@ -18,12 +17,10 @@ fails, the server on the other side of the connection failed").
   timing knobs.
 """
 
-from repro.fd.base import FailureDetector
 from repro.fd.heartbeat import HeartbeatConfig, HeartbeatTracker
 from repro.fd.perfect import PerfectFailureDetector
 
 __all__ = [
-    "FailureDetector",
     "HeartbeatConfig",
     "HeartbeatTracker",
     "PerfectFailureDetector",

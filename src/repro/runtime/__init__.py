@@ -18,6 +18,6 @@ timers, the rejoin pump — which lives once, sans-I/O, in
 :mod:`repro.runtime.driver` (docs/runtime.md).
 """
 
-from repro.runtime.interface import CancelTimer, Complete, Fail, Reply, SendTo, SetTimer
+from repro.runtime.interface import Complete, Fail, Reply, SendTo
 
-__all__ = ["CancelTimer", "Complete", "Fail", "Reply", "SendTo", "SetTimer"]
+__all__ = ["Complete", "Fail", "Reply", "SendTo"]

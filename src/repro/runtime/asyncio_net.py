@@ -77,21 +77,13 @@ from typing import Callable, Optional
 from repro.core.client import ClientProtocol
 from repro.core.config import ProtocolConfig
 from repro.core.durable import MemorySnapshotStore, SnapshotStore
-from repro.core.messages import OpId, ReadAck, RejoinRequest, WriteAck
+from repro.core.messages import ReadAck, RejoinRequest, WriteAck
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.errors import StorageUnavailableError
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.runtime.driver import ServerDriver
-from repro.runtime.interface import (
-    CancelTimer,
-    Complete,
-    Fail,
-    SendTo,
-    SetTimer,
-    ack_every,
-    ring_batch_depth,
-)
+from repro.runtime.interface import Complete, SendTo, ack_every, ring_batch_depth
 from repro.transport.codec import decode_message, encode_message
 from repro.transport.framing import FrameDecoder, frame
 from repro.transport.reliable import (
@@ -766,24 +758,25 @@ class AsyncClient:
         #: Messages waiting for a dial in progress, per server.
         self._queued: dict[int, list] = {}
         self._dials: set[asyncio.Task] = set()
-        self._futures: dict[OpId, asyncio.Future] = {}
-        #: The protocol's retry timer, ``(timer_id, due)``: it has one op
-        #: in flight, so at most one is set.  A completed op only drops
-        #: the deadline; the one loop timer behind it, ``_timer``, fires
-        #: at most once per timeout and re-arms for the op then in flight.
-        self._deadline: Optional[tuple[int, float]] = None
+        #: The one operation in flight: its future, and the attempt's
+        #: deadline (loop time), which a request moves and a completion
+        #: or failure drops.  The one loop timer behind the deadline,
+        #: ``_timer``, fires at most once per timeout and then re-arms
+        #: for the deadline it finds, if any.
+        self._future: Optional[asyncio.Future] = None
+        self._deadline: Optional[float] = None
         self._timer: Optional[asyncio.TimerHandle] = None
         #: Replies are unbatched frames: depth 1.
         self._acks = _new_acks(ack_every(1))
         self._closed = False
 
     async def write(self, value: bytes) -> None:
-        op, effects = self.proto.start_write(value)
-        await self._run_op(op, effects)
+        _op, effects = self.proto.start_write(value)
+        await self._run_op(effects)
 
     async def read(self) -> bytes:
-        op, effects = self.proto.start_read()
-        return await self._run_op(op, effects)
+        _op, effects = self.proto.start_read()
+        return await self._run_op(effects)
 
     async def close(self) -> None:
         self._closed = True
@@ -800,9 +793,8 @@ class AsyncClient:
 
     # ------------------------------------------------------------------
 
-    async def _run_op(self, op: OpId, effects) -> Optional[bytes]:
-        future = asyncio.get_running_loop().create_future()
-        self._futures[op] = future
+    async def _run_op(self, effects) -> Optional[bytes]:
+        future = self._future = asyncio.get_running_loop().create_future()
         self._execute(effects)
         return await future
 
@@ -810,21 +802,18 @@ class AsyncClient:
         for effect in effects:
             if isinstance(effect, SendTo):
                 self._send(effect.server, effect.message)
-            elif isinstance(effect, SetTimer):
-                self._set_deadline(effect.timer_id, effect.delay)
-            elif isinstance(effect, CancelTimer):
-                if self._deadline is not None and self._deadline[0] == effect.timer_id:
-                    self._deadline = None
-            elif isinstance(effect, Complete):
-                future = self._futures.pop(effect.op, None)
-                if future is not None and not future.done():
-                    future.set_result(effect.value)
-            elif isinstance(effect, Fail):
-                future = self._futures.pop(effect.op, None)
-                if future is not None and not future.done():
-                    future.set_exception(
-                        StorageUnavailableError(f"{effect.op}: {effect.reason}")
-                    )
+                self._set_deadline(effect.timeout)
+                continue
+            # Complete or Fail: the operation and its deadline are over.
+            future, self._future, self._deadline = self._future, None, None
+            if future is None or future.done():
+                continue
+            if isinstance(effect, Complete):
+                future.set_result(effect.value)
+            else:
+                future.set_exception(
+                    StorageUnavailableError(f"{effect.op}: {effect.reason}")
+                )
 
     def _send(self, server: int, message) -> None:
         link = self._links.get(server)
@@ -876,10 +865,9 @@ class AsyncClient:
         if self._links.get(link.peer) is link:
             del self._links[link.peer]
 
-    def _set_deadline(self, timer_id: int, delay: float) -> None:
+    def _set_deadline(self, delay: float) -> None:
         loop = asyncio.get_running_loop()
-        due = loop.time() + delay
-        self._deadline = (timer_id, due)
+        due = self._deadline = loop.time() + delay
         if self._timer is not None and self._timer.when() <= due:
             return  # fires early, then re-arms for this deadline
         if self._timer is not None:
@@ -888,14 +876,14 @@ class AsyncClient:
 
     def _expire(self) -> None:
         armed_for, self._timer = self._timer.when(), None
-        if self._deadline is None:
+        due = self._deadline
+        if due is None:
             return  # the op completed; the next one arms afresh
-        timer_id, due = self._deadline
         if due > armed_for:
             self._timer = asyncio.get_running_loop().call_at(due, self._expire)
             return
         self._deadline = None
-        self._execute(self.proto.on_timeout(timer_id))
+        self._execute(self.proto.on_timeout())
 
 
 class AsyncCluster:

@@ -33,25 +33,17 @@ class Reply:
 
 @record
 class SendTo:
-    """Client-side effect: send ``message`` to ``server``."""
+    """Client-side effect: send ``message`` to ``server`` and give the
+    attempt ``timeout`` s.
+
+    A client has one operation in flight, so it has one deadline: each
+    request moves it, and :class:`Complete` or :class:`Fail` drops it.
+    A deadline that passes is ``ClientProtocol.on_timeout``.
+    """
 
     server: int
     message: ClientMessage
-
-
-@record
-class SetTimer:
-    """Client-side effect: arm timer ``timer_id`` to fire in ``delay`` s."""
-
-    timer_id: int
-    delay: float
-
-
-@record
-class CancelTimer:
-    """Client-side effect: disarm timer ``timer_id`` (no-op if unarmed)."""
-
-    timer_id: int
+    timeout: float
 
 
 @record
@@ -77,7 +69,7 @@ class Fail:
     reason: str
 
 
-Effect = Union[Reply, SendTo, SetTimer, CancelTimer, Complete, Fail]
+Effect = Union[Reply, SendTo, Complete, Fail]
 
 #: Batch-depth budget per full ring traversal.  16 keeps the default
 #: depth of 4 intact up to the paper's 4-server midpoint and degenerates

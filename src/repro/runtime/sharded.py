@@ -656,14 +656,14 @@ class Rebalancer:
 class ShardClientHost(ClientHost):
     """A client machine whose logical clients target a block per op.
 
-    The block index is pinned **per operation** when it starts
-    (:meth:`_bind_block`), so a timeout retransmit re-wraps with the
-    originating operation's block even if this machine has since issued
-    operations against other blocks.  (The original implementation kept
-    one machine-wide "current block" read again at retransmit time,
-    which routed a delayed retry into whatever block a concurrent
-    logical client had switched to — corrupting a neighbouring
-    register; see the regression test in
+    The block index is pinned per logical client when its operation
+    starts (:meth:`_bind_block`; each has one in flight), so a timeout
+    retransmit re-wraps with the originating operation's block even if
+    this machine has since issued operations against other blocks.
+    (The original implementation kept one machine-wide "current block"
+    read again at retransmit time, which routed a delayed retry into
+    whatever block a concurrent logical client had switched to —
+    corrupting a neighbouring register; see the regression test in
     ``tests/integration/test_sharded.py``.)
 
     On an elastic cluster the host additionally keeps a per-block
@@ -677,31 +677,33 @@ class ShardClientHost(ClientHost):
 
     def __init__(self, cluster, client_id, servers, config):
         super().__init__(cluster, client_id, servers, config)
-        #: Block for the *next* operation, per logical client — consumed
-        #: by :meth:`_bind_block` the moment the operation starts.
-        self._pending_block: dict[int, int] = {}
-        #: In-flight operation -> its pinned block.
-        self._op_blocks: dict[OpId, int] = {}
-        #: Last bound op per logical client (each logical client has at
-        #: most one in flight, so binding a new op retires the old
-        #: entry — the map stays bounded by the client count).
-        self._last_op: dict[int, OpId] = {}
+        #: Block of the operation starting now: set by
+        #: ``write_block``/``read_block`` around the start, 0 otherwise.
+        self._next_block = 0
+        #: Per logical client, its operation's block and the redirects
+        #: that operation has chased.
+        self._blocks: dict[int, int] = {}
+        self._redirects: dict[int, int] = {}
         #: Block -> cached ``(version, members)`` placement entry.
         #: Seeded from the table at first touch, then moved only forward
         #: by redirects carrying a strictly newer version.
         self._placement_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
-        #: Redirect chases per in-flight operation (budget enforcement).
-        self._redirects: dict[OpId, int] = {}
 
     def write_block(
         self, reg: int, value: bytes, callback: Callable, client_id: Optional[int] = None
     ):
-        self._pending_block[self._logical(client_id)] = self._placed(reg)
-        return self.write(value, callback, client_id=client_id)
+        return self._on_block(reg, self.write, value, callback, client_id=client_id)
 
     def read_block(self, reg: int, callback: Callable, client_id: Optional[int] = None):
-        self._pending_block[self._logical(client_id)] = self._placed(reg)
-        return self.read(callback, client_id=client_id)
+        return self._on_block(reg, self.read, callback, client_id=client_id)
+
+    def _on_block(self, reg: int, start: Callable, *args, **kwargs):
+        """``start(*args, **kwargs)`` an operation on block ``reg``."""
+        self._next_block = self._placed(reg)
+        try:
+            return start(*args, **kwargs)
+        finally:
+            self._next_block = 0
 
     def _placed(self, reg: int) -> int:
         """``reg``, if some ring holds it.  Every server host keeps the
@@ -713,26 +715,9 @@ class ShardClientHost(ClientHost):
             raise ConfigurationError(f"block {reg} is held by no ring")
         return reg
 
-    def abort_op(self, client_id: Optional[int] = None):
-        op = super().abort_op(client_id)
-        if op is not None:
-            self._op_blocks.pop(op, None)
-            self._redirects.pop(op, None)
-            if self._last_op.get(op.client) == op:
-                del self._last_op[op.client]
-        return op
-
-    def _logical(self, client_id: Optional[int]) -> int:
-        return self.client_id if client_id is None else client_id
-
     def _bind_block(self, op: OpId) -> int:
-        reg = self._pending_block.pop(op.client, 0)
-        previous = self._last_op.get(op.client)
-        if previous is not None:
-            self._op_blocks.pop(previous, None)
-            self._redirects.pop(previous, None)
-        self._last_op[op.client] = op
-        self._op_blocks[op] = reg
+        reg = self._blocks[op.client] = self._next_block
+        self._redirects[op.client] = 0
         return reg
 
     # -- elastic placement routing -------------------------------------
@@ -741,7 +726,7 @@ class ShardClientHost(ClientHost):
         """The request in its block's envelope, to ``server`` — or, on an
         elastic cluster, to the member of the block's cached ring at the
         same position."""
-        reg = self._op_blocks[message.op]
+        reg = self._blocks[message.op.client]
         envelope = ShardEnvelope(reg, message)
         placement = self.cluster.placement
         if placement is None:
@@ -780,10 +765,8 @@ class ShardClientHost(ClientHost):
                 message.version,
                 tuple(message.servers),
             )
-        chased = self._redirects.get(message.op, 0) + 1
-        self._redirects[message.op] = chased
-        if chased > REDIRECT_BUDGET:
-            self._redirects.pop(message.op, None)
+        self._redirects[proto.client_id] += 1
+        if self._redirects[proto.client_id] > REDIRECT_BUDGET:
             self._execute(proto, proto.fail_current(PLACEMENT_STALE_REASON))
             return
         self._execute(proto, proto.reissue())
@@ -923,13 +906,13 @@ class BlockStore:
 
     def write_block(self, index: int, data: bytes) -> None:
         """Write one block; linearizable per block."""
-        result = self._run(lambda cb: self._client.write_block(index, data, cb))
+        result = self._client.run_op(self._client.write_block, index, data)
         if not result.ok:
             self._fail(f"write_block({index})", result.error)
 
     def read_block(self, index: int) -> bytes:
         """Read one block; linearizable per block."""
-        result = self._run(lambda cb: self._client.read_block(index, cb))
+        result = self._client.run_op(self._client.read_block, index)
         if not result.ok:
             self._fail(f"read_block({index})", result.error)
         return result.value
@@ -939,15 +922,3 @@ class BlockStore:
         if error == PLACEMENT_STALE_REASON:
             raise PlacementStaleError(f"{context}: {error}")
         raise StorageUnavailableError(f"{context}: {error}")
-
-    def _run(self, start):
-        done: list = []
-        start(done.append)
-        scheduler = self.cluster.env.scheduler
-        while not done:
-            if not scheduler.step():
-                # Same leak class as AtomicStorage._run: reset the
-                # half-open op so the handle stays usable after failure.
-                self._client.abort_op()
-                raise StorageUnavailableError("simulation idle before completion")
-        return done[0]

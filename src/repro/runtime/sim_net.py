@@ -52,21 +52,12 @@ from repro.core.messages import PAYLOAD_SIZERS, ClientMessage, OpId, payload_siz
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.core.tags import Tag
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, StorageUnavailableError
 from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.perfect import PerfectFailureDetector
 from repro.records import record
 from repro.runtime import driver
-from repro.runtime.interface import (
-    CancelTimer,
-    Complete,
-    Fail,
-    Reply,
-    SendTo,
-    SetTimer,
-    ack_every,
-    ring_batch_depth,
-)
+from repro.runtime.interface import Complete, Fail, Reply, SendTo, ack_every, ring_batch_depth
 from repro.sim.counters import (
     CODING_CACHE_READS,
     CODING_FRAGMENT_STORES,
@@ -99,11 +90,9 @@ from repro.sim.counters import (
 from repro.sim.env import SimEnv
 from repro.sim.faults import FaultPlan
 from repro.sim.nemesis import Nemesis
-from repro.sim.network import DEFAULT_PROPAGATION_DELAY
-from repro.sim.nic import FAST_ETHERNET_BPS, Nic
+from repro.sim.nic import Nic
 from repro.sim.process import SimProcess
 from repro.sim.topology import build_dual_network, build_shared_network
-from repro.sim.wire import WireModel
 from repro.transport.reliable import (
     BATCH_ENTRY_BYTES,
     BATCH_HEADER_BYTES,
@@ -173,15 +162,11 @@ class ClusterConfig:
     topology: str = "dual"  # "dual" (paper testbed) or "shared"
     seed: int = 0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    bandwidth_bps: float = FAST_ETHERNET_BPS
-    wire: WireModel = field(default_factory=WireModel)
-    propagation_delay: float = DEFAULT_PROPAGATION_DELAY
     detection_delay: float = DEFAULT_DETECTION_DELAY
     #: Pre-populated register contents.  Throughput experiments read
     #: value-sized payloads, so the register must start full (the paper's
     #: read experiment necessarily measures value-carrying replies).
     initial_value: bytes = b""
-    reliable_config: ReliableConfig = field(default_factory=ReliableConfig)
     #: Failure detector: ``"perfect"`` (the paper's oracle — crash events
     #: are simulation facts relayed after ``detection_delay``) or
     #: ``"heartbeat"`` (the imperfect detector: periodic beacons through
@@ -203,7 +188,6 @@ class ClusterConfig:
         self.protocol = self.protocol.for_detector(self.fd)
         if self.fd == "heartbeat":
             self.heartbeat.validate()
-        self.reliable_config.validate()
         return self
 
 
@@ -644,14 +628,15 @@ class ClientHost(_HostBase):
         }
         #: Requests ready to send, as the out-loop's items.
         self.out_queue: deque[tuple[str, ClientMessage, str]] = deque()
-        #: Per logical client, the protocol's retry timer as ``(timer_id,
-        #: due)`` and the one scheduler timer behind it, as
-        #: ``AsyncClient`` keeps them: a completed op only drops the
-        #: deadline, and the timer fires at most once per timeout,
-        #: re-arming then for the op in flight.
-        self._deadlines: dict[int, tuple[int, float]] = {}
+        #: Per logical client (one operation in flight each): the
+        #: attempt's deadline, which a request moves and a completion or
+        #: failure drops, and the one scheduler timer behind it.  The
+        #: timer fires at most once per timeout and then re-arms for the
+        #: deadline it finds, if any.
+        self._deadlines: dict[int, float] = {}
         self._timers: dict[int, object] = {}
-        self._callbacks: dict[OpId, Callable[[OpResult], None]] = {}
+        #: Per logical client, the in-flight operation's callback.
+        self._callbacks: dict[int, Callable[[OpResult], None]] = {}
         nic = cluster.topo.nics[self.name][
             "cli" if cluster.config.topology == "dual" else "lan"
         ]
@@ -690,24 +675,34 @@ class ClientHost(_HostBase):
         self._started(proto, op, "read", None, callback, effects)
         return op
 
-    def abort_op(self, client_id: Optional[int] = None) -> Optional[OpId]:
-        """Abandon a logical client's in-flight operation (if any):
-        reset the protocol's op state, disarm its timer and drop its
-        completion callback.  Used by blocking wrappers that give up on
-        an operation the simulation can no longer complete.  Returns the
-        abandoned op id (subclasses clean their own per-op state)."""
-        proto = self.protos[self.client_id if client_id is None else client_id]
-        op = proto.abandon()
-        if op is not None:
-            self._deadlines.pop(proto.client_id, None)
-            self._callbacks.pop(op, None)
-        return op
+    def run_op(self, start: Callable, *args) -> OpResult:
+        """Start an operation on this machine's own logical client with
+        ``start(*args, callback)`` and step the simulation until it
+        completes — the blocking drive under ``AtomicStorage`` and
+        ``BlockStore``.
+
+        If the simulation goes idle first, the operation is abandoned
+        before raising :class:`StorageUnavailableError`: the protocol
+        would otherwise keep it outstanding forever, and the next
+        operation on the handle would be refused."""
+        done: list = []
+        start(*args, done.append)
+        scheduler = self.env.scheduler
+        while not done:
+            if not scheduler.step():
+                self.protos[self.client_id].abandon()
+                self._deadlines.pop(self.client_id, None)
+                self._callbacks.pop(self.client_id, None)
+                raise StorageUnavailableError(
+                    "simulation went idle before the operation completed"
+                )
+        return done[0]
 
     def _started(self, proto: ClientProtocol, op: OpId, kind: str, value,
                  callback: Callable[[OpResult], None], effects) -> None:
         """Bookkeeping of an operation ``proto`` just started, then its
         effects."""
-        self._callbacks[op] = callback
+        self._callbacks[proto.client_id] = callback
         block = self._bind_block(op)
         history = self.cluster.history
         if history is not None:
@@ -734,10 +729,9 @@ class ClientHost(_HostBase):
 
     # -- internals ---------------------------------------------------------
 
-    def _set_deadline(self, client_id: int, timer_id: int, delay: float) -> None:
+    def _set_deadline(self, client_id: int, delay: float) -> None:
         scheduler = self.env.scheduler
-        due = scheduler.now + delay
-        self._deadlines[client_id] = (timer_id, due)
+        due = self._deadlines[client_id] = scheduler.now + delay
         timer = self._timers.get(client_id)
         if timer is not None:
             if timer[0] <= due:
@@ -747,17 +741,16 @@ class ClientHost(_HostBase):
 
     def _expire(self, client_id: int) -> None:
         del self._timers[client_id]
-        deadline = self._deadlines.get(client_id)
-        if deadline is None or not self.alive:
+        due = self._deadlines.get(client_id)
+        if due is None or not self.alive:
             return  # the op completed; the next one arms afresh
-        timer_id, due = deadline
         scheduler = self.env.scheduler
         if due > scheduler.now:
             self._timers[client_id] = scheduler.schedule_at(due, self._expire, client_id)
             return
         del self._deadlines[client_id]
         proto = self.protos[client_id]
-        self._execute(proto, proto.on_timeout(timer_id))
+        self._execute(proto, proto.on_timeout())
 
     def _execute(self, proto: ClientProtocol, effects) -> None:
         client_id = proto.client_id
@@ -770,30 +763,26 @@ class ClientHost(_HostBase):
                 self.out_queue.append(
                     (*self._request(effect.server, effect.message), "request")
                 )
+                self._set_deadline(client_id, effect.timeout)
                 sent = True
-            elif kind is SetTimer:
-                self._set_deadline(client_id, effect.timer_id, effect.delay)
-            elif kind is CancelTimer:
-                deadline = self._deadlines.get(client_id)
-                if deadline is not None and deadline[0] == effect.timer_id:
-                    del self._deadlines[client_id]
-            elif kind is Complete:
+                continue
+            # Complete or Fail: the operation is over, and so is its
+            # deadline.
+            self._deadlines.pop(client_id, None)
+            if kind is Complete:
                 result = OpResult(
                     effect.op, effect.kind, ok=True, value=effect.value, tag=effect.tag
                 )
                 history = self.cluster.history
                 if history is not None:
                     history.respond(self.env.now, client_id, effect.op, result.value, result.tag)
-                callback = self._callbacks.pop(effect.op, None)
-                if callback is not None:
-                    callback(result)
             elif kind is Fail:
                 result = OpResult(effect.op, "unknown", ok=False, error=effect.reason)
-                callback = self._callbacks.pop(effect.op, None)
-                if callback is not None:
-                    callback(result)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown effect {effect!r}")
+            callback = self._callbacks.pop(client_id, None)
+            if callback is not None:
+                callback(result)
         if sent and not self._loop.tx.busy:
             # Only a batch that queued a request has anything to pump.
             self._loop.pump()
@@ -854,11 +843,11 @@ class _ReliableLinkLayer:
     opened (with its reverse) the first time either direction is used.
     """
 
-    def __init__(self, cluster: "SimCluster", config: ReliableConfig):
+    def __init__(self, cluster: "SimCluster"):
         self.cluster = cluster
         self.env = cluster.env
         self.scheduler = cluster.env.scheduler
-        self.config = config
+        self.config = ReliableConfig()
         self.links: dict[tuple[str, str], _Link] = {}
         #: Channel generation per host, bumped whenever the host's
         #: sessions are torn down (crash detection, restart).  A link's
@@ -1089,14 +1078,7 @@ class SimCluster:
         self.env = SimEnv(seed=config.seed)
         server_names = [f"s{i}" for i in range(config.num_servers)]
         builder = build_dual_network if config.topology == "dual" else build_shared_network
-        self.topo = builder(
-            self.env,
-            server_names,
-            [],
-            bandwidth_bps=config.bandwidth_bps,
-            wire=config.wire,
-            propagation_delay=config.propagation_delay,
-        )
+        self.topo = builder(self.env, server_names, [])
         #: Fault controller: every network routes deliveries through it,
         #: so fault plans can partition, drop, delay, duplicate, throttle
         #: and pause without the protocol layers knowing.
@@ -1104,7 +1086,7 @@ class SimCluster:
         for network in self.topo.networks.values():
             network.faults = self.nemesis
         #: Reliable session layer under every unicast between hosts.
-        self.reliable = _ReliableLinkLayer(self, config.reliable_config)
+        self.reliable = _ReliableLinkLayer(self)
         #: Ring messages per wire frame, fresh or retransmitted.
         self.batch_limit = ring_batch_depth(
             config.protocol.batch_max_messages,
@@ -1220,7 +1202,7 @@ class SimCluster:
         self._next_client_id += 1
         name = f"c{client_id}"
         nets = ["cli"] if self.config.topology == "dual" else ["lan"]
-        self.topo.add_process(name, nets, self.config.bandwidth_bps)
+        self.topo.add_process(name, nets)
         order = sorted(self.servers)
         if home_server is not None:
             if home_server not in self.servers:
@@ -1307,7 +1289,7 @@ class SimCluster:
         src.tx.carry(
             wire_bytes, network._tx_done,
             (src, link.dst_nic, wire_bytes, (link, frame, link.stamp),
-             self.reliable.deliver_stamped, None),
+             self.reliable.deliver_stamped),
         )
 
     def multicast_servers(self, host, message) -> None:

@@ -139,12 +139,10 @@ class Network:
         payload_bytes: int,
         message: Any,
         deliver: DeliveryCallback,
-        on_sent: Callable[[], None] | None = None,
     ) -> None:
         """Send ``message`` from ``src`` to ``dst``.
 
-        ``deliver(message)`` fires after the receive port finishes;
-        ``on_sent`` (if given) fires when the transmit port frees up.
+        ``deliver(message)`` fires after the receive port finishes.
         Nothing is allocated per frame but the argument tuples the ports
         carry: every stage is a bound method plus its arguments.
         """
@@ -158,7 +156,7 @@ class Network:
         trace.count(self.counter_unicasts)
         trace.count(self.counter_wire_bytes, wire_bytes)
         src.tx.carry(
-            wire_bytes, self._tx_done, (src, dst, wire_bytes, message, deliver, on_sent)
+            wire_bytes, self._tx_done, (src, dst, wire_bytes, message, deliver)
         )
 
     def _tx_done(
@@ -169,7 +167,6 @@ class Network:
         wire_bytes: int,
         message: Any,
         deliver: DeliveryCallback,
-        on_sent: Callable[[], None] | None,
     ) -> None:
         """The transmit ``port`` finished the frame (``Port.carry``): hand
         it to the fabric, then let the port move on."""
@@ -181,8 +178,6 @@ class Network:
         sender = src.owner
         # A sender that died mid-transmission lost the frame.
         if sender is None or sender.alive:
-            if on_sent is not None:
-                on_sent()
             trace = self.env.trace
             if trace.record_events:
                 trace.emit(now, "net.tx", self.name, src.name, dst.name, wire_bytes)
@@ -282,7 +277,6 @@ class Network:
         payload_bytes: int,
         message: Any,
         deliver: Callable[[Nic, Any], None],
-        on_sent: Callable[[], None] | None = None,
     ) -> None:
         """Ethernet-style multicast: one transmit, every receiver listens.
 
@@ -295,7 +289,7 @@ class Network:
         self._check_attached(src)
         for dst in dsts:
             self._check_attached(dst)
-        self._mcast_attempt(src, list(dsts), payload_bytes, message, deliver, on_sent, 1)
+        self._mcast_attempt(src, list(dsts), payload_bytes, message, deliver, 1)
 
     def _mcast_attempt(
         self,
@@ -304,7 +298,6 @@ class Network:
         payload_bytes: int,
         message: Any,
         deliver: Callable[[Nic, Any], None],
-        on_sent: Callable[[], None] | None,
         attempt: int,
     ) -> None:
         if attempt > MAX_MULTICAST_ATTEMPTS:
@@ -344,14 +337,11 @@ class Network:
                     payload_bytes,
                     message,
                     deliver,
-                    on_sent,
                     attempt + 1,
                 )
                 return
             self.env.trace.count(self._multicasts)
             self.env.trace.count(self.counter_wire_bytes, wire_bytes)
-            if on_sent is not None:
-                on_sent()
             for dst in dsts:
                 self._dispatch(
                     src, dst, wire_bytes, message, lambda m, d=dst: deliver(d, m)

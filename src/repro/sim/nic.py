@@ -162,12 +162,6 @@ class Port:
         """
         self._queue.clear()
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds this port spent transmitting."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
     def _start(
         self,
         wire_bytes: int,

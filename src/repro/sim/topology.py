@@ -58,16 +58,6 @@ class ClusterTopology:
                 return nic, theirs[net_name], self.networks[net_name]
         raise ConfigurationError(f"no common network between {process!r} and {peer!r}")
 
-    def shared_network(self, *processes: str) -> Network:
-        """Return the unique network common to all listed processes."""
-        common: set[str] | None = None
-        for process in processes:
-            nets = set(self.nics[process])
-            common = nets if common is None else (common & nets)
-        if not common:
-            raise ConfigurationError(f"no common network among {processes!r}")
-        return self.networks[sorted(common)[0]]
-
 
 def build_dual_network(
     env: SimEnv,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class TraceRecorder:
         """Record an event if event recording is enabled."""
         if self.record_events:
             self.events.append(TraceEvent(time, kind, tuple(details)))
-
-    def of_kind(self, kind: str) -> Iterable[TraceEvent]:
-        """Iterate over recorded events of one kind."""
-        return (e for e in self.events if e.kind == kind)
 
     def last(self, kind: str) -> Optional[TraceEvent]:
         """Return the most recent event of ``kind``, if any."""

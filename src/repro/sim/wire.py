@@ -62,16 +62,6 @@ class WireModel:
         wire_bytes = total_app + segments * self.segment_overhead
         return wire_bytes if wire_bytes > self.min_frame else self.min_frame
 
-    def tx_time(self, payload_bytes: int, bandwidth_bps: float) -> float:
-        """Seconds the wire is occupied transmitting the message."""
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be > 0, got {bandwidth_bps}")
-        return self.wire_bytes(payload_bytes) * 8.0 / bandwidth_bps
-
-    def efficiency(self, payload_bytes: int) -> float:
-        """Goodput fraction: payload bytes / wire bytes."""
-        return payload_bytes / self.wire_bytes(payload_bytes)
-
 
 @dataclass(frozen=True)
 class LinkProfile:
@@ -113,12 +103,3 @@ class LinkProfile:
         if self.jitter < 0 or self.jitter != self.jitter:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         return self
-
-    @property
-    def is_noop(self) -> bool:
-        return (
-            self.drop_p == 0.0
-            and self.dup_p == 0.0
-            and self.extra_delay == 0.0
-            and self.jitter == 0.0
-        )

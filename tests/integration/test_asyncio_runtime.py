@@ -35,6 +35,7 @@ from repro.runtime.asyncio_net import (
     _KIND_REJOIN,
     _KIND_RING,
     _RECV_BYTES,
+    AsyncClient,
     AsyncCluster,
     _Link,
     _segment_frame,
@@ -787,6 +788,51 @@ def test_an_op_to_a_silent_server_still_times_out_at_its_deadline():
         finally:
             silent.close()
             await cluster.stop()
+
+    run(scenario())
+
+
+def test_a_stale_deadline_timer_rearms_for_the_next_op_and_never_retries():
+    """The client's one loop timer outlives the op that armed it: the
+    first op completes at once, and when its timer fires the second op
+    is in flight under a later deadline.  The timer re-arms for that
+    deadline and the op, answered late, completes with no retry.  The
+    server never answers; the test hands the client its acks."""
+    async def scenario():
+        timeout = 0.4
+        silent = await asyncio.start_server(_swallow, "127.0.0.1", 0)
+        try:
+            client = AsyncClient(
+                7, [0], {0: silent.sockets[0].getsockname()[:2]},
+                ProtocolConfig(client_timeout=timeout, client_max_retries=3),
+            )
+            loop = asyncio.get_running_loop()
+
+            def ack() -> None:
+                op = client.proto.outstanding
+                client._execute(client.proto.on_reply(WriteAck(op, Tag(op.seq + 1, 7))))
+
+            first = loop.create_task(client.write(b"first"))
+            await asyncio.sleep(0)
+            armed = client._timer
+            ack()
+            await first
+            assert client._deadline is None and client._timer is armed
+            await asyncio.sleep(timeout / 2)
+            second = loop.create_task(client.write(b"second"))
+            await asyncio.sleep(0)
+            due = client._deadline
+            assert due > armed.when()
+            await asyncio.sleep(armed.when() - loop.time() + timeout / 8)
+            assert not second.done(), "the second op is still in flight"
+            assert client._timer is not armed and client._timer.when() == due
+            ack()
+            await second
+            assert client.proto.stats_retries == 0
+            assert client._future is None and client._deadline is None
+            await client.close()
+        finally:
+            silent.close()
 
     run(scenario())
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.runtime.sharded import BlockStore, ShardedServerHost, add_shard_client
 from repro.runtime.sim_net import ServerHost
 
@@ -101,6 +101,26 @@ def test_retry_after_block_switch_stays_in_its_block():
     assert all(result.ok for result in done)
     assert store.read_block(0) == b"value-A"
     assert store.read_block(1) == b"value-B"
+
+
+def test_a_plain_operation_targets_block_zero():
+    """A plain ``write``/``read`` on a sharded client host targets block
+    0, also right after a block operation and after a block operation
+    that was refused at its start."""
+    store = BlockStore.build(num_servers=2, num_blocks=2, seed=37)
+    host = store._client
+    done: list = []
+    host.write_block(1, b"one", done.append)
+    store.cluster.run_until(lambda: len(done) == 1)
+    host.write(b"zero", done.append)
+    with pytest.raises(ProtocolError):
+        host.write_block(1, b"refused: one op in flight", done.append)
+    store.cluster.run_until(lambda: len(done) == 2)
+    host.read(done.append)
+    store.cluster.run_until(lambda: len(done) == 3)
+    assert [result.ok for result in done] == [True, True, True]
+    assert done[2].value == b"zero"
+    assert store.read_block(1) == b"one"
 
 
 def test_sharded_server_restart_rejoins_every_block():

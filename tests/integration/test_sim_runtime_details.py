@@ -21,6 +21,7 @@ from repro.core.messages import (
 from repro.core.tags import Tag
 from repro.errors import ConfigurationError
 from repro.sim.faults import FaultPlan
+from repro.transport.reliable import ReliableConfig
 
 
 def test_dual_topology_separates_ring_and_client_traffic():
@@ -245,7 +246,7 @@ def test_simulated_acks_follow_the_hosts_pacers_and_timers_stay_lazy():
         storage.write(bytes([i]) * 200)
     links = cluster.reliable.links.values()
     assert sum(link.tx.in_flight for link in links) > 0
-    rto = cluster.config.reliable_config.rto_initial
+    rto = ReliableConfig().rto_initial
     assert cluster.now < rto / 2, "the burst must fit inside one flush"
     cluster.run(until=rto / 2 + 0.005)  # the flush plus one hop
     counters = cluster.env.trace.counters
@@ -255,3 +256,36 @@ def test_simulated_acks_follow_the_hosts_pacers_and_timers_stay_lazy():
     cluster.env.run_until_idle()
     assert counters.get("reliable.retransmits", 0) == 0
     assert all(link.retx_timer is None for link in links)
+
+
+def test_a_stale_deadline_timer_rearms_for_the_next_op_and_never_retries():
+    """A logical client keeps one deadline behind one scheduler timer.
+    The first op completes long before its timeout, so its timer is
+    still pending when it fires, with the second op in flight under a
+    later deadline: the timer re-arms for that deadline, and the second
+    op, slowed but not lost, completes with no retry."""
+    timeout = 0.5
+    cluster = SimCluster.build(
+        num_servers=3, seed=64,
+        protocol=ProtocolConfig(client_timeout=timeout, client_max_retries=3),
+    )
+    client = cluster.add_client(home_server=0)
+    proto = client.protos[client.client_id]
+    cluster.apply_faults(FaultPlan().delay("c0", "s0", at=0.25, until=0.45, extra=0.3))
+    results = []
+    client.write(b"first", results.append)
+    cluster.run_until(lambda: bool(results))
+    (first_timer,) = client._timers.values()
+    assert first_timer[0] == pytest.approx(timeout) and not client._deadlines
+    cluster.run(until=0.3)
+    client.write(b"second", results.append)
+    due = client._deadlines[client.client_id]
+    assert due == pytest.approx(0.3 + timeout)
+    cluster.run(until=timeout + 0.01)
+    assert len(results) == 1, "the second op is still in flight"
+    (timer,) = client._timers.values()
+    assert timer[0] == due, "the early timer re-armed for the live deadline"
+    cluster.run_until(lambda: len(results) == 2)
+    assert all(result.ok for result in results)
+    assert cluster.now < due and proto.stats_retries == 0
+    assert not client._deadlines and not client._callbacks

@@ -1,4 +1,9 @@
-"""Unit tests for the client state machine (issue, ack, retry)."""
+"""Unit tests for the client state machine (issue, ack, retry).
+
+A client has one operation in flight, so it states its effects without
+timer ids: each request carries its attempt's timeout, and the runtime's
+one deadline per client ends with ``Complete`` or ``Fail``.
+"""
 
 import pytest
 
@@ -7,7 +12,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRead, ClientWrite, ReadAck, WriteAck
 from repro.core.tags import Tag
 from repro.errors import ProtocolError
-from repro.runtime.interface import CancelTimer, Complete, Fail, SendTo, SetTimer
+from repro.runtime.interface import Complete, Fail, SendTo
 
 
 def make_client(**overrides):
@@ -15,22 +20,24 @@ def make_client(**overrides):
     return ClientProtocol(50, servers=[0, 1, 2], config=config)
 
 
+def _op_state(client):
+    return client._outstanding, client._message, client._retries
+
+
 def test_write_issues_request_and_timer():
     client = make_client()
     op, effects = client.start_write(b"v")
-    send, timer = effects
+    (send,) = effects
     assert isinstance(send, SendTo) and send.server == 0
     assert isinstance(send.message, ClientWrite) and send.message.value == b"v"
-    assert isinstance(timer, SetTimer) and timer.delay == 1.0
+    assert send.timeout == 1.0, "the request carries its attempt's timeout"
     assert client.busy
 
 
 def test_read_completes_on_ack():
     client = make_client()
     op, _effects = client.start_read()
-    effects = client.on_reply(ReadAck(op, b"data", Tag(1, 0)))
-    cancel, complete = effects
-    assert isinstance(cancel, CancelTimer)
+    (complete,) = client.on_reply(ReadAck(op, b"data", Tag(1, 0)))
     assert isinstance(complete, Complete)
     assert complete.value == b"data" and complete.kind == "read"
     assert not client.busy
@@ -39,8 +46,8 @@ def test_read_completes_on_ack():
 def test_write_completes_on_ack_with_tag():
     client = make_client()
     op, _ = client.start_write(b"v")
-    effects = client.on_reply(WriteAck(op, Tag(4, 2)))
-    assert any(isinstance(e, Complete) and e.tag == Tag(4, 2) for e in effects)
+    (complete,) = client.on_reply(WriteAck(op, Tag(4, 2)))
+    assert complete == Complete(op, kind="write", tag=Tag(4, 2))
 
 
 def test_one_operation_at_a_time():
@@ -53,68 +60,59 @@ def test_one_operation_at_a_time():
 def test_timeout_retries_at_next_server():
     client = make_client()
     op, _ = client.start_write(b"v")
-    effects = client.on_timeout(op.seq)
-    send = next(e for e in effects if isinstance(e, SendTo))
-    assert send.server == 1
+    (send,) = client.on_timeout()
+    assert send.server == 1 and send.timeout == 1.0
     assert send.message.op == op, "retries reuse the op id for dedup"
     assert client.stats_retries == 1
 
 
 def test_retries_walk_all_servers_round_robin():
     client = make_client()
-    op, _ = client.start_write(b"v")
-    servers = []
-    for _ in range(2):
-        effects = client.on_timeout(op.seq)
-        servers.extend(e.server for e in effects if isinstance(e, SendTo))
+    client.start_write(b"v")
+    servers = [effect.server for _ in range(2) for effect in client.on_timeout()]
     assert servers == [1, 2]
 
 
 def test_retries_exhausted_fails_operation():
     client = make_client()
     op, _ = client.start_write(b"v")
-    client.on_timeout(op.seq)
-    client.on_timeout(op.seq)
-    effects = client.on_timeout(op.seq)
-    assert any(isinstance(e, Fail) and e.op == op for e in effects)
+    client.on_timeout()
+    client.on_timeout()
+    assert client.on_timeout() == [Fail(op, reason="retries exhausted")]
     assert not client.busy
 
 
 def test_retries_exhausted_resets_full_op_state():
-    """Regression: the exhausted path used to leave _kind and _retries
-    stale and emitted no CancelTimer.  A late ack arriving after the
-    Fail must be ignored, and the next operation must start with a
-    fresh retry budget and the right kind."""
+    """Regression: the exhausted path used to leave the retry count
+    stale.  A late ack arriving after the Fail must be ignored, and the
+    next operation must start with a fresh retry budget and the right
+    kind."""
     client = make_client()
     op, _ = client.start_write(b"v")
     for _ in range(2):
-        client.on_timeout(op.seq)
-    effects = client.on_timeout(op.seq)
-    kinds = [type(e) for e in effects]
-    assert kinds == [CancelTimer, Fail], effects
-    assert effects[0].timer_id == op.seq
-    assert client._kind is None and client._retries == 0
+        client.on_timeout()
+    (fail,) = client.on_timeout()
+    assert isinstance(fail, Fail) and fail.op == op
+    assert _op_state(client) == (None, None, 0)
 
     # A late ack for the failed write is stale, not a completion.
     assert client.on_reply(WriteAck(op, Tag(9, 1))) == []
     assert not client.busy
 
     # The next operation starts clean: full retry budget, correct kind.
-    op2, effects = client.start_read()
+    op2, (send,) = client.start_read()
     assert op2.seq == op.seq + 1
-    assert client._kind == "read" and client._retries == 0
-    ack = client.on_reply(ReadAck(op2, b"x", Tag(1, 0)))
-    complete = next(e for e in ack if isinstance(e, Complete))
+    assert isinstance(send.message, ClientRead) and client._retries == 0
+    (complete,) = client.on_reply(ReadAck(op2, b"x", Tag(1, 0)))
     assert complete.kind == "read"
     # And its retry budget was not eaten by the failed predecessor.
     client2 = make_client()
-    op3, _ = client2.start_write(b"w")
-    client2.on_timeout(op3.seq)
-    client2.on_timeout(op3.seq)
-    client2.on_timeout(op3.seq)  # exhausted (2 retries allowed)
-    op4, _ = client2.start_write(b"w2")
+    client2.start_write(b"w")
+    for _ in range(3):  # exhausted (2 retries allowed)
+        client2.on_timeout()
+    client2.start_write(b"w2")
     assert not any(
-        isinstance(e, Fail) for e in client2.on_timeout(op4.seq)
+        isinstance(e, Fail) for e in client2.on_timeout()
     ), "the new op must get its own full retry budget"
 
 
@@ -123,13 +121,14 @@ def test_stale_replies_and_timers_ignored():
     op, _ = client.start_write(b"v")
     client.on_reply(WriteAck(op, Tag(1, 0)))
     assert client.on_reply(WriteAck(op, Tag(1, 0))) == []
-    assert client.on_timeout(op.seq) == []
+    assert client.on_timeout() == [], "a timeout with nothing in flight is a no-op"
+    assert client.stats_retries == 0
 
 
 def test_duplicate_ack_after_retry_is_harmless():
     client = make_client()
     op, _ = client.start_write(b"v")
-    client.on_timeout(op.seq)  # retried to server 1
+    client.on_timeout()  # retried to server 1
     effects = client.on_reply(WriteAck(op, Tag(1, 0)))  # ack from either server
     assert any(isinstance(e, Complete) for e in effects)
     assert client.on_reply(WriteAck(op, Tag(1, 0))) == []
@@ -149,19 +148,37 @@ def test_needs_at_least_one_server():
         ClientProtocol(1, servers=[])
 
 
+def test_reissue_resends_to_the_same_server_with_the_timeout():
+    client = make_client()
+    op, (first,) = client.start_write(b"v")
+    assert client.reissue() == [first], "a redirect costs no retry"
+    assert client.stats_retries == 0
+    client.on_reply(WriteAck(op, Tag(1, 0)))
+    assert client.reissue() == []
+
+
+def test_fail_current_resets_the_op_state():
+    client = make_client()
+    op, _ = client.start_write(b"v")
+    client.on_timeout()
+    assert client.fail_current("placement stale") == [Fail(op, "placement stale")]
+    assert _op_state(client) == (None, None, 0)
+    assert client.fail_current("again") == []
+
+
 def test_abandon_resets_op_state_and_reports_the_op():
     client = make_client()
     op, _ = client.start_write(b"v")
-    client.on_timeout(op.seq)  # one retry consumed
+    client.on_timeout()  # one retry consumed
     assert client.abandon() == op
-    assert not client.busy
+    assert _op_state(client) == (None, None, 0)
     # The handle is reusable and the new op starts from scratch: a full
     # retry budget and no phantom outstanding op.
     op2, effects = client.start_read()
     assert op2.seq == op.seq + 1
     assert any(isinstance(e, SendTo) for e in effects)
     assert not any(
-        isinstance(e, Fail) for e in client.on_timeout(op2.seq)
+        isinstance(e, Fail) for e in client.on_timeout()
     ), "the abandoned op's consumed retries must not leak into the next op"
 
 

@@ -30,7 +30,7 @@ def test_protocol_rejects_bad_values(kwargs):
 
 def test_protocol_config_has_ten_fields():
     assert len(dataclasses.fields(ProtocolConfig)) == 10
-    assert len(dataclasses.fields(ClusterConfig)) == 12
+    assert len(dataclasses.fields(ClusterConfig)) == 8
 
 
 CODED = {"value_coding": "coded", "coding_k": 2, "coding_n": 4}

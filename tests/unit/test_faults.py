@@ -219,8 +219,6 @@ def test_link_profile_validates():
         LinkProfile(dup_p=-0.1).validate()
     with pytest.raises(ValueError):
         LinkProfile(jitter=math.nan).validate()
-    assert LinkProfile().is_noop
-    assert not LinkProfile(drop_p=0.1).is_noop
 
 
 # ----------------------------------------------------------------------

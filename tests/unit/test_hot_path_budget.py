@@ -83,19 +83,22 @@ WINDOWS = {"write": (0.5, 0.3), "open": (0.5, 0.2)}
 #: dispatch; 469.8 with one send call and one receive call per frame,
 #: two events per frame, lazy timers, one ack rule and the heap entry as
 #: the event handle; 320.8 with one pass per ring message in
-#: ``ServerProtocol`` (``core.server`` 233.0 → 117.0, filed as above).
+#: ``ServerProtocol`` (``core.server`` 233.0 → 117.0, filed as above);
+#: 317.8 with the empty commit pull skipped; 314.8 with no timer
+#: effects (``core.client`` 15.1 → 12.0: a request carries its timeout,
+#: and one reset ends every operation).
 #: ``open``: 489.3, then 381.6, then 239.9, then 199.9 (``core.server``
-#: 85.4 → 54.0).
+#: 85.4 → 54.0), then 195.5 (``core.client`` 15.9 → 12.1).
 LAYER_BUDGET = {
     "write": {
-        "core.client": 16.6, "core.durable": 2.2, "core.fairness": 37.4,
+        "core.client": 13.2, "core.durable": 2.2, "core.fairness": 37.4,
         "core.messages": 16.6, "core.pending": 18.7, "core.server": 128.7,
         "runtime.sim_net": 66.3, "sim.env": 0.1, "sim.events": 26.6,
         "sim.network": 14.6, "sim.process": 1.2, "sim.trace": 0.6,
         "sim.wire": 0.2, "transport.reliable": 21.4, "workload": 2.3,
     },
     "open": {
-        "core.client": 17.5, "core.durable": 1.9, "core.fairness": 9.1,
+        "core.client": 13.3, "core.durable": 1.9, "core.fairness": 9.1,
         "core.messages": 7.1, "core.pending": 4.8, "core.server": 59.5,
         "core.tags": 0.1, "core.values": 1.8, "runtime.sim_net": 54.2,
         "sim.env": 0.1, "sim.events": 26.9, "sim.network": 14.8,

@@ -12,6 +12,7 @@ pinned separately (``test_wire_golden.py``, ``coding_golden.json``).
 
 import dataclasses
 import pickle
+import typing
 from types import MappingProxyType
 
 import pytest
@@ -29,7 +30,7 @@ from repro.core.messages import (
 )
 from repro.core.tags import Tag
 from repro.records import record
-from repro.runtime.interface import CancelTimer, Complete, Fail, Reply, SendTo, SetTimer
+from repro.runtime.interface import Complete, Effect, Fail, Reply, SendTo
 from repro.runtime.sim_net import OpResult
 from repro.transport.codec import decode_message, encode_message
 from repro.transport.reliable import Segment
@@ -66,9 +67,7 @@ MAKERS = {
     PendingEntry: lambda n: PendingEntry(Tag(n, 0), b"v" * n, OpId(1, n)),
     Segment: lambda n: Segment(n, n + 1, ("payload", n)),
     Reply: lambda n: Reply(n, WriteAck(OpId(1, n), Tag(n, 0))),
-    SendTo: lambda n: SendTo(n, ClientRead(OpId(1, n))),
-    SetTimer: lambda n: SetTimer(n, n / 8),
-    CancelTimer: lambda n: CancelTimer(n),
+    SendTo: lambda n: SendTo(n, ClientRead(OpId(1, n)), n / 8),
     Complete: lambda n: Complete(OpId(1, n), "read", b"v" * n, Tag(n, 0)),
     Fail: lambda n: Fail(OpId(1, n), f"reason {n}"),
     OpResult: lambda n: OpResult(OpId(1, n), "write", True, None, Tag(n, 0)),
@@ -140,3 +139,11 @@ def test_record_refuses_what_its_init_would_skip():
 
             def __post_init__(self):
                 pass
+
+
+def test_the_effect_vocabulary_is_four_records():
+    """A client has one operation in flight: a request carries its
+    timeout, and ``Complete``/``Fail`` end the deadline, so no timer
+    effect exists."""
+    assert typing.get_args(Effect) == (Reply, SendTo, Complete, Fail)
+    assert [f.name for f in dataclasses.fields(SendTo)] == ["server", "message", "timeout"]

@@ -140,7 +140,7 @@ def test_retransmitted_batches_and_pure_acks_use_the_links_callable(monkeypatch)
     carry = Port.carry
 
     def recording_carry(port, wire_bytes, finish, args):
-        src, dst, _wire_bytes, parcel, deliver, _on_sent = args
+        src, dst, _wire_bytes, parcel, deliver = args
         link, frame, stamp = parcel
         assert link is links[src.process_name, dst.process_name]
         assert deliver == cluster.reliable.deliver_stamped and stamp == link.stamp

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.stats import (
     LatencyStats,
-    ThroughputSample,
     linear_fit,
     mbit_per_s,
     mean,
@@ -21,28 +20,6 @@ def test_mbit_per_s():
         mbit_per_s(1, 0)
 
 
-def test_throughput_sample():
-    s = ThroughputSample(operations=100, payload_bytes=100 * 4096, seconds=2.0)
-    assert s.ops_per_s == 50.0
-    assert abs(s.mbit_per_s - 100 * 4096 * 8 / 2 / 1e6) < 1e-9
-
-
-def test_throughput_sample_zero_duration_guards_consistently():
-    """Regression: ops_per_s used to raise a bare ZeroDivisionError for
-    a zero-duration window while mbit_per_s raised ValueError — both
-    properties must reject the degenerate window the same way."""
-    degenerate = ThroughputSample(operations=5, payload_bytes=5 * 64, seconds=0.0)
-    with pytest.raises(ValueError):
-        degenerate.ops_per_s
-    with pytest.raises(ValueError):
-        degenerate.mbit_per_s
-    negative = ThroughputSample(operations=5, payload_bytes=5 * 64, seconds=-1.0)
-    with pytest.raises(ValueError):
-        negative.ops_per_s
-    with pytest.raises(ValueError):
-        negative.mbit_per_s
-
-
 def test_latency_stats_percentiles():
     stats = LatencyStats.from_samples([i / 1000 for i in range(1, 101)])
     assert stats.count == 100
@@ -51,7 +28,6 @@ def test_latency_stats_percentiles():
     assert stats.p99 == 0.099
     assert stats.max == 0.100
     assert abs(stats.mean - 0.0505) < 1e-12
-    assert abs(stats.mean_ms - 50.5) < 1e-9
 
 
 def test_latency_stats_empty():

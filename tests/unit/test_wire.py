@@ -24,25 +24,7 @@ def test_minimum_frame_applies():
     assert tiny.wire_bytes(1) == 84
 
 
-def test_tx_time_scales_with_bandwidth():
-    wire = WireModel()
-    t100 = wire.tx_time(4096, 100e6)
-    t1000 = wire.tx_time(4096, 1e9)
-    assert abs(t100 / t1000 - 10.0) < 1e-9
-    # 4362 wire bytes at 100 Mbit/s ~ 349 us.
-    assert abs(t100 - 4362 * 8 / 100e6) < 1e-12
-
-
-def test_efficiency_improves_with_payload():
-    wire = WireModel()
-    assert wire.efficiency(256) < wire.efficiency(4096) < 1.0
-    # The regime behind the paper's ~90 Mbit/s on 100 Mbit/s links.
-    assert 0.90 < wire.efficiency(4096) < 0.96
-
-
 def test_invalid_inputs():
     wire = WireModel()
     with pytest.raises(ValueError):
         wire.wire_bytes(-1)
-    with pytest.raises(ValueError):
-        wire.tx_time(100, 0)
